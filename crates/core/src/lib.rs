@@ -69,7 +69,7 @@ pub mod table;
 
 pub use controller::{InjectedCrash, MediaFault, RecoveryReport, TamperFault, ThyNvm};
 pub use health::{HealthMonitor, HealthSignals};
-pub use oracle::{OracleMismatch, PersistenceOracle};
+pub use oracle::{Expectation, OracleMismatch, PersistenceOracle, Scenario};
 pub use protocol::{Event as ProtocolEvent, ProtocolError, VersionState};
 pub use epoch::{CkptJob, EpochState};
 pub use layout::{AddressSpace, Region, PHYS_LIMIT};

@@ -289,7 +289,7 @@ const STATS_STRUCTS: &[&str] = &[
 ];
 /// Functions that touch every field wholesale; counting them would make the
 /// mutation check vacuous.
-const L3_EXEMPT_FNS: &[&str] = &["merge", "reset", "clear"];
+const L3_EXEMPT_FNS: &[&str] = &["reset", "clear"];
 /// Collection growth calls that count as mutating a `Vec` field.
 const GROW_CALLS: &[&str] = &["push", "insert", "extend", "append"];
 
@@ -352,7 +352,7 @@ fn rule_l3(files: &[FileIndex], out: &mut Vec<Diagnostic>) {
                 file: STATS_FILE.to_owned(),
                 line: field.line,
                 msg: format!(
-                    "dead counter `{}::{}`: never mutated in non-test code (outside merge/reset)",
+                    "dead counter `{}::{}`: never mutated in non-test code (outside reset/clear)",
                     field.owner, field.name
                 ),
             });
@@ -890,7 +890,7 @@ mod tests {
         "    pub writes: u64,\n",
         "}\n",
         "impl MemStats {\n",
-        "    pub fn merge(&mut self, o: &MemStats) { self.reads += o.reads; self.writes += o.writes; }\n",
+        "    pub fn reset(&mut self) { self.reads = 0; self.writes = 0; }\n",
         "}\n",
     );
 
@@ -910,7 +910,7 @@ mod tests {
         ];
         let diags: Vec<_> =
             check_all(&files).into_iter().filter(|d| d.rule == "L3").collect();
-        // `reads` is mutated + tested; `writes` is only touched by merge
+        // `reads` is mutated + tested; `writes` is only touched by reset
         // (exempt) and never tested → two diagnostics, both at line 3.
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(diags.iter().all(|d| d.line == 3));

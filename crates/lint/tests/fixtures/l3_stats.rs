@@ -1,4 +1,4 @@
-//! Known-bad: a `MemStats` with a dead counter (only `merge` touches it)
+//! Known-bad: a `MemStats` with a dead counter (only `reset` touches it)
 //! and an unverified one (mutated, never asserted). Parsed as
 //! `crates/types/src/stats.rs`.
 
@@ -14,10 +14,10 @@ impl MemStats {
         self.untested_counter += 1;
     }
 
-    pub fn merge(&mut self, o: &MemStats) {
-        self.reads += o.reads;
-        self.dead_counter += o.dead_counter;
-        self.untested_counter += o.untested_counter;
+    pub fn reset(&mut self) {
+        self.reads = 0;
+        self.dead_counter = 0;
+        self.untested_counter = 0;
     }
 }
 

@@ -43,7 +43,7 @@ fn l2_fixture_flags_every_panic_class_in_scope_only() {
 #[test]
 fn l3_fixture_flags_dead_and_unverified_counters() {
     let diags = lint_one("crates/types/src/stats.rs", include_str!("fixtures/l3_stats.rs"));
-    // `dead_counter` (line 7) is both dead (only `merge` writes it) and
+    // `dead_counter` (line 7) is both dead (only `reset` writes it) and
     // unverified; `untested_counter` (line 8) is mutated but never asserted.
     assert_eq!(keyed(&diags), vec![("L3", 7), ("L3", 7), ("L3", 8)], "{diags:?}");
     assert!(diags.iter().any(|d| d.msg.contains("dead counter `MemStats::dead_counter`")));

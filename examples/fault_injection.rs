@@ -14,7 +14,8 @@
 //!
 //! A second section arms *media* faults — a torn commit record, a `C_last`
 //! bit flip, corrupted PTT metadata — and shows the self-healing recovery
-//! path: integrity verification rejects `C_last` and restores `C_penult`.
+//! path: integrity verification rejects `C_last` and restores `C_penult`,
+//! exactly as the oracle predicts for a [`Scenario`] carrying that fault.
 //!
 //! A third section arms *DRAM* faults against the working copies: a
 //! corrected single-bit flip (counted, harmless), poison under clean data
@@ -25,9 +26,10 @@
 //!
 //! Run with `cargo run --release --example fault_injection`.
 
-use thynvm::core::{InjectedCrash, MediaFault, PersistenceOracle, ThyNvm};
+use thynvm::core::{InjectedCrash, MediaFault, PersistenceOracle, Scenario, ThyNvm};
 use thynvm::types::{
-    Cycle, DramFaultConfig, Error, MediaFaultConfig, MemorySystem, PhysAddr, SystemConfig,
+    Cycle, DramFaultConfig, Error, MediaFaultConfig, MemorySystem, PhysAddr, RecoveryOutcome,
+    SystemConfig,
 };
 
 const PAGE: u64 = 4096;
@@ -126,7 +128,9 @@ fn main() {
     for i in 0..24u64 {
         let at = Cycle::new(lo + i * (hi - lo) / 23);
         let (crash, mut crashed) = replay_with_crash(&ops, at);
-        let diffs = oracle.diff(at, |addr| {
+        let scenario = Scenario::crash_at(at);
+        assert_eq!(crash.event.outcome, oracle.expect(&scenario).outcome);
+        let diffs = oracle.diff(&scenario, |addr| {
             let mut b = [0u8; 1];
             crashed.load_bytes(PhysAddr::new(addr), &mut b, crash.resume_at);
             b[0]
@@ -161,18 +165,24 @@ fn main() {
     ] {
         // Two completed checkpoints, then a latent fault voids C_last.
         let mut sys = ThyNvm::new(cfg);
+        let mut oracle = PersistenceOracle::new();
         let mut t = Cycle::ZERO;
         for val in [0x11u8, 0x22] {
+            oracle.record_write(0, &[val; 64]);
             t = sys.store_bytes(PhysAddr::new(0), &[val; 64], t);
+            let started = t;
             t = sys.force_checkpoint(t);
             t = sys.drain(t);
+            oracle.record_checkpoint(started, t);
         }
         sys.inject_media_fault(fault);
+        let expected = oracle.expect(&Scenario { media: Some(fault), ..Scenario::crash_at(t) });
         let report = sys.crash_and_recover(t);
         let mut buf = [0u8; 1];
         sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
+        assert_eq!(expected.outcome, RecoveryOutcome::CPenultIntegrityFallback);
         assert!(report.integrity_fallback, "{name} must void C_last");
-        assert_eq!(buf[0], 0x11, "{name}: recovery must restore C_penult");
+        assert_eq!(Some(&buf[0]), expected.image.get(&0), "{name}: recovery must restore C_penult");
         println!(
             "  {name:<22} C_last rejected, fell back to C_penult \
              (recovered value {:#04x}, fallbacks={})",

@@ -1,5 +1,5 @@
 //! Nested-crash-storm soak: crashes *during recovery* validated against the
-//! sequence-aware persistence oracle.
+//! persistence oracle's crash-sequence rule (the first crash decides).
 //!
 //! The restartable-recovery design claims idempotence: recovery restarted
 //! from the persisted commit record — after any number of stacked power
@@ -15,207 +15,27 @@
 //! 2. **Randomized soak**: ≥ 500 seeded trials stacking 2–8 crashes at
 //!    random mid-step cycles, with and without latent media faults armed
 //!    (torn commit record / `C_last` bit flip — the crash-during-integrity-
-//!    fallback path), each asserting convergence to
-//!    [`PersistenceOracle::diff_after_crash_sequence`] plus counter
-//!    conservation: every queued point fires exactly once, as either a
-//!    top-level or a nested crash, and
-//!    `crashes_injected == recoveries_to_clast + recoveries_to_cpenult`.
+//!    fallback path), each converging to the oracle with every queued
+//!    point fired exactly once and every ledger balanced.
 //! 3. **Fallback storm**: a torn commit record with nested crashes at the
 //!    integrity-fallback step's boundaries — the second recovery must still
 //!    pick `C_penult`, never compound the fallback.
 //!
-//! Seeds come from `CRASH_STORM_SEED` (CI runs a small fixed matrix); the
-//! default seed keeps local runs deterministic.
+//! Seeds come from `SWEEP_SEED` (CI runs a small fixed matrix); the default
+//! seed keeps local runs deterministic.
 
-use thynvm::core::{InjectedCrash, MediaFault, PersistenceOracle, ThyNvm};
-use thynvm::types::{
-    Cycle, MediaFaultConfig, MemorySystem, PhysAddr, RecoveryOutcome, SystemConfig,
+mod common;
+
+use common::{
+    replay, run_trial, stacked_crashes, storm_workload, sweep_seed, trial_label, Digest, Reference,
 };
+use thynvm::core::{InjectedCrash, MediaFault, Scenario};
+use thynvm::types::{rng, Cycle, MediaFaultConfig, RecoveryOutcome, SystemConfig};
 
-/// One step of the deterministic workload.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Write `len` bytes of `fill` at `addr`.
-    Write { addr: u64, len: usize, fill: u8 },
-    /// End the epoch (checkpoint start; execution overlaps the job).
-    Checkpoint,
-    /// Let simulated time pass.
-    Advance { cycles: u64 },
-}
-
-const PAGE: u64 = 4096;
-
-/// A compact three-epoch workload touching both schemes: hot pages that
-/// cross the promotion threshold (PTT / page writeback) plus scattered cold
-/// blocks (BTT / block remapping), with per-epoch distinct fills so the
-/// three images (`W_active`, `C_last`, `C_penult`) all differ.
-fn workload() -> Vec<Op> {
-    let mut ops = Vec::new();
-    for epoch in 0u64..3 {
-        for rep in 0..4u64 {
-            for page in 0..3u64 {
-                for blk in 0..8u64 {
-                    ops.push(Op::Write {
-                        addr: page * PAGE + blk * 64,
-                        len: 64,
-                        fill: (1 + epoch * 50 + page * 11 + blk + rep * 3) as u8,
-                    });
-                }
-            }
-        }
-        for i in 0..10u64 {
-            let block = (i * 13 + epoch * 7) % 64;
-            ops.push(Op::Write {
-                addr: 8 * PAGE + block * 64,
-                len: 8,
-                fill: (100 + epoch * 17 + i) as u8,
-            });
-        }
-        ops.push(Op::Checkpoint);
-        if epoch < 1 {
-            ops.push(Op::Advance { cycles: 400_000 });
-        }
-    }
-    ops.push(Op::Advance { cycles: 2_000_000 });
-    // Uncheckpointed tail writes no recovery may ever surface.
-    for blk in 0..6u64 {
-        ops.push(Op::Write { addr: blk * 64, len: 64, fill: 0xEE });
-    }
-    ops
-}
-
-/// Applies one op, returning the advanced timeline.
-fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle) -> Cycle {
-    match op {
-        Op::Write { addr, len, fill } => {
-            let data = vec![*fill; *len];
-            now.max(sys.store_bytes(PhysAddr::new(*addr), &data, now))
-        }
-        Op::Checkpoint => now.max(sys.force_checkpoint(now)),
-        Op::Advance { cycles } => now + Cycle::new(*cycles),
-    }
-}
-
-/// Checkpoint completion times learned from the fault-free reference run.
-#[derive(Debug, Clone, Copy)]
-struct CkptTimes {
-    started: Cycle,
-    done_at: Cycle,
-}
-
-/// Runs the workload fault-free, feeding the oracle.
-fn reference_run(ops: &[Op], cfg: SystemConfig) -> (PersistenceOracle, Vec<CkptTimes>, Cycle) {
-    let mut sys = ThyNvm::new(cfg);
-    let mut oracle = PersistenceOracle::new();
-    let mut ckpts = Vec::new();
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        if let Op::Write { addr, len, fill } = op {
-            oracle.record_write(*addr, &vec![*fill; *len]);
-        }
-        let before = now;
-        now = apply(&mut sys, op, now);
-        if matches!(op, Op::Checkpoint) {
-            let times = match sys.epoch_state().job.as_ref() {
-                Some(j) => CkptTimes { started: j.started, done_at: j.done_at },
-                None => CkptTimes { started: before, done_at: now },
-            };
-            oracle.record_checkpoint(times.started, times.done_at);
-            ckpts.push(times);
-        }
-    }
-    (oracle, ckpts, now)
-}
-
-/// Replays the workload with the first crash armed at `at` and `nested`
-/// extra points queued behind it; drains every leftover point after the
-/// first recovery so all queued cycles fire before returning. Returns the
-/// first crash's record and the settled system.
-fn storm_replay(
-    ops: &[Op],
-    cfg: SystemConfig,
-    inject: Option<MediaFault>,
-    at: Cycle,
-    nested: &[Cycle],
-) -> (InjectedCrash, ThyNvm) {
-    let mut sys = ThyNvm::new(cfg);
-    if let Some(fault) = inject {
-        sys.inject_media_fault(fault);
-    }
-    sys.arm_crash_point(at);
-    for &p in nested {
-        assert!(p > at, "nested points must lie past the first crash");
-        sys.queue_crash_point(p);
-    }
-    let mut now = Cycle::ZERO;
-    let mut first = None;
-    for op in ops {
-        now = apply(&mut sys, op, now);
-        if let Some(crash) = sys.take_crash_report() {
-            first = Some(crash);
-            break;
-        }
-    }
-    let first = first.unwrap_or_else(|| {
-        // Armed cycle beyond the trace: power fails with the system idle.
-        sys.poll_crash(now.max(at) + Cycle::new(1));
-        sys.take_crash_report().expect("armed crash must fire")
-    });
-    // Queued points past the end of the first recovery stay armed (by
-    // design); fire each as a later top-level crash. Recovery idempotence
-    // means these extra power cycles must not change the image.
-    let mut t = first.resume_at;
-    while let Some(p) = sys.armed_crash_point() {
-        t = sys.poll_crash(t.max(p) + Cycle::new(1)).expect("leftover point fires");
-        sys.take_crash_report().expect("leftover crash reported");
-    }
-    (first, sys)
-}
-
-/// Asserts one settled storm trial against the sequence-aware oracle and
-/// the conservation invariants. `seq` is every queued crash cycle, first
-/// crash first.
-fn verify_storm(
-    oracle: &PersistenceOracle,
-    first: &InjectedCrash,
-    sys: &mut ThyNvm,
-    seq: &[Cycle],
-    clast_corrupt: bool,
-    label: &str,
-) {
-    let expected = oracle.expected_outcome_after_crash_sequence(seq, clast_corrupt);
-    assert_eq!(
-        first.event.outcome, expected,
-        "{label}: first-crash outcome disagrees with the sequence oracle"
-    );
-    let t = Cycle::new(u64::MAX / 2);
-    let diffs = oracle.diff_after_crash_sequence(seq, clast_corrupt, |addr| {
-        let mut buf = [0u8; 1];
-        sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-        buf[0]
-    });
-    assert!(
-        diffs.is_empty(),
-        "{label}: {} divergent byte(s) vs sequence oracle, first {:?}",
-        diffs.len(),
-        diffs.first()
-    );
-    // Conservation: every queued point fired exactly once, either as a
-    // top-level crash or as a nested crash during some recovery.
-    let s = sys.stats();
-    assert_eq!(
-        s.crashes_injected + s.nested_crashes,
-        seq.len() as u64,
-        "{label}: queued points lost or double-fired"
-    );
-    assert_eq!(
-        s.crashes_injected,
-        s.recoveries_to_clast + s.recoveries_to_cpenult,
-        "{label}: every top-level crash recovers to exactly one labeled image"
-    );
-    assert!(s.recovery_cycles >= first.report.recovery_cycles, "{label}: cycle accounting lost");
-    assert!(first.report.recovery_cycles > Cycle::ZERO, "{label}: recovery was free");
-}
+const DEFAULT_SEED: u64 = 0xC0FF_EE00;
+const TRIALS: usize = 510;
+/// Trials from this index on arm a latent media fault that voids `C_last`.
+const MEDIA_FROM: usize = 340;
 
 /// Hardened-integrity config for the media-fault storm population: CRC
 /// checking on, deterministic (no random flips, no wear) so only the
@@ -227,15 +47,46 @@ fn storm_media_cfg() -> SystemConfig {
     cfg
 }
 
-// The workspace's shared deterministic PRNG (splitmix64), so trials are
-// reproducible from the seed alone.
-use thynvm::types::rng::next as splitmix64;
+/// A scenario crashing at `at` with a nested point at every recovery-step
+/// boundary the probe observed (and one cycle before each).
+fn boundary_storm(probe: &InjectedCrash, at: Cycle, media: Option<MediaFault>) -> Scenario {
+    let mut crashes = vec![at];
+    for &(_, end) in &probe.report.steps {
+        for p in [end.saturating_sub(Cycle::new(1)), end] {
+            if p > at && !crashes.contains(&p) {
+                crashes.push(p);
+            }
+        }
+    }
+    Scenario { crashes, media, ..Scenario::default() }
+}
 
-fn storm_seed() -> u64 {
-    std::env::var("CRASH_STORM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FF_EE00)
+/// Trial generator of the randomized soak: whether the trial runs the
+/// media population, and its scenario. `span` is a typical recovery length,
+/// so nested points land both inside and past the recovery window.
+fn storm_trial(
+    plain: &Reference,
+    media: &Reference,
+    span: u64,
+    trial: usize,
+    rng: &mut u64,
+) -> (bool, Scenario) {
+    let is_media = trial >= MEDIA_FROM;
+    let r = if is_media { media } else { plain };
+    let fault = match trial % 2 {
+        _ if !is_media => None,
+        0 => Some(MediaFault::TornCommitRecord),
+        _ => Some(MediaFault::ClastBitFlip { addr: 0 }),
+    };
+    // Media faults only matter once a commit exists; crash after the
+    // first checkpoint completes so the fallback path is reachable.
+    let lo = if is_media { r.ckpts[0].done_at.raw() + 1 } else { 1 };
+    let at = Cycle::new(lo + rng::next(rng) % (r.end.raw() - lo));
+    let depth = 2 + (rng::next(rng) % 7) as usize; // 2–8 stacked
+    // Bias toward the recovery window (where nesting happens) but let some
+    // points land beyond it, staying armed for later.
+    let crashes = stacked_crashes(at, depth, 3 * span, rng);
+    (is_media, Scenario { crashes, media: fault, ..Scenario::default() })
 }
 
 /// Boundary-exhaustive pass: for crash cycles straddling the second
@@ -244,12 +95,12 @@ fn storm_seed() -> u64 {
 /// before it). The storm must converge to the probe's byte-identical image.
 #[test]
 fn nested_crashes_at_every_step_boundary_converge_to_the_probe_image() {
-    let ops = workload();
+    let ops = storm_workload();
     let cfg = SystemConfig::small_test();
-    let (oracle, ckpts, _end) = reference_run(&ops, cfg);
-    assert_eq!(ckpts.len(), 3, "workload must reach all three checkpoints");
+    let r = common::reference_run(&ops, cfg);
+    assert_eq!(r.ckpts.len(), 3, "workload must reach all three checkpoints");
 
-    let target = ckpts[1];
+    let target = r.ckpts[1];
     let crash_cycles = [
         target.started.saturating_sub(Cycle::new(1)),
         target.started + Cycle::new(1),
@@ -257,113 +108,64 @@ fn nested_crashes_at_every_step_boundary_converge_to_the_probe_image() {
         target.done_at,
         target.done_at + Cycle::new(100),
     ];
+    let mut digest = Digest::new();
     let mut storms_nested = 0u64;
     for &at in &crash_cycles {
         // Probe: identical config and workload, single crash, no storm.
-        let (probe_crash, probe) = storm_replay(&ops, cfg, None, at, &[]);
+        let (probe_crash, probe) = replay(&ops, cfg, &mut Scenario::crash_at(at));
         assert_eq!(probe_crash.report.nested_crashes, 0);
         assert_eq!(probe_crash.event.cycle, at);
 
-        // Storm: nested points at every step boundary the probe observed.
-        let mut nested = Vec::new();
-        for &(_, end) in &probe_crash.report.steps {
-            for p in [end.saturating_sub(Cycle::new(1)), end] {
-                if p > at && !nested.contains(&p) {
-                    nested.push(p);
-                }
-            }
-        }
-        let (first, mut sys) = storm_replay(&ops, cfg, None, at, &nested);
-        assert_eq!(first.event.cycle, at);
-        storms_nested += first.report.nested_crashes;
-
-        // Idempotence: byte-identical to the uninterrupted recovery, and
-        // both agree with the oracle.
+        let storm = boundary_storm(&probe_crash, at, None);
+        let t =
+            run_trial(&ops, cfg, &r.oracle, storm, &format!("boundary storm at {at}"), &mut digest);
+        storms_nested += t.first.report.nested_crashes;
+        // Idempotence: byte-identical to the uninterrupted recovery.
         assert_eq!(
-            sys.visible_fingerprint(),
+            t.sys.visible_fingerprint(),
             probe.visible_fingerprint(),
             "storm at {at} diverged from the uninterrupted recovery"
         );
-        assert!(first.report.recovery_cycles >= probe_crash.report.recovery_cycles);
-        let mut seq = vec![at];
-        seq.extend_from_slice(&nested);
-        verify_storm(&oracle, &first, &mut sys, &seq, false, &format!("boundary storm at {at}"));
+        assert!(t.first.report.recovery_cycles >= probe_crash.report.recovery_cycles);
     }
     assert!(storms_nested > 0, "no boundary point ever interrupted a recovery");
+    digest.print("nested_crashes_at_every_step_boundary_converge_to_the_probe_image");
 }
 
 /// Randomized soak: ≥ 500 seeded trials, 2–8 stacked crashes each at random
 /// mid-step cycles, plain and with latent media faults armed. Every trial
-/// converges to the sequence oracle with conserved counters.
+/// converges to the oracle with conserved counters.
 #[test]
 fn randomized_crash_storms_converge_to_the_sequence_oracle() {
-    let ops = workload();
-    let plain_cfg = SystemConfig::small_test();
-    let media_cfg = storm_media_cfg();
-    let (plain_oracle, plain_ckpts, plain_end) = reference_run(&ops, plain_cfg);
-    let (media_oracle, media_ckpts, media_end) = reference_run(&ops, media_cfg);
+    let ops = storm_workload();
+    let (plain_cfg, media_cfg) = (SystemConfig::small_test(), storm_media_cfg());
+    let plain = common::reference_run(&ops, plain_cfg);
+    let media = common::reference_run(&ops, media_cfg);
 
     // Learn a typical recovery span from one probe so random nested points
     // land both inside and past the recovery window.
-    let (probe, _) = storm_replay(&ops, plain_cfg, None, plain_ckpts[1].done_at, &[]);
+    let (probe, _) = replay(&ops, plain_cfg, &mut Scenario::crash_at(plain.ckpts[1].done_at));
     let span = probe.report.recovery_cycles.raw().max(16);
 
-    let mut rng = storm_seed();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let mut rng = seed;
+    let mut digest = Digest::new();
     let mut nested_fired = 0u64;
     let mut fallbacks_seen = 0u64;
-    const TRIALS: usize = 510;
     for trial in 0..TRIALS {
-        // Trials 0..340 are plain; the rest arm a latent media fault that
-        // voids C_last, exercising crash-during-integrity-fallback.
-        let media = trial >= 340;
-        let (cfg, oracle, ckpts, end) = if media {
-            (media_cfg, &media_oracle, &media_ckpts, media_end)
-        } else {
-            (plain_cfg, &plain_oracle, &plain_ckpts, plain_end)
-        };
-        let inject = match trial % 2 {
-            _ if !media => None,
-            0 => Some(MediaFault::TornCommitRecord),
-            _ => Some(MediaFault::ClastBitFlip { addr: 0 }),
-        };
-        // Media faults only matter once a commit exists; crash after the
-        // first checkpoint completes so the fallback path is reachable.
-        let lo = if media { ckpts[0].done_at.raw() + 1 } else { 1 };
-        let at = Cycle::new(lo + splitmix64(&mut rng) % (end.raw() - lo));
-        let depth = 2 + (splitmix64(&mut rng) % 7) as usize; // 2–8 stacked
-        let mut nested = Vec::new();
-        while nested.len() < depth {
-            // Bias toward the recovery window (where nesting happens) but
-            // let some points land beyond it, staying armed for later.
-            let p = at + Cycle::new(1 + splitmix64(&mut rng) % (3 * span));
-            if !nested.contains(&p) {
-                nested.push(p);
-            }
-        }
-        nested.sort_unstable();
-        let (first, mut sys) = storm_replay(&ops, cfg, inject, at, &nested);
-        assert_eq!(first.event.cycle, at, "trial {trial}");
-        nested_fired += first.report.nested_crashes;
-        if first.report.integrity_fallback {
-            fallbacks_seen += 1;
-        }
-        let mut seq = vec![at];
-        seq.extend_from_slice(&nested);
-        let corrupt = inject.is_some();
-        verify_storm(
-            oracle,
-            &first,
-            &mut sys,
-            &seq,
-            corrupt,
-            &format!("trial {trial} at {at} depth {depth} fault {inject:?}"),
-        );
+        let (is_media, sc) = storm_trial(&plain, &media, span, trial, &mut rng);
+        let (cfg, r) = if is_media { (media_cfg, &media) } else { (plain_cfg, &plain) };
+        let t = run_trial(&ops, cfg, &r.oracle, sc, &trial_label(seed, trial), &mut digest);
+        assert_eq!(t.first.event.cycle, t.scenario.crashes[0], "{}", t.label);
+        nested_fired += t.first.report.nested_crashes;
+        fallbacks_seen += u64::from(t.first.report.integrity_fallback);
     }
     assert!(
         nested_fired >= TRIALS as u64 / 4,
         "storm too shallow: only {nested_fired} nested crashes over {TRIALS} trials"
     );
     assert!(fallbacks_seen > 0, "soak never exercised an integrity fallback");
+    digest.print("randomized_crash_storms_converge_to_the_sequence_oracle");
 }
 
 /// Fallback storm: a torn commit record voids `C_last`, and power fails
@@ -371,34 +173,26 @@ fn randomized_crash_storms_converge_to_the_sequence_oracle() {
 /// on `C_penult` — the fallback applies exactly once, never compounds.
 #[test]
 fn crash_storms_during_integrity_fallback_never_compound() {
-    let ops = workload();
+    let ops = storm_workload();
     let cfg = storm_media_cfg();
-    let (oracle, ckpts, end) = reference_run(&ops, cfg);
-    let crash_cycles = [ckpts[1].done_at + Cycle::new(50), end + Cycle::new(1)];
-    for &at in &crash_cycles {
-        let (probe_crash, probe) =
-            storm_replay(&ops, cfg, Some(MediaFault::TornCommitRecord), at, &[]);
+    let r = common::reference_run(&ops, cfg);
+    let torn = Some(MediaFault::TornCommitRecord);
+    let mut digest = Digest::new();
+    for at in [r.ckpts[1].done_at + Cycle::new(50), r.end + Cycle::new(1)] {
+        let mut probe_sc = Scenario { media: torn, ..Scenario::crash_at(at) };
+        let (probe_crash, probe) = replay(&ops, cfg, &mut probe_sc);
         assert!(probe_crash.report.integrity_fallback, "probe at {at} must fall back");
 
-        let mut nested = Vec::new();
-        for &(_, stage_end) in &probe_crash.report.steps {
-            for p in [stage_end.saturating_sub(Cycle::new(1)), stage_end] {
-                if p > at && !nested.contains(&p) {
-                    nested.push(p);
-                }
-            }
-        }
-        let (first, mut sys) =
-            storm_replay(&ops, cfg, Some(MediaFault::TornCommitRecord), at, &nested);
-        assert!(first.report.integrity_fallback, "storm at {at} must still fall back");
-        assert_eq!(first.event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
+        let storm = boundary_storm(&probe_crash, at, torn);
+        let t =
+            run_trial(&ops, cfg, &r.oracle, storm, &format!("fallback storm at {at}"), &mut digest);
+        assert!(t.first.report.integrity_fallback, "storm at {at} must still fall back");
+        assert_eq!(t.first.event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
         assert_eq!(
-            sys.visible_fingerprint(),
+            t.sys.visible_fingerprint(),
             probe.visible_fingerprint(),
             "fallback storm at {at} diverged from the single-crash fallback"
         );
-        let mut seq = vec![at];
-        seq.extend_from_slice(&nested);
-        verify_storm(&oracle, &first, &mut sys, &seq, true, &format!("fallback storm at {at}"));
     }
+    digest.print("crash_storms_during_integrity_fallback_never_compound");
 }

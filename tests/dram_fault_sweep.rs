@@ -25,28 +25,19 @@
 //!    machinery — corrected flips, transparent refetches and quarantines
 //!    all occur across the population.
 //!
-//! Seeds come from `DRAM_FAULT_SEED` (CI runs a small fixed matrix); the
-//! default seed keeps local runs deterministic.
+//! Seeds come from `SWEEP_SEED` (CI runs a small fixed matrix); the default
+//! seed keeps local runs deterministic.
 
-use thynvm::core::{MediaFault, PersistenceOracle, ThyNvm};
-use thynvm::types::{
-    Cycle, DramFaultConfig, MediaFaultConfig, MemorySystem, PhysAddr, SystemConfig,
+mod common;
+
+use common::{
+    apply, run_trial, stacked_crashes, sweep_seed, trial_label, Digest, Op, Reference, PAGE,
 };
+use thynvm::core::{MediaFault, Scenario, ThyNvm};
+use thynvm::types::{rng, Cycle, DramFaultConfig, MediaFaultConfig, MemorySystem, SystemConfig};
 
-/// One step of the deterministic workload.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Write `len` bytes of `fill` at `addr`.
-    Write { addr: u64, len: usize, fill: u8 },
-    /// Read `len` bytes at `addr` (drives the ECC check on DRAM copies).
-    Read { addr: u64, len: usize },
-    /// End the epoch (checkpoint start; execution overlaps the job).
-    Checkpoint,
-    /// Let simulated time pass.
-    Advance { cycles: u64 },
-}
-
-const PAGE: u64 = 4096;
+const DEFAULT_SEED: u64 = 0xD4A3_FA01;
+const TRIALS: usize = 510;
 
 /// A three-epoch workload touching both schemes — hot pages that cross the
 /// promotion threshold (PTT) plus scattered cold blocks (BTT) — and, unlike
@@ -95,141 +86,6 @@ fn workload() -> Vec<Op> {
     ops
 }
 
-/// Applies one op, returning the advanced timeline.
-fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle) -> Cycle {
-    match op {
-        Op::Write { addr, len, fill } => {
-            let data = vec![*fill; *len];
-            now.max(sys.store_bytes(PhysAddr::new(*addr), &data, now))
-        }
-        Op::Read { addr, len } => {
-            let mut buf = vec![0u8; *len];
-            now.max(sys.load_bytes(PhysAddr::new(*addr), &mut buf, now))
-        }
-        Op::Checkpoint => now.max(sys.force_checkpoint(now)),
-        Op::Advance { cycles } => now + Cycle::new(*cycles),
-    }
-}
-
-/// Checkpoint completion times learned from the crash-free reference run.
-#[derive(Debug, Clone, Copy)]
-struct CkptTimes {
-    done_at: Cycle,
-}
-
-/// Runs the workload crash-free, feeding the oracle — including every
-/// quarantine the seeded DRAM fault schedule produces, drained through
-/// [`ThyNvm::take_quarantine_events`] in op order so each lands before the
-/// checkpoint snapshot it preceded.
-fn reference_run(ops: &[Op], cfg: SystemConfig) -> (PersistenceOracle, Vec<CkptTimes>, Cycle) {
-    let mut sys = ThyNvm::new(cfg);
-    let mut oracle = PersistenceOracle::new();
-    let mut ckpts = Vec::new();
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        if let Op::Write { addr, len, fill } = op {
-            oracle.record_write(*addr, &vec![*fill; *len]);
-        }
-        let before = now;
-        now = apply(&mut sys, op, now);
-        for (base, len) in sys.take_quarantine_events() {
-            oracle.record_quarantine(base, len);
-        }
-        if matches!(op, Op::Checkpoint) {
-            let times = match sys.epoch_state().job.as_ref() {
-                Some(j) => CkptTimes { done_at: j.done_at },
-                None => CkptTimes { done_at: now },
-            };
-            let started = sys.epoch_state().job.as_ref().map_or(before, |j| j.started);
-            oracle.record_checkpoint(started, times.done_at);
-            ckpts.push(times);
-        }
-    }
-    (oracle, ckpts, now)
-}
-
-/// Replays the workload with a crash armed at `at` (plus `extra` stacked
-/// points), drains every leftover point, and returns the settled system.
-fn crash_replay(
-    ops: &[Op],
-    cfg: SystemConfig,
-    inject: Option<MediaFault>,
-    at: Cycle,
-    extra: &[Cycle],
-) -> ThyNvm {
-    let mut sys = ThyNvm::new(cfg);
-    if let Some(fault) = inject {
-        sys.inject_media_fault(fault);
-    }
-    sys.arm_crash_point(at);
-    for &p in extra {
-        assert!(p > at, "stacked points must lie past the first crash");
-        sys.queue_crash_point(p);
-    }
-    let mut now = Cycle::ZERO;
-    let mut fired = false;
-    for op in ops {
-        now = apply(&mut sys, op, now);
-        if sys.take_crash_report().is_some() {
-            fired = true;
-            break;
-        }
-    }
-    if !fired {
-        sys.poll_crash(now.max(at) + Cycle::new(1));
-        sys.take_crash_report().expect("armed crash must fire");
-    }
-    while let Some(p) = sys.armed_crash_point() {
-        now = sys.poll_crash(now.max(p) + Cycle::new(1)).expect("leftover point fires");
-        sys.take_crash_report().expect("leftover crash reported");
-    }
-    sys
-}
-
-/// Asserts one settled trial: recovered bytes match the quarantine-aware
-/// oracle (so no poisoned byte survived) and the poison lifecycle conserves.
-fn verify_trial(
-    oracle: &PersistenceOracle,
-    sys: &mut ThyNvm,
-    seq: &[Cycle],
-    clast_corrupt: bool,
-    label: &str,
-) {
-    let t = Cycle::new(u64::MAX / 2);
-    let diffs = oracle.diff_after_crash_sequence(seq, clast_corrupt, |addr| {
-        let mut buf = [0u8; 1];
-        sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-        buf[0]
-    });
-    assert!(
-        diffs.is_empty(),
-        "{label}: {} divergent byte(s) vs quarantine-aware oracle, first {:?}",
-        diffs.len(),
-        diffs.first()
-    );
-    // Poison lifecycle conservation: every poisoned block met exactly one
-    // fate (refetched, dropped by quarantine, overwritten whole, cleared by
-    // power loss) or is still outstanding.
-    let outstanding = sys.dram_ecc().map_or(0, |e| e.outstanding() as u64);
-    let d = &sys.stats().dram;
-    assert_eq!(
-        d.poisoned_blocks,
-        d.poison_accounted() + outstanding,
-        "{label}: poison leaked from the lifecycle accounting ({d:?})"
-    );
-}
-
-// The workspace's shared deterministic PRNG (splitmix64), so trials are
-// reproducible from the seed alone.
-use thynvm::types::rng::next as splitmix64;
-
-fn sweep_seed() -> u64 {
-    std::env::var("DRAM_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xD4A3_FA01)
-}
-
 /// One config combo of the sweep population.
 #[derive(Debug, Clone, Copy)]
 struct Combo {
@@ -262,6 +118,26 @@ fn combo_cfg(c: Combo, seed: u64) -> SystemConfig {
     cfg
 }
 
+/// Trial generator: the combo index and the scenario, drawn against the
+/// combo's reference timeline.
+fn dram_trial(refs: &[Reference], trial: usize, rng: &mut u64) -> (usize, Scenario) {
+    let ci = (rng::next(rng) % COMBOS.len() as u64) as usize;
+    let (combo, r) = (COMBOS[ci], &refs[ci]);
+    // Latent NVM faults void C_last at recovery — crossing the DRAM
+    // quarantine rollback with the NVM integrity fallback.
+    let media = combo.media.then_some(if trial.is_multiple_of(2) {
+        MediaFault::TornCommitRecord
+    } else {
+        MediaFault::ClastBitFlip { addr: 0 }
+    });
+    // Media faults only matter once a commit exists.
+    let lo = if combo.media { r.ckpts[0].done_at.raw() + 1 } else { 1 };
+    let at = Cycle::new(lo + rng::next(rng) % (r.end.raw() - lo));
+    let depth = (rng::next(rng) % 3) as usize; // 0–2 stacked points
+    let crashes = stacked_crashes(at, depth, 2_000_000, rng);
+    (ci, Scenario { crashes, media, ..Scenario::default() })
+}
+
 /// Randomized sweep: ≥ 500 seeded trials crossing DRAM poison, crash
 /// cycles and NVM media faults. Every recovered image must match the
 /// quarantine-aware oracle byte-for-byte — a recovered byte sourced from a
@@ -270,74 +146,44 @@ fn combo_cfg(c: Combo, seed: u64) -> SystemConfig {
 #[test]
 fn seeded_dram_fault_sweep_never_persists_poison() {
     let ops = workload();
-    let base_seed = sweep_seed();
+    let seed = sweep_seed(DEFAULT_SEED);
 
     // One crash-free reference per combo: the oracle learns that combo's
     // deterministic quarantine schedule alongside the checkpoint times.
-    let refs: Vec<(SystemConfig, PersistenceOracle, Vec<CkptTimes>, Cycle)> = COMBOS
+    let cfgs: Vec<SystemConfig> = COMBOS.iter().map(|&c| combo_cfg(c, seed | 1)).collect();
+    let refs: Vec<Reference> = cfgs
         .iter()
-        .map(|&c| {
-            let cfg = combo_cfg(c, base_seed | 1);
-            let (oracle, ckpts, end) = reference_run(&ops, cfg);
-            assert_eq!(ckpts.len(), 3, "workload must reach all three checkpoints");
-            (cfg, oracle, ckpts, end)
+        .map(|&cfg| {
+            let r = common::reference_run(&ops, cfg);
+            assert_eq!(r.ckpts.len(), 3, "workload must reach all three checkpoints");
+            r
         })
         .collect();
 
-    let mut rng = base_seed;
+    let mut rng = seed;
+    let mut digest = Digest::new();
     let mut quarantines = 0u64;
     let mut refetches = 0u64;
     let mut corrected = 0u64;
-    const TRIALS: usize = 510;
     for trial in 0..TRIALS {
-        let ci = (splitmix64(&mut rng) % COMBOS.len() as u64) as usize;
-        let combo = COMBOS[ci];
-        let (cfg, oracle, ckpts, end) = &refs[ci];
-        let inject = if combo.media {
-            // Latent NVM faults void C_last at recovery — crossing the DRAM
-            // quarantine rollback with the NVM integrity fallback.
-            Some(if trial % 2 == 0 {
-                MediaFault::TornCommitRecord
-            } else {
-                MediaFault::ClastBitFlip { addr: 0 }
-            })
-        } else {
-            None
-        };
-        // Media faults only matter once a commit exists.
-        let lo = if combo.media { ckpts[0].done_at.raw() + 1 } else { 1 };
-        let at = Cycle::new(lo + splitmix64(&mut rng) % (end.raw() - lo));
-        let depth = (splitmix64(&mut rng) % 3) as usize; // 0–2 stacked points
-        let mut extra = Vec::new();
-        while extra.len() < depth {
-            let p = at + Cycle::new(1 + splitmix64(&mut rng) % 2_000_000);
-            if !extra.contains(&p) {
-                extra.push(p);
-            }
-        }
-        extra.sort_unstable();
-        let mut sys = crash_replay(&ops, *cfg, inject, at, &extra);
-        let mut seq = vec![at];
-        seq.extend_from_slice(&extra);
-        verify_trial(
-            oracle,
-            &mut sys,
-            &seq,
-            inject.is_some(),
-            &format!("trial {trial} combo {ci} at {at} depth {depth} fault {inject:?}"),
-        );
-        let d = &sys.stats().dram;
-        quarantines += d.quarantined_pages + u64::from(!d.quarantine_dropped_bytes.is_multiple_of(PAGE));
+        let (ci, sc) = dram_trial(&refs, trial, &mut rng);
+        let t =
+            run_trial(&ops, cfgs[ci], &refs[ci].oracle, sc, &trial_label(seed, trial), &mut digest);
+        let d = &t.sys.stats().dram;
+        quarantines +=
+            d.quarantined_pages + u64::from(!d.quarantine_dropped_bytes.is_multiple_of(PAGE));
         refetches += d.poison_refetched;
         corrected += d.corrected_flips;
+        let combo = COMBOS[ci];
         if combo.flip_rate == 0.0 && combo.poison_rate == 0.0 {
-            assert!(!d.any(), "trial {trial}: quiet control produced DRAM fault counters");
+            assert!(!d.any(), "{}: quiet control produced DRAM fault counters", t.label);
         }
     }
     // Containment floor: the sweep exercised the whole machinery.
     assert!(quarantines > 0, "sweep never quarantined a dirty range");
     assert!(refetches > 0, "sweep never healed a clean block by refetch");
     assert!(corrected > 0, "sweep never corrected a single-bit flip");
+    digest.print("seeded_dram_fault_sweep_never_persists_poison");
 }
 
 /// Disabled twin: with `enabled = false` the model must be absent, not
@@ -356,7 +202,7 @@ fn disabled_dram_fault_config_is_bit_identical_to_default() {
         let mut sys = ThyNvm::new(cfg);
         let mut now = Cycle::ZERO;
         for op in &ops {
-            now = apply(&mut sys, op, now);
+            now = apply(&mut sys, op, now).0;
         }
         now = sys.drain(now);
         (now, sys.visible_fingerprint(), sys.stats().clone())
@@ -377,12 +223,20 @@ fn disabled_dram_fault_config_is_bit_identical_to_default() {
 #[test]
 fn crash_with_outstanding_poison_recovers_a_consistent_image() {
     let ops = workload();
-    let cfg = combo_cfg(COMBOS[0], sweep_seed() | 1);
-    let (oracle, ckpts, _end) = reference_run(&ops, cfg);
+    let cfg = combo_cfg(COMBOS[0], sweep_seed(DEFAULT_SEED) | 1);
+    let r = common::reference_run(&ops, cfg);
 
     // Crash shortly after the second checkpoint commits: whatever poison
     // the schedule had outstanding right then is lost with DRAM power.
-    let at = ckpts[1].done_at + Cycle::new(10);
-    let mut sys = crash_replay(&ops, cfg, None, at, &[]);
-    verify_trial(&oracle, &mut sys, &[at], false, "outstanding-poison crash");
+    let at = r.ckpts[1].done_at + Cycle::new(10);
+    let mut digest = Digest::new();
+    run_trial(
+        &ops,
+        cfg,
+        &r.oracle,
+        Scenario::crash_at(at),
+        "outstanding-poison crash",
+        &mut digest,
+    );
+    digest.print("crash_with_outstanding_poison_recovers_a_consistent_image");
 }

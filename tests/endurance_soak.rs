@@ -28,29 +28,23 @@
 //!    are bit-identical to a default-config run — the subsystem adds zero
 //!    cost when off.
 //!
-//! Seeds come from `ENDURANCE_SOAK_SEED` (CI runs a small fixed matrix);
-//! the default seed keeps local runs deterministic.
+//! Seeds come from `SWEEP_SEED` (CI runs a small fixed matrix); the default
+//! seed keeps local runs deterministic.
 
-use thynvm::core::{MediaFault, PersistenceOracle, TamperFault, ThyNvm};
+mod common;
+
+use common::{
+    apply, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind, trial_label, Digest, Op,
+    Reference, Trial, PAGE,
+};
+use thynvm::core::{MediaFault, Scenario, ThyNvm};
 use thynvm::types::{
     rng, Cycle, DramFaultConfig, Error, HealthConfig, HealthRung, MediaFaultConfig, MemorySystem,
     PhysAddr, SecurityConfig, SystemConfig,
 };
 
-/// One step of the deterministic workload.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Write `len` bytes of `fill` at `addr`.
-    Write { addr: u64, len: usize, fill: u8 },
-    /// Read `len` bytes at `addr` (drives CRC retries and DRAM ECC).
-    Read { addr: u64, len: usize },
-    /// End the epoch (checkpoint start; execution overlaps the job).
-    Checkpoint,
-    /// Let simulated time pass.
-    Advance { cycles: u64 },
-}
-
-const PAGE: u64 = 4096;
+const DEFAULT_SEED: u64 = 0xE0D0_5A0C;
+const TRIALS: usize = 510;
 /// Epochs in the endurance workload — enough repeated writes per hot row
 /// to cross the wear threshold mid-run, so the media domain degrades the
 /// system *during* the soak, not in a warm-up.
@@ -111,39 +105,6 @@ fn workload() -> Vec<Op> {
     ops
 }
 
-/// Applies one op, returning the advanced timeline. Rejected stores (the
-/// ladder at `ReadOnly` or worse) advance time like served ones but write
-/// nothing — `record_ok` reports whether a write landed so the caller can
-/// keep the oracle aligned.
-fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle, record_ok: &mut bool) -> Cycle {
-    *record_ok = true;
-    match op {
-        Op::Write { addr, len, fill } => {
-            let data = vec![*fill; *len];
-            match sys.try_store_bytes(PhysAddr::new(*addr), &data, now) {
-                Ok(done) => now.max(done),
-                Err(Error::Degraded { .. }) => {
-                    *record_ok = false;
-                    now
-                }
-                Err(e) => panic!("store failed for a non-degradation reason: {e}"),
-            }
-        }
-        Op::Read { addr, len } => {
-            let mut buf = vec![0u8; *len];
-            now.max(sys.load_bytes(PhysAddr::new(*addr), &mut buf, now))
-        }
-        Op::Checkpoint => now.max(sys.force_checkpoint(now)),
-        Op::Advance { cycles } => now + Cycle::new(*cycles),
-    }
-}
-
-/// Checkpoint completion times learned from the crash-free reference run.
-#[derive(Debug, Clone, Copy)]
-struct CkptTimes {
-    done_at: Cycle,
-}
-
 /// Maps a rung onto its ladder level for step arithmetic.
 fn level(r: HealthRung) -> u64 {
     match r {
@@ -152,127 +113,6 @@ fn level(r: HealthRung) -> u64 {
         HealthRung::ReadOnly => 2,
         HealthRung::FailSafe => 3,
     }
-}
-
-/// Runs the workload crash-free, feeding the oracle: writes that landed,
-/// quarantines in op order, checkpoint windows, and — the soak's novelty —
-/// the rung each checkpoint's 64 B health record persisted. Also returns
-/// the rung trace observed after every op, for the hysteresis checks.
-fn reference_run(
-    ops: &[Op],
-    cfg: SystemConfig,
-) -> (PersistenceOracle, Vec<CkptTimes>, Cycle, Vec<HealthRung>, thynvm::types::HealthStats) {
-    let mut sys = ThyNvm::new(cfg);
-    let mut oracle = PersistenceOracle::new();
-    let mut ckpts = Vec::new();
-    let mut rungs = Vec::new();
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        let before = now;
-        let mut record_ok = true;
-        now = apply(&mut sys, op, now, &mut record_ok);
-        if let Op::Write { addr, len, fill } = op {
-            if record_ok {
-                oracle.record_write(*addr, &vec![*fill; *len]);
-            }
-        }
-        for (base, len) in sys.take_quarantine_events() {
-            oracle.record_quarantine(base, len);
-        }
-        if matches!(op, Op::Checkpoint) {
-            let times = match sys.epoch_state().job.as_ref() {
-                Some(j) => CkptTimes { done_at: j.done_at },
-                None => CkptTimes { done_at: now },
-            };
-            let started = sys.epoch_state().job.as_ref().map_or(before, |j| j.started);
-            oracle.record_checkpoint(started, times.done_at);
-            // The rung riding this checkpoint's health record: still
-            // pending while the job is in flight, already rotated into
-            // `C_last` if it completed instantly.
-            let rung = match sys.epoch_state().job.as_ref() {
-                Some(_) => sys.pending_health_rung().unwrap_or(HealthRung::Healthy),
-                None => sys.clast_health_rung(),
-            };
-            oracle.record_health(times.done_at, rung);
-            ckpts.push(times);
-        }
-        rungs.push(sys.health_rung());
-    }
-    let health = sys.stats().health;
-    (oracle, ckpts, now, rungs, health)
-}
-
-/// Replays the workload with optional latent media fault and tamper armed
-/// plus a crash at `at` (and `extra` stacked points), drains every
-/// leftover point, and returns the settled system.
-fn crash_replay(
-    ops: &[Op],
-    cfg: SystemConfig,
-    media: Option<MediaFault>,
-    tamper: Option<TamperFault>,
-    at: Cycle,
-    extra: &[Cycle],
-) -> ThyNvm {
-    let mut sys = ThyNvm::new(cfg);
-    if let Some(f) = media {
-        sys.inject_media_fault(f);
-    }
-    if let Some(t) = tamper {
-        sys.inject_tamper(t);
-    }
-    sys.arm_crash_point(at);
-    for &p in extra {
-        assert!(p > at, "stacked points must lie past the first crash");
-        sys.queue_crash_point(p);
-    }
-    let mut now = Cycle::ZERO;
-    let mut fired = false;
-    for op in ops {
-        let mut record_ok = true;
-        now = apply(&mut sys, op, now, &mut record_ok);
-        if sys.take_crash_report().is_some() {
-            fired = true;
-            break;
-        }
-    }
-    if !fired {
-        sys.poll_crash(now.max(at) + Cycle::new(1));
-        sys.take_crash_report().expect("armed crash must fire");
-    }
-    while let Some(p) = sys.armed_crash_point() {
-        now = sys.poll_crash(now.max(p) + Cycle::new(1)).expect("leftover point fires");
-        sys.take_crash_report().expect("leftover crash reported");
-    }
-    sys
-}
-
-/// Per-trial conservation: the ladder ledger balances, every bounded retry
-/// across the media / recovery / DRAM paths is a RetryPolicy-issued
-/// attempt, and the DRAM poison lifecycle closes.
-fn assert_conservation(sys: &ThyNvm, label: &str) {
-    let s = sys.stats();
-    assert!(
-        s.health.promotions <= s.health.demotions,
-        "{label}: more promotions than demotions ({:?})",
-        s.health
-    );
-    assert_eq!(
-        s.retry.media_attempts + s.retry.recovery_attempts,
-        s.media.retries,
-        "{label}: media retries not conserved ({:?} vs {:?})",
-        s.retry,
-        s.media
-    );
-    assert_eq!(
-        s.retry.dram_attempts, s.dram.refetch_retries,
-        "{label}: DRAM retries not conserved"
-    );
-    let outstanding = sys.dram_ecc().map_or(0, |e| e.outstanding() as u64);
-    assert_eq!(
-        s.dram.poisoned_blocks,
-        s.dram.poison_accounted() + outstanding,
-        "{label}: poison leaked from the lifecycle accounting"
-    );
 }
 
 /// The soak's hysteresis discipline, checked on a rung trace: recovery is
@@ -290,13 +130,6 @@ fn assert_hysteresis(rungs: &[HealthRung], label: &str) {
             );
         }
     }
-}
-
-fn soak_seed() -> u64 {
-    std::env::var("ENDURANCE_SOAK_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xE0D0_5A0C)
 }
 
 /// One config combo of the soak population. Crash is in every trial; the
@@ -346,8 +179,12 @@ fn combo_cfg(c: Combo, seed: u64) -> SystemConfig {
         // wounds the ladder during the stress epochs — and, being a
         // windowed rate rather than a standing level, lets the cool-down
         // epochs earn the promotion back.
-        cfg.dram_fault =
-            DramFaultConfig { flip_rate: 0.2, poison_rate: 0.02, seed, ..DramFaultConfig::hardened() };
+        cfg.dram_fault = DramFaultConfig {
+            flip_rate: 0.2,
+            poison_rate: 0.02,
+            seed,
+            ..DramFaultConfig::hardened()
+        };
     }
     if c.tamper {
         // Distinct from the DRAM seed: the config validator insists the
@@ -358,69 +195,82 @@ fn combo_cfg(c: Combo, seed: u64) -> SystemConfig {
     cfg
 }
 
-/// The tamper kinds the soak draws from (addresses vary per trial).
-fn tamper_kind(kind: usize, addr: u64) -> TamperFault {
-    match kind {
-        0 => TamperFault::ClastData { addr },
-        1 => TamperFault::StaleCounterTable,
-        2 => TamperFault::TornRootMeta,
-        _ => TamperFault::BothImages { addr },
-    }
+/// Trial generator: the combo index and the scenario — a crash with 0–2
+/// stacked points, plus a latent media fault on a third of the media
+/// combos' trials and a tamper on every tamper combo's trial.
+fn soak_trial(refs: &[Reference], trial: usize, rng: &mut u64) -> (usize, Scenario) {
+    let ci = (rng::next(rng) % COMBOS.len() as u64) as usize;
+    let (combo, r) = (COMBOS[ci], &refs[ci]);
+    let media =
+        (combo.media && rng::next(rng).is_multiple_of(3)).then_some(if trial.is_multiple_of(2) {
+            MediaFault::TornCommitRecord
+        } else {
+            MediaFault::ClastBitFlip { addr: 64 * PAGE }
+        });
+    let tamper = combo.tamper.then(|| {
+        let kind = (rng::next(rng) % 4) as usize;
+        let addr = (rng::next(rng) % (3 * PAGE)) & !63;
+        tamper_kind(kind, addr)
+    });
+    // Latent faults and tampers only matter once a commit exists.
+    let lo = if media.is_some() || tamper.is_some() { r.ckpts[0].done_at.raw() + 1 } else { 1 };
+    let at = Cycle::new(lo + rng::next(rng) % (r.end.raw() - lo));
+    let depth = (rng::next(rng) % 3) as usize; // 0–2 stacked points
+    let crashes = stacked_crashes(at, depth, 2_000_000, rng);
+    (ci, Scenario { crashes, media, tamper, ..Scenario::default() })
 }
 
-/// Validates one settled trial: image vs the oracle, rung vs the rung the
+/// The soak's configs and their crash-free references, each checked to
+/// span every checkpoint over millions of cycles with a hysteresis-clean
+/// rung trace and a balanced ladder ledger.
+fn setup(ops: &[Op], seed: u64) -> (Vec<SystemConfig>, Vec<Reference>) {
+    let cfgs: Vec<SystemConfig> = COMBOS.iter().map(|&c| combo_cfg(c, seed | 1)).collect();
+    let refs = COMBOS
+        .iter()
+        .zip(&cfgs)
+        .map(|(c, &cfg)| {
+            let r = common::reference_run(ops, cfg);
+            assert_eq!(
+                r.ckpts.len(),
+                (EPOCHS + QUIET_EPOCHS) as usize,
+                "workload must reach every checkpoint"
+            );
+            assert!(r.end >= Cycle::new(5_000_000), "endurance runs span multiple million cycles");
+            assert_hysteresis(&r.rungs, &format!("reference combo {c:?}"));
+            assert!(
+                r.health.promotions <= r.health.demotions,
+                "reference combo {c:?}: ladder ledger out of balance ({:?})",
+                r.health
+            );
+            r
+        })
+        .collect();
+    (cfgs, refs)
+}
+
+/// Validates one settled trial's post-recovery rung against the rung the
 /// oracle saw persisted with the restored image (with tamper / fallback /
-/// WAL-redo overrides applied exactly), and the conservation ledgers.
-#[allow(clippy::too_many_lines)]
-fn verify_trial(
-    oracle: &PersistenceOracle,
-    sys: &mut ThyNvm,
-    seq: &[Cycle],
-    media_inject: bool,
-    tamper: Option<TamperFault>,
-    label: &str,
-) {
-    let t = Cycle::new(u64::MAX / 2);
-    let tamper_applied = tamper.is_some() && sys.armed_tamper().is_none();
-    // --- image ---
-    let read = |sys: &mut ThyNvm, addr: u64| {
-        let mut buf = [0u8; 1];
-        sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-        buf[0]
-    };
-    if tamper_applied {
-        let diffs =
-            oracle.diff_with_tampered_region(seq[0], tamper.expect("applied"), |a| read(sys, a));
-        assert!(
-            diffs.is_empty(),
-            "{label}: {} divergent byte(s) vs tamper-aware oracle, first {:?}",
-            diffs.len(),
-            diffs.first()
-        );
-    } else {
-        let diffs = oracle.diff_after_crash_sequence(seq, media_inject, |a| read(sys, a));
-        assert!(
-            diffs.is_empty(),
-            "{label}: {} divergent byte(s) vs oracle, first {:?}",
-            diffs.len(),
-            diffs.first()
-        );
-    }
-    // --- post-recovery rung ---
-    let s = sys.stats();
-    let rung = sys.health_rung();
-    let exact = oracle.expected_rung_at(seq[0]);
-    let fallback = oracle.expected_fallback_rung_at(seq[0]);
+/// WAL-redo overrides applied exactly), and that a degraded rung refuses
+/// stores.
+fn verify_rung(oracle: &thynvm::core::PersistenceOracle, t: &mut Trial) {
+    let label = &t.label;
+    let s = t.sys.stats();
+    let rung = t.sys.health_rung();
+    let rung_with =
+        |media| oracle.expect(&Scenario { media, tamper: None, ..t.scenario.clone() }).rung;
+    let exact = rung_with(None);
+    let fallback = rung_with(Some(MediaFault::TornCommitRecord));
     let tampered = s.security.tampers_detected > 0;
     let unrecoverable = s.security.unrecoverable > 0;
-    let redo_escalated =
-        s.media.wal_redos >= sys.config().health.readonly_wal_redos && rung >= HealthRung::ReadOnly;
+    let redo_escalated = s.media.wal_redos >= t.sys.config().health.readonly_wal_redos
+        && rung >= HealthRung::ReadOnly;
     if tampered || unrecoverable {
         assert_eq!(
             rung,
             HealthRung::FailSafe,
             "{label}: detected tamper / unrecoverable verdict must land FailSafe"
         );
+        assert_eq!(t.expect.rung, HealthRung::FailSafe, "{label}: the oracle missed the tamper");
     } else if s.media.integrity_fallbacks == 0 && !redo_escalated {
         // The clean case is exact: recovery rehydrates precisely the rung
         // persisted with the checkpoint it restored.
@@ -436,10 +286,10 @@ fn verify_trial(
     }
     // FailSafe never serves new stores.
     if rung >= HealthRung::ReadOnly {
-        let err = sys.try_store_bytes(PhysAddr::new(63 * PAGE), &[1u8; 64], t).unwrap_err();
+        let far = Cycle::new(u64::MAX / 2);
+        let err = t.sys.try_store_bytes(PhysAddr::new(63 * PAGE), &[1u8; 64], far).unwrap_err();
         assert!(matches!(err, Error::Degraded { .. }), "{label}: degraded rung accepted a store");
     }
-    assert_conservation(sys, label);
 }
 
 /// Randomized endurance soak: ≥ 500 seeded trials over multi-million-cycle
@@ -449,80 +299,31 @@ fn verify_trial(
 #[test]
 fn seeded_endurance_soak_degrades_gracefully_without_divergence() {
     let ops = workload();
-    let base_seed = soak_seed();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
+    let mut demotions: u64 = refs.iter().map(|r| r.health.demotions).sum();
+    let mut promotions: u64 = refs.iter().map(|r| r.health.promotions).sum();
 
-    let mut demotions = 0u64;
-    let mut promotions = 0u64;
-
-    let refs: Vec<(SystemConfig, PersistenceOracle, Vec<CkptTimes>, Cycle)> = COMBOS
-        .iter()
-        .map(|&c| {
-            let cfg = combo_cfg(c, base_seed | 1);
-            let (oracle, ckpts, end, rungs, health) = reference_run(&ops, cfg);
-            assert_eq!(
-                ckpts.len(),
-                (EPOCHS + QUIET_EPOCHS) as usize,
-                "workload must reach every checkpoint"
-            );
-            assert!(end >= Cycle::new(5_000_000), "endurance runs span multiple million cycles");
-            assert_hysteresis(&rungs, &format!("reference combo {c:?}"));
-            assert!(
-                health.promotions <= health.demotions,
-                "reference combo {c:?}: ladder ledger out of balance ({health:?})"
-            );
-            demotions += health.demotions;
-            promotions += health.promotions;
-            (cfg, oracle, ckpts, end)
-        })
-        .collect();
-
-    let mut rng_state = base_seed;
+    let mut rng = seed;
+    let mut digest = Digest::new();
     let mut rejected = 0u64;
     let mut rehydrations = 0u64;
     let mut failsafes = 0u64;
     let mut fallbacks = 0u64;
     let mut max_footprint = 0usize;
-    const TRIALS: usize = 510;
     for trial in 0..TRIALS {
-        let ci = (rng::next(&mut rng_state) % COMBOS.len() as u64) as usize;
-        let combo = COMBOS[ci];
-        let (cfg, oracle, ckpts, end) = &refs[ci];
-        let media_inject = combo.media && rng::next(&mut rng_state).is_multiple_of(3);
-        let inject = media_inject.then_some(if trial.is_multiple_of(2) {
-            MediaFault::TornCommitRecord
-        } else {
-            MediaFault::ClastBitFlip { addr: 64 * PAGE }
-        });
-        let tamper = combo.tamper.then(|| {
-            let kind = (rng::next(&mut rng_state) % 4) as usize;
-            let addr = (rng::next(&mut rng_state) % (3 * PAGE)) & !63;
-            tamper_kind(kind, addr)
-        });
-        // Latent faults and tampers only matter once a commit exists.
-        let lo = if media_inject || tamper.is_some() { ckpts[0].done_at.raw() + 1 } else { 1 };
-        let at = Cycle::new(lo + rng::next(&mut rng_state) % (end.raw() - lo));
-        let depth = (rng::next(&mut rng_state) % 3) as usize; // 0–2 stacked points
-        let mut extra = Vec::new();
-        while extra.len() < depth {
-            let p = at + Cycle::new(1 + rng::next(&mut rng_state) % 2_000_000);
-            if !extra.contains(&p) {
-                extra.push(p);
-            }
-        }
-        extra.sort_unstable();
-        let mut sys = crash_replay(&ops, *cfg, inject, tamper, at, &extra);
-        let mut seq = vec![at];
-        seq.extend_from_slice(&extra);
-        let label = format!("trial {trial} combo {ci} at {at} depth {depth} inject {inject:?} tamper {tamper:?}");
-        verify_trial(oracle, &mut sys, &seq, media_inject, tamper, &label);
-        let h = sys.stats().health;
-        demotions += h.demotions;
-        promotions += h.promotions;
-        rejected += h.stores_rejected;
-        rehydrations += h.rehydrations;
-        failsafes += u64::from(sys.health_rung() == HealthRung::FailSafe);
-        fallbacks += sys.stats().media.integrity_fallbacks;
-        max_footprint = max_footprint.max(sys.functional_footprint_pages());
+        let (ci, sc) = soak_trial(&refs, trial, &mut rng);
+        let oracle = &refs[ci].oracle;
+        let mut t = run_trial(&ops, cfgs[ci], oracle, sc, &trial_label(seed, trial), &mut digest);
+        verify_rung(oracle, &mut t);
+        let s = t.sys.stats();
+        demotions += s.health.demotions;
+        promotions += s.health.promotions;
+        rejected += s.health.stores_rejected;
+        rehydrations += s.health.rehydrations;
+        failsafes += u64::from(t.sys.health_rung() == HealthRung::FailSafe);
+        fallbacks += s.media.integrity_fallbacks;
+        max_footprint = max_footprint.max(t.sys.functional_footprint_pages());
     }
     // Coverage floor: the soak exercised every rung transition class.
     assert!(demotions > 0, "soak never demoted");
@@ -538,6 +339,7 @@ fn seeded_endurance_soak_degrades_gracefully_without_divergence() {
         max_footprint <= 256,
         "functional footprint grew past the working-set bound: {max_footprint} pages"
     );
+    digest.print("seeded_endurance_soak_degrades_gracefully_without_divergence");
 }
 
 /// Disabled twin: with `HealthConfig.enabled = false` (thresholds set, the
@@ -556,9 +358,9 @@ fn disabled_health_config_is_bit_identical_to_default() {
         let mut sys = ThyNvm::new(cfg);
         let mut now = Cycle::ZERO;
         for op in &ops {
-            let mut record_ok = true;
-            now = apply(&mut sys, op, now, &mut record_ok);
-            assert!(record_ok, "a disabled ladder must never reject a store");
+            let (next, landed) = apply(&mut sys, op, now);
+            assert!(landed, "a disabled ladder must never reject a store");
+            now = next;
         }
         now = sys.drain(now);
         let report = sys.crash_and_recover(now);
@@ -579,29 +381,15 @@ fn disabled_health_config_is_bit_identical_to_default() {
 #[test]
 fn endurance_soak_prefix_replays_deterministically() {
     let ops = workload();
-    let base_seed = soak_seed();
-    let refs: Vec<SystemConfig> =
-        COMBOS.iter().map(|&c| combo_cfg(c, base_seed | 1)).collect();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
 
     let run_prefix = || {
-        let mut rng_state = base_seed;
+        let mut rng = seed;
         (0..10)
             .map(|trial| {
-                let ci = (rng::next(&mut rng_state) % COMBOS.len() as u64) as usize;
-                let combo = COMBOS[ci];
-                let media_inject = combo.media && rng::next(&mut rng_state).is_multiple_of(3);
-                let inject = media_inject.then_some(if trial % 2 == 0 {
-                    MediaFault::TornCommitRecord
-                } else {
-                    MediaFault::ClastBitFlip { addr: 64 * PAGE }
-                });
-                let tamper = combo.tamper.then(|| {
-                    let kind = (rng::next(&mut rng_state) % 4) as usize;
-                    let addr = (rng::next(&mut rng_state) % (3 * PAGE)) & !63;
-                    tamper_kind(kind, addr)
-                });
-                let at = Cycle::new(1_000_000 + rng::next(&mut rng_state) % 4_000_000);
-                let sys = crash_replay(&ops, refs[ci], inject, tamper, at, &[]);
+                let (ci, mut sc) = soak_trial(&refs, trial, &mut rng);
+                let (_, sys) = replay(&ops, cfgs[ci], &mut sc);
                 (sys.stats().health, sys.health_rung(), sys.visible_fingerprint())
             })
             .collect::<Vec<_>>()

@@ -10,29 +10,18 @@
 //! phase after — and diffs the recovered image byte-for-byte against the
 //! oracle's prediction for that exact cycle.
 //!
-//! Acceptance (ISSUE): at least 1000 distinct injected crash cycles, every
-//! one recovering to an oracle-identical `C_last` or `C_penult` image.
+//! Acceptance: at least 1000 distinct injected crash cycles, every one
+//! recovering to an oracle-identical `C_last` or `C_penult` image.
+
+mod common;
 
 use std::collections::BTreeSet;
 
-use thynvm::core::{InjectedCrash, MediaFault, PersistenceOracle, ThyNvm};
+use common::{read_byte, run_trial, Digest, Op, PAGE};
+use thynvm::core::{MediaFault, Scenario};
 use thynvm::types::{
-    CkptPhase, Cycle, MediaFaultConfig, MemStats, MemorySystem, PhysAddr, RecoveryOutcome,
-    SystemConfig,
+    CkptPhase, Cycle, MediaFaultConfig, MemorySystem, RecoveryOutcome, SystemConfig,
 };
-
-/// One step of the deterministic workload.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Write `len` bytes of `fill` at `addr`.
-    Write { addr: u64, len: usize, fill: u8 },
-    /// End the epoch (checkpoint start; execution overlaps the job).
-    Checkpoint,
-    /// Let simulated time pass.
-    Advance { cycles: u64 },
-}
-
-const PAGE: u64 = 4096;
 
 /// A fixed workload exercising both checkpointing schemes across five
 /// epochs: dense page-local writes (page writeback / PTT) plus scattered
@@ -81,135 +70,19 @@ fn workload() -> Vec<Op> {
     ops
 }
 
-/// Applies one op, returning the advanced timeline.
-fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle) -> Cycle {
-    match op {
-        Op::Write { addr, len, fill } => {
-            let data = vec![*fill; *len];
-            now.max(sys.store_bytes(PhysAddr::new(*addr), &data, now))
-        }
-        Op::Checkpoint => now.max(sys.force_checkpoint(now)),
-        Op::Advance { cycles } => now + Cycle::new(*cycles),
-    }
-}
-
-/// Checkpoint timeline learned from the fault-free reference run.
-#[derive(Debug, Clone, Copy)]
-struct CkptTimes {
-    started: Cycle,
-    drained_at: Cycle,
-    btt_at: Cycle,
-    pages_at: Cycle,
-    done_at: Cycle,
-}
-
-/// Runs the workload fault-free, feeding the oracle; returns the oracle,
-/// each checkpoint's timeline, and the end-of-workload cycle.
-fn reference_run(ops: &[Op], cfg: SystemConfig) -> (PersistenceOracle, Vec<CkptTimes>, Cycle) {
-    let mut sys = ThyNvm::new(cfg);
-    let mut oracle = PersistenceOracle::new();
-    let mut ckpts = Vec::new();
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        if let Op::Write { addr, len, fill } = op {
-            oracle.record_write(*addr, &vec![*fill; *len]);
-        }
-        let before = now;
-        now = apply(&mut sys, op, now);
-        if matches!(op, Op::Checkpoint) {
-            // The image is cut off at initiation; the checkpoint only
-            // counts for crashes at or after its completion cycle.
-            let times = match sys.epoch_state().job.as_ref() {
-                Some(j) => CkptTimes {
-                    started: j.started,
-                    drained_at: j.drained_at,
-                    btt_at: j.btt_at,
-                    pages_at: j.pages_at,
-                    done_at: j.done_at,
-                },
-                // Round retired synchronously within the call.
-                None => CkptTimes {
-                    started: before,
-                    drained_at: now,
-                    btt_at: now,
-                    pages_at: now,
-                    done_at: now,
-                },
-            };
-            oracle.record_checkpoint(times.started, times.done_at);
-            ckpts.push(times);
-        }
-    }
-    (oracle, ckpts, now)
-}
-
-/// Replays the workload with a crash armed at `at` (and optionally a
-/// latent media fault injected up front); returns the crash record (firing
-/// at end-of-trace if no op reached the armed cycle) and the controller,
-/// post-recovery.
-fn replay_with_crash(
-    ops: &[Op],
-    cfg: SystemConfig,
-    inject: Option<MediaFault>,
-    at: Cycle,
-) -> (InjectedCrash, ThyNvm) {
-    let mut sys = ThyNvm::new(cfg);
-    if let Some(fault) = inject {
-        sys.inject_media_fault(fault);
-    }
-    sys.arm_crash_point(at);
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        now = apply(&mut sys, op, now);
-        if let Some(crash) = sys.take_crash_report() {
-            return (crash, sys);
-        }
-    }
-    // The armed cycle lies beyond every request's timeline: power fails
-    // with the system idle at the end of the trace (poll strictly past the
-    // armed cycle — power fails at its *end*).
-    sys.poll_crash(now.max(at) + Cycle::new(1));
-    let crash = sys.take_crash_report().expect("armed crash must fire");
-    (crash, sys)
-}
-
-/// Byte-for-byte oracle check of one injected crash. Panics with a
-/// diagnostic on the first divergent byte.
-fn verify_against_oracle(oracle: &PersistenceOracle, crash: &InjectedCrash, sys: &mut ThyNvm) {
-    let at = crash.event.cycle;
-    let t = crash.resume_at;
-    let diffs = oracle.diff(at, |addr| {
-        let mut buf = [0u8; 1];
-        sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-        buf[0]
-    });
-    assert!(
-        diffs.is_empty(),
-        "crash at {at} (phase {}, outcome {}): {} divergent byte(s), first {:?}",
-        crash.event.phase,
-        crash.event.outcome,
-        diffs.len(),
-        diffs.first()
-    );
-    assert_eq!(
-        crash.event.outcome,
-        oracle.expected_outcome_at(at),
-        "crash at {at}: controller outcome disagrees with the §4.5 label"
-    );
-}
-
 /// The tentpole sweep: ≥ 1000 distinct crash cycles across a window
 /// spanning a complete checkpoint, each recovery oracle-identical.
 #[test]
 fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
     let ops = workload();
-    let (oracle, ckpts, _end) = reference_run(&ops, SystemConfig::small_test());
-    assert_eq!(ckpts.len(), 5, "workload must reach all five checkpoints");
+    let cfg = SystemConfig::small_test();
+    let r = common::reference_run(&ops, cfg);
+    assert_eq!(r.ckpts.len(), 5, "workload must reach all five checkpoints");
 
     // Sweep across the third checkpoint: by then both schemes carry state
     // from two completed checkpoints, so C_penult is a real image rather
     // than zeroes.
-    let target = ckpts[2];
+    let target = r.ckpts[2];
     let lead = Cycle::new(300); // execution phase before the job
     let tail = Cycle::new(300); // execution phase after completion
     let window_start = target.started.saturating_sub(lead);
@@ -220,16 +93,10 @@ fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
     // the sweep stays ~2000 points but always hit every phase boundary
     // (and its neighbours) exactly.
     let stride = (span / 2000).max(1);
-    let mut cycles: BTreeSet<u64> = (window_start.raw()..=window_end.raw())
-        .step_by(usize::try_from(stride).unwrap())
-        .collect();
-    for edge in [
-        target.started,
-        target.drained_at,
-        target.btt_at,
-        target.pages_at,
-        target.done_at,
-    ] {
+    let mut cycles: BTreeSet<u64> =
+        (window_start.raw()..=window_end.raw()).step_by(usize::try_from(stride).unwrap()).collect();
+    for edge in [target.started, target.drained_at, target.btt_at, target.pages_at, target.done_at]
+    {
         for c in edge.raw().saturating_sub(1)..=edge.raw() + 1 {
             if (window_start.raw()..=window_end.raw()).contains(&c) {
                 cycles.insert(c);
@@ -242,15 +109,24 @@ fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
         cycles.len()
     );
 
+    let mut digest = Digest::new();
     let mut phases_seen = BTreeSet::new();
     let mut outcomes_seen = BTreeSet::new();
+    let mut writes_lost = 0u64;
     for &c in &cycles {
-        let (crash, mut sys) = replay_with_crash(&ops, SystemConfig::small_test(), None, Cycle::new(c));
-        assert_eq!(crash.event.cycle, Cycle::new(c), "crash must run as of the armed cycle");
-        verify_against_oracle(&oracle, &crash, &mut sys);
-        assert_eq!(sys.stats().crashes_injected, 1);
-        phases_seen.insert(format!("{}", crash.event.phase));
-        outcomes_seen.insert(crash.event.outcome);
+        let sc = Scenario::crash_at(Cycle::new(c));
+        let t = run_trial(&ops, cfg, &r.oracle, sc, "sweep", &mut digest);
+        let s = t.sys.stats();
+        assert_eq!(s.crashes_injected, 1);
+        // Queued writes the crash discarded were in flight when it hit.
+        assert!(
+            s.wq_writes_lost <= t.first.event.inflight_writebacks as u64,
+            "{}: lost more queued writes than were in flight",
+            t.label
+        );
+        writes_lost += s.wq_writes_lost;
+        phases_seen.insert(format!("{}", t.first.event.phase));
+        outcomes_seen.insert(t.first.event.outcome);
     }
 
     // The window must have genuinely spanned the checkpoint: every
@@ -275,6 +151,8 @@ fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
     assert!(expected_phases.len() >= 4, "checkpoint degenerate: {expected_phases:?}");
     assert!(outcomes_seen.contains(&RecoveryOutcome::CLast));
     assert!(outcomes_seen.contains(&RecoveryOutcome::CPenult));
+    assert!(writes_lost > 0, "no crash ever caught a queued write in flight");
+    digest.print("sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical");
 }
 
 /// Crashing in the execution tail — after the final checkpoint completed,
@@ -283,19 +161,20 @@ fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
 #[test]
 fn tail_crashes_recover_clast_and_never_leak_wactive() {
     let ops = workload();
-    let (oracle, ckpts, end) = reference_run(&ops, SystemConfig::small_test());
-    let last_done = ckpts.last().unwrap().done_at;
-    let span = end.raw().saturating_sub(last_done.raw()).max(64);
+    let cfg = SystemConfig::small_test();
+    let r = common::reference_run(&ops, cfg);
+    let last_done = r.ckpts.last().unwrap().done_at;
+    let span = r.end.raw().saturating_sub(last_done.raw()).max(64);
+    let mut digest = Digest::new();
     for i in 0..64u64 {
         let c = last_done.raw() + 1 + i * (span / 64).max(1);
-        let (crash, mut sys) = replay_with_crash(&ops, SystemConfig::small_test(), None, Cycle::new(c));
-        verify_against_oracle(&oracle, &crash, &mut sys);
-        assert_eq!(crash.event.outcome, RecoveryOutcome::CLast);
+        let sc = Scenario::crash_at(Cycle::new(c));
+        let mut t = run_trial(&ops, cfg, &r.oracle, sc, "tail", &mut digest);
+        assert_eq!(t.first.event.outcome, RecoveryOutcome::CLast);
         // Spot-check: the W_active tail fill never survives.
-        let mut buf = [0u8; 1];
-        sys.load_bytes(PhysAddr::new(0), &mut buf, crash.resume_at);
-        assert_ne!(buf[0], 0xEE, "uncheckpointed tail write leaked at crash {c}");
+        assert_ne!(read_byte(&mut t.sys, 0), 0xEE, "uncheckpointed tail write leaked at crash {c}");
     }
+    digest.print("tail_crashes_recover_clast_and_never_leak_wactive");
 }
 
 /// Crashes injected before the first checkpoint completes recover the
@@ -303,14 +182,17 @@ fn tail_crashes_recover_clast_and_never_leak_wactive() {
 #[test]
 fn crashes_before_first_commit_recover_zeroes() {
     let ops = workload();
-    let (oracle, ckpts, _) = reference_run(&ops, SystemConfig::small_test());
-    let first_done = ckpts[0].done_at.raw();
+    let cfg = SystemConfig::small_test();
+    let r = common::reference_run(&ops, cfg);
+    let first_done = r.ckpts[0].done_at.raw();
     let stride = (first_done / 200).max(1);
+    let mut digest = Digest::new();
     for c in (0..first_done).step_by(usize::try_from(stride).unwrap()) {
-        let (crash, mut sys) = replay_with_crash(&ops, SystemConfig::small_test(), None, Cycle::new(c));
-        verify_against_oracle(&oracle, &crash, &mut sys);
-        assert_eq!(crash.report.recovered_checkpoints, 0, "crash at {c}");
+        let sc = Scenario::crash_at(Cycle::new(c));
+        let t = run_trial(&ops, cfg, &r.oracle, sc, "pre-commit", &mut digest);
+        assert_eq!(t.first.report.recovered_checkpoints, 0, "crash at {c}");
     }
+    digest.print("crashes_before_first_commit_recover_zeroes");
 }
 
 /// Configuration for the media-fault sweep: hardened integrity protection
@@ -326,13 +208,13 @@ fn media_sweep_cfg() -> SystemConfig {
     cfg
 }
 
-/// Combined sweep (ISSUE satellite): crash cycles × latent media faults —
+/// Combined sweep: crash cycles × latent media faults —
 /// torn commit record, `C_last` data bit flip, corrupted PTT metadata.
 /// Each recovery must match the *extended* oracle: when a completed
 /// checkpoint exists the injected fault voids `C_last` and the recovered
 /// image must equal `C_penult` byte-for-byte, labeled as an integrity
 /// fallback; before any commit the plain oracle applies. Afterwards all
-/// four fault kinds must have been observed in the merged stats.
+/// four fault kinds must have been observed across the sweep.
 #[test]
 fn combined_media_fault_sweep_matches_extended_oracle() {
     let ops = workload();
@@ -340,10 +222,10 @@ fn combined_media_fault_sweep_matches_extended_oracle() {
     // Reference run under the SAME config: integrity checking perturbs
     // metadata sizes, so the checkpoint timeline differs from the plain
     // sweep's. The latent faults themselves do not perturb timing.
-    let (oracle, ckpts, _end) = reference_run(&ops, cfg);
-    assert_eq!(ckpts.len(), 5);
+    let r = common::reference_run(&ops, cfg);
+    assert_eq!(r.ckpts.len(), 5);
 
-    let target = ckpts[2];
+    let target = r.ckpts[2];
     let window_start = target.started.saturating_sub(Cycle::new(200));
     let window_end = target.done_at + Cycle::new(200);
     let span = window_end.raw() - window_start.raw();
@@ -357,44 +239,39 @@ fn combined_media_fault_sweep_matches_extended_oracle() {
         MediaFault::ClastBitFlip { addr: 0 },
         MediaFault::CorruptPttMetadata,
     ];
-    let mut merged = MemStats::default();
+    let mut digest = Digest::new();
     let mut fallbacks_seen = 0u64;
+    // (torn writes, bit flips, metadata corruptions, stuck cells, CRC'd blocks)
+    let mut seen = [0u64; 5];
     for fault in faults {
         for &c in &cycles {
-            let (crash, mut sys) = replay_with_crash(&ops, cfg, Some(fault), Cycle::new(c));
-            let at = crash.event.cycle;
-            let expected = oracle.expected_outcome_with_corrupt_clast(at);
-            assert_eq!(
-                crash.event.outcome, expected,
-                "crash at {at} with {fault:?}: outcome disagrees with extended oracle"
-            );
-            let t = crash.resume_at;
-            let diffs = oracle.diff_with_corrupt_clast(at, |addr| {
-                let mut buf = [0u8; 1];
-                sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-                buf[0]
-            });
-            assert!(
-                diffs.is_empty(),
-                "crash at {at} with {fault:?}: {} divergent byte(s), first {:?}",
-                diffs.len(),
-                diffs.first()
-            );
-            if crash.report.integrity_fallback {
+            let sc = Scenario { media: Some(fault), ..Scenario::crash_at(Cycle::new(c)) };
+            let t = run_trial(&ops, cfg, &r.oracle, sc, "media sweep", &mut digest);
+            if t.first.report.integrity_fallback {
                 fallbacks_seen += 1;
-                assert_eq!(expected, RecoveryOutcome::CPenultIntegrityFallback);
+                assert_eq!(t.expect.outcome, RecoveryOutcome::CPenultIntegrityFallback);
             }
-            merged.merge(sys.stats());
+            let m = t.sys.stats().media;
+            for (n, v) in seen.iter_mut().zip([
+                m.torn_writes,
+                m.bit_flips,
+                m.meta_corruptions,
+                m.stuck_faults,
+                m.crc_checked_blocks,
+            ]) {
+                *n += v;
+            }
         }
     }
 
     assert!(fallbacks_seen > 0, "sweep never exercised an integrity fallback");
-    let m = merged.media;
-    assert!(m.torn_writes > 0, "no torn-write faults observed: {m:?}");
-    assert!(m.bit_flips > 0, "no bit-flip faults observed: {m:?}");
-    assert!(m.meta_corruptions > 0, "no metadata faults observed: {m:?}");
-    assert!(m.stuck_faults > 0, "wear model never created a stuck cell: {m:?}");
-    assert!(m.crc_checked_blocks > 0);
+    let [torn, flips, meta, stuck, crc] = seen;
+    assert!(torn > 0, "no torn-write faults observed");
+    assert!(flips > 0, "no bit-flip faults observed");
+    assert!(meta > 0, "no metadata faults observed");
+    assert!(stuck > 0, "wear model never created a stuck cell");
+    assert!(crc > 0);
+    digest.print("combined_media_fault_sweep_matches_extended_oracle");
 }
 
 /// A torn commit record always lands in `C_penult`: for every crash cycle
@@ -405,30 +282,25 @@ fn combined_media_fault_sweep_matches_extended_oracle() {
 fn torn_commit_record_always_recovers_cpenult() {
     let ops = workload();
     let cfg = media_sweep_cfg();
-    let (oracle, ckpts, end) = reference_run(&ops, cfg);
-    let first_done = ckpts[0].done_at;
-    let span = end.raw() - first_done.raw();
+    let r = common::reference_run(&ops, cfg);
+    let first_done = r.ckpts[0].done_at;
+    let span = r.end.raw() - first_done.raw();
+    let mut digest = Digest::new();
     for i in 0..48u64 {
         let c = first_done.raw() + 1 + i * (span / 48).max(1);
-        let (crash, mut sys) =
-            replay_with_crash(&ops, cfg, Some(MediaFault::TornCommitRecord), Cycle::new(c));
-        let at = crash.event.cycle;
-        if crash.report.recovered_checkpoints == 0 && !crash.report.integrity_fallback {
+        let sc = Scenario {
+            media: Some(MediaFault::TornCommitRecord),
+            ..Scenario::crash_at(Cycle::new(c))
+        };
+        let t = run_trial(&ops, cfg, &r.oracle, sc, "torn commit", &mut digest);
+        let report = &t.first.report;
+        if report.recovered_checkpoints == 0 && !report.integrity_fallback {
             // The crash replay landed before any commit (timeline shifts
             // are impossible here, but keep the guard explicit).
             continue;
         }
-        assert!(
-            crash.report.integrity_fallback,
-            "crash at {at}: torn commit record must void C_last"
-        );
-        assert_eq!(crash.event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
-        let t = crash.resume_at;
-        let diffs = oracle.diff_with_corrupt_clast(at, |addr| {
-            let mut buf = [0u8; 1];
-            sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-            buf[0]
-        });
-        assert!(diffs.is_empty(), "crash at {at}: {} divergent byte(s)", diffs.len());
+        assert!(report.integrity_fallback, "{}: torn commit record must void C_last", t.label);
+        assert_eq!(t.first.event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
     }
+    digest.print("torn_commit_record_always_recovers_cpenult");
 }

@@ -1,5 +1,5 @@
 //! Persist-buffer reorder soak: crash-time partial flushes of the volatile
-//! WPQ validated against the salvage-aware persistence oracle.
+//! WPQ validated against the persistence oracle's salvage rule.
 //!
 //! The persist buffer is a *fault domain*: writes that entered the WPQ but
 //! had not drained at power loss are partially salvaged — a seeded,
@@ -19,86 +19,25 @@
 //!    cycle must roll back classically.
 //! 3. **Randomized soak**: ≥ 510 seeded trials crossing salvage rates
 //!    {0.0, 0.5, 1.0} × nested crash storms × latent media faults, each
-//!    converging byte-for-byte to the salvage-aware oracle with conserved
-//!    crash counters (no silent recoveries) and a conserved WPQ ledger.
+//!    converging byte-for-byte to the oracle with conserved crash counters
+//!    (no silent recoveries) and a conserved WPQ ledger.
 //!
-//! Seeds come from `PERSIST_REORDER_SEED` (CI runs a small fixed matrix);
-//! the default keeps local runs deterministic.
+//! Seeds come from `SWEEP_SEED` (CI runs a small fixed matrix); the default
+//! keeps local runs deterministic.
 
-use thynvm::core::{InjectedCrash, MediaFault, PersistenceOracle, ThyNvm};
+mod common;
+
+use common::{
+    apply, run_trial, stacked_crashes, storm_workload, sweep_seed, trial_label, Digest, Reference,
+};
+use thynvm::core::{MediaFault, Scenario, ThyNvm};
 use thynvm::types::{
-    Cycle, MediaFaultConfig, MemorySystem, PersistBufferConfig, PhysAddr, RecoveryOutcome,
-    SystemConfig,
+    rng, Cycle, MediaFaultConfig, MemorySystem, PersistBufferConfig, RecoveryOutcome, SystemConfig,
 };
 
-/// One step of the deterministic workload.
-#[derive(Debug, Clone)]
-enum Op {
-    Write { addr: u64, len: usize, fill: u8 },
-    Checkpoint,
-    Advance { cycles: u64 },
-}
-
-const PAGE: u64 = 4096;
-
-/// Three epochs of mixed hot-page (PTT) and cold-block (BTT) traffic with
-/// per-epoch distinct fills, so `W_active`, `C_last` and `C_penult` all
-/// differ and a wrongly-promoted or wrongly-rolled-back checkpoint shows up
-/// as divergent bytes.
-fn workload() -> Vec<Op> {
-    let mut ops = Vec::new();
-    for epoch in 0u64..3 {
-        for rep in 0..4u64 {
-            for page in 0..3u64 {
-                for blk in 0..8u64 {
-                    ops.push(Op::Write {
-                        addr: page * PAGE + blk * 64,
-                        len: 64,
-                        fill: (1 + epoch * 50 + page * 11 + blk + rep * 3) as u8,
-                    });
-                }
-            }
-        }
-        for i in 0..10u64 {
-            let block = (i * 13 + epoch * 7) % 64;
-            ops.push(Op::Write {
-                addr: 8 * PAGE + block * 64,
-                len: 8,
-                fill: (100 + epoch * 17 + i) as u8,
-            });
-        }
-        ops.push(Op::Checkpoint);
-        if epoch < 1 {
-            ops.push(Op::Advance { cycles: 400_000 });
-        }
-    }
-    ops.push(Op::Advance { cycles: 2_000_000 });
-    for blk in 0..6u64 {
-        ops.push(Op::Write { addr: blk * 64, len: 64, fill: 0xEE });
-    }
-    ops
-}
-
-fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle) -> Cycle {
-    match op {
-        Op::Write { addr, len, fill } => {
-            let data = vec![*fill; *len];
-            now.max(sys.store_bytes(PhysAddr::new(*addr), &data, now))
-        }
-        Op::Checkpoint => now.max(sys.force_checkpoint(now)),
-        Op::Advance { cycles } => now + Cycle::new(*cycles),
-    }
-}
-
-/// Checkpoint window learned from the fault-free reference run.
-#[derive(Debug, Clone, Copy)]
-struct CkptTimes {
-    started: Cycle,
-    /// Cycle the commit record's write was issued: the earliest crash
-    /// cycle at which the marker exists to be salvaged at all.
-    commit_at: Cycle,
-    done_at: Cycle,
-}
+const DEFAULT_SEED: u64 = 0x5750_51D4;
+const TRIALS: usize = 510;
+const RATES: [f64; 3] = [0.0, 0.5, 1.0];
 
 fn armed_cfg(salvage_rate: f64) -> SystemConfig {
     let mut cfg = SystemConfig::small_test();
@@ -115,108 +54,36 @@ fn armed_media_cfg(salvage_rate: f64) -> SystemConfig {
     cfg
 }
 
-/// Runs the workload fault-free, feeding the oracle.
-fn reference_run(ops: &[Op], cfg: SystemConfig) -> (PersistenceOracle, Vec<CkptTimes>, Cycle) {
-    let mut sys = ThyNvm::new(cfg);
-    let mut oracle = PersistenceOracle::new();
-    let mut ckpts = Vec::new();
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        if let Op::Write { addr, len, fill } = op {
-            oracle.record_write(*addr, &vec![*fill; *len]);
-        }
-        let before = now;
-        now = apply(&mut sys, op, now);
-        if matches!(op, Op::Checkpoint) {
-            let times = match sys.epoch_state().job.as_ref() {
-                Some(j) => {
-                    CkptTimes { started: j.started, commit_at: j.commit_at, done_at: j.done_at }
-                }
-                // Job already retired: the window is behind us and no soak
-                // crash can land in it — an empty commit window is correct.
-                None => CkptTimes { started: before, commit_at: now, done_at: now },
-            };
-            oracle.record_checkpoint(times.started, times.done_at);
-            ckpts.push(times);
-        }
-    }
-    (oracle, ckpts, now)
-}
-
-/// Replays the workload with the first crash armed at `at` and `nested`
-/// extra points queued behind it; fires every leftover point after the
-/// first recovery. Returns the first crash's record, whether *that* crash
-/// salvaged the in-flight commit, and the settled system.
-fn storm_replay(
-    ops: &[Op],
-    cfg: SystemConfig,
-    inject: Option<MediaFault>,
-    at: Cycle,
-    nested: &[Cycle],
-) -> (InjectedCrash, bool, ThyNvm) {
-    let mut sys = ThyNvm::new(cfg);
-    if let Some(fault) = inject {
-        sys.inject_media_fault(fault);
-    }
-    sys.arm_crash_point(at);
-    for &p in nested {
-        assert!(p > at, "nested points must lie past the first crash");
-        sys.queue_crash_point(p);
-    }
-    let mut now = Cycle::ZERO;
-    let mut first = None;
-    for op in ops {
-        now = apply(&mut sys, op, now);
-        if let Some(crash) = sys.take_crash_report() {
-            first = Some(crash);
-            break;
-        }
-    }
-    let first = first.unwrap_or_else(|| {
-        sys.poll_crash(now.max(at) + Cycle::new(1));
-        sys.take_crash_report().expect("armed crash must fire")
+/// Trial generator of the randomized soak: `(salvage rate, media
+/// population)` and the scenario. `refs` holds the armed reference and the
+/// armed-with-media reference.
+fn reorder_trial(refs: &[Reference; 2], trial: usize, rng: &mut u64) -> ((f64, bool), Scenario) {
+    let rate = RATES[trial % RATES.len()];
+    // Latent media faults ride only the rate-0.0 (classic-semantics)
+    // population: a salvaged commit and a torn commit record are mutually
+    // exclusive claims about the same record.
+    let media = rate == 0.0 && trial.is_multiple_of(2);
+    let r = &refs[usize::from(media)];
+    let fault = media.then_some(if trial.is_multiple_of(4) {
+        MediaFault::TornCommitRecord
+    } else {
+        MediaFault::ClastBitFlip { addr: 0 }
     });
-    // Whether the first crash promoted the in-flight checkpoint. Nested
-    // crashes during its recovery find an empty buffer, so the outcome
-    // label is the reliable witness; the targeted tests below pin the
-    // flush report itself.
-    let salvaged =
-        first.event.outcome == RecoveryOutcome::CLast && sys.last_wpq_flush().is_some();
-    let mut t = first.resume_at;
-    while let Some(p) = sys.armed_crash_point() {
-        t = sys.poll_crash(t.max(p) + Cycle::new(1)).expect("leftover point fires");
-        sys.take_crash_report().expect("leftover crash reported");
-    }
-    (first, salvaged, sys)
-}
-
-/// The WPQ conservation ledger must balance after any storm.
-fn assert_wpq_conserves(sys: &ThyNvm, label: &str) {
-    let w = &sys.stats().wpq;
-    assert_eq!(
-        w.enqueued,
-        w.drained + w.dropped_at_crash + w.outstanding(),
-        "{label}: WPQ ledger out of balance: {w:?}"
-    );
-}
-
-/// A non-empty oracle diff is a divergence; name the trial that produced it.
-fn assert_image(diffs: Vec<thynvm::core::OracleMismatch>, label: &str) {
-    assert!(
-        diffs.is_empty(),
-        "{label}: {} divergent byte(s) vs oracle, first {:?}",
-        diffs.len(),
-        diffs.first()
-    );
-}
-
-use thynvm::types::rng::next as splitmix64;
-
-fn sweep_seed() -> u64 {
-    std::env::var("PERSIST_REORDER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5750_51D4)
+    let lo = if media { r.ckpts[0].done_at.raw() + 1 } else { 1 };
+    // The commit-record persist window is a few hundred cycles in a
+    // multi-million-cycle trace; uniform sampling would never land in it.
+    // Aim a slice of the salvage-capable trials just before a checkpoint's
+    // completion so commit salvage is actually exercised.
+    let aimed = rate > 0.0 && trial % 5 == 1;
+    let at = if aimed {
+        let ck = r.ckpts[(rng::next(rng) % r.ckpts.len() as u64) as usize];
+        Cycle::new(ck.done_at.raw().saturating_sub(1 + rng::next(rng) % 100))
+    } else {
+        Cycle::new(lo + rng::next(rng) % (r.end.raw() - lo))
+    };
+    let depth = (rng::next(rng) % 5) as usize; // 0–4 stacked
+    let crashes = stacked_crashes(at, depth, 200_000, rng);
+    ((rate, media), Scenario { crashes, media: fault, ..Scenario::default() })
 }
 
 /// Off/on twin: the armed buffer's fault-free run is byte-identical to the
@@ -224,12 +91,12 @@ fn sweep_seed() -> u64 {
 /// deterministic across repetitions; the disabled run leaves no ledger.
 #[test]
 fn fault_free_runs_are_twin_identical_with_and_without_the_buffer() {
-    let ops = workload();
+    let ops = storm_workload();
     let run = |cfg: SystemConfig| {
         let mut sys = ThyNvm::new(cfg);
         let mut now = Cycle::ZERO;
         for op in &ops {
-            now = apply(&mut sys, op, now);
+            now = apply(&mut sys, op, now).0;
         }
         (sys.visible_fingerprint(), now, sys.stats().wpq)
     };
@@ -251,16 +118,20 @@ fn fault_free_runs_are_twin_identical_with_and_without_the_buffer() {
 /// image. With rate 0.0 the marker is dropped and recovery rolls back.
 #[test]
 fn crash_inside_the_commit_window_salvages_by_rate() {
-    let ops = workload();
-    let (oracle, ckpts, _) = reference_run(&ops, armed_cfg(1.0));
-    assert_eq!(ckpts.len(), 3, "workload must reach all three checkpoints");
+    let ops = storm_workload();
+    let r = common::reference_run(&ops, armed_cfg(1.0));
+    assert_eq!(r.ckpts.len(), 3, "workload must reach all three checkpoints");
+    let mut digest = Digest::new();
     let mut salvages = 0u64;
-    for (k, ck) in ckpts.iter().enumerate() {
+    for (k, ck) in r.ckpts.iter().enumerate() {
         let at = ck.done_at.saturating_sub(Cycle::new(1));
 
         // Rate 1.0: everything pending is salvaged, marker included.
-        let (first, _, mut sys) = storm_replay(&ops, armed_cfg(1.0), None, at, &[]);
-        let flush = sys.last_wpq_flush().expect("armed crash reports a flush");
+        let label = format!("rate-1.0 ckpt {k}");
+        let t =
+            run_trial(&ops, armed_cfg(1.0), &r.oracle, Scenario::crash_at(at), &label, &mut digest);
+        let flush = t.sys.last_wpq_flush().expect("armed crash reports a flush");
+        assert_eq!(t.scenario.commit_salvaged, flush.commit_salvaged(), "{}", t.label);
         if flush.commit_salvaged() {
             salvages += 1;
             assert!(
@@ -268,40 +139,22 @@ fn crash_inside_the_commit_window_salvages_by_rate() {
                 "ckpt {k}: salvage requires the marker to have been issued"
             );
             assert_eq!(
-                first.event.outcome,
+                t.first.event.outcome,
                 RecoveryOutcome::CLast,
                 "ckpt {k}: salvaged marker must promote the in-flight checkpoint"
             );
-            assert_eq!(oracle.expected_outcome_with_commit_salvage(at), RecoveryOutcome::CLast);
-            let t = Cycle::new(u64::MAX / 2);
-            let diffs = oracle.diff_with_commit_salvage(at, |addr| {
-                let mut buf = [0u8; 1];
-                sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-                buf[0]
-            });
-            assert_image(diffs, &format!("salvage ckpt {k} at {at}"));
         }
-        assert_wpq_conserves(&sys, &format!("rate-1.0 ckpt {k}"));
 
         // Rate 0.0: the same crash cycle drops the marker — classic rollback.
-        let (first0, _, mut sys0) = storm_replay(&ops, armed_cfg(0.0), None, at, &[]);
-        let flush0 = sys0.last_wpq_flush().expect("armed crash reports a flush");
+        let label = format!("rate-0.0 ckpt {k}");
+        let t0 =
+            run_trial(&ops, armed_cfg(0.0), &r.oracle, Scenario::crash_at(at), &label, &mut digest);
+        let flush0 = t0.sys.last_wpq_flush().expect("armed crash reports a flush");
         assert!(!flush0.commit_salvaged(), "ckpt {k}: rate 0.0 must not salvage");
-        assert_eq!(
-            first0.event.outcome,
-            oracle.expected_outcome_after_crash_sequence(&[at], false),
-            "ckpt {k}: rate 0.0 must match classic crash semantics"
-        );
-        let t = Cycle::new(u64::MAX / 2);
-        let diffs = oracle.diff_after_crash_sequence(&[at], false, |addr| {
-            let mut buf = [0u8; 1];
-            sys0.load_bytes(PhysAddr::new(addr), &mut buf, t);
-            buf[0]
-        });
-        assert_image(diffs, &format!("rollback ckpt {k} at {at}"));
-        assert_wpq_conserves(&sys0, &format!("rate-0.0 ckpt {k}"));
+        assert!(!t0.scenario.commit_salvaged, "{}: classic crash semantics", t0.label);
     }
     assert!(salvages > 0, "no commit window ever had its marker in flight");
+    digest.print("crash_inside_the_commit_window_salvages_by_rate");
 }
 
 /// The flip side of the commit window: a crash *before* the commit record
@@ -314,155 +167,84 @@ fn crash_inside_the_commit_window_salvages_by_rate() {
 /// checkpoint whose commit record did not exist at the crash.
 #[test]
 fn crash_before_the_commit_record_never_salvages() {
-    let ops = workload();
-    let (oracle, ckpts, _) = reference_run(&ops, armed_cfg(1.0));
+    let ops = storm_workload();
+    let r = common::reference_run(&ops, armed_cfg(1.0));
+    let mut digest = Digest::new();
     let mut windows = 0u64;
-    for (k, ck) in ckpts.iter().enumerate() {
+    for (k, ck) in r.ckpts.iter().enumerate() {
         for back in [1u64, 7, 50, 200, 1_000] {
             let at = Cycle::new(ck.commit_at.raw().saturating_sub(back));
             if at <= ck.started {
                 continue;
             }
             windows += 1;
-            let (first, _, mut sys) = storm_replay(&ops, armed_cfg(1.0), None, at, &[]);
-            let flush = sys.last_wpq_flush().expect("armed crash reports a flush");
+            let label = format!("pre-issue ckpt {k} (commit_at {})", ck.commit_at);
+            let t = run_trial(
+                &ops,
+                armed_cfg(1.0),
+                &r.oracle,
+                Scenario::crash_at(at),
+                &label,
+                &mut digest,
+            );
+            let flush = t.sys.last_wpq_flush().expect("armed crash reports a flush");
             assert!(
                 !flush.marker_salvaged,
-                "ckpt {k} at {at} (commit_at {}): salvaged a never-issued marker: {flush:?}",
-                ck.commit_at
+                "{}: salvaged a never-issued marker: {flush:?}",
+                t.label
             );
-            assert_eq!(
-                first.event.outcome,
-                oracle.expected_outcome_after_crash_sequence(&[at], false),
-                "ckpt {k} at {at}: pre-issue crash must follow classic semantics"
-            );
-            let t = Cycle::new(u64::MAX / 2);
-            let diffs = oracle.diff_after_crash_sequence(&[at], false, |addr| {
-                let mut buf = [0u8; 1];
-                sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-                buf[0]
-            });
-            assert_image(diffs, &format!("pre-issue ckpt {k} at {at}"));
-            assert_wpq_conserves(&sys, &format!("pre-issue ckpt {k} at {at}"));
         }
     }
     assert!(windows >= 10, "workload must expose pre-issue crash windows");
+    digest.print("crash_before_the_commit_record_never_salvages");
 }
 
 /// Randomized soak: 510 seeded trials crossing salvage rates × nested
 /// crash storms × latent media faults. Every trial converges to the
-/// salvage-aware oracle (promoted image when the first crash salvaged the
-/// commit, sequence image otherwise) with conserved counters.
+/// oracle — the promoted image when the first crash salvaged the commit —
+/// with conserved counters.
 #[test]
 fn seeded_reorder_storms_converge_to_the_salvage_aware_oracle() {
-    let ops = workload();
-    let rates = [0.0f64, 0.5, 1.0];
-    let refs: Vec<(PersistenceOracle, Vec<CkptTimes>, Cycle)> =
-        vec![reference_run(&ops, armed_cfg(0.5)), reference_run(&ops, armed_media_cfg(0.5))];
+    let ops = storm_workload();
+    let refs = [
+        common::reference_run(&ops, armed_cfg(0.5)),
+        common::reference_run(&ops, armed_media_cfg(0.5)),
+    ];
 
-    let mut rng = sweep_seed();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let mut rng = seed;
+    let mut digest = Digest::new();
     let mut salvages = 0u64;
     let mut storms_nested = 0u64;
     let mut fallbacks = 0u64;
-    const TRIALS: usize = 510;
     for trial in 0..TRIALS {
-        let rate = rates[trial % rates.len()];
-        // Latent media faults ride only the rate-0.0 (classic-semantics)
-        // population: a salvaged commit and a torn commit record are
-        // mutually exclusive claims about the same record.
-        let media = rate == 0.0 && trial % 2 == 0;
-        let (oracle, ckpts, end) = if media { &refs[1] } else { &refs[0] };
-        let cfg = if media { armed_media_cfg(rate) } else { armed_cfg(rate) };
-        let inject = if media {
-            Some(if trial % 4 == 0 {
-                MediaFault::TornCommitRecord
-            } else {
-                MediaFault::ClastBitFlip { addr: 0 }
-            })
-        } else {
-            None
-        };
-        let lo = if media { ckpts[0].done_at.raw() + 1 } else { 1 };
-        // The commit-record persist window is a few hundred cycles in a
-        // multi-million-cycle trace; uniform sampling would never land in
-        // it. Aim a slice of the salvage-capable trials just before a
-        // checkpoint's completion so commit salvage is actually exercised.
-        let aimed = rate > 0.0 && trial % 5 == 1;
-        let at = if aimed {
-            let ck = ckpts[(splitmix64(&mut rng) % ckpts.len() as u64) as usize];
-            Cycle::new(ck.done_at.raw().saturating_sub(1 + splitmix64(&mut rng) % 100))
-        } else {
-            Cycle::new(lo + splitmix64(&mut rng) % (end.raw() - lo))
-        };
-        let depth = (splitmix64(&mut rng) % 5) as usize; // 0–4 stacked
-        let mut nested = Vec::new();
-        while nested.len() < depth {
-            let p = at + Cycle::new(1 + splitmix64(&mut rng) % 200_000);
-            if !nested.contains(&p) {
-                nested.push(p);
-            }
-        }
-        nested.sort_unstable();
-
-        let (first, salvaged, mut sys) = storm_replay(&ops, cfg, inject, at, &nested);
-        assert_eq!(first.event.cycle, at, "trial {trial}");
-        storms_nested += first.report.nested_crashes;
-        if first.report.integrity_fallback {
-            fallbacks += 1;
-        }
-        let label = format!("trial {trial} rate {rate} at {at} depth {depth} fault {inject:?}");
-        let mut seq = vec![at];
-        seq.extend_from_slice(&nested);
-        let corrupt = inject.is_some();
-
-        let classic = oracle.expected_outcome_after_crash_sequence(&seq, corrupt);
-        let t = Cycle::new(u64::MAX / 2);
-        if salvaged && classic != RecoveryOutcome::CLast {
+        let ((rate, media), sc) = reorder_trial(&refs, trial, &mut rng);
+        let (cfg, r) =
+            if media { (armed_media_cfg(rate), &refs[1]) } else { (armed_cfg(rate), &refs[0]) };
+        let t = run_trial(&ops, cfg, &r.oracle, sc, &trial_label(seed, trial), &mut digest);
+        let at = t.scenario.crashes[0];
+        assert_eq!(t.first.event.cycle, at, "{}", t.label);
+        if t.scenario.commit_salvaged {
             // The first crash promoted the in-flight checkpoint. Legal only
             // inside some checkpoint's commit-*record* window — the marker
             // must have been issued (`commit_at <= at`, not merely
             // `started <= at`: a salvage before the record entered the WPQ
             // would mean the buffer kept a never-issued write) and not yet
             // retired — and only when the flush could keep it at all.
-            assert!(rate > 0.0, "{label}: rate 0.0 can never salvage");
+            assert!(rate > 0.0, "{}: rate 0.0 can never salvage", t.label);
             assert!(
-                ckpts.iter().any(|c| c.commit_at <= at && at < c.done_at),
-                "{label}: salvage outside every commit-record window"
+                r.ckpts.iter().any(|c| c.commit_at <= at && at < c.done_at),
+                "{}: salvage outside every commit-record window",
+                t.label
             );
             salvages += 1;
-            let diffs = oracle.diff_with_commit_salvage(at, |addr| {
-                let mut buf = [0u8; 1];
-                sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-                buf[0]
-            });
-            assert_image(diffs, &label);
-        } else {
-            assert_eq!(first.event.outcome, classic, "{label}: outcome disagrees with oracle");
-            let diffs = oracle.diff_after_crash_sequence(&seq, corrupt, |addr| {
-                let mut buf = [0u8; 1];
-                sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-                buf[0]
-            });
-            assert_image(diffs, &label);
         }
-
-        // No silent recoveries: every queued point fired exactly once and
-        // every top-level crash produced exactly one labeled recovery.
-        let s = sys.stats();
-        assert_eq!(
-            s.crashes_injected + s.nested_crashes,
-            seq.len() as u64,
-            "{label}: queued points lost or double-fired"
-        );
-        assert_eq!(
-            s.crashes_injected,
-            s.recoveries_to_clast + s.recoveries_to_cpenult + s.recoveries_unrecoverable,
-            "{label}: a recovery went unlabeled"
-        );
-        assert_wpq_conserves(&sys, &label);
-        assert!(s.wpq.enqueued > 0, "{label}: armed buffer saw no traffic");
+        storms_nested += t.first.report.nested_crashes;
+        fallbacks += u64::from(t.first.report.integrity_fallback);
+        assert!(t.sys.stats().wpq.enqueued > 0, "{}: armed buffer saw no traffic", t.label);
     }
     assert!(salvages > 0, "soak never exercised a commit salvage");
     assert!(storms_nested > 0, "soak never interrupted a recovery");
     assert!(fallbacks > 0, "soak never exercised an integrity fallback");
+    digest.print("seeded_reorder_storms_converge_to_the_salvage_aware_oracle");
 }

@@ -8,7 +8,7 @@
 //! authenticated `C_penult`, exactly as CRC failures are; when *both*
 //! images fail authentication the system resets to the provably-empty
 //! image and surfaces `IntegrityUnrecoverable` — there are no silent
-//! recoveries. This suite stress-tests that claim three ways:
+//! recoveries. This suite stress-tests that claim four ways:
 //!
 //! 1. **Randomized sweep**: ≥ 500 seeded trials across eight config combos
 //!    (four tamper kinds × media model on/off), each crashing at a random
@@ -22,28 +22,25 @@
 //!    when off.
 //! 3. **Determinism**: replaying a prefix of the sweep from the same seed
 //!    reproduces identical ledgers and fingerprints.
+//! 4. **One-line reproduction**: any trial, regenerated from the seed and
+//!    its index alone, replays exactly as it did inside the sweep.
 //!
-//! Seeds come from `SECURITY_SWEEP_SEED` (CI runs a small fixed matrix);
-//! the default seed keeps local runs deterministic.
+//! Seeds come from `SWEEP_SEED` (CI runs a small fixed matrix); the default
+//! seed keeps local runs deterministic.
 
-use thynvm::core::{PersistenceOracle, TamperFault, ThyNvm};
+mod common;
+
+use common::{
+    apply, nth_trial, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind, trial_label,
+    Digest, Op, Reference, PAGE,
+};
+use thynvm::core::{Scenario, TamperFault, ThyNvm};
 use thynvm::types::{
-    rng, Cycle, MediaFaultConfig, MemorySystem, PhysAddr, SecurityConfig, SecurityStats,
-    SystemConfig,
+    rng, Cycle, MediaFaultConfig, MemorySystem, RecoveryOutcome, SecurityConfig, SystemConfig,
 };
 
-/// One step of the deterministic workload.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Write `len` bytes of `fill` at `addr`.
-    Write { addr: u64, len: usize, fill: u8 },
-    /// End the epoch (checkpoint start; execution overlaps the job).
-    Checkpoint,
-    /// Let simulated time pass.
-    Advance { cycles: u64 },
-}
-
-const PAGE: u64 = 4096;
+const DEFAULT_SEED: u64 = 0x5EC0_31A7;
+const TRIALS: usize = 510;
 
 /// A three-epoch workload touching both schemes: hot pages that cross the
 /// promotion threshold (PTT) plus scattered cold blocks (BTT), ending with
@@ -80,121 +77,6 @@ fn workload() -> Vec<Op> {
     ops
 }
 
-/// Applies one op, returning the advanced timeline.
-fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle) -> Cycle {
-    match op {
-        Op::Write { addr, len, fill } => {
-            let data = vec![*fill; *len];
-            now.max(sys.store_bytes(PhysAddr::new(*addr), &data, now))
-        }
-        Op::Checkpoint => now.max(sys.force_checkpoint(now)),
-        Op::Advance { cycles } => now + Cycle::new(*cycles),
-    }
-}
-
-/// Checkpoint completion times learned from the crash-free reference run.
-#[derive(Debug, Clone, Copy)]
-struct CkptTimes {
-    done_at: Cycle,
-}
-
-/// Runs the workload crash-free, feeding the oracle.
-fn reference_run(ops: &[Op], cfg: SystemConfig) -> (PersistenceOracle, Vec<CkptTimes>, Cycle) {
-    let mut sys = ThyNvm::new(cfg);
-    let mut oracle = PersistenceOracle::new();
-    let mut ckpts = Vec::new();
-    let mut now = Cycle::ZERO;
-    for op in ops {
-        if let Op::Write { addr, len, fill } = op {
-            oracle.record_write(*addr, &vec![*fill; *len]);
-        }
-        let before = now;
-        now = apply(&mut sys, op, now);
-        if matches!(op, Op::Checkpoint) {
-            let times = match sys.epoch_state().job.as_ref() {
-                Some(j) => CkptTimes { done_at: j.done_at },
-                None => CkptTimes { done_at: now },
-            };
-            let started = sys.epoch_state().job.as_ref().map_or(before, |j| j.started);
-            oracle.record_checkpoint(started, times.done_at);
-            ckpts.push(times);
-        }
-    }
-    (oracle, ckpts, now)
-}
-
-/// Replays the workload with a tamper armed and a crash at `at` (plus
-/// `extra` stacked points), drains every leftover point, and returns the
-/// settled system.
-fn crash_replay(
-    ops: &[Op],
-    cfg: SystemConfig,
-    tamper: TamperFault,
-    at: Cycle,
-    extra: &[Cycle],
-) -> ThyNvm {
-    let mut sys = ThyNvm::new(cfg);
-    sys.inject_tamper(tamper);
-    sys.arm_crash_point(at);
-    for &p in extra {
-        assert!(p > at, "stacked points must lie past the first crash");
-        sys.queue_crash_point(p);
-    }
-    let mut now = Cycle::ZERO;
-    let mut fired = false;
-    for op in ops {
-        now = apply(&mut sys, op, now);
-        if sys.take_crash_report().is_some() {
-            fired = true;
-            break;
-        }
-    }
-    if !fired {
-        sys.poll_crash(now.max(at) + Cycle::new(1));
-        sys.take_crash_report().expect("armed crash must fire");
-    }
-    while let Some(p) = sys.armed_crash_point() {
-        now = sys.poll_crash(now.max(p) + Cycle::new(1)).expect("leftover point fires");
-        sys.take_crash_report().expect("leftover crash reported");
-    }
-    sys
-}
-
-/// Asserts the per-trial tamper-ledger conservation invariants.
-fn assert_conservation(s: &SecurityStats, label: &str) {
-    assert_eq!(
-        s.classified_total(),
-        s.tampers_detected,
-        "{label}: detection classified other than exactly once ({s:?})"
-    );
-    assert_eq!(
-        s.detections_accounted(),
-        s.tampers_detected,
-        "{label}: detection resolved other than exactly once ({s:?})"
-    );
-    assert!(
-        s.tampers_injected + s.classified_media >= s.tampers_detected,
-        "{label}: more detections than injections ({s:?})"
-    );
-}
-
-fn sweep_seed() -> u64 {
-    std::env::var("SECURITY_SWEEP_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5EC0_31A7)
-}
-
-/// The four tamper kinds the sweep draws from (addresses vary per trial).
-fn tamper_kind(kind: usize, addr: u64) -> TamperFault {
-    match kind {
-        0 => TamperFault::ClastData { addr },
-        1 => TamperFault::StaleCounterTable,
-        2 => TamperFault::TornRootMeta,
-        _ => TamperFault::BothImages { addr },
-    }
-}
-
 fn combo_cfg(media: bool, seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::small_test();
     cfg.security = SecurityConfig { seed, ..SecurityConfig::hardened() };
@@ -205,35 +87,34 @@ fn combo_cfg(media: bool, seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Runs one trial and returns the settled system plus its label.
-#[allow(clippy::too_many_arguments)]
-fn run_trial(
-    ops: &[Op],
-    refs: &[(SystemConfig, PersistenceOracle, Vec<CkptTimes>, Cycle)],
-    rng_state: &mut u64,
-    trial: usize,
-) -> (ThyNvm, TamperFault, Vec<Cycle>, String, usize) {
-    let kind = (rng::next(rng_state) % 4) as usize;
-    let media = rng::next(rng_state) % 2 == 1;
-    let ci = usize::from(media);
-    let (cfg, _, _, end) = &refs[ci];
-    let addr = (rng::next(rng_state) % (3 * PAGE)) & !63;
+/// The sweep's two configs (media model off, on) and their crash-free
+/// references: the deterministic workload gives both the same logical
+/// write history.
+fn setup(ops: &[Op], seed: u64) -> ([SystemConfig; 2], Vec<Reference>) {
+    let cfgs = [combo_cfg(false, seed | 1), combo_cfg(true, seed | 1)];
+    let refs = cfgs
+        .iter()
+        .map(|&cfg| {
+            let r = common::reference_run(ops, cfg);
+            assert_eq!(r.ckpts.len(), 3, "workload must reach all three checkpoints");
+            r
+        })
+        .collect();
+    (cfgs, refs)
+}
+
+/// Trial generator: the config index (media model on/off) and the
+/// scenario — one armed tamper, a crash, 0–2 stacked points.
+fn tamper_trial(refs: &[Reference], _trial: usize, rng: &mut u64) -> (usize, Scenario) {
+    let kind = (rng::next(rng) % 4) as usize;
+    let ci = usize::from(rng::next(rng) % 2 == 1);
+    let end = refs[ci].end;
+    let addr = (rng::next(rng) % (3 * PAGE)) & !63;
     let tamper = tamper_kind(kind, addr);
-    let at = Cycle::new(1 + rng::next(rng_state) % (end.raw() - 1));
-    let depth = (rng::next(rng_state) % 3) as usize; // 0–2 stacked points
-    let mut extra = Vec::new();
-    while extra.len() < depth {
-        let p = at + Cycle::new(1 + rng::next(rng_state) % 2_000_000);
-        if !extra.contains(&p) {
-            extra.push(p);
-        }
-    }
-    extra.sort_unstable();
-    let sys = crash_replay(ops, *cfg, tamper, at, &extra);
-    let mut seq = vec![at];
-    seq.extend_from_slice(&extra);
-    let label = format!("trial {trial} kind {kind} media {media} at {at} depth {depth}");
-    (sys, tamper, seq, label, ci)
+    let at = Cycle::new(1 + rng::next(rng) % (end.raw() - 1));
+    let depth = (rng::next(rng) % 3) as usize; // 0–2 stacked points
+    let crashes = stacked_crashes(at, depth, 2_000_000, rng);
+    (ci, Scenario { crashes, tamper: Some(tamper), ..Scenario::default() })
 }
 
 /// Randomized sweep: ≥ 500 seeded trials crossing tamper kinds, crash
@@ -244,39 +125,29 @@ fn run_trial(
 #[test]
 fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
     let ops = workload();
-    let base_seed = sweep_seed();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
 
-    // One crash-free reference per media setting: the deterministic
-    // workload gives both combos the same logical write history.
-    let refs: Vec<(SystemConfig, PersistenceOracle, Vec<CkptTimes>, Cycle)> = [false, true]
-        .iter()
-        .map(|&media| {
-            let cfg = combo_cfg(media, base_seed | 1);
-            let (oracle, ckpts, end) = reference_run(&ops, cfg);
-            assert_eq!(ckpts.len(), 3, "workload must reach all three checkpoints");
-            (cfg, oracle, ckpts, end)
-        })
-        .collect();
-
-    let mut rng_state = base_seed;
+    let mut rng = seed;
+    let mut digest = Digest::new();
     let mut fallbacks = 0u64;
     let mut unrecoverables = 0u64;
     let mut still_armed = 0u64;
-    let mut kinds_detected = [0u64; 3]; // tamper / torn / (tamper again for stale)
-    const TRIALS: usize = 510;
+    let mut kinds_detected = [0u64; 2]; // tamper / torn
     for trial in 0..TRIALS {
-        let (mut sys, tamper, seq, label, ci) = run_trial(&ops, &refs, &mut rng_state, trial);
-        let (_, oracle, _, _) = &refs[ci];
-        let s = sys.stats().security;
-        assert_conservation(&s, &label);
-
-        let applied = sys.armed_tamper().is_none();
-        let t = Cycle::new(u64::MAX / 2);
-        let read = |sys: &mut ThyNvm, addr: u64| {
-            let mut buf = [0u8; 1];
-            sys.load_bytes(PhysAddr::new(addr), &mut buf, t);
-            buf[0]
-        };
+        let (ci, sc) = tamper_trial(&refs, trial, &mut rng);
+        let mut t =
+            run_trial(&ops, cfgs[ci], &refs[ci].oracle, sc, &trial_label(seed, trial), &mut digest);
+        let label = &t.label;
+        let s = t.sys.stats().security;
+        let applied = t.sys.armed_tamper().is_none();
+        // The oracle decides when a tamper takes effect (a completed
+        // checkpoint existed at the first crash); the controller agrees.
+        let effective = matches!(
+            t.expect.outcome,
+            RecoveryOutcome::CPenultIntegrityFallback | RecoveryOutcome::Unrecoverable
+        );
+        assert_eq!(applied, effective, "{label}: tamper applied against the oracle's rule");
         if applied {
             // Zero silent recoveries: the applied tamper was detected and
             // resolved (fallback or unrecoverable), never replayed.
@@ -286,19 +157,11 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
                 s.tampers_injected + s.classified_media,
                 "{label}: silent recovery — applied tamper went undetected ({s:?})"
             );
-            let diffs =
-                oracle.diff_with_tampered_region(seq[0], tamper, |a| read(&mut sys, a));
-            assert!(
-                diffs.is_empty(),
-                "{label}: {} divergent byte(s) vs tamper-aware oracle, first {:?}",
-                diffs.len(),
-                diffs.first()
-            );
-            match tamper {
+            match t.scenario.tamper.expect("every trial arms a tamper") {
                 TamperFault::BothImages { .. } => {
                     assert_eq!(s.unrecoverable, 1, "{label}: both-images must be terminal");
                     assert!(
-                        sys.take_security_error().is_some(),
+                        t.sys.take_security_error().is_some(),
                         "{label}: unrecoverable must surface an error"
                     );
                     unrecoverables += 1;
@@ -319,14 +182,6 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
             assert_eq!(s.tampers_injected, 0, "{label}: armed tamper counted early");
             assert_eq!(s.tampers_detected, s.classified_media, "{label}: phantom detection");
             still_armed += 1;
-            let diffs =
-                oracle.diff_after_crash_sequence(&seq, false, |a| read(&mut sys, a));
-            assert!(
-                diffs.is_empty(),
-                "{label}: {} divergent byte(s) vs clean-crash oracle, first {:?}",
-                diffs.len(),
-                diffs.first()
-            );
         }
     }
     // Coverage floor: the sweep exercised every path in the population.
@@ -335,6 +190,7 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
     assert!(still_armed > 0, "sweep never crashed before the first checkpoint");
     assert!(kinds_detected[0] > 0, "no adversarial classification exercised");
     assert!(kinds_detected[1] > 0, "no torn-metadata classification exercised");
+    digest.print("seeded_tamper_sweep_never_replays_unauthenticated_data");
 }
 
 /// Disabled twin: with `enabled = false` the model must be absent, not
@@ -352,7 +208,7 @@ fn disabled_security_config_is_bit_identical_to_default() {
         let mut sys = ThyNvm::new(cfg);
         let mut now = Cycle::ZERO;
         for op in &ops {
-            now = apply(&mut sys, op, now);
+            now = apply(&mut sys, op, now).0;
         }
         now = sys.drain(now);
         // A crash exercises the recovery path with verification off.
@@ -374,24 +230,48 @@ fn disabled_security_config_is_bit_identical_to_default() {
 #[test]
 fn tamper_sweep_prefix_replays_deterministically() {
     let ops = workload();
-    let base_seed = sweep_seed();
-    let refs: Vec<(SystemConfig, PersistenceOracle, Vec<CkptTimes>, Cycle)> = [false, true]
-        .iter()
-        .map(|&media| {
-            let cfg = combo_cfg(media, base_seed | 1);
-            let (oracle, ckpts, end) = reference_run(&ops, cfg);
-            (cfg, oracle, ckpts, end)
-        })
-        .collect();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
 
     let run_prefix = || {
-        let mut rng_state = base_seed;
+        let mut rng = seed;
         (0..12)
             .map(|trial| {
-                let (sys, _, _, _, _) = run_trial(&ops, &refs, &mut rng_state, trial);
+                let (ci, mut sc) = tamper_trial(&refs, trial, &mut rng);
+                let (_, sys) = replay(&ops, cfgs[ci], &mut sc);
                 (sys.stats().security, sys.visible_fingerprint())
             })
             .collect::<Vec<_>>()
     };
     assert_eq!(run_prefix(), run_prefix(), "same seed must replay identically");
+}
+
+/// One-line reproduction: trial `i`, regenerated from the seed without
+/// running the trials before it, replays to the same first-crash outcome
+/// and recovered fingerprint it had inside the sweep.
+#[test]
+fn a_trial_regenerated_from_its_seed_replays_as_in_the_sweep() {
+    let ops = workload();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
+    let generate = |trial: usize, rng: &mut u64| tamper_trial(&refs, trial, rng);
+
+    let mut rng = seed;
+    let mut in_sweep = Vec::new();
+    for trial in 0..24 {
+        let (ci, mut sc) = generate(trial, &mut rng);
+        let (first, sys) = replay(&ops, cfgs[ci], &mut sc);
+        in_sweep.push((sc, first.event.outcome, sys.visible_fingerprint()));
+    }
+    for i in [0, 11, 23] {
+        let (ci, mut sc) = nth_trial(seed, i, generate);
+        let (first, sys) = replay(&ops, cfgs[ci], &mut sc);
+        let label = trial_label(seed, i);
+        assert_eq!(sc, in_sweep[i].0, "{label}: regenerated a different scenario");
+        assert_eq!(
+            (first.event.outcome, sys.visible_fingerprint()),
+            (in_sweep[i].1, in_sweep[i].2),
+            "{label} {sc:?}: replayed alone, the trial diverged from its sweep run"
+        );
+    }
 }
