@@ -15,6 +15,7 @@
 //! | [`fig12_btt_sensitivity`] | Figure 12 (BTT size sweep) |
 //! | [`e9_overlap_ablation`] | §3.1/§5.3 stop-the-world vs overlap |
 
+use thynvm_core::{EventKind, InjectedCrash};
 use thynvm_types::SystemConfig;
 use thynvm_workloads::kv::{hash::HashKv, rbtree::RbTreeKv, KvConfig};
 use thynvm_workloads::micro::{MicroConfig, MicroPattern};
@@ -799,6 +800,14 @@ pub fn e19_media_resilience(scale: Scale) -> Table {
     table
 }
 
+/// The top-level crash a poll just fired, read from the system's journal.
+fn fired_crash(sys: &mut thynvm_core::ThyNvm) -> InjectedCrash {
+    sys.take_events()
+        .into_iter()
+        .find_map(|e| if let EventKind::Crash(c) = e.kind { Some(c) } else { None })
+        .expect("invariant: crash point armed before poll")
+}
+
 /// E20: recovery latency vs nested-crash depth. Recovery is restartable —
 /// a power failure *during* recovery restarts it from the persisted commit
 /// record — so each extra stacked crash pays one more (partial) recovery
@@ -829,10 +838,7 @@ pub fn e20_recovery_latency() -> Table {
     let (mut probe, t0) = build();
     probe.arm_crash_point(t0);
     probe.poll_crash(t0 + Cycle::new(1));
-    let probe_report = probe
-        .take_crash_report()
-        .expect("invariant: crash point armed before poll")
-        .report;
+    let probe_report = fired_crash(&mut probe).report;
     let boundaries: Vec<Cycle> = probe_report.steps.iter().map(|&(_, end)| end).collect();
     assert!(!boundaries.is_empty(), "recovery reported no steps");
 
@@ -851,9 +857,7 @@ pub fn e20_recovery_latency() -> Table {
             sys.queue_crash_point(b.saturating_sub(Cycle::new(1)));
         }
         sys.poll_crash(t + Cycle::new(1));
-        let crash = sys
-            .take_crash_report()
-            .expect("invariant: crash point armed before poll");
+        let crash = fired_crash(&mut sys);
         table.row(&[
             depth.to_string(),
             fmt_f(crash.report.recovery_cycles.as_ns() / 1e3),
@@ -1223,8 +1227,15 @@ pub fn e24_persist_buffer(scale: Scale) -> Table {
         now = sys.drain(now);
         let base = *baseline.get_or_insert(now.raw().max(1));
         let verdict = if crash {
-            let flush = sys.last_wpq_flush().expect("armed crash flushed the buffer");
-            assert!(sys.take_crash_report().is_some(), "armed crash point never fired");
+            let events = sys.take_events();
+            let flush = events
+                .iter()
+                .find_map(|e| if let EventKind::WpqFlush(f) = e.kind { Some(f) } else { None })
+                .expect("armed crash flushed the buffer");
+            assert!(
+                events.iter().any(|e| matches!(e.kind, EventKind::Crash(_))),
+                "armed crash point never fired"
+            );
             if flush.commit_salvaged() { "salvaged" } else { "rollback" }
         } else {
             "-"

@@ -171,16 +171,57 @@ pub struct RecoveryReport {
 
 /// Result of one crash injected through [`ThyNvm::arm_crash_point`]:
 /// the observability record, the §4.5 recovery report, and the cycle at
-/// which the rebooted system resumes.
+/// which the rebooted system resumes. Journaled as [`EventKind::Crash`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedCrash {
-    /// Where the crash landed and what recovery did (also appended to
-    /// [`MemStats::crash_events`](thynvm_types::MemStats)).
+    /// Where the crash landed and what recovery did.
     pub event: thynvm_types::CrashEvent,
     /// The recovery report, as returned by [`ThyNvm::crash_and_recover`].
     pub report: RecoveryReport,
     /// Cycle at which the recovered system accepts requests again.
     pub resume_at: Cycle,
+}
+
+/// One entry of the controller's event journal, drained by
+/// [`ThyNvm::take_events`]. Entries appear in the order the controller
+/// learned them: a top-level crash is appended once its recovery has run,
+/// so the flush and any nested crashes of that recovery precede it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Event {
+    /// The cycle the event happened at (a crash's power-fail cycle).
+    pub cycle: Cycle,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+/// What a journal [`Event`] records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EventKind {
+    /// A queued crash point fired during normal operation and recovery
+    /// ran to completion.
+    Crash(InjectedCrash),
+    /// A queued crash point fired inside a running recovery and aborted
+    /// that attempt; `recovery_step` names the interrupted step.
+    NestedCrash(thynvm_types::CrashEvent),
+    /// The persist buffer's partial flush at a power failure — in
+    /// particular whether the in-flight commit marker was salvaged.
+    WpqFlush(WpqCrashReport),
+    /// A fault the controller absorbed without failing the request:
+    /// media corruption, exhausted retries or spares, an unabsorbable BTT
+    /// overflow, a quarantine ([`Error::DramPoisonLost`] names the rolled
+    /// back range), an unrecoverable recovery, a skipped §4.4 fence, or a
+    /// store the health ladder refused.
+    Error(Error),
+}
+
+/// The recovery verdicts that decide a crash's
+/// [`RecoveryOutcome`](thynvm_types::RecoveryOutcome), as recovery learns
+/// them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Verdict {
+    rolled_back_incomplete: bool,
+    integrity_fallback: bool,
+    unrecoverable: bool,
 }
 
 /// Data captured while checkpointing a page (target region chosen when the
@@ -235,8 +276,9 @@ pub struct ThyNvm {
     working_log: Vec<(u64, Vec<u8>)>,
     /// Writes captured by the in-flight checkpoint job.
     ckpting_log: Vec<(u64, Vec<u8>)>,
-    /// Report of the last recovery, if any.
-    last_recovery: Option<RecoveryReport>,
+    /// Crashes, flushes and absorbed faults not yet drained by
+    /// [`Self::take_events`].
+    journal: Vec<Event>,
     /// Archive of past committed images for §6-style bug tolerance
     /// (checkpoint number → image). Empty unless enabled.
     archive: std::collections::VecDeque<(u64, SparseStore)>,
@@ -257,8 +299,6 @@ pub struct ThyNvm {
     /// boundaries (nested crashes); points beyond the end of recovery
     /// stay armed for later requests.
     crash_points: Vec<Cycle>,
-    /// Record of the most recent injected crash, until taken.
-    injected_crash: Option<InjectedCrash>,
 
     // ---- media faults & self-healing ----
     /// The NVM media-fault model, when `cfg.media.enabled`.
@@ -293,13 +333,6 @@ pub struct ThyNvm {
     /// Injected latent fault: the next recovery's serialized PTT metadata
     /// is corrupted.
     injected_meta_corrupt: bool,
-    /// The most recent unrecoverable-read error (retries exhausted before a
-    /// remap healed the block, or the spare pool drained), for inspection.
-    last_media_error: Option<Error>,
-    /// The most recent unabsorbable BTT overflow: a spill was demanded
-    /// while the previous spill's early epoch end had not yet drained, so
-    /// the table genuinely could not recover by ending the epoch.
-    last_overflow_error: Option<Error>,
     /// Sequence number of the next write-ahead-log record in the backup
     /// region (bad-block remaps, recovery-side integrity fallbacks).
     wal_seq: u64,
@@ -307,12 +340,6 @@ pub struct ThyNvm {
     // ---- DRAM fault domain (ECC, poison, quarantine) ----
     /// The DRAM SEC-DED ECC model, when `cfg.dram_fault.enabled`.
     dram_fault: Option<DramEccModel>,
-    /// Quarantine events not yet drained by the harness: `(physical base,
-    /// length)` ranges whose dirty data was dropped and rolled back to the
-    /// last checkpoint because of uncorrectable DRAM errors.
-    quarantine_events: Vec<(u64, u64)>,
-    /// The most recent poison-loss error, for inspection.
-    last_poison_error: Option<Error>,
 
     // ---- secure persistent memory mode ----
     /// The counter-mode encryption / integrity-tree model, when
@@ -331,20 +358,12 @@ pub struct ThyNvm {
     /// Armed tamper, applied at the next crash once a completed checkpoint
     /// exists to forge.
     injected_tamper: Option<TamperFault>,
-    /// The most recent both-images authentication failure, for inspection.
-    last_security_error: Option<Error>,
 
     // ---- volatile persist buffer (WPQ fault domain) ----
     /// The content-carrying persist buffer, when `cfg.wpq.enabled`. Writes
     /// pass through it before durability; `wpq_fence` is the §4.4 ordering
     /// primitive, and a crash partially flushes a seeded per-bank prefix.
     pbuf: Option<PersistBuffer>,
-    /// The most recent §4.4 ordering violation (a commit record persisted
-    /// while data entries were still pending), until taken.
-    last_ordering_error: Option<Error>,
-    /// The most recent crash's partial-flush report, for harnesses that
-    /// must know whether the commit marker was salvaged.
-    last_wpq_flush: Option<WpqCrashReport>,
     /// Test hook: skip the next `wpq_fence`, so the ordering audit (and
     /// lint rule L10's runtime counterpart) can be exercised.
     wpq_skip_next_fence: bool,
@@ -360,8 +379,6 @@ pub struct ThyNvm {
     /// Rung captured when the in-flight checkpoint's health record
     /// persisted; rotated into `health_rung_last` at job retirement.
     pending_health_rung: Option<HealthRung>,
-    /// The most recent degraded-store rejection, for inspection.
-    last_health_error: Option<Error>,
 }
 
 impl ThyNvm {
@@ -390,13 +407,12 @@ impl ThyNvm {
             visible: SparseStore::new(),
             working_log: Vec::new(),
             ckpting_log: Vec::new(),
-            last_recovery: None,
+            journal: Vec::new(),
             archive: std::collections::VecDeque::new(),
             archive_depth: 0,
             epoch_length_hist: thynvm_types::Histogram::new(),
             job_duration_hist: thynvm_types::Histogram::new(),
             crash_points: Vec::new(),
-            injected_crash: None,
             fault: cfg
                 .media
                 .enabled
@@ -410,27 +426,19 @@ impl ThyNvm {
             injected_torn_commit: false,
             injected_clast_flip: None,
             injected_meta_corrupt: false,
-            last_media_error: None,
-            last_overflow_error: None,
             wal_seq: 0,
             dram_fault: cfg.dram_fault.enabled.then(|| DramEccModel::new(&cfg.dram_fault)),
-            quarantine_events: Vec::new(),
-            last_poison_error: None,
             security: cfg.security.enabled.then(|| SecurityModel::new(&cfg.security)),
             mac_key,
             mac_last: empty_mac,
             mac_penult: empty_mac,
             injected_tamper: None,
-            last_security_error: None,
             pbuf: cfg.wpq.enabled.then(|| PersistBuffer::new(cfg.wpq, cfg.nvm_geometry)),
-            last_ordering_error: None,
-            last_wpq_flush: None,
             wpq_skip_next_fence: false,
             health_mon: cfg.health.enabled.then(|| HealthMonitor::new(cfg.health)),
             health_rung_last: HealthRung::Healthy,
             health_rung_penult: HealthRung::Healthy,
             pending_health_rung: None,
-            last_health_error: None,
             cfg,
         }
     }
@@ -471,9 +479,12 @@ impl ThyNvm {
         self.btt_spills
     }
 
-    /// Report of the last [`ThyNvm::crash_and_recover`], if any.
-    pub fn last_recovery(&self) -> Option<&RecoveryReport> {
-        self.last_recovery.as_ref()
+    /// Drains the event journal: every crash, nested crash, persist-buffer
+    /// flush and absorbed fault since the last call, in the order the
+    /// controller recorded them. The journal is always on; entries appear
+    /// only when one of those happens.
+    pub fn take_events(&mut self) -> Vec<Event> {
+        std::mem::take(&mut self.journal)
     }
 
     /// Content fingerprint of the software-visible byte image (see
@@ -502,9 +513,9 @@ impl ThyNvm {
     /// already gone); loads proceed against the recovered image.
     ///
     /// Re-arming replaces *all* previously queued points (use
-    /// [`ThyNvm::queue_crash_point`] to stack additional ones). Use
-    /// [`ThyNvm::take_crash_report`] after each request to learn whether
-    /// the crash fired.
+    /// [`ThyNvm::queue_crash_point`] to stack additional ones). A fired
+    /// crash appears in [`ThyNvm::take_events`] as an [`EventKind::Crash`]
+    /// entry.
     pub fn arm_crash_point(&mut self, at: Cycle) {
         self.crash_points.clear();
         self.crash_points.push(at);
@@ -545,12 +556,6 @@ impl ThyNvm {
         }
     }
 
-    /// Takes the record of the most recent injected crash, if one fired
-    /// since the last call.
-    pub fn take_crash_report(&mut self) -> Option<InjectedCrash> {
-        self.injected_crash.take()
-    }
-
     /// Fires the armed crash point if the timeline has passed it: checks
     /// `now` against the armed cycle and performs the crash + recovery.
     /// Returns the resume cycle if the crash fired. Harnesses may call this
@@ -574,43 +579,68 @@ impl ThyNvm {
     }
 
     /// Performs the earliest queued crash: classifies where it landed, runs
-    /// §4.5 recovery as of that cycle, records the observability event, and
-    /// returns the cycle at which the rebooted system resumes.
+    /// §4.5 recovery as of that cycle, journals the crash, and returns the
+    /// cycle at which the rebooted system resumes.
     fn trigger_crash(&mut self) -> Cycle {
         let at = self.crash_points.remove(0);
 
         // Classify the crash site before recovery tears the state down.
-        let epoch_id = self.epoch.active_epoch;
         let (phase, mut inflight) = match &self.epoch.job {
             Some(job) if !job.is_done(at) => {
                 (job.phase_at(at), job.inflight_writebacks_at(at))
             }
-            _ => (thynvm_types::CkptPhase::Execution, 0),
+            _ => (CkptPhase::Execution, 0),
         };
         inflight += self.nvm_wq.len_at(at) + self.dram_wq.len_at(at);
 
         let report = self.crash_and_recover(at);
-        let outcome = if report.unrecoverable {
+        let v = Verdict {
+            rolled_back_incomplete: report.rolled_back_incomplete,
+            integrity_fallback: report.integrity_fallback,
+            unrecoverable: report.unrecoverable,
+        };
+        let event = self.crash_event(at, (phase, inflight), None, v);
+        let resume_at = at + report.recovery_cycles;
+        self.record(at, EventKind::Crash(InjectedCrash { event, report, resume_at }));
+        resume_at
+    }
+
+    /// The one record of a crash point firing at `at`, for both crash
+    /// paths: the checkpoint phase and in-flight writebacks it landed on,
+    /// the recovery step a nested crash interrupted, and the outcome the
+    /// recovery verdict `v` implies (for a nested crash, the aborted
+    /// attempt's verdict so far). Counts the crash in the stats.
+    fn crash_event(
+        &mut self,
+        at: Cycle,
+        (phase, inflight_writebacks): (CkptPhase, usize),
+        recovery_step: Option<RecoveryStep>,
+        v: Verdict,
+    ) -> thynvm_types::CrashEvent {
+        let outcome = if v.unrecoverable {
             thynvm_types::RecoveryOutcome::Unrecoverable
-        } else if report.integrity_fallback {
+        } else if v.integrity_fallback {
             thynvm_types::RecoveryOutcome::CPenultIntegrityFallback
-        } else if report.rolled_back_incomplete {
+        } else if v.rolled_back_incomplete {
             thynvm_types::RecoveryOutcome::CPenult
         } else {
             thynvm_types::RecoveryOutcome::CLast
         };
         let event = thynvm_types::CrashEvent {
             cycle: at,
-            epoch: epoch_id,
+            epoch: self.epoch.active_epoch,
             phase,
-            inflight_writebacks: inflight,
+            inflight_writebacks,
             outcome,
-            recovery_step: None,
+            recovery_step,
         };
-        self.stats.record_crash(event.clone());
-        let resume_at = at + report.recovery_cycles;
-        self.injected_crash = Some(InjectedCrash { event, report, resume_at });
-        resume_at
+        self.stats.record_crash(&event);
+        event
+    }
+
+    /// Appends one entry to the event journal.
+    fn record(&mut self, cycle: Cycle, kind: EventKind) {
+        self.journal.push(Event { cycle, kind });
     }
 
     // ------------------------------------------------------------------
@@ -633,21 +663,6 @@ impl ThyNvm {
     /// bad-block table.
     pub fn bad_block_remaps(&self) -> usize {
         self.bad_blocks.len()
-    }
-
-    /// Takes the most recent unrecoverable-read error (a location whose
-    /// bounded retries all failed before the block was remapped), if any.
-    pub fn take_media_error(&mut self) -> Option<Error> {
-        self.last_media_error.take()
-    }
-
-    /// Takes the most recent table-overflow error: a BTT spill demanded
-    /// while the previous spill's early epoch end was still pending, i.e.
-    /// write pressure the overflow handshake could not absorb. The write is
-    /// still force-inserted (correctness is preserved); the error reports
-    /// that the table was undersized for the workload.
-    pub fn take_overflow_error(&mut self) -> Option<Error> {
-        self.last_overflow_error.take()
     }
 
     /// Arms a latent media fault in persisted checkpoint state. Consulted
@@ -690,14 +705,6 @@ impl ThyNvm {
         self.injected_tamper
     }
 
-    /// Takes the most recent both-images authentication failure
-    /// ([`Error::IntegrityUnrecoverable`]): recovery found no checkpoint
-    /// image that verifies and reset to the empty image rather than replay
-    /// forged data.
-    pub fn take_security_error(&mut self) -> Option<Error> {
-        self.last_security_error.take()
-    }
-
     /// MAC over the committed `C_last` image under the modeled key — what
     /// the next recovery's verification recomputes and compares.
     pub fn clast_mac(&self) -> u64 {
@@ -711,19 +718,6 @@ impl ThyNvm {
     /// The persist buffer, when `cfg.wpq.enabled` (inspection).
     pub fn persist_buffer(&self) -> Option<&PersistBuffer> {
         self.pbuf.as_ref()
-    }
-
-    /// The most recent crash's partial-flush report — in particular
-    /// whether the in-flight commit marker was salvaged (early commit).
-    pub fn last_wpq_flush(&self) -> Option<WpqCrashReport> {
-        self.last_wpq_flush
-    }
-
-    /// Takes the most recent §4.4 ordering violation: a commit record was
-    /// persisted while the persist buffer still held data entries, so a
-    /// crash could have made the commit durable before the data it commits.
-    pub fn take_ordering_error(&mut self) -> Option<Error> {
-        self.last_ordering_error.take()
     }
 
     /// Test hook: suppress every [`Self::wpq_fence`] until the next
@@ -769,7 +763,7 @@ impl ThyNvm {
 
     /// Enqueues a commit-record persist, auditing §4.4 on the way: if data
     /// entries are still pending at `issue`, the mandatory fence was
-    /// skipped and the violation is recorded for `take_ordering_error`.
+    /// skipped and the violation is journaled.
     fn wpq_push_marker(&mut self, hw: HwAddr, issue: Cycle, retire: Cycle) -> Cycle {
         self.wpq_skip_next_fence = false;
         // Audit on *held* entries, not retire times: a correct round
@@ -777,8 +771,8 @@ impl ThyNvm {
         // anything still held here means the fence was skipped.
         let pending = self.pbuf.as_ref().map_or(0, |p| p.held_data());
         if pending > 0 {
-            self.last_ordering_error =
-                Some(Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending });
+            let err = Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending };
+            self.record(issue, EventKind::Error(err));
         }
         self.wpq_push(hw, issue, retire, WpqKind::CommitMarker)
     }
@@ -823,13 +817,6 @@ impl ThyNvm {
             + self.committed.allocated_pages()
             + self.committed_prev.allocated_pages()
             + self.archive.iter().map(|(_, s)| s.allocated_pages()).sum::<usize>()
-    }
-
-    /// Takes the most recent degraded-store rejection
-    /// ([`Error::Degraded`]) — a store refused because the ladder sits at
-    /// `ReadOnly` or worse — if one occurred since the last call.
-    pub fn take_health_error(&mut self) -> Option<Error> {
-        self.last_health_error.take()
     }
 
     /// The bounded-retry policy governing media CRC retries — NVM data
@@ -880,17 +867,17 @@ impl ThyNvm {
         mon.observe_epoch(&signals, &mut self.stats.health);
     }
 
-    /// Rejects a store when the ladder rung forbids mutation (`ReadOnly`
-    /// or `FailSafe`), recording the rejection for inspection.
-    fn degraded_store_rejection(&mut self) -> Option<Error> {
-        let rung = self.health_mon.as_ref()?.rung();
+    /// Rejects a store at `now` when the ladder rung forbids mutation
+    /// (`ReadOnly` or `FailSafe`), journaling the rejection.
+    fn degraded_store_rejection(&mut self, now: Cycle) -> Result<(), Error> {
+        let rung = self.health_rung();
         if rung < HealthRung::ReadOnly {
-            return None;
+            return Ok(());
         }
         self.stats.health.stores_rejected += 1;
         let err = Error::Degraded { rung };
-        self.last_health_error = Some(err.clone());
-        Some(err)
+        self.record(now, EventKind::Error(err.clone()));
+        Err(err)
     }
 
     /// Whether the Wounded posture's emergency-early epoch timer has
@@ -923,22 +910,6 @@ impl ThyNvm {
     /// ([`DramEccModel::arm_poison`]) in tests and demos.
     pub fn dram_ecc_mut(&mut self) -> Option<&mut DramEccModel> {
         self.dram_fault.as_mut()
-    }
-
-    /// Takes the most recent DRAM poison-loss error — an uncorrectable
-    /// error under *dirty* data, whose range was quarantined and rolled
-    /// back to the last checkpoint — if one occurred since the last call.
-    pub fn take_poison_error(&mut self) -> Option<Error> {
-        self.last_poison_error.take()
-    }
-
-    /// Drains the quarantine events recorded since the last call: the
-    /// `(physical base, length)` ranges whose dirty data was dropped and
-    /// rolled back to the last checkpoint. Harnesses feed these to
-    /// [`crate::PersistenceOracle::record_quarantine`] so the §4.5
-    /// prediction tracks what the controller actually kept.
-    pub fn take_quarantine_events(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.quarantine_events)
     }
 
     /// Poisoned 64 B working-region blocks intersecting `[off, off+len)`,
@@ -998,7 +969,6 @@ impl ThyNvm {
                 .copy_from_slice(&data[(from - addr) as usize..(to - addr) as usize]);
         }
         self.visible.write(thynvm_types::HwAddr::new(base), &img);
-        self.quarantine_events.push((base, len));
     }
 
     /// Quarantines a poisoned *dirty* PTT page: its dirty data is dropped
@@ -1040,8 +1010,8 @@ impl ThyNvm {
         self.stats.dram.quarantined_pages += 1;
         self.stats.dram.quarantine_dropped_bytes += PAGE_BYTES;
         self.stats.pages_demoted += 1;
-        self.last_poison_error =
-            Some(Error::DramPoisonLost { addr: page.base_addr(), bytes: PAGE_BYTES });
+        let err = Error::DramPoisonLost { addr: page.base_addr(), bytes: PAGE_BYTES };
+        self.record(now, EventKind::Error(err));
         done
     }
 
@@ -1075,8 +1045,8 @@ impl ThyNvm {
         }
         self.quarantine_rollback(block.base_addr().raw(), BLOCK_BYTES);
         self.stats.dram.quarantine_dropped_bytes += BLOCK_BYTES;
-        self.last_poison_error =
-            Some(Error::DramPoisonLost { addr: block.base_addr(), bytes: BLOCK_BYTES });
+        let err = Error::DramPoisonLost { addr: block.base_addr(), bytes: BLOCK_BYTES };
+        self.record(now, EventKind::Error(err));
         now
     }
 
@@ -1212,7 +1182,7 @@ impl ThyNvm {
     fn remap_bad_block(&mut self, base: u64, now: Cycle) -> Option<Cycle> {
         if self.spares_exhausted() {
             self.stats.media.spare_exhausted += 1;
-            self.last_media_error = Some(Error::SpareExhausted { addr: PhysAddr::new(base) });
+            self.record(now, EventKind::Error(Error::SpareExhausted { addr: PhysAddr::new(base) }));
             return None;
         }
         // WAL intent: the (bad block → spare slot) assignment.
@@ -1286,10 +1256,8 @@ impl ThyNvm {
             // No CRCs: nothing detects the corruption; the wrong bytes are
             // delivered to software by the functional layer.
             self.stats.media.silent_corruptions += 1;
-            self.last_media_error = Some(Error::MediaCorruption {
-                addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
-                kind: ev.kind,
-            });
+            let addr = PhysAddr::new(block.base_addr().raw() + fault_offset);
+            self.record(done, EventKind::Error(Error::MediaCorruption { addr, kind: ev.kind }));
             self.pending_corruption = Some((block.base_addr().raw() + fault_offset, ev.mask));
             return done;
         }
@@ -1312,10 +1280,11 @@ impl ThyNvm {
             // Every retry failed: the location is permanently bad (a
             // stuck-at cell). Remap the block away from it; with the spare
             // pool drained the block keeps limping along on CRC retries.
-            self.last_media_error = Some(Error::RetriesExhausted {
+            let err = Error::RetriesExhausted {
                 addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
                 attempts: self.cfg.media.max_read_retries,
-            });
+            };
+            self.record(done, EventKind::Error(err));
             done = self.remap_bad_block(hw.raw() & !(BLOCK_BYTES - 1), done).unwrap_or(done);
         }
         done
@@ -1775,7 +1744,7 @@ impl ThyNvm {
             // (bounded by one platform event).
             if self.reclaim_quiescent(now, 64) == 0 {
                 if self.epoch.overflow_pending {
-                    self.last_overflow_error = Some(Error::TableFull { table: "BTT" });
+                    self.record(now, EventKind::Error(Error::TableFull { table: "BTT" }));
                 }
                 self.epoch.overflow_pending = true;
                 self.btt_spills += 1;
@@ -1851,7 +1820,7 @@ impl ThyNvm {
                 // entry can be replaced does the epoch end early.
                 if self.reclaim_quiescent(now, 64) == 0 {
                     if self.epoch.overflow_pending {
-                        self.last_overflow_error = Some(Error::TableFull { table: "BTT" });
+                        self.record(now, EventKind::Error(Error::TableFull { table: "BTT" }));
                     }
                     self.epoch.overflow_pending = true;
                     self.btt_spills += 1;
@@ -2098,21 +2067,7 @@ impl ThyNvm {
     /// software-visible contents and the timing model. Returns the cycle at
     /// which the store is acknowledged.
     pub fn store_bytes(&mut self, addr: PhysAddr, data: &[u8], now: Cycle) -> Cycle {
-        // Power already failed: the store never reaches the controller.
-        if let Some(resume) = self.poll_crash(now) {
-            return resume.max(now);
-        }
-        // ReadOnly/FailSafe posture: durability of fresh data can no longer
-        // be promised, so the store is refused — no mutation, no traffic.
-        // (Retire first: a completed checkpoint may have promoted the rung.)
-        self.retire_job_if_done(now);
-        if self.degraded_store_rejection().is_some() {
-            return now;
-        }
-        self.visible.write(thynvm_types::HwAddr::new(addr.raw()), data);
-        self.working_log.push((addr.raw(), data.to_vec()));
-        let req = MemRequest::write(addr, u32::try_from(data.len()).expect("write too large"));
-        self.access(&req, now)
+        self.store(addr, data, now).unwrap_or(now)
     }
 
     /// Bounds-checked variant of [`ThyNvm::store_bytes`]: rejects spans
@@ -2133,14 +2088,26 @@ impl ThyNvm {
         now: Cycle,
     ) -> Result<Cycle, Error> {
         self.space.check_phys(addr, data.len() as u64)?;
-        // A stale rejection from an earlier call must not masquerade as
-        // this store's outcome.
-        self.last_health_error = None;
-        let done = self.store_bytes(addr, data, now);
-        match self.last_health_error.take() {
-            Some(e) => Err(e),
-            None => Ok(done),
+        self.store(addr, data, now)
+    }
+
+    /// The store path behind [`Self::store_bytes`] and
+    /// [`Self::try_store_bytes`], without the bounds check: `Err` is a
+    /// store the health ladder refused.
+    fn store(&mut self, addr: PhysAddr, data: &[u8], now: Cycle) -> Result<Cycle, Error> {
+        // Power already failed: the store never reaches the controller.
+        if let Some(resume) = self.poll_crash(now) {
+            return Ok(resume.max(now));
         }
+        // ReadOnly/FailSafe posture: durability of fresh data can no longer
+        // be promised, so the store is refused — no mutation, no traffic.
+        // (Retire first: a completed checkpoint may have promoted the rung.)
+        self.retire_job_if_done(now);
+        self.degraded_store_rejection(now)?;
+        self.visible.write(thynvm_types::HwAddr::new(addr.raw()), data);
+        self.working_log.push((addr.raw(), data.to_vec()));
+        let req = MemRequest::write(addr, u32::try_from(data.len()).expect("write too large"));
+        Ok(self.access(&req, now))
     }
 
     /// Bounds-checked variant of [`ThyNvm::load_bytes`].
@@ -2253,7 +2220,7 @@ impl ThyNvm {
         if let Some(p) = self.pbuf.as_mut() {
             let flush = p.crash(now);
             self.stats.wpq = *p.stats();
-            self.last_wpq_flush = Some(flush);
+            self.record(now, EventKind::WpqFlush(flush));
             if flush.commit_salvaged() {
                 if let Some(job) = self.epoch.job.take() {
                     self.epoch.completed += 1;
@@ -2339,18 +2306,12 @@ impl ThyNvm {
         let tampers_before = self.stats.security.tampers_detected;
         let wal_redos_before = self.stats.media.wal_redos;
         let nested_before = self.stats.nested_crashes;
-        let mut integrity_fallback = false;
-        let mut unrecoverable = false;
+        let mut v = Verdict { rolled_back_incomplete, ..Verdict::default() };
         let mut attempts = 0u64;
         let mut start = now;
         let (steps, restored, mut end) = loop {
             attempts += 1;
-            match self.recovery_attempt(
-                start,
-                rolled_back_incomplete,
-                &mut integrity_fallback,
-                &mut unrecoverable,
-            ) {
+            match self.recovery_attempt(start, &mut v) {
                 Ok(done) => break done,
                 Err(at) => start = start.max(at),
             }
@@ -2371,7 +2332,7 @@ impl ThyNvm {
             // — checkpoint retirement, fallback rotation, or the
             // override-persist below.
             let persisted = self.health_rung_last;
-            let rung = if unrecoverable
+            let rung = if v.unrecoverable
                 || self.stats.security.tampers_detected > tampers_before
             {
                 HealthRung::FailSafe
@@ -2436,15 +2397,14 @@ impl ThyNvm {
             recovered_checkpoints: self.epoch.completed,
             rolled_back_incomplete,
             restored_pages: restored,
-            integrity_fallback,
-            unrecoverable,
+            integrity_fallback: v.integrity_fallback,
+            unrecoverable: v.unrecoverable,
             recovery_cycles: end.saturating_sub(now),
             steps,
             nested_crashes: self.stats.nested_crashes - nested_before,
             attempts,
         };
         self.stats.recovery_cycles += report.recovery_cycles;
-        self.last_recovery = Some(report.clone());
         report
     }
 
@@ -2457,18 +2417,10 @@ impl ThyNvm {
     fn recovery_attempt(
         &mut self,
         start: Cycle,
-        rolled_back_incomplete: bool,
-        integrity_fallback: &mut bool,
-        unrecoverable: &mut bool,
+        v: &mut Verdict,
     ) -> Result<(Vec<(RecoveryStep, Cycle)>, usize, Cycle), Cycle> {
         let mut remaps = Vec::new();
-        let result = self.recovery_attempt_run(
-            start,
-            rolled_back_incomplete,
-            integrity_fallback,
-            unrecoverable,
-            &mut remaps,
-        );
+        let result = self.recovery_attempt_run(start, v, &mut remaps);
         if let Err(at) = result {
             // Bad-block remaps whose WAL seal had not landed when power
             // failed never took effect: drop the in-memory indirection and
@@ -2486,16 +2438,9 @@ impl ThyNvm {
 
     /// Checks whether completing a recovery step at `t_end` overruns the
     /// earliest queued crash point: if so, power failed mid-recovery. The
-    /// point is consumed, a nested crash is recorded against `step`, and
+    /// point is consumed, a nested crash is journaled against `step`, and
     /// the attempt aborts.
-    fn recovery_interrupt(
-        &mut self,
-        step: RecoveryStep,
-        t_end: Cycle,
-        rolled_back_incomplete: bool,
-        integrity_fallback: bool,
-        unrecoverable: bool,
-    ) -> Result<(), Cycle> {
+    fn recovery_interrupt(&mut self, step: RecoveryStep, t_end: Cycle, v: Verdict) -> Result<(), Cycle> {
         let Some(&at) = self.crash_points.first() else {
             return Ok(());
         };
@@ -2503,24 +2448,8 @@ impl ThyNvm {
             return Ok(());
         }
         self.crash_points.remove(0);
-        let outcome = if unrecoverable {
-            thynvm_types::RecoveryOutcome::Unrecoverable
-        } else if integrity_fallback {
-            thynvm_types::RecoveryOutcome::CPenultIntegrityFallback
-        } else if rolled_back_incomplete {
-            thynvm_types::RecoveryOutcome::CPenult
-        } else {
-            thynvm_types::RecoveryOutcome::CLast
-        };
-        let event = thynvm_types::CrashEvent {
-            cycle: at,
-            epoch: self.epoch.active_epoch,
-            phase: CkptPhase::Execution,
-            inflight_writebacks: 0,
-            outcome,
-            recovery_step: Some(step),
-        };
-        self.stats.record_nested_crash(event);
+        let event = self.crash_event(at, (CkptPhase::Execution, 0), Some(step), v);
+        self.record(at, EventKind::NestedCrash(event));
         Err(at)
     }
 
@@ -2574,9 +2503,7 @@ impl ThyNvm {
     fn recovery_attempt_run(
         &mut self,
         start: Cycle,
-        rolled_back_incomplete: bool,
-        integrity_fallback: &mut bool,
-        unrecoverable: &mut bool,
+        v: &mut Verdict,
         remaps: &mut Vec<(u64, Cycle)>,
     ) -> Result<(Vec<(RecoveryStep, Cycle)>, usize, Cycle), Cycle> {
         // Power restore: volatile device state (row buffers, bank busy
@@ -2587,13 +2514,7 @@ impl ThyNvm {
 
         // Step 1: read the checkpoint commit record.
         let mut t = self.recovery_read(self.space.backup(0), 64, start, remaps);
-        self.recovery_interrupt(
-            RecoveryStep::ReadCommitRecord,
-            t,
-            rolled_back_incomplete,
-            *integrity_fallback,
-            *unrecoverable,
-        )?;
+        self.recovery_interrupt(RecoveryStep::ReadCommitRecord, t, *v)?;
         steps.push((RecoveryStep::ReadCommitRecord, t));
 
         // Step 2: verify `C_last`'s integrity (commit-record checksum +
@@ -2623,13 +2544,7 @@ impl ThyNvm {
                 self.stats.media.record_fault(FaultKind::Metadata);
             }
             let corrupt = torn || flip.is_some() || meta;
-            self.recovery_interrupt(
-                RecoveryStep::VerifyClast,
-                t,
-                rolled_back_incomplete,
-                *integrity_fallback,
-                *unrecoverable,
-            )?;
+            self.recovery_interrupt(RecoveryStep::VerifyClast, t, *v)?;
             steps.push((RecoveryStep::VerifyClast, t));
 
             // Step 3: fall back to `C_penult` — write-ahead + CRC-sealed,
@@ -2644,13 +2559,7 @@ impl ThyNvm {
                 w = self.nvm.access(wal, AccessKind::Write, 64, w); // seal
                 self.stats.record_nvm_write(64, NvmWriteClass::Migration);
                 self.charge_crc(64);
-                if let Err(at) = self.recovery_interrupt(
-                    RecoveryStep::IntegrityFallback,
-                    w,
-                    rolled_back_incomplete,
-                    *integrity_fallback,
-                    *unrecoverable,
-                ) {
+                if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, w, *v) {
                     // The seal never landed: nothing took effect. The next
                     // attempt re-detects the corruption and redoes this.
                     self.stats.media.wal_redos += 1;
@@ -2675,7 +2584,7 @@ impl ThyNvm {
                 }
                 self.epoch.completed -= 1;
                 self.stats.media.integrity_fallbacks += 1;
-                *integrity_fallback = true;
+                v.integrity_fallback = true;
                 t = w;
                 steps.push((RecoveryStep::IntegrityFallback, t));
             }
@@ -2690,7 +2599,7 @@ impl ThyNvm {
         // attacker with physical access can forge, so skipping the MAC
         // here would replay unauthenticated data (a forged penult behind a
         // torn commit record with exactly one completed checkpoint).
-        if self.security.is_some() && (self.epoch.completed > 0 || *integrity_fallback) {
+        if self.security.is_some() && (self.epoch.completed > 0 || v.integrity_fallback) {
             let table_bytes = (self.security.as_ref().expect("invariant: secure mode is on in this block").table_entries()
                 as u64
                 * META_ENTRY_BYTES)
@@ -2713,13 +2622,7 @@ impl ThyNvm {
             let mac_ok = !media_caught
                 && self.committed.fingerprint_with_basis(self.mac_key) == self.mac_last;
             let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
-            self.recovery_interrupt(
-                RecoveryStep::VerifyMacs,
-                t,
-                rolled_back_incomplete,
-                *integrity_fallback,
-                *unrecoverable,
-            )?;
+            self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *v)?;
             steps.push((RecoveryStep::VerifyMacs, t));
 
             if !mac_ok || !table_ok {
@@ -2739,13 +2642,7 @@ impl ThyNvm {
                 w = self.nvm.access(wal, AccessKind::Write, 64, w); // seal
                 self.stats.record_nvm_write(64, NvmWriteClass::Migration);
                 self.charge_crc(64);
-                if let Err(at) = self.recovery_interrupt(
-                    RecoveryStep::IntegrityFallback,
-                    w,
-                    rolled_back_incomplete,
-                    *integrity_fallback,
-                    *unrecoverable,
-                ) {
+                if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, w, *v) {
                     self.stats.media.wal_redos += 1;
                     return Err(at);
                 }
@@ -2786,7 +2683,7 @@ impl ThyNvm {
                     self.epoch.completed = self.epoch.completed.saturating_sub(1);
                     self.security.as_mut().expect("invariant: secure mode is on in this block").heal_table();
                     self.stats.security.verify_fallbacks += 1;
-                    *integrity_fallback = true;
+                    v.integrity_fallback = true;
                     steps.push((RecoveryStep::IntegrityFallback, t));
                 } else {
                     // Both images fail authentication: replaying either
@@ -2804,10 +2701,9 @@ impl ThyNvm {
                     self.epoch.completed = 0;
                     self.security.as_mut().expect("invariant: secure mode is on in this block").reset();
                     self.stats.security.unrecoverable += 1;
-                    self.last_security_error = Some(Error::IntegrityUnrecoverable {
-                        epoch: self.epoch.active_epoch,
-                    });
-                    *unrecoverable = true;
+                    let err = Error::IntegrityUnrecoverable { epoch: self.epoch.active_epoch };
+                    self.record(t, EventKind::Error(err));
+                    v.unrecoverable = true;
                     steps.push((RecoveryStep::IntegrityFallback, t));
                 }
             }
@@ -2821,7 +2717,7 @@ impl ThyNvm {
             .iter_mut()
             .filter_map(|(b, e)| {
                 e.wactive = None;
-                if rolled_back_incomplete {
+                if v.rolled_back_incomplete {
                     e.pending = None;
                 }
                 if e.clast_region.is_none() && e.pending.is_none() {
@@ -2842,13 +2738,7 @@ impl ThyNvm {
         let meta_len = u32::try_from(meta_bytes.max(64).min(u64::from(u32::MAX)))
             .expect("invariant: value clamped to u32::MAX on the previous line");
         t = self.recovery_read(self.space.backup(0), meta_len, t, remaps);
-        self.recovery_interrupt(
-            RecoveryStep::ReplayMetadata,
-            t,
-            rolled_back_incomplete,
-            *integrity_fallback,
-            *unrecoverable,
-        )?;
+        self.recovery_interrupt(RecoveryStep::ReplayMetadata, t, *v)?;
         steps.push((RecoveryStep::ReplayMetadata, t));
 
         // Step 5 (§4.5 step 2): re-arm the DRAM working set — restore
@@ -2873,13 +2763,7 @@ impl ThyNvm {
             t = self.working_write(off, PAGE_BYTES as u32, t);
             restored += 1;
         }
-        self.recovery_interrupt(
-            RecoveryStep::RearmWorkingSet,
-            t,
-            rolled_back_incomplete,
-            *integrity_fallback,
-            *unrecoverable,
-        )?;
+        self.recovery_interrupt(RecoveryStep::RearmWorkingSet, t, *v)?;
         steps.push((RecoveryStep::RearmWorkingSet, t));
 
         Ok((steps, restored, t))
@@ -3368,6 +3252,24 @@ mod tests {
         sys.access(&MemRequest::write(PhysAddr::new(addr), 64), Cycle::new(now))
     }
 
+    /// Drains the journal and returns its top-level crash entries.
+    fn crashes(sys: &mut ThyNvm) -> Vec<InjectedCrash> {
+        let events = sys.take_events().into_iter();
+        events.filter_map(|e| if let EventKind::Crash(c) = e.kind { Some(c) } else { None }).collect()
+    }
+
+    /// Drains the journal and returns its absorbed faults.
+    fn errors(sys: &mut ThyNvm) -> Vec<Error> {
+        let events = sys.take_events().into_iter();
+        events.filter_map(|e| if let EventKind::Error(err) = e.kind { Some(err) } else { None }).collect()
+    }
+
+    /// Drains the journal and returns its persist-buffer flush reports.
+    fn flushes(sys: &mut ThyNvm) -> Vec<WpqCrashReport> {
+        let events = sys.take_events().into_iter();
+        events.filter_map(|e| if let EventKind::WpqFlush(f) = e.kind { Some(f) } else { None }).collect()
+    }
+
     #[test]
     fn first_write_goes_to_nvm_region_a() {
         let mut sys = small();
@@ -3852,10 +3754,10 @@ mod tests {
         assert_eq!(sys.armed_crash_point(), Some(t + Cycle::new(10)));
         // A store before the point proceeds normally.
         let t2 = sys.store_bytes(PhysAddr::new(64), &[2], t);
-        assert!(sys.take_crash_report().is_none());
+        assert!(crashes(&mut sys).is_empty());
         // The first request strictly past the point triggers the crash.
         let resume = sys.store_bytes(PhysAddr::new(128), &[3], t2 + Cycle::new(1_000));
-        let crash = sys.take_crash_report().expect("crash fired");
+        let crash = crashes(&mut sys).pop().expect("crash fired");
         assert_eq!(crash.event.cycle, t + Cycle::new(10));
         assert_eq!(crash.resume_at, resume);
         assert_eq!(sys.armed_crash_point(), None);
@@ -3881,7 +3783,7 @@ mod tests {
         sys.arm_crash_point(job_done - Cycle::new(1));
         let after = sys.load_bytes(PhysAddr::new(0), &mut [0u8; 1], job_done + Cycle::new(1));
         let _ = (resume, after);
-        let crash = sys.take_crash_report().expect("crash fired");
+        let crash = crashes(&mut sys).pop().expect("crash fired");
         assert!(crash.report.rolled_back_incomplete, "checkpoint was in flight");
         assert_eq!(crash.event.outcome, thynvm_types::RecoveryOutcome::CPenult);
         assert_ne!(crash.event.phase, thynvm_types::CkptPhase::Execution);
@@ -3901,7 +3803,7 @@ mod tests {
         // Crash exactly at the commit cycle: the checkpoint counts.
         sys.arm_crash_point(job_done);
         sys.load_bytes(PhysAddr::new(0), &mut [0u8; 1], job_done + Cycle::new(1));
-        let crash = sys.take_crash_report().expect("crash fired");
+        let crash = crashes(&mut sys).pop().expect("crash fired");
         assert!(!crash.report.rolled_back_incomplete);
         assert_eq!(crash.event.outcome, thynvm_types::RecoveryOutcome::CLast);
         let mut buf = [0u8; 1];
@@ -3921,7 +3823,7 @@ mod tests {
         // mid-wait.
         sys.arm_crash_point(job_done - Cycle::new(1));
         sys.force_checkpoint(resume);
-        let crash = sys.take_crash_report().expect("crash fired during stall");
+        let crash = crashes(&mut sys).pop().expect("crash fired during stall");
         assert!(crash.report.rolled_back_incomplete);
     }
 
@@ -3931,7 +3833,7 @@ mod tests {
         sys.arm_crash_point(Cycle::new(5));
         assert_eq!(sys.disarm_crash_point(), Some(Cycle::new(5)));
         let t = sys.store_bytes(PhysAddr::new(0), &[1], Cycle::new(100));
-        assert!(sys.take_crash_report().is_none());
+        assert!(crashes(&mut sys).is_empty());
         assert!(t > Cycle::new(100));
         assert_eq!(sys.stats().crashes_injected, 0);
     }
@@ -3945,11 +3847,11 @@ mod tests {
         assert!(sys.poll_crash(Cycle::new(50)).is_none());
         let resume = sys.poll_crash(Cycle::new(51)).expect("due");
         assert!(resume >= Cycle::new(50));
-        assert!(sys.take_crash_report().is_some());
+        assert_eq!(crashes(&mut sys).len(), 1);
     }
 
     #[test]
-    fn crash_events_record_epoch_and_inflight_counts() {
+    fn crash_entry_records_epoch_phase_and_cycle() {
         let mut sys = small();
         let mut t = Cycle::ZERO;
         for round in 0u8..3 {
@@ -3960,12 +3862,15 @@ mod tests {
         let epoch_before = sys.epoch_state().active_epoch;
         sys.arm_crash_point(t + Cycle::new(1));
         sys.store_bytes(PhysAddr::new(0), &[9], t + Cycle::new(2));
-        let crash = sys.take_crash_report().expect("fired");
+        let events = sys.take_events();
+        let [Event { cycle, kind: EventKind::Crash(crash) }] = &events[..] else {
+            panic!("one crash, one journal entry: {events:?}");
+        };
+        assert_eq!(*cycle, t + Cycle::new(1), "stamped with the power-fail cycle");
+        assert_eq!(crash.event.cycle, *cycle);
         assert_eq!(crash.event.epoch, epoch_before);
         assert_eq!(crash.event.phase, thynvm_types::CkptPhase::Execution);
-        // The same record landed in the stats layer.
-        assert_eq!(sys.stats().crash_events.len(), 1);
-        assert_eq!(sys.stats().crash_events[0], crash.event);
+        assert!(sys.take_events().is_empty(), "the journal drains once");
     }
 
     // ------------------------------------------------------------------
@@ -4062,7 +3967,7 @@ mod tests {
         assert_eq!(m.retries, 1, "one retry healed the transient flip");
         assert_eq!(m.remaps, 0);
         assert_eq!(m.integrity_fallbacks, 0);
-        assert!(sys.take_media_error().is_none());
+        assert!(errors(&mut sys).is_empty(), "a healed flip is not a fault");
         // And the system keeps working afterwards.
         sys.load_bytes(PhysAddr::new(0), &mut buf, t);
         assert_eq!(buf, [0xAA; 64]);
@@ -4082,10 +3987,10 @@ mod tests {
         assert_eq!(sys.stats().media.silent_corruptions, 1);
         assert_eq!(sys.stats().media.retries, 0);
         // The fault model still records what software never saw.
-        let err = sys.take_media_error().expect("invariant: a corruption was just delivered");
+        let errs = errors(&mut sys);
         assert!(
-            matches!(err, Error::MediaCorruption { kind: FaultKind::BitFlip, .. }),
-            "got {err:?}"
+            matches!(errs[..], [Error::MediaCorruption { kind: FaultKind::BitFlip, .. }]),
+            "got {errs:?}"
         );
     }
 
@@ -4106,8 +4011,8 @@ mod tests {
         assert_eq!(m.remaps, 1, "retries exhausted, block remapped to spare");
         assert_eq!(m.retries, 3, "all bounded retries failed on a stuck cell");
         assert_eq!(sys.bad_block_remaps(), 1);
-        let err = sys.take_media_error().expect("retries-exhausted error");
-        assert!(matches!(err, Error::RetriesExhausted { attempts: 3, .. }));
+        let errs = errors(&mut sys);
+        assert!(matches!(errs[..], [Error::RetriesExhausted { attempts: 3, .. }]), "got {errs:?}");
         // A second read resolves through the bad-block table: no new
         // retries, no second remap.
         sys.load_bytes(PhysAddr::new(0), &mut buf, t);
@@ -4232,20 +4137,23 @@ mod tests {
         // One cycle after the crash: recovery's first step overruns it.
         sys.queue_crash_point(t + Cycle::new(1));
         let resume = sys.poll_crash(t + Cycle::new(2)).expect("crash fires");
-        let crash = sys.take_crash_report().expect("reported");
+        // The nested crash is journaled before the top-level crash whose
+        // recovery it interrupted: that entry is appended once recovery ends.
+        let events = sys.take_events();
+        let [Event { cycle: nested_at, kind: EventKind::NestedCrash(nested) }, Event { cycle: crash_at, kind: EventKind::Crash(crash) }] =
+            &events[..]
+        else {
+            panic!("expected a nested then a top-level crash: {events:?}");
+        };
+        assert_eq!(*crash_at, t);
         assert_eq!(crash.report.nested_crashes, 1, "queued point fired mid-recovery");
         assert_eq!(crash.report.attempts, 2);
         assert_eq!(sys.stats().crashes_injected, 1, "nested crashes are not top-level");
         assert_eq!(sys.stats().nested_crashes, 1);
         // The nested event names the interrupted recovery step.
-        let nested = sys
-            .stats()
-            .crash_events
-            .iter()
-            .find(|e| e.recovery_step.is_some())
-            .expect("nested event recorded");
         assert_eq!(nested.recovery_step, Some(RecoveryStep::ReadCommitRecord));
-        assert_eq!(nested.cycle, t + Cycle::new(1));
+        assert_eq!(*nested_at, t + Cycle::new(1));
+        assert_eq!(nested.cycle, *nested_at);
         // Both queued points are consumed; recovery still lands on C_last.
         assert_eq!(sys.armed_crash_points(), &[] as &[Cycle]);
         let mut buf = [0u8; 64];
@@ -4272,7 +4180,7 @@ mod tests {
         assert_eq!(tp, tt, "twins share a timeline");
         probe.arm_crash_point(tp);
         probe.poll_crash(tp + Cycle::new(1)).expect("probe crash");
-        let probe_report = probe.take_crash_report().expect("probe report").report;
+        let probe_report = crashes(&mut probe).pop().expect("probe report").report;
         assert_eq!(probe_report.nested_crashes, 0);
 
         // Trial: nested crash points at every step boundary of the probe's
@@ -4282,7 +4190,7 @@ mod tests {
             trial.queue_crash_point(end.saturating_sub(Cycle::new(1)));
         }
         trial.poll_crash(tt + Cycle::new(1)).expect("trial crash");
-        let trial_report = trial.take_crash_report().expect("trial report").report;
+        let trial_report = crashes(&mut trial).pop().expect("trial report").report;
         assert!(trial_report.nested_crashes > 0, "boundary points interrupted recovery");
         assert_eq!(trial_report.attempts, trial_report.nested_crashes + 1);
         // Idempotence: byte-identical to the uninterrupted recovery.
@@ -4302,7 +4210,7 @@ mod tests {
         let far = t + Cycle::new(1_000_000_000);
         sys.queue_crash_point(far);
         let resume = sys.poll_crash(t + Cycle::new(1)).expect("first crash");
-        let first = sys.take_crash_report().expect("first report");
+        let first = crashes(&mut sys).pop().expect("first report");
         assert_eq!(first.report.nested_crashes, 0);
         assert_eq!(sys.armed_crash_points(), &[far], "distant point survives recovery");
         // It fires later as an ordinary top-level crash.
@@ -4322,7 +4230,7 @@ mod tests {
         // t+1 becomes the (only) top-level crash point.
         assert_eq!(sys.disarm_crash_point(), Some(t));
         sys.poll_crash(t + Cycle::new(2)).expect("remaining point fires");
-        let crash = sys.take_crash_report().expect("reported");
+        let crash = crashes(&mut sys).pop().expect("reported");
         assert_eq!(crash.event.cycle, t + Cycle::new(1));
         assert_eq!(crash.report.nested_crashes, 0, "no queued point left to nest");
     }
@@ -4340,7 +4248,7 @@ mod tests {
         probe.inject_media_fault(MediaFault::TornCommitRecord);
         probe.arm_crash_point(tp);
         probe.poll_crash(tp + Cycle::new(1)).expect("probe crash");
-        let probe_report = probe.take_crash_report().expect("probe").report;
+        let probe_report = crashes(&mut probe).pop().expect("probe").report;
         let fallback_end = probe_report
             .steps
             .iter()
@@ -4354,7 +4262,7 @@ mod tests {
         trial.arm_crash_point(tt);
         trial.queue_crash_point(fallback_end.saturating_sub(Cycle::new(1)));
         trial.poll_crash(tt + Cycle::new(1)).expect("trial crash");
-        let crash = trial.take_crash_report().expect("trial");
+        let crash = crashes(&mut trial).pop().expect("trial");
         assert!(crash.report.integrity_fallback, "second recovery still picks C_penult");
         assert_eq!(crash.event.outcome, thynvm_types::RecoveryOutcome::CPenultIntegrityFallback);
         assert_eq!(crash.report.nested_crashes, 1);
@@ -4398,8 +4306,20 @@ mod tests {
         assert!(m.spare_exhausted >= 1);
         assert_eq!(sys.bad_block_remaps(), 1);
         assert!(sys.spares_exhausted());
-        let err = sys.take_media_error().expect("spare-exhausted error surfaced");
-        assert!(matches!(err, Error::SpareExhausted { .. }), "got {err:?}");
+        // Both blocks exhausted their retries; only the second found the
+        // spare pool empty.
+        let errs = errors(&mut sys);
+        assert!(
+            matches!(
+                errs[..],
+                [
+                    Error::RetriesExhausted { .. },
+                    Error::RetriesExhausted { .. },
+                    Error::SpareExhausted { .. }
+                ]
+            ),
+            "got {errs:?}"
+        );
         // Every later read of the unhealed block keeps paying retries —
         // degraded, but correct.
         let retries_before = sys.stats().media.retries;
@@ -4458,9 +4378,10 @@ mod tests {
         assert!(sys.epoch_state().overflow_pending, "spill demanded an early epoch end");
         // Spills kept arriving while the first spill's early epoch end was
         // still pending: the table was genuinely full.
-        let err = sys.take_overflow_error().expect("invariant: repeated spills recorded");
-        assert!(matches!(err, Error::TableFull { table: "BTT" }), "got {err:?}");
-        assert!(sys.take_overflow_error().is_none(), "error is taken once");
+        let errs = errors(&mut sys);
+        assert!(!errs.is_empty(), "repeated spills must be journaled");
+        assert!(errs.iter().all(|e| *e == Error::TableFull { table: "BTT" }), "got {errs:?}");
+        assert!(errors(&mut sys).is_empty(), "entries drain once");
         // The platform's next event fires the forced early checkpoint.
         assert!(sys.checkpoint_due(t), "overflow makes the checkpoint due immediately");
         let epochs_before = sys.stats().epochs_completed;
@@ -4565,7 +4486,7 @@ mod tests {
         assert_eq!(buf, [5u8; 64], "corrected data is good data");
         assert_eq!(sys.stats().dram.corrected_flips, 1);
         assert_eq!(sys.stats().dram.poisoned_blocks, 0);
-        assert!(sys.take_poison_error().is_none());
+        assert!(errors(&mut sys).is_empty());
     }
 
     #[test]
@@ -4584,7 +4505,7 @@ mod tests {
         assert_eq!(sys.dram_ecc().expect("model on").outstanding(), 0);
         assert!(sys.ptt().get(PageIndex::new(0)).is_some(), "page stays resident");
         assert!(done > t, "healing costs cycles");
-        assert!(sys.take_poison_error().is_none(), "nothing was lost");
+        assert!(errors(&mut sys).is_empty(), "nothing was lost");
     }
 
     #[test]
@@ -4603,13 +4524,10 @@ mod tests {
         assert_eq!(d.quarantined_pages, 1);
         assert_eq!(d.poison_dropped, 1);
         assert_eq!(d.quarantine_dropped_bytes, PAGE_BYTES);
-        let err = sys.take_poison_error().expect("loss surfaced");
-        assert!(
-            matches!(err, Error::DramPoisonLost { bytes: PAGE_BYTES, .. }),
-            "got {err:?}"
-        );
-        assert_eq!(sys.take_quarantine_events(), vec![(0, PAGE_BYTES)]);
-        assert!(sys.take_quarantine_events().is_empty(), "events drain once");
+        // One entry names the loss and the rolled-back range.
+        let quarantined = Error::DramPoisonLost { addr: PhysAddr::new(0), bytes: PAGE_BYTES };
+        assert_eq!(errors(&mut sys), vec![quarantined]);
+        assert!(sys.take_events().is_empty(), "entries drain once");
         // The dirty write is gone; the checkpointed bytes survive.
         let mut buf = [0u8; 64];
         sys.load_bytes(PhysAddr::new(0), &mut buf, t);
@@ -4633,10 +4551,8 @@ mod tests {
         assert_eq!(buf, [1u8; 64], "load observes the rollback");
         assert_eq!(sys.stats().dram.quarantined_pages, 1);
         assert!(sys.ptt().get(PageIndex::new(0)).is_none());
-        assert!(matches!(
-            sys.take_poison_error(),
-            Some(Error::DramPoisonLost { .. })
-        ));
+        let errs = errors(&mut sys);
+        assert!(matches!(errs[..], [Error::DramPoisonLost { .. }]), "got {errs:?}");
     }
 
     #[test]
@@ -4695,11 +4611,8 @@ mod tests {
         let d = &sys.stats().dram;
         assert_eq!(d.poison_dropped, 1);
         assert_eq!(d.quarantine_dropped_bytes, BLOCK_BYTES);
-        assert!(matches!(
-            sys.take_poison_error(),
-            Some(Error::DramPoisonLost { bytes: BLOCK_BYTES, .. })
-        ));
-        assert_eq!(sys.take_quarantine_events(), vec![(0, BLOCK_BYTES)]);
+        let quarantined = Error::DramPoisonLost { addr: PhysAddr::new(0), bytes: BLOCK_BYTES };
+        assert_eq!(errors(&mut sys), vec![quarantined]);
         // The rollback is durable across the checkpoint and a crash.
         t2 = sys.drain(t2);
         let report = sys.crash_and_recover(t2);
@@ -4773,7 +4686,7 @@ mod tests {
         assert!(sys.security_model().is_none());
         assert!(!sys.stats().security.any(), "disabled mode records nothing");
         assert_eq!(sys.stats().security.crypto_cycles, Cycle::ZERO);
-        assert!(sys.take_security_error().is_none());
+        assert!(errors(&mut sys).is_empty());
     }
 
     #[test]
@@ -4889,10 +4802,8 @@ mod tests {
         sys.inject_tamper(TamperFault::BothImages { addr: 0 });
         let report = sys.crash_and_recover(t);
         assert!(report.unrecoverable, "no authenticated image exists");
-        assert!(matches!(
-            sys.take_security_error(),
-            Some(Error::IntegrityUnrecoverable { .. })
-        ));
+        let errs = errors(&mut sys);
+        assert!(matches!(errs[..], [Error::IntegrityUnrecoverable { .. }]), "got {errs:?}");
         let s = sys.stats().security;
         assert_eq!(s.unrecoverable, 1);
         assert_eq!(s.verify_fallbacks, 0);
@@ -5002,7 +4913,7 @@ mod tests {
         // counting the detection.
         sys.queue_crash_point(t + Cycle::new(1));
         let resume = sys.poll_crash(t + Cycle::new(2)).expect("crash fires");
-        let crash = sys.take_crash_report().expect("reported");
+        let crash = crashes(&mut sys).pop().expect("reported");
         assert!(crash.report.nested_crashes >= 1);
         assert!(crash.report.integrity_fallback);
         let s = sys.stats().security;
@@ -5092,7 +5003,7 @@ mod tests {
         assert!(sys.health_monitor().is_none());
         assert_eq!(sys.health_rung(), HealthRung::Healthy);
         assert_eq!(sys.stats().health, thynvm_types::HealthStats::default());
-        assert!(sys.take_health_error().is_none());
+        assert!(errors(&mut sys).is_empty());
     }
 
     #[test]
@@ -5206,6 +5117,12 @@ mod tests {
         let err = sys.try_store_bytes(PhysAddr::new(8192), &[9u8; 64], t2).unwrap_err();
         assert!(matches!(err, Error::Degraded { rung: HealthRung::ReadOnly }), "got {err:?}");
         assert!(sys.stats().health.stores_rejected >= 2);
+        // Both rejections are journaled, the silent one included.
+        let errs = errors(&mut sys);
+        assert!(
+            matches!(errs[..], [.., Error::Degraded { .. }, Error::Degraded { .. }]),
+            "got {errs:?}"
+        );
         // Loads still serve CRC-verified data, inside the retry bound.
         let clean_start = t2;
         let clean_end = sys.load_bytes(PhysAddr::new(4096), &mut buf, clean_start);
@@ -5277,7 +5194,7 @@ mod tests {
         probe.inject_media_fault(MediaFault::TornCommitRecord);
         probe.arm_crash_point(tp);
         probe.poll_crash(tp + Cycle::new(1)).expect("probe crash");
-        let probe_report = probe.take_crash_report().expect("probe").report;
+        let probe_report = crashes(&mut probe).pop().expect("probe").report;
         assert_eq!(probe.stats().media.wal_redos, 0, "clean fallback needs no redo");
         assert_eq!(probe.health_rung(), HealthRung::Healthy, "no redo, no escalation");
         let fallback_end = probe_report
@@ -5382,8 +5299,7 @@ mod tests {
         let _ = sys.crash_and_recover(t);
         assert!(!sys.stats().wpq.any(), "disabled buffer must not count anything");
         assert!(sys.persist_buffer().is_none());
-        assert!(sys.last_wpq_flush().is_none());
-        assert!(sys.take_ordering_error().is_none());
+        assert!(sys.take_events().is_empty(), "no flush, no ordering finding");
     }
 
     #[test]
@@ -5403,7 +5319,7 @@ mod tests {
         // Quiescent after the drain: only the commit marker may still be
         // lazily pending (its retire is the job completion cycle).
         assert!(sys.persist_buffer().expect("armed").outstanding_at(t) <= 1);
-        assert!(sys.take_ordering_error().is_none(), "fenced rounds audit clean");
+        assert!(errors(&mut sys).is_empty(), "fenced rounds audit clean");
     }
 
     #[test]
@@ -5413,14 +5329,15 @@ mod tests {
         sys.skip_next_fence();
         let t = sys.force_checkpoint(t);
         sys.drain(t);
-        let err = sys.take_ordering_error().expect("audit must fire with fences skipped");
+        let errs = errors(&mut sys);
+        let [err] = &errs[..] else { panic!("audit must fire once with fences skipped: {errs:?}") };
         assert!(
-            matches!(err, Error::UnfencedCommit { pending, .. } if pending > 0),
+            matches!(err, Error::UnfencedCommit { pending, .. } if *pending > 0),
             "got {err:?}"
         );
         assert!(err.to_string().contains("unfenced"));
-        // Taken once: the violation does not linger.
-        assert!(sys.take_ordering_error().is_none());
+        // Drained once: the violation does not linger.
+        assert!(errors(&mut sys).is_empty());
     }
 
     #[test]
@@ -5433,7 +5350,7 @@ mod tests {
         // Crash inside the commit-record persist window: the marker was
         // issued but had not retired. Salvage rate 1.0 flushes it.
         let report = sys.crash_and_recover(done - Cycle::new(1));
-        let flush = sys.last_wpq_flush().expect("armed buffer records the flush");
+        let flush = flushes(&mut sys).pop().expect("armed buffer records the flush");
         assert!(flush.marker_salvaged && flush.commit_salvaged(), "got {flush:?}");
         assert!(!report.rolled_back_incomplete, "checkpoint committed early");
         assert_eq!(sys.epoch_state().completed, 1);
@@ -5451,7 +5368,7 @@ mod tests {
         let done = sys.epoch_state().job.as_ref().expect("job in flight").done_at;
         assert!(sys.epoch_state().job_running(resume));
         let report = sys.crash_and_recover(done - Cycle::new(1));
-        let flush = sys.last_wpq_flush().expect("armed buffer records the flush");
+        let flush = flushes(&mut sys).pop().expect("armed buffer records the flush");
         assert!(flush.marker_dropped && !flush.commit_salvaged(), "got {flush:?}");
         assert!(report.rolled_back_incomplete, "no salvage: §4.5 rollback");
         assert_eq!(sys.epoch_state().completed, 0);
@@ -5471,7 +5388,7 @@ mod tests {
         let _ = sys.force_checkpoint(t);
         let started = sys.epoch_state().job.as_ref().expect("job in flight").started;
         let report = sys.crash_and_recover(started + Cycle::new(1));
-        let flush = sys.last_wpq_flush().expect("armed buffer records the flush");
+        let flush = flushes(&mut sys).pop().expect("armed buffer records the flush");
         assert!(flush.marker_dropped && !flush.commit_salvaged(), "got {flush:?}");
         assert!(report.rolled_back_incomplete);
         assert_wpq_conservation(&sys);

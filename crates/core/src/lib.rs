@@ -67,7 +67,9 @@ pub mod oracle;
 pub mod protocol;
 pub mod table;
 
-pub use controller::{InjectedCrash, MediaFault, RecoveryReport, TamperFault, ThyNvm};
+pub use controller::{
+    Event, EventKind, InjectedCrash, MediaFault, RecoveryReport, TamperFault, ThyNvm,
+};
 pub use health::{HealthMonitor, HealthSignals};
 pub use oracle::{Expectation, OracleMismatch, PersistenceOracle, Scenario};
 pub use protocol::{Event as ProtocolEvent, ProtocolError, VersionState};

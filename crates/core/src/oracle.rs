@@ -71,8 +71,9 @@ pub struct Scenario {
     pub tamper: Option<TamperFault>,
     /// Whether the first crash's persist-buffer (WPQ) partial flush kept
     /// the in-flight checkpoint's commit marker — a runtime verdict the
-    /// oracle cannot model, read from
-    /// [`crate::ThyNvm::last_wpq_flush`] right after that crash.
+    /// oracle cannot model, read from that crash's
+    /// [`crate::EventKind::WpqFlush`] journal entry (the first one a
+    /// replay's [`crate::ThyNvm::take_events`] returns).
     pub commit_salvaged: bool,
 }
 
@@ -158,9 +159,10 @@ impl PersistenceOracle {
     /// controller dropped that range's uncheckpointed writes and rolled its
     /// visible bytes back to the last captured checkpoint, so the oracle's
     /// live image must forget them too. Bytes the last snapshot never held
-    /// revert to zero (fresh memory). Feed this from
-    /// [`crate::ThyNvm::take_quarantine_events`] *before* recording any
-    /// checkpoint the quarantine preceded.
+    /// revert to zero (fresh memory). Feed this from each
+    /// [`Error::DramPoisonLost`](thynvm_types::Error::DramPoisonLost)
+    /// `{ addr, bytes }` journal entry ([`crate::ThyNvm::take_events`])
+    /// *before* recording any checkpoint the quarantine preceded.
     pub fn record_quarantine(&mut self, base: u64, len: u64) {
         let prev = self.checkpoints.last().map(|c| &c.image);
         for a in base..base.saturating_add(len) {

@@ -65,7 +65,7 @@ const L1_ALLOW: &[(&str, &[&str])] = &[
     // bytes back to the checkpoint; tamper injection modeling an
     // attacker's out-of-band NVM writes (the bypass of the sealed path is
     // the point — recovery must catch it).
-    ("crates/core/src/controller.rs", &["retire_job_if_done", "commit_job", "store_bytes", "quarantine_rollback", "apply_tamper"]),
+    ("crates/core/src/controller.rs", &["retire_job_if_done", "commit_job", "store", "quarantine_rollback", "apply_tamper"]),
     // Journal flush (redo applied under the commit record) + buffer fill.
     ("crates/baselines/src/journal.rs", &["flush", "store_bytes", "power_fail"]),
     // Shadow-paging flush, copy-on-write buffer fill, volatility model.

@@ -76,7 +76,7 @@ pub enum Error {
     /// buffer still held non-commit entries: the §4.4 ordering fence was
     /// skipped, so a crash could make the commit record durable before the
     /// data it commits. Caught by the controller's ordering audit and
-    /// surfaced via `take_ordering_error` rather than silently tolerated.
+    /// journaled as an error event rather than silently tolerated.
     UnfencedCommit {
         /// Physical address of the commit record.
         addr: PhysAddr,

@@ -653,8 +653,6 @@ pub struct MemStats {
     pub wpq: WpqStats,
     /// Simulator fast-path counters (host-performance accounting).
     pub perf: PerfStats,
-    /// Per-crash observability records, in injection order.
-    pub crash_events: Vec<CrashEvent>,
 }
 
 impl MemStats {
@@ -679,9 +677,15 @@ impl MemStats {
         self.dram_write_bytes += bytes;
     }
 
-    /// Records an injected crash: appends the event and bumps the outcome
-    /// counters.
-    pub fn record_crash(&mut self, event: CrashEvent) {
+    /// Counts an injected crash. A top-level crash bumps
+    /// `crashes_injected` and its outcome counter. A crash that interrupted
+    /// a running recovery (`recovery_step` is set) only bumps
+    /// `nested_crashes`: the aborted attempt is not a completed recovery.
+    pub fn record_crash(&mut self, event: &CrashEvent) {
+        if event.recovery_step.is_some() {
+            self.nested_crashes += 1;
+            return;
+        }
         self.crashes_injected += 1;
         match event.outcome {
             RecoveryOutcome::CLast => self.recoveries_to_clast += 1,
@@ -690,17 +694,6 @@ impl MemStats {
             }
             RecoveryOutcome::Unrecoverable => self.recoveries_unrecoverable += 1,
         }
-        self.crash_events.push(event);
-    }
-
-    /// Records a crash that interrupted a running recovery. The aborted
-    /// attempt is not a completed recovery, so the per-outcome counters and
-    /// `crashes_injected` are left untouched; only `nested_crashes` and the
-    /// event log grow.
-    pub fn record_nested_crash(&mut self, event: CrashEvent) {
-        debug_assert!(event.recovery_step.is_some(), "nested crash must name a recovery step");
-        self.nested_crashes += 1;
-        self.crash_events.push(event);
     }
 
     /// Total bytes written to NVM, all classes combined.
@@ -966,14 +959,12 @@ mod tests {
     #[test]
     fn record_crash_bumps_outcome_counters() {
         let mut s = MemStats::new();
-        s.record_crash(crash_event(100, RecoveryOutcome::CLast));
-        s.record_crash(crash_event(200, RecoveryOutcome::CPenult));
-        s.record_crash(crash_event(300, RecoveryOutcome::CPenult));
+        s.record_crash(&crash_event(100, RecoveryOutcome::CLast));
+        s.record_crash(&crash_event(200, RecoveryOutcome::CPenult));
+        s.record_crash(&crash_event(300, RecoveryOutcome::CPenult));
         assert_eq!(s.crashes_injected, 3);
         assert_eq!(s.recoveries_to_clast, 1);
         assert_eq!(s.recoveries_to_cpenult, 2);
-        assert_eq!(s.crash_events.len(), 3);
-        assert_eq!(s.crash_events[1].cycle, Cycle::new(200));
         assert!(s.to_string().contains("crashes=3"));
     }
 
@@ -1006,18 +997,13 @@ mod tests {
     #[test]
     fn nested_crash_counts_separately_from_injected() {
         let mut s = MemStats::new();
-        s.record_crash(crash_event(100, RecoveryOutcome::CLast));
+        s.record_crash(&crash_event(100, RecoveryOutcome::CLast));
         let mut nested = crash_event(150, RecoveryOutcome::CLast);
         nested.recovery_step = Some(RecoveryStep::RearmWorkingSet);
-        s.record_nested_crash(nested);
+        s.record_crash(&nested);
         assert_eq!(s.crashes_injected, 1);
         assert_eq!(s.nested_crashes, 1);
         assert_eq!(s.recoveries_to_clast, 1, "aborted attempt is not a completed recovery");
-        assert_eq!(s.crash_events.len(), 2);
-        assert_eq!(
-            s.crash_events[1].recovery_step,
-            Some(RecoveryStep::RearmWorkingSet)
-        );
         assert!(s.to_string().contains("nested=1"));
     }
 
@@ -1047,7 +1033,7 @@ mod tests {
     #[test]
     fn integrity_fallback_counts_as_cpenult_recovery() {
         let mut s = MemStats::new();
-        s.record_crash(crash_event(10, RecoveryOutcome::CPenultIntegrityFallback));
+        s.record_crash(&crash_event(10, RecoveryOutcome::CPenultIntegrityFallback));
         assert_eq!(s.recoveries_to_cpenult, 1);
         assert_eq!(s.recoveries_to_clast, 0);
     }
@@ -1090,8 +1076,8 @@ mod tests {
     #[test]
     fn unrecoverable_outcome_counts_separately() {
         let mut s = MemStats::new();
-        s.record_crash(crash_event(10, RecoveryOutcome::Unrecoverable));
-        s.record_crash(crash_event(20, RecoveryOutcome::CLast));
+        s.record_crash(&crash_event(10, RecoveryOutcome::Unrecoverable));
+        s.record_crash(&crash_event(20, RecoveryOutcome::CLast));
         assert_eq!(s.crashes_injected, 2);
         assert_eq!(s.recoveries_unrecoverable, 1);
         assert_eq!(s.recoveries_to_clast, 1);

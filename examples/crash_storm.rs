@@ -19,7 +19,7 @@
 //!
 //! Run with `cargo run --release --example crash_storm`.
 
-use thynvm::core::{MediaFault, ThyNvm};
+use thynvm::core::{EventKind, InjectedCrash, MediaFault, ThyNvm};
 use thynvm::types::{Cycle, MediaFaultConfig, MemorySystem, PhysAddr, SystemConfig};
 
 const PAGE: u64 = 4096;
@@ -53,9 +53,14 @@ fn build(media: bool) -> (ThyNvm, Cycle) {
     (sys, now)
 }
 
-/// Crashes at `at` with `depth` nested points queued at recovery-step
-/// boundaries (learned from `boundaries`); returns the settled system.
-fn storm(media: bool, fault: Option<MediaFault>, at: Cycle, points: &[Cycle]) -> ThyNvm {
+/// Crashes at `at` with nested points queued at `points`; returns the
+/// crash's journal record and the settled system.
+fn storm(
+    media: bool,
+    fault: Option<MediaFault>,
+    at: Cycle,
+    points: &[Cycle],
+) -> (InjectedCrash, ThyNvm) {
     let (mut sys, _) = build(media);
     if let Some(f) = fault {
         sys.inject_media_fault(f);
@@ -65,7 +70,12 @@ fn storm(media: bool, fault: Option<MediaFault>, at: Cycle, points: &[Cycle]) ->
         sys.queue_crash_point(p);
     }
     sys.poll_crash(at + Cycle::new(1)).expect("crash fires");
-    sys
+    let crash = sys
+        .take_events()
+        .into_iter()
+        .find_map(|e| if let EventKind::Crash(c) = e.kind { Some(c) } else { None })
+        .expect("the fired crash is journaled");
+    (crash, sys)
 }
 
 fn main() {
@@ -75,9 +85,9 @@ fn main() {
 
     // Probe: a single uninterrupted recovery learns the step boundaries
     // and the reference image.
-    let probe = storm(false, None, t, &[]);
+    let (probe_crash, probe) = storm(false, None, t, &[]);
     let reference = probe.visible_fingerprint();
-    let steps = probe.last_recovery().expect("probe recovered").steps.clone();
+    let steps = probe_crash.report.steps;
     println!("recovery steps of the uninterrupted probe:");
     for (step, end) in &steps {
         println!("  {step:<20} completes at cycle {end}");
@@ -88,8 +98,8 @@ fn main() {
         let points: Vec<Cycle> = (0..depth)
             .map(|i| steps[i % steps.len()].1.saturating_sub(Cycle::new(1)))
             .collect();
-        let sys = storm(false, None, t, &points);
-        let report = sys.last_recovery().expect("recovered");
+        let (crash, sys) = storm(false, None, t, &points);
+        let report = crash.report;
         println!(
             "{:<6} {:>9} {:>8} {:>13.3} {:>10}",
             depth,
@@ -104,13 +114,13 @@ fn main() {
     // ---- Section 2: crash during the integrity fallback -----------------
     let (_, tm) = build(true);
     println!("\n== storm over a torn commit record (integrity fallback) ==\n");
-    let probe = storm(true, Some(MediaFault::TornCommitRecord), tm, &[]);
+    let (probe_crash, probe) = storm(true, Some(MediaFault::TornCommitRecord), tm, &[]);
     let reference = probe.visible_fingerprint();
-    let steps = probe.last_recovery().expect("probe recovered").steps.clone();
+    let steps = probe_crash.report.steps;
     let points: Vec<Cycle> =
         steps.iter().map(|&(_, end)| end.saturating_sub(Cycle::new(1))).collect();
-    let sys = storm(true, Some(MediaFault::TornCommitRecord), tm, &points);
-    let report = sys.last_recovery().expect("recovered");
+    let (crash, sys) = storm(true, Some(MediaFault::TornCommitRecord), tm, &points);
+    let report = crash.report;
     let m = sys.stats().media;
     println!("fallback applied: {}", report.integrity_fallback);
     println!("attempts: {}   nested crashes: {}", report.attempts, report.nested_crashes);

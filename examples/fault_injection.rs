@@ -26,7 +26,7 @@
 //!
 //! Run with `cargo run --release --example fault_injection`.
 
-use thynvm::core::{InjectedCrash, MediaFault, PersistenceOracle, Scenario, ThyNvm};
+use thynvm::core::{EventKind, InjectedCrash, MediaFault, PersistenceOracle, Scenario, ThyNvm};
 use thynvm::types::{
     Cycle, DramFaultConfig, Error, MediaFaultConfig, MemorySystem, PhysAddr, RecoveryOutcome,
     SystemConfig,
@@ -73,22 +73,25 @@ fn apply(sys: &mut ThyNvm, op: &Op, now: Cycle) -> Cycle {
     }
 }
 
-/// Replays the workload with power failing at the end of cycle `at`.
+/// Replays the workload with power failing at the end of cycle `at`, and
+/// returns the crash's record from the controller's event journal.
 fn replay_with_crash(ops: &[Op], at: Cycle) -> (InjectedCrash, ThyNvm) {
     let mut sys = ThyNvm::new(SystemConfig::small_test());
     sys.arm_crash_point(at);
     let mut now = Cycle::ZERO;
     for op in ops {
         now = apply(&mut sys, op, now);
-        if let Some(crash) = sys.take_crash_report() {
-            return (crash, sys);
+        if sys.armed_crash_point().is_none() {
+            break;
         }
     }
     sys.poll_crash(now.max(at) + Cycle::new(1));
-    (
-        sys.take_crash_report().expect("invariant: poll_crash past the armed cycle fires it"),
-        sys,
-    )
+    let crash = sys
+        .take_events()
+        .into_iter()
+        .find_map(|e| if let EventKind::Crash(c) = e.kind { Some(c) } else { None })
+        .expect("invariant: the armed crash fired");
+    (crash, sys)
 }
 
 fn main() {
@@ -252,12 +255,14 @@ fn main() {
     sys.dram_ecc_mut().expect("dram model enabled").arm_poison(1);
     sys.load_bytes(PhysAddr::new(0), &mut buf, t);
     assert_eq!(buf, [0x5A; 64], "dirty write rolled back to the last checkpoint");
-    let err = sys.take_poison_error().expect("quarantine surfaces an error");
-    assert!(matches!(err, Error::DramPoisonLost { .. }));
-    let events = sys.take_quarantine_events();
+    let events = sys.take_events();
+    let [event] = &events[..] else { panic!("one quarantine, one journal entry: {events:?}") };
+    let EventKind::Error(err @ Error::DramPoisonLost { .. }) = &event.kind else {
+        panic!("quarantine surfaces a poison-loss error: {event:?}");
+    };
     let d = sys.stats().dram;
     println!(
-        "  {:<26} {err} (quarantined_pages={} dropped_bytes={} events={events:?})",
-        "poison under dirty page", d.quarantined_pages, d.quarantine_dropped_bytes
+        "  {:<26} {err} at cycle {} (quarantined_pages={} dropped_bytes={})",
+        "poison under dirty page", event.cycle, d.quarantined_pages, d.quarantine_dropped_bytes
     );
 }

@@ -10,13 +10,18 @@
 //!
 //! Seeds come from `SWEEP_SEED`; each sweep file supplies its own default.
 //! A failing trial panics with `SWEEP_SEED=<s> trial=<i> <scenario>`, which
-//! is enough to regenerate and replay that one trial alone.
+//! is enough to regenerate and replay that one trial alone
+//! ([`assert_trials_replay_alone`] proves it per sweep). Each test's digest
+//! is checked against `sweep_digests.txt` next to this file.
 
 #![allow(dead_code)]
 
-use thynvm::core::{Expectation, InjectedCrash, PersistenceOracle, Scenario, TamperFault, ThyNvm};
+use thynvm::core::{
+    Event, EventKind, Expectation, InjectedCrash, PersistenceOracle, Scenario, TamperFault, ThyNvm,
+};
+use thynvm::mem::WpqCrashReport;
 use thynvm::types::{
-    rng, CrashEvent, Cycle, Error, HealthRung, HealthStats, MemorySystem, PhysAddr, SystemConfig,
+    rng, Cycle, Error, HealthRung, HealthStats, MemorySystem, PhysAddr, SystemConfig,
 };
 
 pub const PAGE: u64 = 4096;
@@ -150,8 +155,10 @@ pub fn reference_run(ops: &[Op], cfg: SystemConfig) -> Reference {
         if let (Op::Write { addr, len, fill }, true) = (op, landed) {
             oracle.record_write(*addr, &vec![*fill; *len]);
         }
-        for (base, len) in sys.take_quarantine_events() {
-            oracle.record_quarantine(base, len);
+        for e in sys.take_events() {
+            if let EventKind::Error(Error::DramPoisonLost { addr, bytes }) = e.kind {
+                oracle.record_quarantine(addr.raw(), bytes);
+            }
         }
         if matches!(op, Op::Checkpoint) {
             let job = sys.epoch_state().job.as_ref();
@@ -196,10 +203,8 @@ pub fn reference_run(ops: &[Op], cfg: SystemConfig) -> Reference {
 /// past the end of the first recovery fire afterwards as later top-level
 /// crashes, so every queued point fires before this returns. Records the
 /// first crash's persist-buffer salvage verdict into the scenario and
-/// returns the crash record of the request the first crash interrupted
-/// (the latest crash inside that request — see [`first_crash`]) and the
-/// settled system.
-pub fn replay(ops: &[Op], cfg: SystemConfig, sc: &mut Scenario) -> (InjectedCrash, ThyNvm) {
+/// returns the replay's whole journal and the settled system.
+pub fn replay(ops: &[Op], cfg: SystemConfig, sc: &mut Scenario) -> (Vec<Event>, ThyNvm) {
     let mut sys = ThyNvm::new(cfg);
     if let Some(fault) = sc.media {
         sys.inject_media_fault(fault);
@@ -214,43 +219,38 @@ pub fn replay(ops: &[Op], cfg: SystemConfig, sc: &mut Scenario) -> (InjectedCras
         sys.queue_crash_point(p);
     }
     let mut now = Cycle::ZERO;
-    let mut first = None;
     for op in ops {
         now = apply(&mut sys, op, now).0;
-        first = sys.take_crash_report();
-        if first.is_some() {
+        if sys.stats().crashes_injected > 0 {
             break;
         }
     }
-    let first = first.unwrap_or_else(|| {
-        // Armed cycle beyond the trace: power fails with the system idle.
-        sys.poll_crash(now.max(at) + Cycle::new(1));
-        sys.take_crash_report().expect("armed crash must fire")
-    });
-    if let Some(flush) = sys.last_wpq_flush() {
-        // A second crash inside the same request would have replaced the
-        // first crash's flush report, and with it the verdict.
-        assert_eq!(first.event.cycle, at, "{sc:?}: the first crash's flush report was replaced");
+    // Armed cycle beyond the trace: power fails with the system idle. Then
+    // every point still queued fires as a later top-level crash.
+    while let Some(p) = sys.armed_crash_point() {
+        sys.poll_crash(now.max(p) + Cycle::new(1)).expect("an armed point fires once passed");
+    }
+    let events = sys.take_events();
+    if let Some(flush) = first_flush(&events) {
         sc.commit_salvaged = flush.commit_salvaged();
     }
-    let mut t = first.resume_at;
-    while let Some(p) = sys.armed_crash_point() {
-        t = sys.poll_crash(t.max(p) + Cycle::new(1)).expect("leftover point fires");
-        sys.take_crash_report().expect("leftover crash reported");
-    }
-    (first, sys)
+    (events, sys)
 }
 
-/// The first top-level crash's event: the crash that decides the image.
-/// A queued point can fire as a second top-level crash inside the same
-/// request as the first (say, mid-wait after recovery), so the record
-/// [`ThyNvm::take_crash_report`] hands back is not always the first one's.
-pub fn first_crash(sys: &ThyNvm) -> &CrashEvent {
-    sys.stats()
-        .crash_events
+/// The first top-level crash's own record: the crash that decides the
+/// image. Nested crashes of its recovery are journaled before it.
+pub fn first_crash(events: &[Event]) -> &InjectedCrash {
+    events
         .iter()
-        .find(|e| e.recovery_step.is_none())
+        .find_map(|e| if let EventKind::Crash(c) = &e.kind { Some(c) } else { None })
         .expect("a replayed scenario crashed at least once")
+}
+
+/// The first crash's persist-buffer flush, when the buffer is armed: a
+/// replay recovers only from its crashes, so the first flush is the first
+/// crash's.
+pub fn first_flush(events: &[Event]) -> Option<WpqCrashReport> {
+    events.iter().find_map(|e| if let EventKind::WpqFlush(f) = e.kind { Some(f) } else { None })
 }
 
 /// The sweep seed: `SWEEP_SEED` if set, else the sweep's own default.
@@ -347,10 +347,14 @@ pub fn assert_ledgers(sys: &ThyNvm, label: &str) {
     );
 }
 
+/// The locked digests: one `<test binary>::<test> <SWEEP_SEED> <digest>
+/// trials=<n>` line per sweep test and seed (see the file's header).
+const LOCKED_DIGESTS: &str = include_str!("sweep_digests.txt");
+
 /// FNV-1a fold of every trial's (first-crash cycle, first-crash outcome,
 /// recovered visible fingerprint), in trial order: a test's replay
-/// identity, printed under `--nocapture` so a refactor can prove it left
-/// every trial unchanged.
+/// identity. [`Digest::check`] prints it and holds it to the lock file, so
+/// a refactor can prove it left every trial unchanged.
 pub struct Digest {
     hash: u64,
     trials: usize,
@@ -361,8 +365,8 @@ impl Digest {
         Self { hash: 0xcbf2_9ce4_8422_2325, trials: 0 }
     }
 
-    pub fn fold(&mut self, sys: &ThyNvm) {
-        let first = first_crash(sys);
+    pub fn fold(&mut self, events: &[Event], sys: &ThyNvm) {
+        let first = &first_crash(events).event;
         let bytes = first
             .cycle
             .raw()
@@ -376,8 +380,23 @@ impl Digest {
         self.trials += 1;
     }
 
-    pub fn print(&self, test: &str) {
-        println!("sweep digest {test}: {:016x} over {} trials", self.hash, self.trials);
+    /// Prints the digest (visible under `--nocapture`) and fails the test
+    /// if `sweep_digests.txt` locks a different one for this test at this
+    /// `SWEEP_SEED`. Every digest at the default seed must be locked.
+    pub fn check(&self, test: &str) {
+        let key = format!("{}::{test}", env!("CARGO_CRATE_NAME"));
+        let seed = std::env::var("SWEEP_SEED").unwrap_or_else(|_| "default".to_owned());
+        let line = format!("{key} {seed} {:016x} trials={}", self.hash, self.trials);
+        println!("sweep digest {line}");
+        let prefix = format!("{key} {seed} ");
+        match LOCKED_DIGESTS.lines().find(|l| l.starts_with(&prefix)) {
+            Some(locked) => assert_eq!(
+                line, locked,
+                "{key} at SWEEP_SEED={seed} no longer replays as locked in \
+                 tests/common/sweep_digests.txt (its header says how to regenerate)"
+            ),
+            None => assert_ne!(seed, "default", "{key}: no locked digest at the default seed"),
+        }
     }
 }
 
@@ -385,12 +404,19 @@ impl Digest {
 pub struct Trial {
     /// The scenario, with the run's salvage verdict filled in.
     pub scenario: Scenario,
-    /// The crash record of the request the first crash interrupted.
-    pub first: InjectedCrash,
+    /// Everything the controller journaled during the replay.
+    pub events: Vec<Event>,
     pub sys: ThyNvm,
     pub expect: Expectation,
     /// `<prefix> <scenario>`: every assertion message starts with it.
     pub label: String,
+}
+
+impl Trial {
+    /// The first crash's own record.
+    pub fn first(&self) -> &InjectedCrash {
+        first_crash(&self.events)
+    }
 }
 
 /// Reads one byte of the recovered image.
@@ -412,13 +438,13 @@ pub fn run_trial(
     prefix: &str,
     digest: &mut Digest,
 ) -> Trial {
-    let (first, mut sys) = replay(ops, cfg, &mut scenario);
-    digest.fold(&sys);
+    let (events, mut sys) = replay(ops, cfg, &mut scenario);
+    digest.fold(&events, &sys);
     let label = format!("{prefix} {scenario:?}");
-    let decisive = first_crash(&sys);
-    assert_eq!(decisive.cycle, scenario.crashes[0], "{label}: crash fired off its armed cycle");
+    let first = first_crash(&events);
+    assert_eq!(first.event.cycle, scenario.crashes[0], "{label}: crash fired off its armed cycle");
     let expect = oracle.expect(&scenario);
-    assert_eq!(decisive.outcome, expect.outcome, "{label}: outcome disagrees with the oracle");
+    assert_eq!(first.event.outcome, expect.outcome, "{label}: outcome disagrees with the oracle");
     let diffs = oracle.diff(&scenario, |addr| read_byte(&mut sys, addr));
     assert!(
         diffs.is_empty(),
@@ -435,5 +461,33 @@ pub fn run_trial(
     assert!(s.recovery_cycles >= first.report.recovery_cycles, "{label}: cycle accounting lost");
     assert!(first.report.recovery_cycles > Cycle::ZERO, "{label}: recovery was free");
     assert_ledgers(&sys, &label);
-    Trial { scenario, first, sys, expect, label }
+    Trial { scenario, events, sys, expect, label }
+}
+
+/// One-line reproduction: the first, middle and last trial of a seeded
+/// sweep of `trials` trials, regenerated from the seed by [`nth_trial`]
+/// without simulating the trials before them, replay to the same scenario,
+/// first-crash outcome and recovered fingerprint as when generated in
+/// sweep order. `cfg` maps a trial's combo to its config.
+pub fn assert_trials_replay_alone<C: Clone>(
+    ops: &[Op],
+    seed: u64,
+    trials: usize,
+    generate: impl Fn(usize, &mut u64) -> (C, Scenario),
+    cfg: impl Fn(&C) -> SystemConfig,
+) {
+    let run = |(combo, mut sc): (C, Scenario)| {
+        let (events, sys) = replay(ops, cfg(&combo), &mut sc);
+        (first_crash(&events).event.outcome, sys.visible_fingerprint(), sc)
+    };
+    let mut rng = seed;
+    let in_sweep: Vec<_> = (0..trials).map(|trial| generate(trial, &mut rng)).collect();
+    for i in [0, (trials - 1) / 2, trials - 1] {
+        assert_eq!(
+            run(nth_trial(seed, i, &generate)),
+            run(in_sweep[i].clone()),
+            "{}: replayed alone, the trial diverged from its sweep run",
+            trial_label(seed, i)
+        );
+    }
 }

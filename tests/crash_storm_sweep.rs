@@ -27,7 +27,8 @@
 mod common;
 
 use common::{
-    replay, run_trial, stacked_crashes, storm_workload, sweep_seed, trial_label, Digest, Reference,
+    assert_trials_replay_alone, first_crash, replay, run_trial, stacked_crashes, storm_workload,
+    sweep_seed, trial_label, Digest, Op, Reference,
 };
 use thynvm::core::{InjectedCrash, MediaFault, Scenario};
 use thynvm::types::{rng, Cycle, MediaFaultConfig, RecoveryOutcome, SystemConfig};
@@ -61,18 +62,23 @@ fn boundary_storm(probe: &InjectedCrash, at: Cycle, media: Option<MediaFault>) -
     Scenario { crashes, media, ..Scenario::default() }
 }
 
+/// The randomized soak's plain and media-fault configs, their crash-free
+/// references, and a typical recovery span learned from one probe, so
+/// random nested points land both inside and past the recovery window.
+fn soak_setup(ops: &[Op]) -> ([SystemConfig; 2], [Reference; 2], u64) {
+    let cfgs = [SystemConfig::small_test(), storm_media_cfg()];
+    let refs = cfgs.map(|cfg| common::reference_run(ops, cfg));
+    let (probe, _) = replay(ops, cfgs[0], &mut Scenario::crash_at(refs[0].ckpts[1].done_at));
+    let span = first_crash(&probe).report.recovery_cycles.raw().max(16);
+    (cfgs, refs, span)
+}
+
 /// Trial generator of the randomized soak: whether the trial runs the
-/// media population, and its scenario. `span` is a typical recovery length,
-/// so nested points land both inside and past the recovery window.
-fn storm_trial(
-    plain: &Reference,
-    media: &Reference,
-    span: u64,
-    trial: usize,
-    rng: &mut u64,
-) -> (bool, Scenario) {
+/// media population, and its scenario. `refs` holds the plain and the
+/// media reference; `span` is a typical recovery length.
+fn storm_trial(refs: &[Reference; 2], span: u64, trial: usize, rng: &mut u64) -> (bool, Scenario) {
     let is_media = trial >= MEDIA_FROM;
-    let r = if is_media { media } else { plain };
+    let r = &refs[usize::from(is_media)];
     let fault = match trial % 2 {
         _ if !is_media => None,
         0 => Some(MediaFault::TornCommitRecord),
@@ -112,24 +118,25 @@ fn nested_crashes_at_every_step_boundary_converge_to_the_probe_image() {
     let mut storms_nested = 0u64;
     for &at in &crash_cycles {
         // Probe: identical config and workload, single crash, no storm.
-        let (probe_crash, probe) = replay(&ops, cfg, &mut Scenario::crash_at(at));
+        let (events, probe) = replay(&ops, cfg, &mut Scenario::crash_at(at));
+        let probe_crash = first_crash(&events);
         assert_eq!(probe_crash.report.nested_crashes, 0);
         assert_eq!(probe_crash.event.cycle, at);
 
-        let storm = boundary_storm(&probe_crash, at, None);
+        let storm = boundary_storm(probe_crash, at, None);
         let t =
             run_trial(&ops, cfg, &r.oracle, storm, &format!("boundary storm at {at}"), &mut digest);
-        storms_nested += t.first.report.nested_crashes;
+        storms_nested += t.first().report.nested_crashes;
         // Idempotence: byte-identical to the uninterrupted recovery.
         assert_eq!(
             t.sys.visible_fingerprint(),
             probe.visible_fingerprint(),
             "storm at {at} diverged from the uninterrupted recovery"
         );
-        assert!(t.first.report.recovery_cycles >= probe_crash.report.recovery_cycles);
+        assert!(t.first().report.recovery_cycles >= probe_crash.report.recovery_cycles);
     }
     assert!(storms_nested > 0, "no boundary point ever interrupted a recovery");
-    digest.print("nested_crashes_at_every_step_boundary_converge_to_the_probe_image");
+    digest.check("nested_crashes_at_every_step_boundary_converge_to_the_probe_image");
 }
 
 /// Randomized soak: ≥ 500 seeded trials, 2–8 stacked crashes each at random
@@ -138,14 +145,7 @@ fn nested_crashes_at_every_step_boundary_converge_to_the_probe_image() {
 #[test]
 fn randomized_crash_storms_converge_to_the_sequence_oracle() {
     let ops = storm_workload();
-    let (plain_cfg, media_cfg) = (SystemConfig::small_test(), storm_media_cfg());
-    let plain = common::reference_run(&ops, plain_cfg);
-    let media = common::reference_run(&ops, media_cfg);
-
-    // Learn a typical recovery span from one probe so random nested points
-    // land both inside and past the recovery window.
-    let (probe, _) = replay(&ops, plain_cfg, &mut Scenario::crash_at(plain.ckpts[1].done_at));
-    let span = probe.report.recovery_cycles.raw().max(16);
+    let (cfgs, refs, span) = soak_setup(&ops);
 
     let seed = sweep_seed(DEFAULT_SEED);
     let mut rng = seed;
@@ -153,19 +153,20 @@ fn randomized_crash_storms_converge_to_the_sequence_oracle() {
     let mut nested_fired = 0u64;
     let mut fallbacks_seen = 0u64;
     for trial in 0..TRIALS {
-        let (is_media, sc) = storm_trial(&plain, &media, span, trial, &mut rng);
-        let (cfg, r) = if is_media { (media_cfg, &media) } else { (plain_cfg, &plain) };
-        let t = run_trial(&ops, cfg, &r.oracle, sc, &trial_label(seed, trial), &mut digest);
-        assert_eq!(t.first.event.cycle, t.scenario.crashes[0], "{}", t.label);
-        nested_fired += t.first.report.nested_crashes;
-        fallbacks_seen += u64::from(t.first.report.integrity_fallback);
+        let (is_media, sc) = storm_trial(&refs, span, trial, &mut rng);
+        let m = usize::from(is_media);
+        let t =
+            run_trial(&ops, cfgs[m], &refs[m].oracle, sc, &trial_label(seed, trial), &mut digest);
+        assert_eq!(t.first().event.cycle, t.scenario.crashes[0], "{}", t.label);
+        nested_fired += t.first().report.nested_crashes;
+        fallbacks_seen += u64::from(t.first().report.integrity_fallback);
     }
     assert!(
         nested_fired >= TRIALS as u64 / 4,
         "storm too shallow: only {nested_fired} nested crashes over {TRIALS} trials"
     );
     assert!(fallbacks_seen > 0, "soak never exercised an integrity fallback");
-    digest.print("randomized_crash_storms_converge_to_the_sequence_oracle");
+    digest.check("randomized_crash_storms_converge_to_the_sequence_oracle");
 }
 
 /// Fallback storm: a torn commit record voids `C_last`, and power fails
@@ -180,19 +181,32 @@ fn crash_storms_during_integrity_fallback_never_compound() {
     let mut digest = Digest::new();
     for at in [r.ckpts[1].done_at + Cycle::new(50), r.end + Cycle::new(1)] {
         let mut probe_sc = Scenario { media: torn, ..Scenario::crash_at(at) };
-        let (probe_crash, probe) = replay(&ops, cfg, &mut probe_sc);
+        let (events, probe) = replay(&ops, cfg, &mut probe_sc);
+        let probe_crash = first_crash(&events);
         assert!(probe_crash.report.integrity_fallback, "probe at {at} must fall back");
 
-        let storm = boundary_storm(&probe_crash, at, torn);
+        let storm = boundary_storm(probe_crash, at, torn);
         let t =
             run_trial(&ops, cfg, &r.oracle, storm, &format!("fallback storm at {at}"), &mut digest);
-        assert!(t.first.report.integrity_fallback, "storm at {at} must still fall back");
-        assert_eq!(t.first.event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
+        assert!(t.first().report.integrity_fallback, "storm at {at} must still fall back");
+        assert_eq!(t.first().event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
         assert_eq!(
             t.sys.visible_fingerprint(),
             probe.visible_fingerprint(),
             "fallback storm at {at} diverged from the single-crash fallback"
         );
     }
-    digest.print("crash_storms_during_integrity_fallback_never_compound");
+    digest.check("crash_storms_during_integrity_fallback_never_compound");
+}
+
+/// One-line reproduction: a randomized storm regenerated from its seed
+/// replays alone as it did inside the soak.
+#[test]
+fn a_trial_regenerated_from_its_seed_replays_as_in_the_sweep() {
+    let ops = storm_workload();
+    let (cfgs, refs, span) = soak_setup(&ops);
+    let generate = |trial: usize, rng: &mut u64| storm_trial(&refs, span, trial, rng);
+    assert_trials_replay_alone(&ops, sweep_seed(DEFAULT_SEED), TRIALS, generate, |&m| {
+        cfgs[usize::from(m)]
+    });
 }

@@ -31,7 +31,8 @@
 mod common;
 
 use common::{
-    apply, run_trial, stacked_crashes, sweep_seed, trial_label, Digest, Op, Reference, PAGE,
+    apply, assert_trials_replay_alone, run_trial, stacked_crashes, sweep_seed, trial_label, Digest,
+    Op, Reference, PAGE,
 };
 use thynvm::core::{MediaFault, Scenario, ThyNvm};
 use thynvm::types::{rng, Cycle, DramFaultConfig, MediaFaultConfig, MemorySystem, SystemConfig};
@@ -138,6 +139,22 @@ fn dram_trial(refs: &[Reference], trial: usize, rng: &mut u64) -> (usize, Scenar
     (ci, Scenario { crashes, media, ..Scenario::default() })
 }
 
+/// The sweep's combo configs and their crash-free references: each oracle
+/// learns its combo's deterministic quarantine schedule alongside the
+/// checkpoint times.
+fn setup(ops: &[Op], seed: u64) -> (Vec<SystemConfig>, Vec<Reference>) {
+    let cfgs: Vec<SystemConfig> = COMBOS.iter().map(|&c| combo_cfg(c, seed | 1)).collect();
+    let refs = cfgs
+        .iter()
+        .map(|&cfg| {
+            let r = common::reference_run(ops, cfg);
+            assert_eq!(r.ckpts.len(), 3, "workload must reach all three checkpoints");
+            r
+        })
+        .collect();
+    (cfgs, refs)
+}
+
 /// Randomized sweep: ≥ 500 seeded trials crossing DRAM poison, crash
 /// cycles and NVM media faults. Every recovered image must match the
 /// quarantine-aware oracle byte-for-byte — a recovered byte sourced from a
@@ -147,18 +164,7 @@ fn dram_trial(refs: &[Reference], trial: usize, rng: &mut u64) -> (usize, Scenar
 fn seeded_dram_fault_sweep_never_persists_poison() {
     let ops = workload();
     let seed = sweep_seed(DEFAULT_SEED);
-
-    // One crash-free reference per combo: the oracle learns that combo's
-    // deterministic quarantine schedule alongside the checkpoint times.
-    let cfgs: Vec<SystemConfig> = COMBOS.iter().map(|&c| combo_cfg(c, seed | 1)).collect();
-    let refs: Vec<Reference> = cfgs
-        .iter()
-        .map(|&cfg| {
-            let r = common::reference_run(&ops, cfg);
-            assert_eq!(r.ckpts.len(), 3, "workload must reach all three checkpoints");
-            r
-        })
-        .collect();
+    let (cfgs, refs) = setup(&ops, seed);
 
     let mut rng = seed;
     let mut digest = Digest::new();
@@ -183,7 +189,18 @@ fn seeded_dram_fault_sweep_never_persists_poison() {
     assert!(quarantines > 0, "sweep never quarantined a dirty range");
     assert!(refetches > 0, "sweep never healed a clean block by refetch");
     assert!(corrected > 0, "sweep never corrected a single-bit flip");
-    digest.print("seeded_dram_fault_sweep_never_persists_poison");
+    digest.check("seeded_dram_fault_sweep_never_persists_poison");
+}
+
+/// One-line reproduction: a trial regenerated from its seed replays alone
+/// as it did inside the sweep.
+#[test]
+fn a_trial_regenerated_from_its_seed_replays_as_in_the_sweep() {
+    let ops = workload();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
+    let generate = |trial: usize, rng: &mut u64| dram_trial(&refs, trial, rng);
+    assert_trials_replay_alone(&ops, seed, TRIALS, generate, |&ci| cfgs[ci]);
 }
 
 /// Disabled twin: with `enabled = false` the model must be absent, not
@@ -238,5 +255,5 @@ fn crash_with_outstanding_poison_recovers_a_consistent_image() {
         "outstanding-poison crash",
         &mut digest,
     );
-    digest.print("crash_with_outstanding_poison_recovers_a_consistent_image");
+    digest.check("crash_with_outstanding_poison_recovers_a_consistent_image");
 }

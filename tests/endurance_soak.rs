@@ -34,8 +34,8 @@
 mod common;
 
 use common::{
-    apply, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind, trial_label, Digest, Op,
-    Reference, Trial, PAGE,
+    apply, assert_trials_replay_alone, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind,
+    trial_label, Digest, Op, Reference, Trial, PAGE,
 };
 use thynvm::core::{MediaFault, Scenario, ThyNvm};
 use thynvm::types::{
@@ -339,7 +339,7 @@ fn seeded_endurance_soak_degrades_gracefully_without_divergence() {
         max_footprint <= 256,
         "functional footprint grew past the working-set bound: {max_footprint} pages"
     );
-    digest.print("seeded_endurance_soak_degrades_gracefully_without_divergence");
+    digest.check("seeded_endurance_soak_degrades_gracefully_without_divergence");
 }
 
 /// Disabled twin: with `HealthConfig.enabled = false` (thresholds set, the
@@ -395,4 +395,15 @@ fn endurance_soak_prefix_replays_deterministically() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run_prefix(), run_prefix(), "same seed must replay identically");
+}
+
+/// One-line reproduction: a soak trial regenerated from its seed replays
+/// alone as it did inside the soak.
+#[test]
+fn a_trial_regenerated_from_its_seed_replays_as_in_the_sweep() {
+    let ops = workload();
+    let seed = sweep_seed(DEFAULT_SEED);
+    let (cfgs, refs) = setup(&ops, seed);
+    let generate = |trial: usize, rng: &mut u64| soak_trial(&refs, trial, rng);
+    assert_trials_replay_alone(&ops, seed, TRIALS, generate, |&ci| cfgs[ci]);
 }

@@ -120,13 +120,13 @@ fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
         assert_eq!(s.crashes_injected, 1);
         // Queued writes the crash discarded were in flight when it hit.
         assert!(
-            s.wq_writes_lost <= t.first.event.inflight_writebacks as u64,
+            s.wq_writes_lost <= t.first().event.inflight_writebacks as u64,
             "{}: lost more queued writes than were in flight",
             t.label
         );
         writes_lost += s.wq_writes_lost;
-        phases_seen.insert(format!("{}", t.first.event.phase));
-        outcomes_seen.insert(t.first.event.outcome);
+        phases_seen.insert(format!("{}", t.first().event.phase));
+        outcomes_seen.insert(t.first().event.outcome);
     }
 
     // The window must have genuinely spanned the checkpoint: every
@@ -152,7 +152,7 @@ fn sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical() {
     assert!(outcomes_seen.contains(&RecoveryOutcome::CLast));
     assert!(outcomes_seen.contains(&RecoveryOutcome::CPenult));
     assert!(writes_lost > 0, "no crash ever caught a queued write in flight");
-    digest.print("sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical");
+    digest.check("sweep_every_cycle_across_a_checkpoint_recovers_oracle_identical");
 }
 
 /// Crashing in the execution tail — after the final checkpoint completed,
@@ -170,11 +170,11 @@ fn tail_crashes_recover_clast_and_never_leak_wactive() {
         let c = last_done.raw() + 1 + i * (span / 64).max(1);
         let sc = Scenario::crash_at(Cycle::new(c));
         let mut t = run_trial(&ops, cfg, &r.oracle, sc, "tail", &mut digest);
-        assert_eq!(t.first.event.outcome, RecoveryOutcome::CLast);
+        assert_eq!(t.first().event.outcome, RecoveryOutcome::CLast);
         // Spot-check: the W_active tail fill never survives.
         assert_ne!(read_byte(&mut t.sys, 0), 0xEE, "uncheckpointed tail write leaked at crash {c}");
     }
-    digest.print("tail_crashes_recover_clast_and_never_leak_wactive");
+    digest.check("tail_crashes_recover_clast_and_never_leak_wactive");
 }
 
 /// Crashes injected before the first checkpoint completes recover the
@@ -190,9 +190,9 @@ fn crashes_before_first_commit_recover_zeroes() {
     for c in (0..first_done).step_by(usize::try_from(stride).unwrap()) {
         let sc = Scenario::crash_at(Cycle::new(c));
         let t = run_trial(&ops, cfg, &r.oracle, sc, "pre-commit", &mut digest);
-        assert_eq!(t.first.report.recovered_checkpoints, 0, "crash at {c}");
+        assert_eq!(t.first().report.recovered_checkpoints, 0, "crash at {c}");
     }
-    digest.print("crashes_before_first_commit_recover_zeroes");
+    digest.check("crashes_before_first_commit_recover_zeroes");
 }
 
 /// Configuration for the media-fault sweep: hardened integrity protection
@@ -247,7 +247,7 @@ fn combined_media_fault_sweep_matches_extended_oracle() {
         for &c in &cycles {
             let sc = Scenario { media: Some(fault), ..Scenario::crash_at(Cycle::new(c)) };
             let t = run_trial(&ops, cfg, &r.oracle, sc, "media sweep", &mut digest);
-            if t.first.report.integrity_fallback {
+            if t.first().report.integrity_fallback {
                 fallbacks_seen += 1;
                 assert_eq!(t.expect.outcome, RecoveryOutcome::CPenultIntegrityFallback);
             }
@@ -271,7 +271,7 @@ fn combined_media_fault_sweep_matches_extended_oracle() {
     assert!(meta > 0, "no metadata faults observed");
     assert!(stuck > 0, "wear model never created a stuck cell");
     assert!(crc > 0);
-    digest.print("combined_media_fault_sweep_matches_extended_oracle");
+    digest.check("combined_media_fault_sweep_matches_extended_oracle");
 }
 
 /// A torn commit record always lands in `C_penult`: for every crash cycle
@@ -293,14 +293,14 @@ fn torn_commit_record_always_recovers_cpenult() {
             ..Scenario::crash_at(Cycle::new(c))
         };
         let t = run_trial(&ops, cfg, &r.oracle, sc, "torn commit", &mut digest);
-        let report = &t.first.report;
+        let report = &t.first().report;
         if report.recovered_checkpoints == 0 && !report.integrity_fallback {
             // The crash replay landed before any commit (timeline shifts
             // are impossible here, but keep the guard explicit).
             continue;
         }
         assert!(report.integrity_fallback, "{}: torn commit record must void C_last", t.label);
-        assert_eq!(t.first.event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
+        assert_eq!(t.first().event.outcome, RecoveryOutcome::CPenultIntegrityFallback);
     }
-    digest.print("torn_commit_record_always_recovers_cpenult");
+    digest.check("torn_commit_record_always_recovers_cpenult");
 }

@@ -28,7 +28,8 @@
 mod common;
 
 use common::{
-    apply, run_trial, stacked_crashes, storm_workload, sweep_seed, trial_label, Digest, Reference,
+    apply, assert_trials_replay_alone, first_flush, run_trial, stacked_crashes, storm_workload,
+    sweep_seed, trial_label, Digest, Op, Reference,
 };
 use thynvm::core::{MediaFault, Scenario, ThyNvm};
 use thynvm::types::{
@@ -52,6 +53,21 @@ fn armed_media_cfg(salvage_rate: f64) -> SystemConfig {
     cfg.media = MediaFaultConfig::hardened();
     cfg.validate().expect("valid armed media config");
     cfg
+}
+
+/// The randomized soak's config for a `(salvage rate, media population)`.
+fn soak_cfg(rate: f64, media: bool) -> SystemConfig {
+    if media {
+        armed_media_cfg(rate)
+    } else {
+        armed_cfg(rate)
+    }
+}
+
+/// The randomized soak's crash-free references: armed, and armed with media
+/// faults (the salvage rate does not change a crash-free run).
+fn soak_refs(ops: &[Op]) -> [Reference; 2] {
+    [false, true].map(|media| common::reference_run(ops, soak_cfg(0.5, media)))
 }
 
 /// Trial generator of the randomized soak: `(salvage rate, media
@@ -130,7 +146,7 @@ fn crash_inside_the_commit_window_salvages_by_rate() {
         let label = format!("rate-1.0 ckpt {k}");
         let t =
             run_trial(&ops, armed_cfg(1.0), &r.oracle, Scenario::crash_at(at), &label, &mut digest);
-        let flush = t.sys.last_wpq_flush().expect("armed crash reports a flush");
+        let flush = first_flush(&t.events).expect("armed crash reports a flush");
         assert_eq!(t.scenario.commit_salvaged, flush.commit_salvaged(), "{}", t.label);
         if flush.commit_salvaged() {
             salvages += 1;
@@ -139,7 +155,7 @@ fn crash_inside_the_commit_window_salvages_by_rate() {
                 "ckpt {k}: salvage requires the marker to have been issued"
             );
             assert_eq!(
-                t.first.event.outcome,
+                t.first().event.outcome,
                 RecoveryOutcome::CLast,
                 "ckpt {k}: salvaged marker must promote the in-flight checkpoint"
             );
@@ -149,12 +165,12 @@ fn crash_inside_the_commit_window_salvages_by_rate() {
         let label = format!("rate-0.0 ckpt {k}");
         let t0 =
             run_trial(&ops, armed_cfg(0.0), &r.oracle, Scenario::crash_at(at), &label, &mut digest);
-        let flush0 = t0.sys.last_wpq_flush().expect("armed crash reports a flush");
+        let flush0 = first_flush(&t0.events).expect("armed crash reports a flush");
         assert!(!flush0.commit_salvaged(), "ckpt {k}: rate 0.0 must not salvage");
         assert!(!t0.scenario.commit_salvaged, "{}: classic crash semantics", t0.label);
     }
     assert!(salvages > 0, "no commit window ever had its marker in flight");
-    digest.print("crash_inside_the_commit_window_salvages_by_rate");
+    digest.check("crash_inside_the_commit_window_salvages_by_rate");
 }
 
 /// The flip side of the commit window: a crash *before* the commit record
@@ -187,7 +203,7 @@ fn crash_before_the_commit_record_never_salvages() {
                 &label,
                 &mut digest,
             );
-            let flush = t.sys.last_wpq_flush().expect("armed crash reports a flush");
+            let flush = first_flush(&t.events).expect("armed crash reports a flush");
             assert!(
                 !flush.marker_salvaged,
                 "{}: salvaged a never-issued marker: {flush:?}",
@@ -196,7 +212,7 @@ fn crash_before_the_commit_record_never_salvages() {
         }
     }
     assert!(windows >= 10, "workload must expose pre-issue crash windows");
-    digest.print("crash_before_the_commit_record_never_salvages");
+    digest.check("crash_before_the_commit_record_never_salvages");
 }
 
 /// Randomized soak: 510 seeded trials crossing salvage rates × nested
@@ -206,10 +222,7 @@ fn crash_before_the_commit_record_never_salvages() {
 #[test]
 fn seeded_reorder_storms_converge_to_the_salvage_aware_oracle() {
     let ops = storm_workload();
-    let refs = [
-        common::reference_run(&ops, armed_cfg(0.5)),
-        common::reference_run(&ops, armed_media_cfg(0.5)),
-    ];
+    let refs = soak_refs(&ops);
 
     let seed = sweep_seed(DEFAULT_SEED);
     let mut rng = seed;
@@ -219,11 +232,10 @@ fn seeded_reorder_storms_converge_to_the_salvage_aware_oracle() {
     let mut fallbacks = 0u64;
     for trial in 0..TRIALS {
         let ((rate, media), sc) = reorder_trial(&refs, trial, &mut rng);
-        let (cfg, r) =
-            if media { (armed_media_cfg(rate), &refs[1]) } else { (armed_cfg(rate), &refs[0]) };
+        let (cfg, r) = (soak_cfg(rate, media), &refs[usize::from(media)]);
         let t = run_trial(&ops, cfg, &r.oracle, sc, &trial_label(seed, trial), &mut digest);
         let at = t.scenario.crashes[0];
-        assert_eq!(t.first.event.cycle, at, "{}", t.label);
+        assert_eq!(t.first().event.cycle, at, "{}", t.label);
         if t.scenario.commit_salvaged {
             // The first crash promoted the in-flight checkpoint. Legal only
             // inside some checkpoint's commit-*record* window — the marker
@@ -239,12 +251,28 @@ fn seeded_reorder_storms_converge_to_the_salvage_aware_oracle() {
             );
             salvages += 1;
         }
-        storms_nested += t.first.report.nested_crashes;
-        fallbacks += u64::from(t.first.report.integrity_fallback);
+        storms_nested += t.first().report.nested_crashes;
+        fallbacks += u64::from(t.first().report.integrity_fallback);
         assert!(t.sys.stats().wpq.enqueued > 0, "{}: armed buffer saw no traffic", t.label);
     }
     assert!(salvages > 0, "soak never exercised a commit salvage");
     assert!(storms_nested > 0, "soak never interrupted a recovery");
     assert!(fallbacks > 0, "soak never exercised an integrity fallback");
-    digest.print("seeded_reorder_storms_converge_to_the_salvage_aware_oracle");
+    digest.check("seeded_reorder_storms_converge_to_the_salvage_aware_oracle");
+}
+
+/// One-line reproduction: a reorder storm regenerated from its seed replays
+/// alone as it did inside the soak.
+#[test]
+fn a_trial_regenerated_from_its_seed_replays_as_in_the_sweep() {
+    let ops = storm_workload();
+    let refs = soak_refs(&ops);
+    let generate = |trial: usize, rng: &mut u64| reorder_trial(&refs, trial, rng);
+    assert_trials_replay_alone(
+        &ops,
+        sweep_seed(DEFAULT_SEED),
+        TRIALS,
+        generate,
+        |&(rate, media)| soak_cfg(rate, media),
+    );
 }

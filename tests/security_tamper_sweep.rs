@@ -31,12 +31,13 @@
 mod common;
 
 use common::{
-    apply, nth_trial, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind, trial_label,
-    Digest, Op, Reference, PAGE,
+    apply, assert_trials_replay_alone, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind,
+    trial_label, Digest, Op, Reference, PAGE,
 };
-use thynvm::core::{Scenario, TamperFault, ThyNvm};
+use thynvm::core::{EventKind, Scenario, TamperFault, ThyNvm};
 use thynvm::types::{
-    rng, Cycle, MediaFaultConfig, MemorySystem, RecoveryOutcome, SecurityConfig, SystemConfig,
+    rng, Cycle, Error, MediaFaultConfig, MemorySystem, RecoveryOutcome, SecurityConfig,
+    SystemConfig,
 };
 
 const DEFAULT_SEED: u64 = 0x5EC0_31A7;
@@ -136,7 +137,7 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
     let mut kinds_detected = [0u64; 2]; // tamper / torn
     for trial in 0..TRIALS {
         let (ci, sc) = tamper_trial(&refs, trial, &mut rng);
-        let mut t =
+        let t =
             run_trial(&ops, cfgs[ci], &refs[ci].oracle, sc, &trial_label(seed, trial), &mut digest);
         let label = &t.label;
         let s = t.sys.stats().security;
@@ -161,7 +162,10 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
                 TamperFault::BothImages { .. } => {
                     assert_eq!(s.unrecoverable, 1, "{label}: both-images must be terminal");
                     assert!(
-                        t.sys.take_security_error().is_some(),
+                        t.events.iter().any(|e| matches!(
+                            e.kind,
+                            EventKind::Error(Error::IntegrityUnrecoverable { .. })
+                        )),
                         "{label}: unrecoverable must surface an error"
                     );
                     unrecoverables += 1;
@@ -190,7 +194,7 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
     assert!(still_armed > 0, "sweep never crashed before the first checkpoint");
     assert!(kinds_detected[0] > 0, "no adversarial classification exercised");
     assert!(kinds_detected[1] > 0, "no torn-metadata classification exercised");
-    digest.print("seeded_tamper_sweep_never_replays_unauthenticated_data");
+    digest.check("seeded_tamper_sweep_never_replays_unauthenticated_data");
 }
 
 /// Disabled twin: with `enabled = false` the model must be absent, not
@@ -246,32 +250,13 @@ fn tamper_sweep_prefix_replays_deterministically() {
     assert_eq!(run_prefix(), run_prefix(), "same seed must replay identically");
 }
 
-/// One-line reproduction: trial `i`, regenerated from the seed without
-/// running the trials before it, replays to the same first-crash outcome
-/// and recovered fingerprint it had inside the sweep.
+/// One-line reproduction: a trial regenerated from its seed replays alone
+/// as it did inside the sweep.
 #[test]
 fn a_trial_regenerated_from_its_seed_replays_as_in_the_sweep() {
     let ops = workload();
     let seed = sweep_seed(DEFAULT_SEED);
     let (cfgs, refs) = setup(&ops, seed);
     let generate = |trial: usize, rng: &mut u64| tamper_trial(&refs, trial, rng);
-
-    let mut rng = seed;
-    let mut in_sweep = Vec::new();
-    for trial in 0..24 {
-        let (ci, mut sc) = generate(trial, &mut rng);
-        let (first, sys) = replay(&ops, cfgs[ci], &mut sc);
-        in_sweep.push((sc, first.event.outcome, sys.visible_fingerprint()));
-    }
-    for i in [0, 11, 23] {
-        let (ci, mut sc) = nth_trial(seed, i, generate);
-        let (first, sys) = replay(&ops, cfgs[ci], &mut sc);
-        let label = trial_label(seed, i);
-        assert_eq!(sc, in_sweep[i].0, "{label}: regenerated a different scenario");
-        assert_eq!(
-            (first.event.outcome, sys.visible_fingerprint()),
-            (in_sweep[i].1, in_sweep[i].2),
-            "{label} {sc:?}: replayed alone, the trial diverged from its sweep run"
-        );
-    }
+    assert_trials_replay_alone(&ops, seed, TRIALS, generate, |&ci| cfgs[ci]);
 }
