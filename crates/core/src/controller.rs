@@ -304,8 +304,10 @@ pub struct ThyNvm {
     /// The NVM media-fault model, when `cfg.media.enabled`.
     fault: Option<FaultModel>,
     /// The penultimate committed image — the fallback target when `C_last`
-    /// fails integrity verification at recovery. Maintained only while the
-    /// media subsystem is active.
+    /// fails integrity verification at recovery. Maintained only while a
+    /// verifier can reject `C_last`: the media model, CRC integrity, or
+    /// secure mode is on. It shares every page the last commit did not
+    /// rewrite with `committed` (copy-on-write).
     committed_prev: SparseStore,
     /// Persistent bad-block table: device block base → spare slot. Blocks
     /// listed here have been permanently remapped away from worn-out cells;
@@ -345,11 +347,12 @@ pub struct ThyNvm {
     /// The counter-mode encryption / integrity-tree model, when
     /// `cfg.security.enabled`.
     security: Option<SecurityModel>,
-    /// The modeled MAC key: the basis fed to
-    /// [`SparseStore::fingerprint_with_basis`], derived from the security
-    /// seed. An attacker without it cannot produce a forgery that verifies.
+    /// The modeled MAC key fed to [`SparseStore::mac`], derived from the
+    /// security seed. An attacker without it cannot produce a forgery that
+    /// verifies.
     mac_key: u64,
-    /// MAC over the `C_last` committed image, rotated at job retirement.
+    /// MAC over the `C_last` committed image, rotated at job retirement
+    /// and updated there from the terms of the pages the commit rewrote.
     /// Models the authenticated checkpoint root stored in NVM — it
     /// survives crashes.
     mac_last: u64,
@@ -385,7 +388,7 @@ impl ThyNvm {
     /// Creates a controller with the given configuration.
     pub fn new(cfg: SystemConfig) -> Self {
         let mac_key = thynvm_types::rng::mix(cfg.security.seed, TAG_MAC_KEY);
-        let empty_mac = SparseStore::new().fingerprint_with_basis(mac_key);
+        let empty_mac = SparseStore::new().mac(mac_key);
         Self {
             space: AddressSpace::new(),
             dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
@@ -809,7 +812,9 @@ impl ThyNvm {
     }
 
     /// Pages allocated across the functional stores (visible + committed +
-    /// previous + archived images). Soak harnesses bound this to show the
+    /// previous + archived images). A page that several images share
+    /// copy-on-write counts once per image that holds it, so this bounds
+    /// the host memory from above. Soak harnesses bound it to show the
     /// simulator's footprint stays proportional to the touched working
     /// set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
@@ -1457,17 +1462,36 @@ impl ThyNvm {
             self.committed_prev = self.committed.clone();
         }
 
+        // Rotate the checkpoint MACs with the images: the superseded
+        // image's MAC becomes the fallback's reference, and the fresh
+        // committed image is authenticated under the modeled key. The MAC
+        // is a sum of per-page terms, so only the pages this commit
+        // rewrites change it: their old terms come out before the write,
+        // their new terms go in after it.
+        let mut mac_pages: Vec<u64> = Vec::new();
+        if self.security.is_some() {
+            self.mac_penult = self.mac_last;
+            for (addr, data) in self.ckpting_log.iter().filter(|(_, data)| !data.is_empty()) {
+                let last = addr + data.len() as u64 - 1;
+                mac_pages.extend(addr / PAGE_BYTES..=last / PAGE_BYTES);
+            }
+            mac_pages.sort_unstable();
+            mac_pages.dedup();
+            for &page in &mac_pages {
+                self.mac_last = self.mac_last.wrapping_sub(self.committed.page_mac(self.mac_key, page));
+            }
+        }
+
         // Functional commit: the checkpointed epoch's writes become durable.
         for (addr, data) in self.ckpting_log.drain(..) {
             self.committed.write(thynvm_types::HwAddr::new(addr), &data);
         }
 
-        // Rotate the checkpoint MACs with the images: the superseded
-        // image's MAC becomes the fallback's reference, and the fresh
-        // committed image is authenticated under the modeled key.
         if self.security.is_some() {
-            self.mac_penult = self.mac_last;
-            self.mac_last = self.committed.fingerprint_with_basis(self.mac_key);
+            for &page in &mac_pages {
+                self.mac_last = self.mac_last.wrapping_add(self.committed.page_mac(self.mac_key, page));
+            }
+            debug_assert_eq!(self.mac_last, self.committed.mac(self.mac_key));
         }
 
         // Rotate the persisted health rung alongside the images it was
@@ -2038,7 +2062,7 @@ impl ThyNvm {
         // action: re-authenticate it so recovery's MAC verification does
         // not mistake the sanctioned rollback for tampering.
         if self.security.is_some() {
-            self.mac_last = self.committed.fingerprint_with_basis(self.mac_key);
+            self.mac_last = self.committed.mac(self.mac_key);
         }
         self.archive.retain(|(n, _)| *n <= number);
         let report = self.crash_and_recover(now);
@@ -2572,7 +2596,6 @@ impl ThyNvm {
                 self.injected_clast_flip = None;
                 self.injected_meta_corrupt = false;
                 self.committed = self.committed_prev.clone();
-                self.committed_prev = self.committed.clone();
                 // The fallback image's MAC becomes the reference `C_last`
                 // MAC, exactly as the images themselves rotated — and so
                 // does the health rung persisted alongside it.
@@ -2619,17 +2642,15 @@ impl ThyNvm {
                 && (self.injected_torn_commit
                     || self.injected_clast_flip.is_some()
                     || self.injected_meta_corrupt);
-            let mac_ok = !media_caught
-                && self.committed.fingerprint_with_basis(self.mac_key) == self.mac_last;
+            let mac_ok = !media_caught && self.committed.mac(self.mac_key) == self.mac_last;
             let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
             self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *v)?;
             steps.push((RecoveryStep::VerifyMacs, t));
 
             if !mac_ok || !table_ok {
                 let root_torn = self.security.as_ref().expect("invariant: secure mode is on in this block").root_is_torn();
-                let penult_ok = mac_ok
-                    || self.committed_prev.fingerprint_with_basis(self.mac_key)
-                        == self.mac_penult;
+                let penult_ok =
+                    mac_ok || self.committed_prev.mac(self.mac_key) == self.mac_penult;
                 // Either outcome commits through the WAL first — intent,
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
@@ -2673,7 +2694,6 @@ impl ThyNvm {
                     // re-deriving and re-sealing the counter table from
                     // the surviving authenticated image.
                     self.committed = self.committed_prev.clone();
-                    self.committed_prev = self.committed.clone();
                     self.mac_last = self.mac_penult;
                     if self.health_mon.is_some() {
                         self.health_rung_last = self.health_rung_penult;
@@ -2692,7 +2712,7 @@ impl ThyNvm {
                     // empty image and surface the error instead.
                     self.committed = SparseStore::new();
                     self.committed_prev = SparseStore::new();
-                    self.mac_last = SparseStore::new().fingerprint_with_basis(self.mac_key);
+                    self.mac_last = SparseStore::new().mac(self.mac_key);
                     self.mac_penult = self.mac_last;
                     self.btt = Btt::new(self.cfg.thynvm.btt_entries);
                     self.ptt = Ptt::new(
@@ -4966,6 +4986,89 @@ mod tests {
         let mut buf = [0u8; 64];
         sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
         assert_eq!(buf, [1u8; 64]);
+    }
+
+    /// Asserts that both checkpoint MACs equal a full recomputation over
+    /// the images they authenticate.
+    fn assert_macs_match_images(sys: &ThyNvm, when: &str) {
+        assert_eq!(sys.mac_last, sys.committed.mac(sys.mac_key), "C_last MAC after {when}");
+        assert_eq!(sys.mac_penult, sys.committed_prev.mac(sys.mac_key), "C_penult MAC after {when}");
+    }
+
+    #[test]
+    fn incremental_commit_mac_equals_the_recomputed_mac() {
+        // Secure mode with CRC integrity and a persist buffer that salvages
+        // every pending write, so each way a commit or a fallback can move
+        // the images runs once. Release builds compile out the
+        // `debug_assert` in `commit_job`; this test checks the same
+        // equality there.
+        let mut cfg = SystemConfig::small_test();
+        cfg.security = thynvm_types::SecurityConfig::hardened();
+        cfg.media = thynvm_types::MediaFaultConfig::hardened();
+        cfg.wpq = thynvm_types::PersistBufferConfig::armed();
+        cfg.wpq.salvage_rate = 1.0;
+        cfg.validate().expect("valid secure + media + wpq config");
+        let mut sys = ThyNvm::new(cfg);
+        let commit = |sys: &mut ThyNvm, t: Cycle| {
+            let t = sys.force_checkpoint(t);
+            sys.drain(t)
+        };
+
+        // Page-straddling stores, rewrites of earlier pages, and a store
+        // that zeroes a page again so its term leaves the sum.
+        let mut t = Cycle::ZERO;
+        for round in 0..4u64 {
+            let straddle = (round + 1) * PAGE_BYTES - 100;
+            t = sys.store_bytes(PhysAddr::new(straddle), &[round as u8 + 1; 200], t);
+            t = sys.store_bytes(PhysAddr::new(9 * PAGE_BYTES + 64 * round), &[0xEE; 64], t);
+            t = commit(&mut sys, t);
+            assert_macs_match_images(&sys, &format!("commit {round}"));
+        }
+        t = sys.store_bytes(PhysAddr::new(PAGE_BYTES - 100), &[0; 200], t);
+        t = sys.store_bytes(PhysAddr::new(2 * PAGE_BYTES - 100), &[0; 100], t);
+        t = commit(&mut sys, t);
+        assert_macs_match_images(&sys, "a zeroing commit");
+
+        // A crash inside the commit-record window: the salvaged marker
+        // commits the in-flight checkpoint early, at crash time.
+        let before = sys.epoch_state().completed;
+        t = sys.store_bytes(PhysAddr::new(3 * PAGE_BYTES - 8), &[0x5A; 64], t);
+        let _ = sys.force_checkpoint(t);
+        let done = sys.epoch_state().job.as_ref().expect("job in flight").done_at;
+        let report = sys.crash_and_recover(done - Cycle::new(1));
+        assert!(flushes(&mut sys).iter().any(|f| f.commit_salvaged()), "early commit");
+        assert!(!report.rolled_back_incomplete);
+        assert_eq!(sys.epoch_state().completed, before + 1);
+        assert_macs_match_images(&sys, "a salvaged early commit");
+        t = done + report.recovery_cycles;
+
+        // A torn commit record: the CRC check falls back to `C_penult`.
+        t = sys.store_bytes(PhysAddr::new(4 * PAGE_BYTES - 32), &[0x11; 64], t);
+        t = commit(&mut sys, t);
+        assert_macs_match_images(&sys, "a commit");
+        sys.inject_media_fault(MediaFault::TornCommitRecord);
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback, "CRC fallback");
+        assert_macs_match_images(&sys, "a CRC fallback");
+        t += report.recovery_cycles;
+
+        // Forged `C_last` bytes: the MAC check falls back to `C_penult`.
+        t = sys.store_bytes(PhysAddr::new(5 * PAGE_BYTES - 32), &[0x22; 64], t);
+        t = commit(&mut sys, t);
+        t = sys.store_bytes(PhysAddr::new(5 * PAGE_BYTES - 32), &[0x33; 64], t);
+        t = commit(&mut sys, t);
+        assert_macs_match_images(&sys, "a commit");
+        sys.inject_tamper(TamperFault::ClastData { addr: 5 * PAGE_BYTES - 1 });
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback && !report.unrecoverable, "MAC fallback");
+        assert_eq!(sys.stats().security.verify_fallbacks, 1);
+        assert_macs_match_images(&sys, "a tamper fallback");
+        t += report.recovery_cycles;
+
+        // Commits after the fallbacks keep updating from the right base.
+        t = sys.store_bytes(PhysAddr::new(5 * PAGE_BYTES - 32), &[0x44; 64], t);
+        commit(&mut sys, t);
+        assert_macs_match_images(&sys, "a commit after the fallbacks");
     }
 
     // ------------------------------------------------------------------

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use thynvm_types::rng::{mix, unit};
 use thynvm_types::{
-    DramFaultConfig, FaultKind, HwAddr, MediaFaultConfig, SecurityConfig, BLOCK_BYTES,
+    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, SecurityConfig, BLOCK_BYTES,
 };
 
 use crate::device::WearStats;
@@ -460,17 +460,25 @@ pub struct SecurityPersist {
 /// snapshot ([`SecurityModel::crash`]) and reports exactly how many
 /// counters were lost — recovery *replays* that bounded set, never
 /// guesses.
+///
+/// One table holds both: outside the blocks bumped since the last persist,
+/// the volatile counters *are* the persisted table. Those blocks carry an
+/// undo log of their persisted values, so a persist drops the log and a
+/// crash replays it — both cost the dirty set, not the table.
 #[derive(Debug, Clone)]
 pub struct SecurityModel {
     seed: u64,
     arity: u64,
     tamper_rate: f64,
-    /// Volatile counter cache in the memory controller.
-    counters: BTreeMap<u64, u64>,
-    /// Last crash-consistently persisted counter table.
-    persisted: BTreeMap<u64, u64>,
-    /// Blocks whose counters were bumped since the last persist.
-    dirty: BTreeSet<u64>,
+    /// Volatile counter cache in the memory controller, keyed by block
+    /// number (device address / 64: FxHash keeps the six zero low bits of
+    /// a block address, which would crowd the map's probe starts). Equal
+    /// to the persisted table except on the blocks in `dirty`.
+    counters: FxHashMap<u64, u64>,
+    /// Undo log of the blocks bumped since the last persist: block number
+    /// → the value the persisted table holds for it, 0 when it holds none
+    /// (a bumped counter is at least 1, so 0 never is a persisted value).
+    dirty: FxHashMap<u64, u64>,
     /// Generation of the persisted table (bumped once per persist); the
     /// integrity-tree root authenticates table + generation, which is what
     /// makes a rolled-back table (replay attack) detectable.
@@ -493,9 +501,8 @@ impl SecurityModel {
             seed: cfg.seed,
             arity: u64::from(cfg.tree_arity.max(2)),
             tamper_rate: cfg.tamper_rate,
-            counters: BTreeMap::new(),
-            persisted: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            counters: FxHashMap::default(),
+            dirty: FxHashMap::default(),
             generation: 0,
             root_torn: false,
             stale_table: false,
@@ -503,15 +510,17 @@ impl SecurityModel {
         }
     }
 
-    /// Observes one encrypted write of the 64 B block at (block-aligned)
-    /// device address `block`: bumps its write counter and marks it dirty.
-    /// Returns the new counter value.
+    /// Observes one encrypted write of the 64 B block at device address
+    /// `block`: bumps its write counter and marks it dirty. Returns the
+    /// new counter value.
     pub fn note_block_write(&mut self, block: u64) -> u64 {
-        let b = block & !(BLOCK_BYTES - 1);
+        let b = block / BLOCK_BYTES;
         let c = self.counters.entry(b).or_insert(0);
+        let persisted = *c;
         *c += 1;
-        self.dirty.insert(b);
-        *c
+        let bumped = *c;
+        self.dirty.entry(b).or_insert(persisted);
+        bumped
     }
 
     /// Number of counters bumped since the last persist — the exact
@@ -522,7 +531,8 @@ impl SecurityModel {
 
     /// Number of entries in the persisted counter table.
     pub fn table_entries(&self) -> usize {
-        self.persisted.len()
+        let unpersisted = self.dirty.values().filter(|&&persisted| persisted == 0).count();
+        self.counters.len() - unpersisted
     }
 
     /// Generation of the persisted counter table.
@@ -540,20 +550,19 @@ impl SecurityModel {
         let counter_entries = self.dirty.len();
         let mut tree_nodes = 0u64;
         if counter_entries > 0 {
-            let mut level: BTreeSet<u64> =
-                self.dirty.iter().map(|b| b / BLOCK_BYTES).collect();
+            // One sorted level at a time: integer division by the arity
+            // keeps the level sorted, so `dedup` leaves its distinct nodes.
+            let mut level: Vec<u64> = self.dirty.keys().copied().collect();
+            level.sort_unstable();
             loop {
-                let parents: BTreeSet<u64> = level.iter().map(|i| i / self.arity).collect();
-                tree_nodes += parents.len() as u64;
-                if parents.len() == 1 && parents.contains(&0) {
+                level.iter_mut().for_each(|i| *i /= self.arity);
+                level.dedup();
+                tree_nodes += level.len() as u64;
+                if level == [0] {
                     break;
                 }
-                level = parents;
             }
-            for &b in &self.dirty {
-                let c = self.counters.get(&b).copied().unwrap_or(0);
-                self.persisted.insert(b, c);
-            }
+            // The counters already hold the persisted values.
             self.dirty.clear();
         }
         self.generation += 1;
@@ -565,8 +574,13 @@ impl SecurityModel {
     /// set recovery must replay.
     pub fn crash(&mut self) -> usize {
         let lost = self.dirty.len();
-        self.counters = self.persisted.clone();
-        self.dirty.clear();
+        for (b, persisted) in self.dirty.drain() {
+            if persisted == 0 {
+                self.counters.remove(&b);
+            } else {
+                self.counters.insert(b, persisted);
+            }
+        }
         lost
     }
 
@@ -606,7 +620,6 @@ impl SecurityModel {
     /// unrecoverable path: no counter or tree state survives.
     pub fn reset(&mut self) {
         self.counters.clear();
-        self.persisted.clear();
         self.dirty.clear();
         self.generation = 0;
         self.root_torn = false;
@@ -955,6 +968,166 @@ mod tests {
         // The volatile cache reverted to the persisted table: a re-bump of
         // block 0 continues from the persisted value (1), not the lost 2.
         assert_eq!(m.note_block_write(0), 2);
+        assert_eq!(m.table_entries(), 3);
+
+        // A block first written in the crashed epoch has no persisted
+        // entry: the revert removes it and the table keeps its size.
+        m.persist();
+        m.note_block_write(3 * 4096);
+        assert_eq!(m.table_entries(), 3, "a dirty fresh block is not persisted yet");
+        assert_eq!(m.crash(), 1);
+        assert_eq!(m.table_entries(), 3);
+        assert_eq!(m.note_block_write(3 * 4096), 1, "the lost counter starts over at 1");
+    }
+
+    /// Reference counter-table model in its most direct form: a volatile
+    /// and a persisted `BTreeMap`, a `BTreeSet` of dirty blocks, a crash
+    /// that clones the persisted table back, and a `BTreeSet` per tree
+    /// level. The undo-log model must be indistinguishable from it.
+    #[derive(Debug)]
+    struct RefSecurityModel {
+        arity: u64,
+        counters: BTreeMap<u64, u64>,
+        persisted: BTreeMap<u64, u64>,
+        dirty: BTreeSet<u64>,
+        generation: u64,
+        root_torn: bool,
+        stale_table: bool,
+    }
+
+    impl RefSecurityModel {
+        fn new(cfg: &SecurityConfig) -> Self {
+            Self {
+                arity: u64::from(cfg.tree_arity.max(2)),
+                counters: BTreeMap::new(),
+                persisted: BTreeMap::new(),
+                dirty: BTreeSet::new(),
+                generation: 0,
+                root_torn: false,
+                stale_table: false,
+            }
+        }
+
+        fn note_block_write(&mut self, block: u64) -> u64 {
+            let b = block & !(BLOCK_BYTES - 1);
+            let c = self.counters.entry(b).or_insert(0);
+            *c += 1;
+            self.dirty.insert(b);
+            *c
+        }
+
+        fn persist(&mut self) -> SecurityPersist {
+            let counter_entries = self.dirty.len();
+            let mut tree_nodes = 0u64;
+            if counter_entries > 0 {
+                let mut level: BTreeSet<u64> =
+                    self.dirty.iter().map(|b| b / BLOCK_BYTES).collect();
+                loop {
+                    let parents: BTreeSet<u64> = level.iter().map(|i| i / self.arity).collect();
+                    tree_nodes += parents.len() as u64;
+                    if parents.len() == 1 && parents.contains(&0) {
+                        break;
+                    }
+                    level = parents;
+                }
+                for &b in &self.dirty {
+                    let c = self.counters.get(&b).copied().unwrap_or(0);
+                    self.persisted.insert(b, c);
+                }
+                self.dirty.clear();
+            }
+            self.generation += 1;
+            SecurityPersist { counter_entries, tree_nodes }
+        }
+
+        fn crash(&mut self) -> usize {
+            let lost = self.dirty.len();
+            self.counters = self.persisted.clone();
+            self.dirty.clear();
+            lost
+        }
+
+        fn reset(&mut self) {
+            self.counters.clear();
+            self.persisted.clear();
+            self.dirty.clear();
+            self.generation = 0;
+            self.root_torn = false;
+            self.stale_table = false;
+        }
+    }
+
+    /// One step of a counter-table workload.
+    #[derive(Debug, Clone, Copy)]
+    enum SecOp {
+        Write(u64),
+        Persist,
+        Crash,
+        Reset,
+        TornRoot,
+        StaleTable,
+        Heal,
+    }
+
+    fn sec_op() -> impl proptest::Strategy<Value = SecOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            // Mostly nearby blocks, so epochs rewrite blocks and share tree
+            // paths; some far away, so paths diverge high in the tree.
+            12 => (0u64..64 * 600).prop_map(SecOp::Write),
+            3 => (0u64..1 << 36).prop_map(SecOp::Write),
+            3 => Just(SecOp::Persist),
+            2 => Just(SecOp::Crash),
+            1 => Just(SecOp::Reset),
+            1 => Just(SecOp::TornRoot),
+            1 => Just(SecOp::StaleTable),
+            1 => Just(SecOp::Heal),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn security_model_matches_the_btree_reference(
+            arity in 2u32..17,
+            ops in proptest::collection::vec(sec_op(), 1..400),
+        ) {
+            let cfg = SecurityConfig { enabled: true, tree_arity: arity, ..Default::default() };
+            let mut m = SecurityModel::new(&cfg);
+            let mut r = RefSecurityModel::new(&cfg);
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    SecOp::Write(a) => {
+                        proptest::prop_assert_eq!(m.note_block_write(a), r.note_block_write(a), "step {}", i);
+                    }
+                    SecOp::Persist => proptest::prop_assert_eq!(m.persist(), r.persist(), "step {}", i),
+                    SecOp::Crash => proptest::prop_assert_eq!(m.crash(), r.crash(), "step {}", i),
+                    SecOp::Reset => {
+                        m.reset();
+                        r.reset();
+                    }
+                    SecOp::TornRoot => {
+                        m.tamper_torn_root();
+                        r.root_torn = true;
+                    }
+                    SecOp::StaleTable => {
+                        m.tamper_stale_table();
+                        r.stale_table = true;
+                    }
+                    SecOp::Heal => {
+                        m.heal_table();
+                        r.root_torn = false;
+                        r.stale_table = false;
+                    }
+                }
+                proptest::prop_assert_eq!(m.table_entries(), r.persisted.len(), "step {}", i);
+                proptest::prop_assert_eq!(m.dirty_count(), r.dirty.len(), "step {}", i);
+                proptest::prop_assert_eq!(m.generation(), r.generation, "step {}", i);
+                proptest::prop_assert_eq!(m.table_authentic(), !r.root_torn && !r.stale_table, "step {}", i);
+                proptest::prop_assert_eq!(m.root_is_torn(), r.root_torn, "step {}", i);
+            }
+        }
     }
 
     #[test]

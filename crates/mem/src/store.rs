@@ -19,6 +19,17 @@
 //! `&mut self` paths update it (shared-borrow reads consult it read-only),
 //! keeping the store free of interior mutability so a future sharded
 //! front-end can hand out `&SparseStore` across threads (lint rule L9).
+//!
+//! Pages are shared copy-on-write. Each arena slot holds an
+//! `Arc<[u8; 4096]>`: `clone()` copies the index and the page pointers,
+//! not the bytes, and the first write to a page that another image still
+//! holds copies that one page (`Arc::make_mut`) before changing it. An
+//! image and its clones therefore never observe each other's writes, and
+//! a checkpoint that keeps the superseded image pays only for the pages
+//! the next commit rewrites. `Arc` rather than `Rc` keeps the store
+//! `Send + Sync`, for the same sharded front-end.
+
+use std::sync::Arc;
 
 use thynvm_types::{FxHashMap, HwAddr, PAGE_BYTES};
 
@@ -27,6 +38,9 @@ const PAGE: usize = PAGE_BYTES as usize;
 /// Sentinel page number for an empty last-page cache. No reachable page
 /// uses it: page numbers are `addr / 4096 <= u64::MAX / 4096`.
 const NO_PAGE: u64 = u64::MAX;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// A sparse, byte-addressable memory with lazy 4 KiB page allocation.
 ///
@@ -52,11 +66,12 @@ const NO_PAGE: u64 = u64::MAX;
 pub struct SparseStore {
     /// Page number → slot in `arena`.
     index: FxHashMap<u64, u32>,
-    /// Page payloads; slots are never freed individually (only [`clear`]
-    /// drops them), so cached slot numbers stay valid.
+    /// Page payloads, shared copy-on-write with this image's clones; slots
+    /// are never freed individually (only [`clear`] drops them), so cached
+    /// slot numbers stay valid.
     ///
     /// [`clear`]: SparseStore::clear
-    arena: Vec<Box<[u8; PAGE]>>,
+    arena: Vec<Arc<[u8; PAGE]>>,
     /// Last `(page number, arena slot)` resolved on a `&mut` path, to
     /// short-circuit the index lookup on consecutive accesses to one page.
     last: (u64, u32),
@@ -68,7 +83,8 @@ impl SparseStore {
         Self { index: FxHashMap::default(), arena: Vec::new(), last: (NO_PAGE, 0) }
     }
 
-    /// Number of 4 KiB pages actually allocated.
+    /// Number of 4 KiB pages this image holds, whether or not it shares
+    /// them with a clone.
     pub fn allocated_pages(&self) -> usize {
         self.arena.len()
     }
@@ -94,7 +110,7 @@ impl SparseStore {
             return slot;
         }
         let slot = u32::try_from(self.arena.len()).expect("fewer than 2^32 allocated pages");
-        self.arena.push(Box::new([0u8; PAGE]));
+        self.arena.push(Arc::new([0u8; PAGE]));
         self.index.insert(page, slot);
         self.last = (page, slot);
         slot
@@ -121,7 +137,8 @@ impl SparseStore {
         }
     }
 
-    /// Writes `data` starting at `addr`, allocating pages as needed.
+    /// Writes `data` starting at `addr`, allocating pages as needed and
+    /// copying any page still shared with a clone before changing it.
     pub fn write(&mut self, addr: HwAddr, data: &[u8]) {
         let mut pos = addr.raw();
         let mut off = 0usize;
@@ -130,7 +147,7 @@ impl SparseStore {
             let in_page = (pos % PAGE_BYTES) as usize;
             let n = (PAGE - in_page).min(data.len() - off);
             let slot = self.slot_of_mut(page);
-            self.arena[slot as usize][in_page..in_page + n]
+            Arc::make_mut(&mut self.arena[slot as usize])[in_page..in_page + n]
                 .copy_from_slice(&data[off..off + n]);
             pos += n as u64;
             off += n;
@@ -213,32 +230,50 @@ impl SparseStore {
     /// (with overwhelming probability) byte-identical contents — a cheap
     /// stand-in for full image comparison in soak tests.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint_with_basis(0)
-    }
-
-    /// A *keyed* content fingerprint: the same hash as
-    /// [`SparseStore::fingerprint`] but folded over a caller-supplied
-    /// basis. Two stores agree for a given basis iff their contents agree;
-    /// different bases produce unrelated hashes for the same contents.
-    /// The security model uses this as its modeled MAC — the basis plays
-    /// the role of the MAC key, so an attacker mutating stored bytes
-    /// cannot preserve the keyed digest.
-    pub fn fingerprint_with_basis(&self, basis: u64) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut pages: Vec<(u64, &[u8; PAGE])> =
             self.iter_pages().filter(|(_, data)| !page_is_zero(data)).collect();
         pages.sort_unstable_by_key(|&(idx, _)| idx);
-        let mut h = FNV_OFFSET ^ basis.wrapping_mul(FNV_PRIME);
-        for (idx, data) in pages {
-            h = (h ^ idx).wrapping_mul(FNV_PRIME);
-            for chunk in data.chunks_exact(8) {
-                let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                h = (h ^ word).wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        pages.into_iter().fold(FNV_OFFSET, |h, (idx, data)| fnv_page(h, idx, data))
     }
+
+    /// The modeled checkpoint MAC under `key`: the wrapping sum of every
+    /// page's [`SparseStore::page_mac`] term. Two stores agree for a given
+    /// key iff their contents agree (with overwhelming probability), and
+    /// different keys give unrelated MACs for the same contents, so an
+    /// attacker without the key cannot make forged bytes verify. Because
+    /// it is a sum, a commit that rewrites a few pages updates the MAC by
+    /// subtracting their old terms and adding their new ones.
+    pub fn mac(&self, key: u64) -> u64 {
+        self.iter_pages()
+            .fold(0u64, |sum, (idx, data)| sum.wrapping_add(keyed_page_term(key, idx, data)))
+    }
+
+    /// Page `page`'s term of [`SparseStore::mac`] under `key`: a keyed FNV
+    /// hash of its number and contents, or 0 for a page that is
+    /// unallocated or all zero, so the two stay indistinguishable.
+    pub fn page_mac(&self, key: u64, page: u64) -> u64 {
+        self.slot_of(page).map_or(0, |slot| keyed_page_term(key, page, &self.arena[slot as usize]))
+    }
+}
+
+/// Folds page `idx` and its contents, a word at a time, into FNV state `h`.
+#[inline]
+fn fnv_page(mut h: u64, idx: u64, data: &[u8; PAGE]) -> u64 {
+    h = (h ^ idx).wrapping_mul(FNV_PRIME);
+    for chunk in data.chunks_exact(8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        h = (h ^ word).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// One page's keyed MAC term; zero pages contribute nothing.
+#[inline]
+fn keyed_page_term(key: u64, idx: u64, data: &[u8; PAGE]) -> u64 {
+    if page_is_zero(data) {
+        return 0;
+    }
+    fnv_page(FNV_OFFSET ^ key.wrapping_mul(FNV_PRIME), idx, data)
 }
 
 /// Whether a page holds only zero bytes, checked a word at a time.
@@ -452,25 +487,112 @@ mod tests {
     }
 
     #[test]
-    fn keyed_fingerprint_separates_bases_and_tracks_contents() {
+    fn mac_separates_keys_and_tracks_contents() {
         let mut a = SparseStore::new();
         let mut b = SparseStore::new();
         a.write(HwAddr::new(5), &[42]);
         b.write(HwAddr::new(5), &[42]);
-        // Basis 0 is the plain fingerprint.
-        assert_eq!(a.fingerprint_with_basis(0), a.fingerprint());
-        // Same contents, same basis: same MAC.
-        assert_eq!(a.fingerprint_with_basis(0x1234), b.fingerprint_with_basis(0x1234));
-        // Same contents, different basis (key): unrelated MACs.
-        assert_ne!(a.fingerprint_with_basis(1), a.fingerprint_with_basis(2));
-        // Tampering with one byte breaks the keyed MAC.
+        // The empty image has nothing to sum.
+        assert_eq!(SparseStore::new().mac(0x1234), 0);
+        // Same contents, same key: same MAC.
+        assert_eq!(a.mac(0x1234), b.mac(0x1234));
+        // Same contents, different key: unrelated MACs.
+        assert_ne!(a.mac(1), a.mac(2));
+        // Forging one byte breaks the keyed MAC.
         b.write(HwAddr::new(5), &[43]);
-        assert_ne!(a.fingerprint_with_basis(0x1234), b.fingerprint_with_basis(0x1234));
-        // Zero-page insensitivity holds for every basis.
+        assert_ne!(a.mac(0x1234), b.mac(0x1234));
+        // Zero pages contribute nothing, for every key.
         a.write(HwAddr::new(9000), &[0u8; 64]);
+        assert_eq!(a.page_mac(7, 2), 0, "allocated zero page");
+        assert_eq!(a.page_mac(7, 99), 0, "unallocated page");
         let mut c = SparseStore::new();
         c.write(HwAddr::new(5), &[42]);
-        assert_eq!(a.fingerprint_with_basis(7), c.fingerprint_with_basis(7));
+        assert_eq!(a.mac(7), c.mac(7));
+        // The MAC is the sum of the page terms.
+        a.write(HwAddr::new(3 * PAGE_BYTES + 17), &[1, 2, 3]);
+        a.write(HwAddr::new(PAGE_BYTES - 1), &[4, 5]);
+        let sum = (0..8u64).fold(0u64, |s, p| s.wrapping_add(a.page_mac(7, p)));
+        assert_eq!(sum, a.mac(7));
+        // Swapping the contents of two pages changes the MAC: the page
+        // number is part of each term.
+        let mut d = SparseStore::new();
+        let mut e = SparseStore::new();
+        d.write(HwAddr::new(0), &[1]);
+        d.write(HwAddr::new(PAGE_BYTES), &[2]);
+        e.write(HwAddr::new(0), &[2]);
+        e.write(HwAddr::new(PAGE_BYTES), &[1]);
+        assert_ne!(d.mac(7), e.mac(7));
+    }
+
+    #[test]
+    fn clone_shares_pages_copy_on_write() {
+        // Every way of changing an image leaves its clone untouched, in
+        // both directions, and == / fingerprint() agree on the result.
+        let mut src = SparseStore::new();
+        src.write(HwAddr::new(0), &[1; 64]);
+        src.write(HwAddr::new(PAGE_BYTES - 4), &[2; 8]);
+        src.write(HwAddr::new(5 * PAGE_BYTES), &[3; 16]);
+        let snapshot = src.clone();
+        assert_eq!(src, snapshot);
+        assert_eq!(src.fingerprint(), snapshot.fingerprint());
+
+        // Source writes within one page and across a page boundary.
+        let mut clone = src.clone();
+        src.write(HwAddr::new(8), &[9; 4]);
+        src.write(HwAddr::new(2 * PAGE_BYTES - 2), &[7; 4]);
+        assert_eq!(clone, snapshot, "the clone must not see the source's writes");
+        assert_eq!(clone.fingerprint(), snapshot.fingerprint());
+        assert_ne!(src, clone);
+        assert_ne!(src.fingerprint(), clone.fingerprint());
+
+        // Clone writes within one page and across a page boundary.
+        let before = src.clone();
+        clone.write(HwAddr::new(5 * PAGE_BYTES + 1), &[8; 2]);
+        clone.write(HwAddr::new(PAGE_BYTES - 1), &[6; 2]);
+        assert_eq!(src, before, "the source must not see the clone's writes");
+        assert_eq!(src.fingerprint(), before.fingerprint());
+        assert_eq!(clone.read_block(HwAddr::new(PAGE_BYTES - 4))[..5], [2, 2, 2, 6, 6]);
+        assert_eq!(src.read_block(HwAddr::new(PAGE_BYTES - 4))[..5], [2, 2, 2, 2, 2]);
+
+        // copy_within on either side.
+        let mut moved = snapshot.clone();
+        moved.copy_within(HwAddr::new(0), HwAddr::new(5 * PAGE_BYTES), 64);
+        assert_eq!(moved.read_block(HwAddr::new(5 * PAGE_BYTES)), [1; 64]);
+        assert_eq!(snapshot.read_block(HwAddr::new(5 * PAGE_BYTES))[..16], [3; 16]);
+        let mut still = snapshot.clone();
+        still.copy_within(HwAddr::new(PAGE_BYTES - 4), HwAddr::new(9 * PAGE_BYTES - 4), 8);
+        assert_eq!(snapshot.read_block(HwAddr::new(9 * PAGE_BYTES - 4)), [0; 64]);
+        assert_eq!(still.read_block(HwAddr::new(9 * PAGE_BYTES - 4))[..8], [2; 8]);
+
+        // clear on either side.
+        let mut cleared = snapshot.clone();
+        cleared.clear();
+        assert_eq!(cleared.allocated_pages(), 0);
+        assert_eq!(snapshot.read_block(HwAddr::new(0)), [1; 64], "clear is per image");
+        let mut kept = snapshot.clone();
+        let mut gone = kept.clone();
+        gone.clear();
+        kept.write(HwAddr::new(0), &[5; 4]);
+        assert_eq!(kept.read_block(HwAddr::new(0))[..5], [5, 5, 5, 5, 1]);
+        assert_eq!(gone.read_block(HwAddr::new(0)), [0; 64]);
+        assert_eq!(snapshot.read_block(HwAddr::new(0)), [1; 64]);
+    }
+
+    #[test]
+    fn allocated_pages_counts_shared_pages_in_every_image() {
+        let mut a = SparseStore::new();
+        a.write(HwAddr::new(0), &[1]);
+        a.write(HwAddr::new(PAGE_BYTES), &[2]);
+        let mut b = a.clone();
+        assert_eq!((a.allocated_pages(), b.allocated_pages()), (2, 2));
+        // Copying a shared page on write does not add a page to either
+        // image; touching a new page adds one to the writer only.
+        b.write(HwAddr::new(0), &[3]);
+        b.write(HwAddr::new(7 * PAGE_BYTES), &[4]);
+        assert_eq!((a.allocated_pages(), b.allocated_pages()), (2, 3));
+        // The still-shared page has one term; the copied one has two.
+        assert_eq!(a.page_mac(11, 1), b.page_mac(11, 1));
+        assert_ne!(a.page_mac(11, 0), b.page_mac(11, 0));
     }
 
     #[test]
