@@ -12,17 +12,30 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// One way of a set: 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Line {
+    /// The block number (`addr / 64`, so the evicted address is `tag × 64`)
+    /// with [`DIRTY`] in its top bit, or [`INVALID`] for an empty way.
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp: larger = more recently used.
+    /// LRU stamp: larger = more recently used. An invalid way's stamp is 0,
+    /// below every valid stamp, so the least-stamped way of a set is its
+    /// first invalid way if it has one, else its LRU way.
     lru: u64,
 }
 
+/// Tag of an empty way. No block number reaches the top bit, so it never
+/// matches one, even with [`DIRTY`] masked off.
+const INVALID: u64 = u64::MAX;
+/// Dirty flag, kept in the tag's top bit.
+const DIRTY: u64 = 1 << 63;
+
 impl Line {
-    const INVALID: Line = Line { tag: 0, valid: false, dirty: false, lru: 0 };
+    const INVALID: Line = Line { tag: INVALID, lru: 0 };
+
+    fn is_dirty(self) -> bool {
+        self.tag != INVALID && self.tag & DIRTY != 0
+    }
 }
 
 /// One level of a writeback cache.
@@ -52,6 +65,11 @@ pub struct SetAssocCache {
     misses: u64,
 }
 
+/// The block number of `addr`: a cache line's tag.
+pub(crate) fn block_of(addr: PhysAddr) -> u64 {
+    addr.raw() / BLOCK_BYTES
+}
+
 impl SetAssocCache {
     /// Creates a cache of `bytes` capacity and `ways` associativity with
     /// 64 B blocks.
@@ -62,11 +80,14 @@ impl SetAssocCache {
     /// `ways * BLOCK_BYTES` or if `ways` is zero.
     pub fn new(bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache must have at least one way");
+        let set_bytes = u64::from(ways) * BLOCK_BYTES;
+        assert!(
+            bytes > 0 && bytes.is_multiple_of(set_bytes),
+            "capacity must be a positive multiple of ways × 64 B"
+        );
         let ways = ways as usize;
         let blocks = (bytes / BLOCK_BYTES) as usize;
-        assert!(blocks > 0 && blocks.is_multiple_of(ways), "capacity must be a multiple of ways × 64 B");
-        let sets = blocks / ways;
-        Self { sets, ways, lines: vec![Line::INVALID; blocks], tick: 0, hits: 0, misses: 0 }
+        Self { sets: blocks / ways, ways, lines: vec![Line::INVALID; blocks], tick: 0, hits: 0, misses: 0 }
     }
 
     /// Number of sets.
@@ -89,42 +110,71 @@ impl SetAssocCache {
         self.misses
     }
 
-    fn index(&self, addr: PhysAddr) -> (usize, u64) {
-        let block = addr.raw() / BLOCK_BYTES;
-        ((block % self.sets as u64) as usize, block / self.sets as u64)
+    /// Scans `block`'s set once: `Ok(line)` if a way holds the block, else
+    /// `Err(line)` for the way a fill takes, the first invalid way or else
+    /// the least recently used one. Both are indices into `lines`.
+    fn lookup(&self, block: u64) -> Result<usize, usize> {
+        let start = (block % self.sets as u64) as usize * self.ways;
+        let mut victim = start;
+        let mut oldest = u64::MAX;
+        for (i, line) in self.lines[start..start + self.ways].iter().enumerate() {
+            if line.tag & !DIRTY == block {
+                return Ok(start + i);
+            }
+            if line.lru < oldest {
+                oldest = line.lru;
+                victim = start + i;
+            }
+        }
+        Err(victim)
     }
 
-    fn set_lines(&mut self, set: usize) -> &mut [Line] {
-        let start = set * self.ways;
-        &mut self.lines[start..start + self.ways]
+    /// Stamps `line` as the most recently used, dirtying it if `dirty`.
+    fn touch(&mut self, line: usize, dirty: bool) {
+        self.tick += 1;
+        let line = &mut self.lines[line];
+        line.lru = self.tick;
+        if dirty {
+            line.tag |= DIRTY;
+        }
+    }
+
+    /// An access by block number: on a hit refreshes the line's stamp (and
+    /// dirties it for a write) and returns `Ok`; on a miss returns the way
+    /// a fill of `block` takes, for [`SetAssocCache::install`]. The way
+    /// stays right until this cache is changed again.
+    pub(crate) fn access_block(&mut self, block: u64, is_write: bool) -> Result<(), usize> {
+        let found = self.lookup(block);
+        match found {
+            Ok(line) => {
+                self.touch(line, is_write);
+                self.hits += 1;
+            }
+            Err(_) => self.misses += 1,
+        }
+        found.map(|_| ())
+    }
+
+    /// Installs `block` into `way`, as returned by a lookup that missed,
+    /// and returns the valid block it displaced.
+    pub(crate) fn install(&mut self, way: usize, block: u64, dirty: bool) -> Option<Eviction> {
+        self.tick += 1;
+        let tag = if dirty { block | DIRTY } else { block };
+        let old = std::mem::replace(&mut self.lines[way], Line { tag, lru: self.tick });
+        (old.tag != INVALID)
+            .then(|| Eviction { addr: PhysAddr::new((old.tag & !DIRTY) * BLOCK_BYTES), dirty: old.is_dirty() })
     }
 
     /// Looks up `addr` without modifying replacement state or statistics.
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.index(addr);
-        let start = set * self.ways;
-        self.lines[start..start + self.ways].iter().any(|l| l.valid && l.tag == tag)
+        self.lookup(block_of(addr)).is_ok()
     }
 
     /// Looks up `addr`; on a hit updates LRU (and the dirty bit for writes)
     /// and returns `true`. On a miss returns `false` without filling —
     /// call [`SetAssocCache::fill`] to install the block.
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index(addr);
-        for line in self.set_lines(set) {
-            if line.valid && line.tag == tag {
-                line.lru = tick;
-                if is_write {
-                    line.dirty = true;
-                }
-                self.hits += 1;
-                return true;
-            }
-        }
-        self.misses += 1;
-        false
+        self.access_block(block_of(addr), is_write).is_ok()
     }
 
     /// Installs the block containing `addr`, marking it dirty if `dirty`.
@@ -132,72 +182,43 @@ impl SetAssocCache {
     ///
     /// Filling a block that is already present just updates its dirty bit.
     pub fn fill(&mut self, addr: PhysAddr, dirty: bool) -> Option<Eviction> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index(addr);
-        let sets = self.sets as u64;
-        let lines = self.set_lines(set);
-
-        // Already present (e.g. racing fill): refresh.
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = tick;
-            line.dirty |= dirty;
-            return None;
+        let block = block_of(addr);
+        match self.lookup(block) {
+            // Already present (e.g. racing fill): refresh.
+            Ok(line) => {
+                self.touch(line, dirty);
+                None
+            }
+            Err(way) => self.install(way, block, dirty),
         }
-
-        // Prefer an invalid way.
-        if let Some(line) = lines.iter_mut().find(|l| !l.valid) {
-            *line = Line { tag, valid: true, dirty, lru: tick };
-            return None;
-        }
-
-        // Evict LRU.
-        let victim = lines.iter_mut().min_by_key(|l| l.lru).expect("ways > 0");
-        let evicted = Eviction {
-            addr: PhysAddr::new((victim.tag * sets + set as u64) * BLOCK_BYTES),
-            dirty: victim.dirty,
-        };
-        *victim = Line { tag, valid: true, dirty, lru: tick };
-        Some(evicted)
     }
 
     /// Invalidates the block containing `addr` if present, returning whether
     /// it was dirty.
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
-        let (set, tag) = self.index(addr);
-        for line in self.set_lines(set) {
-            if line.valid && line.tag == tag {
-                let dirty = line.dirty;
-                *line = Line::INVALID;
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.lookup(block_of(addr)).ok()?;
+        Some(std::mem::replace(&mut self.lines[i], Line::INVALID).is_dirty())
     }
 
     /// Cleans every dirty block *without invalidating it* (CLWB-like, §4.4)
     /// and returns the addresses of the blocks that were dirty.
     pub fn clean_all(&mut self) -> Vec<PhysAddr> {
-        let sets = self.sets as u64;
         let mut cleaned = Vec::new();
-        for (i, line) in self.lines.iter_mut().enumerate() {
-            if line.valid && line.dirty {
-                let set = (i / self.ways) as u64;
-                cleaned.push(PhysAddr::new((line.tag * sets + set) * BLOCK_BYTES));
-                line.dirty = false;
-            }
+        for line in self.lines.iter_mut().filter(|l| l.is_dirty()) {
+            line.tag &= !DIRTY;
+            cleaned.push(PhysAddr::new(line.tag * BLOCK_BYTES));
         }
         cleaned
     }
 
     /// Number of valid blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.tag != INVALID).count()
     }
 
     /// Number of dirty blocks currently resident.
     pub fn dirty_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid && l.dirty).count()
+        self.lines.iter().filter(|l| l.is_dirty()).count()
     }
 }
 
@@ -223,6 +244,14 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn bad_capacity_rejected() {
         SetAssocCache::new(100, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of ways")]
+    fn capacity_must_divide_into_whole_sets() {
+        // 130 B is two 64 B blocks plus 2 B: not a whole number of 2-way
+        // sets, so it must not quietly become a 128 B cache.
+        SetAssocCache::new(130, 2);
     }
 
     #[test]

@@ -10,7 +10,14 @@
 
 use thynvm_types::{AccessKind, CacheConfig, PhysAddr};
 
-use crate::cache::SetAssocCache;
+use crate::cache::{block_of, Eviction, SetAssocCache};
+
+/// Queues a dirty victim of L3 for main memory; clean victims are dropped.
+fn write_back_to_memory(victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
+    if let Some(ev) = victim.filter(|ev| ev.dirty) {
+        out.push(ev.addr);
+    }
+}
 
 /// Result of one hierarchy lookup.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,60 +58,55 @@ impl CacheHierarchy {
         &self.config
     }
 
-    /// Install a block into L1, cascading evictions down to `out`.
-    fn fill_l1(&mut self, addr: PhysAddr, dirty: bool, out: &mut Vec<PhysAddr>) {
-        if let Some(ev) = self.l1.fill(addr, dirty) {
-            if ev.dirty {
-                self.fill_l2(ev.addr, true, out);
-            }
+    /// Writes a dirty victim of L1 back into L2, cascading L2's dirty
+    /// victim down. A full fill, since L2 may still hold the block.
+    fn write_back_to_l2(&mut self, victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
+        if let Some(ev) = victim.filter(|ev| ev.dirty) {
+            let l2_victim = self.l2.fill(ev.addr, true);
+            self.write_back_to_l3(l2_victim, out);
         }
     }
 
-    /// Install a block into L2, cascading evictions down to `out`.
-    fn fill_l2(&mut self, addr: PhysAddr, dirty: bool, out: &mut Vec<PhysAddr>) {
-        if let Some(ev) = self.l2.fill(addr, dirty) {
-            if ev.dirty {
-                self.fill_l3(ev.addr, true, out);
-            }
-        }
-    }
-
-    /// Install a block into L3; dirty victims go to main memory.
-    fn fill_l3(&mut self, addr: PhysAddr, dirty: bool, out: &mut Vec<PhysAddr>) {
-        if let Some(ev) = self.l3.fill(addr, dirty) {
-            if ev.dirty {
-                out.push(ev.addr);
-            }
+    /// Writes a dirty victim of L2 back into L3 (a full fill, as above);
+    /// L3's dirty victim goes to main memory.
+    fn write_back_to_l3(&mut self, victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
+        if let Some(ev) = victim.filter(|ev| ev.dirty) {
+            write_back_to_memory(self.l3.fill(ev.addr, true), out);
         }
     }
 
     /// Performs one access. `kind` decides whether the block is dirtied.
+    ///
+    /// Each level's set is scanned once: a level that misses hands back the
+    /// way the block will take there, and the fill installs into it without
+    /// scanning again. That way stays right because evictions only cascade
+    /// downward, so between a level's lookup and its install only the
+    /// levels below it change. Hence L2 is installed before L1: L1's dirty
+    /// victim could otherwise take the way remembered for L2.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> HierarchyOutcome {
         let is_write = kind.is_write();
+        let block = block_of(addr);
         let mut out = HierarchyOutcome::default();
 
-        if self.l1.access(addr, is_write) {
+        let Err(l1_way) = self.l1.access_block(block, is_write) else {
             out.latency_cycles = self.config.l1_hit_cycles;
             return out;
+        };
+        match self.l2.access_block(block, false) {
+            Ok(()) => out.latency_cycles = self.config.l2_hit_cycles,
+            Err(l2_way) => {
+                out.latency_cycles = self.config.l3_hit_cycles;
+                if let Err(l3_way) = self.l3.access_block(block, false) {
+                    // Miss everywhere: fetch from memory and install in all levels.
+                    out.fetch = Some(addr.block_aligned());
+                    write_back_to_memory(self.l3.install(l3_way, block, false), &mut out.writebacks);
+                }
+                let victim = self.l2.install(l2_way, block, false);
+                self.write_back_to_l3(victim, &mut out.writebacks);
+            }
         }
-        if self.l2.access(addr, false) {
-            out.latency_cycles = self.config.l2_hit_cycles;
-            self.fill_l1(addr, is_write, &mut out.writebacks);
-            return out;
-        }
-        if self.l3.access(addr, false) {
-            out.latency_cycles = self.config.l3_hit_cycles;
-            self.fill_l2(addr, false, &mut out.writebacks);
-            self.fill_l1(addr, is_write, &mut out.writebacks);
-            return out;
-        }
-
-        // Miss everywhere: fetch from memory and install in all levels.
-        out.latency_cycles = self.config.l3_hit_cycles;
-        out.fetch = Some(addr.block_aligned());
-        self.fill_l3(addr, false, &mut out.writebacks);
-        self.fill_l2(addr, false, &mut out.writebacks);
-        self.fill_l1(addr, is_write, &mut out.writebacks);
+        let victim = self.l1.install(l1_way, block, is_write);
+        self.write_back_to_l2(victim, &mut out.writebacks);
         out
     }
 
@@ -123,6 +125,12 @@ impl CacheHierarchy {
     /// Total dirty blocks across all levels (before deduplication).
     pub fn dirty_blocks(&self) -> usize {
         self.l1.dirty_blocks() + self.l2.dirty_blocks() + self.l3.dirty_blocks()
+    }
+
+    /// The three levels, for the reference comparison.
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> [&SetAssocCache; 3] {
+        [&self.l1, &self.l2, &self.l3]
     }
 
     /// Per-level `(hits, misses)` for L1, L2 and L3.

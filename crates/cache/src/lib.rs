@@ -6,9 +6,15 @@
 //! hits).
 //!
 //! * [`cache::SetAssocCache`] — one set-associative LRU writeback cache.
+//!   A line is 16 bytes: the block number as its tag, with the dirty flag
+//!   in the top bit, and an LRU stamp. One scan of a set finds the hit way
+//!   or else the way a fill takes (the first invalid way, else the LRU
+//!   one).
 //! * [`hierarchy::CacheHierarchy`] — the three-level chain. A lookup
 //!   returns the hit latency and the memory operations (fetch, writebacks)
-//!   that must be sent to main memory.
+//!   that must be sent to main memory. It scans each level's set once: a
+//!   level that misses keeps its fill way, and the block is installed
+//!   there without a second scan.
 //! * [`core::CoreModel`] — an in-order core that executes a memory trace,
 //!   stalling on memory, and reports instructions-per-cycle (Figure 11).
 //!
@@ -37,6 +43,8 @@ pub mod cache;
 pub mod core;
 pub mod hierarchy;
 pub mod multicore;
+#[cfg(test)]
+mod reference;
 
 pub use crate::core::{CoreModel, CoreStats};
 pub use multicore::{CoreResult, MulticorePlatform};

@@ -694,7 +694,8 @@ impl SystemConfig {
     /// Returns [`crate::Error::InvalidConfig`] when a field combination is
     /// meaningless: zero-sized structures, a demote threshold above the
     /// promote threshold (pages would oscillate between schemes every
-    /// epoch), or a PTT larger than the DRAM that backs it.
+    /// epoch), a PTT larger than the DRAM that backs it, or a cache level
+    /// whose capacity is not a positive multiple of `ways × 64 B`.
     pub fn validate(&self) -> crate::Result<()> {
         let t = &self.thynvm;
         let fail = |reason: &str| {
@@ -720,6 +721,15 @@ impl SystemConfig {
         }
         if t.epoch_max_ms == 0 {
             return fail("epoch length must be nonzero");
+        }
+        let c = &self.cache;
+        for (level, bytes, ways) in
+            [("L1", c.l1_bytes, c.l1_ways), ("L2", c.l2_bytes, c.l2_ways), ("L3", c.l3_bytes, c.l3_ways)]
+        {
+            let set_bytes = u64::from(ways) * BLOCK_BYTES;
+            if set_bytes == 0 || bytes == 0 || !bytes.is_multiple_of(set_bytes) {
+                return fail(&format!("{level} capacity must be a positive multiple of ways × 64 B"));
+            }
         }
         if t.nvm_write_queue == 0 || t.dram_write_queue == 0 {
             return fail("write queues must have nonzero capacity");
@@ -939,6 +949,23 @@ mod tests {
     fn paper_and_test_configs_validate() {
         SystemConfig::paper().validate().expect("paper config valid");
         SystemConfig::small_test().validate().expect("test config valid");
+    }
+
+    #[test]
+    fn validation_checks_cache_geometry() {
+        SystemConfig::hardened().validate().expect("hardened config valid");
+        // Not a whole number of 8-way sets: the cache would silently
+        // shrink to 32 KiB.
+        let mut cfg = SystemConfig::paper();
+        cfg.cache.l1_bytes = 32_800;
+        assert!(cfg.validate().unwrap_err().to_string().contains("L1 capacity"));
+        // No ways at all: the cache cannot be built.
+        let mut cfg = SystemConfig::paper();
+        cfg.cache.l2_ways = 0;
+        assert!(cfg.validate().unwrap_err().to_string().contains("L2 capacity"));
+        let mut cfg = SystemConfig::paper();
+        cfg.cache.l3_bytes = 0;
+        assert!(cfg.validate().unwrap_err().to_string().contains("L3 capacity"));
     }
 
     #[test]
