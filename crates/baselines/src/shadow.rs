@@ -10,6 +10,7 @@
 //! writes each *entire 4 KiB page* to NVM — wasting bandwidth and stalling
 //! the application, since the flush is stop-the-world.
 
+use std::collections::BTreeSet;
 
 use thynvm_mem::{Device, DeviceKind, SparseStore};
 use thynvm_types::{
@@ -23,7 +24,6 @@ const SHADOW_BASE: u64 = 1 << 40;
 #[derive(Debug, Clone, Copy)]
 struct BufferedPage {
     slot: u32,
-    dirty: bool,
     /// Which copy is current: `false` = home, `true` = shadow area. Flipped
     /// on every flush (copy-on-write never overwrites in place).
     in_shadow: bool,
@@ -38,6 +38,9 @@ pub struct ShadowPaging {
     dram: Device,
     nvm: Device,
     pages: FxHashMap<PageIndex, BufferedPage>,
+    /// The buffered pages that are clean, lowest first: every other
+    /// buffered page is dirty.
+    clean: BTreeSet<PageIndex>,
     free_slots: Vec<u32>,
     epoch_start: Cycle,
     stats: MemStats,
@@ -55,6 +58,7 @@ impl ShadowPaging {
             dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
             nvm: Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry),
             pages: FxHashMap::default(),
+            clean: BTreeSet::new(),
             free_slots: (0..slots).rev().collect(),
             epoch_start: Cycle::ZERO,
             stats: MemStats::new(),
@@ -71,7 +75,7 @@ impl ShadowPaging {
 
     /// Number of buffered pages that are dirty.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.values().filter(|p| p.dirty).count()
+        self.pages.len() - self.clean.len()
     }
 
     /// The NVM device (row-buffer and wear statistics).
@@ -98,7 +102,7 @@ impl ShadowPaging {
         let mut t = now;
         let mut flushed = 0u64;
         let mut dirty: Vec<PageIndex> =
-            self.pages.iter().filter(|(_, p)| p.dirty).map(|(&i, _)| i).collect();
+            self.pages.keys().filter(|p| !self.clean.contains(p)).copied().collect();
         dirty.sort_unstable();
         // Functional commit: the root-pointer switch makes the batch atomic.
         for &page in &dirty {
@@ -110,8 +114,8 @@ impl ShadowPaging {
             let entry = self.pages.get_mut(&page).expect("listed");
             let slot = entry.slot;
             let target_shadow = !entry.in_shadow;
-            entry.dirty = false;
             entry.in_shadow = target_shadow;
+            self.clean.insert(page);
             let slot_addr = self.slot_addr(slot);
             let dst = self.nvm_addr(page, target_shadow);
             let read_done = self.dram.access(slot_addr, AccessKind::Read, PAGE_BYTES as u32, now);
@@ -140,19 +144,15 @@ impl ShadowPaging {
         if let Some(p) = self.pages.get(&page) {
             return (p.slot, t);
         }
-        // Need a slot: evict a clean page, or flush if everything is dirty.
+        // Need a slot: evict the lowest clean page, flushing first if
+        // everything is dirty (which leaves every page clean).
         if self.free_slots.is_empty() {
-            if let Some(victim) =
-                self.pages.iter().filter(|(_, p)| !p.dirty).map(|(&i, _)| i).min()
-            {
-                let freed = self.pages.remove(&victim).expect("found");
-                self.free_slots.push(freed.slot);
-            } else {
+            if self.clean.is_empty() {
                 t = self.flush(t);
-                let victim = self.pages.keys().copied().min().expect("buffer nonempty");
-                let freed = self.pages.remove(&victim).expect("found");
-                self.free_slots.push(freed.slot);
             }
+            let victim = self.clean.pop_first().expect("buffer nonempty");
+            let freed = self.pages.remove(&victim).expect("found");
+            self.free_slots.push(freed.slot);
         }
         let slot = self.free_slots.pop().expect("slot available");
         // Functional copy-on-write: the buffer page starts as the committed
@@ -166,7 +166,8 @@ impl ShadowPaging {
         self.stats.nvm_read_bytes += PAGE_BYTES;
         t = self.dram.access(self.slot_addr(slot), AccessKind::Write, PAGE_BYTES as u32, t);
         self.stats.record_dram_write(PAGE_BYTES);
-        self.pages.insert(page, BufferedPage { slot, dirty: false, in_shadow: false });
+        self.pages.insert(page, BufferedPage { slot, in_shadow: false });
+        self.clean.insert(page);
         (slot, t)
     }
 }
@@ -183,7 +184,7 @@ impl MemorySystem for ShadowPaging {
                 let addr = self.slot_addr(slot).offset(req.addr.page_offset());
                 t = self.dram.access(addr, AccessKind::Write, req.bytes, t);
                 self.stats.record_dram_write(u64::from(req.bytes));
-                self.pages.get_mut(&page).expect("buffered").dirty = true;
+                self.clean.remove(&page);
             }
             AccessKind::Read => {
                 self.stats.reads += 1;
@@ -287,6 +288,7 @@ impl PersistentMemory for ShadowPaging {
     fn power_fail(&mut self, now: Cycle) -> Cycle {
         let slots = u32::try_from(self.cfg.thynvm.dram_pages()).expect("bounded");
         self.pages.clear();
+        self.clean.clear();
         self.buffer_data.clear();
         self.free_slots = (0..slots).rev().collect();
         self.dram.power_cycle();
@@ -363,6 +365,29 @@ mod tests {
         s.access(&MemRequest::write(PhysAddr::new(64 * PAGE_BYTES), 8), t);
         assert_eq!(s.stats().epochs_completed, flushes_before + 1);
         assert!(s.buffered_pages() <= 64);
+    }
+
+    #[test]
+    fn a_full_buffer_evicts_its_lowest_clean_page() {
+        let mut s = sys(); // 64 slots
+        let mut t = Cycle::ZERO;
+        for i in 0..64u64 {
+            t = s.access(&MemRequest::write(PhysAddr::new(i * PAGE_BYTES), 8), t);
+        }
+        t = s.begin_checkpoint(t, &[]);
+        assert_eq!(s.dirty_pages(), 0);
+        // Re-dirty pages 0 and 5: page 1 is now the lowest clean page.
+        for page in [0u64, 5] {
+            t = s.access(&MemRequest::write(PhysAddr::new(page * PAGE_BYTES), 8), t);
+        }
+        let epochs = s.stats().epochs_completed;
+        s.access(&MemRequest::write(PhysAddr::new(100 * PAGE_BYTES), 8), t);
+        assert_eq!(s.stats().epochs_completed, epochs, "a clean page was free to evict");
+        assert!(!s.pages.contains_key(&PageIndex::new(1)));
+        assert!(s.pages.contains_key(&PageIndex::new(0)));
+        assert_eq!((s.buffered_pages(), s.dirty_pages()), (64, 3));
+        s.power_fail(t);
+        assert_eq!((s.buffered_pages(), s.dirty_pages()), (0, 0));
     }
 
     #[test]
