@@ -5,7 +5,7 @@
 //! FNV-1a digest is held to `tests/common/paper_digests.txt`, so a change
 //! that moves any simulated number of any of these figures fails here and
 //! has to say why. The test-scale set runs with `cargo test`; Fig 7, Fig 8
-//! and Table 1 at full scale run with `--ignored` (about two minutes in
+//! and Table 1 at full scale run with `--ignored` (under a minute in
 //! release).
 
 use thynvm::bench::experiments::{self as ex, KvKind, Scale};
@@ -79,7 +79,7 @@ fn every_cache_driven_figure_matches_its_locked_digest_at_test_scale() {
 }
 
 #[test]
-#[ignore = "full scale: about two minutes in release; CI's paper-digests job runs it"]
+#[ignore = "full scale: under a minute in release; CI's paper-digests job runs it"]
 fn fig7_fig8_and_table1_match_their_locked_digests_at_full_scale() {
     check(FULL_SCALE, Scale::bench(), "bench");
 }
