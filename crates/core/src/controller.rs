@@ -3534,6 +3534,33 @@ mod tests {
     }
 
     #[test]
+    fn intermediate_flush_rounds_commit_none_of_the_epochs_writes() {
+        // DESIGN §4 item 6: a flush larger than the BTT budget splits into
+        // rounds, and only the final one captures the epoch's writes. A
+        // crash before the final round completes must therefore recover
+        // the image from before the epoch, although an intermediate round
+        // already committed.
+        let mut sys = small();
+        let mut t = store_and_checkpoint(&mut sys, 1, Cycle::ZERO);
+        let before = sys.visible_fingerprint();
+        for page in 1..=68u64 {
+            t = sys.store_bytes(PhysAddr::new(page * PAGE_BYTES), &[2u8; 64], t);
+        }
+        // Flushed blocks that miss both tables do not fit in the full BTT.
+        let flushed: Vec<PhysAddr> =
+            (0..16u64).map(|i| PhysAddr::new((200 + i) * PAGE_BYTES)).collect();
+        let rounds_before = sys.stats().epochs_completed;
+        MemorySystem::begin_checkpoint(&mut sys, t, &flushed);
+        assert_eq!(sys.stats().epochs_completed - rounds_before, 2, "one intermediate round");
+        let done = sys.epoch_state().job.as_ref().expect("final round in flight").done_at;
+        sys.arm_crash_point(done - Cycle::new(1));
+        let mut buf = [0u8; 64];
+        sys.load_bytes(PhysAddr::new(0), &mut buf, done);
+        assert_eq!(sys.stats().crashes_injected, 1);
+        assert_eq!(sys.visible_fingerprint(), before, "the epoch's writes are all lost");
+    }
+
+    #[test]
     fn crash_after_checkpoint_done_keeps_it() {
         let mut sys = small();
         sys.store_bytes(PhysAddr::new(0), b"epoch0", Cycle::ZERO);
@@ -4610,34 +4637,41 @@ mod tests {
     #[test]
     fn poisoned_buffered_block_is_quarantined_not_drained() {
         // Block under block remapping, buffered in DRAM during an in-flight
-        // checkpoint (§4.1), with poison landing on the buffer slot.
-        let mut cfg = dram_cfg();
-        cfg.thynvm.promote_threshold = 255; // stay under block remapping
-        let mut sys = ThyNvm::new(cfg);
-        let mut t = sys.store_bytes(PhysAddr::new(0), &[1u8; 64], Cycle::ZERO);
-        t = sys.force_checkpoint(t);
-        t = sys.drain(t);
-        // Start a checkpoint and write the block mid-flight: DRAM-buffered.
-        t = sys.store_bytes(PhysAddr::new(64), &[2u8; 64], t);
-        t = sys.force_checkpoint(t);
-        let during = sys.epoch_state().job.as_ref().map(|j| j.started).unwrap_or(t);
-        let mut t2 = sys.store_bytes(PhysAddr::new(0), &[9u8; 64], during);
-        // Reading it back now poisons the buffer slot: the dirty block is
-        // dropped and rolls back to its checkpointed value.
-        sys.dram_ecc_mut().expect("model on").arm_poison(1);
-        let mut buf = [0u8; 64];
-        t2 = sys.load_bytes(PhysAddr::new(0), &mut buf, t2);
-        assert_eq!(buf, [1u8; 64], "buffered dirty block rolled back");
-        let d = &sys.stats().dram;
-        assert_eq!(d.poison_dropped, 1);
-        assert_eq!(d.quarantine_dropped_bytes, BLOCK_BYTES);
-        let quarantined = Error::DramPoisonLost { addr: PhysAddr::new(0), bytes: BLOCK_BYTES };
-        assert_eq!(errors(&mut sys), vec![quarantined]);
-        // The rollback is durable across the checkpoint and a crash.
-        t2 = sys.drain(t2);
-        let report = sys.crash_and_recover(t2);
-        sys.load_bytes(PhysAddr::new(0), &mut buf, t2 + report.recovery_cycles);
-        assert_eq!(buf, [1u8; 64]);
+        // checkpoint (§4.1), with poison landing on the buffer slot. The
+        // block rolls back to the checkpoint in flight: `C_last` when that
+        // checkpoint did not capture the block, else the captured value.
+        for (captured, expect) in [(false, [1u8; 64]), (true, [2u8; 64])] {
+            let mut cfg = dram_cfg();
+            cfg.thynvm.promote_threshold = 255; // stay under block remapping
+            let mut sys = ThyNvm::new(cfg);
+            let mut t = sys.store_bytes(PhysAddr::new(0), &[1u8; 64], Cycle::ZERO);
+            t = sys.force_checkpoint(t);
+            t = sys.drain(t);
+            // Start a checkpoint and write the block mid-flight: DRAM-buffered.
+            t = sys.store_bytes(PhysAddr::new(64), &[2u8; 64], t);
+            if captured {
+                t = sys.store_bytes(PhysAddr::new(0), &[2u8; 64], t);
+            }
+            t = sys.force_checkpoint(t);
+            let during = sys.epoch_state().job.as_ref().map(|j| j.started).unwrap_or(t);
+            let mut t2 = sys.store_bytes(PhysAddr::new(0), &[9u8; 64], during);
+            // Reading it back now poisons the buffer slot: the dirty block is
+            // dropped and rolls back to its checkpointed value.
+            sys.dram_ecc_mut().expect("model on").arm_poison(1);
+            let mut buf = [0u8; 64];
+            t2 = sys.load_bytes(PhysAddr::new(0), &mut buf, t2);
+            assert_eq!(buf, expect, "buffered dirty block rolled back (captured: {captured})");
+            let d = &sys.stats().dram;
+            assert_eq!(d.poison_dropped, 1);
+            assert_eq!(d.quarantine_dropped_bytes, BLOCK_BYTES);
+            let quarantined = Error::DramPoisonLost { addr: PhysAddr::new(0), bytes: BLOCK_BYTES };
+            assert_eq!(errors(&mut sys), vec![quarantined]);
+            // The rollback is durable across the checkpoint and a crash.
+            t2 = sys.drain(t2);
+            let report = sys.crash_and_recover(t2);
+            sys.load_bytes(PhysAddr::new(0), &mut buf, t2 + report.recovery_cycles);
+            assert_eq!(buf, expect, "after the crash (captured: {captured})");
+        }
     }
 
     #[test]
