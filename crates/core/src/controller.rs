@@ -5,9 +5,10 @@
 //! * the **timing layer** — DRAM/NVM devices, write queues, translation
 //!   table costs, checkpoint-job scheduling, cooperation stalls — which
 //!   produces the performance numbers of §5; and
-//! * the **functional layer** — real bytes in sparse stores plus per-epoch
-//!   write logs — which makes the three-version consistency protocol
-//!   *testable*: crash at any cycle, recover, and compare contents.
+//! * the **functional layer** — real bytes in copy-on-write images of the
+//!   visible contents, `C_last`, `C_penult` and the checkpoint in flight —
+//!   which makes the three-version consistency protocol *testable*: crash
+//!   at any cycle, recover, and compare contents.
 //!
 //! # Store path (Figure 6a)
 //!
@@ -32,7 +33,7 @@
 //! * Functional stores are keyed by *physical* address; the region-A/B
 //!   alternation affects only the timing layer (NVM row-buffer behaviour
 //!   and traffic), not content correctness, which is governed by the
-//!   per-epoch write logs.
+//!   image each checkpoint captures.
 //! * Scheme switching (§3.4) is decided from the ending epoch's store
 //!   counters at checkpoint start and applied when the system is next
 //!   quiescent (job retirement), half an epoch later than the paper — the
@@ -270,12 +271,14 @@ pub struct ThyNvm {
     /// Latest recoverable contents (state at the last *completed*
     /// checkpoint), physical address space.
     committed: SparseStore,
-    /// Current software-visible contents.
+    /// Current software-visible contents. They only ever gain pages, so
+    /// every image captured from them holds every page `committed` holds.
     visible: SparseStore,
-    /// Writes of the active epoch (applied to `visible`, not yet captured).
-    working_log: Vec<(u64, Vec<u8>)>,
-    /// Writes captured by the in-flight checkpoint job.
-    ckpting_log: Vec<(u64, Vec<u8>)>,
+    /// `visible` as the in-flight checkpoint's final round captured it;
+    /// it becomes `committed` when the job retires. `None` while no job
+    /// is in flight, and during an intermediate round, which captures
+    /// nothing.
+    ckpting: Option<SparseStore>,
     /// Crashes, flushes and absorbed faults not yet drained by
     /// [`Self::take_events`].
     journal: Vec<Event>,
@@ -408,8 +411,7 @@ impl ThyNvm {
             input_blocked_until: Cycle::ZERO,
             committed: SparseStore::new(),
             visible: SparseStore::new(),
-            working_log: Vec::new(),
-            ckpting_log: Vec::new(),
+            ckpting: None,
             journal: Vec::new(),
             archive: std::collections::VecDeque::new(),
             archive_depth: 0,
@@ -811,14 +813,15 @@ impl ThyNvm {
         self.pending_health_rung
     }
 
-    /// Pages allocated across the functional stores (visible + committed +
-    /// previous + archived images). A page that several images share
-    /// copy-on-write counts once per image that holds it, so this bounds
-    /// the host memory from above. Soak harnesses bound it to show the
-    /// simulator's footprint stays proportional to the touched working
-    /// set, not to simulated time.
+    /// Pages allocated across the functional stores (visible + in-flight
+    /// capture + committed + previous + archived images). A page that
+    /// several images share copy-on-write counts once per image that holds
+    /// it, so this bounds the host memory from above. Soak harnesses bound
+    /// it to show the simulator's footprint stays proportional to the
+    /// touched working set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
         self.visible.allocated_pages()
+            + self.ckpting.as_ref().map_or(0, SparseStore::allocated_pages)
             + self.committed.allocated_pages()
             + self.committed_prev.allocated_pages()
             + self.archive.iter().map(|(_, s)| s.allocated_pages()).sum::<usize>()
@@ -938,42 +941,15 @@ impl ThyNvm {
     }
 
     /// Functional side of a quarantine: the software-visible bytes of
-    /// `[base, base + len)` roll back to the last captured checkpoint
-    /// (committed contents plus any captured-but-not-yet-retired writes),
-    /// and the active epoch's write log drops the portions falling inside
-    /// the range — the poisoned dirty data must not survive anywhere.
+    /// `[base, base + len)` roll back to the last captured checkpoint —
+    /// the image in flight when a job captured one, else `C_last` — so the
+    /// poisoned dirty data survives nowhere, not even in the next capture.
     // lint: recovery-path
     fn quarantine_rollback(&mut self, base: u64, len: u64) {
-        let end = base + len;
-        // Drop (or split) working-log entries overlapping the range.
-        let entries = std::mem::take(&mut self.working_log);
-        for (addr, data) in entries {
-            let a_end = addr + data.len() as u64;
-            if a_end <= base || addr >= end {
-                self.working_log.push((addr, data));
-                continue;
-            }
-            if addr < base {
-                self.working_log.push((addr, data[..(base - addr) as usize].to_vec()));
-            }
-            if a_end > end {
-                self.working_log.push((end, data[(end - addr) as usize..].to_vec()));
-            }
-        }
-        // Rebuild the range from the last checkpoint plus captured writes.
         let mut img = vec![0u8; len as usize];
-        self.committed.read(thynvm_types::HwAddr::new(base), &mut img);
-        for (addr, data) in &self.ckpting_log {
-            let a_end = *addr + data.len() as u64;
-            if a_end <= base || *addr >= end {
-                continue;
-            }
-            let from = base.max(*addr);
-            let to = end.min(a_end);
-            img[(from - base) as usize..(to - base) as usize]
-                .copy_from_slice(&data[(from - addr) as usize..(to - addr) as usize]);
-        }
-        self.visible.write(thynvm_types::HwAddr::new(base), &img);
+        let last = self.ckpting.as_ref().unwrap_or(&self.committed);
+        last.read(HwAddr::new(base), &mut img);
+        self.visible.write(HwAddr::new(base), &img);
     }
 
     /// Quarantines a poisoned *dirty* PTT page: its dirty data is dropped
@@ -1428,10 +1404,10 @@ impl ThyNvm {
     // Job retirement and version rotation
     // ------------------------------------------------------------------
 
-    /// If the in-flight checkpoint completed by `now`, commit it: apply the
-    /// captured write log to the committed image, rotate versions
-    /// (`pending` → `C_last`), thaw pages, merge cooperation blocks, and
-    /// apply deferred scheme switches.
+    /// If the in-flight checkpoint completed by `now`, commit it: its
+    /// captured image becomes `C_last`, versions rotate (`pending` →
+    /// `C_last`), pages thaw, cooperation blocks merge, and deferred
+    /// scheme switches apply.
     fn retire_job_if_done(&mut self, now: Cycle) {
         // A job whose completion lies at or beyond an armed crash point can
         // never commit: power fails first. Leaving it in place lets the
@@ -1455,43 +1431,34 @@ impl ThyNvm {
     fn commit_job(&mut self, job: CkptJob) {
         let retire_at = job.done_at;
 
-        // The image about to be superseded becomes `C_penult` — the
-        // integrity-fallback target should `C_last` later fail verification
-        // (media CRCs or secure-mode MAC authentication).
-        if self.fault.is_some() || self.cfg.media.integrity || self.security.is_some() {
-            self.committed_prev = self.committed.clone();
-        }
+        // Functional commit: the image the final round captured becomes
+        // `C_last`. An intermediate round captured nothing, so committing
+        // it leaves `C_last`'s contents as they were.
+        let next = self.ckpting.take().unwrap_or_else(|| self.committed.clone());
 
         // Rotate the checkpoint MACs with the images: the superseded
         // image's MAC becomes the fallback's reference, and the fresh
         // committed image is authenticated under the modeled key. The MAC
-        // is a sum of per-page terms, so only the pages this commit
-        // rewrites change it: their old terms come out before the write,
-        // their new terms go in after it.
-        let mut mac_pages: Vec<u64> = Vec::new();
+        // is a sum of per-page terms, so only the pages the capture does
+        // not share with `C_last` change it: their old terms come out and
+        // their new terms go in.
         if self.security.is_some() {
             self.mac_penult = self.mac_last;
-            for (addr, data) in self.ckpting_log.iter().filter(|(_, data)| !data.is_empty()) {
-                let last = addr + data.len() as u64 - 1;
-                mac_pages.extend(addr / PAGE_BYTES..=last / PAGE_BYTES);
+            for page in next.pages_not_shared_with(&self.committed) {
+                self.mac_last = self
+                    .mac_last
+                    .wrapping_sub(self.committed.page_mac(self.mac_key, page))
+                    .wrapping_add(next.page_mac(self.mac_key, page));
             }
-            mac_pages.sort_unstable();
-            mac_pages.dedup();
-            for &page in &mac_pages {
-                self.mac_last = self.mac_last.wrapping_sub(self.committed.page_mac(self.mac_key, page));
-            }
+            debug_assert_eq!(self.mac_last, next.mac(self.mac_key));
         }
 
-        // Functional commit: the checkpointed epoch's writes become durable.
-        for (addr, data) in self.ckpting_log.drain(..) {
-            self.committed.write(thynvm_types::HwAddr::new(addr), &data);
-        }
-
-        if self.security.is_some() {
-            for &page in &mac_pages {
-                self.mac_last = self.mac_last.wrapping_add(self.committed.page_mac(self.mac_key, page));
-            }
-            debug_assert_eq!(self.mac_last, self.committed.mac(self.mac_key));
+        // The image superseded becomes `C_penult` — the integrity-fallback
+        // target should `C_last` later fail verification (media CRCs or
+        // secure-mode MAC authentication).
+        let superseded = std::mem::replace(&mut self.committed, next);
+        if self.fault.is_some() || self.cfg.media.integrity || self.security.is_some() {
+            self.committed_prev = superseded;
         }
 
         // Rotate the persisted health rung alongside the images it was
@@ -2078,9 +2045,8 @@ impl ThyNvm {
 
     /// Whether any state from the active epoch would be lost on a crash.
     pub fn has_uncheckpointed_writes(&self) -> bool {
-        !self.working_log.is_empty()
-            || self.btt.dirty_entries() > 0
-            || self.ptt.iter().any(|(_, e)| e.dirty)
+        // Every store dirties a BTT or PTT entry.
+        self.btt.dirty_entries() > 0 || self.ptt.iter().any(|(_, e)| e.dirty)
     }
 
     // ------------------------------------------------------------------
@@ -2129,7 +2095,6 @@ impl ThyNvm {
         self.retire_job_if_done(now);
         self.degraded_store_rejection(now)?;
         self.visible.write(thynvm_types::HwAddr::new(addr.raw()), data);
-        self.working_log.push((addr.raw(), data.to_vec()));
         let req = MemRequest::write(addr, u32::try_from(data.len()).expect("write too large"));
         Ok(self.access(&req, now))
     }
@@ -2275,8 +2240,7 @@ impl ThyNvm {
         // incomplete checkpoint's health record (its commit flag never set).
         let rolled_back_incomplete = self.epoch.job.take().is_some();
         self.pending_health_rung = None;
-        self.ckpting_log.clear();
-        self.working_log.clear();
+        self.ckpting = None;
         self.pending_pages.clear();
         self.pending_switch_counts.clear();
         self.page_store_counts.clear();
@@ -2520,6 +2484,21 @@ impl ThyNvm {
         done
     }
 
+    /// Recovery falls back to `C_penult`: its image, MAC and health rung
+    /// become `C_last`'s together, and the completed-checkpoint count drops
+    /// by the one abandoned. No guard is needed: with secure mode off both
+    /// MACs stay the empty image's, and with the ladder off both rungs stay
+    /// `Healthy`.
+    // lint: recovery-path
+    fn fall_back_to_penult(&mut self) {
+        self.committed = self.committed_prev.clone();
+        self.mac_last = self.mac_penult;
+        self.health_rung_last = self.health_rung_penult;
+        // Saturating: a CRC fallback may already have landed on zero
+        // completed checkpoints before a MAC fallback.
+        self.epoch.completed = self.epoch.completed.saturating_sub(1);
+    }
+
     /// The body of one recovery attempt. Each step pays its modeled NVM
     /// latency, then checks the queued crash points before its effects are
     /// considered complete.
@@ -2595,17 +2574,7 @@ impl ThyNvm {
                 self.injected_torn_commit = false;
                 self.injected_clast_flip = None;
                 self.injected_meta_corrupt = false;
-                self.committed = self.committed_prev.clone();
-                // The fallback image's MAC becomes the reference `C_last`
-                // MAC, exactly as the images themselves rotated — and so
-                // does the health rung persisted alongside it.
-                if self.security.is_some() {
-                    self.mac_last = self.mac_penult;
-                }
-                if self.health_mon.is_some() {
-                    self.health_rung_last = self.health_rung_penult;
-                }
-                self.epoch.completed -= 1;
+                self.fall_back_to_penult();
                 self.stats.media.integrity_fallbacks += 1;
                 v.integrity_fallback = true;
                 t = w;
@@ -2693,14 +2662,7 @@ impl ThyNvm {
                     // Degrade to `C_penult` exactly as CRC failures do,
                     // re-deriving and re-sealing the counter table from
                     // the surviving authenticated image.
-                    self.committed = self.committed_prev.clone();
-                    self.mac_last = self.mac_penult;
-                    if self.health_mon.is_some() {
-                        self.health_rung_last = self.health_rung_penult;
-                    }
-                    // Saturating: a CRC fallback may already have landed on
-                    // zero completed checkpoints before this second fallback.
-                    self.epoch.completed = self.epoch.completed.saturating_sub(1);
+                    self.fall_back_to_penult();
                     self.security.as_mut().expect("invariant: secure mode is on in this block").heal_table();
                     self.stats.security.verify_fallbacks += 1;
                     v.integrity_fallback = true;
@@ -2976,8 +2938,8 @@ impl MemorySystem for ThyNvm {
 impl ThyNvm {
     /// One checkpoint round: the Figure 6(b) sequence. `data_ready` is when
     /// the epoch's initiated cache writebacks complete — the metadata
-    /// persist must not start earlier. `final_round` captures the
-    /// functional write log and honors the overlap setting; intermediate
+    /// persist must not start earlier. `final_round` captures the visible
+    /// image and honors the overlap setting; intermediate
     /// rounds (metadata/timing only) always block until the round completes
     /// and is retired. Returns the processor-resume cycle.
     fn checkpoint_round(&mut self, t: Cycle, data_ready: Cycle, final_round: bool) -> Cycle {
@@ -3184,13 +3146,13 @@ impl ThyNvm {
         self.charge_crc(64); // checksummed commit record
         self.wpq_push_marker(self.space.backup(0), commit_start, bg);
 
-        // Functional capture: the ending epoch's writes are now "being
-        // checkpointed"; they commit when the job retires. Intermediate
+        // Functional capture: the ending epoch's image is now "being
+        // checkpointed"; it commits when the job retires. Intermediate
         // rounds persist metadata only — a crash among them rolls back to
         // the previous full epoch boundary (conservative, see DESIGN.md).
-        debug_assert!(self.ckpting_log.is_empty(), "previous job retired above");
+        debug_assert!(self.ckpting.is_none(), "previous job retired above");
         if final_round {
-            self.ckpting_log = std::mem::take(&mut self.working_log);
+            self.ckpting = Some(self.visible.clone());
         }
 
         self.stats.ckpt_busy_cycles += bg - ckpt_start;
@@ -3558,6 +3520,20 @@ mod tests {
         sys.load_bytes(PhysAddr::new(0), &mut buf, done);
         assert_eq!(sys.stats().crashes_injected, 1);
         assert_eq!(sys.visible_fingerprint(), before, "the epoch's writes are all lost");
+    }
+
+    #[test]
+    fn functional_footprint_counts_the_image_in_flight() {
+        let mut sys = small();
+        let t = sys.store_bytes(PhysAddr::new(0), &[1u8; 64], Cycle::ZERO);
+        let t = sys.force_checkpoint(t);
+        assert!(sys.epoch_state().job_running(t));
+        // Rewriting the page copies it: the checkpoint in flight now holds
+        // the only copy of the old version, and nothing is committed yet.
+        let t = sys.store_bytes(PhysAddr::new(0), &[2u8; 64], t);
+        assert_eq!(sys.functional_footprint_pages(), 2, "visible + capture");
+        sys.drain(t);
+        assert_eq!(sys.functional_footprint_pages(), 2, "visible + committed");
     }
 
     #[test]

@@ -32,7 +32,8 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// Std container/`Option` method names that, invoked on a non-`self`
 /// receiver, are almost certainly *not* calls into workspace functions —
-/// `self.ckpting_log.drain(..)` must not edge to `Controller::drain`.
+/// `self.dirty.drain()` in `SecurityModel::crash` must not edge to
+/// `ThyNvm::drain`.
 /// Dropping these edges loses no effects: `SparseStore` mutations through
 /// these names are seeded directly at the call site by `crate::effects`.
 const COLLECTION_METHODS: &[&str] = &[

@@ -59,13 +59,11 @@ pub(crate) const STORE_MUTATORS: &[&str] = &["write", "write_words", "copy_withi
 /// L1 allowlist: (file, functions) where raw store mutation is sealed by
 /// WAL/commit protocol or models power-loss volatility.
 const L1_ALLOW: &[(&str, &[&str])] = &[
-    // Commit point of a retired checkpoint job (`commit_job`, shared by
-    // normal retirement and the crash-time WPQ early-commit path);
     // CPU-visible store-through; DRAM-poison quarantine rolling visible
     // bytes back to the checkpoint; tamper injection modeling an
     // attacker's out-of-band NVM writes (the bypass of the sealed path is
     // the point — recovery must catch it).
-    ("crates/core/src/controller.rs", &["retire_job_if_done", "commit_job", "store", "quarantine_rollback", "apply_tamper"]),
+    ("crates/core/src/controller.rs", &["store", "quarantine_rollback", "apply_tamper"]),
     // Journal flush (redo applied under the commit record) + buffer fill.
     ("crates/baselines/src/journal.rs", &["flush", "store_bytes", "power_fail"]),
     // Shadow-paging flush, copy-on-write buffer fill, volatility model.
@@ -813,9 +811,16 @@ mod tests {
         .is_empty());
         assert!(one(
             "crates/core/src/controller.rs",
-            "fn retire_job_if_done(&mut self) { self.committed.write(a, b); }"
+            "fn quarantine_rollback(&mut self) { self.visible.write(a, b); }"
         )
         .is_empty());
+        // A checkpoint commit swaps in a captured image; it writes none.
+        let diags = one(
+            "crates/core/src/controller.rs",
+            "fn commit_job(&mut self) { self.committed.write(a, b); }",
+        );
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].rule, "L1");
         assert!(one(
             "crates/core/src/x.rs",
             "#[cfg(test)] mod t { fn f() { store.write(a, b); } }"

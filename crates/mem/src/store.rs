@@ -168,48 +168,6 @@ impl SparseStore {
         buf
     }
 
-    /// Copies `len` bytes from `src` to `dst` within this store.
-    ///
-    /// Semantics are *snapshot*: the bytes written at `dst` are the bytes
-    /// `src` held before the copy began, even when the ranges overlap.
-    /// Disjoint ranges stream through a small stack buffer; only genuine
-    /// overlap pays for a full heap snapshot of the source.
-    pub fn copy_within(&mut self, src: HwAddr, dst: HwAddr, len: usize) {
-        let (s, d) = (src.raw(), dst.raw());
-        let overlaps = s < d.saturating_add(len as u64) && d < s.saturating_add(len as u64);
-        if overlaps && s != d {
-            let mut buf = vec![0u8; len];
-            self.read(src, &mut buf);
-            self.write(dst, &buf);
-            return;
-        }
-        if s == d {
-            return;
-        }
-        let mut buf = [0u8; 512];
-        let mut done = 0usize;
-        while done < len {
-            let n = (len - done).min(buf.len());
-            self.read(src.offset(done as u64), &mut buf[..n]);
-            self.write(dst.offset(done as u64), &buf[..n]);
-            done += n;
-        }
-    }
-
-    /// Reads `buf.len()` bytes starting at `addr` through a media-fault
-    /// model: the true bytes are fetched, then corrupted as the device
-    /// would have corrupted them. Returns the fault kind when the buffer
-    /// was corrupted.
-    pub fn read_faulty(
-        &self,
-        addr: HwAddr,
-        buf: &mut [u8],
-        fault: &mut crate::fault::FaultModel,
-    ) -> Option<thynvm_types::FaultKind> {
-        self.read(addr, buf);
-        fault.corrupt_read(addr, buf)
-    }
-
     /// Discards all contents — the volatile-device crash model.
     pub fn clear(&mut self) {
         self.index.clear();
@@ -221,6 +179,19 @@ impl SparseStore {
     /// unspecified order.
     pub fn iter_pages(&self) -> impl Iterator<Item = (u64, &[u8; PAGE])> {
         self.index.iter().map(|(&idx, &slot)| (idx, &*self.arena[slot as usize]))
+    }
+
+    /// Page indices of this image whose page it does not share with
+    /// `base`, in unspecified order. For an image cloned from `base`,
+    /// these are the pages written or allocated since the clone. A page
+    /// only `base` holds is not listed.
+    pub fn pages_not_shared_with<'a>(&'a self, base: &'a Self) -> impl Iterator<Item = u64> + 'a {
+        self.index.iter().filter_map(move |(&idx, &slot)| {
+            let page = &self.arena[slot as usize];
+            let shared =
+                base.slot_of(idx).is_some_and(|b| Arc::ptr_eq(page, &base.arena[b as usize]));
+            (!shared).then_some(idx)
+        })
     }
 
     /// A content-based fingerprint of the store: an FNV-1a-style hash over
@@ -368,57 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_within_moves_data() {
-        let mut m = SparseStore::new();
-        m.write(HwAddr::new(0), b"abcdef");
-        m.copy_within(HwAddr::new(0), HwAddr::new(8192), 6);
-        let mut buf = [0u8; 6];
-        m.read(HwAddr::new(8192), &mut buf);
-        assert_eq!(&buf, b"abcdef");
-    }
-
-    #[test]
-    fn copy_within_overlapping_regions_via_buffer() {
-        let mut m = SparseStore::new();
-        m.write(HwAddr::new(0), &[1, 2, 3, 4]);
-        m.copy_within(HwAddr::new(0), HwAddr::new(2), 4);
-        let mut buf = [0u8; 6];
-        m.read(HwAddr::new(0), &mut buf);
-        assert_eq!(buf, [1, 2, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn copy_within_overlapping_backward_snapshots_too() {
-        let mut m = SparseStore::new();
-        m.write(HwAddr::new(2), &[1, 2, 3, 4]);
-        m.copy_within(HwAddr::new(2), HwAddr::new(0), 4);
-        let mut buf = [0u8; 6];
-        m.read(HwAddr::new(0), &mut buf);
-        assert_eq!(buf, [1, 2, 3, 4, 3, 4]);
-    }
-
-    #[test]
-    fn copy_within_identical_ranges_is_a_noop() {
-        let mut m = SparseStore::new();
-        m.write(HwAddr::new(64), &[5, 6, 7]);
-        m.copy_within(HwAddr::new(64), HwAddr::new(64), 3);
-        assert_eq!(&m.read_block(HwAddr::new(64))[..3], &[5, 6, 7]);
-    }
-
-    #[test]
-    fn copy_within_larger_than_stack_chunk() {
-        // Exercise the chunked (disjoint) path across several 512 B chunks
-        // and a page boundary.
-        let mut m = SparseStore::new();
-        let src: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
-        m.write(HwAddr::new(100), &src);
-        m.copy_within(HwAddr::new(100), HwAddr::new(100_000), src.len());
-        let mut back = vec![0u8; src.len()];
-        m.read(HwAddr::new(100_000), &mut back);
-        assert_eq!(back, src);
-    }
-
-    #[test]
     fn clear_models_volatility() {
         let mut m = SparseStore::new();
         m.write(HwAddr::new(0), &[1; 64]);
@@ -445,23 +365,6 @@ mod tests {
         let mut idxs: Vec<u64> = m.iter_pages().map(|(i, _)| i).collect();
         idxs.sort_unstable();
         assert_eq!(idxs, vec![0, 3]);
-    }
-
-    #[test]
-    fn read_faulty_corrupts_through_the_model() {
-        use thynvm_types::MediaFaultConfig;
-        let mut m = SparseStore::new();
-        m.write(HwAddr::new(0), &[0u8; 64]);
-        let mut fault = crate::fault::FaultModel::new(
-            &MediaFaultConfig { enabled: true, bit_flip_rate: 1.0, ..Default::default() },
-            8192,
-        );
-        let mut buf = [0u8; 64];
-        let kind = m.read_faulty(HwAddr::new(0), &mut buf, &mut fault);
-        assert_eq!(kind, Some(thynvm_types::FaultKind::BitFlip));
-        assert_ne!(buf, [0u8; 64], "delivered bytes differ from stored bytes");
-        // The store itself is untouched.
-        assert_eq!(m.read_block(HwAddr::new(0)), [0u8; 64]);
     }
 
     #[test]
@@ -554,15 +457,17 @@ mod tests {
         assert_eq!(clone.read_block(HwAddr::new(PAGE_BYTES - 4))[..5], [2, 2, 2, 6, 6]);
         assert_eq!(src.read_block(HwAddr::new(PAGE_BYTES - 4))[..5], [2, 2, 2, 2, 2]);
 
-        // copy_within on either side.
-        let mut moved = snapshot.clone();
-        moved.copy_within(HwAddr::new(0), HwAddr::new(5 * PAGE_BYTES), 64);
-        assert_eq!(moved.read_block(HwAddr::new(5 * PAGE_BYTES)), [1; 64]);
+        // Writes across a page boundary from a new page into a shared one,
+        // and across two pages neither image holds.
+        let mut into_shared = snapshot.clone();
+        into_shared.write(HwAddr::new(5 * PAGE_BYTES - 32), &[1; 64]);
+        assert_eq!(into_shared.read_block(HwAddr::new(5 * PAGE_BYTES - 32)), [1; 64]);
+        assert_eq!(snapshot.read_block(HwAddr::new(5 * PAGE_BYTES - 64)), [0; 64]);
         assert_eq!(snapshot.read_block(HwAddr::new(5 * PAGE_BYTES))[..16], [3; 16]);
-        let mut still = snapshot.clone();
-        still.copy_within(HwAddr::new(PAGE_BYTES - 4), HwAddr::new(9 * PAGE_BYTES - 4), 8);
+        let mut into_fresh = snapshot.clone();
+        into_fresh.write(HwAddr::new(9 * PAGE_BYTES - 4), &[2; 8]);
         assert_eq!(snapshot.read_block(HwAddr::new(9 * PAGE_BYTES - 4)), [0; 64]);
-        assert_eq!(still.read_block(HwAddr::new(9 * PAGE_BYTES - 4))[..8], [2; 8]);
+        assert_eq!(into_fresh.read_block(HwAddr::new(9 * PAGE_BYTES - 4))[..8], [2; 8]);
 
         // clear on either side.
         let mut cleared = snapshot.clone();
@@ -593,6 +498,35 @@ mod tests {
         // The still-shared page has one term; the copied one has two.
         assert_eq!(a.page_mac(11, 1), b.page_mac(11, 1));
         assert_ne!(a.page_mac(11, 0), b.page_mac(11, 0));
+    }
+
+    #[test]
+    fn pages_not_shared_with_lists_the_pages_written_since_the_clone() {
+        let listed = |img: &SparseStore, base: &SparseStore| {
+            let mut pages: Vec<u64> = img.pages_not_shared_with(base).collect();
+            pages.sort_unstable();
+            pages
+        };
+        let mut base = SparseStore::new();
+        for page in 0..4 {
+            base.write(HwAddr::new(page * PAGE_BYTES), &[page as u8 + 1; 64]);
+        }
+        let mut next = base.clone();
+        assert_eq!(listed(&next, &base), [] as [u64; 0], "a fresh clone shares every page");
+        // A write inside one page, one across a page boundary, and one
+        // into a page `base` never held.
+        next.write(HwAddr::new(PAGE_BYTES + 8), &[9; 4]);
+        next.write(HwAddr::new(3 * PAGE_BYTES - 2), &[8; 4]);
+        next.write(HwAddr::new(7 * PAGE_BYTES), &[7; 4]);
+        let pages = listed(&next, &base);
+        assert_eq!(pages, [1, 2, 3, 7]);
+        // The listed pages carry the whole MAC difference.
+        let key = 0x5eed;
+        let mac = pages.iter().fold(base.mac(key), |m, &p| {
+            m.wrapping_sub(base.page_mac(key, p)).wrapping_add(next.page_mac(key, p))
+        });
+        assert_eq!(mac, next.mac(key));
+        assert_eq!(listed(&base, &base), [] as [u64; 0]);
     }
 
     #[test]

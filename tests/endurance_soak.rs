@@ -333,8 +333,9 @@ fn seeded_endurance_soak_degrades_gracefully_without_divergence() {
     assert!(failsafes > 0, "soak never reached FailSafe");
     assert!(fallbacks > 0, "soak never fell back to C_penult");
     // Bounded footprint: the workload touches ~10 pages of address space;
-    // the functional stores (visible + committed + penult + archive) must
-    // stay proportional to that, not to the millions of simulated cycles.
+    // the functional stores (visible + in-flight capture + committed +
+    // penult + archive) must stay proportional to that, not to the
+    // millions of simulated cycles.
     assert!(
         max_footprint <= 256,
         "functional footprint grew past the working-set bound: {max_footprint} pages"
