@@ -271,7 +271,8 @@ pub struct ThyNvm {
     /// Latest recoverable contents (state at the last *completed*
     /// checkpoint), physical address space.
     committed: SparseStore,
-    /// Current software-visible contents. They only ever gain pages, so
+    /// Current software-visible contents. Recovery resets them to a clone
+    /// of `committed`, and between recoveries they only gain pages, so
     /// every image captured from them holds every page `committed` holds.
     visible: SparseStore,
     /// `visible` as the in-flight checkpoint's final round captured it;
