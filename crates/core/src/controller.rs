@@ -4020,30 +4020,43 @@ mod tests {
 
     #[test]
     fn stuck_cell_is_remapped_exactly_once() {
-        let mut sys = ThyNvm::new(media_cfg(|m| {
-            m.stuck_at_threshold = 2;
-            m.scrub = false; // exercise the read path, not the scrubber
-        }));
-        // Two writes to the same row cross the wear threshold.
-        let t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], Cycle::ZERO);
-        let t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], t);
-        assert_eq!(sys.stats().media.stuck_faults, 1, "wear created a stuck cell");
-        let mut buf = [0u8; 64];
-        let t = sys.load_bytes(PhysAddr::new(0), &mut buf, t);
-        assert_eq!(buf, [7u8; 64], "functional contents survive the remap");
-        let m = sys.stats().media;
-        assert_eq!(m.remaps, 1, "retries exhausted, block remapped to spare");
-        assert_eq!(m.retries, 3, "all bounded retries failed on a stuck cell");
-        assert_eq!(sys.bad_block_remaps(), 1);
-        let errs = errors(&mut sys);
-        assert!(matches!(errs[..], [Error::RetriesExhausted { attempts: 3, .. }]), "got {errs:?}");
-        // A second read resolves through the bad-block table: no new
-        // retries, no second remap.
-        sys.load_bytes(PhysAddr::new(0), &mut buf, t);
-        assert_eq!(buf, [7u8; 64]);
-        let m = sys.stats().media;
-        assert_eq!(m.remaps, 1, "a block is remapped at most once");
-        assert_eq!(m.retries, 3, "remapped reads are clean");
+        for armed in [false, true] {
+            let mut cfg = media_cfg(|m| {
+                m.stuck_at_threshold = 2;
+                m.scrub = false; // exercise the read path, not the scrubber
+            });
+            if armed {
+                cfg.wpq = thynvm_types::PersistBufferConfig::armed();
+            }
+            let mut sys = ThyNvm::new(cfg);
+            // Two writes to the same row cross the wear threshold.
+            let t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], Cycle::ZERO);
+            let t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], t);
+            assert_eq!(sys.stats().media.stuck_faults, 1, "wear created a stuck cell");
+            let wpq_before = sys.stats().wpq;
+            let mut buf = [0u8; 64];
+            let t = sys.load_bytes(PhysAddr::new(0), &mut buf, t);
+            assert_eq!(buf, [7u8; 64], "functional contents survive the remap");
+            let m = sys.stats().media;
+            assert_eq!(m.remaps, 1, "retries exhausted, block remapped to spare");
+            assert_eq!(m.retries, 3, "all bounded retries failed on a stuck cell");
+            assert_eq!(sys.bad_block_remaps(), 1);
+            // With the persist buffer armed the remap's intent, payload and
+            // seal each enter it, and one fence orders the seal after both.
+            let wpq = sys.stats().wpq;
+            let (entries, fences) = if armed { (3, 1) } else { (0, 0) };
+            assert_eq!(wpq.enqueued - wpq_before.enqueued, entries, "armed: {armed}");
+            assert_eq!(wpq.fences - wpq_before.fences, fences, "armed: {armed}");
+            let errs = errors(&mut sys);
+            assert!(matches!(errs[..], [Error::RetriesExhausted { attempts: 3, .. }]), "got {errs:?}");
+            // A second read resolves through the bad-block table: no new
+            // retries, no second remap.
+            sys.load_bytes(PhysAddr::new(0), &mut buf, t);
+            assert_eq!(buf, [7u8; 64]);
+            let m = sys.stats().media;
+            assert_eq!(m.remaps, 1, "a block is remapped at most once");
+            assert_eq!(m.retries, 3, "remapped reads are clean");
+        }
     }
 
     #[test]
@@ -4997,6 +5010,24 @@ mod tests {
         let mut buf = [0u8; 64];
         sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
         assert_eq!(buf, [1u8; 64]);
+    }
+
+    #[test]
+    fn reclaim_migration_reencrypts_each_home_copy() {
+        // §4.3 reclaim copies each `C_last` block stranded in Region A to
+        // the Home Region. The copy is a data write, so it bumps its
+        // block's counter after the checkpoint persisted the table.
+        let mut sys = ThyNvm::new(secure_cfg(|_| {}));
+        let mut t = Cycle::ZERO;
+        for page in 0..50u64 {
+            t = sys.store_bytes(PhysAddr::new(page * PAGE_BYTES), &[3u8; 64], t);
+        }
+        assert_eq!(sys.btt().len(), 50);
+        let t = sys.force_checkpoint(t);
+        sys.drain(t);
+        assert_eq!(sys.btt().len(), 38, "retirement reclaims down to 60 % of 64 entries");
+        let sec = sys.security_model().expect("secure mode on");
+        assert_eq!(sec.dirty_count(), 12, "one re-encrypted home copy per reclaimed entry");
     }
 
     /// Asserts that both checkpoint MACs equal a full recomputation over
