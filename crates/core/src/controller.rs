@@ -921,19 +921,25 @@ impl ThyNvm {
         self.dram_fault.as_mut()
     }
 
-    /// Poisoned 64 B working-region blocks intersecting `[off, off+len)`,
-    /// or empty when the ECC model is off or the working region is not
-    /// DRAM (NVM placement carries the media model's protection instead).
-    fn dram_poisoned_in(&self, off: u64, len: u64) -> Vec<u64> {
+    /// Clears the DRAM poison on the 64 B working-region blocks
+    /// intersecting `[off, off+len)` and returns how many were poisoned:
+    /// none when the ECC model is off or the working region is not DRAM
+    /// (NVM placement carries the media model's protection instead).
+    fn clear_poison(&mut self, off: u64, len: u64) -> u64 {
         if self.cfg.thynvm.working_region != thynvm_types::WorkingRegion::Dram {
-            return Vec::new();
+            return 0;
         }
-        self.dram_fault.as_ref().map_or_else(Vec::new, |e| e.poisoned_in(off, len))
+        let Some(ecc) = self.dram_fault.as_mut() else { return 0 };
+        let poisoned = ecc.poisoned_in(off, len);
+        for &b in &poisoned {
+            ecc.clear_block(b);
+        }
+        poisoned.len() as u64
     }
 
     /// Whether `[off, off+len)` of the working region is free of DRAM
-    /// poison — the allocation-free form of [`Self::dram_poisoned_in`] for
-    /// the per-access load path, where the answer is almost always "yes".
+    /// poison — the allocation-free query for the per-access load path,
+    /// where the answer is almost always "yes".
     fn dram_poison_free(&self, off: u64, len: u64) -> bool {
         if self.cfg.thynvm.working_region != thynvm_types::WorkingRegion::Dram {
             return true;
@@ -969,25 +975,14 @@ impl ThyNvm {
         let mut done = now;
         if let Some(region) = entry.clast_region {
             let src = self.space.checkpoint_page(region, page);
-            done = self.nvm.access(src, AccessKind::Read, PAGE_BYTES as u32, done);
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += PAGE_BYTES;
+            done = self.nvm_read(src, PAGE_BYTES as u32, done);
             let dst = self.remapped(self.space.home(page.base_addr()));
-            done = self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, done);
-            self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Migration);
-            self.media_note_write(dst, PAGE_BYTES as u32);
-            self.security_note_write(dst, PAGE_BYTES as u32);
+            done = self.nvm_write(dst, PAGE_BYTES as u32, done, NvmWriteClass::Migration);
         }
         // With no checkpointed copy the Home Region still holds the page's
         // pre-promotion bytes — nothing durable ever left it — so no copy
         // is needed.
-        let poisoned = self.dram_poisoned_in(off, PAGE_BYTES);
-        if let Some(ecc) = self.dram_fault.as_mut() {
-            for b in &poisoned {
-                ecc.clear_block(*b);
-            }
-        }
-        self.stats.dram.poison_dropped += poisoned.len() as u64;
+        self.stats.dram.poison_dropped += self.clear_poison(off, PAGE_BYTES);
         self.quarantine_rollback(page.base_addr().raw(), PAGE_BYTES);
         self.stats.dram.quarantined_pages += 1;
         self.stats.dram.quarantine_dropped_bytes += PAGE_BYTES;
@@ -1004,13 +999,7 @@ impl ThyNvm {
     /// block-aligned working-region offset of the buffer slot.
     // lint: recovery-path
     fn quarantine_buffered_block(&mut self, block: BlockIndex, off: u64, now: Cycle) -> Cycle {
-        let poisoned = self.dram_poisoned_in(off, BLOCK_BYTES);
-        if let Some(ecc) = self.dram_fault.as_mut() {
-            for b in &poisoned {
-                ecc.clear_block(*b);
-            }
-        }
-        self.stats.dram.poison_dropped += poisoned.len() as u64;
+        self.stats.dram.poison_dropped += self.clear_poison(off, BLOCK_BYTES);
         let state = self.btt.get_mut(block).map(|e| {
             e.wactive = None;
             (e.pending.is_none(), e.clast_region.is_none())
@@ -1077,16 +1066,6 @@ impl ThyNvm {
         self.stats.media.crc_check_cycles += Cycle::from_ns(CRC_NS_PER_BLOCK * blocks);
     }
 
-    /// Feeds one NVM data write into the wear model. When the write pushes
-    /// its row across the stuck-at threshold a cell goes permanently bad;
-    /// the read path and the scrubber handle it from then on.
-    fn media_note_write(&mut self, hw: HwAddr, bytes: u32) {
-        let Some(fault) = self.fault.as_mut() else { return };
-        if fault.record_write(hw, bytes).is_some() {
-            self.stats.media.record_fault(FaultKind::StuckAt);
-        }
-    }
-
     /// Attributes counter-mode encryption + MAC work for `bytes` of data
     /// (`encrypt` distinguishes the write path from read-side decrypt +
     /// verify). Pure stats, like [`Self::charge_crc`]: the AES-CTR pads are
@@ -1111,20 +1090,57 @@ impl ThyNvm {
         }
     }
 
-    /// Feeds one NVM data write into the secure-mode model: every touched
-    /// 64 B block is re-encrypted under a bumped write counter (counter
-    /// reuse would break CTR-mode confidentiality), which dirties the
-    /// counter table the next epoch boundary must persist.
-    fn security_note_write(&mut self, hw: HwAddr, bytes: u32) {
-        let Some(sec) = self.security.as_mut() else { return };
-        let start = hw.raw() & !(BLOCK_BYTES - 1);
-        let end = hw.raw() + u64::from(bytes);
-        let mut b = start;
-        while b < end {
-            sec.note_block_write(b);
-            b += BLOCK_BYTES;
+    // ------------------------------------------------------------------
+    // The NVM access path
+    // ------------------------------------------------------------------
+
+    /// One NVM device read, counted in `nvm_reads` / `nvm_read_bytes`.
+    /// CRC checks, retries and decryption stay with the caller, which
+    /// knows what the read is for.
+    fn nvm_read(&mut self, src: HwAddr, bytes: u32, start: Cycle) -> Cycle {
+        self.stats.nvm_reads += 1;
+        self.stats.nvm_read_bytes += u64::from(bytes);
+        self.nvm.access(src, AccessKind::Read, bytes, start)
+    }
+
+    /// Writes one NVM data cell: the device write, its traffic class, the
+    /// wear model and counter-mode re-encryption. A write that pushes its
+    /// row across the stuck-at threshold leaves a permanently bad cell for
+    /// the read path and the scrubber. Every touched 64 B block is
+    /// re-encrypted under a bumped write counter (counter reuse would break
+    /// CTR-mode confidentiality), which dirties the counter table the next
+    /// epoch boundary persists. The persist-buffer push and any data CRC
+    /// stay with the caller: migrations never enter the buffer, and only
+    /// checkpoint writeback charges CRCs.
+    fn nvm_write(&mut self, dst: HwAddr, bytes: u32, start: Cycle, class: NvmWriteClass) -> Cycle {
+        let done = self.nvm.access(dst, AccessKind::Write, bytes, start);
+        self.stats.record_nvm_write(u64::from(bytes), class);
+        if let Some(fault) = self.fault.as_mut() {
+            if fault.record_write(dst, bytes).is_some() {
+                self.stats.media.record_fault(FaultKind::StuckAt);
+            }
         }
-        self.charge_crypto(u64::from(bytes), true);
+        if let Some(sec) = self.security.as_mut() {
+            let first = dst.raw() & !(BLOCK_BYTES - 1);
+            for b in (first..dst.raw() + u64::from(bytes)).step_by(BLOCK_BYTES as usize) {
+                sec.note_block_write(b);
+            }
+            self.charge_crypto(u64::from(bytes), true);
+        }
+        done
+    }
+
+    /// Persists one metadata record of `bytes` at `dst`: at least one 64 B
+    /// burst on the device, `bytes` of traffic in `class`, and one
+    /// persist-buffer entry. A record is no data cell, so it skips wear and
+    /// re-encryption. Any CRC stays with the caller, because the security
+    /// counters, tree and root carry none.
+    fn persist_record(&mut self, dst: HwAddr, bytes: u64, start: Cycle, class: NvmWriteClass) -> Cycle {
+        let burst = bytes.clamp(64, u64::from(u32::MAX)) as u32;
+        let done = self.nvm.access(dst, AccessKind::Write, burst, start);
+        self.stats.record_nvm_write(bytes, class);
+        self.wpq_push(dst, start, done, WpqKind::Data);
+        done
     }
 
     /// Resolves the bad-block indirection: accesses to a remapped block go
@@ -1170,28 +1186,20 @@ impl ThyNvm {
         // WAL intent: the (bad block → spare slot) assignment.
         let wal = self.space.backup_wal(self.wal_seq);
         self.wal_seq += 1;
-        let mut t = self.nvm.access(wal, AccessKind::Write, 64, now);
-        self.stats.record_nvm_write(64, NvmWriteClass::Migration);
+        let t = self.persist_record(wal, 64, now, NvmWriteClass::Migration);
         self.charge_crc(64);
-        self.wpq_push(wal, now, t, WpqKind::Data);
         let slot = self.next_spare_slot;
         self.next_spare_slot += 1;
         self.bad_blocks.insert(base, slot);
         let dst = self.space.spare_block(slot);
-        let payload_at = self.nvm.access(dst, AccessKind::Write, BLOCK_BYTES as u32, t);
-        self.stats.record_nvm_write(BLOCK_BYTES, NvmWriteClass::Migration);
-        self.media_note_write(dst, BLOCK_BYTES as u32);
-        self.security_note_write(dst, BLOCK_BYTES as u32);
+        let payload_at = self.nvm_write(dst, BLOCK_BYTES as u32, t, NvmWriteClass::Migration);
         self.wpq_push(dst, t, payload_at, WpqKind::Data);
-        t = payload_at;
         // §4.4: intent and payload must be durable before the seal that
         // commits them.
-        t = self.wpq_fence(t);
+        let t = self.wpq_fence(payload_at);
         // CRC seal: the remap commits when this lands.
-        let sealed = self.nvm.access(wal, AccessKind::Write, 64, t);
-        self.stats.record_nvm_write(64, NvmWriteClass::Migration);
+        let sealed = self.persist_record(wal, 64, t, NvmWriteClass::Migration);
         self.charge_crc(64);
-        self.wpq_push(wal, t, sealed, WpqKind::Data);
         self.stats.media.wal_seals += 1;
         self.stats.media.remaps += 1;
         Some(sealed)
@@ -1207,9 +1215,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn nvm_data_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
         let hw = self.remapped(hw);
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += u64::from(bytes);
-        let mut done = self.nvm.access(hw, AccessKind::Read, bytes, now);
+        let mut done = self.nvm_read(hw, bytes, now);
         // Secure mode decrypts + MAC-verifies every NVM data read,
         // independent of the media-fault model.
         self.charge_crypto(u64::from(bytes), false);
@@ -1247,9 +1253,7 @@ impl ThyNvm {
         let mut healed = false;
         for (_, backoff) in self.media_retry_policy().schedule() {
             done += backoff;
-            done = self.nvm.access(hw, AccessKind::Read, bytes, done);
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += u64::from(bytes);
+            done = self.nvm_read(hw, bytes, done);
             self.stats.media.retries += 1;
             self.stats.retry.media_attempts += 1;
             self.charge_crc(u64::from(bytes));
@@ -1306,9 +1310,7 @@ impl ThyNvm {
                 continue; // already remapped away from the bad cell
             }
             // Verify the block (NVM read + CRC), then remap it to a spare.
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += BLOCK_BYTES;
-            t = self.nvm.access(HwAddr::new(base), AccessKind::Read, BLOCK_BYTES as u32, t);
+            t = self.nvm_read(HwAddr::new(base), BLOCK_BYTES as u32, t);
             self.charge_crc(BLOCK_BYTES);
             if let Some(done) = self.remap_bad_block(base, t) {
                 t = done;
@@ -1343,12 +1345,10 @@ impl ThyNvm {
                 done
             }
             thynvm_types::WorkingRegion::Nvm => {
-                let done = self.nvm.access(
-                    thynvm_types::HwAddr::new(Self::NVM_WORKING_BASE + off),
-                    AccessKind::Write,
-                    bytes,
-                    now,
-                );
+                // Straight to the device, not `nvm_write`: the working copy
+                // is modeled without wear or re-encryption.
+                let done =
+                    self.nvm.access(HwAddr::new(Self::NVM_WORKING_BASE + off), AccessKind::Write, bytes, now);
                 self.stats.record_nvm_write(u64::from(bytes), NvmWriteClass::Cpu);
                 done
             }
@@ -1388,15 +1388,7 @@ impl ThyNvm {
                 done
             }
             thynvm_types::WorkingRegion::Nvm => {
-                let done = self.nvm.access(
-                    thynvm_types::HwAddr::new(Self::NVM_WORKING_BASE + off),
-                    AccessKind::Read,
-                    bytes,
-                    now,
-                );
-                self.stats.nvm_reads += 1;
-                self.stats.nvm_read_bytes += u64::from(bytes);
-                done
+                self.nvm_read(HwAddr::new(Self::NVM_WORKING_BASE + off), bytes, now)
             }
         }
     }
@@ -1638,14 +1630,7 @@ impl ThyNvm {
         }
         let slot = self.ptt.insert(page)?;
         // Assemble the page: bulk NVM read + DRAM fill.
-        self.nvm.access(
-            self.space.home(page.base_addr()),
-            AccessKind::Read,
-            PAGE_BYTES as u32,
-            now,
-        );
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += PAGE_BYTES;
+        self.nvm_read(self.space.home(page.base_addr()), PAGE_BYTES as u32, now);
         let off = self.space.working_offset(self.space.working_page(slot));
         self.working_write(off, PAGE_BYTES as u32, now);
         self.stats.pages_promoted += 1;
@@ -1673,39 +1658,21 @@ impl ThyNvm {
         let Some(entry) = self.ptt.remove(page) else { return };
         let off = self.space.working_offset(self.space.working_page(entry.slot));
         self.working_read(off, PAGE_BYTES as u32, now);
-        let poisoned = self.dram_poisoned_in(off, PAGE_BYTES);
-        if !poisoned.is_empty() {
-            // The page is clean (demotion skips dirty pages), so its exact
-            // bytes exist intact in NVM: source the migration copy from
-            // `C_last` instead of the poisoned DRAM — NVM-to-NVM, counted
-            // as refetches because no data is lost.
-            if let Some(ecc) = self.dram_fault.as_mut() {
-                for b in &poisoned {
-                    ecc.clear_block(*b);
-                }
-            }
-            self.stats.dram.poison_refetched += poisoned.len() as u64;
-            if let Some(region) = entry.clast_region {
-                let src = self.space.checkpoint_page(region, page);
-                self.nvm.access(src, AccessKind::Read, PAGE_BYTES as u32, now);
-                self.stats.nvm_reads += 1;
-                self.stats.nvm_read_bytes += PAGE_BYTES;
-                let dst = self.remapped(self.space.home(page.base_addr()));
-                self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, now);
-                self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Migration);
-                self.media_note_write(dst, PAGE_BYTES as u32);
-                self.security_note_write(dst, PAGE_BYTES as u32);
-            }
-            // With no checkpointed copy the Home Region already holds the
-            // page's bytes, so the demotion is pure bookkeeping.
-            self.stats.pages_demoted += 1;
-            return;
-        }
+        // The page is clean (demotion skips dirty pages), so under DRAM
+        // poison its exact bytes still exist intact in NVM: the migration
+        // copy is sourced from `C_last` instead — NVM-to-NVM, counted as
+        // refetches because no data is lost. With no checkpointed copy the
+        // Home Region already holds the page's bytes, so the demotion is
+        // pure bookkeeping.
+        let refetched = self.clear_poison(off, PAGE_BYTES);
+        self.stats.dram.poison_refetched += refetched;
         let dst = self.remapped(self.space.home(page.base_addr()));
-        self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, now);
-        self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Migration);
-        self.media_note_write(dst, PAGE_BYTES as u32);
-        self.security_note_write(dst, PAGE_BYTES as u32);
+        if refetched == 0 {
+            self.nvm_write(dst, PAGE_BYTES as u32, now, NvmWriteClass::Migration);
+        } else if let Some(region) = entry.clast_region {
+            self.nvm_read(self.space.checkpoint_page(region, page), PAGE_BYTES as u32, now);
+            self.nvm_write(dst, PAGE_BYTES as u32, now, NvmWriteClass::Migration);
+        }
         self.stats.pages_demoted += 1;
     }
 
@@ -1841,10 +1808,7 @@ impl ThyNvm {
             self.epoch_dirty_blocks += 1;
         }
         let hw = self.remapped(self.space.checkpoint_block(region, block));
-        let done = self.nvm.access(hw, AccessKind::Write, bytes, now);
-        self.stats.record_nvm_write(u64::from(bytes), class);
-        self.media_note_write(hw, bytes);
-        self.security_note_write(hw, bytes);
+        let done = self.nvm_write(hw, bytes, now, class);
         let resume = self.wpq_push(hw, now, done, WpqKind::Data);
         self.nvm_wq.push(done, now).max(resume)
     }
@@ -1861,14 +1825,9 @@ impl ThyNvm {
                 // C_last lives in Region A: copy it to the Home Region so
                 // the entry can be dropped.
                 let src = self.space.checkpoint_block(Region::A, block);
-                self.nvm.access(src, AccessKind::Read, BLOCK_BYTES as u32, now);
-                self.stats.nvm_reads += 1;
-                self.stats.nvm_read_bytes += BLOCK_BYTES;
+                self.nvm_read(src, BLOCK_BYTES as u32, now);
                 let dst = self.remapped(self.space.home(block.base_addr()));
-                self.nvm.access(dst, AccessKind::Write, BLOCK_BYTES as u32, now);
-                self.stats.record_nvm_write(BLOCK_BYTES, NvmWriteClass::Migration);
-                self.media_note_write(dst, BLOCK_BYTES as u32);
-                self.security_note_write(dst, BLOCK_BYTES as u32);
+                self.nvm_write(dst, BLOCK_BYTES as u32, now, NvmWriteClass::Migration);
             }
             reclaimed += 1;
         }
@@ -2351,19 +2310,14 @@ impl ThyNvm {
                 // WAL intent: the escalated rung about to be recorded.
                 let wal = self.space.backup_wal(self.wal_seq);
                 self.wal_seq += 1;
-                let intent_start = end;
-                end = self.nvm.access(wal, AccessKind::Write, 64, end);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
+                end = self.persist_record(wal, 64, end, NvmWriteClass::Migration);
                 self.charge_crc(64);
-                self.wpq_push(wal, intent_start, end, WpqKind::Data);
-                let rung_start = end;
-                end = self.nvm.access(self.space.health_record(), AccessKind::Write, 64, end);
-                self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
+                end = self.persist_record(self.space.health_record(), 64, end, NvmWriteClass::Checkpoint);
                 self.charge_crc(64);
-                self.wpq_push(self.space.health_record(), rung_start, end, WpqKind::Data);
                 // §4.4: intent and record must be durable before the seal.
                 end = self.wpq_fence(end);
-                // CRC seal: the override commits when this lands.
+                // CRC seal: the override commits when this lands. The seal
+                // goes straight to the device, outside the persist buffer.
                 end = self.nvm.access(wal, AccessKind::Write, 64, end);
                 self.stats.record_nvm_write(64, NvmWriteClass::Migration);
                 self.charge_crc(64);
@@ -2454,9 +2408,7 @@ impl ThyNvm {
         remaps: &mut Vec<(u64, Cycle)>,
     ) -> Cycle {
         let hw = self.remapped(hw);
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += u64::from(bytes);
-        let mut done = self.nvm.access(hw, AccessKind::Read, bytes, now);
+        let mut done = self.nvm_read(hw, bytes, now);
         self.charge_crc(u64::from(bytes));
         self.charge_crypto(u64::from(bytes), false);
         if self.fault.is_none() || !self.cfg.media.integrity {
@@ -2467,9 +2419,7 @@ impl ThyNvm {
         }
         for (_, backoff) in self.media_retry_policy().schedule() {
             done += backoff;
-            done = self.nvm.access(hw, AccessKind::Read, bytes, done);
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += u64::from(bytes);
+            done = self.nvm_read(hw, bytes, done);
             self.stats.media.retries += 1;
             self.stats.retry.recovery_attempts += 1;
             self.charge_crc(u64::from(bytes));
@@ -2498,6 +2448,29 @@ impl ThyNvm {
         // Saturating: a CRC fallback may already have landed on zero
         // completed checkpoints before a MAC fallback.
         self.epoch.completed = self.epoch.completed.saturating_sub(1);
+    }
+
+    /// Commits a recovery fallback through the WAL: an intent record, then
+    /// its CRC seal, both straight to the device — neither enters the
+    /// persist buffer. A queued crash point the seal overruns leaves a torn
+    /// record, which the next attempt detects and redoes: `Err` carries the
+    /// interrupting cycle. Otherwise returns the cycle the seal lands.
+    fn recovery_wal_seal(&mut self, t: Cycle, v: Verdict) -> Result<Cycle, Cycle> {
+        let wal = self.space.backup_wal(self.wal_seq);
+        self.wal_seq += 1;
+        let intent = self.nvm.access(wal, AccessKind::Write, 64, t);
+        self.stats.record_nvm_write(64, NvmWriteClass::Migration);
+        self.charge_crc(64);
+        let sealed = self.nvm.access(wal, AccessKind::Write, 64, intent);
+        self.stats.record_nvm_write(64, NvmWriteClass::Migration);
+        self.charge_crc(64);
+        if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, sealed, v) {
+            // The seal never landed: nothing took effect.
+            self.stats.media.wal_redos += 1;
+            return Err(at);
+        }
+        self.stats.media.wal_seals += 1;
+        Ok(sealed)
     }
 
     /// The body of one recovery attempt. Each step pays its modeled NVM
@@ -2555,21 +2528,7 @@ impl ThyNvm {
             // so an interruption leaves a torn WAL record that the next
             // attempt detects and redoes, never a half-applied fallback.
             if corrupt {
-                let wal = self.space.backup_wal(self.wal_seq);
-                self.wal_seq += 1;
-                let mut w = self.nvm.access(wal, AccessKind::Write, 64, t);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                w = self.nvm.access(wal, AccessKind::Write, 64, w); // seal
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, w, *v) {
-                    // The seal never landed: nothing took effect. The next
-                    // attempt re-detects the corruption and redoes this.
-                    self.stats.media.wal_redos += 1;
-                    return Err(at);
-                }
-                self.stats.media.wal_seals += 1;
+                t = self.recovery_wal_seal(t, *v)?;
                 // Sealed: the fallback commits, and the corrupt `C_last`
                 // image is no longer reachable — consume the faults.
                 self.injected_torn_commit = false;
@@ -2578,7 +2537,6 @@ impl ThyNvm {
                 self.fall_back_to_penult();
                 self.stats.media.integrity_fallbacks += 1;
                 v.integrity_fallback = true;
-                t = w;
                 steps.push((RecoveryStep::IntegrityFallback, t));
             }
         }
@@ -2625,20 +2583,7 @@ impl ThyNvm {
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
                 // fallback or reset.
-                let wal = self.space.backup_wal(self.wal_seq);
-                self.wal_seq += 1;
-                let mut w = self.nvm.access(wal, AccessKind::Write, 64, t);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                w = self.nvm.access(wal, AccessKind::Write, 64, w); // seal
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, w, *v) {
-                    self.stats.media.wal_redos += 1;
-                    return Err(at);
-                }
-                self.stats.media.wal_seals += 1;
-                t = w;
+                t = self.recovery_wal_seal(t, *v)?;
                 // Sealed: count the detection exactly once — a restarted
                 // attempt after the seal finds healed state and detects
                 // nothing, so these ledgers never double-count.
@@ -2978,10 +2923,7 @@ impl ThyNvm {
             let entry = self.btt.get(block).expect("iterated above");
             let region = entry.clast_region.map_or(Region::A, Region::other);
             let dst = self.remapped(self.space.checkpoint_block(region, block));
-            let write_done = self.nvm.access(dst, AccessKind::Write, BLOCK_BYTES as u32, read_done);
-            self.stats.record_nvm_write(BLOCK_BYTES, NvmWriteClass::Checkpoint);
-            self.media_note_write(dst, BLOCK_BYTES as u32);
-            self.security_note_write(dst, BLOCK_BYTES as u32);
+            let write_done = self.nvm_write(dst, BLOCK_BYTES as u32, read_done, NvmWriteClass::Checkpoint);
             self.charge_crc(BLOCK_BYTES); // per-64 B data CRC generation
             let resume = self.wpq_push(dst, read_done, write_done, WpqKind::Data);
             writeback_done.push(write_done);
@@ -3007,15 +2949,9 @@ impl ThyNvm {
         // §4.4: checkpoint data must be durable before the metadata that
         // references it.
         let meta_start = self.wpq_fence(phase1_done.max(resume_after_flush));
-        let btt_done = self.nvm.access(
-            self.space.backup(8192),
-            AccessKind::Write,
-            u32::try_from(btt_bytes.max(64)).expect("bounded"),
-            meta_start,
-        );
-        self.stats.record_nvm_write(btt_bytes, NvmWriteClass::Checkpoint);
+        let btt_done =
+            self.persist_record(self.space.backup(8192), btt_bytes, meta_start, NvmWriteClass::Checkpoint);
         self.charge_crc(btt_bytes);
-        self.wpq_push(self.space.backup(8192), meta_start, btt_done, WpqKind::Data);
 
         // Capture block versions: working copies in NVM become pending
         // checkpoints (no data movement, §3.2).
@@ -3049,10 +2985,7 @@ impl ThyNvm {
             entry.dirty = false;
             entry.frozen = true;
             let dst = self.remapped(self.space.checkpoint_page(target, page));
-            let write_done = self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, read_done);
-            self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Checkpoint);
-            self.media_note_write(dst, PAGE_BYTES as u32);
-            self.security_note_write(dst, PAGE_BYTES as u32);
+            let write_done = self.nvm_write(dst, PAGE_BYTES as u32, read_done, NvmWriteClass::Checkpoint);
             self.charge_crc(PAGE_BYTES); // per-64 B data CRCs for the page
             let resume = self.wpq_push(dst, read_done, write_done, WpqKind::Data);
             writeback_done.push(write_done);
@@ -3064,15 +2997,9 @@ impl ThyNvm {
         // (4) Checkpoint the PTT, flush the NVM write queue, set the
         // completion flag.
         let ptt_bytes = (self.ptt.len().max(1) as u64) * META_ENTRY_BYTES + meta_crc;
-        let mut bg = self.nvm.access(
-            self.space.backup(16384),
-            AccessKind::Write,
-            u32::try_from(ptt_bytes.max(64)).expect("bounded"),
-            phase3_done,
-        );
-        self.stats.record_nvm_write(ptt_bytes, NvmWriteClass::Checkpoint);
+        let mut bg =
+            self.persist_record(self.space.backup(16384), ptt_bytes, phase3_done, NvmWriteClass::Checkpoint);
         self.charge_crc(ptt_bytes);
-        self.wpq_push(self.space.backup(16384), phase3_done, bg, WpqKind::Data);
         bg = bg.max(self.nvm_wq.drain_time(bg));
 
         // (4b) Secure mode: persist the dirty encryption counters, the
@@ -3086,29 +3013,13 @@ impl ThyNvm {
             let receipt = self.security.as_mut().expect("invariant: secure mode is on in this block").persist();
             if receipt.counter_entries > 0 {
                 let ctr_bytes = receipt.counter_entries as u64 * META_ENTRY_BYTES;
-                let ctr_start = bg;
-                bg = self.nvm.access(
-                    self.space.security_counters(0),
-                    AccessKind::Write,
-                    u32::try_from(ctr_bytes.max(64).min(u64::from(u32::MAX))).expect("bounded"),
-                    bg,
-                );
-                self.stats.record_nvm_write(ctr_bytes, NvmWriteClass::Checkpoint);
+                bg = self.persist_record(self.space.security_counters(0), ctr_bytes, bg, NvmWriteClass::Checkpoint);
                 self.stats.security.counter_persists += 1;
                 self.stats.security.counter_bytes += ctr_bytes;
-                self.wpq_push(self.space.security_counters(0), ctr_start, bg, WpqKind::Data);
                 let tree_bytes = receipt.tree_nodes * META_ENTRY_BYTES;
-                let tree_start = bg;
-                bg = self.nvm.access(
-                    self.space.security_tree(0),
-                    AccessKind::Write,
-                    u32::try_from(tree_bytes.max(64).min(u64::from(u32::MAX))).expect("bounded"),
-                    bg,
-                );
-                self.stats.record_nvm_write(tree_bytes, NvmWriteClass::Checkpoint);
+                bg = self.persist_record(self.space.security_tree(0), tree_bytes, bg, NvmWriteClass::Checkpoint);
                 self.stats.security.tree_node_persists += receipt.tree_nodes;
                 self.stats.security.tree_bytes += tree_bytes;
-                self.wpq_push(self.space.security_tree(0), tree_start, bg, WpqKind::Data);
             }
             // §4.4: counter table and tree nodes must be durable before
             // the root that authenticates them.
@@ -3116,12 +3027,9 @@ impl ThyNvm {
             // The 64 B root + MAC record persists every round: it binds
             // the table generation, which is what makes a rolled-back
             // table (counter-replay attack) detectable.
-            let root_start = bg;
-            bg = self.nvm.access(self.space.security_root(), AccessKind::Write, 64, bg);
-            self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
+            bg = self.persist_record(self.space.security_root(), 64, bg, NvmWriteClass::Checkpoint);
             self.stats.security.root_persists += 1;
             self.charge_crypto(64, true);
-            self.wpq_push(self.space.security_root(), root_start, bg, WpqKind::Data);
         }
 
         // (4c) Health ladder: persist the current rung as a 64 B record
@@ -3129,17 +3037,16 @@ impl ThyNvm {
         // crash before the commit flag leaves the previous epoch's sealed
         // rung in effect, exactly like every other piece of metadata.
         if let Some(rung) = self.health_mon.as_ref().map(HealthMonitor::rung) {
-            let rung_start = bg;
-            bg = self.nvm.access(self.space.health_record(), AccessKind::Write, 64, bg);
-            self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
+            bg = self.persist_record(self.space.health_record(), 64, bg, NvmWriteClass::Checkpoint);
             self.charge_crc(64);
-            self.wpq_push(self.space.health_record(), rung_start, bg, WpqKind::Data);
             self.stats.health.rung_persists += 1;
             self.pending_health_rung = Some(rung);
         }
 
         // §4.4: everything the commit record covers — data, metadata,
-        // security and health records — must be durable before it.
+        // security and health records — must be durable before it. The
+        // record counts as 1 byte of traffic and enters the buffer through
+        // the ordering audit, so it bypasses `persist_record`.
         bg = self.wpq_fence(bg);
         let commit_start = bg;
         bg = self.nvm.access(self.space.backup(0), AccessKind::Write, 64, bg);

@@ -4,9 +4,11 @@
 //! regions it can write, directly or through calls. Effects are seeded from
 //! two token shapes and propagated over the [`CallGraph`] to a fixpoint:
 //!
-//! * **Device writes** — `nvm.access(<region>, AccessKind::Write, ..)`
-//!   where `<region>` is an `AddressSpace` region constructor, either
-//!   inline (`self.space.backup(8192)`) or through a local binding
+//! * **Device writes** — `nvm.access(<region>, AccessKind::Write, ..)`,
+//!   or a call to one of the controller's NVM write primitives
+//!   `.nvm_write(<region>, ..)` / `.persist_record(<region>, ..)`, where
+//!   `<region>` is an `AddressSpace` region constructor, either inline
+//!   (`self.space.backup(8192)`) or through a local binding
 //!   (`let wal = self.space.backup_wal(seq); .. nvm.access(wal, ..)`).
 //!   `dram.access(.., Write, ..)` is a working-region (volatile) write.
 //!   Reads carry no effect; addresses the pass cannot resolve to a tracked
@@ -68,6 +70,11 @@ pub fn region_name(bit: u16) -> &'static str {
     LABELS.iter().find(|(b, _)| *b == bit).map_or("?", |(_, n)| n)
 }
 
+/// The controller's NVM write primitives. Each takes the written address
+/// as its first argument; inside them the address is a parameter the pass
+/// cannot resolve, so their writes are seeded at every call site instead.
+const WRITE_PRIMITIVES: &[&str] = &["nvm_write", "persist_record"];
+
 /// `AddressSpace` region constructors → effect bit. `backup(0)` is the
 /// commit record — the 64 B at offset zero of the backup region whose
 /// checksummed write is the checkpoint's atomic seal; any other `backup(..)`
@@ -92,7 +99,7 @@ fn constructor_region(name: &str) -> Option<u16> {
 pub struct WriteSite {
     /// Effect bit of the written region.
     pub region: u16,
-    /// Token index of the `access` ident.
+    /// Token index of the `access` (or write-primitive) ident.
     pub tok: usize,
     /// 1-based source line.
     pub line: u32,
@@ -245,34 +252,38 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
             facts.stores.push((i, toks[i].line));
         }
 
-        // Device access: `nvm.access(..)` / `dram.access(..)`.
-        if name == "access"
-            && crate::graph::is_device_receiver(f, i)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-        {
-            let open = i + 1;
-            let close = match_bracket(toks, open);
+        // Device write: `nvm.access(.., Write, ..)` / `dram.access(..)`,
+        // or a write-primitive call `.nvm_write(..)` / `.persist_record(..)`.
+        let open = i + 1;
+        if !toks.get(open).is_some_and(|t| t.is_punct("(")) {
+            continue;
+        }
+        let close = match_bracket(toks, open);
+        let region = if name == "access" && crate::graph::is_device_receiver(f, i) {
             let is_write =
                 toks[open..=close.min(toks.len() - 1)].iter().any(|t| t.kind.is_ident("Write"));
             if !is_write {
                 continue;
             }
-            let receiver = toks[i - 2].kind.ident().unwrap_or_default();
-            let region = if receiver == "dram" {
+            if toks[i - 2].kind.ident() == Some("dram") {
                 Some(WORKING)
             } else {
                 first_arg_region(toks, open, close, &bindings)
-            };
-            if let Some(r) = region {
-                facts.direct |= r;
-                facts.writes.push(WriteSite { region: r, tok: i, line: toks[i].line });
             }
+        } else if WRITE_PRIMITIVES.contains(&name) && toks[i - 1].is_punct(".") {
+            first_arg_region(toks, open, close, &bindings)
+        } else {
+            None
+        };
+        if let Some(r) = region {
+            facts.direct |= r;
+            facts.writes.push(WriteSite { region: r, tok: i, line: toks[i].line });
         }
     }
     facts
 }
 
-/// Resolves an `access` call's first argument to a region: an inline
+/// Resolves a device write's first argument to a region: an inline
 /// constructor call, or a single identifier looked up in the local
 /// `let`-bindings.
 fn first_arg_region(
@@ -470,6 +481,30 @@ mod tests {
         assert_eq!(f.wal_seals.len(), 1);
         let spare = f.writes.iter().find(|w| w.region == SPARE).expect("spare write");
         assert!(f.wal_begins[0] < spare.tok && spare.tok < f.wal_seals[0]);
+    }
+
+    #[test]
+    fn write_primitives_seed_their_first_argument() {
+        let src = concat!(
+            "fn remap(&mut self, s: u32, t: u64) -> u64 {\n",
+            "    let wal = self.space.backup_wal(self.wal_seq);\n",
+            "    let t = self.persist_record(wal, 64, t, NvmWriteClass::Migration);\n",
+            "    let t = self.nvm_write(self.space.spare_block(s), 64, t, NvmWriteClass::Migration);\n",
+            "    let t = self.nvm_write(self.remapped(hw), 64, t, NvmWriteClass::Cpu);\n",
+            "    self.nvm_read(self.space.backup(0), 64, t)\n",
+            "}\n",
+            "fn nvm_write(&mut self, dst: HwAddr, bytes: u32, t: u64) -> u64 {\n",
+            "    self.nvm.access(dst, AccessKind::Write, bytes, t)\n",
+            "}\n",
+        );
+        let (files, graph, facts) = analyzed(src);
+        let f = facts_of(&files, &graph, &facts, "remap");
+        assert_eq!(f.direct, BACKUP_WAL | SPARE, "{}", labels(f.direct));
+        let regions: Vec<u16> = f.writes.iter().map(|w| w.region).collect();
+        assert_eq!(regions, vec![BACKUP_WAL, SPARE], "reads and untracked cells carry no effect");
+        assert_eq!(f.writes[1].line, 4);
+        // The primitive's own write goes to a parameter: untracked.
+        assert_eq!(facts_of(&files, &graph, &facts, "nvm_write").direct, 0);
     }
 
     #[test]

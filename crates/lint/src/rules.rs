@@ -1133,6 +1133,40 @@ mod tests {
     }
 
     #[test]
+    fn l8_and_l10_see_writes_through_the_persist_record_primitive() {
+        // A recovery-path health record with a WAL intent but no seal.
+        let unsealed = concat!(
+            "fn crash_and_recover(&mut self, t: u64) {\n",
+            "    let wal = self.space.backup_wal(self.wal_seq);\n",
+            "    let t = self.persist_record(wal, 64, t, NvmWriteClass::Migration);\n",
+            "    let t = self.persist_record(self.space.health_record(), 64, t, NvmWriteClass::Checkpoint);\n",
+            "    let t = self.wpq_fence(t);\n",
+            "}\n",
+        );
+        let diags = one("crates/core/src/x.rs", unsealed);
+        let l8: Vec<_> = diags.iter().filter(|d| d.rule == "L8").collect();
+        assert_eq!(l8.len(), 1, "{l8:?}");
+        assert_eq!(l8[0].line, 4);
+        let sealed = unsealed.replace(
+            "    let t = self.wpq_fence(t);\n",
+            "    let t = self.wpq_fence(t);\n    self.nvm.access(wal, AccessKind::Write, 64, t);\n    self.stats.media.wal_seals += 1;\n",
+        );
+        assert!(one("crates/core/src/x.rs", &sealed).iter().all(|d| d.rule != "L8"));
+
+        // An unfenced security-root record in the controller crate.
+        let root = concat!(
+            "fn persist_root(&mut self, t: u64) {\n",
+            "    self.persist_record(self.space.security_root(), 64, t, NvmWriteClass::Checkpoint);\n",
+            "}\n",
+        );
+        let diags = one("crates/core/src/x.rs", root);
+        let l10: Vec<_> = diags.iter().filter(|d| d.rule == "L10").collect();
+        assert_eq!(l10.len(), 1, "{l10:?}");
+        assert_eq!(l10[0].line, 2);
+        assert!(l10[0].msg.contains("security_root"), "{}", l10[0].msg);
+    }
+
+    #[test]
     fn l6_allows_policy_file_tests_and_plain_reads() {
         // The policy crate owns the one sanctioned multiplication.
         assert!(one(
