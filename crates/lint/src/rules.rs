@@ -11,7 +11,7 @@
 //! | L7   | Commit-record persist is the *last* backup/security effect of a checkpoint-commit body — nothing with those effects follows the seal |
 //! | L8   | Every backup-region write reachable from a `recover*`/`replay`/`redo` entry point is WAL-bracketed: `backup_wal` intent before, WAL seal after |
 //! | L9   | Concurrency-readiness: no `static mut`/`thread_local!`/`Cell`/`RefCell`/`UnsafeCell` in `crates/core`+`crates/mem` production code; store effects only behind `&mut self` |
-//! | L10  | Commit-record and security-root persists in `crates/core` are fence-dominated: a persist-buffer drain (`wpq_fence`) precedes them in the same body |
+//! | L10  | Commit-record and security-root persists in `crates/core` are fence-dominated: the nearest persist-buffer drain (`wpq_fence`) before them in the same body follows every earlier non-working write |
 //!
 //! L1–L6 work on the token stream plus the [`FileIndex`] item index — no
 //! type information. L7–L10 additionally consult the workspace
@@ -755,9 +755,12 @@ fn l10_scope(rel_path: &str) -> bool {
 /// L10: fence-dominated commit persists. Every direct commit-record or
 /// security-root write in `crates/core` production code must be preceded,
 /// in the same body, by a persist-buffer drain (`.wpq_fence(..)` or a
-/// direct `.fence(..)` on the buffer). The dynamic twin of this rule is
-/// the controller's `Error::UnfencedCommit` audit; this static form
-/// catches the ordering bug before any crash test has to.
+/// direct `.fence(..)` on the buffer), and the nearest such drain must
+/// follow every earlier write of the body to a persisted (non-working)
+/// region — an earlier fence does not cover writes issued after it. The
+/// dynamic twin of this rule is the controller's `Error::UnfencedCommit`
+/// audit; this static form catches the ordering bug before any crash test
+/// has to.
 fn rule_l10(files: &[FileIndex], graph: &CallGraph, facts: &[FnFacts], out: &mut Vec<Diagnostic>) {
     for (n, node) in graph.nodes.iter().enumerate() {
         let f = &files[node.file];
@@ -767,18 +770,29 @@ fn rule_l10(files: &[FileIndex], graph: &CallGraph, facts: &[FnFacts], out: &mut
         let fx = &facts[n];
         let name = &f.fns[node.item].name;
         for w in fx.writes.iter().filter(|w| w.region & L10_FENCED != 0) {
-            if !fx.fences.iter().any(|&b| b < w.tok) {
-                out.push(Diagnostic {
-                    rule: "L10",
-                    file: f.rel_path.clone(),
-                    line: w.line,
-                    msg: format!(
-                        "unfenced `{}` persist in `{name}` — drain the persist buffer \
-                         (`wpq_fence`) before the record that covers buffered writes lands",
-                        effects::region_name(w.region)
-                    ),
-                });
-            }
+            let fence = fx.fences.iter().copied().filter(|&b| b < w.tok).max();
+            let uncovered = fx.writes.iter().find(|e| {
+                e.tok < w.tok && e.region != effects::WORKING && fence.is_some_and(|b| e.tok > b)
+            });
+            let why = match (fence, uncovered) {
+                (None, _) => "unfenced".to_owned(),
+                (Some(_), Some(e)) => format!(
+                    "`{}` write at line {} sits between the nearest fence and the",
+                    effects::region_name(e.region),
+                    e.line
+                ),
+                (Some(_), None) => continue,
+            };
+            out.push(Diagnostic {
+                rule: "L10",
+                file: f.rel_path.clone(),
+                line: w.line,
+                msg: format!(
+                    "{why} `{}` persist in `{name}` — drain the persist buffer (`wpq_fence`) \
+                     after the last write the record covers and before the record lands",
+                    effects::region_name(w.region)
+                ),
+            });
         }
     }
 }
@@ -1164,6 +1178,32 @@ mod tests {
         assert_eq!(l10.len(), 1, "{l10:?}");
         assert_eq!(l10[0].line, 2);
         assert!(l10[0].msg.contains("security_root"), "{}", l10[0].msg);
+    }
+
+    #[test]
+    fn l10_requires_the_nearest_fence_to_follow_every_earlier_write() {
+        // Metadata, fence, metadata, commit record: the fence is earlier in
+        // the body but does not cover the second metadata write.
+        let src = concat!(
+            "fn round(&mut self, t: u64) {\n",
+            "    let t = self.persist_record(self.space.backup(8192), 64, t, NvmWriteClass::Checkpoint);\n",
+            "    let t = self.wpq_fence(t);\n",
+            "    let t = self.persist_record(self.space.backup(16384), 64, t, NvmWriteClass::Checkpoint);\n",
+            "    self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t);\n",
+            "}\n",
+        );
+        let diags = one("crates/core/src/x.rs", src);
+        let l10: Vec<_> = diags.iter().filter(|d| d.rule == "L10").collect();
+        assert_eq!(l10.len(), 1, "{l10:?}");
+        assert_eq!(l10[0].line, 5);
+        assert!(l10[0].msg.contains("`backup` write at line 4"), "{}", l10[0].msg);
+        // A second fence after the last metadata write covers the record;
+        // working-region writes between it and the record need none.
+        let fenced = src.replace(
+            "    self.nvm.access(self.space.backup(0)",
+            "    let t = self.wpq_fence(t);\n    let t = self.dram.access(HwAddr::new(0), AccessKind::Write, 64, t);\n    self.nvm.access(self.space.backup(0)",
+        );
+        assert!(one("crates/core/src/x.rs", &fenced).iter().all(|d| d.rule != "L10"));
     }
 
     #[test]
