@@ -1450,7 +1450,7 @@ impl ThyNvm {
         // target should `C_last` later fail verification (media CRCs or
         // secure-mode MAC authentication).
         let superseded = std::mem::replace(&mut self.committed, next);
-        if self.fault.is_some() || self.cfg.media.integrity || self.security.is_some() {
+        if self.keeps_penult() {
             self.committed_prev = superseded;
         }
 
@@ -1550,6 +1550,12 @@ impl ThyNvm {
         // Epoch boundary: one health-ladder evaluation over the signals the
         // retired epoch (and its scrub pass) left behind.
         self.health_evaluate();
+    }
+
+    /// Whether `C_penult` is kept: only a configuration that can find
+    /// `C_last` corrupt (media faults, CRCs or MACs) ever falls back to it.
+    fn keeps_penult(&self) -> bool {
+        self.fault.is_some() || self.cfg.media.integrity || self.security.is_some()
     }
 
     /// Applies promotions/demotions decided from the previous epoch's store
@@ -1965,7 +1971,9 @@ impl ThyNvm {
     /// Rolls the system back to archived checkpoint `number` (as if a
     /// crash had occurred immediately after it completed), discarding all
     /// later state — including later archived checkpoints, which are now
-    /// "the future".
+    /// "the future". `number` checkpoints count as completed afterwards,
+    /// and `C_penult` is checkpoint `number − 1`, or the empty image once
+    /// the archive no longer holds it.
     ///
     /// # Errors
     ///
@@ -1976,20 +1984,23 @@ impl ThyNvm {
         number: u64,
         now: Cycle,
     ) -> Result<RecoveryReport, thynvm_types::Error> {
-        let image = self
-            .archive
-            .iter()
-            .find(|(n, _)| *n == number)
-            .map(|(_, img)| img.clone())
-            .ok_or(thynvm_types::Error::NoCheckpoint)?;
+        let archived = |k| self.archive.iter().find(|(n, _)| *n == k).map(|(_, img)| img.clone());
+        let image = archived(number).ok_or(thynvm_types::Error::NoCheckpoint)?;
+        let penult = number.checked_sub(1).and_then(&archived).unwrap_or_default();
         // Invalidate the in-flight job and everything after `number`.
         self.epoch.job = None;
+        self.epoch.completed = number;
         self.committed = image;
-        // The archived image becomes `C_last` by deliberate operator
-        // action: re-authenticate it so recovery's MAC verification does
-        // not mistake the sanctioned rollback for tampering.
+        if self.keeps_penult() {
+            self.committed_prev = penult;
+        }
+        // The archived images become `C_last` and `C_penult` by deliberate
+        // operator action: re-authenticate them so recovery's MAC
+        // verification does not mistake the sanctioned rollback for
+        // tampering.
         if self.security.is_some() {
             self.mac_last = self.committed.mac(self.mac_key);
+            self.mac_penult = self.committed_prev.mac(self.mac_key);
         }
         self.archive.retain(|(n, _)| *n <= number);
         let report = self.crash_and_recover(now);
@@ -3620,6 +3631,44 @@ mod tests {
         assert_eq!(buf[0], 1, "the 'bug-free' past image is restored");
         // Later checkpoints are gone from the archive.
         assert_eq!(sys.archived_checkpoints(), vec![archived[0]]);
+    }
+
+    #[test]
+    fn rollback_rebuilds_cpenult_and_the_checkpoint_count() {
+        // After a rollback to checkpoint 2, `C_penult` is checkpoint 1 and
+        // two checkpoints are complete: a later integrity fallback lands
+        // before checkpoint 2, never in the discarded checkpoint 3.
+        let mut sys = ThyNvm::new(media_cfg(|_| {}));
+        sys.set_archive_depth(8);
+        let mut t = Cycle::ZERO;
+        for val in 1u8..=4 {
+            t = store_and_checkpoint(&mut sys, val, t);
+        }
+        assert_eq!(sys.archived_checkpoints(), vec![1, 2, 3, 4]);
+        let report = sys.rollback_to_checkpoint(2, t).expect("archived");
+        assert_eq!(report.recovered_checkpoints, 2);
+        sys.inject_media_fault(MediaFault::ClastBitFlip { addr: 0 });
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback);
+        assert_eq!(report.recovered_checkpoints, 1);
+        let mut buf = [0u8; 64];
+        sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
+        assert_eq!(buf, [1u8; 64], "C_penult is checkpoint 1");
+
+        // Secure mode: the rebuilt `C_penult` authenticates, so a forged
+        // `C_last` still falls back to it instead of an empty image.
+        let mut sys = ThyNvm::new(secure_cfg(|_| {}));
+        sys.set_archive_depth(8);
+        let mut t = Cycle::ZERO;
+        for val in 1u8..=4 {
+            t = store_and_checkpoint(&mut sys, val, t);
+        }
+        let _ = sys.rollback_to_checkpoint(2, t).expect("archived");
+        sys.inject_tamper(TamperFault::ClastData { addr: 0 });
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback && !report.unrecoverable);
+        sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
+        assert_eq!(buf, [1u8; 64], "C_penult is checkpoint 1");
     }
 
     #[test]
