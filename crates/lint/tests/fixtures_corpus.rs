@@ -170,11 +170,14 @@ fn l10_fixture_flags_unfenced_commit_and_root_persists() {
         "crates/core/src/fencepath.rs",
         include_str!("fixtures/l10_unfenced_commit.rs"),
     );
-    // Unfenced seal at line 6, unfenced security root at line 10. The
-    // fence-dominated near-miss and the plain-metadata write are silent.
-    assert_eq!(keyed(&diags), vec![("L10", 6), ("L10", 10)], "{diags:?}");
+    // Unfenced seal at line 6, unfenced security root at line 10, and a
+    // seal at line 32 whose nearest fence precedes the metadata write at
+    // line 31. The fence-dominated near-misses and the plain-metadata
+    // write are silent.
+    assert_eq!(keyed(&diags), vec![("L10", 6), ("L10", 10), ("L10", 32)], "{diags:?}");
     assert!(diags[0].msg.contains("commit_record"), "{}", diags[0].msg);
     assert!(diags[1].msg.contains("security_root"), "{}", diags[1].msg);
+    assert!(diags[2].msg.contains("`backup` write at line 31"), "{}", diags[2].msg);
 
     // Baselines have no persist buffer: the same file there is L10-silent.
     let diags = lint_one(
@@ -201,7 +204,11 @@ fn l10_mutation_moving_the_fence_after_the_seal_is_caught() {
     let new_line = u32::try_from(seal).expect("small fixture");
 
     let diags = lint_one("crates/core/src/fencepath.rs", &mutated);
-    assert_eq!(keyed(&diags), vec![("L10", 6), ("L10", 10), ("L10", new_line)], "{diags:?}");
+    assert_eq!(
+        keyed(&diags),
+        vec![("L10", 6), ("L10", 10), ("L10", new_line), ("L10", 32)],
+        "{diags:?}"
+    );
     assert!(diags[2].msg.contains("seal_with_fence"), "{}", diags[2].msg);
 }
 
