@@ -1110,8 +1110,9 @@ impl ThyNvm {
     /// re-encrypted under a bumped write counter (counter reuse would break
     /// CTR-mode confidentiality), which dirties the counter table the next
     /// epoch boundary persists. The persist-buffer push and any data CRC
-    /// stay with the caller: migrations never enter the buffer, and only
-    /// checkpoint writeback charges CRCs.
+    /// stay with the caller: the migration copies of quarantine, demotion
+    /// and reclaim never enter the buffer, and only checkpoint writeback
+    /// charges data CRCs.
     fn nvm_write(&mut self, dst: HwAddr, bytes: u32, start: Cycle, class: NvmWriteClass) -> Cycle {
         let done = self.nvm.access(dst, AccessKind::Write, bytes, start);
         self.stats.record_nvm_write(u64::from(bytes), class);
@@ -1136,7 +1137,7 @@ impl ThyNvm {
     /// re-encryption. Any CRC stays with the caller, because the security
     /// counters, tree and root carry none.
     fn persist_record(&mut self, dst: HwAddr, bytes: u64, start: Cycle, class: NvmWriteClass) -> Cycle {
-        let burst = bytes.clamp(64, u64::from(u32::MAX)) as u32;
+        let burst = u32::try_from(bytes.max(64)).unwrap_or(u32::MAX);
         let done = self.nvm.access(dst, AccessKind::Write, burst, start);
         self.stats.record_nvm_write(bytes, class);
         self.wpq_push(dst, start, done, WpqKind::Data);
