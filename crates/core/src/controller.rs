@@ -151,8 +151,9 @@ pub struct RecoveryReport {
     /// verification, so recovery discarded it and restored the retained
     /// penultimate image instead.
     pub integrity_fallback: bool,
-    /// Whether *both* checkpoint images failed secure-mode authentication:
-    /// recovery refused to replay unauthenticated data and reset to the
+    /// Whether *both* checkpoint images failed secure-mode authentication,
+    /// or `C_last` failed verification after a rollback left no `C_penult`:
+    /// recovery refused to replay unverified data and reset to the
     /// provably-empty image ([`Error::IntegrityUnrecoverable`]).
     pub unrecoverable: bool,
     /// Simulated duration of the recovery procedure, including every
@@ -311,8 +312,10 @@ pub struct ThyNvm {
     /// fails integrity verification at recovery. Maintained only while a
     /// verifier can reject `C_last`: the media model, CRC integrity, or
     /// secure mode is on. It shares every page the last commit did not
-    /// rewrite with `committed` (copy-on-write).
-    committed_prev: SparseStore,
+    /// rewrite with `committed` (copy-on-write). `None` once a rollback
+    /// reached a checkpoint whose predecessor the archive no longer held:
+    /// no trusted image remains to fall back to.
+    committed_prev: Option<SparseStore>,
     /// Persistent bad-block table: device block base → spare slot. Blocks
     /// listed here have been permanently remapped away from worn-out cells;
     /// the table survives crashes (it is persisted NVM metadata).
@@ -423,7 +426,7 @@ impl ThyNvm {
                 .media
                 .enabled
                 .then(|| FaultModel::new(&cfg.media, cfg.nvm_geometry.row_bytes)),
-            committed_prev: SparseStore::new(),
+            committed_prev: Some(SparseStore::new()),
             bad_blocks: FxHashMap::default(),
             switch_scratch: FxHashMap::default(),
             reclaim_scratch: Vec::new(),
@@ -824,7 +827,7 @@ impl ThyNvm {
         self.visible.allocated_pages()
             + self.ckpting.as_ref().map_or(0, SparseStore::allocated_pages)
             + self.committed.allocated_pages()
-            + self.committed_prev.allocated_pages()
+            + self.committed_prev.as_ref().map_or(0, SparseStore::allocated_pages)
             + self.archive.iter().map(|(_, s)| s.allocated_pages()).sum::<usize>()
     }
 
@@ -1452,7 +1455,7 @@ impl ThyNvm {
         // secure-mode MAC authentication).
         let superseded = std::mem::replace(&mut self.committed, next);
         if self.keeps_penult() {
-            self.committed_prev = superseded;
+            self.committed_prev = Some(superseded);
         }
 
         // Rotate the persisted health rung alongside the images it was
@@ -1972,9 +1975,20 @@ impl ThyNvm {
     /// Rolls the system back to archived checkpoint `number` (as if a
     /// crash had occurred immediately after it completed), discarding all
     /// later state — including later archived checkpoints, which are now
-    /// "the future". `number` checkpoints count as completed afterwards,
-    /// and `C_penult` is checkpoint `number − 1`, or the empty image once
-    /// the archive no longer holds it.
+    /// "the future". `number` checkpoints count as completed afterwards.
+    ///
+    /// `C_penult` becomes checkpoint `number − 1`: the archived image, or
+    /// the empty image for checkpoint 1. A rollback to the latest
+    /// completed checkpoint discards nothing, so its `C_penult` stands.
+    /// An older `number` whose predecessor the archive no longer holds
+    /// leaves no `C_penult` at all: should `C_last` then fail
+    /// verification, recovery has nothing trusted to fall back to and
+    /// reports the recovery unrecoverable instead of replaying a
+    /// stand-in image.
+    ///
+    /// The health rungs persisted with the images survive a rollback on
+    /// purpose: they describe the device, not the data, and restoring an
+    /// old image heals no cell.
     ///
     /// # Errors
     ///
@@ -1987,21 +2001,24 @@ impl ThyNvm {
     ) -> Result<RecoveryReport, thynvm_types::Error> {
         let archived = |k| self.archive.iter().find(|(n, _)| *n == k).map(|(_, img)| img.clone());
         let image = archived(number).ok_or(thynvm_types::Error::NoCheckpoint)?;
-        let penult = number.checked_sub(1).and_then(&archived).unwrap_or_default();
+        let rebuild_penult = number != self.epoch.completed && self.keeps_penult();
+        if rebuild_penult {
+            self.committed_prev =
+                if number == 1 { Some(SparseStore::new()) } else { archived(number - 1) };
+        }
         // Invalidate the in-flight job and everything after `number`.
         self.epoch.job = None;
         self.epoch.completed = number;
         self.committed = image;
-        if self.keeps_penult() {
-            self.committed_prev = penult;
-        }
         // The archived images become `C_last` and `C_penult` by deliberate
         // operator action: re-authenticate them so recovery's MAC
         // verification does not mistake the sanctioned rollback for
         // tampering.
         if self.security.is_some() {
             self.mac_last = self.committed.mac(self.mac_key);
-            self.mac_penult = self.committed_prev.mac(self.mac_key);
+            if let Some(prev) = self.committed_prev.as_ref().filter(|_| rebuild_penult) {
+                self.mac_penult = prev.mac(self.mac_key);
+            }
         }
         self.archive.retain(|(n, _)| *n <= number);
         let report = self.crash_and_recover(now);
@@ -2147,7 +2164,9 @@ impl ThyNvm {
                 .tamper_torn_root(),
             TamperFault::BothImages { addr } => {
                 forge(&mut self.committed, addr);
-                forge(&mut self.committed_prev, addr);
+                if let Some(prev) = self.committed_prev.as_mut() {
+                    forge(prev, addr);
+                }
             }
         }
     }
@@ -2451,15 +2470,40 @@ impl ThyNvm {
     /// become `C_last`'s together, and the completed-checkpoint count drops
     /// by the one abandoned. No guard is needed: with secure mode off both
     /// MACs stay the empty image's, and with the ladder off both rungs stay
-    /// `Healthy`.
+    /// `Healthy`. Returns `false`, changing nothing, when no `C_penult` is
+    /// kept.
     // lint: recovery-path
-    fn fall_back_to_penult(&mut self) {
-        self.committed = self.committed_prev.clone();
+    fn fall_back_to_penult(&mut self) -> bool {
+        let Some(prev) = &self.committed_prev else {
+            return false;
+        };
+        self.committed = prev.clone();
         self.mac_last = self.mac_penult;
         self.health_rung_last = self.health_rung_penult;
         // Saturating: a CRC fallback may already have landed on zero
         // completed checkpoints before a MAC fallback.
         self.epoch.completed = self.epoch.completed.saturating_sub(1);
+        true
+    }
+
+    /// Recovery has no trusted image to restore: replaying either image
+    /// would hand unverified (possibly attacker-chosen) data to software.
+    /// Reset to the provably empty image and surface the error instead.
+    // lint: recovery-path
+    fn reset_unrecoverable(&mut self, t: Cycle, v: &mut Verdict) {
+        self.committed = SparseStore::new();
+        self.committed_prev = Some(SparseStore::new());
+        self.mac_last = SparseStore::new().mac(self.mac_key);
+        self.mac_penult = self.mac_last;
+        self.btt = Btt::new(self.cfg.thynvm.btt_entries);
+        self.ptt = Ptt::new(self.cfg.thynvm.ptt_entries.min(self.cfg.thynvm.dram_pages() as usize));
+        self.epoch.completed = 0;
+        if let Some(sec) = self.security.as_mut() {
+            sec.reset();
+        }
+        let err = Error::IntegrityUnrecoverable { epoch: self.epoch.active_epoch };
+        self.record(t, EventKind::Error(err));
+        v.unrecoverable = true;
     }
 
     /// Commits a recovery fallback through the WAL: an intent record, then
@@ -2546,9 +2590,12 @@ impl ThyNvm {
                 self.injected_torn_commit = false;
                 self.injected_clast_flip = None;
                 self.injected_meta_corrupt = false;
-                self.fall_back_to_penult();
-                self.stats.media.integrity_fallbacks += 1;
-                v.integrity_fallback = true;
+                if self.fall_back_to_penult() {
+                    self.stats.media.integrity_fallbacks += 1;
+                    v.integrity_fallback = true;
+                } else {
+                    self.reset_unrecoverable(t, v);
+                }
                 steps.push((RecoveryStep::IntegrityFallback, t));
             }
         }
@@ -2589,8 +2636,8 @@ impl ThyNvm {
 
             if !mac_ok || !table_ok {
                 let root_torn = self.security.as_ref().expect("invariant: secure mode is on in this block").root_is_torn();
-                let penult_ok =
-                    mac_ok || self.committed_prev.mac(self.mac_key) == self.mac_penult;
+                let penult_ok = mac_ok
+                    || self.committed_prev.as_ref().is_some_and(|p| p.mac(self.mac_key) == self.mac_penult);
                 // Either outcome commits through the WAL first — intent,
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
@@ -2616,36 +2663,20 @@ impl ThyNvm {
                     self.injected_clast_flip = None;
                     self.injected_meta_corrupt = false;
                 }
-                if penult_ok {
+                if penult_ok && self.fall_back_to_penult() {
                     // Degrade to `C_penult` exactly as CRC failures do,
                     // re-deriving and re-sealing the counter table from
                     // the surviving authenticated image.
-                    self.fall_back_to_penult();
                     self.security.as_mut().expect("invariant: secure mode is on in this block").heal_table();
                     self.stats.security.verify_fallbacks += 1;
                     v.integrity_fallback = true;
-                    steps.push((RecoveryStep::IntegrityFallback, t));
                 } else {
-                    // Both images fail authentication: replaying either
-                    // would hand unauthenticated (possibly attacker-
-                    // chosen) data to software. Reset to the provably
-                    // empty image and surface the error instead.
-                    self.committed = SparseStore::new();
-                    self.committed_prev = SparseStore::new();
-                    self.mac_last = SparseStore::new().mac(self.mac_key);
-                    self.mac_penult = self.mac_last;
-                    self.btt = Btt::new(self.cfg.thynvm.btt_entries);
-                    self.ptt = Ptt::new(
-                        self.cfg.thynvm.ptt_entries.min(self.cfg.thynvm.dram_pages() as usize),
-                    );
-                    self.epoch.completed = 0;
-                    self.security.as_mut().expect("invariant: secure mode is on in this block").reset();
+                    // Both images fail authentication, or no `C_penult`
+                    // is kept.
                     self.stats.security.unrecoverable += 1;
-                    let err = Error::IntegrityUnrecoverable { epoch: self.epoch.active_epoch };
-                    self.record(t, EventKind::Error(err));
-                    v.unrecoverable = true;
-                    steps.push((RecoveryStep::IntegrityFallback, t));
+                    self.reset_unrecoverable(t, v);
                 }
+                steps.push((RecoveryStep::IntegrityFallback, t));
             }
         }
 
@@ -3636,40 +3667,58 @@ mod tests {
 
     #[test]
     fn rollback_rebuilds_cpenult_and_the_checkpoint_count() {
-        // After a rollback to checkpoint 2, `C_penult` is checkpoint 1 and
-        // two checkpoints are complete: a later integrity fallback lands
-        // before checkpoint 2, never in the discarded checkpoint 3.
-        let mut sys = ThyNvm::new(media_cfg(|_| {}));
-        sys.set_archive_depth(8);
-        let mut t = Cycle::ZERO;
-        for val in 1u8..=4 {
-            t = store_and_checkpoint(&mut sys, val, t);
-        }
-        assert_eq!(sys.archived_checkpoints(), vec![1, 2, 3, 4]);
-        let report = sys.rollback_to_checkpoint(2, t).expect("archived");
-        assert_eq!(report.recovered_checkpoints, 2);
-        sys.inject_media_fault(MediaFault::ClastBitFlip { addr: 0 });
-        let report = sys.crash_and_recover(t);
-        assert!(report.integrity_fallback);
-        assert_eq!(report.recovered_checkpoints, 1);
-        let mut buf = [0u8; 64];
-        sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
-        assert_eq!(buf, [1u8; 64], "C_penult is checkpoint 1");
+        // Checkpoints the values 1..=`last` into block 0 with archive depth
+        // `depth`, rolls back to checkpoint `number`, then crashes with
+        // `C_last` corrupt: a media bit flip under CRCs, or a forged byte
+        // in secure mode. Returns the crash's report, the recovered value
+        // and the errors it surfaced.
+        let run = |secure: bool, depth: usize, last: u8, number: u64| {
+            let mut sys = ThyNvm::new(if secure { secure_cfg(|_| {}) } else { media_cfg(|_| {}) });
+            sys.set_archive_depth(depth);
+            let mut t = Cycle::ZERO;
+            for val in 1..=last {
+                t = store_and_checkpoint(&mut sys, val, t);
+            }
+            let report = sys.rollback_to_checkpoint(number, t).expect("archived");
+            assert_eq!(report.recovered_checkpoints, number);
+            if secure {
+                sys.inject_tamper(TamperFault::ClastData { addr: 0 });
+            } else {
+                sys.inject_media_fault(MediaFault::ClastBitFlip { addr: 0 });
+            }
+            let report = sys.crash_and_recover(t);
+            let mut buf = [0xFFu8; 64];
+            sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
+            assert!(buf.iter().all(|&b| b == buf[0]), "one checkpoint's bytes");
+            (report, buf[0], errors(&mut sys))
+        };
+        for secure in [false, true] {
+            // Back to checkpoint 2 of 4: `C_penult` is the archived
+            // checkpoint 1, never the discarded checkpoint 3.
+            let (report, value, _) = run(secure, 8, 4, 2);
+            assert!(report.integrity_fallback && !report.unrecoverable);
+            assert_eq!((value, report.recovered_checkpoints), (1, 1), "secure={secure}");
 
-        // Secure mode: the rebuilt `C_penult` authenticates, so a forged
-        // `C_last` still falls back to it instead of an empty image.
-        let mut sys = ThyNvm::new(secure_cfg(|_| {}));
-        sys.set_archive_depth(8);
-        let mut t = Cycle::ZERO;
-        for val in 1u8..=4 {
-            t = store_and_checkpoint(&mut sys, val, t);
+            // Back to the latest checkpoint with only it archived: nothing
+            // is discarded, so the kept `C_penult` (checkpoint 2) stands.
+            let (report, value, _) = run(secure, 1, 3, 3);
+            assert!(report.integrity_fallback && !report.unrecoverable);
+            assert_eq!((value, report.recovered_checkpoints), (2, 2), "secure={secure}");
+
+            // Back to checkpoint 1: `C_penult` is checkpoint 0, the empty
+            // image.
+            let (report, value, _) = run(secure, 8, 2, 1);
+            assert!(report.integrity_fallback && !report.unrecoverable);
+            assert_eq!((value, report.recovered_checkpoints), (0, 0), "secure={secure}");
+
+            // Back to checkpoint 3 of 4 once checkpoint 2 left the archive:
+            // no `C_penult` exists, so recovery reports the loss instead of
+            // passing a stand-in image off as checkpoint 2.
+            let (report, value, errs) = run(secure, 2, 4, 3);
+            assert!(report.unrecoverable && !report.integrity_fallback, "secure={secure}");
+            assert_eq!((value, report.recovered_checkpoints), (0, 0), "secure={secure}");
+            assert!(matches!(errs[..], [Error::IntegrityUnrecoverable { .. }]), "got {errs:?}");
         }
-        let _ = sys.rollback_to_checkpoint(2, t).expect("archived");
-        sys.inject_tamper(TamperFault::ClastData { addr: 0 });
-        let report = sys.crash_and_recover(t);
-        assert!(report.integrity_fallback && !report.unrecoverable);
-        sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
-        assert_eq!(buf, [1u8; 64], "C_penult is checkpoint 1");
     }
 
     #[test]
@@ -4991,7 +5040,8 @@ mod tests {
     /// the images they authenticate.
     fn assert_macs_match_images(sys: &ThyNvm, when: &str) {
         assert_eq!(sys.mac_last, sys.committed.mac(sys.mac_key), "C_last MAC after {when}");
-        assert_eq!(sys.mac_penult, sys.committed_prev.mac(sys.mac_key), "C_penult MAC after {when}");
+        let prev = sys.committed_prev.as_ref().expect("C_penult kept");
+        assert_eq!(sys.mac_penult, prev.mac(sys.mac_key), "C_penult MAC after {when}");
     }
 
     #[test]

@@ -56,8 +56,9 @@ pub enum Error {
         addr: PhysAddr,
     },
     /// Integrity verification failed on *both* checkpoint images: neither
-    /// `C_last` nor `C_penult` authenticates against its stored MAC, so no
-    /// trusted state exists to replay. Recovery refuses to deliver
+    /// `C_last` nor `C_penult` authenticates against its stored MAC (or
+    /// `C_last` failed verification after a rollback left no `C_penult`),
+    /// so no trusted state exists to replay. Recovery refuses to deliver
     /// unauthenticated data and resets to the empty (provably
     /// uncorrupted) image instead.
     IntegrityUnrecoverable {

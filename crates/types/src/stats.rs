@@ -78,10 +78,11 @@ pub enum RecoveryOutcome {
     /// verification (torn commit record, corrupted data or metadata), so
     /// recovery discarded it and fell back to `C_penult`.
     CPenultIntegrityFallback,
-    /// *Both* checkpoint images failed authentication (secure mode): no
-    /// trusted state exists, so recovery reset to the empty image and
-    /// surfaced [`crate::Error::IntegrityUnrecoverable`] instead of ever
-    /// replaying unauthenticated data.
+    /// No trusted checkpoint image survived: *both* failed authentication
+    /// (secure mode), or `C_last` failed verification after a rollback
+    /// left no `C_penult`. Recovery reset to the empty image and surfaced
+    /// [`crate::Error::IntegrityUnrecoverable`] instead of ever replaying
+    /// unverified data.
     Unrecoverable,
 }
 
@@ -361,8 +362,9 @@ pub struct SecurityStats {
     /// Detections resolved by authenticating `C_penult` and falling back
     /// to it (the graceful path).
     pub verify_fallbacks: u64,
-    /// Detections where *both* images failed authentication: recovery
-    /// reset to the empty image and surfaced
+    /// Detections with no authenticated image to fall back to (*both*
+    /// failed, or a rollback left no `C_penult`): recovery reset to the
+    /// empty image and surfaced
     /// [`crate::Error::IntegrityUnrecoverable`].
     pub unrecoverable: u64,
 }
@@ -624,8 +626,9 @@ pub struct MemStats {
     /// Recoveries that discarded an incomplete checkpoint and restored
     /// `C_penult`.
     pub recoveries_to_cpenult: u64,
-    /// Recoveries where both checkpoint images failed authentication and
-    /// the system reset to the empty image (secure mode only).
+    /// Recoveries that found no trusted checkpoint image (both failed
+    /// authentication, or a rollback left no `C_penult` behind a failed
+    /// `C_last`) and reset to the empty image.
     pub recoveries_unrecoverable: u64,
     /// Queued writes discarded by power loss before their device committed
     /// them.
