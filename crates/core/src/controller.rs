@@ -2468,10 +2468,11 @@ impl ThyNvm {
 
     /// Recovery falls back to `C_penult`: its image, MAC and health rung
     /// become `C_last`'s together, and the completed-checkpoint count drops
-    /// by the one abandoned. No guard is needed: with secure mode off both
-    /// MACs stay the empty image's, and with the ladder off both rungs stay
-    /// `Healthy`. Returns `false`, changing nothing, when no `C_penult` is
-    /// kept.
+    /// by the one abandoned. The archive forgets the abandoned checkpoint,
+    /// whose number passes to the next commit. No guard is needed: with
+    /// secure mode off both MACs stay the empty image's, and with the
+    /// ladder off both rungs stay `Healthy`. Returns `false`, changing
+    /// nothing, when no `C_penult` is kept.
     // lint: recovery-path
     fn fall_back_to_penult(&mut self) -> bool {
         let Some(prev) = &self.committed_prev else {
@@ -2483,6 +2484,7 @@ impl ThyNvm {
         // Saturating: a CRC fallback may already have landed on zero
         // completed checkpoints before a MAC fallback.
         self.epoch.completed = self.epoch.completed.saturating_sub(1);
+        self.archive.retain(|(n, _)| *n <= self.epoch.completed);
         true
     }
 
@@ -3719,6 +3721,29 @@ mod tests {
             assert_eq!((value, report.recovered_checkpoints), (0, 0), "secure={secure}");
             assert!(matches!(errs[..], [Error::IntegrityUnrecoverable { .. }]), "got {errs:?}");
         }
+    }
+
+    #[test]
+    fn integrity_fallback_drops_the_abandoned_checkpoint_from_the_archive() {
+        // A fallback abandons checkpoint 3, and the next commit is numbered
+        // 3 again: a rollback to 3 must restore that commit, not the
+        // abandoned image.
+        let mut sys = ThyNvm::new(media_cfg(|_| {}));
+        sys.set_archive_depth(8);
+        let mut t = Cycle::ZERO;
+        for val in 1u8..=3 {
+            t = store_and_checkpoint(&mut sys, val, t);
+        }
+        sys.inject_media_fault(MediaFault::ClastBitFlip { addr: 0 });
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback);
+        assert_eq!(sys.archived_checkpoints(), vec![1, 2]);
+        let t = store_and_checkpoint(&mut sys, 9, t + report.recovery_cycles);
+        assert_eq!(sys.archived_checkpoints(), vec![1, 2, 3]);
+        let report = sys.rollback_to_checkpoint(3, t).expect("archived");
+        let mut buf = [0u8; 64];
+        sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
+        assert_eq!(buf, [9u8; 64], "checkpoint 3 is the commit after the fallback");
     }
 
     #[test]
