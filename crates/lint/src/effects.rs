@@ -255,11 +255,13 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
         // Device write: `nvm.access(.., Write, ..)` / `dram.access(..)`,
         // or a write-primitive call `.nvm_write(..)` / `.persist_record(..)`.
         let open = i + 1;
-        if !toks.get(open).is_some_and(|t| t.is_punct("(")) {
+        let device_access = name == "access" && crate::graph::is_device_receiver(f, i);
+        let primitive = WRITE_PRIMITIVES.contains(&name) && toks[i - 1].is_punct(".");
+        if !(device_access || primitive) || !toks.get(open).is_some_and(|t| t.is_punct("(")) {
             continue;
         }
         let close = match_bracket(toks, open);
-        let region = if name == "access" && crate::graph::is_device_receiver(f, i) {
+        let region = if device_access {
             let is_write =
                 toks[open..=close.min(toks.len() - 1)].iter().any(|t| t.kind.is_ident("Write"));
             if !is_write {
@@ -270,10 +272,8 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
             } else {
                 first_arg_region(toks, open, close, &bindings)
             }
-        } else if WRITE_PRIMITIVES.contains(&name) && toks[i - 1].is_punct(".") {
-            first_arg_region(toks, open, close, &bindings)
         } else {
-            None
+            first_arg_region(toks, open, close, &bindings)
         };
         if let Some(r) = region {
             facts.direct |= r;
