@@ -42,6 +42,7 @@
 //!   DRAM page when the job retires (one DRAM write each) instead of being
 //!   persisted twice.
 
+use std::collections::VecDeque;
 
 use thynvm_mem::{
     Device, DeviceKind, DramEccModel, EccReadFault, FaultModel, PersistBuffer, SecurityModel,
@@ -152,9 +153,10 @@ pub struct RecoveryReport {
     /// penultimate image instead.
     pub integrity_fallback: bool,
     /// Whether *both* checkpoint images failed secure-mode authentication,
-    /// or `C_last` failed verification after a rollback left no `C_penult`:
-    /// recovery refused to replay unverified data and reset to the
-    /// provably-empty image ([`Error::IntegrityUnrecoverable`]).
+    /// or `C_last` failed verification after a rollback or an earlier
+    /// fallback left no `C_penult`: recovery refused to replay unverified
+    /// data and reset to the provably-empty image
+    /// ([`Error::IntegrityUnrecoverable`]).
     pub unrecoverable: bool,
     /// Simulated duration of the recovery procedure, including every
     /// attempt aborted by a nested crash.
@@ -226,6 +228,35 @@ struct Verdict {
     unrecoverable: bool,
 }
 
+/// One completed checkpoint as recovery finds it: its image, the MAC over
+/// the image and the health rung its commit record persisted.
+#[derive(Debug)]
+struct Checkpoint {
+    /// Checkpoints completed when it committed; 0 is the empty image the
+    /// system starts from.
+    number: u64,
+    /// The checkpointed contents, physical address space. It shares every
+    /// page a later commit did not rewrite with that commit's image
+    /// (copy-on-write).
+    store: SparseStore,
+    /// MAC over `store` under the modeled key, updated at commit from the
+    /// terms of the pages the commit rewrote. Models the authenticated
+    /// checkpoint root stored in NVM. Stays the empty image's MAC while
+    /// secure mode is off.
+    mac: u64,
+    /// Rung persisted with the commit record: what recovery rehydrates
+    /// when it restores this checkpoint.
+    rung: HealthRung,
+}
+
+impl Checkpoint {
+    /// Checkpoint 0: the empty image, carrying `rung`.
+    fn empty(mac_key: u64, rung: HealthRung) -> Self {
+        let store = SparseStore::new();
+        Self { number: 0, mac: store.mac(mac_key), store, rung }
+    }
+}
+
 /// Data captured while checkpointing a page (target region chosen when the
 /// job was scheduled).
 #[derive(Debug, Clone, Copy)]
@@ -269,25 +300,25 @@ pub struct ThyNvm {
     input_blocked_until: Cycle,
 
     // ---- functional layer ----
-    /// Latest recoverable contents (state at the last *completed*
-    /// checkpoint), physical address space.
-    committed: SparseStore,
+    /// The completed checkpoints recovery can restore, oldest first:
+    /// checkpoint 0 (the empty image) pinned at the front, `C_last` at the
+    /// back, `C_penult` the record numbered one below it when held, and
+    /// the §6 archive the newest `archive_depth` records behind checkpoint
+    /// 0. A commit pushes, a fallback pops, a rollback truncates and an
+    /// unrecoverable reset clears.
+    history: VecDeque<Checkpoint>,
     /// Current software-visible contents. Recovery resets them to a clone
-    /// of `committed`, and between recoveries they only gain pages, so
-    /// every image captured from them holds every page `committed` holds.
+    /// of `C_last`, and between recoveries they only gain pages, so every
+    /// image captured from them holds every page `C_last` holds.
     visible: SparseStore,
     /// `visible` as the in-flight checkpoint's final round captured it;
-    /// it becomes `committed` when the job retires. `None` while no job
-    /// is in flight, and during an intermediate round, which captures
-    /// nothing.
+    /// it becomes `C_last` when the job retires. `None` while no job is in
+    /// flight, and during an intermediate round, which captures nothing.
     ckpting: Option<SparseStore>,
     /// Crashes, flushes and absorbed faults not yet drained by
     /// [`Self::take_events`].
     journal: Vec<Event>,
-    /// Archive of past committed images for §6-style bug tolerance
-    /// (checkpoint number → image). Empty unless enabled.
-    archive: std::collections::VecDeque<(u64, SparseStore)>,
-    /// How many past checkpoints to retain (0 disables archiving).
+    /// How many past checkpoints the §6 archive exposes (0 disables it).
     archive_depth: usize,
     /// Distribution of epoch execution-phase lengths (cycles).
     epoch_length_hist: thynvm_types::Histogram,
@@ -308,14 +339,6 @@ pub struct ThyNvm {
     // ---- media faults & self-healing ----
     /// The NVM media-fault model, when `cfg.media.enabled`.
     fault: Option<FaultModel>,
-    /// The penultimate committed image — the fallback target when `C_last`
-    /// fails integrity verification at recovery. Maintained only while a
-    /// verifier can reject `C_last`: the media model, CRC integrity, or
-    /// secure mode is on. It shares every page the last commit did not
-    /// rewrite with `committed` (copy-on-write). `None` once a rollback
-    /// reached a checkpoint whose predecessor the archive no longer held:
-    /// no trusted image remains to fall back to.
-    committed_prev: Option<SparseStore>,
     /// Persistent bad-block table: device block base → spare slot. Blocks
     /// listed here have been permanently remapped away from worn-out cells;
     /// the table survives crashes (it is persisted NVM metadata).
@@ -333,15 +356,10 @@ pub struct ThyNvm {
     /// integrity checking): `(physical byte, XOR mask)` to apply to the
     /// delivered buffer.
     pending_corruption: Option<(u64, u8)>,
-    /// Injected latent fault: the next recovery's `C_last` commit record is
-    /// torn.
-    injected_torn_commit: bool,
-    /// Injected latent fault: a data bit of the next recovery's `C_last`
-    /// flipped at this physical address.
-    injected_clast_flip: Option<u64>,
-    /// Injected latent fault: the next recovery's serialized PTT metadata
-    /// is corrupted.
-    injected_meta_corrupt: bool,
+    /// Latent media faults in the next recovery's `C_last`, one entry per
+    /// kind: a torn commit record, a flipped data bit, corrupt PTT
+    /// metadata.
+    injected_media: Vec<FaultKind>,
     /// Sequence number of the next write-ahead-log record in the backup
     /// region (bad-block remaps, recovery-side integrity fallbacks).
     wal_seq: u64,
@@ -358,13 +376,6 @@ pub struct ThyNvm {
     /// security seed. An attacker without it cannot produce a forgery that
     /// verifies.
     mac_key: u64,
-    /// MAC over the `C_last` committed image, rotated at job retirement
-    /// and updated there from the terms of the pages the commit rewrote.
-    /// Models the authenticated checkpoint root stored in NVM — it
-    /// survives crashes.
-    mac_last: u64,
-    /// MAC over the retained `C_penult` image (the fallback target).
-    mac_penult: u64,
     /// Armed tamper, applied at the next crash once a completed checkpoint
     /// exists to forge.
     injected_tamper: Option<TamperFault>,
@@ -381,13 +392,8 @@ pub struct ThyNvm {
     // ---- graceful-degradation health ladder ----
     /// The hysteresis-driven degradation ladder, when `cfg.health.enabled`.
     health_mon: Option<HealthMonitor>,
-    /// Rung persisted with `C_last`'s commit record — what recovery
-    /// rehydrates when it restores `C_last`. Rotated like `mac_last`.
-    health_rung_last: HealthRung,
-    /// Rung persisted with the retained `C_penult` image (the fallback).
-    health_rung_penult: HealthRung,
     /// Rung captured when the in-flight checkpoint's health record
-    /// persisted; rotated into `health_rung_last` at job retirement.
+    /// persisted; it becomes `C_last`'s at job retirement.
     pending_health_rung: Option<HealthRung>,
 }
 
@@ -395,7 +401,6 @@ impl ThyNvm {
     /// Creates a controller with the given configuration.
     pub fn new(cfg: SystemConfig) -> Self {
         let mac_key = thynvm_types::rng::mix(cfg.security.seed, TAG_MAC_KEY);
-        let empty_mac = SparseStore::new().mac(mac_key);
         Self {
             space: AddressSpace::new(),
             dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
@@ -413,11 +418,10 @@ impl ThyNvm {
             btt_spills: 0,
             epoch_dirty_blocks: 0,
             input_blocked_until: Cycle::ZERO,
-            committed: SparseStore::new(),
+            history: VecDeque::from([Checkpoint::empty(mac_key, HealthRung::Healthy)]),
             visible: SparseStore::new(),
             ckpting: None,
             journal: Vec::new(),
-            archive: std::collections::VecDeque::new(),
             archive_depth: 0,
             epoch_length_hist: thynvm_types::Histogram::new(),
             job_duration_hist: thynvm_types::Histogram::new(),
@@ -426,27 +430,20 @@ impl ThyNvm {
                 .media
                 .enabled
                 .then(|| FaultModel::new(&cfg.media, cfg.nvm_geometry.row_bytes)),
-            committed_prev: Some(SparseStore::new()),
             bad_blocks: FxHashMap::default(),
             switch_scratch: FxHashMap::default(),
             reclaim_scratch: Vec::new(),
             next_spare_slot: 0,
             pending_corruption: None,
-            injected_torn_commit: false,
-            injected_clast_flip: None,
-            injected_meta_corrupt: false,
+            injected_media: Vec::new(),
             wal_seq: 0,
             dram_fault: cfg.dram_fault.enabled.then(|| DramEccModel::new(&cfg.dram_fault)),
             security: cfg.security.enabled.then(|| SecurityModel::new(&cfg.security)),
             mac_key,
-            mac_last: empty_mac,
-            mac_penult: empty_mac,
             injected_tamper: None,
             pbuf: cfg.wpq.enabled.then(|| PersistBuffer::new(cfg.wpq, cfg.nvm_geometry)),
             wpq_skip_next_fence: false,
             health_mon: cfg.health.enabled.then(|| HealthMonitor::new(cfg.health)),
-            health_rung_last: HealthRung::Healthy,
-            health_rung_penult: HealthRung::Healthy,
             pending_health_rung: None,
             cfg,
         }
@@ -679,10 +676,13 @@ impl ThyNvm {
     /// its integrity verification and recovery falls back to `C_penult`.
     /// With no completed checkpoint at recovery time the fault stays armed.
     pub fn inject_media_fault(&mut self, fault: MediaFault) {
-        match fault {
-            MediaFault::TornCommitRecord => self.injected_torn_commit = true,
-            MediaFault::ClastBitFlip { addr } => self.injected_clast_flip = Some(addr),
-            MediaFault::CorruptPttMetadata => self.injected_meta_corrupt = true,
+        let kind = match fault {
+            MediaFault::TornCommitRecord => FaultKind::TornWrite,
+            MediaFault::ClastBitFlip { .. } => FaultKind::BitFlip,
+            MediaFault::CorruptPttMetadata => FaultKind::Metadata,
+        };
+        if !self.injected_media.contains(&kind) {
+            self.injected_media.push(kind);
         }
     }
 
@@ -717,7 +717,7 @@ impl ThyNvm {
     /// MAC over the committed `C_last` image under the modeled key — what
     /// the next recovery's verification recomputes and compares.
     pub fn clast_mac(&self) -> u64 {
-        self.mac_last
+        self.clast().mac
     }
 
     // ------------------------------------------------------------------
@@ -807,7 +807,7 @@ impl ThyNvm {
     ///
     /// [`PersistenceOracle::record_health`]: crate::PersistenceOracle::record_health
     pub fn clast_health_rung(&self) -> HealthRung {
-        self.health_rung_last
+        self.clast().rung
     }
 
     /// The rung captured for the checkpoint currently in flight, if any —
@@ -818,17 +818,15 @@ impl ThyNvm {
     }
 
     /// Pages allocated across the functional stores (visible + in-flight
-    /// capture + committed + previous + archived images). A page that
-    /// several images share copy-on-write counts once per image that holds
-    /// it, so this bounds the host memory from above. Soak harnesses bound
-    /// it to show the simulator's footprint stays proportional to the
-    /// touched working set, not to simulated time.
+    /// capture + every held checkpoint image). A page that several images
+    /// share copy-on-write counts once per image that holds it, so this
+    /// bounds the host memory from above. Soak harnesses bound it to show
+    /// the simulator's footprint stays proportional to the touched working
+    /// set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
         self.visible.allocated_pages()
             + self.ckpting.as_ref().map_or(0, SparseStore::allocated_pages)
-            + self.committed.allocated_pages()
-            + self.committed_prev.as_ref().map_or(0, SparseStore::allocated_pages)
-            + self.archive.iter().map(|(_, s)| s.allocated_pages()).sum::<usize>()
+            + self.history.iter().map(|c| c.store.allocated_pages()).sum::<usize>()
     }
 
     /// The bounded-retry policy governing media CRC retries — NVM data
@@ -957,7 +955,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn quarantine_rollback(&mut self, base: u64, len: u64) {
         let mut img = vec![0u8; len as usize];
-        let last = self.ckpting.as_ref().unwrap_or(&self.committed);
+        let last = self.ckpting.as_ref().unwrap_or(&self.clast().store);
         last.read(HwAddr::new(base), &mut img);
         self.visible.write(HwAddr::new(base), &img);
     }
@@ -1420,61 +1418,41 @@ impl ThyNvm {
         self.commit_job(job);
     }
 
-    /// Commits a *taken* checkpoint job: rotates the three-version images,
-    /// MACs, health rungs, block/page versions, and applies deferred
-    /// scheme switches. Shared by normal retirement and by the crash-time
-    /// early-commit path, where the persist buffer's partial flush
-    /// salvaged the commit marker of a still-in-flight job.
+    /// Commits a *taken* checkpoint job: pushes its record onto the
+    /// checkpoint history, rotates block/page versions, and applies
+    /// deferred scheme switches. Shared by normal retirement and by the
+    /// crash-time early-commit path, where the persist buffer's partial
+    /// flush salvaged the commit marker of a still-in-flight job.
     fn commit_job(&mut self, job: CkptJob) {
         let retire_at = job.done_at;
 
         // Functional commit: the image the final round captured becomes
-        // `C_last`. An intermediate round captured nothing, so committing
-        // it leaves `C_last`'s contents as they were.
-        let next = self.ckpting.take().unwrap_or_else(|| self.committed.clone());
+        // `C_last`, and the superseded `C_last` becomes `C_penult`, the
+        // fallback should the new one fail verification. An intermediate
+        // round captured nothing, so committing it leaves `C_last`'s
+        // contents as they were.
+        let last = self.history.back().expect("invariant: checkpoint 0 is never trimmed");
+        let store = self.ckpting.take().unwrap_or_else(|| last.store.clone());
 
-        // Rotate the checkpoint MACs with the images: the superseded
-        // image's MAC becomes the fallback's reference, and the fresh
-        // committed image is authenticated under the modeled key. The MAC
-        // is a sum of per-page terms, so only the pages the capture does
-        // not share with `C_last` change it: their old terms come out and
+        // Authenticate the new image under the modeled key. The MAC is a
+        // sum of per-page terms, so only the pages the capture does not
+        // share with `C_last` change it: their old terms come out and
         // their new terms go in.
+        let mut mac = last.mac;
         if self.security.is_some() {
-            self.mac_penult = self.mac_last;
-            for page in next.pages_not_shared_with(&self.committed) {
-                self.mac_last = self
-                    .mac_last
-                    .wrapping_sub(self.committed.page_mac(self.mac_key, page))
-                    .wrapping_add(next.page_mac(self.mac_key, page));
+            for page in store.pages_not_shared_with(&last.store) {
+                mac = mac
+                    .wrapping_sub(last.store.page_mac(self.mac_key, page))
+                    .wrapping_add(store.page_mac(self.mac_key, page));
             }
-            debug_assert_eq!(self.mac_last, next.mac(self.mac_key));
+            debug_assert_eq!(mac, store.mac(self.mac_key));
         }
 
-        // The image superseded becomes `C_penult` — the integrity-fallback
-        // target should `C_last` later fail verification (media CRCs or
-        // secure-mode MAC authentication).
-        let superseded = std::mem::replace(&mut self.committed, next);
-        if self.keeps_penult() {
-            self.committed_prev = Some(superseded);
-        }
-
-        // Rotate the persisted health rung alongside the images it was
-        // durable with: the superseded `C_last`'s rung becomes the fallback
-        // reference, the just-committed record's rung becomes `C_last`'s.
-        if self.health_mon.is_some() {
-            self.health_rung_penult = self.health_rung_last;
-            if let Some(rung) = self.pending_health_rung.take() {
-                self.health_rung_last = rung;
-            }
-        }
-
-        // §6 bug-tolerance extension: archive the committed image.
-        if self.archive_depth > 0 {
-            self.archive.push_back((self.epoch.completed, self.committed.clone()));
-            while self.archive.len() > self.archive_depth {
-                self.archive.pop_front();
-            }
-        }
+        // The commit record carries the rung its health record persisted;
+        // with the ladder off there is none, and `C_last`'s stands.
+        let rung = self.pending_health_rung.take().unwrap_or(last.rung);
+        self.history.push_back(Checkpoint { number: self.epoch.completed, store, mac, rung });
+        self.trim_history();
 
         // Rotate block versions (iteration order does not affect timing
         // here; the merge lists are sorted before their DRAM writes below).
@@ -1560,6 +1538,34 @@ impl ThyNvm {
     /// `C_last` corrupt (media faults, CRCs or MACs) ever falls back to it.
     fn keeps_penult(&self) -> bool {
         self.fault.is_some() || self.cfg.media.integrity || self.security.is_some()
+    }
+
+    /// `C_last`: the newest held checkpoint.
+    fn clast(&self) -> &Checkpoint {
+        self.history.back().expect("invariant: checkpoint 0 is never trimmed")
+    }
+
+    /// `C_penult`: the held checkpoint numbered one below `C_last`, if any.
+    fn penult(&self) -> Option<&Checkpoint> {
+        let last = self.clast().number;
+        self.history.iter().rev().nth(1).filter(|c| c.number + 1 == last)
+    }
+
+    /// The §6 archive: the newest `archive_depth` checkpoints behind
+    /// checkpoint 0, oldest first.
+    fn archive(&self) -> impl Iterator<Item = &Checkpoint> {
+        let held = self.history.len() - 1;
+        self.history.iter().skip(1 + held.saturating_sub(self.archive_depth))
+    }
+
+    /// Drops the oldest checkpoints behind checkpoint 0 until the archive
+    /// and, while a verifier can reject `C_last`, `C_penult` are all that
+    /// remain besides `C_last`.
+    fn trim_history(&mut self) {
+        let keep = self.archive_depth.max(1 + usize::from(self.keeps_penult()));
+        while self.history.len() > 1 + keep {
+            self.history.remove(1);
+        }
     }
 
     /// Applies promotions/demotions decided from the previous epoch's store
@@ -1949,17 +1955,17 @@ impl ThyNvm {
     /// committed checkpoint images that [`ThyNvm::rollback_to_checkpoint`]
     /// can restore ("devising mechanisms to find and recover to past
     /// bug-free checkpoints"). `0` disables archiving (the default; the
-    /// archive costs memory proportional to the footprint).
+    /// archive costs memory proportional to the footprint). Checkpoints
+    /// already held count toward the depth: `C_last` always, and
+    /// `C_penult` while a verifier can reject `C_last`.
     pub fn set_archive_depth(&mut self, depth: usize) {
         self.archive_depth = depth;
-        while self.archive.len() > depth {
-            self.archive.pop_front();
-        }
+        self.trim_history();
     }
 
     /// Checkpoint numbers currently held in the archive, oldest first.
     pub fn archived_checkpoints(&self) -> Vec<u64> {
-        self.archive.iter().map(|(n, _)| *n).collect()
+        self.archive().map(|c| c.number).collect()
     }
 
     /// Distribution of epoch execution-phase lengths, in cycles.
@@ -1977,16 +1983,17 @@ impl ThyNvm {
     /// later state — including later archived checkpoints, which are now
     /// "the future". `number` checkpoints count as completed afterwards.
     ///
-    /// `C_penult` becomes checkpoint `number − 1`: the archived image, or
-    /// the empty image for checkpoint 1. A rollback to the latest
-    /// completed checkpoint discards nothing, so its `C_penult` stands.
-    /// An older `number` whose predecessor the archive no longer holds
-    /// leaves no `C_penult` at all: should `C_last` then fail
-    /// verification, recovery has nothing trusted to fall back to and
-    /// reports the recovery unrecoverable instead of replaying a
-    /// stand-in image.
+    /// `C_penult` becomes checkpoint `number − 1` when it is still held:
+    /// always for checkpoint 1, whose `C_penult` is the empty image, and
+    /// for the latest completed checkpoint, which discards nothing. An
+    /// older `number` whose predecessor left the history leaves no
+    /// `C_penult` at all: should `C_last` then fail verification, recovery
+    /// has nothing trusted to fall back to and reports the recovery
+    /// unrecoverable instead of replaying a stand-in image. Each image
+    /// keeps the MAC it was committed under, so recovery's verification
+    /// does not mistake the sanctioned rollback for tampering.
     ///
-    /// The health rungs persisted with the images survive a rollback on
+    /// The health rungs of `C_last` and `C_penult` survive a rollback on
     /// purpose: they describe the device, not the data, and restoring an
     /// old image heals no cell.
     ///
@@ -1999,30 +2006,23 @@ impl ThyNvm {
         number: u64,
         now: Cycle,
     ) -> Result<RecoveryReport, thynvm_types::Error> {
-        let archived = |k| self.archive.iter().find(|(n, _)| *n == k).map(|(_, img)| img.clone());
-        let image = archived(number).ok_or(thynvm_types::Error::NoCheckpoint)?;
-        let rebuild_penult = number != self.epoch.completed && self.keeps_penult();
-        if rebuild_penult {
-            self.committed_prev =
-                if number == 1 { Some(SparseStore::new()) } else { archived(number - 1) };
+        if !self.archive().any(|c| c.number == number) {
+            return Err(thynvm_types::Error::NoCheckpoint);
         }
+        let last_rung = self.clast().rung;
+        let penult_rung = self.penult().map_or(last_rung, |c| c.rung);
         // Invalidate the in-flight job and everything after `number`.
         self.epoch.job = None;
         self.epoch.completed = number;
-        self.committed = image;
-        // The archived images become `C_last` and `C_penult` by deliberate
-        // operator action: re-authenticate them so recovery's MAC
-        // verification does not mistake the sanctioned rollback for
-        // tampering.
-        if self.security.is_some() {
-            self.mac_last = self.committed.mac(self.mac_key);
-            if let Some(prev) = self.committed_prev.as_ref().filter(|_| rebuild_penult) {
-                self.mac_penult = prev.mac(self.mac_key);
-            }
+        self.history.retain(|c| c.number <= number);
+        let mut newest = self.history.iter_mut().rev();
+        if let Some(last) = newest.next() {
+            last.rung = last_rung;
         }
-        self.archive.retain(|(n, _)| *n <= number);
-        let report = self.crash_and_recover(now);
-        Ok(report)
+        if let Some(prev) = newest.next().filter(|c| c.number + 1 == number) {
+            prev.rung = penult_rung;
+        }
+        Ok(self.crash_and_recover(now))
     }
 
     /// Ends the active epoch immediately (test/benchmark helper; the
@@ -2139,19 +2139,22 @@ impl ThyNvm {
     /// Applies an armed tamper to the persisted state it forges. The raw
     /// store mutations model an attacker with physical NVM access writing
     /// out-of-band — they deliberately bypass the controller's write path
-    /// (no counters bump, no MAC rotates), which is exactly why the next
+    /// (no counters bump, no MAC changes), which is exactly why the next
     /// recovery's recomputed MAC rejects the forged image.
     // lint: recovery-path
     fn apply_tamper(&mut self, fault: TamperFault) {
         self.stats.security.tampers_injected += 1;
-        let forge = |store: &mut SparseStore, addr: u64| {
-            let mut b = [0u8];
-            store.read(HwAddr::new(addr), &mut b);
-            b.iter_mut().for_each(|x| *x ^= 0xA5);
-            store.write(HwAddr::new(addr), &b);
+        // Forges one byte of each of the `n` newest checkpoint images.
+        let forge = |history: &mut VecDeque<Checkpoint>, n: usize, addr: u64| {
+            for c in history.iter_mut().rev().take(n) {
+                let mut b = [0u8];
+                c.store.read(HwAddr::new(addr), &mut b);
+                b.iter_mut().for_each(|x| *x ^= 0xA5);
+                c.store.write(HwAddr::new(addr), &b);
+            }
         };
         match fault {
-            TamperFault::ClastData { addr } => forge(&mut self.committed, addr),
+            TamperFault::ClastData { addr } => forge(&mut self.history, 1, addr),
             TamperFault::StaleCounterTable => self
                 .security
                 .as_mut()
@@ -2162,12 +2165,9 @@ impl ThyNvm {
                 .as_mut()
                 .expect("invariant: tamper applied only with secure mode on")
                 .tamper_torn_root(),
-            TamperFault::BothImages { addr } => {
-                forge(&mut self.committed, addr);
-                if let Some(prev) = self.committed_prev.as_mut() {
-                    forge(prev, addr);
-                }
-            }
+            // `C_last` and the image behind it. When that image is not
+            // `C_penult`, no image verifies either way.
+            TamperFault::BothImages { addr } => forge(&mut self.history, 2, addr),
         }
     }
 
@@ -2297,20 +2297,19 @@ impl ThyNvm {
         };
 
         // Roll the visible image back to the recovered checkpoint.
-        self.visible = self.committed.clone();
+        self.visible = self.clast().store.clone();
 
         // Rehydrate the health ladder with the rung that was durable
-        // alongside the restored image (the rotation in the fallback paths
-        // keeps `health_rung_last` tracking `committed`). A tamper detected
-        // by *this* recovery, or an unrecoverable verdict, overrides it:
-        // the ladder lands at FailSafe, which never promotes.
+        // alongside the restored image. A tamper detected by *this*
+        // recovery, or an unrecoverable verdict, overrides it: the ladder
+        // lands at FailSafe, which never promotes.
         if self.health_mon.is_some() {
-            // `health_rung_last` mirrors the durable record at
+            // `C_last`'s rung mirrors the durable record at
             // `health_record()` exactly: it starts Healthy (no record, no
             // standing degradation) and only changes when a record commits
-            // — checkpoint retirement, fallback rotation, or the
-            // override-persist below.
-            let persisted = self.health_rung_last;
+            // — checkpoint retirement, a fallback, or the override-persist
+            // below.
+            let persisted = self.clast().rung;
             let rung = if v.unrecoverable
                 || self.stats.security.tampers_detected > tampers_before
             {
@@ -2354,7 +2353,9 @@ impl ThyNvm {
                 self.charge_crc(64);
                 self.stats.media.wal_seals += 1;
                 self.stats.health.rung_persists += 1;
-                self.health_rung_last = rung;
+                if let Some(last) = self.history.back_mut() {
+                    last.rung = rung;
+                }
             }
         }
 
@@ -2466,37 +2467,30 @@ impl ThyNvm {
         done
     }
 
-    /// Recovery falls back to `C_penult`: its image, MAC and health rung
-    /// become `C_last`'s together, and the completed-checkpoint count drops
-    /// by the one abandoned. The archive forgets the abandoned checkpoint,
-    /// whose number passes to the next commit. No guard is needed: with
-    /// secure mode off both MACs stay the empty image's, and with the
-    /// ladder off both rungs stay `Healthy`. Returns `false`, changing
-    /// nothing, when no `C_penult` is kept.
+    /// Recovery falls back to `C_penult`: the abandoned `C_last` leaves the
+    /// history, so `C_penult`'s image, MAC and health rung become
+    /// `C_last`'s together and the completed-checkpoint count drops to its
+    /// number. The abandoned number passes to the next commit. Returns
+    /// `false`, changing nothing, when no `C_penult` is held.
     // lint: recovery-path
     fn fall_back_to_penult(&mut self) -> bool {
-        let Some(prev) = &self.committed_prev else {
+        let Some(number) = self.penult().map(|c| c.number) else {
             return false;
         };
-        self.committed = prev.clone();
-        self.mac_last = self.mac_penult;
-        self.health_rung_last = self.health_rung_penult;
-        // Saturating: a CRC fallback may already have landed on zero
-        // completed checkpoints before a MAC fallback.
-        self.epoch.completed = self.epoch.completed.saturating_sub(1);
-        self.archive.retain(|(n, _)| *n <= self.epoch.completed);
+        self.history.pop_back();
+        self.epoch.completed = number;
         true
     }
 
     /// Recovery has no trusted image to restore: replaying either image
     /// would hand unverified (possibly attacker-chosen) data to software.
-    /// Reset to the provably empty image and surface the error instead.
+    /// Reset to the provably empty image, forgetting every held
+    /// checkpoint, and surface the error instead. The rung persisted with
+    /// `C_last` stays durable.
     // lint: recovery-path
     fn reset_unrecoverable(&mut self, t: Cycle, v: &mut Verdict) {
-        self.committed = SparseStore::new();
-        self.committed_prev = Some(SparseStore::new());
-        self.mac_last = SparseStore::new().mac(self.mac_key);
-        self.mac_penult = self.mac_last;
+        let rung = self.clast().rung;
+        self.history = VecDeque::from([Checkpoint::empty(self.mac_key, rung)]);
         self.btt = Btt::new(self.cfg.thynvm.btt_entries);
         self.ptt = Ptt::new(self.cfg.thynvm.ptt_entries.min(self.cfg.thynvm.dram_pages() as usize));
         self.epoch.completed = 0;
@@ -2506,6 +2500,25 @@ impl ThyNvm {
         let err = Error::IntegrityUnrecoverable { epoch: self.epoch.active_epoch };
         self.record(t, EventKind::Error(err));
         v.unrecoverable = true;
+    }
+
+    /// A verifier rejected `C_last`, and its sealed WAL record commits the
+    /// outcome: the latent media faults become unreachable, and recovery
+    /// falls back to `C_penult` when that is `trusted`. A recovery abandons
+    /// at most one checkpoint, so a fallback an earlier verifier already
+    /// made (in this attempt or an aborted one) stands instead of falling
+    /// back again. Without a trusted, held `C_penult` recovery resets as
+    /// unrecoverable. Returns whether a fallback stands.
+    // lint: recovery-path
+    fn abandon_clast(&mut self, t: Cycle, v: &mut Verdict, trusted: bool) -> bool {
+        self.injected_media.clear();
+        if trusted && (v.integrity_fallback || self.fall_back_to_penult()) {
+            v.integrity_fallback = true;
+            true
+        } else {
+            self.reset_unrecoverable(t, v);
+            false
+        }
     }
 
     /// Commits a recovery fallback through the WAL: an intent record, then
@@ -2566,19 +2579,10 @@ impl ThyNvm {
             // Peek — never consume — the injected latent faults: whether
             // `C_last` is corrupt is a property of the persisted bytes, so
             // a restarted attempt must reach the same verdict.
-            let torn = self.injected_torn_commit;
-            let flip = self.injected_clast_flip;
-            let meta = self.injected_meta_corrupt;
-            if torn {
-                self.stats.media.record_fault(FaultKind::TornWrite);
+            for &kind in &self.injected_media {
+                self.stats.media.record_fault(kind);
             }
-            if flip.is_some() {
-                self.stats.media.record_fault(FaultKind::BitFlip);
-            }
-            if meta {
-                self.stats.media.record_fault(FaultKind::Metadata);
-            }
-            let corrupt = torn || flip.is_some() || meta;
+            let corrupt = !self.injected_media.is_empty();
             self.recovery_interrupt(RecoveryStep::VerifyClast, t, *v)?;
             steps.push((RecoveryStep::VerifyClast, t));
 
@@ -2587,16 +2591,8 @@ impl ThyNvm {
             // attempt detects and redoes, never a half-applied fallback.
             if corrupt {
                 t = self.recovery_wal_seal(t, *v)?;
-                // Sealed: the fallback commits, and the corrupt `C_last`
-                // image is no longer reachable — consume the faults.
-                self.injected_torn_commit = false;
-                self.injected_clast_flip = None;
-                self.injected_meta_corrupt = false;
-                if self.fall_back_to_penult() {
+                if self.abandon_clast(t, v, true) {
                     self.stats.media.integrity_fallbacks += 1;
-                    v.integrity_fallback = true;
-                } else {
-                    self.reset_unrecoverable(t, v);
                 }
                 steps.push((RecoveryStep::IntegrityFallback, t));
             }
@@ -2607,7 +2603,7 @@ impl ThyNvm {
         // table are *recomputed* from persisted state — pure functions of
         // it, so a restarted attempt converges on the same verdict. A CRC
         // fallback that landed on `completed == 0` still authenticates:
-        // the fallback image was cloned from persisted `C_penult` bytes an
+        // the fallback image is the persisted `C_penult`, whose bytes an
         // attacker with physical access can forge, so skipping the MAC
         // here would replay unauthenticated data (a forged penult behind a
         // torn commit record with exactly one completed checkpoint).
@@ -2627,19 +2623,20 @@ impl ThyNvm {
             // An armed media fault with CRC protection off: nothing else
             // would detect it, but the MAC does — accidentally corrupt
             // bytes fail authentication just like forged ones.
-            let media_caught = !self.cfg.media.integrity
-                && (self.injected_torn_commit
-                    || self.injected_clast_flip.is_some()
-                    || self.injected_meta_corrupt);
-            let mac_ok = !media_caught && self.committed.mac(self.mac_key) == self.mac_last;
+            let media_caught = !self.cfg.media.integrity && !self.injected_media.is_empty();
+            let last = self.clast();
+            let mac_ok = !media_caught && last.store.mac(self.mac_key) == last.mac;
             let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
             self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *v)?;
             steps.push((RecoveryStep::VerifyMacs, t));
 
             if !mac_ok || !table_ok {
                 let root_torn = self.security.as_ref().expect("invariant: secure mode is on in this block").root_is_torn();
-                let penult_ok = mac_ok
-                    || self.committed_prev.as_ref().is_some_and(|p| p.mac(self.mac_key) == self.mac_penult);
+                // The fallback target must verify. After a CRC fallback it
+                // is the `C_last` just checked.
+                let trusted = mac_ok
+                    || (!v.integrity_fallback
+                        && self.penult().is_some_and(|p| p.store.mac(self.mac_key) == p.mac));
                 // Either outcome commits through the WAL first — intent,
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
@@ -2658,25 +2655,16 @@ impl ThyNvm {
                     // content forgery: deliberate tampering either way.
                     self.stats.security.classified_tamper += 1;
                 }
-                if media_caught {
-                    // The MAC caught what the absent CRCs could not; the
-                    // fallback makes the faulted image unreachable.
-                    self.injected_torn_commit = false;
-                    self.injected_clast_flip = None;
-                    self.injected_meta_corrupt = false;
-                }
-                if penult_ok && self.fall_back_to_penult() {
+                if self.abandon_clast(t, v, trusted) {
                     // Degrade to `C_penult` exactly as CRC failures do,
                     // re-deriving and re-sealing the counter table from
                     // the surviving authenticated image.
                     self.security.as_mut().expect("invariant: secure mode is on in this block").heal_table();
                     self.stats.security.verify_fallbacks += 1;
-                    v.integrity_fallback = true;
                 } else {
                     // Both images fail authentication, or no `C_penult`
-                    // is kept.
+                    // is held.
                     self.stats.security.unrecoverable += 1;
-                    self.reset_unrecoverable(t, v);
                 }
                 steps.push((RecoveryStep::IntegrityFallback, t));
             }
@@ -3720,6 +3708,262 @@ mod tests {
             assert!(report.unrecoverable && !report.integrity_fallback, "secure={secure}");
             assert_eq!((value, report.recovered_checkpoints), (0, 0), "secure={secure}");
             assert!(matches!(errs[..], [Error::IntegrityUnrecoverable { .. }]), "got {errs:?}");
+        }
+    }
+
+    #[test]
+    fn a_recovery_abandons_at_most_one_checkpoint() {
+        // Each case checkpoints the values 1..=`last` into block 0, arms
+        // each crash's faults and crashes, then checks the recovered value,
+        // checkpoint count, archive, fallback counters and unrecoverable
+        // errors. A follow-up commit of 9 must take the next number, and a
+        // rollback to it must restore 9.
+        type Faults = (Option<MediaFault>, Option<TamperFault>);
+        struct Case {
+            name: &'static str,
+            media: bool,
+            secure: bool,
+            depth: usize,
+            /// Set the depth after the commits instead of before them.
+            late: bool,
+            last: u8,
+            crashes: &'static [Faults],
+            value: u8,
+            recovered: u64,
+            archive: &'static [u64],
+            /// `integrity_fallbacks` and `verify_fallbacks`.
+            fallbacks: (u64, u64),
+            unrecoverable: usize,
+        }
+        const FLIP: Faults = (Some(MediaFault::ClastBitFlip { addr: 0 }), None);
+        const FORGE: Faults = (None, Some(TamperFault::ClastData { addr: 0 }));
+        const BOTH: Faults = (None, Some(TamperFault::BothImages { addr: 0 }));
+        const FLIP_STALE: Faults = (FLIP.0, Some(TamperFault::StaleCounterTable));
+        const FLIP_TORN_ROOT: Faults = (FLIP.0, Some(TamperFault::TornRootMeta));
+        // Media and secure mode at archive depth 8, checkpoints 1–4.
+        const BASE: Case = Case {
+            name: "",
+            media: true,
+            secure: true,
+            depth: 8,
+            late: false,
+            last: 4,
+            crashes: &[],
+            value: 0,
+            recovered: 0,
+            archive: &[],
+            fallbacks: (0, 0),
+            unrecoverable: 0,
+        };
+        const MEDIA: Case = Case { secure: false, ..BASE };
+        const SECURE: Case = Case { media: false, ..BASE };
+        let cases = [
+            // The CRC step falls back once; the MAC step then finds the
+            // stale table or torn root and heals it without falling back
+            // again.
+            Case {
+                name: "flip + stale table",
+                crashes: &[FLIP_STALE],
+                value: 3,
+                recovered: 3,
+                archive: &[1, 2, 3],
+                fallbacks: (1, 1),
+                ..BASE
+            },
+            Case {
+                name: "flip + torn root",
+                crashes: &[FLIP_TORN_ROOT],
+                value: 3,
+                recovered: 3,
+                archive: &[1, 2, 3],
+                fallbacks: (1, 1),
+                ..BASE
+            },
+            // An unrecoverable reset forgets every held checkpoint.
+            Case { name: "both images", last: 3, crashes: &[BOTH], unrecoverable: 1, ..SECURE },
+            // A second failure before the next commit falls back to n − 2
+            // when the history holds it, and is unrecoverable otherwise.
+            Case {
+                name: "flip twice, depth 8",
+                crashes: &[FLIP, FLIP],
+                value: 2,
+                recovered: 2,
+                archive: &[1, 2],
+                fallbacks: (2, 0),
+                ..MEDIA
+            },
+            Case {
+                name: "flip twice, depth 0",
+                depth: 0,
+                crashes: &[FLIP, FLIP],
+                fallbacks: (1, 0),
+                unrecoverable: 1,
+                ..MEDIA
+            },
+            Case {
+                name: "forge twice, depth 8",
+                crashes: &[FORGE, FORGE],
+                value: 2,
+                recovered: 2,
+                archive: &[1, 2],
+                fallbacks: (0, 2),
+                ..SECURE
+            },
+            Case {
+                name: "forge twice, depth 0",
+                depth: 0,
+                crashes: &[FORGE, FORGE],
+                fallbacks: (0, 1),
+                unrecoverable: 1,
+                ..SECURE
+            },
+            // Checkpoints already held count toward a depth set later.
+            Case {
+                name: "late depth, no verifier",
+                media: false,
+                secure: false,
+                late: true,
+                last: 3,
+                value: 3,
+                recovered: 3,
+                archive: &[3],
+                ..BASE
+            },
+            Case {
+                name: "late depth, media",
+                late: true,
+                last: 3,
+                value: 3,
+                recovered: 3,
+                archive: &[2, 3],
+                ..MEDIA
+            },
+        ];
+        let read = |sys: &mut ThyNvm, t: Cycle| {
+            let mut buf = [0xFFu8; 64];
+            sys.load_bytes(PhysAddr::new(0), &mut buf, t);
+            assert!(buf.iter().all(|&b| b == buf[0]), "one checkpoint's bytes");
+            buf[0]
+        };
+        for c in cases {
+            let mut cfg = SystemConfig::small_test();
+            if c.media {
+                cfg.media = thynvm_types::MediaFaultConfig::hardened();
+            }
+            if c.secure {
+                cfg.security = thynvm_types::SecurityConfig::hardened();
+            }
+            let mut sys = ThyNvm::new(cfg);
+            if !c.late {
+                sys.set_archive_depth(c.depth);
+            }
+            let mut t = Cycle::ZERO;
+            for val in 1..=c.last {
+                t = store_and_checkpoint(&mut sys, val, t);
+            }
+            if c.late {
+                sys.set_archive_depth(c.depth);
+            }
+            for &(media, tamper) in c.crashes {
+                if let Some(fault) = media {
+                    sys.inject_media_fault(fault);
+                }
+                if let Some(fault) = tamper {
+                    sys.inject_tamper(fault);
+                }
+                t += sys.crash_and_recover(t).recovery_cycles;
+            }
+            let got = (read(&mut sys, t), sys.epoch_state().completed, sys.archived_checkpoints());
+            assert_eq!(got, (c.value, c.recovered, c.archive.to_vec()), "{}", c.name);
+            let s = sys.stats();
+            assert_eq!((s.media.integrity_fallbacks, s.security.verify_fallbacks), c.fallbacks, "{}", c.name);
+            let unrecoverable = errors(&mut sys)
+                .iter()
+                .filter(|e| matches!(e, Error::IntegrityUnrecoverable { .. }))
+                .count();
+            assert_eq!(unrecoverable, c.unrecoverable, "{}", c.name);
+
+            t = store_and_checkpoint(&mut sys, 9, t);
+            assert_eq!(sys.epoch_state().completed, c.recovered + 1, "{}: next commit", c.name);
+            if c.depth > 0 {
+                let report = sys.rollback_to_checkpoint(c.recovered + 1, t).expect("archived");
+                assert_eq!(read(&mut sys, t + report.recovery_cycles), 9, "{}: rollback", c.name);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_fault_sequences_keep_image_count_and_history_in_step() {
+        // Media and secure mode at several archive depths: commits, crashes
+        // with a media fault or a tamper armed, crashes that lose an
+        // uncheckpointed store, and rollbacks, in a seeded random order.
+        // `shadow[n]` is the value checkpoint `n` committed to block 0.
+        let media = [
+            MediaFault::TornCommitRecord,
+            MediaFault::ClastBitFlip { addr: 0 },
+            MediaFault::CorruptPttMetadata,
+        ];
+        let tampers = [
+            TamperFault::ClastData { addr: 0 },
+            TamperFault::StaleCounterTable,
+            TamperFault::TornRootMeta,
+            TamperFault::BothImages { addr: 0 },
+        ];
+        for depth in [0, 1, 2, 8] {
+            for seed in 0..100u64 {
+                let mut cfg = SystemConfig::small_test();
+                cfg.media = thynvm_types::MediaFaultConfig::hardened();
+                cfg.security = thynvm_types::SecurityConfig::hardened();
+                let mut sys = ThyNvm::new(cfg);
+                sys.set_archive_depth(depth);
+                let mut shadow = vec![0u8];
+                let mut rng = seed;
+                let mut t = Cycle::ZERO;
+                for step in 0..40u8 {
+                    let ctx = format!("depth {depth} seed {seed} step {step}");
+                    let roll = thynvm_types::rng::next(&mut rng);
+                    let val = step + 1;
+                    match roll % 7 {
+                        0..=2 => {
+                            t = store_and_checkpoint(&mut sys, val, t);
+                            shadow.push(val);
+                        }
+                        3 => sys.inject_media_fault(media[(roll >> 8) as usize % media.len()]),
+                        4 => sys.inject_tamper(tampers[(roll >> 8) as usize % tampers.len()]),
+                        5 => t = sys.store_bytes(PhysAddr::new(0), &[val; 64], t),
+                        _ => {
+                            let archived = sys.archived_checkpoints();
+                            if let Some(&n) = archived.get((roll >> 8) as usize % archived.len().max(1)) {
+                                t += sys.rollback_to_checkpoint(n, t).expect("archived").recovery_cycles;
+                            }
+                        }
+                    }
+                    if (3..=5).contains(&(roll % 7)) {
+                        t += sys.crash_and_recover(t).recovery_cycles;
+                    }
+
+                    let n = sys.epoch_state().completed;
+                    assert!((n as usize) < shadow.len(), "{ctx}: {n} checkpoints reported");
+                    shadow.truncate(n as usize + 1);
+                    let mut buf = [0xFFu8; 64];
+                    t = sys.load_bytes(PhysAddr::new(0), &mut buf, t);
+                    assert_eq!(buf, [shadow[n as usize]; 64], "{ctx}: image of checkpoint {n}");
+
+                    let archived = sys.archived_checkpoints();
+                    assert!(archived.windows(2).all(|w| w[0] < w[1]), "{ctx}: archive {archived:?}");
+                    assert!(archived.len() <= depth, "{ctx}: archive {archived:?}");
+                    assert!(archived.last().is_none_or(|&last| last == n), "{ctx}: archive {archived:?}");
+                    assert_macs_match_images(&sys, &ctx);
+                    if let Some(p) = sys.penult() {
+                        assert_eq!(p.number + 1, n, "{ctx}: C_penult");
+                    }
+                    let numbers: Vec<u64> = sys.history.iter().map(|c| c.number).collect();
+                    assert_eq!(numbers.first(), Some(&0), "{ctx}: history {numbers:?}");
+                    assert_eq!(numbers.last(), Some(&n), "{ctx}: history {numbers:?}");
+                    assert!(numbers[1..].windows(2).all(|w| w[0] + 1 == w[1]), "{ctx}: history {numbers:?}");
+                    assert_security_conservation(&sys);
+                }
+            }
         }
     }
 
@@ -5027,8 +5271,9 @@ mod tests {
 
     #[test]
     fn sanctioned_rollback_does_not_trip_the_mac() {
-        // rollback_to_checkpoint re-authenticates the archived image so a
-        // later crash does not misread the rollback as tampering.
+        // rollback_to_checkpoint restores the archived image with the MAC
+        // it was committed under, so a later crash does not misread the
+        // rollback as tampering.
         let mut sys = ThyNvm::new(secure_cfg(|_| {}));
         sys.set_archive_depth(4);
         let t = store_and_checkpoint(&mut sys, 1, Cycle::ZERO);
@@ -5061,12 +5306,12 @@ mod tests {
         assert_eq!(sec.dirty_count(), 12, "one re-encrypted home copy per reclaimed entry");
     }
 
-    /// Asserts that both checkpoint MACs equal a full recomputation over
-    /// the images they authenticate.
+    /// Asserts that every held checkpoint's MAC equals a full
+    /// recomputation over the image it authenticates.
     fn assert_macs_match_images(sys: &ThyNvm, when: &str) {
-        assert_eq!(sys.mac_last, sys.committed.mac(sys.mac_key), "C_last MAC after {when}");
-        let prev = sys.committed_prev.as_ref().expect("C_penult kept");
-        assert_eq!(sys.mac_penult, prev.mac(sys.mac_key), "C_penult MAC after {when}");
+        for c in &sys.history {
+            assert_eq!(c.mac, c.store.mac(sys.mac_key), "checkpoint {} MAC after {when}", c.number);
+        }
     }
 
     #[test]

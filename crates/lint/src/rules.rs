@@ -47,11 +47,11 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Fields of the controller/baselines that hold a raw `SparseStore`, plus
-/// the conventional local name `store`. A call `<receiver>.<mutator>(…)`
+/// the conventional name `store` (locals, and the image of each of the
+/// controller's checkpoint records). A call `<receiver>.<mutator>(…)`
 /// outside the sanctioned sites is a raw NVM write escaping the sealed
 /// persistence APIs.
-pub(crate) const STORE_RECEIVERS: &[&str] =
-    &["store", "committed", "committed_prev", "visible", "buffer_data"];
+pub(crate) const STORE_RECEIVERS: &[&str] = &["store", "committed", "visible", "buffer_data"];
 
 /// `SparseStore` mutating methods.
 pub(crate) const STORE_MUTATORS: &[&str] = &["write", "write_words", "copy_within", "clear"];
@@ -832,6 +832,13 @@ mod tests {
         let diags = one(
             "crates/core/src/controller.rs",
             "fn commit_job(&mut self) { self.committed.write(a, b); }",
+        );
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].rule, "L1");
+        // A fallback pops a checkpoint record; it rewrites no record's image.
+        let diags = one(
+            "crates/core/src/controller.rs",
+            "fn fall_back_to_penult(&mut self) { let last = x; last.store.write(a, b); }",
         );
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "L1");

@@ -146,23 +146,6 @@ impl FaultModel {
         self.bit_flip_rate == 0.0 && self.forced_flips == 0 && self.stuck.is_empty()
     }
 
-    /// Applies a fault (if any) to a buffer just read from `addr`, XOR-ing
-    /// the corrupted byte in place. Returns the fault kind when the buffer
-    /// was corrupted.
-    ///
-    /// This is the integration point for byte-accurate stores such as
-    /// [`crate::SparseStore`]: the caller reads the true bytes, then lets
-    /// the model corrupt them as the device would have.
-    pub fn corrupt_read(&mut self, addr: HwAddr, buf: &mut [u8]) -> Option<FaultKind> {
-        let len = u32::try_from(buf.len()).unwrap_or(u32::MAX);
-        let ev = self.read_fault(addr, len)?;
-        let idx = (ev.addr - addr.raw()) as usize;
-        if let Some(byte) = buf.get_mut(idx) {
-            *byte ^= ev.mask;
-        }
-        Some(ev.kind)
-    }
-
     /// How many leading words of a `words`-long device commit persist when
     /// power is lost mid-write. Returns a value in `0..words` when torn
     /// writes are modeled, or `words` (everything persisted) otherwise.
@@ -182,22 +165,10 @@ impl FaultModel {
         self.forced_flips += n;
     }
 
-    /// Repairs a stuck cell (models the block being remapped away from the
-    /// bad location). Returns whether a cell was actually stuck there.
-    pub fn repair(&mut self, addr: u64) -> bool {
-        self.stuck.remove(&addr).is_some()
-    }
-
     /// All currently stuck cells as `(address, stuck bit mask)`, in address
     /// order.
     pub fn stuck_cells(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
         self.stuck.iter().map(|(&a, &m)| (a, m))
-    }
-
-    /// Whether any cell in `[addr, addr + bytes)` is stuck.
-    pub fn is_stuck_range(&self, addr: HwAddr, bytes: u32) -> bool {
-        let base = addr.raw();
-        self.stuck.range(base..base + u64::from(bytes).max(1)).next().is_some()
     }
 
     /// Wear summary of the writes this model has observed, in the same
@@ -379,11 +350,6 @@ impl DramEccModel {
             .range(start..off.saturating_add(len.max(1)))
             .copied()
             .find(|&b| b + BLOCK_BYTES > off)
-    }
-
-    /// Whether any block in `[off, off + bytes)` is poisoned.
-    pub fn is_poisoned(&self, off: u64, bytes: u32) -> bool {
-        self.first_poisoned_in(off, u64::from(bytes)).is_some()
     }
 
     /// Clears the poison on the block at block-aligned offset `block`
@@ -712,11 +678,7 @@ mod tests {
         let e1 = m.read_fault(addr, 64).expect("stuck read corrupts");
         let e2 = m.read_fault(addr, 64).expect("still corrupts");
         assert_eq!((e1.addr, e1.mask, e1.kind), (e2.addr, e2.mask, FaultKind::StuckAt));
-        assert!(m.is_stuck_range(addr, 64));
-        // Repair clears it.
-        assert!(m.repair(cell));
-        assert_eq!(m.read_fault(addr, 64), None);
-        assert!(!m.is_stuck_range(addr, 64));
+        assert_eq!(m.stuck_cells().map(|(a, _)| a).collect::<Vec<_>>(), [cell]);
     }
 
     #[test]
@@ -764,19 +726,6 @@ mod tests {
         // Disabled: everything persists.
         let mut off = FaultModel::new(&MediaFaultConfig::default(), 8192);
         assert_eq!(off.torn_words(8), 8);
-    }
-
-    #[test]
-    fn corrupt_read_xors_buffer_in_place() {
-        let mut m = FaultModel::new(
-            &MediaFaultConfig { enabled: true, bit_flip_rate: 1.0, ..Default::default() },
-            8192,
-        );
-        let mut buf = [0u8; 64];
-        let kind = m.corrupt_read(HwAddr::new(0), &mut buf).expect("flips");
-        assert_eq!(kind, FaultKind::BitFlip);
-        let flipped: u32 = buf.iter().map(|b| b.count_ones()).sum();
-        assert_eq!(flipped, 1, "exactly one bit flipped in the buffer");
     }
 
     #[test]
@@ -861,8 +810,8 @@ mod tests {
         // The poisoned block keeps reporting; read elsewhere for the flip.
         assert_eq!(m.observe_read(1024, 64), Some(EccReadFault::Corrected));
         assert_eq!(m.observe_read(1024, 64), None);
-        assert!(m.is_poisoned(128, 64));
-        assert!(!m.is_poisoned(192, 64));
+        assert!(m.first_poisoned_in(128, 64).is_some());
+        assert!(m.first_poisoned_in(192, 64).is_none());
     }
 
     #[test]
@@ -872,11 +821,11 @@ mod tests {
         m.poison_block(320);
         // Partial overwrite of block 256 leaves poison in place.
         assert_eq!(m.note_write(256, 32), 0);
-        assert!(m.is_poisoned(256, 64));
+        assert!(m.first_poisoned_in(256, 64).is_some());
         // Whole-block overwrite clears exactly the covered blocks.
         assert_eq!(m.note_write(256, 64), 1);
-        assert!(!m.is_poisoned(256, 64));
-        assert!(m.is_poisoned(320, 64));
+        assert!(m.first_poisoned_in(256, 64).is_none());
+        assert!(m.first_poisoned_in(320, 64).is_some());
         // Unaligned span that happens to cover block 320 entirely clears it.
         assert_eq!(m.note_write(300, 120), 1);
         assert_eq!(m.outstanding(), 0);
