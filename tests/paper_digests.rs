@@ -1,12 +1,13 @@
-//! Locks every paper figure that runs through the core and cache model.
+//! Locks every paper figure and experiment table the bench crate renders.
 //!
-//! Each experiment that drives a trace through `CoreModel` or
-//! `MulticorePlatform` renders a table of simulated figures only. Its
-//! FNV-1a digest is held to `tests/common/paper_digests.txt`, so a change
-//! that moves any simulated number of any of these figures fails here and
-//! has to say why. The test-scale set runs with `cargo test`; Fig 7, Fig 8
-//! and Table 1 at full scale run with `--ignored` (under a minute in
-//! release).
+//! Each experiment renders a table of simulated figures (or, for Table 2,
+//! the configured machine) only: the ones that drive a trace through
+//! `CoreModel` or `MulticorePlatform`, and the controller-level ones that
+//! time recovery, endurance and the persist buffer. Its FNV-1a digest is
+//! held to `tests/common/paper_digests.txt`, so a change that moves any
+//! simulated number of any of these tables fails here and has to say why.
+//! The test-scale set runs with `cargo test`; Fig 7, Fig 8 and Table 1 at
+//! full scale run with `--ignored` (under a minute in release).
 
 use thynvm::bench::experiments::{self as ex, KvKind, Scale};
 
@@ -17,8 +18,9 @@ const LOCKED: &str = include_str!("common/paper_digests.txt");
 /// An experiment, rendered to the bytes its digest covers.
 type Render = fn(Scale) -> String;
 
-/// Every experiment the core + cache path feeds, by the name its line uses.
-const CACHE_DRIVEN: &[(&str, Render)] = &[
+/// Every locked experiment, by the name its line uses. Table 2, E13 and E20
+/// take no scale, so their entries ignore it.
+const EXPERIMENTS: &[(&str, Render)] = &[
     ("fig7", |s| ex::fig7_micro_exec_time(s).0.render()),
     ("fig8", |s| ex::fig8_write_traffic(s).0.render()),
     ("fig9_fig10_kv_hash", |s| fig9_fig10(s, KvKind::HashTable)),
@@ -37,6 +39,11 @@ const CACHE_DRIVEN: &[(&str, Render)] = &[
     ("e19", |s| ex::e19_media_resilience(s).render()),
     ("e21", |s| ex::e21_dram_resilience(s).render()),
     ("e22", |s| ex::e22_secure_mode(s).render()),
+    ("tab2", |_| ex::tab2_config().render()),
+    ("e13", |_| ex::e13_recovery_time().render()),
+    ("e20", |_| ex::e20_recovery_latency().render()),
+    ("e23", |s| ex::e23_endurance(s).render()),
+    ("e24", |s| ex::e24_persist_buffer(s).render()),
 ];
 
 /// The experiments also locked at `Scale::bench()`.
@@ -57,7 +64,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn check(names: &[&str], scale: Scale, scale_name: &str) {
     let mut stale = Vec::new();
     for &name in names {
-        let (_, render) = CACHE_DRIVEN.iter().find(|(n, _)| *n == name).expect("a listed experiment");
+        let (_, render) = EXPERIMENTS.iter().find(|(n, _)| *n == name).expect("a listed experiment");
         let line = format!("{name} {scale_name} {:016x}", fnv1a(render(scale).as_bytes()));
         println!("paper digest {line}");
         if !LOCKED.lines().any(|l| l == line) {
@@ -74,7 +81,7 @@ fn check(names: &[&str], scale: Scale, scale_name: &str) {
 
 #[test]
 fn every_cache_driven_figure_matches_its_locked_digest_at_test_scale() {
-    let names: Vec<&str> = CACHE_DRIVEN.iter().map(|(n, _)| *n).collect();
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
     check(&names, Scale::test(), "test");
 }
 
@@ -90,7 +97,7 @@ fn every_locked_line_names_a_known_experiment() {
         let mut fields = line.split(' ');
         let (name, scale) = (fields.next().unwrap_or(""), fields.next().unwrap_or(""));
         let known = match scale {
-            "test" => CACHE_DRIVEN.iter().any(|(n, _)| *n == name),
+            "test" => EXPERIMENTS.iter().any(|(n, _)| *n == name),
             "bench" => FULL_SCALE.contains(&name),
             _ => false,
         };
