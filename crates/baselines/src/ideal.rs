@@ -29,7 +29,7 @@ impl Ideal {
         };
         geometry.channels *= 2;
         Self {
-            device: Device::new(kind, cfg.timing, geometry),
+            device: Device::new(kind, geometry),
             stats: MemStats::new(),
             is_dram: kind == DeviceKind::Dram,
         }

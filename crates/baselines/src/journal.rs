@@ -70,8 +70,8 @@ impl Journaling {
     /// BTT + PTT combined, per §5.1.
     pub fn new(cfg: SystemConfig) -> Self {
         Self {
-            dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
-            nvm: Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry),
+            dram: Device::new(DeviceKind::Dram, cfg.dram_geometry),
+            nvm: Device::new(DeviceKind::Nvm, cfg.nvm_geometry),
             table: FxHashMap::default(),
             capacity: cfg.thynvm.btt_entries + cfg.thynvm.ptt_entries,
             next_slot: 0,
@@ -98,25 +98,12 @@ impl Journaling {
         HwAddr::new(u64::from(slot) * SLOT_BYTES)
     }
 
-    /// Attributes counter-mode encryption + MAC work for `bytes` of data.
-    /// Pure stats, as in ThyNVM: the AES-CTR pads overlap the burst
-    /// transfers. A no-op with secure mode off, so disabled runs stay
+    /// Attributes counter-mode encryption + MAC work for `bytes` of data,
+    /// as in ThyNVM. A no-op with secure mode off, so disabled runs stay
     /// bit-identical.
     fn charge_crypto(&mut self, bytes: u64, encrypt: bool) {
-        if self.security.is_none() {
-            return;
-        }
-        let blocks = bytes.div_ceil(BLOCK_BYTES);
-        if blocks == 0 {
-            return;
-        }
-        let ns = (self.cfg.security.crypto_ns_per_block + self.cfg.security.mac_ns_per_block)
-            * blocks;
-        self.stats.security.crypto_cycles += Cycle::from_ns(ns);
-        if encrypt {
-            self.stats.security.blocks_encrypted += blocks;
-        } else {
-            self.stats.security.blocks_verified += blocks;
+        if self.security.is_some() {
+            self.stats.security.charge_crypto(bytes, encrypt);
         }
     }
 

@@ -55,8 +55,8 @@ impl ShadowPaging {
     pub fn new(cfg: SystemConfig) -> Self {
         let slots = u32::try_from(cfg.thynvm.dram_pages()).expect("DRAM too large");
         Self {
-            dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
-            nvm: Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry),
+            dram: Device::new(DeviceKind::Dram, cfg.dram_geometry),
+            nvm: Device::new(DeviceKind::Nvm, cfg.nvm_geometry),
             pages: FxHashMap::default(),
             clean: BTreeSet::new(),
             free_slots: (0..slots).rev().collect(),

@@ -16,7 +16,7 @@ use thynvm_types::{
 fn bench_device(c: &mut Criterion) {
     let cfg = SystemConfig::paper();
     c.bench_function("nvm_device_access", |b| {
-        let mut dev = Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry);
+        let mut dev = Device::new(DeviceKind::Nvm, cfg.nvm_geometry);
         let mut now = Cycle::ZERO;
         let mut i = 0u64;
         b.iter(|| {

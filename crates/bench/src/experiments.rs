@@ -396,25 +396,25 @@ pub fn e9_overlap_ablation(scale: Scale) -> (Table, Vec<Cell>) {
 
 /// Table 2: the evaluated system configuration.
 pub fn tab2_config() -> Table {
+    use thynvm_types::{
+        DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS, L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES,
+        NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS, TABLE_LOOKUP_NS,
+    };
     let cfg = SystemConfig::paper();
     let mut table = Table::new("Table 2: system configuration", &["component", "value"]);
-    let t = cfg.timing;
     let c = cfg.cache;
     let n = cfg.thynvm;
     let rows: Vec<(String, String)> = vec![
         ("Processor".into(), "3 GHz, in-order".into()),
-        ("L1".into(), format!("{} KB, {}-way, {} cycles", c.l1_bytes / 1024, c.l1_ways, c.l1_hit_cycles)),
-        ("L2".into(), format!("{} KB, {}-way, {} cycles", c.l2_bytes / 1024, c.l2_ways, c.l2_hit_cycles)),
-        ("L3".into(), format!("{} MB, {}-way, {} cycles", c.l3_bytes / 1024 / 1024, c.l3_ways, c.l3_hit_cycles)),
-        ("DRAM".into(), format!("{} ({}) ns row hit (miss)", t.dram_row_hit_ns, t.dram_row_miss_ns)),
+        ("L1".into(), format!("{} KB, {}-way, {} cycles", c.l1_bytes / 1024, c.l1_ways, L1_HIT_CYCLES)),
+        ("L2".into(), format!("{} KB, {}-way, {} cycles", c.l2_bytes / 1024, c.l2_ways, L2_HIT_CYCLES)),
+        ("L3".into(), format!("{} MB, {}-way, {} cycles", c.l3_bytes / 1024 / 1024, c.l3_ways, L3_HIT_CYCLES)),
+        ("DRAM".into(), format!("{DRAM_ROW_HIT_NS} ({DRAM_ROW_MISS_NS}) ns row hit (miss)")),
         (
             "NVM".into(),
-            format!(
-                "{} ({}/{}) ns row hit (clean/dirty miss)",
-                t.nvm_row_hit_ns, t.nvm_clean_miss_ns, t.nvm_dirty_miss_ns
-            ),
+            format!("{NVM_ROW_HIT_NS} ({NVM_CLEAN_MISS_NS}/{NVM_DIRTY_MISS_NS}) ns row hit (clean/dirty miss)"),
         ),
-        ("BTT/PTT".into(), format!("{}/{} entries, {} ns lookup", n.btt_entries, n.ptt_entries, t.table_lookup_ns)),
+        ("BTT/PTT".into(), format!("{}/{} entries, {TABLE_LOOKUP_NS} ns lookup", n.btt_entries, n.ptt_entries)),
         ("DRAM size".into(), format!("{} MB", n.dram_bytes / 1024 / 1024)),
         ("Epoch".into(), format!("{} ms max", n.epoch_max_ms)),
         ("Metadata".into(), format!("{:.1} KB (≈37 KB in the paper)", n.metadata_bytes() as f64 / 1024.0)),

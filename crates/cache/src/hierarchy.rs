@@ -8,7 +8,9 @@
 //! L3 becomes a [`HierarchyOutcome::writebacks`] entry destined for main
 //! memory. Clean victims are dropped silently.
 
-use thynvm_types::{AccessKind, CacheConfig, PhysAddr};
+use thynvm_types::{
+    AccessKind, CacheConfig, PhysAddr, L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES,
+};
 
 use crate::cache::{block_of, Eviction, SetAssocCache};
 
@@ -89,13 +91,13 @@ impl CacheHierarchy {
         let mut out = HierarchyOutcome::default();
 
         let Err(l1_way) = self.l1.access_block(block, is_write) else {
-            out.latency_cycles = self.config.l1_hit_cycles;
+            out.latency_cycles = L1_HIT_CYCLES;
             return out;
         };
         match self.l2.access_block(block, false) {
-            Ok(()) => out.latency_cycles = self.config.l2_hit_cycles,
+            Ok(()) => out.latency_cycles = L2_HIT_CYCLES,
             Err(l2_way) => {
-                out.latency_cycles = self.config.l3_hit_cycles;
+                out.latency_cycles = L3_HIT_CYCLES;
                 if let Err(l3_way) = self.l3.access_block(block, false) {
                     // Miss everywhere: fetch from memory and install in all levels.
                     out.fetch = Some(addr.block_aligned());
@@ -259,6 +261,6 @@ mod tests {
     #[test]
     fn config_accessor() {
         let h = hierarchy();
-        assert_eq!(h.config().l1_hit_cycles, 4);
+        assert_eq!(h.config().l1_bytes, 32 * 1024);
     }
 }

@@ -15,7 +15,10 @@
 //! dirty set is handed to [`MemorySystem::begin_checkpoint`], and every
 //! core resumes at the controller's resume cycle.
 
-use thynvm_types::{CacheConfig, Cycle, MemRequest, MemorySystem, TraceEvent};
+use thynvm_types::{
+    CacheConfig, Cycle, MemRequest, MemorySystem, TraceEvent, L1_HIT_CYCLES, L2_HIT_CYCLES,
+    L3_HIT_CYCLES,
+};
 
 use crate::cache::SetAssocCache;
 use crate::core::CoreStats;
@@ -70,7 +73,6 @@ impl CoreResult {
 pub struct MulticorePlatform {
     cores: Vec<Core>,
     l3: SetAssocCache,
-    config: CacheConfig,
     flushes: u64,
 }
 
@@ -96,7 +98,6 @@ impl MulticorePlatform {
         Self {
             cores,
             l3: SetAssocCache::new(config.l3_bytes * n as u64, config.l3_ways),
-            config,
             flushes: 0,
         }
     }
@@ -125,18 +126,18 @@ impl MulticorePlatform {
 
             // L1.
             if core.l1.access(block, is_write) {
-                core.now += Cycle::new(self.config.l1_hit_cycles);
+                core.now += Cycle::new(L1_HIT_CYCLES);
                 continue;
             }
             // L2.
             let l2_hit = core.l2.access(block, false);
             if l2_hit {
-                core.now += Cycle::new(self.config.l2_hit_cycles);
+                core.now += Cycle::new(L2_HIT_CYCLES);
             } else {
                 // L3 (shared).
                 let l3_hit = self.l3.access(block, false);
                 let core = &mut self.cores[ci];
-                core.now += Cycle::new(self.config.l3_hit_cycles);
+                core.now += Cycle::new(L3_HIT_CYCLES);
                 if !l3_hit {
                     // Fetch from memory; the in-order core blocks.
                     let issue = core.now;

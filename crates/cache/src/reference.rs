@@ -9,7 +9,10 @@
 //! writeback order.
 
 use proptest::prelude::*;
-use thynvm_types::{AccessKind, CacheConfig, PhysAddr, SystemConfig, BLOCK_BYTES};
+use thynvm_types::{
+    AccessKind, CacheConfig, PhysAddr, SystemConfig, BLOCK_BYTES, L1_HIT_CYCLES, L2_HIT_CYCLES,
+    L3_HIT_CYCLES,
+};
 
 use crate::cache::{Eviction, SetAssocCache};
 use crate::hierarchy::{CacheHierarchy, HierarchyOutcome};
@@ -143,7 +146,6 @@ struct RefHierarchy {
     l1: RefCache,
     l2: RefCache,
     l3: RefCache,
-    config: CacheConfig,
 }
 
 impl RefHierarchy {
@@ -152,7 +154,6 @@ impl RefHierarchy {
             l1: RefCache::new(config.l1_bytes, config.l1_ways),
             l2: RefCache::new(config.l2_bytes, config.l2_ways),
             l3: RefCache::new(config.l3_bytes, config.l3_ways),
-            config,
         }
     }
 
@@ -184,21 +185,21 @@ impl RefHierarchy {
         let is_write = kind.is_write();
         let mut out = HierarchyOutcome::default();
         if self.l1.access(addr, is_write) {
-            out.latency_cycles = self.config.l1_hit_cycles;
+            out.latency_cycles = L1_HIT_CYCLES;
             return out;
         }
         if self.l2.access(addr, false) {
-            out.latency_cycles = self.config.l2_hit_cycles;
+            out.latency_cycles = L2_HIT_CYCLES;
             self.fill_l1(addr, is_write, &mut out.writebacks);
             return out;
         }
         if self.l3.access(addr, false) {
-            out.latency_cycles = self.config.l3_hit_cycles;
+            out.latency_cycles = L3_HIT_CYCLES;
             self.fill_l2(addr, false, &mut out.writebacks);
             self.fill_l1(addr, is_write, &mut out.writebacks);
             return out;
         }
-        out.latency_cycles = self.config.l3_hit_cycles;
+        out.latency_cycles = L3_HIT_CYCLES;
         out.fetch = Some(addr.block_aligned());
         self.fill_l3(addr, false, &mut out.writebacks);
         self.fill_l2(addr, false, &mut out.writebacks);
@@ -396,7 +397,6 @@ proptest! {
             l2_ways: w2,
             l3_bytes: b3,
             l3_ways: w3,
-            ..SystemConfig::paper().cache
         };
         run_hierarchy(config, &ops);
     }

@@ -51,11 +51,12 @@ use thynvm_mem::{
 use thynvm_types::{
     AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, FxHashSet,
     HealthRung, HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr,
-    RecoveryStep, RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, PAGE_BYTES,
+    RecoveryStep, RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES,
+    TABLE_LOOKUP_NS,
 };
 
 use crate::epoch::{CkptJob, EpochState};
-use crate::health::{HealthMonitor, HealthSignals};
+use crate::health::{HealthMonitor, HealthSignals, EMERGENCY_DIVISOR, SCRUB_BUDGET_NS};
 use crate::layout::{AddressSpace, Region};
 use crate::table::{bump_counter, Btt, Ptt, WactiveLoc};
 
@@ -78,6 +79,13 @@ const COMMIT_RECORD_WORDS: usize = 8;
 /// Domain-separation tag for deriving the modeled MAC key from the
 /// security seed (distinct from the tamper-schedule stream).
 const TAG_MAC_KEY: u64 = 0x4d41_434b; // "MACK"
+
+/// Size of the checkpointed CPU state in bytes (registers + store
+/// buffers); modeled as a single flush to the backup region.
+const CPU_STATE_BYTES: u64 = 4 * 1024;
+
+/// Capacity of each of the NVM and DRAM write queues (requests in flight).
+const WRITE_QUEUE_ENTRIES: usize = 64;
 
 /// A latent media fault injected into persisted checkpoint state.
 ///
@@ -403,10 +411,10 @@ impl ThyNvm {
         let mac_key = thynvm_types::rng::mix(cfg.security.seed, TAG_MAC_KEY);
         Self {
             space: AddressSpace::new(),
-            dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
-            nvm: Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry),
-            nvm_wq: WriteQueue::new(cfg.thynvm.nvm_write_queue),
-            dram_wq: WriteQueue::new(cfg.thynvm.dram_write_queue),
+            dram: Device::new(DeviceKind::Dram, cfg.dram_geometry),
+            nvm: Device::new(DeviceKind::Nvm, cfg.nvm_geometry),
+            nvm_wq: WriteQueue::new(WRITE_QUEUE_ENTRIES),
+            dram_wq: WriteQueue::new(WRITE_QUEUE_ENTRIES),
             btt: Btt::new(cfg.thynvm.btt_entries),
             ptt: Ptt::new(cfg.thynvm.ptt_entries.min(cfg.thynvm.dram_pages() as usize)),
             epoch: EpochState::new(),
@@ -714,12 +722,6 @@ impl ThyNvm {
         self.injected_tamper
     }
 
-    /// MAC over the committed `C_last` image under the modeled key — what
-    /// the next recovery's verification recomputes and compares.
-    pub fn clast_mac(&self) -> u64 {
-        self.clast().mac
-    }
-
     // ------------------------------------------------------------------
     // Volatile persist buffer (WPQ fault domain)
     // ------------------------------------------------------------------
@@ -829,22 +831,6 @@ impl ThyNvm {
             + self.history.iter().map(|c| c.store.allocated_pages()).sum::<usize>()
     }
 
-    /// The bounded-retry policy governing media CRC retries — NVM data
-    /// reads and recovery-side reads share it. Its
-    /// [`RetryPolicy::total_backoff`] bounds the worst-case added latency of
-    /// any single read, even with the spare pool drained.
-    pub fn media_retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::new(self.cfg.media.max_read_retries, self.cfg.media.retry_backoff_ns)
-    }
-
-    /// The bounded-retry policy governing DRAM ECC refetches.
-    pub fn dram_retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::new(
-            self.cfg.dram_fault.max_refetch_retries,
-            self.cfg.dram_fault.refetch_backoff_ns,
-        )
-    }
-
     /// Samples the observable health signals from state the controller
     /// already maintains (no device traffic, no cycles charged).
     fn health_signals(&self) -> HealthSignals {
@@ -892,7 +878,7 @@ impl ThyNvm {
 
     /// Whether the Wounded posture's emergency-early epoch timer has
     /// expired: at `Wounded` or worse the epoch length divides by
-    /// `cfg.health.emergency_divisor` so less work is at risk per crash.
+    /// [`EMERGENCY_DIVISOR`] so less work is at risk per crash.
     fn emergency_epoch_due(&self, now: Cycle) -> bool {
         let Some(mon) = self.health_mon.as_ref() else {
             return false;
@@ -900,8 +886,7 @@ impl ThyNvm {
         if mon.rung() < HealthRung::Wounded {
             return false;
         }
-        let shortened =
-            Cycle::new(self.cfg.thynvm.epoch_max().raw() / u64::from(self.cfg.health.emergency_divisor));
+        let shortened = Cycle::new(self.cfg.thynvm.epoch_max().raw() / EMERGENCY_DIVISOR);
         self.epoch.due(now, shortened)
     }
 
@@ -1031,7 +1016,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn dram_refetch_block(&mut self, block: BlockIndex, off: u64, src: HwAddr, now: Cycle) -> Cycle {
         let mut done = now;
-        for (_, backoff) in self.dram_retry_policy().schedule() {
+        for (_, backoff) in RetryPolicy::DRAM.schedule() {
             done += backoff;
             done = self.dram.access(HwAddr::new(off), AccessKind::Read, BLOCK_BYTES as u32, done);
             self.stats.dram_reads += 1;
@@ -1069,25 +1054,11 @@ impl ThyNvm {
 
     /// Attributes counter-mode encryption + MAC work for `bytes` of data
     /// (`encrypt` distinguishes the write path from read-side decrypt +
-    /// verify). Pure stats, like [`Self::charge_crc`]: the AES-CTR pads are
-    /// precomputed from the counters and XORed in the controller pipeline,
-    /// overlapping the burst transfers. A no-op with secure mode off, so
-    /// disabled runs stay bit-identical.
+    /// verify). Pure stats, like [`Self::charge_crc`]. A no-op with secure
+    /// mode off, so disabled runs stay bit-identical.
     fn charge_crypto(&mut self, bytes: u64, encrypt: bool) {
-        if self.security.is_none() {
-            return;
-        }
-        let blocks = bytes.div_ceil(BLOCK_BYTES);
-        if blocks == 0 {
-            return;
-        }
-        let ns = (self.cfg.security.crypto_ns_per_block + self.cfg.security.mac_ns_per_block)
-            * blocks;
-        self.stats.security.crypto_cycles += Cycle::from_ns(ns);
-        if encrypt {
-            self.stats.security.blocks_encrypted += blocks;
-        } else {
-            self.stats.security.blocks_verified += blocks;
+        if self.security.is_some() {
+            self.stats.security.charge_crypto(bytes, encrypt);
         }
     }
 
@@ -1253,7 +1224,7 @@ impl ThyNvm {
         }
         // The CRC rejected the data: retry with bounded backoff.
         let mut healed = false;
-        for (_, backoff) in self.media_retry_policy().schedule() {
+        for (_, backoff) in RetryPolicy::MEDIA.schedule() {
             done += backoff;
             done = self.nvm_read(hw, bytes, done);
             self.stats.media.retries += 1;
@@ -1270,7 +1241,7 @@ impl ThyNvm {
             // pool drained the block keeps limping along on CRC retries.
             let err = Error::RetriesExhausted {
                 addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
-                attempts: self.cfg.media.max_read_retries,
+                attempts: RetryPolicy::MEDIA.max_attempts(),
             };
             self.record(done, EventKind::Error(err));
             done = self.remap_bad_block(hw.raw() & !(BLOCK_BYTES - 1), done).unwrap_or(done);
@@ -1295,7 +1266,7 @@ impl ThyNvm {
             .health_mon
             .as_ref()
             .filter(|m| m.rung() >= HealthRung::Wounded)
-            .map(|_| now + Cycle::from_ns(self.cfg.health.scrub_budget_ns));
+            .map(|_| now + Cycle::from_ns(SCRUB_BUDGET_NS));
         let mut t = now;
         for cell in cells {
             if self.spares_exhausted() {
@@ -2449,7 +2420,7 @@ impl ThyNvm {
         if self.fault.as_mut().expect("invariant: is_none() checked above").read_fault(hw, bytes).is_none() {
             return done;
         }
-        for (_, backoff) in self.media_retry_policy().schedule() {
+        for (_, backoff) in RetryPolicy::MEDIA.schedule() {
             done += backoff;
             done = self.nvm_read(hw, bytes, done);
             self.stats.media.retries += 1;
@@ -2694,8 +2665,7 @@ impl ThyNvm {
         // The surgery above can quiesce any number of entries at once:
         // re-derive the victim-selection hints from the live table.
         self.btt.rebuild_quiescent_hints();
-        let meta_bytes = (self.btt.len() + self.ptt.len()) as u64 * META_ENTRY_BYTES
-            + self.cfg.thynvm.cpu_state_bytes;
+        let meta_bytes = (self.btt.len() + self.ptt.len()) as u64 * META_ENTRY_BYTES + CPU_STATE_BYTES;
         let meta_len = u32::try_from(meta_bytes.max(64).min(u64::from(u32::MAX)))
             .expect("invariant: value clamped to u32::MAX on the previous line");
         t = self.recovery_read(self.space.backup(0), meta_len, t, remaps);
@@ -2740,7 +2710,7 @@ impl MemorySystem for ThyNvm {
             return resume.max(now);
         }
         self.retire_job_if_done(now);
-        let t = now + self.cfg.timing.table_lookup();
+        let t = now + Cycle::from_ns(TABLE_LOOKUP_NS);
         match req.kind {
             AccessKind::Read => {
                 self.stats.reads += 1;
@@ -2968,12 +2938,11 @@ impl ThyNvm {
         // CPU state persists synchronously; the processor resumes after.
         // The write is prioritized ahead of the background flush drains
         // (modeled as an uncontended write: row miss + burst transfer).
-        let cpu_state = self.cfg.thynvm.cpu_state_bytes;
-        let bursts = cpu_state.max(64).div_ceil(64);
+        let bursts = CPU_STATE_BYTES.max(64).div_ceil(64);
         let resume_after_flush = t
-            + self.cfg.timing.nvm_clean_miss()
+            + Cycle::from_ns(NVM_CLEAN_MISS_NS)
             + Cycle::from_ns(thynvm_mem::device::BURST_NS * bursts.saturating_sub(1));
-        self.stats.record_nvm_write(cpu_state, NvmWriteClass::Checkpoint);
+        self.stats.record_nvm_write(CPU_STATE_BYTES, NvmWriteClass::Checkpoint);
 
         // (2) Checkpoint the BTT once the buffered drains are durable. With
         // integrity protection the serialized table carries a trailing CRC.
@@ -5469,7 +5438,7 @@ mod tests {
         let t = sys.drain(t);
         assert_eq!(sys.health_rung(), HealthRung::Wounded);
         assert_eq!(sys.stats().health.demotions, 1);
-        // Wounded shortens the epoch deadline by `emergency_divisor`: with
+        // Wounded shortens the epoch deadline by `EMERGENCY_DIVISOR`: with
         // a 1 ms epoch and divisor 4, dirty data makes a checkpoint due at
         // a quarter of the regular deadline.
         let t = sys.store_bytes(PhysAddr::new(4096), &[1u8; 64], t);
@@ -5559,7 +5528,7 @@ mod tests {
         let bad_end = sys.load_bytes(PhysAddr::new(16 * PAGE_BYTES), &mut buf, clean_end);
         assert_eq!(buf, [0xAB; 64], "degraded reads still serve correct data");
         let bad_dt = bad_end.raw() - clean_end.raw();
-        let policy = sys.media_retry_policy();
+        let policy = RetryPolicy::MEDIA;
         assert!(
             bad_dt <= clean_dt * u64::from(policy.max_attempts() + 1) + policy.total_backoff().raw(),
             "per-read latency exceeds the RetryPolicy bound: {bad_dt} vs clean {clean_dt}"

@@ -19,8 +19,8 @@
 //! # Rung postures (enforced by the controller)
 //!
 //! * **Wounded** — emergency-early checkpoints (the epoch timer divides by
-//!   [`HealthConfig::emergency_divisor`]) and a cycle-budgeted scrubber, so
-//!   scrubbing can no longer starve foreground traffic.
+//!   `EMERGENCY_DIVISOR`) and a scrubber held to `SCRUB_BUDGET_NS` per
+//!   pass, so scrubbing can no longer starve foreground traffic.
 //! * **ReadOnly** — new stores are rejected with
 //!   [`thynvm_types::Error::Degraded`]; CRC-verified loads are still served
 //!   and the in-flight checkpoint completes.
@@ -47,6 +47,22 @@
 use std::collections::VecDeque;
 
 use thynvm_types::{HealthConfig, HealthRung, HealthStats};
+
+/// Spare-pool occupancy percentage at or above which the ladder demotes to
+/// at least `Wounded`.
+const WOUNDED_SPARE_PCT: u64 = 75;
+
+/// Outstanding poisoned DRAM blocks at or above which the ladder demotes to
+/// at least `ReadOnly`.
+const READONLY_POISON_BLOCKS: u64 = 16;
+
+/// Factor by which the `Wounded` posture shortens the epoch timer:
+/// checkpoints become due after `epoch_max / EMERGENCY_DIVISOR`.
+pub(crate) const EMERGENCY_DIVISOR: u64 = 4;
+
+/// Simulated time one `Wounded`-mode scrub pass may spend, in nanoseconds,
+/// before deferring the remaining stuck cells to a later epoch.
+pub(crate) const SCRUB_BUDGET_NS: u64 = 100_000;
 
 /// One epoch's worth of observable health inputs, sampled by the controller
 /// at job retirement from state it already maintains. All `*_total` fields
@@ -164,7 +180,7 @@ impl HealthMonitor {
         // Wounded: the device is consuming its margins.
         let occupancy_pct =
             s.spares_used.saturating_mul(100).checked_div(s.spares_total).unwrap_or(0);
-        if occupancy_pct >= u64::from(c.wounded_spare_pct) {
+        if occupancy_pct >= WOUNDED_SPARE_PCT {
             at_least(HealthRung::Wounded);
         }
         let (mut retries, mut refetches, mut redos) = (deltas.retries, deltas.refetches, deltas.wal_redos);
@@ -190,7 +206,7 @@ impl HealthMonitor {
         if redos >= c.readonly_wal_redos {
             at_least(HealthRung::ReadOnly);
         }
-        if s.outstanding_poison >= c.readonly_poison_blocks {
+        if s.outstanding_poison >= READONLY_POISON_BLOCKS {
             at_least(HealthRung::ReadOnly);
         }
 
@@ -386,7 +402,7 @@ mod tests {
         let mut m = HealthMonitor::new(c);
         let mut st = HealthStats::default();
         let mut s = sig();
-        s.outstanding_poison = c.readonly_poison_blocks;
+        s.outstanding_poison = READONLY_POISON_BLOCKS;
         assert_eq!(m.observe_epoch(&s, &mut st), HealthRung::ReadOnly);
     }
 

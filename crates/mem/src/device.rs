@@ -12,7 +12,10 @@
 //! serialize while accesses to different banks proceed in parallel. Data
 //! transfer beyond the first 64 B burst is pipelined at the DDR3 burst rate.
 
-use thynvm_types::{AccessKind, Cycle, DeviceGeometry, FxHashMap, HwAddr, TimingConfig};
+use thynvm_types::{
+    AccessKind, Cycle, DeviceGeometry, FxHashMap, HwAddr, DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS,
+    NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS,
+};
 
 /// Additional data-transfer time per extra 64 B burst, in nanoseconds
 /// (DDR3-1600: 8 beats × 0.625 ns ≈ 5 ns per 64 B burst).
@@ -113,8 +116,8 @@ pub struct Device {
     /// `total_banks - 1` when the bank count is a power of two, so the
     /// bank fold is a mask instead of a 64-bit modulo.
     bank_mask: Option<u64>,
-    /// Row-hit latency, resolved from [`TimingConfig`] once at construction
-    /// so the per-access path does no ns→cycle conversions.
+    /// Row-hit latency, resolved from Table 2's nanoseconds once at
+    /// construction so the per-access path does no ns→cycle conversions.
     hit_lat: Cycle,
     /// Clean row-miss latency (row buffer empty or clean).
     clean_miss_lat: Cycle,
@@ -124,21 +127,18 @@ pub struct Device {
 }
 
 impl Device {
-    /// Creates a device of `kind` with the given timing and geometry.
+    /// Creates a device of `kind` with Table 2's latencies and the given
+    /// geometry.
     ///
     /// # Panics
     ///
     /// Panics if the geometry has zero banks or a zero-byte row.
-    pub fn new(kind: DeviceKind, timing: TimingConfig, geometry: DeviceGeometry) -> Self {
+    pub fn new(kind: DeviceKind, geometry: DeviceGeometry) -> Self {
         assert!(geometry.total_banks() > 0, "device must have at least one bank");
         assert!(geometry.row_bytes > 0, "row size must be nonzero");
-        let (hit_lat, clean_miss_lat, dirty_miss_lat) = match kind {
-            DeviceKind::Dram => {
-                (timing.dram_row_hit(), timing.dram_row_miss(), timing.dram_row_miss())
-            }
-            DeviceKind::Nvm => {
-                (timing.nvm_row_hit(), timing.nvm_clean_miss(), timing.nvm_dirty_miss())
-            }
+        let (hit_ns, clean_miss_ns, dirty_miss_ns) = match kind {
+            DeviceKind::Dram => (DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS, DRAM_ROW_MISS_NS),
+            DeviceKind::Nvm => (NVM_ROW_HIT_NS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS),
         };
         Self {
             kind,
@@ -153,9 +153,9 @@ impl Device {
                 .total_banks()
                 .is_power_of_two()
                 .then(|| u64::from(geometry.total_banks()) - 1),
-            hit_lat,
-            clean_miss_lat,
-            dirty_miss_lat,
+            hit_lat: Cycle::from_ns(hit_ns),
+            clean_miss_lat: Cycle::from_ns(clean_miss_ns),
+            dirty_miss_lat: Cycle::from_ns(dirty_miss_ns),
         }
     }
 
@@ -300,12 +300,12 @@ mod tests {
 
     fn dram() -> Device {
         let cfg = SystemConfig::paper();
-        Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry)
+        Device::new(DeviceKind::Dram, cfg.dram_geometry)
     }
 
     fn nvm() -> Device {
         let cfg = SystemConfig::paper();
-        Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry)
+        Device::new(DeviceKind::Nvm, cfg.nvm_geometry)
     }
 
     #[test]

@@ -750,7 +750,6 @@ mod tests {
             seed,
             flip_rate: flip,
             poison_rate: poison,
-            ..Default::default()
         })
     }
 

@@ -37,7 +37,7 @@
 //! use thynvm_types::{AccessKind, Cycle, HwAddr, SystemConfig};
 //!
 //! let cfg = SystemConfig::paper();
-//! let mut nvm = Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry);
+//! let mut nvm = Device::new(DeviceKind::Nvm, cfg.nvm_geometry);
 //! // First touch opens the row: clean miss, 128 ns = 384 cycles.
 //! let t1 = nvm.access(HwAddr::new(0), AccessKind::Read, 64, Cycle::ZERO);
 //! assert_eq!(t1, Cycle::new(384));

@@ -1,6 +1,10 @@
-//! System configuration (Table 2 of the paper) and ThyNVM-specific knobs.
+//! System configuration (Table 2 of the paper) and the fault-domain knobs.
 //!
-//! All defaults reproduce the paper's evaluated configuration:
+//! Table 2's latencies are constants: every evaluated system runs on the
+//! one machine the paper fixes, so nothing configures them. Its sizes,
+//! table capacities, epoch length and thresholds stay [`SystemConfig`]
+//! fields, which the sensitivity experiments and tests vary. All defaults
+//! reproduce the paper's evaluated configuration:
 //!
 //! | Component  | Paper value |
 //! |------------|-------------|
@@ -23,71 +27,37 @@ use crate::cycle::Cycle;
 /// CPU core frequency in GHz (Table 2: 3 GHz in-order).
 pub const CPU_FREQ_GHZ: u64 = 3;
 
-/// Raw device timing parameters, in nanoseconds (Table 2).
-///
-/// NVM timings follow the PCM-style model of the paper's sources: a row-buffer
-/// hit costs the same as DRAM, a clean row miss pays the slow NVM array read,
-/// and a dirty row miss additionally pays the expensive NVM array write-back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimingConfig {
-    /// DRAM row-buffer hit latency (ns).
-    pub dram_row_hit_ns: u64,
-    /// DRAM row-buffer miss latency (ns).
-    pub dram_row_miss_ns: u64,
-    /// NVM row-buffer hit latency (ns).
-    pub nvm_row_hit_ns: u64,
-    /// NVM row-buffer miss latency when the evicted row is clean (ns).
-    pub nvm_clean_miss_ns: u64,
-    /// NVM row-buffer miss latency when the evicted row is dirty (ns).
-    pub nvm_dirty_miss_ns: u64,
-    /// BTT/PTT lookup latency in the memory controller (ns).
-    pub table_lookup_ns: u64,
-}
+// Device latencies in nanoseconds (Table 2). NVM follows the PCM-style
+// model of the paper's sources: a row-buffer hit costs the same as DRAM, a
+// clean row miss pays the slow NVM array read, and a dirty row miss
+// additionally pays the expensive NVM array write-back.
 
-impl Default for TimingConfig {
-    fn default() -> Self {
-        Self {
-            dram_row_hit_ns: 40,
-            dram_row_miss_ns: 80,
-            nvm_row_hit_ns: 40,
-            nvm_clean_miss_ns: 128,
-            nvm_dirty_miss_ns: 368,
-            table_lookup_ns: 3,
-        }
-    }
-}
+/// DRAM row-buffer hit latency (ns; DDR3-1600).
+pub const DRAM_ROW_HIT_NS: u64 = 40;
+/// DRAM row-buffer miss latency (ns).
+pub const DRAM_ROW_MISS_NS: u64 = 80;
+/// NVM row-buffer hit latency (ns).
+pub const NVM_ROW_HIT_NS: u64 = 40;
+/// NVM row-buffer miss latency when the evicted row is clean (ns).
+pub const NVM_CLEAN_MISS_NS: u64 = 128;
+/// NVM row-buffer miss latency when the evicted row is dirty (ns).
+pub const NVM_DIRTY_MISS_NS: u64 = 368;
+/// BTT/PTT lookup latency in the memory controller (ns).
+pub const TABLE_LOOKUP_NS: u64 = 3;
 
-impl TimingConfig {
-    /// DRAM row-buffer hit latency in cycles.
-    pub fn dram_row_hit(&self) -> Cycle {
-        Cycle::from_ns(self.dram_row_hit_ns)
-    }
+/// L1 hit latency in cycles (Table 2).
+pub const L1_HIT_CYCLES: u64 = 4;
+/// L2 hit latency in cycles (Table 2).
+pub const L2_HIT_CYCLES: u64 = 12;
+/// L3 hit latency in cycles (Table 2).
+pub const L3_HIT_CYCLES: u64 = 28;
 
-    /// DRAM row-buffer miss latency in cycles.
-    pub fn dram_row_miss(&self) -> Cycle {
-        Cycle::from_ns(self.dram_row_miss_ns)
-    }
-
-    /// NVM row-buffer hit latency in cycles.
-    pub fn nvm_row_hit(&self) -> Cycle {
-        Cycle::from_ns(self.nvm_row_hit_ns)
-    }
-
-    /// NVM clean row-miss latency in cycles.
-    pub fn nvm_clean_miss(&self) -> Cycle {
-        Cycle::from_ns(self.nvm_clean_miss_ns)
-    }
-
-    /// NVM dirty row-miss latency in cycles.
-    pub fn nvm_dirty_miss(&self) -> Cycle {
-        Cycle::from_ns(self.nvm_dirty_miss_ns)
-    }
-
-    /// Address-translation-table lookup latency in cycles.
-    pub fn table_lookup(&self) -> Cycle {
-        Cycle::from_ns(self.table_lookup_ns)
-    }
-}
+/// Secure mode's modeled cost per 64 B block, in nanoseconds, charged on
+/// every encryption and every verification: 14 ns of counter-mode AES
+/// (pad generation and counter fetch) plus 8 ns of MAC work
+/// (integrity-tree leaf and node hashing), after Zuo et al.
+/// (arXiv:1901.00620).
+pub const CRYPTO_NS_PER_BLOCK: u64 = 14 + 8;
 
 /// Geometry of one memory device: channels, banks, and row size.
 ///
@@ -121,27 +91,22 @@ impl DeviceGeometry {
     }
 }
 
-/// Cache hierarchy configuration (Table 2).
+/// Cache hierarchy configuration (Table 2). The hit latencies are the
+/// constants [`L1_HIT_CYCLES`], [`L2_HIT_CYCLES`] and [`L3_HIT_CYCLES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// L1 data cache capacity in bytes (32 KB).
     pub l1_bytes: u64,
     /// L1 associativity.
     pub l1_ways: u32,
-    /// L1 hit latency in cycles.
-    pub l1_hit_cycles: u64,
     /// L2 capacity in bytes (256 KB).
     pub l2_bytes: u64,
     /// L2 associativity.
     pub l2_ways: u32,
-    /// L2 hit latency in cycles.
-    pub l2_hit_cycles: u64,
     /// L3 capacity in bytes (2 MB per core).
     pub l3_bytes: u64,
     /// L3 associativity.
     pub l3_ways: u32,
-    /// L3 hit latency in cycles.
-    pub l3_hit_cycles: u64,
 }
 
 impl Default for CacheConfig {
@@ -149,13 +114,10 @@ impl Default for CacheConfig {
         Self {
             l1_bytes: 32 * 1024,
             l1_ways: 8,
-            l1_hit_cycles: 4,
             l2_bytes: 256 * 1024,
             l2_ways: 8,
-            l2_hit_cycles: 12,
             l3_bytes: 2 * 1024 * 1024,
             l3_ways: 16,
-            l3_hit_cycles: 28,
         }
     }
 }
@@ -212,18 +174,11 @@ pub struct ThyNvmConfig {
     /// Store-counter threshold at/below which a page switches to block
     /// remapping at the next epoch (16 in the paper).
     pub demote_threshold: u8,
-    /// Size of the checkpointed CPU state in bytes (registers + store
-    /// buffers); modeled as a single flush to the backup region.
-    pub cpu_state_bytes: u64,
     /// Which checkpointing scheme(s) to use.
     pub mode: CkptMode,
     /// Whether checkpointing overlaps the next epoch's execution (Figure
     /// 3b). `false` reproduces the stop-the-world model of Figure 3a.
     pub overlap: bool,
-    /// Capacity of the NVM write queue (requests in flight).
-    pub nvm_write_queue: usize,
-    /// Capacity of the DRAM write queue (requests in flight).
-    pub dram_write_queue: usize,
     /// Placement of the Working Data Region (§4.1 footnote 3).
     pub working_region: WorkingRegion,
 }
@@ -237,11 +192,8 @@ impl Default for ThyNvmConfig {
             epoch_max_ms: 10,
             promote_threshold: 22,
             demote_threshold: 16,
-            cpu_state_bytes: 4 * 1024,
             mode: CkptMode::Dual,
             overlap: true,
-            nvm_write_queue: 64,
-            dram_write_queue: 64,
             working_region: WorkingRegion::Dram,
         }
     }
@@ -298,15 +250,10 @@ pub struct MediaFaultConfig {
     pub torn_writes: bool,
     /// CRC-protect persisted state (per-64 B data CRCs in the checkpoint
     /// regions, checksummed commit records and BTT/PTT metadata) and verify
-    /// it on reads and at recovery. Off: corrupted reads are delivered
+    /// it on reads and at recovery, retrying a rejected read under
+    /// [`crate::RetryPolicy::MEDIA`]. Off: corrupted reads are delivered
     /// silently.
     pub integrity: bool,
-    /// Bounded retries for a read that fails its CRC before the block is
-    /// declared permanently bad.
-    pub max_read_retries: u32,
-    /// Backoff between read retries, in nanoseconds (scaled by the attempt
-    /// number).
-    pub retry_backoff_ns: u64,
     /// Run the background scrubber: between epochs, remap blocks whose
     /// cells the wear model marked stuck, repairing checkpoint regions
     /// before the next epoch reads them. Requires `integrity` (CRCs are
@@ -328,8 +275,6 @@ impl Default for MediaFaultConfig {
             stuck_at_threshold: 0,
             torn_writes: false,
             integrity: false,
-            max_read_retries: 3,
-            retry_backoff_ns: 50,
             scrub: false,
             spare_blocks: 4096,
         }
@@ -378,16 +323,10 @@ pub struct DramFaultConfig {
     pub flip_rate: f64,
     /// Probability that one DRAM read suffers a multi-bit error the code
     /// can only detect: one 64 B block of the read span becomes poisoned.
-    /// Must be in `[0, 1]`.
+    /// Must be in `[0, 1]`. A poisoned clean block is re-read under
+    /// [`crate::RetryPolicy::DRAM`], then re-fetched from its NVM
+    /// checkpoint copy.
     pub poison_rate: f64,
-    /// Bounded DRAM re-read attempts on a poisoned block before the
-    /// controller gives up on the DRAM copy and re-fetches the block from
-    /// its NVM checkpoint copy. At least one attempt is required when the
-    /// model is enabled.
-    pub max_refetch_retries: u32,
-    /// Backoff between DRAM re-read attempts, in nanoseconds (scaled by
-    /// the attempt number).
-    pub refetch_backoff_ns: u64,
 }
 
 impl Default for DramFaultConfig {
@@ -397,16 +336,13 @@ impl Default for DramFaultConfig {
             seed: 0x4452_414d_4543, // "DRAMEC"
             flip_rate: 0.0,
             poison_rate: 0.0,
-            max_refetch_retries: 2,
-            refetch_backoff_ns: 30,
         }
     }
 }
 
 impl DramFaultConfig {
-    /// A fully-armed configuration: the ECC model on with the default
-    /// retry budget. Fault rates are left for the caller to choose (they
-    /// default to zero).
+    /// A fully-armed configuration: the ECC model on. Fault rates are left
+    /// for the caller to choose (they default to zero).
     pub fn hardened() -> Self {
         Self { enabled: true, ..Self::default() }
     }
@@ -440,13 +376,6 @@ pub struct SecurityConfig {
     /// from [`MediaFaultConfig::seed`] and [`DramFaultConfig::seed`] when
     /// the respective models are enabled, so the streams stay independent.
     pub seed: u64,
-    /// Modeled counter-mode encryption/decryption latency per 64 B block,
-    /// in nanoseconds (AES pipeline + counter fetch on the write path,
-    /// decrypt on the read path).
-    pub crypto_ns_per_block: u64,
-    /// Modeled MAC computation/verification latency per 64 B block, in
-    /// nanoseconds (integrity-tree leaf and node hashing).
-    pub mac_ns_per_block: u64,
     /// Arity of the integrity tree over the counter table: each node
     /// authenticates this many children. Must be at least 2 when the model
     /// is enabled.
@@ -463,8 +392,6 @@ impl Default for SecurityConfig {
         Self {
             enabled: false,
             seed: 0x5345_4355_5245, // "SECURE"
-            crypto_ns_per_block: 14,
-            mac_ns_per_block: 8,
             tree_arity: 8,
             tamper_rate: 0.0,
         }
@@ -473,8 +400,8 @@ impl Default for SecurityConfig {
 
 impl SecurityConfig {
     /// A fully-armed configuration: encryption and integrity verification
-    /// on with the default modeled latencies. The tamper rate is left for
-    /// the caller to choose (it defaults to zero).
+    /// on, each charged [`CRYPTO_NS_PER_BLOCK`]. The tamper rate is left
+    /// for the caller to choose (it defaults to zero).
     pub fn hardened() -> Self {
         Self { enabled: true, ..Self::default() }
     }
@@ -504,9 +431,6 @@ pub struct HealthConfig {
     /// Length of the sliding window, in epochs, over which retry/refetch
     /// rates are summed. Must be at least 1 when the monitor is enabled.
     pub window_epochs: u32,
-    /// Spare-pool occupancy percentage at or above which the ladder
-    /// demotes to at least `Wounded`. Must be in `[0, 100]`.
-    pub wounded_spare_pct: u8,
     /// Media CRC-retry attempts summed over the window at or above which
     /// the ladder demotes to at least `Wounded`. Zero would pin the ladder
     /// at `Wounded` permanently and is rejected when the monitor is on.
@@ -524,23 +448,10 @@ pub struct HealthConfig {
     /// exhausted and the scrubber can no longer heal — the ladder demotes
     /// to at least `ReadOnly`. Zero is rejected when the monitor is on.
     pub readonly_scrub_backlog: u64,
-    /// Outstanding poisoned DRAM blocks at or above which the ladder
-    /// demotes to at least `ReadOnly`. Zero is rejected when the monitor
-    /// is on.
-    pub readonly_poison_blocks: u64,
     /// Consecutive signal-free epochs required before the ladder promotes
     /// one rung (hysteresis). Must be at least 1 when the monitor is
     /// enabled.
     pub promote_clean_epochs: u32,
-    /// Factor by which the `Wounded` posture shortens the epoch timer:
-    /// checkpoints become due after `epoch_max / emergency_divisor`.
-    /// Must be in `[1, 1024]` when the monitor is enabled.
-    pub emergency_divisor: u32,
-    /// Cycle budget (in nanoseconds of simulated time) one `Wounded`-mode
-    /// scrub pass may spend before deferring remaining stuck cells to a
-    /// later epoch, so scrubbing cannot starve foreground traffic. Must be
-    /// nonzero and at most one second when the monitor is enabled.
-    pub scrub_budget_ns: u64,
 }
 
 impl Default for HealthConfig {
@@ -548,15 +459,11 @@ impl Default for HealthConfig {
         Self {
             enabled: false,
             window_epochs: 8,
-            wounded_spare_pct: 75,
             wounded_retry_rate: 64,
             wounded_refetch_rate: 64,
             readonly_wal_redos: 4,
             readonly_scrub_backlog: 64,
-            readonly_poison_blocks: 16,
             promote_clean_epochs: 4,
-            emergency_divisor: 4,
-            scrub_budget_ns: 100_000,
         }
     }
 }
@@ -635,12 +542,10 @@ impl PersistBufferConfig {
 /// use thynvm_types::SystemConfig;
 /// let cfg = SystemConfig::default();
 /// assert_eq!(cfg.thynvm.btt_entries, 2048);
-/// assert_eq!(cfg.timing.nvm_dirty_miss_ns, 368);
+/// assert_eq!(cfg.thynvm.ptt_entries, 4096);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SystemConfig {
-    /// Device timing parameters.
-    pub timing: TimingConfig,
     /// DRAM geometry.
     pub dram_geometry: DeviceGeometry,
     /// NVM geometry.
@@ -731,23 +636,11 @@ impl SystemConfig {
                 return fail(&format!("{level} capacity must be a positive multiple of ways × 64 B"));
             }
         }
-        if t.nvm_write_queue == 0 || t.dram_write_queue == 0 {
-            return fail("write queues must have nonzero capacity");
-        }
-        if t.cpu_state_bytes == 0 {
-            return fail("checkpointed CPU state must occupy at least one byte");
-        }
         if !(0.0..=1.0).contains(&self.media.bit_flip_rate) {
             return fail("media bit-flip rate must be a probability in [0, 1]");
         }
         if self.media.scrub && !self.media.integrity {
             return fail("media scrubber requires integrity checking (CRCs detect the rot)");
-        }
-        if self.media.integrity && self.media.max_read_retries == 0 {
-            return fail("integrity checking needs at least one read retry to heal transients");
-        }
-        if self.media.retry_backoff_ns > 1_000_000_000 {
-            return fail("read-retry backoff above one second dwarfs any device latency");
         }
         if self.media.spare_blocks > (1 << 32) {
             return fail("spare pool exceeds the spare region's addressable blocks");
@@ -758,12 +651,6 @@ impl SystemConfig {
         }
         if !(0.0..=1.0).contains(&d.poison_rate) {
             return fail("DRAM poison rate must be a probability in [0, 1]");
-        }
-        if d.enabled && d.max_refetch_retries == 0 {
-            return fail("DRAM ECC model needs at least one refetch retry to recover poison");
-        }
-        if d.refetch_backoff_ns > 1_000_000_000 {
-            return fail("DRAM refetch backoff above one second dwarfs any device latency");
         }
         if d.enabled && self.media.enabled && d.seed == self.media.seed {
             return fail(
@@ -776,9 +663,6 @@ impl SystemConfig {
         }
         if s.enabled && s.tree_arity < 2 {
             return fail("integrity tree arity below 2 cannot converge to a root");
-        }
-        if s.crypto_ns_per_block > 1_000_000_000 || s.mac_ns_per_block > 1_000_000_000 {
-            return fail("per-block crypto/MAC latency above one second dwarfs any device latency");
         }
         if s.enabled && self.media.enabled && s.seed == self.media.seed {
             return fail(
@@ -817,9 +701,6 @@ impl SystemConfig {
             if h.window_epochs == 0 {
                 return fail("health sliding window must span at least one epoch");
             }
-            if h.wounded_spare_pct > 100 {
-                return fail("health spare-occupancy threshold is a percentage in [0, 100]");
-            }
             if h.wounded_retry_rate == 0 {
                 return fail("a zero retry-rate threshold would pin the ladder at Wounded");
             }
@@ -832,17 +713,8 @@ impl SystemConfig {
             if h.readonly_scrub_backlog == 0 {
                 return fail("a zero scrub-backlog threshold would pin the ladder at ReadOnly");
             }
-            if h.readonly_poison_blocks == 0 {
-                return fail("a zero outstanding-poison threshold would pin the ladder at ReadOnly");
-            }
             if h.promote_clean_epochs == 0 {
                 return fail("promotion hysteresis needs at least one clean epoch");
-            }
-            if h.emergency_divisor == 0 || h.emergency_divisor > 1024 {
-                return fail("emergency epoch divisor must be in [1, 1024]");
-            }
-            if h.scrub_budget_ns == 0 || h.scrub_budget_ns > 1_000_000_000 {
-                return fail("Wounded scrub budget must be nonzero and at most one second");
             }
         }
         Ok(())
@@ -870,23 +742,22 @@ mod tests {
 
     #[test]
     fn defaults_match_table_2() {
-        let t = TimingConfig::default();
-        assert_eq!(t.dram_row_hit_ns, 40);
-        assert_eq!(t.dram_row_miss_ns, 80);
-        assert_eq!(t.nvm_row_hit_ns, 40);
-        assert_eq!(t.nvm_clean_miss_ns, 128);
-        assert_eq!(t.nvm_dirty_miss_ns, 368);
-        assert_eq!(t.table_lookup_ns, 3);
+        assert_eq!(DRAM_ROW_HIT_NS, 40);
+        assert_eq!(DRAM_ROW_MISS_NS, 80);
+        assert_eq!(NVM_ROW_HIT_NS, 40);
+        assert_eq!(NVM_CLEAN_MISS_NS, 128);
+        assert_eq!(NVM_DIRTY_MISS_NS, 368);
+        assert_eq!(TABLE_LOOKUP_NS, 3);
 
         let c = CacheConfig::default();
         assert_eq!(c.l1_bytes, 32 * 1024);
         assert_eq!(c.l1_ways, 8);
-        assert_eq!(c.l1_hit_cycles, 4);
+        assert_eq!(L1_HIT_CYCLES, 4);
         assert_eq!(c.l2_bytes, 256 * 1024);
-        assert_eq!(c.l2_hit_cycles, 12);
+        assert_eq!(L2_HIT_CYCLES, 12);
         assert_eq!(c.l3_bytes, 2 * 1024 * 1024);
         assert_eq!(c.l3_ways, 16);
-        assert_eq!(c.l3_hit_cycles, 28);
+        assert_eq!(L3_HIT_CYCLES, 28);
 
         let n = ThyNvmConfig::default();
         assert_eq!(n.btt_entries, 2048);
@@ -899,13 +770,12 @@ mod tests {
 
     #[test]
     fn latencies_in_cycles() {
-        let t = TimingConfig::default();
-        assert_eq!(t.dram_row_hit().raw(), 120);
-        assert_eq!(t.dram_row_miss().raw(), 240);
-        assert_eq!(t.nvm_row_hit().raw(), 120);
-        assert_eq!(t.nvm_clean_miss().raw(), 384);
-        assert_eq!(t.nvm_dirty_miss().raw(), 1104);
-        assert_eq!(t.table_lookup().raw(), 9);
+        assert_eq!(Cycle::from_ns(DRAM_ROW_HIT_NS).raw(), 120);
+        assert_eq!(Cycle::from_ns(DRAM_ROW_MISS_NS).raw(), 240);
+        assert_eq!(Cycle::from_ns(NVM_ROW_HIT_NS).raw(), 120);
+        assert_eq!(Cycle::from_ns(NVM_CLEAN_MISS_NS).raw(), 384);
+        assert_eq!(Cycle::from_ns(NVM_DIRTY_MISS_NS).raw(), 1104);
+        assert_eq!(Cycle::from_ns(TABLE_LOOKUP_NS).raw(), 9);
     }
 
     #[test]
@@ -941,8 +811,6 @@ mod tests {
         assert!(s.thynvm.dram_bytes < p.thynvm.dram_bytes);
         assert!(s.thynvm.btt_entries < p.thynvm.btt_entries);
         assert!(s.thynvm.epoch_max() < p.thynvm.epoch_max());
-        // Timing is unchanged.
-        assert_eq!(s.timing, p.timing);
     }
 
     #[test]
@@ -988,29 +856,12 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::paper();
-        cfg.thynvm.nvm_write_queue = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::paper();
         cfg.media.bit_flip_rate = 1.5;
         assert!(cfg.validate().unwrap_err().to_string().contains("probability"));
 
         let mut cfg = SystemConfig::paper();
         cfg.media.scrub = true; // without integrity
         assert!(cfg.validate().unwrap_err().to_string().contains("scrubber"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.thynvm.cpu_state_bytes = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("CPU state"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.media.integrity = true;
-        cfg.media.max_read_retries = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("retry"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.media.retry_backoff_ns = 2_000_000_000;
-        assert!(cfg.validate().unwrap_err().to_string().contains("backoff"));
 
         let mut cfg = SystemConfig::paper();
         cfg.media.spare_blocks = (1 << 32) + 1;
@@ -1063,8 +914,6 @@ mod tests {
         assert!(!d.enabled);
         assert_eq!(d.flip_rate, 0.0);
         assert_eq!(d.poison_rate, 0.0);
-        assert_eq!(d.max_refetch_retries, 2);
-        assert_eq!(d.refetch_backoff_ns, 30);
         assert_ne!(d.seed, MediaFaultConfig::default().seed);
     }
 
@@ -1089,15 +938,6 @@ mod tests {
         assert!(cfg.validate().unwrap_err().to_string().contains("probability"));
 
         let mut cfg = SystemConfig::paper();
-        cfg.dram_fault.enabled = true;
-        cfg.dram_fault.max_refetch_retries = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("refetch"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.dram_fault.refetch_backoff_ns = 2_000_000_000;
-        assert!(cfg.validate().unwrap_err().to_string().contains("backoff"));
-
-        let mut cfg = SystemConfig::paper();
         cfg.media = MediaFaultConfig::hardened();
         cfg.dram_fault = DramFaultConfig::hardened();
         cfg.dram_fault.seed = cfg.media.seed;
@@ -1109,8 +949,6 @@ mod tests {
         let s = SystemConfig::paper().security;
         assert!(!s.enabled);
         assert_eq!(s.tamper_rate, 0.0);
-        assert_eq!(s.crypto_ns_per_block, 14);
-        assert_eq!(s.mac_ns_per_block, 8);
         assert_eq!(s.tree_arity, 8);
         assert_ne!(s.seed, MediaFaultConfig::default().seed);
         assert_ne!(s.seed, DramFaultConfig::default().seed);
@@ -1135,9 +973,7 @@ mod tests {
         let h = SystemConfig::paper().health;
         assert!(!h.enabled);
         assert_eq!(h.window_epochs, 8);
-        assert_eq!(h.wounded_spare_pct, 75);
         assert_eq!(h.promote_clean_epochs, 4);
-        assert_eq!(h.emergency_divisor, 4);
         assert_eq!(HealthConfig::hardened(), HealthConfig { enabled: true, ..HealthConfig::default() });
     }
 
@@ -1147,11 +983,6 @@ mod tests {
         cfg.health = HealthConfig::hardened();
         cfg.health.window_epochs = 0;
         assert!(cfg.validate().unwrap_err().to_string().contains("window"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
-        cfg.health.wounded_spare_pct = 101;
-        assert!(cfg.validate().unwrap_err().to_string().contains("percentage"));
 
         let mut cfg = SystemConfig::paper();
         cfg.health = HealthConfig::hardened();
@@ -1175,33 +1006,8 @@ mod tests {
 
         let mut cfg = SystemConfig::paper();
         cfg.health = HealthConfig::hardened();
-        cfg.health.readonly_poison_blocks = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("poison"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
         cfg.health.promote_clean_epochs = 0;
         assert!(cfg.validate().unwrap_err().to_string().contains("hysteresis"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
-        cfg.health.emergency_divisor = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("divisor"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
-        cfg.health.emergency_divisor = 2048;
-        assert!(cfg.validate().unwrap_err().to_string().contains("divisor"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
-        cfg.health.scrub_budget_ns = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("scrub budget"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
-        cfg.health.scrub_budget_ns = 2_000_000_000;
-        assert!(cfg.validate().unwrap_err().to_string().contains("scrub budget"));
 
         // Disabled health skips threshold validation entirely.
         let mut cfg = SystemConfig::paper();
@@ -1219,14 +1025,6 @@ mod tests {
         cfg.security = SecurityConfig::hardened();
         cfg.security.tree_arity = 1;
         assert!(cfg.validate().unwrap_err().to_string().contains("arity"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.security.crypto_ns_per_block = 2_000_000_000;
-        assert!(cfg.validate().unwrap_err().to_string().contains("latency"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.security.mac_ns_per_block = 2_000_000_000;
-        assert!(cfg.validate().unwrap_err().to_string().contains("latency"));
     }
 
     #[test]

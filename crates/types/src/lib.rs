@@ -8,9 +8,9 @@
 //! * [`cycle`] — the simulated clock ([`Cycle`]) and nanosecond conversion at
 //!   the paper's 3 GHz core frequency.
 //! * [`req`] — memory requests as seen by a memory controller.
-//! * [`config`] — the full system configuration of Table 2 of the paper,
-//!   plus ThyNVM-specific knobs (BTT/PTT sizes, epoch length, scheme-switch
-//!   thresholds).
+//! * [`config`] — the system of Table 2 of the paper: its fixed latencies
+//!   as constants, and a configuration of the sizes, epoch length,
+//!   scheme-switch thresholds and fault domains that experiments vary.
 //! * [`stats`] — statistics counters every memory system reports, including
 //!   the NVM write-traffic breakdown of Figure 8 (CPU / checkpoint /
 //!   migration).
@@ -47,8 +47,9 @@ pub mod system;
 pub use addr::{BlockIndex, HwAddr, PageIndex, PhysAddr, BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES};
 pub use config::{
     CacheConfig, CkptMode, DeviceGeometry, DramFaultConfig, HealthConfig, MediaFaultConfig,
-    PersistBufferConfig, SecurityConfig, SystemConfig, ThyNvmConfig, TimingConfig, WorkingRegion,
-    CPU_FREQ_GHZ,
+    PersistBufferConfig, SecurityConfig, SystemConfig, ThyNvmConfig, WorkingRegion, CPU_FREQ_GHZ,
+    CRYPTO_NS_PER_BLOCK, DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS, L1_HIT_CYCLES, L2_HIT_CYCLES,
+    L3_HIT_CYCLES, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS, TABLE_LOOKUP_NS,
 };
 pub use cycle::Cycle;
 pub use error::{Error, Result};

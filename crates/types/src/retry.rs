@@ -38,6 +38,18 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Media CRC retries, shared by NVM data reads and recovery-side reads
+    /// of checkpoint state: three attempts before the block is declared
+    /// permanently bad, 50 ns backoff units. Its [`Self::total_backoff`]
+    /// bounds the worst-case added latency of any single read, even with
+    /// the spare pool drained.
+    pub const MEDIA: Self = Self::new(3, 50);
+
+    /// DRAM ECC refetches: two re-reads of a poisoned working block, 30 ns
+    /// backoff units, before the controller re-fetches the block from its
+    /// NVM checkpoint copy.
+    pub const DRAM: Self = Self::new(2, 30);
+
     /// Builds a policy: `max_attempts` bounded attempts with a linear
     /// `backoff_ns` schedule.
     #[must_use]

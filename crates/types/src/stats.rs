@@ -10,6 +10,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::addr::BLOCK_BYTES;
+use crate::config::CRYPTO_NS_PER_BLOCK;
 use crate::cycle::Cycle;
 
 /// Classification of a write reaching NVM, for the Figure 8 breakdown.
@@ -370,6 +372,22 @@ pub struct SecurityStats {
 }
 
 impl SecurityStats {
+    /// Charges counter-mode encryption + MAC work for `bytes` of data:
+    /// [`CRYPTO_NS_PER_BLOCK`] per started 64 B block, counted as encrypted
+    /// on the write path (`encrypt`) or verified on the read path. Pure
+    /// stats: the AES-CTR pads are precomputed from the counters and
+    /// overlap the burst transfers. Callers charge only in secure mode, so
+    /// disabled runs stay bit-identical.
+    pub fn charge_crypto(&mut self, bytes: u64, encrypt: bool) {
+        let blocks = bytes.div_ceil(BLOCK_BYTES);
+        self.crypto_cycles += Cycle::from_ns(CRYPTO_NS_PER_BLOCK * blocks);
+        if encrypt {
+            self.blocks_encrypted += blocks;
+        } else {
+            self.blocks_verified += blocks;
+        }
+    }
+
     /// Detections classified, all classes combined. Conservation:
     /// equals `tampers_detected`.
     #[must_use]

@@ -195,6 +195,10 @@ fn main() {
     cfg.thynvm.btt_entries = args.btt;
     cfg.thynvm.ptt_entries = args.ptt;
     cfg.thynvm.epoch_max_ms = args.epoch_ms;
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     let (events, transactions, label) = if let Some(path) = &args.load_trace {
         match thynvm::workloads::tracefile::load(path) {

@@ -183,7 +183,7 @@ proptest! {
         for kind in [DeviceKind::Dram, DeviceKind::Nvm] {
             let geometry =
                 if kind == DeviceKind::Dram { cfg.dram_geometry } else { cfg.nvm_geometry };
-            let mut dev = Device::new(kind, cfg.timing, geometry);
+            let mut dev = Device::new(kind, geometry);
             let mut now = Cycle::ZERO;
             for &(addr, write, bytes) in &ops {
                 let kind_a = if write { AccessKind::Write } else { AccessKind::Read };
@@ -206,7 +206,7 @@ proptest! {
     ) {
         let cfg = SystemConfig::paper();
         let run = || {
-            let mut dev = Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry);
+            let mut dev = Device::new(DeviceKind::Nvm, cfg.nvm_geometry);
             let mut now = Cycle::ZERO;
             let mut tape = Vec::new();
             for &(addr, write) in &ops {
