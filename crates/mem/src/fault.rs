@@ -928,6 +928,65 @@ mod tests {
         assert_eq!(m.note_block_write(3 * 4096), 1, "the lost counter starts over at 1");
     }
 
+    /// One step of [`security_whole_page_writes_count_per_block`].
+    #[derive(Debug, Clone, Copy)]
+    enum PageStep {
+        /// A whole-page write of page `n`.
+        Page(u64),
+        /// A single-block write at a device address.
+        Block(u64),
+        /// A persist and its expected receipt.
+        Persist(SecurityPersist),
+        /// A crash and its expected count of lost counters.
+        Crash(usize),
+    }
+
+    #[test]
+    fn security_whole_page_writes_count_per_block() {
+        use PageStep::{Block, Crash, Page, Persist};
+        let receipt = |counter_entries, tree_nodes| Persist(SecurityPersist { counter_entries, tree_nodes });
+        // Each step, then the `dirty_count()` and `table_entries()` after it.
+        let steps = [
+            (Page(0), 64, 0),
+            (Block(64), 64, 0), // a block of a page already dirty
+            (Block(4096 + 128), 65, 0),
+            (receipt(65, 12), 0, 65),
+            (Page(1), 64, 65),
+            (Page(1), 64, 65),
+            (Block(5 * 4096), 65, 65),
+            (Crash(65), 0, 65),
+            (Page(0), 64, 65), // over a persisted page and a persisted block
+            (Block(2 * 4096 + 4032), 65, 65),
+            (receipt(65, 12), 0, 66),
+            (Block(5 * 4096 + 192), 1, 66), // a block, then its whole page
+            (Page(5), 64, 66),
+            (Crash(64), 0, 66),
+            (Page(2), 64, 66), // one of its blocks is in the table already
+            (receipt(64, 10), 0, 129),
+        ];
+        let mut m = sec(5, 0.0);
+        for (i, &(step, dirty, table)) in steps.iter().enumerate() {
+            match step {
+                Page(page) => (0..64).for_each(|b| {
+                    m.note_block_write(page * 4096 + b * 64);
+                }),
+                Block(addr) => {
+                    m.note_block_write(addr);
+                }
+                Persist(want) => assert_eq!(m.persist(), want, "step {i}"),
+                Crash(want) => assert_eq!(m.crash(), want, "step {i}"),
+            }
+            assert_eq!((m.dirty_count(), m.table_entries()), (dirty, table), "step {i}");
+        }
+        // Final counters, read back by one more bump each: the persisted
+        // page and block writes count, the crashed ones do not.
+        for (addr, counter) in
+            [(0, 2), (64, 3), (4096 + 128, 1), (4096, 0), (5 * 4096, 0), (2 * 4096 + 4032, 2), (2 * 4096, 1)]
+        {
+            assert_eq!(m.note_block_write(addr), counter + 1, "block at {addr}");
+        }
+    }
+
     /// Reference counter-table model in its most direct form: a volatile
     /// and a persisted `BTreeMap`, a `BTreeSet` of dirty blocks, a crash
     /// that clones the persisted table back, and a `BTreeSet` per tree
