@@ -1094,10 +1094,7 @@ impl ThyNvm {
             }
         }
         if let Some(sec) = self.security.as_mut() {
-            let first = dst.raw() & !(BLOCK_BYTES - 1);
-            for b in (first..dst.raw() + u64::from(bytes)).step_by(BLOCK_BYTES as usize) {
-                sec.note_block_write(b);
-            }
+            sec.note_write(dst.raw(), u64::from(bytes));
             self.charge_crypto(u64::from(bytes), true);
         }
         done
@@ -1409,15 +1406,13 @@ impl ThyNvm {
         // sum of per-page terms, so only the pages the capture does not
         // share with `C_last` change it: their old terms come out and
         // their new terms go in.
-        let mut mac = last.mac;
-        if self.security.is_some() {
-            for page in store.pages_not_shared_with(&last.store) {
-                mac = mac
-                    .wrapping_sub(last.store.page_mac(self.mac_key, page))
-                    .wrapping_add(store.page_mac(self.mac_key, page));
-            }
+        let mac = if self.security.is_some() {
+            let mac = store.mac_from(&last.store, last.mac, self.mac_key);
             debug_assert_eq!(mac, store.mac(self.mac_key));
-        }
+            mac
+        } else {
+            last.mac
+        };
 
         // The commit record carries the rung its health record persisted;
         // with the ladder off there is none, and `C_last`'s stands.

@@ -19,7 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use thynvm_types::rng::{mix, unit};
 use thynvm_types::{
-    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, SecurityConfig, BLOCK_BYTES,
+    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, SecurityConfig, BLOCKS_PER_PAGE,
+    BLOCK_BYTES, PAGE_BYTES,
 };
 
 use crate::device::WearStats;
@@ -418,8 +419,8 @@ pub struct SecurityPersist {
 /// configured seed and explicit counters, so runs replay exactly.
 ///
 /// Counter lifecycle (Zuo et al., arXiv:1901.00620): the controller bumps
-/// a block's write counter on every encrypted NVM write
-/// ([`SecurityModel::note_block_write`]); at each epoch boundary the dirty
+/// the write counter of every block an encrypted NVM write touches
+/// ([`SecurityModel::note_write`]); at each epoch boundary the dirty
 /// counters and their integrity-tree path are persisted
 /// ([`SecurityModel::persist`]) under the checkpoint's commit-record
 /// discipline; a crash reverts the volatile table to the last persisted
@@ -431,20 +432,35 @@ pub struct SecurityPersist {
 /// the volatile counters *are* the persisted table. Those blocks carry an
 /// undo log of their persisted values, so a persist drops the log and a
 /// crash replays it — both cost the dirty set, not the table.
+///
+/// A block's counter is the sum of two sparse counts: its page's count of
+/// whole-page writes and its own count of every other write. A
+/// page-aligned 4 KiB write (a checkpoint page writeback or a demotion)
+/// thus bumps one page count instead of 64 block counters. The split is
+/// bookkeeping only: every receipt and count is per block, as if each of
+/// the page's 64 counters had been bumped.
 #[derive(Debug, Clone)]
 pub struct SecurityModel {
     seed: u64,
     arity: u64,
     tamper_rate: f64,
-    /// Volatile counter cache in the memory controller, keyed by block
-    /// number (device address / 64: FxHash keeps the six zero low bits of
-    /// a block address, which would crowd the map's probe starts). Equal
-    /// to the persisted table except on the blocks in `dirty`.
+    /// Volatile single-block write counts in the memory controller, keyed
+    /// by block number (device address / 64: FxHash keeps the six zero low
+    /// bits of a block address, which would crowd the map's probe starts).
+    /// Equal to the persisted counts except on the blocks in `dirty`.
     counters: FxHashMap<u64, u64>,
     /// Undo log of the blocks bumped since the last persist: block number
     /// → the value the persisted table holds for it, 0 when it holds none
-    /// (a bumped counter is at least 1, so 0 never is a persisted value).
+    /// (a bumped count is at least 1, so 0 never is a persisted value).
     dirty: FxHashMap<u64, u64>,
+    /// Volatile whole-page write counts, keyed by page number. Equal to the
+    /// persisted counts except on the pages in `dirty_pages`.
+    pages: FxHashMap<u64, u64>,
+    /// Undo log of the pages bumped since the last persist, as `dirty`.
+    dirty_pages: FxHashMap<u64, u64>,
+    /// Blocks whose persisted counter is nonzero: the persisted table's
+    /// entries, kept as a running count so reading it costs nothing.
+    table_len: usize,
     /// Generation of the persisted table (bumped once per persist); the
     /// integrity-tree root authenticates table + generation, which is what
     /// makes a rolled-back table (replay attack) detectable.
@@ -460,6 +476,31 @@ pub struct SecurityModel {
 /// Domain-separation tag for the adversarial tamper schedule.
 const TAG_TAMPER: u64 = 0x544d_5052; // "TMPR"
 
+/// Bumps `key`'s count in `counts`, logging the persisted value in `undo`
+/// on its first bump since the last persist. Returns the new count.
+fn bump(counts: &mut FxHashMap<u64, u64>, undo: &mut FxHashMap<u64, u64>, key: u64) -> u64 {
+    let c = counts.entry(key).or_insert(0);
+    undo.entry(key).or_insert(*c);
+    *c += 1;
+    *c
+}
+
+/// Block numbers of page `page`.
+fn page_blocks(page: u64) -> std::ops::Range<u64> {
+    page * BLOCKS_PER_PAGE..(page + 1) * BLOCKS_PER_PAGE
+}
+
+/// Replays an undo log: every logged count returns to its persisted value.
+fn revert(counts: &mut FxHashMap<u64, u64>, undo: &mut FxHashMap<u64, u64>) {
+    for (key, persisted) in undo.drain() {
+        if persisted == 0 {
+            counts.remove(&key);
+        } else {
+            counts.insert(key, persisted);
+        }
+    }
+}
+
 impl SecurityModel {
     /// Builds a model from the configuration.
     pub fn new(cfg: &SecurityConfig) -> Self {
@@ -469,6 +510,9 @@ impl SecurityModel {
             tamper_rate: cfg.tamper_rate,
             counters: FxHashMap::default(),
             dirty: FxHashMap::default(),
+            pages: FxHashMap::default(),
+            dirty_pages: FxHashMap::default(),
+            table_len: 0,
             generation: 0,
             root_torn: false,
             stale_table: false,
@@ -481,29 +525,58 @@ impl SecurityModel {
     /// new counter value.
     pub fn note_block_write(&mut self, block: u64) -> u64 {
         let b = block / BLOCK_BYTES;
-        let c = self.counters.entry(b).or_insert(0);
-        let persisted = *c;
-        *c += 1;
-        let bumped = *c;
-        self.dirty.entry(b).or_insert(persisted);
-        bumped
+        let own = bump(&mut self.counters, &mut self.dirty, b);
+        own + self.pages.get(&(b / BLOCKS_PER_PAGE)).copied().unwrap_or(0)
+    }
+
+    /// Observes one encrypted write of `bytes` at device address `addr`:
+    /// bumps the counter of every 64 B block it touches and marks them
+    /// dirty. A page-aligned 4 KiB write bumps its page's count once.
+    pub fn note_write(&mut self, addr: u64, bytes: u64) {
+        if bytes == PAGE_BYTES && addr.is_multiple_of(PAGE_BYTES) {
+            bump(&mut self.pages, &mut self.dirty_pages, addr / PAGE_BYTES);
+            return;
+        }
+        for a in (addr & !(BLOCK_BYTES - 1)..addr + bytes).step_by(BLOCK_BYTES as usize) {
+            bump(&mut self.counters, &mut self.dirty, a / BLOCK_BYTES);
+        }
     }
 
     /// Number of counters bumped since the last persist — the exact
     /// exposure a crash right now would have to replay.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        let outside_dirty_pages =
+            self.dirty.keys().filter(|&&b| !self.dirty_pages.contains_key(&(b / BLOCKS_PER_PAGE)));
+        self.dirty_pages.len() * BLOCKS_PER_PAGE as usize + outside_dirty_pages.count()
     }
 
     /// Number of entries in the persisted counter table.
     pub fn table_entries(&self) -> usize {
-        let unpersisted = self.dirty.values().filter(|&&persisted| persisted == 0).count();
-        self.counters.len() - unpersisted
+        self.table_len
     }
 
     /// Generation of the persisted counter table.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Number of dirty blocks the persisted table holds no counter for:
+    /// neither their page nor the block itself has a persisted count.
+    fn unpersisted_dirty_blocks(&self) -> usize {
+        // A block dirty on its own in a page never written whole.
+        let lone = self.dirty.iter().filter(|&(&b, &persisted)| {
+            persisted == 0 && !self.pages.contains_key(&(b / BLOCKS_PER_PAGE))
+        });
+        // A block of a dirty page that had no persisted count, unless
+        // the block has one of its own.
+        let own_unpersisted =
+            |b: &u64| self.dirty.get(b).map_or(!self.counters.contains_key(b), |&p| p == 0);
+        let in_fresh_pages = self
+            .dirty_pages
+            .iter()
+            .filter(|&(_, &persisted)| persisted == 0)
+            .map(|(&page, _)| page_blocks(page).filter(own_unpersisted).count());
+        lone.count() + in_fresh_pages.sum::<usize>()
     }
 
     /// Persists the dirty counters and the integrity-tree path above them,
@@ -513,13 +586,19 @@ impl SecurityModel {
     /// number) dirties its ancestor chain; distinct ancestors per level
     /// are counted once, up to and including the root.
     pub fn persist(&mut self) -> SecurityPersist {
-        let counter_entries = self.dirty.len();
+        // Level 0: the distinct dirty blocks, on their own or in a page.
+        let mut level: Vec<u64> = self.dirty.keys().copied().collect();
+        for &page in self.dirty_pages.keys() {
+            level.extend(page_blocks(page));
+        }
+        level.sort_unstable();
+        level.dedup();
+        let counter_entries = level.len();
         let mut tree_nodes = 0u64;
         if counter_entries > 0 {
+            self.table_len += self.unpersisted_dirty_blocks();
             // One sorted level at a time: integer division by the arity
             // keeps the level sorted, so `dedup` leaves its distinct nodes.
-            let mut level: Vec<u64> = self.dirty.keys().copied().collect();
-            level.sort_unstable();
             loop {
                 level.iter_mut().for_each(|i| *i /= self.arity);
                 level.dedup();
@@ -528,8 +607,9 @@ impl SecurityModel {
                     break;
                 }
             }
-            // The counters already hold the persisted values.
+            // The counts already hold the persisted values.
             self.dirty.clear();
+            self.dirty_pages.clear();
         }
         self.generation += 1;
         SecurityPersist { counter_entries, tree_nodes }
@@ -539,14 +619,9 @@ impl SecurityModel {
     /// table. Returns how many counters were lost mid-epoch — the bounded
     /// set recovery must replay.
     pub fn crash(&mut self) -> usize {
-        let lost = self.dirty.len();
-        for (b, persisted) in self.dirty.drain() {
-            if persisted == 0 {
-                self.counters.remove(&b);
-            } else {
-                self.counters.insert(b, persisted);
-            }
-        }
+        let lost = self.dirty_count();
+        revert(&mut self.counters, &mut self.dirty);
+        revert(&mut self.pages, &mut self.dirty_pages);
         lost
     }
 
@@ -587,6 +662,9 @@ impl SecurityModel {
     pub fn reset(&mut self) {
         self.counters.clear();
         self.dirty.clear();
+        self.pages.clear();
+        self.dirty_pages.clear();
+        self.table_len = 0;
         self.generation = 0;
         self.root_torn = false;
         self.stale_table = false;
@@ -967,9 +1045,7 @@ mod tests {
         let mut m = sec(5, 0.0);
         for (i, &(step, dirty, table)) in steps.iter().enumerate() {
             match step {
-                Page(page) => (0..64).for_each(|b| {
-                    m.note_block_write(page * 4096 + b * 64);
-                }),
+                Page(page) => m.note_write(page * 4096, 4096),
                 Block(addr) => {
                     m.note_block_write(addr);
                 }
@@ -1023,6 +1099,14 @@ mod tests {
             *c
         }
 
+        /// A write of `bytes` at `addr`: one block write per 64 B block it
+        /// touches, whole page or not.
+        fn note_write(&mut self, addr: u64, bytes: u64) {
+            for a in (addr & !(BLOCK_BYTES - 1)..addr + bytes).step_by(BLOCK_BYTES as usize) {
+                self.note_block_write(a);
+            }
+        }
+
         fn persist(&mut self) -> SecurityPersist {
             let counter_entries = self.dirty.len();
             let mut tree_nodes = 0u64;
@@ -1068,6 +1152,10 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum SecOp {
         Write(u64),
+        /// A whole-page write of page `n`.
+        PageWrite(u64),
+        /// A 4 KiB write that starts inside a page.
+        Span(u64),
         Persist,
         Crash,
         Reset,
@@ -1083,6 +1171,10 @@ mod tests {
             // paths; some far away, so paths diverge high in the tree.
             12 => (0u64..64 * 600).prop_map(SecOp::Write),
             3 => (0u64..1 << 36).prop_map(SecOp::Write),
+            // Whole pages over the same nearby blocks, and some far away.
+            4 => (0u64..12).prop_map(SecOp::PageWrite),
+            1 => (0u64..1 << 24).prop_map(SecOp::PageWrite),
+            2 => (0u64..10, 1u64..4096).prop_map(|(page, off)| SecOp::Span(page * 4096 + off)),
             3 => Just(SecOp::Persist),
             2 => Just(SecOp::Crash),
             1 => Just(SecOp::Reset),
@@ -1107,6 +1199,14 @@ mod tests {
                 match op {
                     SecOp::Write(a) => {
                         proptest::prop_assert_eq!(m.note_block_write(a), r.note_block_write(a), "step {}", i);
+                    }
+                    SecOp::PageWrite(page) => {
+                        m.note_write(page * 4096, 4096);
+                        r.note_write(page * 4096, 4096);
+                    }
+                    SecOp::Span(a) => {
+                        m.note_write(a, 4096);
+                        r.note_write(a, 4096);
                     }
                     SecOp::Persist => proptest::prop_assert_eq!(m.persist(), r.persist(), "step {}", i),
                     SecOp::Crash => proptest::prop_assert_eq!(m.crash(), r.crash(), "step {}", i),

@@ -185,7 +185,7 @@ impl SparseStore {
     /// `base`, in unspecified order. For an image cloned from `base`,
     /// these are the pages written or allocated since the clone. A page
     /// only `base` holds is not listed.
-    pub fn pages_not_shared_with<'a>(&'a self, base: &'a Self) -> impl Iterator<Item = u64> + 'a {
+    fn pages_not_shared_with<'a>(&'a self, base: &'a Self) -> impl Iterator<Item = u64> + 'a {
         self.index.iter().filter_map(move |(&idx, &slot)| {
             let page = &self.arena[slot as usize];
             let shared =
@@ -215,8 +215,26 @@ impl SparseStore {
     /// it is a sum, a commit that rewrites a few pages updates the MAC by
     /// subtracting their old terms and adding their new ones.
     pub fn mac(&self, key: u64) -> u64 {
-        self.iter_pages()
-            .fold(0u64, |sum, (idx, data)| sum.wrapping_add(keyed_page_term(key, idx, data)))
+        let pages: Vec<(u64, &[u8; PAGE])> = self.iter_pages().collect();
+        keyed_terms_sum(key, &pages)
+    }
+
+    /// [`SparseStore::mac`] under `key`, from `base`'s MAC `base_mac`:
+    /// the terms of the pages this image does not share with `base` come
+    /// out and their new terms go in. For an image cloned from `base`,
+    /// that hashes only the pages written since the clone. Every page
+    /// `base` holds must be a page of this image too, shared or not, as it
+    /// is for such a clone: only [`SparseStore::clear`] drops pages.
+    pub fn mac_from(&self, base: &Self, base_mac: u64, key: u64) -> u64 {
+        let changed: Vec<u64> = self.pages_not_shared_with(base).collect();
+        let terms = |img: &Self| -> u64 {
+            let pages: Vec<(u64, &[u8; PAGE])> = changed
+                .iter()
+                .filter_map(|&idx| img.slot_of(idx).map(|slot| (idx, &*img.arena[slot as usize])))
+                .collect();
+            keyed_terms_sum(key, &pages)
+        };
+        base_mac.wrapping_sub(terms(base)).wrapping_add(terms(self))
     }
 
     /// Page `page`'s term of [`SparseStore::mac`] under `key`: a keyed FNV
@@ -244,7 +262,43 @@ fn keyed_page_term(key: u64, idx: u64, data: &[u8; PAGE]) -> u64 {
     if page_is_zero(data) {
         return 0;
     }
-    fnv_page(FNV_OFFSET ^ key.wrapping_mul(FNV_PRIME), idx, data)
+    fnv_page(keyed_offset(key), idx, data)
+}
+
+/// The FNV state a keyed page term starts from.
+#[inline]
+fn keyed_offset(key: u64) -> u64 {
+    FNV_OFFSET ^ key.wrapping_mul(FNV_PRIME)
+}
+
+/// Four pages' keyed MAC terms, equal to four [`keyed_page_term`] calls.
+/// Each FNV step waits on the multiply before it, so one page's chain
+/// leaves the multiplier idle; four independent chains advanced word by
+/// word in lockstep keep it busy. A page's term is zeroed afterwards if
+/// the OR of its words shows it was all zero.
+fn keyed_page_terms4(key: u64, pages: [(u64, &[u8; PAGE]); 4]) -> [u64; 4] {
+    let offset = keyed_offset(key);
+    let mut h = pages.map(|(idx, _)| (offset ^ idx).wrapping_mul(FNV_PRIME));
+    let mut any = [0u64; 4];
+    for at in (0..PAGE).step_by(8) {
+        for lane in 0..4 {
+            let word = u64::from_le_bytes(pages[lane].1[at..at + 8].try_into().expect("8-byte word"));
+            any[lane] |= word;
+            h[lane] = (h[lane] ^ word).wrapping_mul(FNV_PRIME);
+        }
+    }
+    std::array::from_fn(|lane| if any[lane] == 0 { 0 } else { h[lane] })
+}
+
+/// The wrapping sum of the keyed MAC terms of `pages`, four at a time.
+fn keyed_terms_sum(key: u64, pages: &[(u64, &[u8; PAGE])]) -> u64 {
+    let mut fours = pages.chunks_exact(4);
+    let mut sum = 0u64;
+    for four in &mut fours {
+        let terms = keyed_page_terms4(key, [four[0], four[1], four[2], four[3]]);
+        sum = terms.into_iter().fold(sum, u64::wrapping_add);
+    }
+    fours.remainder().iter().fold(sum, |s, &(idx, data)| s.wrapping_add(keyed_page_term(key, idx, data)))
 }
 
 /// Whether a page holds only zero bytes, checked a word at a time.
@@ -425,6 +479,77 @@ mod tests {
         e.write(HwAddr::new(0), &[2]);
         e.write(HwAddr::new(PAGE_BYTES), &[1]);
         assert_ne!(d.mac(7), e.mac(7));
+    }
+
+    /// Page `idx` of `img`, which must hold it.
+    fn page_of(img: &SparseStore, idx: u64) -> (u64, &[u8; PAGE]) {
+        (idx, &*img.arena[img.slot_of(idx).expect("allocated page") as usize])
+    }
+
+    #[test]
+    fn mac_sums_page_terms_four_at_a_time() {
+        let key = 0x5eed;
+        for n in [1u64, 3, 4, 5, 7] {
+            // No zero page, then one at each position of the first group
+            // of four and one last.
+            for zero_at in [None, Some(0), Some(1), Some(2), Some(3), Some(n - 1)] {
+                let mut img = SparseStore::new();
+                for p in 0..n {
+                    let fill = if zero_at == Some(p) { 0 } else { p as u8 + 1 };
+                    img.write(HwAddr::new(p * PAGE_BYTES + 8 * p), &[fill; 100]);
+                }
+                assert_eq!(img.allocated_pages() as u64, n);
+                let sum = (0..n).fold(0u64, |s, p| s.wrapping_add(img.page_mac(key, p)));
+                assert_eq!(img.mac(key), sum, "{n} pages, zero page at {zero_at:?}");
+                // The same pages in page order, so the zero page sits where
+                // `zero_at` puts it in the groups of four.
+                let pages: Vec<_> = (0..n).map(|p| page_of(&img, p)).collect();
+                assert_eq!(keyed_terms_sum(key, &pages), sum, "{n} pages, zero page at {zero_at:?}");
+            }
+        }
+        // Each lane of a group equals its page's own term.
+        let mut img = SparseStore::new();
+        img.write(HwAddr::new(0), &[1; 64]);
+        img.write(HwAddr::new(PAGE_BYTES), &[0; 64]);
+        img.write(HwAddr::new(2 * PAGE_BYTES + 4088), &[2; 8]);
+        img.write(HwAddr::new(3 * PAGE_BYTES), &[0; 64]);
+        let four = [0, 1, 2, 3].map(|p| page_of(&img, p));
+        let terms = [0, 1, 2, 3].map(|p| img.page_mac(key, p));
+        assert_eq!(keyed_page_terms4(key, four), terms);
+        assert_eq!((terms[1], terms[3]), (0, 0), "zero pages contribute nothing");
+        assert!(terms[0] != 0 && terms[2] != 0);
+    }
+
+    #[test]
+    fn mac_from_matches_the_full_mac() {
+        let key = 0x5eed;
+        let mut base = SparseStore::new();
+        for page in 0..6 {
+            base.write(HwAddr::new(page * PAGE_BYTES), &[page as u8 + 1; 64]);
+        }
+        let base_mac = base.mac(key);
+        let check = |img: &SparseStore, what: &str| {
+            assert_eq!(img.mac_from(&base, base_mac, key), img.mac(key), "{what}");
+        };
+        let mut next = base.clone();
+        check(&next, "a fresh clone");
+        next.write(HwAddr::new(PAGE_BYTES + 8), &[9; 4]);
+        next.write(HwAddr::new(3 * PAGE_BYTES - 2), &[8; 4]);
+        check(&next, "writes within and across pages");
+        next.write(HwAddr::new(11 * PAGE_BYTES), &[7; 4]);
+        next.write(HwAddr::new(12 * PAGE_BYTES), &[0; 4]);
+        check(&next, "fresh allocations");
+        next.write(HwAddr::new(4 * PAGE_BYTES), &[0; 64]);
+        assert_eq!(next.page_mac(key, 4), 0);
+        check(&next, "a page rewritten to zero");
+        // Built apart from `base`: the same page numbers and one more, no
+        // page shared, some with `base`'s contents and some without.
+        let mut apart = SparseStore::new();
+        for page in 0..7 {
+            apart.write(HwAddr::new(page * PAGE_BYTES), &[(page % 3) as u8 + 1; 64]);
+        }
+        assert_eq!(apart.pages_not_shared_with(&base).count(), 7);
+        check(&apart, "an image that shares no page");
     }
 
     #[test]

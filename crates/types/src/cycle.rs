@@ -50,14 +50,17 @@ impl Cycle {
         Self(ns * CPU_FREQ_GHZ)
     }
 
-    /// Converts a microsecond duration to cycles.
+    /// Converts a microsecond duration to cycles, saturating at
+    /// `u64::MAX` cycles (about 195 years) instead of wrapping.
     pub fn from_us(us: u64) -> Self {
-        Self::from_ns(us * 1_000)
+        Self(us.saturating_mul(1_000 * CPU_FREQ_GHZ))
     }
 
-    /// Converts a millisecond duration to cycles.
+    /// Converts a millisecond duration to cycles, saturating at
+    /// `u64::MAX` cycles (about 195 years) instead of wrapping: a longer
+    /// epoch than the clock can count never ends, as asked.
     pub fn from_ms(ms: u64) -> Self {
-        Self::from_ns(ms * 1_000_000)
+        Self(ms.saturating_mul(1_000_000 * CPU_FREQ_GHZ))
     }
 
     /// This duration expressed in nanoseconds.
@@ -150,6 +153,21 @@ mod tests {
     fn larger_units() {
         assert_eq!(Cycle::from_us(1), Cycle::from_ns(1_000));
         assert_eq!(Cycle::from_ms(10).raw(), 30_000_000);
+    }
+
+    #[test]
+    fn larger_units_saturate_instead_of_wrapping() {
+        // The last millisecond count that fits, and the first that wrapped.
+        let last_ms = u64::MAX / 3_000_000;
+        assert_eq!(last_ms, 6_148_914_691_236);
+        assert_eq!(Cycle::from_ms(last_ms).raw(), last_ms * 3_000_000);
+        assert_eq!(Cycle::from_ms(last_ms + 1).raw(), u64::MAX);
+        assert_eq!(Cycle::from_ms(u64::MAX).raw(), u64::MAX);
+        assert!(Cycle::from_ms(last_ms + 1) > Cycle::from_ms(last_ms));
+        let last_us = u64::MAX / 3_000;
+        assert_eq!(Cycle::from_us(last_us).raw(), last_us * 3_000);
+        assert_eq!(Cycle::from_us(last_us + 1).raw(), u64::MAX);
+        assert_eq!(Cycle::from_us(u64::MAX).raw(), u64::MAX);
     }
 
     #[test]

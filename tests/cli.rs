@@ -1,7 +1,8 @@
 //! `thynvm-sim` refuses a configuration that `SystemConfig::validate`
 //! rejects: it prints the reason and exits 2 instead of simulating it. A
 //! zero-entry BTT would otherwise never finish a checkpoint, so each run is
-//! polled against a deadline and killed if it is still going.
+//! polled against a deadline and killed if it is still going. An epoch
+//! longer than the simulated clock can count runs like any long epoch.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -51,4 +52,24 @@ fn thynvm_sim_rejects_configurations_validate_refuses() {
         assert!(stderr.starts_with("error: "), "{flag} 0: {stderr:?}");
         assert!(stderr.contains(reason), "{flag} 0: {stderr:?}");
     }
+}
+
+/// Runs `thynvm-sim` on a short Sliding trace with `--epoch-ms ms` and
+/// returns the table it prints.
+fn sim_table_with_epoch_ms(ms: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_thynvm-sim"))
+        .args(["--workload", "sliding", "--system", "thynvm"])
+        .args(["--accesses", "20000", "--epoch-ms", ms])
+        .output()
+        .expect("thynvm-sim runs");
+    assert!(out.status.success(), "--epoch-ms {ms}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+#[test]
+fn thynvm_sim_epoch_past_the_clock_range_never_ends() {
+    // The trace runs for well under 10 ms, so neither epoch ends before
+    // the final checkpoint. The longest epoch once wrapped to a short one
+    // and took an extra checkpoint.
+    assert_eq!(sim_table_with_epoch_ms("18446744073709551615"), sim_table_with_epoch_ms("10"));
 }
