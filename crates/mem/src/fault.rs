@@ -586,13 +586,24 @@ impl SecurityModel {
     /// number) dirties its ancestor chain; distinct ancestors per level
     /// are counted once, up to and including the root.
     pub fn persist(&mut self) -> SecurityPersist {
-        // Level 0: the distinct dirty blocks, on their own or in a page.
-        let mut level: Vec<u64> = self.dirty.keys().copied().collect();
-        for &page in self.dirty_pages.keys() {
-            level.extend(page_blocks(page));
+        // Level 0: the distinct dirty blocks in order. Each dirty page's
+        // blocks are one sorted run, so the sorted pages merge with the
+        // sorted blocks dirty outside them; nothing sorts 64 blocks a page.
+        let mut pages: Vec<u64> = self.dirty_pages.keys().copied().collect();
+        pages.sort_unstable();
+        let mut lone: Vec<u64> = self.dirty.keys().copied().collect();
+        lone.retain(|b| !self.dirty_pages.contains_key(&(b / BLOCKS_PER_PAGE)));
+        lone.sort_unstable();
+        let mut level = Vec::with_capacity(lone.len() + pages.len() * BLOCKS_PER_PAGE as usize);
+        let mut lone = lone.into_iter().peekable();
+        for page in pages {
+            let run = page_blocks(page);
+            while let Some(b) = lone.next_if(|&b| b < run.start) {
+                level.push(b);
+            }
+            level.extend(run);
         }
-        level.sort_unstable();
-        level.dedup();
+        level.extend(lone);
         let counter_entries = level.len();
         let mut tree_nodes = 0u64;
         if counter_entries > 0 {
