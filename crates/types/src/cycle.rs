@@ -57,8 +57,9 @@ impl Cycle {
     }
 
     /// Converts a millisecond duration to cycles, saturating at
-    /// `u64::MAX` cycles (about 195 years) instead of wrapping: a longer
-    /// epoch than the clock can count never ends, as asked.
+    /// `u64::MAX` cycles (about 195 years) instead of wrapping, so an
+    /// epoch longer than the clock can count never ends rather than
+    /// becoming a short one.
     pub fn from_ms(ms: u64) -> Self {
         Self(ms.saturating_mul(1_000_000 * CPU_FREQ_GHZ))
     }

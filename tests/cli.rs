@@ -69,7 +69,7 @@ fn sim_table_with_epoch_ms(ms: &str) -> String {
 #[test]
 fn thynvm_sim_epoch_past_the_clock_range_never_ends() {
     // The trace runs for well under 10 ms, so neither epoch ends before
-    // the final checkpoint. The longest epoch once wrapped to a short one
-    // and took an extra checkpoint.
+    // the final checkpoint. An epoch wrapped to a short one would take an
+    // extra checkpoint and change the table.
     assert_eq!(sim_table_with_epoch_ms("18446744073709551615"), sim_table_with_epoch_ms("10"));
 }
