@@ -568,9 +568,11 @@ impl SecurityModel {
             persisted == 0 && !self.pages.contains_key(&(b / BLOCKS_PER_PAGE))
         });
         // A block of a dirty page that had no persisted count, unless
-        // the block has one of its own.
+        // the block has one of its own. A block absent from `counters`
+        // has none (a dirty block is always present); a present one has
+        // a persisted count unless the undo log records 0.
         let own_unpersisted =
-            |b: &u64| self.dirty.get(b).map_or(!self.counters.contains_key(b), |&p| p == 0);
+            |b: &u64| !self.counters.contains_key(b) || self.dirty.get(b) == Some(&0);
         let in_fresh_pages = self
             .dirty_pages
             .iter()
