@@ -79,7 +79,7 @@ impl Journaling {
             stats: MemStats::new(),
             committed: SparseStore::new(),
             buffer_data: SparseStore::new(),
-            security: cfg.security.enabled.then(|| SecurityModel::new(&cfg.security)),
+            security: cfg.security.enabled.then(SecurityModel::default),
             cfg,
         }
     }

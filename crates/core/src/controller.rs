@@ -56,9 +56,11 @@ use thynvm_types::{
 };
 
 use crate::epoch::{CkptJob, EpochState};
-use crate::health::{HealthMonitor, HealthSignals, EMERGENCY_DIVISOR, SCRUB_BUDGET_NS};
+use crate::health::{
+    HealthMonitor, HealthSignals, EMERGENCY_DIVISOR, READONLY_WAL_REDOS, SCRUB_BUDGET_NS,
+};
 use crate::layout::{AddressSpace, Region};
-use crate::table::{bump_counter, Btt, Ptt, WactiveLoc};
+use crate::table::{Btt, Ptt, WactiveLoc};
 
 /// Bytes persisted per BTT/PTT entry when checkpointing metadata (Figure 5
 /// entries round up to 8 bytes).
@@ -77,7 +79,7 @@ const CRC_NS_PER_BLOCK: u64 = 2;
 const COMMIT_RECORD_WORDS: usize = 8;
 
 /// Domain-separation tag for deriving the modeled MAC key from the
-/// security seed (distinct from the tamper-schedule stream).
+/// security seed.
 const TAG_MAC_KEY: u64 = 0x4d41_434b; // "MACK"
 
 /// Size of the checkpointed CPU state in bytes (registers + store
@@ -446,7 +448,7 @@ impl ThyNvm {
             injected_media: Vec::new(),
             wal_seq: 0,
             dram_fault: cfg.dram_fault.enabled.then(|| DramEccModel::new(&cfg.dram_fault)),
-            security: cfg.security.enabled.then(|| SecurityModel::new(&cfg.security)),
+            security: cfg.security.enabled.then(SecurityModel::default),
             mac_key,
             injected_tamper: None,
             pbuf: cfg.wpq.enabled.then(|| PersistBuffer::new(cfg.wpq, cfg.nvm_geometry)),
@@ -845,7 +847,6 @@ impl ThyNvm {
             retries_total: self.stats.media.retries,
             refetches_total: self.stats.dram.refetch_retries + self.stats.dram.corrected_flips,
             spare_exhausted_total: self.stats.media.spare_exhausted,
-            wal_redos_total: self.stats.media.wal_redos,
             scrub_backlog,
             outstanding_poison: self.dram_fault.as_ref().map_or(0, |e| e.outstanding() as u64),
             tampers_detected_total: self.stats.security.tampers_detected,
@@ -1662,7 +1663,6 @@ impl ThyNvm {
     fn write_to_page(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
         let entry = self.ptt.get_mut(block.page()).expect("page resident");
         entry.dirty = true;
-        bump_counter(&mut entry.store_count);
         let hw = self
             .space
             .working_page(entry.slot)
@@ -1692,7 +1692,6 @@ impl ThyNvm {
             }
         }
         let entry = self.btt.force_insert(block);
-        bump_counter(&mut entry.store_count);
         let slot = match entry.wactive {
             Some(WactiveLoc::DramBuffered { slot }) => slot,
             _ => {
@@ -1771,7 +1770,6 @@ impl ThyNvm {
                 }
             }
         };
-        bump_counter(&mut entry.store_count);
         let mut newly_dirty = false;
         let region = match entry.wactive {
             Some(WactiveLoc::Nvm(r)) => r, // coalesce in place
@@ -2218,23 +2216,6 @@ impl ThyNvm {
             self.stats.security.counters_replayed += sec.crash() as u64;
         }
 
-        // Adversarial tamper schedule: the seeded stream may decide this
-        // crash window is when the attacker strikes. The stream always
-        // advances (determinism is a function of crash count, not of which
-        // branch fires); a manually armed tamper takes precedence.
-        if let Some(sec) = self.security.as_mut() {
-            let roll = sec.tamper_roll();
-            if self.injected_tamper.is_none() && self.epoch.completed > 0 {
-                if let Some(h) = roll {
-                    let addr = (h >> 8) & 0xf_ffff; // somewhere in the image
-                    self.injected_tamper = Some(match h % 3 {
-                        0 => TamperFault::ClastData { addr },
-                        1 => TamperFault::StaleCounterTable,
-                        _ => TamperFault::TornRootMeta,
-                    });
-                }
-            }
-        }
         // Apply the armed tamper once a completed checkpoint exists to
         // forge. The mutation is *real* (bytes / model state change), so
         // every restarted recovery attempt re-derives the same verdict by
@@ -2280,13 +2261,9 @@ impl ThyNvm {
                 || self.stats.security.tampers_detected > tampers_before
             {
                 HealthRung::FailSafe
-            } else if self.stats.media.wal_redos - wal_redos_before
-                >= self.cfg.health.readonly_wal_redos
-            {
-                // WAL redos only ever happen inside recovery, and
-                // `rehydrate` re-baselines the monitor's counters at the
-                // post-recovery values — so redos crossing the threshold
-                // must escalate here or they would never reach the ladder.
+            } else if self.stats.media.wal_redos - wal_redos_before >= READONLY_WAL_REDOS {
+                // WAL redos only ever happen inside recovery, so this is
+                // the one place their threshold is decided.
                 persisted.max(HealthRung::ReadOnly)
             } else {
                 persisted
@@ -2676,7 +2653,6 @@ impl ThyNvm {
             .map(|(p, e)| {
                 e.dirty = false;
                 e.frozen = false;
-                e.store_count = 0;
                 (p, e.slot, e.clast_region)
             })
             .collect();
@@ -2792,8 +2768,6 @@ impl MemorySystem for ThyNvm {
             *c /= 2;
             *c > 0
         });
-        self.btt.reset_store_counters();
-        self.ptt.reset_store_counters();
 
         // CPU data flush: the processor's dirty cache blocks are writes of
         // the epoch that is ending. The processor only *initiates* these
@@ -5215,31 +5189,6 @@ mod tests {
     }
 
     #[test]
-    fn random_tamper_schedule_is_deterministic_and_recoverable() {
-        let run = |seed: u64| {
-            let mut sys = ThyNvm::new(secure_cfg(|s| {
-                s.tamper_rate = 1.0;
-                s.seed = seed;
-            }));
-            let mut t = store_and_checkpoint(&mut sys, 1, Cycle::ZERO);
-            for v in 2..6u8 {
-                t = store_and_checkpoint(&mut sys, v, t);
-                let report = sys.crash_and_recover(t);
-                assert!(!report.unrecoverable, "random schedule never draws BothImages");
-                t += report.recovery_cycles;
-            }
-            assert_security_conservation(&sys);
-            (sys.stats().security, sys.visible_fingerprint())
-        };
-        let (s, fp) = run(0xDEAD_BEEF);
-        assert!(s.tampers_injected >= 4, "rate 1.0 tampers every eligible crash");
-        assert_eq!(s.tampers_detected, s.tampers_injected, "zero silent tampers");
-        let (s2, fp2) = run(0xDEAD_BEEF);
-        assert_eq!(s, s2, "same seed, same schedule, same stats");
-        assert_eq!(fp, fp2);
-    }
-
-    #[test]
     fn sanctioned_rollback_does_not_trip_the_mac() {
         // rollback_to_checkpoint restores the archived image with the MAC
         // it was committed under, so a later crash does not misread the
@@ -5568,41 +5517,36 @@ mod tests {
 
     #[test]
     fn wal_redos_during_recovery_escalate_to_readonly() {
-        // Satellite: WAL-redo accounting feeds the ladder. A nested crash
-        // tears the fallback's WAL seal; the redo crosses the (lowered)
-        // threshold and recovery lands at ReadOnly.
-        let probe_cfg = || {
-            health_cfg(|c| {
-                c.media = thynvm_types::MediaFaultConfig::hardened();
-                c.health.readonly_wal_redos = 1;
-            })
-        };
-        let mut probe = ThyNvm::new(probe_cfg());
-        let mut trial = ThyNvm::new(probe_cfg());
-        let tp = store_and_checkpoint(&mut probe, 1, Cycle::ZERO);
-        let tp = store_and_checkpoint(&mut probe, 2, tp);
-        let tt = store_and_checkpoint(&mut trial, 1, Cycle::ZERO);
-        let tt = store_and_checkpoint(&mut trial, 2, tt);
-        probe.inject_media_fault(MediaFault::TornCommitRecord);
-        probe.arm_crash_point(tp);
-        probe.poll_crash(tp + Cycle::new(1)).expect("probe crash");
-        let probe_report = crashes(&mut probe).pop().expect("probe").report;
-        assert_eq!(probe.stats().media.wal_redos, 0, "clean fallback needs no redo");
-        assert_eq!(probe.health_rung(), HealthRung::Healthy, "no redo, no escalation");
-        let fallback_end = probe_report
-            .steps
-            .iter()
-            .find(|&&(s, _)| s == RecoveryStep::IntegrityFallback)
-            .map(|&(_, end)| end)
-            .expect("probe recovery ran the fallback step");
-        trial.inject_media_fault(MediaFault::TornCommitRecord);
-        trial.arm_crash_point(tt);
-        trial.queue_crash_point(fallback_end.saturating_sub(Cycle::new(1)));
-        trial.poll_crash(tt + Cycle::new(1)).expect("trial crash");
-        assert!(trial.stats().media.wal_redos >= 1);
-        assert_eq!(trial.health_rung(), HealthRung::ReadOnly);
-        assert!(trial.stats().health.rehydrations >= 1);
-        assert_health_conservation(&trial);
+        // WAL-redo accounting feeds the ladder. Each nested crash tears
+        // the fallback's WAL seal and the restarted attempt redoes it;
+        // recovery lands at ReadOnly once the redos reach the threshold.
+        // Each run finds the next crash point: one cycle before the seal
+        // of the attempt its own crashes leave standing.
+        let mut points = Vec::new();
+        for redos in 0..=READONLY_WAL_REDOS {
+            let mut sys = ThyNvm::new(health_cfg(|c| c.media = thynvm_types::MediaFaultConfig::hardened()));
+            let t = store_and_checkpoint(&mut sys, 1, Cycle::ZERO);
+            let t = store_and_checkpoint(&mut sys, 2, t);
+            sys.inject_media_fault(MediaFault::TornCommitRecord);
+            sys.arm_crash_point(t);
+            for &at in &points {
+                sys.queue_crash_point(at);
+            }
+            sys.poll_crash(t + Cycle::new(1)).expect("crash fires");
+            let report = crashes(&mut sys).pop().expect("reported").report;
+            assert_eq!(report.nested_crashes, redos);
+            assert_eq!(sys.stats().media.wal_redos, redos, "each nested crash tore one seal");
+            let rung = if redos < READONLY_WAL_REDOS { HealthRung::Healthy } else { HealthRung::ReadOnly };
+            assert_eq!(sys.health_rung(), rung, "after {redos} redos");
+            assert_health_conservation(&sys);
+            let sealed = report
+                .steps
+                .iter()
+                .find(|&&(s, _)| s == RecoveryStep::IntegrityFallback)
+                .map(|&(_, end)| end)
+                .expect("the standing attempt ran the fallback step");
+            points.push(sealed.saturating_sub(Cycle::new(1)));
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! fed only by signals the controller already observes ([`HealthSignals`]):
 //! spare-pool occupancy, sliding-window CRC-retry and ECC-refetch rates,
-//! the scrubber's backlog of un-remapped stuck cells, WAL redos, outstanding
-//! DRAM poison, and tamper detections.
+//! the scrubber's backlog of un-remapped stuck cells, outstanding DRAM
+//! poison, and tamper detections. WAL redos happen only inside recovery, so
+//! the controller weighs them against [`READONLY_WAL_REDOS`] when that
+//! recovery ends, not in the monitor's window.
 //!
 //! # Rung postures (enforced by the controller)
 //!
@@ -56,6 +58,11 @@ const WOUNDED_SPARE_PCT: u64 = 75;
 /// at least `ReadOnly`.
 const READONLY_POISON_BLOCKS: u64 = 16;
 
+/// WAL redos in one recovery at or above which the recovered rung is at
+/// least `ReadOnly`: recovery-side write-ahead records keep tearing, so
+/// durability of new data is in question.
+pub const READONLY_WAL_REDOS: u64 = 4;
+
 /// Factor by which the `Wounded` posture shortens the epoch timer:
 /// checkpoints become due after `epoch_max / EMERGENCY_DIVISOR`.
 pub(crate) const EMERGENCY_DIVISOR: u64 = 4;
@@ -86,8 +93,6 @@ pub struct HealthSignals {
     /// Cumulative spare-pool-exhausted events
     /// ([`thynvm_types::MediaStats::spare_exhausted`]).
     pub spare_exhausted_total: u64,
-    /// Cumulative WAL redos ([`thynvm_types::MediaStats::wal_redos`]).
-    pub wal_redos_total: u64,
     /// Stuck cells the scrubber has not (and, with spares gone, cannot)
     /// remap away — the healing backlog.
     pub scrub_backlog: u64,
@@ -103,7 +108,6 @@ pub struct HealthSignals {
 struct EpochDeltas {
     retries: u64,
     refetches: u64,
-    wal_redos: u64,
 }
 
 /// The hysteresis-driven degradation ladder (see the [module docs](self)).
@@ -183,11 +187,10 @@ impl HealthMonitor {
         if occupancy_pct >= WOUNDED_SPARE_PCT {
             at_least(HealthRung::Wounded);
         }
-        let (mut retries, mut refetches, mut redos) = (deltas.retries, deltas.refetches, deltas.wal_redos);
+        let (mut retries, mut refetches) = (deltas.retries, deltas.refetches);
         for d in &self.window {
             retries += d.retries;
             refetches += d.refetches;
-            redos += d.wal_redos;
         }
         if retries >= c.wounded_retry_rate {
             at_least(HealthRung::Wounded);
@@ -201,9 +204,6 @@ impl HealthMonitor {
             at_least(HealthRung::ReadOnly);
         }
         if s.scrub_backlog >= c.readonly_scrub_backlog && s.spares_used >= s.spares_total {
-            at_least(HealthRung::ReadOnly);
-        }
-        if redos >= c.readonly_wal_redos {
             at_least(HealthRung::ReadOnly);
         }
         if s.outstanding_poison >= READONLY_POISON_BLOCKS {
@@ -231,7 +231,6 @@ impl HealthMonitor {
         let deltas = EpochDeltas {
             retries: s.retries_total.saturating_sub(self.prev.retries_total),
             refetches: s.refetches_total.saturating_sub(self.prev.refetches_total),
-            wal_redos: s.wal_redos_total.saturating_sub(self.prev.wal_redos_total),
         };
         let target = self.target(s, deltas);
         self.window.push_back(deltas);

@@ -30,8 +30,7 @@
 //!
 //! * [`layout`] — the hardware address space of Figure 4 (Home Region /
 //!   Checkpoint Regions A & B / Working Data Region / Backup Region).
-//! * [`table`] — the BTT and PTT of Figure 5, with store counters and the
-//!   scheme-switching policy of §4.2.
+//! * [`table`] — the BTT and PTT of Figure 5.
 //! * [`epoch`] — the epoch state machine and in-flight checkpoint jobs.
 //! * [`controller`] — [`ThyNvm`], the memory controller itself: the store
 //!   path of Figure 6(a), the checkpointing order of Figure 6(b),

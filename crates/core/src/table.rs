@@ -3,9 +3,8 @@
 //!
 //! Both tables map physical block/page indices to the location of the
 //! software-visible working copy and record which checkpoint region holds
-//! `C_last`. A 6-bit saturating store counter per entry feeds the
-//! scheme-switching policy of §4.2 (collected at epoch boundaries, then
-//! reset).
+//! `C_last`. The store counts that drive §4.2's scheme switching are kept
+//! per page by the controller, not in the entries.
 //!
 //! The tables are the *hardware budget* of the design: entry counts are
 //! fixed at construction ([`thynvm_types::ThyNvmConfig`]), and overflow
@@ -18,9 +17,6 @@ use std::collections::BinaryHeap;
 use thynvm_types::{BlockIndex, FxHashMap, PageIndex};
 
 use crate::layout::Region;
-
-/// Maximum value of the 6-bit per-entry store counter (Figure 5).
-pub const STORE_COUNTER_MAX: u8 = 63;
 
 /// Where a block-remapped working copy currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +44,11 @@ pub struct BttEntry {
     /// Working copy captured by the in-flight checkpoint job (it becomes
     /// `C_last` when the job completes).
     pub pending: Option<WactiveLoc>,
-    /// 6-bit saturating store counter for this epoch.
-    pub store_count: u8,
 }
 
 impl BttEntry {
     fn new() -> Self {
-        Self { wactive: None, clast_region: None, pending: None, store_count: 0 }
+        Self { wactive: None, clast_region: None, pending: None }
     }
 
     /// Whether this entry holds no in-flight state and can be reclaimed
@@ -264,14 +258,6 @@ impl Btt {
     pub fn dirty_entries(&self) -> usize {
         self.entries.values().filter(|e| e.wactive.is_some()).count()
     }
-
-    /// Resets all store counters (done when the controller has collected
-    /// them at an epoch boundary, §4.2).
-    pub fn reset_store_counters(&mut self) {
-        for e in self.entries.values_mut() {
-            e.store_count = 0;
-        }
-    }
 }
 
 /// One PTT entry: tracking state for a 4 KiB page cached in DRAM.
@@ -288,8 +274,6 @@ pub struct PttEntry {
     /// while `true` the DRAM copy is frozen and incoming writes are
     /// absorbed by block remapping (§3.4).
     pub frozen: bool,
-    /// 6-bit saturating store counter for this epoch.
-    pub store_count: u8,
 }
 
 /// The Page Translation Table.
@@ -380,7 +364,7 @@ impl Ptt {
         };
         self.entries.insert(
             page,
-            PttEntry { slot, dirty: false, clast_region: None, frozen: false, store_count: 0 },
+            PttEntry { slot, dirty: false, clast_region: None, frozen: false },
         );
         self.peak = self.peak.max(self.entries.len());
         Some(slot)
@@ -411,20 +395,6 @@ impl Ptt {
         // Deterministic writeback order (hash maps iterate randomly).
         v.sort_unstable();
         v
-    }
-
-    /// Resets all store counters.
-    pub fn reset_store_counters(&mut self) {
-        for e in self.entries.values_mut() {
-            e.store_count = 0;
-        }
-    }
-}
-
-/// Saturating 6-bit increment used for both tables' store counters.
-pub fn bump_counter(counter: &mut u8) {
-    if *counter < STORE_COUNTER_MAX {
-        *counter += 1;
     }
 }
 
@@ -534,19 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn btt_counter_reset() {
-        let mut btt = Btt::new(4);
-        btt.entry_or_insert(BlockIndex::new(1))
-            .expect("invariant: BTT below capacity")
-            .store_count = 10;
-        btt.reset_store_counters();
-        assert_eq!(
-            btt.get(BlockIndex::new(1)).expect("invariant: inserted above").store_count,
-            0
-        );
-    }
-
-    #[test]
     fn ptt_slot_allocation_and_reuse() {
         let mut ptt = Ptt::new(2);
         let s0 = ptt.insert(PageIndex::new(10)).expect("invariant: PTT has free slots");
@@ -596,15 +553,6 @@ mod tests {
         // The table still works; slots are minted on demand.
         assert_eq!(ptt.insert(PageIndex::new(1)), Some(0));
         assert_eq!(ptt.insert(PageIndex::new(2)), Some(1));
-    }
-
-    #[test]
-    fn counter_saturates_at_six_bits() {
-        let mut c = STORE_COUNTER_MAX - 1;
-        bump_counter(&mut c);
-        assert_eq!(c, STORE_COUNTER_MAX);
-        bump_counter(&mut c);
-        assert_eq!(c, STORE_COUNTER_MAX);
     }
 
     #[test]

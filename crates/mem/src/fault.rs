@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use thynvm_types::rng::{mix, unit};
 use thynvm_types::{
-    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, SecurityConfig, BLOCKS_PER_PAGE,
-    BLOCK_BYTES, PAGE_BYTES,
+    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, BLOCKS_PER_PAGE, BLOCK_BYTES,
+    PAGE_BYTES,
 };
 
 use crate::device::WearStats;
@@ -413,10 +413,9 @@ pub struct SecurityPersist {
 /// counter-mode encryption counters and an integrity tree over the
 /// counter table, both treated as crash-consistency state.
 ///
-/// The model mirrors the determinism contract of [`FaultModel`] and
-/// [`DramEccModel`]: every decision — including the adversarial tamper
-/// schedule drawn from `tamper_rate` — is a pure function of the
-/// configured seed and explicit counters, so runs replay exactly.
+/// The model draws no random decisions: it is a pure function of the
+/// writes, persists, crashes and injected tampers it is fed, so runs
+/// replay exactly.
 ///
 /// Counter lifecycle (Zuo et al., arXiv:1901.00620): the controller bumps
 /// the write counter of every block an encrypted NVM write touches
@@ -439,11 +438,8 @@ pub struct SecurityPersist {
 /// thus bumps one page count instead of 64 block counters. The split is
 /// bookkeeping only: every receipt and count is per block, as if each of
 /// the page's 64 counters had been bumped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SecurityModel {
-    seed: u64,
-    arity: u64,
-    tamper_rate: f64,
     /// Volatile single-block write counts in the memory controller, keyed
     /// by block number (device address / 64: FxHash keeps the six zero low
     /// bits of a block address, which would crowd the map's probe starts).
@@ -470,11 +466,11 @@ pub struct SecurityModel {
     /// Injected attack: the persisted table was rolled back to an earlier
     /// generation (counter-replay attack).
     stale_table: bool,
-    tamper_rolls: u64,
 }
 
-/// Domain-separation tag for the adversarial tamper schedule.
-const TAG_TAMPER: u64 = 0x544d_5052; // "TMPR"
+/// Arity of the integrity tree over the counter table: each node
+/// authenticates this many children.
+const TREE_ARITY: u64 = 8;
 
 /// Bumps `key`'s count in `counts`, logging the persisted value in `undo`
 /// on its first bump since the last persist. Returns the new count.
@@ -502,24 +498,6 @@ fn revert(counts: &mut FxHashMap<u64, u64>, undo: &mut FxHashMap<u64, u64>) {
 }
 
 impl SecurityModel {
-    /// Builds a model from the configuration.
-    pub fn new(cfg: &SecurityConfig) -> Self {
-        Self {
-            seed: cfg.seed,
-            arity: u64::from(cfg.tree_arity.max(2)),
-            tamper_rate: cfg.tamper_rate,
-            counters: FxHashMap::default(),
-            dirty: FxHashMap::default(),
-            pages: FxHashMap::default(),
-            dirty_pages: FxHashMap::default(),
-            table_len: 0,
-            generation: 0,
-            root_torn: false,
-            stale_table: false,
-            tamper_rolls: 0,
-        }
-    }
-
     /// Observes one encrypted write of the 64 B block at device address
     /// `block`: bumps its write counter and marks it dirty. Returns the
     /// new counter value.
@@ -613,7 +591,7 @@ impl SecurityModel {
             // One sorted level at a time: integer division by the arity
             // keeps the level sorted, so `dedup` leaves its distinct nodes.
             loop {
-                level.iter_mut().for_each(|i| *i /= self.arity);
+                level.iter_mut().for_each(|i| *i /= TREE_ARITY);
                 level.dedup();
                 tree_nodes += level.len() as u64;
                 if level == [0] {
@@ -681,20 +659,6 @@ impl SecurityModel {
         self.generation = 0;
         self.root_torn = false;
         self.stale_table = false;
-    }
-
-    /// Draws the next decision from the adversarial tamper schedule:
-    /// `Some(hash)` when the seeded stream decides this crash is
-    /// accompanied by tampering (the hash picks the tamper kind), `None`
-    /// otherwise. The stream always advances, so downstream decisions do
-    /// not depend on which branch was taken.
-    pub fn tamper_roll(&mut self) -> Option<u64> {
-        self.tamper_rolls += 1;
-        if self.tamper_rate <= 0.0 {
-            return None;
-        }
-        let h = mix(self.seed ^ TAG_TAMPER, self.tamper_rolls);
-        (unit(h) < self.tamper_rate).then_some(h)
     }
 }
 
@@ -973,18 +937,9 @@ mod tests {
         assert!(!noisy.is_quiet());
     }
 
-    fn sec(seed: u64, rate: f64) -> SecurityModel {
-        SecurityModel::new(&SecurityConfig {
-            enabled: true,
-            seed,
-            tamper_rate: rate,
-            ..Default::default()
-        })
-    }
-
     #[test]
     fn security_counters_bump_persist_and_revert_on_crash() {
-        let mut m = sec(1, 0.0);
+        let mut m = SecurityModel::default();
         assert_eq!(m.note_block_write(0), 1);
         assert_eq!(m.note_block_write(70), 1); // same block as 64
         assert_eq!(m.note_block_write(64), 2);
@@ -1055,7 +1010,7 @@ mod tests {
             (Page(2), 64, 66), // one of its blocks is in the table already
             (receipt(64, 10), 0, 129),
         ];
-        let mut m = sec(5, 0.0);
+        let mut m = SecurityModel::default();
         for (i, &(step, dirty, table)) in steps.iter().enumerate() {
             match step {
                 Page(page) => m.note_write(page * 4096, 4096),
@@ -1080,9 +1035,8 @@ mod tests {
     /// and a persisted `BTreeMap`, a `BTreeSet` of dirty blocks, a crash
     /// that clones the persisted table back, and a `BTreeSet` per tree
     /// level. The undo-log model must be indistinguishable from it.
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     struct RefSecurityModel {
-        arity: u64,
         counters: BTreeMap<u64, u64>,
         persisted: BTreeMap<u64, u64>,
         dirty: BTreeSet<u64>,
@@ -1092,18 +1046,6 @@ mod tests {
     }
 
     impl RefSecurityModel {
-        fn new(cfg: &SecurityConfig) -> Self {
-            Self {
-                arity: u64::from(cfg.tree_arity.max(2)),
-                counters: BTreeMap::new(),
-                persisted: BTreeMap::new(),
-                dirty: BTreeSet::new(),
-                generation: 0,
-                root_torn: false,
-                stale_table: false,
-            }
-        }
-
         fn note_block_write(&mut self, block: u64) -> u64 {
             let b = block & !(BLOCK_BYTES - 1);
             let c = self.counters.entry(b).or_insert(0);
@@ -1127,7 +1069,7 @@ mod tests {
                 let mut level: BTreeSet<u64> =
                     self.dirty.iter().map(|b| b / BLOCK_BYTES).collect();
                 loop {
-                    let parents: BTreeSet<u64> = level.iter().map(|i| i / self.arity).collect();
+                    let parents: BTreeSet<u64> = level.iter().map(|i| i / TREE_ARITY).collect();
                     tree_nodes += parents.len() as u64;
                     if parents.len() == 1 && parents.contains(&0) {
                         break;
@@ -1202,12 +1144,10 @@ mod tests {
 
         #[test]
         fn security_model_matches_the_btree_reference(
-            arity in 2u32..17,
             ops in proptest::collection::vec(sec_op(), 1..400),
         ) {
-            let cfg = SecurityConfig { enabled: true, tree_arity: arity, ..Default::default() };
-            let mut m = SecurityModel::new(&cfg);
-            let mut r = RefSecurityModel::new(&cfg);
+            let mut m = SecurityModel::default();
+            let mut r = RefSecurityModel::default();
             for (i, op) in ops.into_iter().enumerate() {
                 match op {
                     SecOp::Write(a) => {
@@ -1252,7 +1192,7 @@ mod tests {
 
     #[test]
     fn security_persist_with_no_dirty_counters_writes_no_tree() {
-        let mut m = sec(2, 0.0);
+        let mut m = SecurityModel::default();
         let receipt = m.persist();
         assert_eq!(receipt, SecurityPersist { counter_entries: 0, tree_nodes: 0 });
         assert_eq!(m.generation(), 1, "generation still advances with the checkpoint");
@@ -1260,13 +1200,13 @@ mod tests {
 
     #[test]
     fn security_tree_nodes_shared_ancestors_counted_once() {
-        let mut m = sec(3, 0.0);
+        let mut m = SecurityModel::default();
         // Two adjacent blocks share every ancestor under arity 8.
         m.note_block_write(0);
         m.note_block_write(64);
         let adjacent = m.persist().tree_nodes;
         // Two far-apart blocks share only the root.
-        let mut m2 = sec(3, 0.0);
+        let mut m2 = SecurityModel::default();
         m2.note_block_write(0);
         m2.note_block_write(64 * 8 * 8 * 8 * 64);
         let distant = m2.persist().tree_nodes;
@@ -1275,7 +1215,7 @@ mod tests {
 
     #[test]
     fn security_tamper_flags_and_heal() {
-        let mut m = sec(4, 0.0);
+        let mut m = SecurityModel::default();
         assert!(m.table_authentic());
         m.tamper_torn_root();
         assert!(!m.table_authentic() && m.root_is_torn());
@@ -1288,21 +1228,6 @@ mod tests {
         m.reset();
         assert!(m.table_authentic());
         assert_eq!((m.table_entries(), m.dirty_count(), m.generation()), (0, 0, 0));
-    }
-
-    #[test]
-    fn security_tamper_schedule_is_deterministic_and_rate_gated() {
-        let mut a = sec(9, 0.5);
-        let mut b = sec(9, 0.5);
-        let ra: Vec<_> = (0..64).map(|_| a.tamper_roll()).collect();
-        let rb: Vec<_> = (0..64).map(|_| b.tamper_roll()).collect();
-        assert_eq!(ra, rb, "same seed, same tamper schedule");
-        assert!(ra.iter().any(Option::is_some) && ra.iter().any(Option::is_none));
-        let mut quiet = sec(9, 0.0);
-        assert!((0..64).all(|_| quiet.tamper_roll().is_none()));
-        let mut c = sec(10, 0.5);
-        let rc: Vec<_> = (0..64).map(|_| c.tamper_roll()).collect();
-        assert_ne!(ra, rc, "different seeds diverge");
     }
 
     #[test]

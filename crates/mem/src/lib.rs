@@ -28,7 +28,7 @@
 //! * [`fault::SecurityModel`] — the secure persistent memory mode's
 //!   crash-consistency state: per-block counter-mode encryption counters
 //!   with epoch-boundary persistence, an integrity tree over the counter
-//!   table, and a deterministic adversarial tamper schedule.
+//!   table, and hooks that inject a torn root or a rolled-back table.
 //!
 //! # Example
 //!

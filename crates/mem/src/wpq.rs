@@ -132,15 +132,19 @@ pub struct PersistBuffer {
 }
 
 impl PersistBuffer {
+    /// Maximum buffered entries across all banks before further enqueues
+    /// exert back-pressure (the issuer stalls until the earliest pending
+    /// entry retires).
+    pub const CAPACITY: usize = 64;
+
     /// Creates a buffer with the device geometry it shadows; the bank fold
     /// must match [`crate::device::Device`] so same-line writes share a
     /// bank and drain in order.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.capacity` is zero or the geometry has no banks.
+    /// Panics if the geometry has no banks.
     pub fn new(cfg: PersistBufferConfig, geometry: DeviceGeometry) -> Self {
-        assert!(cfg.capacity > 0, "persist buffer capacity must be nonzero");
         let total_banks = u64::from(geometry.total_banks());
         assert!(total_banks > 0, "persist buffer needs at least one bank");
         let row_bytes = geometry.row_bytes;
@@ -229,7 +233,7 @@ impl PersistBuffer {
         kind: WpqKind,
     ) -> Cycle {
         self.drain_to(issue);
-        let resume = if self.pending_total >= self.cfg.capacity as usize {
+        let resume = if self.pending_total >= Self::CAPACITY {
             // Full: stall until the earliest in-flight entry retires. The
             // stall is charged to the same counter as fence stalls — the
             // ledger's `fence_stall_cycles` covers every cycle the issuer
@@ -486,23 +490,21 @@ mod tests {
 
     #[test]
     fn full_buffer_back_pressures_the_issuer() {
-        let cfg = PersistBufferConfig { capacity: 2, ..armed() };
-        let mut w = PersistBuffer::new(cfg, geom());
-        assert_eq!(
-            w.push(HwAddr::new(0), b"a", Cycle::ZERO, Cycle::new(100), WpqKind::Data),
-            Cycle::ZERO
-        );
-        assert_eq!(
-            w.push(HwAddr::new(8192), b"b", Cycle::ZERO, Cycle::new(250), WpqKind::Data),
-            Cycle::ZERO
-        );
-        // Full: the third push stalls until the earliest entry retires
+        let mut w = PersistBuffer::new(armed(), geom());
+        // Fill every slot, one row per entry so the entries spread over
+        // all banks; the earliest retires at cycle 100.
+        for i in 0..PersistBuffer::CAPACITY as u64 {
+            let retire = Cycle::new(100 + 10 * i);
+            let resume = w.push(HwAddr::new(i * 8192), b"a", Cycle::ZERO, retire, WpqKind::Data);
+            assert_eq!(resume, Cycle::ZERO, "entry {i} fits");
+        }
+        // Full: the next push stalls until the earliest entry retires
         // (cycle 100), which frees its slot.
         assert_eq!(
-            w.push(HwAddr::new(16384), b"c", Cycle::new(10), Cycle::new(300), WpqKind::Data),
+            w.push(HwAddr::new(64), b"c", Cycle::new(10), Cycle::new(5_000), WpqKind::Data),
             Cycle::new(100)
         );
-        assert_eq!(w.pending_total, 2);
+        assert_eq!(w.pending_total, PersistBuffer::CAPACITY);
         // The back-pressure stall (cycle 10 → 100) is charged to the
         // ledger's stall counter, same as a fence stall would be.
         assert_eq!(w.stats().fence_stall_cycles, Cycle::new(90));
@@ -663,14 +665,20 @@ mod tests {
 
     #[test]
     fn stats_survive_crashes_and_keep_conserving() {
-        let cfg = PersistBufferConfig { salvage_rate: 0.5, capacity: 4, ..armed() };
+        let cfg = PersistBufferConfig { salvage_rate: 0.5, ..armed() };
         let mut w = PersistBuffer::new(cfg, geom());
         let mut now = Cycle::ZERO;
+        // Each round pushes half again the capacity, so the buffer fills
+        // and back-pressures before the round's fence or crash.
+        let per_round = PersistBuffer::CAPACITY as u64 * 3 / 2;
+        let mut stalled = false;
         for round in 0..10u64 {
-            for i in 0..6u64 {
-                let addr = HwAddr::new((round * 6 + i) % 8 * 8192);
+            for i in 0..per_round {
+                let addr = HwAddr::new((round * per_round + i) % 8 * 8192);
                 let retire = now + Cycle::new(50 + i * 37);
-                now = w.push(addr, &[round as u8], now, retire, WpqKind::Data);
+                let resume = w.push(addr, &[round as u8], now, retire, WpqKind::Data);
+                stalled |= resume > now;
+                now = resume;
             }
             if round % 3 == 0 {
                 now = w.fence(now);
@@ -680,13 +688,8 @@ mod tests {
             }
             conservation_holds(&w);
         }
-        assert!(w.stats().enqueued == 60);
+        assert!(stalled, "a full buffer back-pressured the issuer");
+        assert_eq!(w.stats().enqueued, 10 * per_round);
         assert!(w.stats().fences >= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_rejected() {
-        PersistBuffer::new(PersistBufferConfig { capacity: 0, ..armed() }, geom());
     }
 }

@@ -352,8 +352,8 @@ impl DramFaultConfig {
 /// a MAC/integrity tree over the checkpoint images and metadata.
 ///
 /// All fields default to "off": a default configuration adds zero cycles
-/// of crypto overhead and never injects tampering, so baseline runs are
-/// byte- and cycle-identical to a build without the subsystem.
+/// of crypto overhead, so baseline runs are byte- and cycle-identical to a
+/// build without the subsystem.
 ///
 /// The model follows Zuo et al. (arXiv:1901.00620): per-block encryption
 /// counters and integrity-tree nodes are themselves crash-consistency
@@ -372,19 +372,10 @@ pub struct SecurityConfig {
     /// are charged, no security metadata is persisted, and recovery skips
     /// all verification steps.
     pub enabled: bool,
-    /// Seed for the deterministic tamper-injection schedule. Must differ
-    /// from [`MediaFaultConfig::seed`] and [`DramFaultConfig::seed`] when
-    /// the respective models are enabled, so the streams stay independent.
+    /// Seed the modeled MAC key is derived from. Must differ from
+    /// [`MediaFaultConfig::seed`] and [`DramFaultConfig::seed`] when the
+    /// respective models are enabled.
     pub seed: u64,
-    /// Arity of the integrity tree over the counter table: each node
-    /// authenticates this many children. Must be at least 2 when the model
-    /// is enabled.
-    pub tree_arity: u32,
-    /// Probability that a crash is accompanied by an adversarial tamper of
-    /// a checkpoint region, drawn deterministically from `seed`. Must be
-    /// in `[0, 1]`. Explicit tamper injection via the controller hooks is
-    /// independent of this rate.
-    pub tamper_rate: f64,
 }
 
 impl Default for SecurityConfig {
@@ -392,16 +383,13 @@ impl Default for SecurityConfig {
         Self {
             enabled: false,
             seed: 0x5345_4355_5245, // "SECURE"
-            tree_arity: 8,
-            tamper_rate: 0.0,
         }
     }
 }
 
 impl SecurityConfig {
     /// A fully-armed configuration: encryption and integrity verification
-    /// on, each charged [`CRYPTO_NS_PER_BLOCK`]. The tamper rate is left
-    /// for the caller to choose (it defaults to zero).
+    /// on, each charged [`CRYPTO_NS_PER_BLOCK`].
     pub fn hardened() -> Self {
         Self { enabled: true, ..Self::default() }
     }
@@ -416,10 +404,11 @@ impl SecurityConfig {
 ///
 /// With the monitor enabled, observable signals already collected in
 /// `MemStats` (spare-pool occupancy, windowed CRC-retry and ECC-refetch
-/// rates, scrub backlog, WAL redos, tamper detections, outstanding DRAM
-/// poison) are evaluated at every epoch boundary and drive the ladder
-/// `Healthy → Wounded → ReadOnly → FailSafe`. Demotion is immediate and
-/// may skip rungs; promotion climbs one rung after `promote_clean_epochs`
+/// rates, scrub backlog, tamper detections, outstanding DRAM poison) are
+/// evaluated at every epoch boundary and drive the ladder
+/// `Healthy → Wounded → ReadOnly → FailSafe`; WAL redos escalate at the
+/// end of the recovery that made them. Demotion is immediate and may skip
+/// rungs; promotion climbs one rung after `promote_clean_epochs`
 /// consecutive signal-free epochs (hysteresis), and `FailSafe` never
 /// promotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -439,11 +428,6 @@ pub struct HealthConfig {
     /// the ladder demotes to at least `Wounded`. Zero is rejected when the
     /// monitor is on.
     pub wounded_refetch_rate: u64,
-    /// Cumulative WAL redos at or above which the ladder demotes to at
-    /// least `ReadOnly` (recovery-side write-ahead records keep tearing —
-    /// durability of new data is in question). Zero is rejected when the
-    /// monitor is on.
-    pub readonly_wal_redos: u64,
     /// Stuck-cell scrub backlog at or above which — once the spare pool is
     /// exhausted and the scrubber can no longer heal — the ladder demotes
     /// to at least `ReadOnly`. Zero is rejected when the monitor is on.
@@ -461,7 +445,6 @@ impl Default for HealthConfig {
             window_epochs: 8,
             wounded_retry_rate: 64,
             wounded_refetch_rate: 64,
-            readonly_wal_redos: 4,
             readonly_scrub_backlog: 64,
             promote_clean_epochs: 4,
         }
@@ -496,14 +479,11 @@ pub struct PersistBufferConfig {
     /// bit-identical to a build without the subsystem.
     pub enabled: bool,
     /// Seed for the deterministic crash-time partial-flush schedule. Must
-    /// differ from [`MediaFaultConfig::seed`], [`DramFaultConfig::seed`]
-    /// and [`SecurityConfig::seed`] when the respective models are
-    /// enabled, so the fault streams stay independent.
+    /// differ from [`MediaFaultConfig::seed`] and [`DramFaultConfig::seed`]
+    /// when the respective models are enabled, so the fault streams stay
+    /// independent, and from [`SecurityConfig::seed`], which keys the
+    /// modeled MAC.
     pub seed: u64,
-    /// Maximum buffered entries across all banks before further enqueues
-    /// exert back-pressure (the issuer stalls until the earliest pending
-    /// entry retires). Must be nonzero when the model is enabled.
-    pub capacity: u32,
     /// Expected fraction of each bank's in-flight (issued but not yet
     /// retired) entries salvaged at a crash, beyond the retire-complete
     /// prefix that is always durable. Must be in `[0, 1]`: `0.0` drops
@@ -517,17 +497,16 @@ impl Default for PersistBufferConfig {
         Self {
             enabled: false,
             seed: 0x5750_5144_524e, // "WPQDRN"
-            capacity: 64,
             salvage_rate: 0.5,
         }
     }
 }
 
 impl PersistBufferConfig {
-    /// A fully-armed configuration: the buffer on with the default
-    /// capacity and salvage rate. Deliberately *not* part of
-    /// [`SystemConfig::hardened`] — fence stalls change cycle counts, and
-    /// `hardened()` is used in timing-compared configurations.
+    /// A fully-armed configuration: the buffer on with the default salvage
+    /// rate. Deliberately *not* part of [`SystemConfig::hardened`] — fence
+    /// stalls change cycle counts, and `hardened()` is used in
+    /// timing-compared configurations.
     pub fn armed() -> Self {
         Self { enabled: true, ..Self::default() }
     }
@@ -580,8 +559,8 @@ impl SystemConfig {
     /// The paper configuration with every robustness domain armed: NVM
     /// media integrity (CRC + retry/remap/scrub), the DRAM SEC-DED ECC
     /// model, the secure persistent memory mode, and the graceful-
-    /// degradation health ladder. Fault and tamper rates are left at zero
-    /// for the caller to choose.
+    /// degradation health ladder. Fault rates are left at zero for the
+    /// caller to choose.
     pub fn hardened() -> Self {
         Self {
             media: MediaFaultConfig::hardened(),
@@ -658,12 +637,6 @@ impl SystemConfig {
             );
         }
         let s = &self.security;
-        if !(0.0..=1.0).contains(&s.tamper_rate) {
-            return fail("security tamper rate must be a probability in [0, 1]");
-        }
-        if s.enabled && s.tree_arity < 2 {
-            return fail("integrity tree arity below 2 cannot converge to a root");
-        }
         if s.enabled && self.media.enabled && s.seed == self.media.seed {
             return fail(
                 "security seed must differ from the NVM media seed so the fault streams stay independent",
@@ -677,9 +650,6 @@ impl SystemConfig {
         let w = &self.wpq;
         if !(0.0..=1.0).contains(&w.salvage_rate) {
             return fail("WPQ salvage rate must be a probability in [0, 1]");
-        }
-        if w.enabled && w.capacity == 0 {
-            return fail("persist buffer needs nonzero capacity to hold any pending write");
         }
         if w.enabled && self.media.enabled && w.seed == self.media.seed {
             return fail(
@@ -706,9 +676,6 @@ impl SystemConfig {
             }
             if h.wounded_refetch_rate == 0 {
                 return fail("a zero refetch-rate threshold would pin the ladder at Wounded");
-            }
-            if h.readonly_wal_redos == 0 {
-                return fail("a zero WAL-redo threshold would pin the ladder at ReadOnly");
             }
             if h.readonly_scrub_backlog == 0 {
                 return fail("a zero scrub-backlog threshold would pin the ladder at ReadOnly");
@@ -948,8 +915,6 @@ mod tests {
     fn security_defaults_off_with_distinct_seed() {
         let s = SystemConfig::paper().security;
         assert!(!s.enabled);
-        assert_eq!(s.tamper_rate, 0.0);
-        assert_eq!(s.tree_arity, 8);
         assert_ne!(s.seed, MediaFaultConfig::default().seed);
         assert_ne!(s.seed, DramFaultConfig::default().seed);
     }
@@ -965,7 +930,6 @@ mod tests {
         // Rates default to zero: hardened arms machinery, not faults.
         assert_eq!(cfg.media.bit_flip_rate, 0.0);
         assert_eq!(cfg.dram_fault.poison_rate, 0.0);
-        assert_eq!(cfg.security.tamper_rate, 0.0);
     }
 
     #[test]
@@ -996,11 +960,6 @@ mod tests {
 
         let mut cfg = SystemConfig::paper();
         cfg.health = HealthConfig::hardened();
-        cfg.health.readonly_wal_redos = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("WAL-redo"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.health = HealthConfig::hardened();
         cfg.health.readonly_scrub_backlog = 0;
         assert!(cfg.validate().unwrap_err().to_string().contains("scrub-backlog"));
 
@@ -1013,18 +972,6 @@ mod tests {
         let mut cfg = SystemConfig::paper();
         cfg.health.window_epochs = 0;
         cfg.validate().expect("disabled health is not validated");
-    }
-
-    #[test]
-    fn validation_rejects_bad_security_combinations() {
-        let mut cfg = SystemConfig::paper();
-        cfg.security.tamper_rate = 1.5;
-        assert!(cfg.validate().unwrap_err().to_string().contains("probability"));
-
-        let mut cfg = SystemConfig::paper();
-        cfg.security = SecurityConfig::hardened();
-        cfg.security.tree_arity = 1;
-        assert!(cfg.validate().unwrap_err().to_string().contains("arity"));
     }
 
     #[test]
@@ -1055,7 +1002,6 @@ mod tests {
     fn wpq_defaults_off_with_distinct_seed() {
         let w = SystemConfig::paper().wpq;
         assert!(!w.enabled);
-        assert_eq!(w.capacity, 64);
         assert_eq!(w.salvage_rate, 0.5);
         assert_ne!(w.seed, MediaFaultConfig::default().seed);
         assert_ne!(w.seed, DramFaultConfig::default().seed);
@@ -1075,11 +1021,6 @@ mod tests {
         cfg.wpq.salvage_rate = 1.5;
         assert!(cfg.validate().unwrap_err().to_string().contains("probability"));
 
-        let mut cfg = SystemConfig::paper();
-        cfg.wpq = PersistBufferConfig::armed();
-        cfg.wpq.capacity = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("capacity"));
-
         // Seed collisions with each enabled sibling domain.
         let mut cfg = SystemConfig::hardened();
         cfg.wpq = PersistBufferConfig::armed();
@@ -1095,11 +1036,6 @@ mod tests {
         cfg.wpq = PersistBufferConfig::armed();
         cfg.wpq.seed = cfg.security.seed;
         assert!(cfg.validate().unwrap_err().to_string().contains("seed"));
-
-        // Disabled buffer skips capacity validation entirely.
-        let mut cfg = SystemConfig::paper();
-        cfg.wpq.capacity = 0;
-        cfg.validate().expect("disabled WPQ is not validated");
     }
 
     #[test]

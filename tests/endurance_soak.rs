@@ -37,6 +37,7 @@ use common::{
     apply, assert_trials_replay_alone, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind,
     trial_label, Digest, Op, Reference, Trial, PAGE,
 };
+use thynvm::core::health::READONLY_WAL_REDOS;
 use thynvm::core::{MediaFault, Scenario, ThyNvm};
 use thynvm::types::{
     rng, Cycle, DramFaultConfig, Error, HealthConfig, HealthRung, MediaFaultConfig, MemorySystem,
@@ -262,8 +263,7 @@ fn verify_rung(oracle: &thynvm::core::PersistenceOracle, t: &mut Trial) {
     let fallback = rung_with(Some(MediaFault::TornCommitRecord));
     let tampered = s.security.tampers_detected > 0;
     let unrecoverable = s.security.unrecoverable > 0;
-    let redo_escalated = s.media.wal_redos >= t.sys.config().health.readonly_wal_redos
-        && rung >= HealthRung::ReadOnly;
+    let redo_escalated = s.media.wal_redos >= READONLY_WAL_REDOS && rung >= HealthRung::ReadOnly;
     if tampered || unrecoverable {
         assert_eq!(
             rung,

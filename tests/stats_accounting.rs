@@ -9,6 +9,7 @@
 use thynvm::baselines::{Journaling, ShadowPaging};
 use thynvm::cache::CoreModel;
 use thynvm::core::ThyNvm;
+use thynvm::mem::PersistBuffer;
 use thynvm::types::{MemorySystem, SystemConfig};
 use thynvm::workloads::micro::{MicroConfig, MicroPattern};
 
@@ -258,7 +259,7 @@ fn wpq_ledger_conserves_against_device_traffic() {
     // timeline keeps that at or before `now`, so stalls stay bounded by
     // the total fence count times a burst.
     assert!(w.fence_stall_cycles.raw() <= w.fences * 1_000, "{w:?}");
-    assert!(w.reorder_window_max <= u64::from(cfg.wpq.capacity), "{w:?}");
+    assert!(w.reorder_window_max <= PersistBuffer::CAPACITY as u64, "{w:?}");
 
     // Disabled twin: same traffic, empty ledger.
     let mut sys = ThyNvm::new(SystemConfig::small_test());
