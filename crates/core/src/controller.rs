@@ -4348,20 +4348,68 @@ mod tests {
 
     #[test]
     fn recovery_is_cycle_accounted_and_reports_steps() {
-        let mut sys = small();
-        let t = store_and_checkpoint(&mut sys, 3, Cycle::ZERO);
-        let report = sys.crash_and_recover(t);
-        assert!(report.recovery_cycles > Cycle::ZERO, "recovery pays modeled latency");
-        assert_eq!(report.attempts, 1);
-        assert_eq!(report.nested_crashes, 0);
-        assert_eq!(report.steps.first().map(|&(s, _)| s), Some(RecoveryStep::ReadCommitRecord));
-        assert_eq!(report.steps.last().map(|&(s, _)| s), Some(RecoveryStep::RearmWorkingSet));
-        // Step-end cycles are strictly ordered along the recovery timeline.
-        for pair in report.steps.windows(2) {
-            assert!(pair[0].1 <= pair[1].1, "steps out of order: {:?}", report.steps);
+        // CRCs on with the media model off is a configuration `validate()`
+        // accepts: recovery verifies `C_last` with no fault model to ask.
+        let mut crc_only = SystemConfig::small_test();
+        crc_only.media.integrity = true;
+        crc_only.validate().expect("CRCs without the media model are valid");
+        for cfg in [SystemConfig::small_test(), crc_only] {
+            let mut sys = ThyNvm::new(cfg);
+            let t = store_and_checkpoint(&mut sys, 3, Cycle::ZERO);
+            let report = sys.crash_and_recover(t);
+            assert!(report.recovery_cycles > Cycle::ZERO, "recovery pays modeled latency");
+            assert_eq!(report.attempts, 1);
+            assert_eq!(report.nested_crashes, 0);
+            assert_eq!(report.steps.first().map(|&(s, _)| s), Some(RecoveryStep::ReadCommitRecord));
+            assert_eq!(report.steps.last().map(|&(s, _)| s), Some(RecoveryStep::RearmWorkingSet));
+            let verified = report.steps.iter().any(|&(s, _)| s == RecoveryStep::VerifyClast);
+            assert_eq!(verified, cfg.media.integrity, "only CRCs verify C_last");
+            // Step-end cycles are strictly ordered along the recovery timeline.
+            for pair in report.steps.windows(2) {
+                assert!(pair[0].1 <= pair[1].1, "steps out of order: {:?}", report.steps);
+            }
+            assert_eq!(sys.stats().recovery_cycles, report.recovery_cycles);
+            assert_eq!(sys.stats().nested_crashes, 0);
+            let mut buf = [0u8; 64];
+            sys.load_bytes(PhysAddr::new(0), &mut buf, t + report.recovery_cycles);
+            assert_eq!(buf, [3u8; 64], "recovered to C_last");
         }
-        assert_eq!(sys.stats().recovery_cycles, report.recovery_cycles);
-        assert_eq!(sys.stats().nested_crashes, 0);
+    }
+
+    #[test]
+    fn a_recovery_step_ending_on_a_crash_point_completes() {
+        // Power fails at the *end* of a queued cycle, so a recovery step
+        // whose last effect lands on that very cycle completes and the
+        // next step is the one interrupted; one cycle earlier interrupts
+        // the step itself.
+        let run = |nested: Option<Cycle>| {
+            let mut sys = small();
+            let t = store_and_checkpoint(&mut sys, 4, Cycle::ZERO);
+            sys.arm_crash_point(t);
+            if let Some(at) = nested {
+                sys.queue_crash_point(at);
+            }
+            sys.poll_crash(t + Cycle::new(1)).expect("crash fires");
+            sys.take_events()
+        };
+        let events = run(None);
+        let [Event { kind: EventKind::Crash(probe), .. }] = &events[..] else {
+            panic!("expected one uninterrupted crash: {events:?}");
+        };
+        let [(first, end), (next, _), ..] = probe.report.steps[..] else {
+            panic!("recovery ran fewer than two steps: {probe:?}");
+        };
+        for (at, interrupted) in [(end, next), (end.saturating_sub(Cycle::new(1)), first)] {
+            let events = run(Some(at));
+            let [Event { kind: EventKind::NestedCrash(nested), .. }, Event { kind: EventKind::Crash(crash), .. }] =
+                &events[..]
+            else {
+                panic!("expected a nested then a top-level crash: {events:?}");
+            };
+            assert_eq!(nested.recovery_step, Some(interrupted), "crash point at {at:?}");
+            assert_eq!(crash.report.nested_crashes, 1);
+            assert_eq!(crash.report.attempts, 2);
+        }
     }
 
     #[test]
@@ -4489,6 +4537,45 @@ mod tests {
         let crash = crashes(&mut sys).pop().expect("reported");
         assert_eq!(crash.event.cycle, t + Cycle::new(1));
         assert_eq!(crash.report.nested_crashes, 0, "no queued point left to nest");
+    }
+
+    #[test]
+    fn a_crash_on_a_recovery_remap_seal_keeps_the_remap() {
+        // A worn-out cell in the commit record: recovery's first read
+        // exhausts its retries and remaps the block, and the step ends
+        // when the remap's WAL seal lands. A crash on exactly that cycle
+        // leaves the remap standing and redoes nothing; one cycle earlier
+        // the seal never landed, so the next attempt redoes the remap.
+        let run = |nested: Option<Cycle>| {
+            let mut sys = ThyNvm::new(media_cfg(|m| {
+                m.stuck_at_threshold = 64;
+                m.scrub = false;
+            }));
+            let t = store_and_checkpoint(&mut sys, 1, Cycle::ZERO);
+            let record = sys.space.backup(0);
+            let fault = sys.fault_model_mut().expect("media model on");
+            for _ in 0..64 {
+                fault.record_write(record, 64);
+            }
+            sys.arm_crash_point(t);
+            if let Some(at) = nested {
+                sys.queue_crash_point(at);
+            }
+            sys.poll_crash(t + Cycle::new(1)).expect("crash fires");
+            let report = crashes(&mut sys).pop().expect("reported").report;
+            (report, sys.stats().media, sys.bad_block_remaps())
+        };
+        let (probe, m, _) = run(None);
+        assert_eq!((m.remaps, m.wal_redos), (1, 0), "the uninterrupted recovery remaps once");
+        let (step, sealed) = probe.steps[0];
+        assert_eq!(step, RecoveryStep::ReadCommitRecord);
+        for (at, redos) in [(sealed, 0), (sealed.saturating_sub(Cycle::new(1)), 1)] {
+            let (report, m, bad_blocks) = run(Some(at));
+            assert_eq!(report.nested_crashes, 1, "crash point at {at:?}");
+            assert_eq!(m.wal_redos, redos, "crash point at {at:?}");
+            assert_eq!(m.remaps, 1 + redos, "a torn remap is redone, a sealed one stands");
+            assert_eq!(bad_blocks, 1);
+        }
     }
 
     #[test]
