@@ -102,11 +102,6 @@ impl MulticorePlatform {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Checkpoint flushes performed (whole-platform stalls).
     pub fn flushes(&self) -> u64 {
         self.flushes

@@ -74,10 +74,6 @@ const META_CRC_BYTES: u64 = 8;
 /// stages in the controller pipeline).
 const CRC_NS_PER_BLOCK: u64 = 2;
 
-/// Words in the checkpoint commit record for torn-write modeling: the
-/// 64 B record is persisted as eight 8-byte device words.
-const COMMIT_RECORD_WORDS: usize = 8;
-
 /// Domain-separation tag for deriving the modeled MAC key from the
 /// security seed.
 const TAG_MAC_KEY: u64 = 0x4d41_434b; // "MACK"
@@ -229,13 +225,17 @@ pub enum EventKind {
 }
 
 /// The recovery verdicts that decide a crash's
-/// [`RecoveryOutcome`](thynvm_types::RecoveryOutcome), as recovery learns
-/// them.
+/// [`RecoveryOutcome`](thynvm_types::RecoveryOutcome) and the rung the
+/// health ladder rehydrates to, as recovery learns them.
 #[derive(Debug, Clone, Copy, Default)]
 struct Verdict {
     rolled_back_incomplete: bool,
     integrity_fallback: bool,
     unrecoverable: bool,
+    /// A MAC or integrity-tree failure this recovery sealed.
+    tamper_detected: bool,
+    /// WAL records this recovery found torn and redid.
+    wal_redos: u64,
 }
 
 /// One completed checkpoint as recovery finds it: its image, the MAC over
@@ -274,6 +274,48 @@ struct PendingPage {
     target: Region,
 }
 
+/// What power loss wipes: controller state that lives only in SRAM and
+/// DRAM. [`ThyNvm::new`] builds it, and a crash replaces it whole before
+/// recovery starts, so recovery only ever sees rebooted state and no
+/// field here can outlive a crash by being left off a reset list.
+#[derive(Debug)]
+struct Volatile {
+    /// `visible` as the in-flight checkpoint's final round captured it;
+    /// it becomes `C_last` when the job retires. `None` while no job is in
+    /// flight, and during an intermediate round, which captures nothing.
+    ckpting: Option<SparseStore>,
+    /// Pages captured by the in-flight job, with their target regions.
+    pending_pages: FxHashMap<PageIndex, PendingPage>,
+    /// Counts snapshotted at checkpoint start, applied at job retirement.
+    pending_switch_counts: FxHashMap<PageIndex, u32>,
+    /// Per-epoch page-granularity store counts driving scheme switching.
+    page_store_counts: FxHashMap<PageIndex, u32>,
+    /// Rung captured when the in-flight checkpoint's health record
+    /// persisted; it becomes `C_last`'s at job retirement.
+    pending_health_rung: Option<HealthRung>,
+    /// Blocks that gained a working copy this epoch (BTT pressure gauge:
+    /// the epoch ends early when this approaches the BTT budget).
+    epoch_dirty_blocks: usize,
+    /// Head-of-line blocking of the controller's request queue: requests
+    /// arriving earlier than this start at this cycle (set when a store
+    /// must wait for an in-flight checkpoint, e.g. PageOnly frozen pages).
+    input_blocked_until: Cycle,
+}
+
+impl Volatile {
+    fn new() -> Self {
+        Self {
+            ckpting: None,
+            pending_pages: FxHashMap::default(),
+            pending_switch_counts: FxHashMap::default(),
+            page_store_counts: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            pending_health_rung: None,
+            epoch_dirty_blocks: 0,
+            input_blocked_until: Cycle::ZERO,
+        }
+    }
+}
+
 /// The ThyNVM hybrid persistent-memory controller.
 ///
 /// See the [crate documentation](crate) for an overview and example.
@@ -289,25 +331,16 @@ pub struct ThyNvm {
     ptt: Ptt,
     epoch: EpochState,
     stats: MemStats,
+    /// What a crash wipes; replaced whole by [`Self::crash_and_recover`].
+    volatile: Volatile,
 
-    /// Per-epoch page-granularity store counts driving scheme switching.
-    page_store_counts: FxHashMap<PageIndex, u32>,
-    /// Counts snapshotted at checkpoint start, applied at job retirement.
-    pending_switch_counts: FxHashMap<PageIndex, u32>,
-    /// Pages captured by the in-flight job, with their target regions.
-    pending_pages: FxHashMap<PageIndex, PendingPage>,
-    /// Next DRAM block-buffer slot (round-robin).
+    /// Next DRAM block-buffer slot (round-robin). A crash keeps the
+    /// cursor where it is: the slot decides the DRAM row a buffered block
+    /// lands in, so resetting it would move every later timing.
     next_block_slot: u32,
     /// BTT spills: inserts forced past capacity while an overflow-triggered
     /// epoch end was pending (bounded by one platform event).
     btt_spills: u64,
-    /// Blocks that gained a working copy this epoch (BTT pressure gauge:
-    /// the epoch ends early when this approaches the BTT budget).
-    epoch_dirty_blocks: usize,
-    /// Head-of-line blocking of the controller's request queue: requests
-    /// arriving earlier than this start at this cycle (set when a store
-    /// must wait for an in-flight checkpoint, e.g. PageOnly frozen pages).
-    input_blocked_until: Cycle,
 
     // ---- functional layer ----
     /// The completed checkpoints recovery can restore, oldest first:
@@ -321,10 +354,6 @@ pub struct ThyNvm {
     /// of `C_last`, and between recoveries they only gain pages, so every
     /// image captured from them holds every page `C_last` holds.
     visible: SparseStore,
-    /// `visible` as the in-flight checkpoint's final round captured it;
-    /// it becomes `C_last` when the job retires. `None` while no job is in
-    /// flight, and during an intermediate round, which captures nothing.
-    ckpting: Option<SparseStore>,
     /// Crashes, flushes and absorbed faults not yet drained by
     /// [`Self::take_events`].
     journal: Vec<Event>,
@@ -402,9 +431,6 @@ pub struct ThyNvm {
     // ---- graceful-degradation health ladder ----
     /// The hysteresis-driven degradation ladder, when `cfg.health.enabled`.
     health_mon: Option<HealthMonitor>,
-    /// Rung captured when the in-flight checkpoint's health record
-    /// persisted; it becomes `C_last`'s at job retirement.
-    pending_health_rung: Option<HealthRung>,
 }
 
 impl ThyNvm {
@@ -421,16 +447,11 @@ impl ThyNvm {
             ptt: Ptt::new(cfg.thynvm.ptt_entries.min(cfg.thynvm.dram_pages() as usize)),
             epoch: EpochState::new(),
             stats: MemStats::new(),
-            page_store_counts: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
-            pending_switch_counts: FxHashMap::default(),
-            pending_pages: FxHashMap::default(),
+            volatile: Volatile::new(),
             next_block_slot: 0,
             btt_spills: 0,
-            epoch_dirty_blocks: 0,
-            input_blocked_until: Cycle::ZERO,
             history: VecDeque::from([Checkpoint::empty(mac_key, HealthRung::Healthy)]),
             visible: SparseStore::new(),
-            ckpting: None,
             journal: Vec::new(),
             archive_depth: 0,
             epoch_length_hist: thynvm_types::Histogram::new(),
@@ -454,7 +475,6 @@ impl ThyNvm {
             pbuf: cfg.wpq.enabled.then(|| PersistBuffer::new(cfg.wpq, cfg.nvm_geometry)),
             wpq_skip_next_fence: false,
             health_mon: cfg.health.enabled.then(|| HealthMonitor::new(cfg.health)),
-            pending_health_rung: None,
             cfg,
         }
     }
@@ -614,6 +634,7 @@ impl ThyNvm {
             rolled_back_incomplete: report.rolled_back_incomplete,
             integrity_fallback: report.integrity_fallback,
             unrecoverable: report.unrecoverable,
+            ..Verdict::default()
         };
         let event = self.crash_event(at, (phase, inflight), None, v);
         let resume_at = at + report.recovery_cycles;
@@ -662,11 +683,6 @@ impl ThyNvm {
     // ------------------------------------------------------------------
     // Media faults & self-healing
     // ------------------------------------------------------------------
-
-    /// The media-fault model, when `cfg.media.enabled` (inspection).
-    pub fn fault_model(&self) -> Option<&FaultModel> {
-        self.fault.as_ref()
-    }
 
     /// Mutable access to the media-fault model, e.g. to arm guaranteed
     /// transient flips ([`FaultModel::arm_transient_flips`]) in tests and
@@ -818,7 +834,7 @@ impl ThyNvm {
     /// the value its 64 B health record carries. Rotates into
     /// [`Self::clast_health_rung`] when the job retires.
     pub fn pending_health_rung(&self) -> Option<HealthRung> {
-        self.pending_health_rung
+        self.volatile.pending_health_rung
     }
 
     /// Pages allocated across the functional stores (visible + in-flight
@@ -829,7 +845,7 @@ impl ThyNvm {
     /// set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
         self.visible.allocated_pages()
-            + self.ckpting.as_ref().map_or(0, SparseStore::allocated_pages)
+            + self.volatile.ckpting.as_ref().map_or(0, SparseStore::allocated_pages)
             + self.history.iter().map(|c| c.store.allocated_pages()).sum::<usize>()
     }
 
@@ -941,7 +957,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn quarantine_rollback(&mut self, base: u64, len: u64) {
         let mut img = vec![0u8; len as usize];
-        let last = self.ckpting.as_ref().unwrap_or(&self.clast().store);
+        let last = self.volatile.ckpting.as_ref().unwrap_or(&self.clast().store);
         last.read(HwAddr::new(base), &mut img);
         self.visible.write(HwAddr::new(base), &img);
     }
@@ -1023,7 +1039,6 @@ impl ThyNvm {
             self.stats.dram_reads += 1;
             self.stats.dram_read_bytes += BLOCK_BYTES;
             self.stats.dram.refetch_retries += 1;
-            self.stats.retry.dram_attempts += 1;
         }
         done = self.nvm_data_read(block, src, BLOCK_BYTES as u32, done);
         if let Some(ecc) = self.dram_fault.as_mut() {
@@ -1226,7 +1241,6 @@ impl ThyNvm {
             done += backoff;
             done = self.nvm_read(hw, bytes, done);
             self.stats.media.retries += 1;
-            self.stats.retry.media_attempts += 1;
             self.charge_crc(u64::from(bytes));
             if self.fault.as_mut().expect("invariant: is_none() checked above").read_fault(hw, bytes).is_none() {
                 healed = true;
@@ -1401,7 +1415,7 @@ impl ThyNvm {
         // round captured nothing, so committing it leaves `C_last`'s
         // contents as they were.
         let last = self.history.back().expect("invariant: checkpoint 0 is never trimmed");
-        let store = self.ckpting.take().unwrap_or_else(|| last.store.clone());
+        let store = self.volatile.ckpting.take().unwrap_or_else(|| last.store.clone());
 
         // Authenticate the new image under the modeled key. The MAC is a
         // sum of per-page terms, so only the pages the capture does not
@@ -1417,7 +1431,7 @@ impl ThyNvm {
 
         // The commit record carries the rung its health record persisted;
         // with the ladder off there is none, and `C_last`'s stands.
-        let rung = self.pending_health_rung.take().unwrap_or(last.rung);
+        let rung = self.volatile.pending_health_rung.take().unwrap_or(last.rung);
         self.history.push_back(Checkpoint { number: self.epoch.completed, store, mac, rung });
         self.trim_history();
 
@@ -1442,7 +1456,7 @@ impl ThyNvm {
                     newly_quiescent.push(block);
                 }
             }
-            if entry.is_quiescent() && self.pending_pages.contains_key(&block.page()) {
+            if entry.is_quiescent() && self.volatile.pending_pages.contains_key(&block.page()) {
                 // Cooperation block for a page under page writeback: the
                 // page's DRAM copy absorbs it (one DRAM write), entry freed.
                 if let Some(pe) = self.ptt.get(block.page()) {
@@ -1470,7 +1484,7 @@ impl ThyNvm {
         }
 
         // Rotate page versions and thaw.
-        for (page, pending) in std::mem::take(&mut self.pending_pages) {
+        for (page, pending) in std::mem::take(&mut self.volatile.pending_pages) {
             if let Some(entry) = self.ptt.get_mut(page) {
                 entry.clast_region = Some(pending.target);
                 entry.frozen = false;
@@ -1538,7 +1552,7 @@ impl ThyNvm {
     /// Applies promotions/demotions decided from the previous epoch's store
     /// counters.
     fn apply_scheme_switches(&mut self, now: Cycle) {
-        let counts = std::mem::take(&mut self.pending_switch_counts);
+        let counts = std::mem::take(&mut self.volatile.pending_switch_counts);
         self.apply_scheme_switches_with(&counts, now);
         // Recycle the snapshot's allocation for the next epoch.
         self.switch_scratch = counts;
@@ -1698,7 +1712,7 @@ impl ThyNvm {
                 let slot = self.next_block_slot;
                 self.next_block_slot = self.next_block_slot.wrapping_add(1);
                 entry.wactive = Some(WactiveLoc::DramBuffered { slot });
-                self.epoch_dirty_blocks += 1;
+                self.volatile.epoch_dirty_blocks += 1;
                 slot
             }
         };
@@ -1712,7 +1726,7 @@ impl ThyNvm {
     fn write_block(&mut self, block: BlockIndex, bytes: u32, now: Cycle, class: NvmWriteClass) -> Cycle {
         let page = block.page();
         let count = {
-            let c = self.page_store_counts.entry(page).or_insert(0);
+            let c = self.volatile.page_store_counts.entry(page).or_insert(0);
             *c += 1;
             *c
         };
@@ -1726,7 +1740,7 @@ impl ThyNvm {
                     // the Table 1 quadrant-❹ pain the dual scheme removes.
                     let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
                     self.stats.ckpt_stall_cycles += done.saturating_sub(now);
-                    self.input_blocked_until = self.input_blocked_until.max(done);
+                    self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
                     self.retire_job_if_done(done);
                     return self.write_to_page(block, bytes, done);
                 }
@@ -1785,7 +1799,7 @@ impl ThyNvm {
         };
         entry.wactive = Some(WactiveLoc::Nvm(region));
         if newly_dirty {
-            self.epoch_dirty_blocks += 1;
+            self.volatile.epoch_dirty_blocks += 1;
         }
         let hw = self.remapped(self.space.checkpoint_block(region, block));
         let done = self.nvm_write(hw, bytes, now, class);
@@ -1839,7 +1853,7 @@ impl ThyNvm {
             // Clean (or frozen-and-captured) page: the block's exact bytes
             // sit intact in NVM — re-fetch them and heal the DRAM copy.
             let in_page = block.slot_in_page() * BLOCK_BYTES;
-            let src = match self.pending_pages.get(&page) {
+            let src = match self.volatile.pending_pages.get(&page) {
                 Some(p) if frozen => self.space.checkpoint_page(p.target, page).offset(in_page),
                 _ => match clast {
                     Some(r) => self.space.checkpoint_page(r, page).offset(in_page),
@@ -2173,36 +2187,12 @@ impl ThyNvm {
             }
         }
 
-        // Ambient torn write: power failed mid-Finalize, while the 8-word
-        // commit record was streaming to NVM. Only a prefix of the record
-        // persists; recovery sees an unset/invalid commit flag, so the
-        // interrupted checkpoint is discarded exactly as §4.5 already does.
-        if self.cfg.media.torn_writes {
-            let in_finalize = self
-                .epoch
-                .job
-                .as_ref()
-                .is_some_and(|j| !j.is_done(now) && j.phase_at(now) == CkptPhase::Finalize);
-            if in_finalize {
-                if let Some(f) = self.fault.as_mut() {
-                    let _ = f.torn_words(COMMIT_RECORD_WORDS);
-                    self.stats.media.record_fault(FaultKind::TornWrite);
-                }
-            }
-        }
-
-        // Anything in flight is lost — including the rung captured by the
-        // incomplete checkpoint's health record (its commit flag never set).
+        // Anything in flight is lost — including the image and the rung the
+        // incomplete checkpoint captured (its commit flag never set).
         let rolled_back_incomplete = self.epoch.job.take().is_some();
-        self.pending_health_rung = None;
-        self.ckpting = None;
-        self.pending_pages.clear();
-        self.pending_switch_counts.clear();
-        self.page_store_counts.clear();
+        self.volatile = Volatile::new();
         let lost = self.nvm_wq.discard_lost(now) + self.dram_wq.discard_lost(now);
         self.stats.wq_writes_lost += lost as u64;
-        self.epoch_dirty_blocks = 0;
-        self.input_blocked_until = Cycle::ZERO;
         // DRAM contents vanish with power — and with them any outstanding
         // poison (the next boot re-reads everything from NVM, which the
         // quarantine discipline kept poison-free).
@@ -2229,9 +2219,6 @@ impl ThyNvm {
         // Restartable recovery: run attempts until one completes. A queued
         // crash point overrun by an attempt's timeline aborts it (a nested
         // crash); the next attempt restarts at the interrupting cycle.
-        let tampers_before = self.stats.security.tampers_detected;
-        let wal_redos_before = self.stats.media.wal_redos;
-        let nested_before = self.stats.nested_crashes;
         let mut v = Verdict { rolled_back_incomplete, ..Verdict::default() };
         let mut attempts = 0u64;
         let mut start = now;
@@ -2257,11 +2244,9 @@ impl ThyNvm {
             // — checkpoint retirement, a fallback, or the override-persist
             // below.
             let persisted = self.clast().rung;
-            let rung = if v.unrecoverable
-                || self.stats.security.tampers_detected > tampers_before
-            {
+            let rung = if v.unrecoverable || v.tamper_detected {
                 HealthRung::FailSafe
-            } else if self.stats.media.wal_redos - wal_redos_before >= READONLY_WAL_REDOS {
+            } else if v.wal_redos >= READONLY_WAL_REDOS {
                 // WAL redos only ever happen inside recovery, so this is
                 // the one place their threshold is decided.
                 persisted.max(HealthRung::ReadOnly)
@@ -2319,7 +2304,8 @@ impl ThyNvm {
             unrecoverable: v.unrecoverable,
             recovery_cycles: end.saturating_sub(now),
             steps,
-            nested_crashes: self.stats.nested_crashes - nested_before,
+            // Every aborted attempt is exactly one nested crash.
+            nested_crashes: attempts - 1,
             attempts,
         };
         self.stats.recovery_cycles += report.recovery_cycles;
@@ -2348,6 +2334,7 @@ impl ThyNvm {
                     self.bad_blocks.remove(&base);
                     self.next_spare_slot -= 1;
                     self.stats.media.wal_redos += 1;
+                    v.wal_redos += 1;
                 }
             }
         }
@@ -2396,7 +2383,7 @@ impl ThyNvm {
             done += backoff;
             done = self.nvm_read(hw, bytes, done);
             self.stats.media.retries += 1;
-            self.stats.retry.recovery_attempts += 1;
+            self.stats.media.recovery_retries += 1;
             self.charge_crc(u64::from(bytes));
             if self.fault.as_mut().expect("invariant: is_none() checked above").read_fault(hw, bytes).is_none() {
                 return done;
@@ -2469,7 +2456,7 @@ impl ThyNvm {
     /// persist buffer. A queued crash point the seal overruns leaves a torn
     /// record, which the next attempt detects and redoes: `Err` carries the
     /// interrupting cycle. Otherwise returns the cycle the seal lands.
-    fn recovery_wal_seal(&mut self, t: Cycle, v: Verdict) -> Result<Cycle, Cycle> {
+    fn recovery_wal_seal(&mut self, t: Cycle, v: &mut Verdict) -> Result<Cycle, Cycle> {
         let wal = self.space.backup_wal(self.wal_seq);
         self.wal_seq += 1;
         let intent = self.nvm.access(wal, AccessKind::Write, 64, t);
@@ -2478,9 +2465,10 @@ impl ThyNvm {
         let sealed = self.nvm.access(wal, AccessKind::Write, 64, intent);
         self.stats.record_nvm_write(64, NvmWriteClass::Migration);
         self.charge_crc(64);
-        if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, sealed, v) {
+        if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, sealed, *v) {
             // The seal never landed: nothing took effect.
             self.stats.media.wal_redos += 1;
+            v.wal_redos += 1;
             return Err(at);
         }
         self.stats.media.wal_seals += 1;
@@ -2533,7 +2521,7 @@ impl ThyNvm {
             // so an interruption leaves a torn WAL record that the next
             // attempt detects and redoes, never a half-applied fallback.
             if corrupt {
-                t = self.recovery_wal_seal(t, *v)?;
+                t = self.recovery_wal_seal(t, v)?;
                 if self.abandon_clast(t, v, true) {
                     self.stats.media.integrity_fallbacks += 1;
                 }
@@ -2584,11 +2572,12 @@ impl ThyNvm {
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
                 // fallback or reset.
-                t = self.recovery_wal_seal(t, *v)?;
+                t = self.recovery_wal_seal(t, v)?;
                 // Sealed: count the detection exactly once — a restarted
                 // attempt after the seal finds healed state and detects
                 // nothing, so these ledgers never double-count.
                 self.stats.security.tampers_detected += 1;
+                v.tamper_detected = true;
                 if root_torn {
                     self.stats.security.classified_torn += 1;
                 } else if media_caught {
@@ -2674,7 +2663,7 @@ impl ThyNvm {
 
 impl MemorySystem for ThyNvm {
     fn access(&mut self, req: &MemRequest, now: Cycle) -> Cycle {
-        let now = now.max(self.input_blocked_until);
+        let now = now.max(self.volatile.input_blocked_until);
         // The request begins processing at `now`; if the armed crash point
         // has been reached by then, power fails before it is serviced.
         if let Some(resume) = self.poll_crash(now) {
@@ -2722,7 +2711,7 @@ impl MemorySystem for ThyNvm {
         // headroom for the checkpoint-time cache flush. A Wounded (or
         // worse) health rung adds the emergency-early timer.
         self.epoch.due(now, self.cfg.thynvm.epoch_max())
-            || self.epoch_dirty_blocks * 10 >= self.btt.capacity() * 9
+            || self.volatile.epoch_dirty_blocks * 10 >= self.btt.capacity() * 9
             || self.emergency_epoch_due(now)
     }
 
@@ -2735,7 +2724,7 @@ impl MemorySystem for ThyNvm {
         // checkpoint: count it so the posture's cost is observable.
         if self.emergency_epoch_due(now)
             && !self.epoch.due(now, self.cfg.thynvm.epoch_max())
-            && self.epoch_dirty_blocks * 10 < self.btt.capacity() * 9
+            && self.volatile.epoch_dirty_blocks * 10 < self.btt.capacity() * 9
         {
             self.stats.health.emergency_checkpoints += 1;
         }
@@ -2762,9 +2751,9 @@ impl MemorySystem for ThyNvm {
         // pages still decay below the demotion threshold within a couple of
         // boundaries.
         let mut snap = std::mem::take(&mut self.switch_scratch);
-        snap.clone_from(&self.page_store_counts);
-        self.pending_switch_counts = snap;
-        self.page_store_counts.retain(|_, c| {
+        snap.clone_from(&self.volatile.page_store_counts);
+        self.volatile.pending_switch_counts = snap;
+        self.volatile.page_store_counts.retain(|_, c| {
             *c /= 2;
             *c > 0
         });
@@ -2932,7 +2921,7 @@ impl ThyNvm {
                 entry.pending = Some(loc);
             }
         }
-        self.epoch_dirty_blocks = 0;
+        self.volatile.epoch_dirty_blocks = 0;
 
         // (3) Write dirty pages back to the alternate checkpoint region.
         let dirty_pages = self.ptt.dirty_pages();
@@ -2961,7 +2950,7 @@ impl ThyNvm {
             let resume = self.wpq_push(dst, read_done, write_done, WpqKind::Data);
             writeback_done.push(write_done);
             phase3_done = phase3_done.max(write_done).max(resume);
-            self.pending_pages.insert(page, PendingPage { target });
+            self.volatile.pending_pages.insert(page, PendingPage { target });
             frozen.insert(page);
         }
 
@@ -3011,7 +3000,7 @@ impl ThyNvm {
             bg = self.persist_record(self.space.health_record(), 64, bg, NvmWriteClass::Checkpoint);
             self.charge_crc(64);
             self.stats.health.rung_persists += 1;
-            self.pending_health_rung = Some(rung);
+            self.volatile.pending_health_rung = Some(rung);
         }
 
         // §4.4: everything the commit record covers — data, metadata,
@@ -3029,9 +3018,9 @@ impl ThyNvm {
         // checkpointed"; it commits when the job retires. Intermediate
         // rounds persist metadata only — a crash among them rolls back to
         // the previous full epoch boundary (conservative, see DESIGN.md).
-        debug_assert!(self.ckpting.is_none(), "previous job retired above");
+        debug_assert!(self.volatile.ckpting.is_none(), "previous job retired above");
         if final_round {
-            self.ckpting = Some(self.visible.clone());
+            self.volatile.ckpting = Some(self.visible.clone());
         }
 
         self.stats.ckpt_busy_cycles += bg - ckpt_start;
@@ -5410,16 +5399,10 @@ mod tests {
         cfg
     }
 
-    /// Asserts the HealthStats / RetryStats conservation invariants.
+    /// Asserts the HealthStats conservation invariant.
     fn assert_health_conservation(sys: &ThyNvm) {
         let s = sys.stats();
         assert!(s.health.promotions <= s.health.demotions, "ladder ledger");
-        assert_eq!(
-            s.retry.media_attempts + s.retry.recovery_attempts,
-            s.media.retries,
-            "every media retry is a policy-issued attempt"
-        );
-        assert_eq!(s.retry.dram_attempts, s.dram.refetch_retries, "DRAM retry conservation");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Deterministic NVM media-fault model.
 //!
-//! Real NVM is not a perfect store: cells suffer transient bit flips, wear
-//! out into stuck-at faults, and a power loss can tear a multi-word write so
-//! that only a prefix of the words persists. [`FaultModel`] models all three
-//! so the controller's integrity protection (per-64 B CRCs, checksummed
-//! metadata, retry/remap/scrub healing) can be exercised and validated.
+//! Real NVM is not a perfect store: cells suffer transient bit flips and
+//! wear out into stuck-at faults. [`FaultModel`] models both so the
+//! controller's integrity protection (per-64 B CRCs, checksummed metadata,
+//! retry/remap/scrub healing) can be exercised and validated.
 //!
 //! Every decision the model makes is a pure function of the configured seed
 //! and the sequence of device operations it has observed — there is no
@@ -36,8 +35,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Deterministic, seedable model of NVM media faults: transient bit flips,
-/// wear-induced stuck-at cells, and torn multi-word writes.
+/// Deterministic, seedable model of NVM media faults: transient bit flips
+/// and wear-induced stuck-at cells.
 ///
 /// The model keys every decision on a counter of observed operations mixed
 /// with the seed (splitmix64), so schedules replay exactly. Wear is tracked
@@ -48,21 +47,18 @@ pub struct FaultModel {
     seed: u64,
     bit_flip_rate: f64,
     stuck_at_threshold: u64,
-    torn_writes: bool,
     row_bytes: u64,
     reads_seen: u64,
     writes_seen: u64,
-    torn_seen: u64,
     forced_flips: u32,
     row_writes: BTreeMap<u64, u64>,
     stuck: BTreeMap<u64, u8>,
 }
 
-/// Domain-separation tags mixed into the seed so the read, wear, and torn
+/// Domain-separation tags mixed into the seed so the read and wear
 /// schedules are independent streams.
 const TAG_READ: u64 = 0x5245_4144; // "READ"
 const TAG_WEAR: u64 = 0x5745_4152; // "WEAR"
-const TAG_TORN: u64 = 0x544f_524e; // "TORN"
 
 impl FaultModel {
     /// Builds a model from the configuration, using the device's row size
@@ -72,11 +68,9 @@ impl FaultModel {
             seed: cfg.seed,
             bit_flip_rate: cfg.bit_flip_rate,
             stuck_at_threshold: cfg.stuck_at_threshold,
-            torn_writes: cfg.torn_writes,
             row_bytes: row_bytes.max(1),
             reads_seen: 0,
             writes_seen: 0,
-            torn_seen: 0,
             forced_flips: 0,
             row_writes: BTreeMap::new(),
             stuck: BTreeMap::new(),
@@ -141,22 +135,10 @@ impl FaultModel {
     /// no cell is stuck. Callers may skip [`FaultModel::read_fault`] for a
     /// quiet model — the transient stream is only consulted when the rate
     /// is nonzero, so the skipped `reads_seen` increments are unobservable
-    /// and the fault schedule stays bit-identical. Wear and torn-write
-    /// state do not affect read decisions and are tracked separately.
+    /// and the fault schedule stays bit-identical. Wear state does not
+    /// affect read decisions and is tracked separately.
     pub fn is_quiet(&self) -> bool {
         self.bit_flip_rate == 0.0 && self.forced_flips == 0 && self.stuck.is_empty()
-    }
-
-    /// How many leading words of a `words`-long device commit persist when
-    /// power is lost mid-write. Returns a value in `0..words` when torn
-    /// writes are modeled, or `words` (everything persisted) otherwise.
-    pub fn torn_words(&mut self, words: usize) -> usize {
-        if !self.torn_writes || words == 0 {
-            return words;
-        }
-        self.torn_seen += 1;
-        let h = mix(self.seed ^ TAG_TORN, self.torn_seen);
-        (h % words as u64) as usize
     }
 
     /// Arms `n` guaranteed transient bit flips: each of the next `n` reads
@@ -227,7 +209,7 @@ pub struct DramEccModel {
 }
 
 /// Domain-separation tags for the DRAM ECC streams (distinct from the NVM
-/// model's `TAG_READ`/`TAG_WEAR`/`TAG_TORN` so equal seeds would still
+/// model's `TAG_READ`/`TAG_WEAR` so equal seeds would still
 /// decorrelate — though the config layer additionally rejects equal seeds).
 const TAG_ECC_FLIP: u64 = 0x4543_4346; // "ECCF"
 const TAG_ECC_POISON: u64 = 0x4543_4350; // "ECCP"
@@ -672,24 +654,18 @@ mod tests {
             seed,
             bit_flip_rate: 0.25,
             stuck_at_threshold: 4,
-            torn_writes: true,
             ..MediaFaultConfig::default()
         }
     }
 
-    /// Drives a model through a fixed interleaving of reads, writes, and
-    /// torn commits and records every observable decision it makes.
-    fn schedule(model: &mut FaultModel) -> Vec<(u64, u8, FaultKind, usize)> {
+    /// Drives a model through a fixed interleaving of reads and writes and
+    /// records every read fault it decides.
+    fn schedule(model: &mut FaultModel) -> Vec<FaultEvent> {
         let mut out = Vec::new();
         for i in 0..64u64 {
             let addr = HwAddr::new((i % 7) * 64);
             model.record_write(addr, 64);
-            if let Some(ev) = model.read_fault(addr, 64) {
-                out.push((ev.addr, ev.mask, ev.kind, 0));
-            }
-            if i % 5 == 0 {
-                out.push((0, 0, FaultKind::TornWrite, model.torn_words(8)));
-            }
+            out.extend(model.read_fault(addr, 64));
         }
         out
     }
@@ -766,21 +742,6 @@ mod tests {
         assert!(m.read_fault(HwAddr::new(0), 64).is_some());
         assert!(m.read_fault(HwAddr::new(0), 64).is_some());
         assert_eq!(m.read_fault(HwAddr::new(0), 64), None, "armed flips are consumed");
-    }
-
-    #[test]
-    fn torn_words_truncates_and_is_deterministic() {
-        let c = MediaFaultConfig { enabled: true, torn_writes: true, ..Default::default() };
-        let mut a = FaultModel::new(&c, 8192);
-        let mut b = FaultModel::new(&c, 8192);
-        for _ in 0..32 {
-            let wa = a.torn_words(8);
-            assert!(wa < 8, "torn commit persists fewer than all words");
-            assert_eq!(wa, b.torn_words(8));
-        }
-        // Disabled: everything persists.
-        let mut off = FaultModel::new(&MediaFaultConfig::default(), 8192);
-        assert_eq!(off.torn_words(8), 8);
     }
 
     #[test]

@@ -245,9 +245,6 @@ pub struct MediaFaultConfig {
     /// just-written range becomes permanently stuck. `0` disables the wear
     /// model.
     pub stuck_at_threshold: u64,
-    /// Model torn multi-word commits: a crash during the checkpoint commit
-    /// record persists only a prefix of its words.
-    pub torn_writes: bool,
     /// CRC-protect persisted state (per-64 B data CRCs in the checkpoint
     /// regions, checksummed commit records and BTT/PTT metadata) and verify
     /// it on reads and at recovery, retrying a rejected read under
@@ -273,7 +270,6 @@ impl Default for MediaFaultConfig {
             seed: 0x7479_4e56_4d01,
             bit_flip_rate: 0.0,
             stuck_at_threshold: 0,
-            torn_writes: false,
             integrity: false,
             scrub: false,
             spare_blocks: 4096,
@@ -282,13 +278,12 @@ impl Default for MediaFaultConfig {
 }
 
 impl MediaFaultConfig {
-    /// A fully-armed configuration: faults on, CRC integrity on, torn
-    /// writes modeled, scrubber running. Fault rates are left for the
-    /// caller to choose (they default to zero).
+    /// A fully-armed configuration: faults on, CRC integrity on, scrubber
+    /// running. Fault rates are left for the caller to choose (they
+    /// default to zero).
     pub fn hardened() -> Self {
         Self {
             enabled: true,
-            torn_writes: true,
             integrity: true,
             scrub: true,
             ..Self::default()
@@ -372,9 +367,7 @@ pub struct SecurityConfig {
     /// are charged, no security metadata is persisted, and recovery skips
     /// all verification steps.
     pub enabled: bool,
-    /// Seed the modeled MAC key is derived from. Must differ from
-    /// [`MediaFaultConfig::seed`] and [`DramFaultConfig::seed`] when the
-    /// respective models are enabled.
+    /// Seed the modeled MAC key is derived from.
     pub seed: u64,
 }
 
@@ -481,8 +474,7 @@ pub struct PersistBufferConfig {
     /// Seed for the deterministic crash-time partial-flush schedule. Must
     /// differ from [`MediaFaultConfig::seed`] and [`DramFaultConfig::seed`]
     /// when the respective models are enabled, so the fault streams stay
-    /// independent, and from [`SecurityConfig::seed`], which keys the
-    /// modeled MAC.
+    /// independent.
     pub seed: u64,
     /// Expected fraction of each bank's in-flight (issued but not yet
     /// retired) entries salvaged at a crash, beyond the retire-complete
@@ -636,17 +628,6 @@ impl SystemConfig {
                 "DRAM fault seed must differ from the NVM media seed so the fault streams stay independent",
             );
         }
-        let s = &self.security;
-        if s.enabled && self.media.enabled && s.seed == self.media.seed {
-            return fail(
-                "security seed must differ from the NVM media seed so the fault streams stay independent",
-            );
-        }
-        if s.enabled && d.enabled && s.seed == d.seed {
-            return fail(
-                "security seed must differ from the DRAM fault seed so the fault streams stay independent",
-            );
-        }
         let w = &self.wpq;
         if !(0.0..=1.0).contains(&w.salvage_rate) {
             return fail("WPQ salvage rate must be a probability in [0, 1]");
@@ -659,11 +640,6 @@ impl SystemConfig {
         if w.enabled && d.enabled && w.seed == d.seed {
             return fail(
                 "WPQ seed must differ from the DRAM fault seed so the fault streams stay independent",
-            );
-        }
-        if w.enabled && s.enabled && w.seed == s.seed {
-            return fail(
-                "WPQ seed must differ from the security seed so the fault streams stay independent",
             );
         }
         let h = &self.health;
@@ -859,7 +835,6 @@ mod tests {
         let m = SystemConfig::paper().media;
         assert!(!m.enabled);
         assert!(!m.integrity);
-        assert!(!m.torn_writes);
         assert!(!m.scrub);
         assert_eq!(m.bit_flip_rate, 0.0);
         assert_eq!(m.stuck_at_threshold, 0);
@@ -976,16 +951,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_seed_collisions_across_all_domains() {
-        // security == media
-        let mut cfg = SystemConfig::hardened();
-        cfg.security.seed = cfg.media.seed;
-        assert!(cfg.validate().unwrap_err().to_string().contains("seed"));
-
-        // security == dram
-        let mut cfg = SystemConfig::hardened();
-        cfg.security.seed = cfg.dram_fault.seed;
-        assert!(cfg.validate().unwrap_err().to_string().contains("seed"));
-
         // dram == media (pre-existing rule still holds under hardened()).
         let mut cfg = SystemConfig::hardened();
         cfg.dram_fault.seed = cfg.media.seed;
@@ -993,9 +958,17 @@ mod tests {
 
         // A collision with a *disabled* domain is harmless.
         let mut cfg = SystemConfig::hardened();
-        cfg.security.enabled = false;
-        cfg.security.seed = cfg.media.seed;
+        cfg.dram_fault.enabled = false;
+        cfg.dram_fault.seed = cfg.media.seed;
         cfg.validate().expect("collision with disabled domain allowed");
+
+        // The security seed keys the MAC and draws no fault stream, so it
+        // may equal any fault seed.
+        let armed = SystemConfig { wpq: PersistBufferConfig::armed(), ..SystemConfig::hardened() };
+        for seed in [armed.media.seed, armed.dram_fault.seed, armed.wpq.seed] {
+            let cfg = SystemConfig { security: SecurityConfig { seed, ..armed.security }, ..armed };
+            cfg.validate().expect("a security seed equal to a fault seed is valid");
+        }
     }
 
     #[test]
@@ -1030,11 +1003,6 @@ mod tests {
         let mut cfg = SystemConfig::hardened();
         cfg.wpq = PersistBufferConfig::armed();
         cfg.wpq.seed = cfg.dram_fault.seed;
-        assert!(cfg.validate().unwrap_err().to_string().contains("seed"));
-
-        let mut cfg = SystemConfig::hardened();
-        cfg.wpq = PersistBufferConfig::armed();
-        cfg.wpq.seed = cfg.security.seed;
         assert!(cfg.validate().unwrap_err().to_string().contains("seed"));
     }
 

@@ -59,6 +59,6 @@ pub use req::{AccessKind, MemRequest, TraceEvent};
 pub use retry::RetryPolicy;
 pub use stats::{
     CkptPhase, CrashEvent, DramStats, FaultKind, HealthRung, HealthStats, MediaStats, MemStats,
-    NvmWriteClass, PerfStats, RecoveryOutcome, RecoveryStep, RetryStats, SecurityStats, WpqStats,
+    NvmWriteClass, PerfStats, RecoveryOutcome, RecoveryStep, SecurityStats, WpqStats,
 };
 pub use system::{MemorySystem, PersistentMemory};

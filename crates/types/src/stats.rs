@@ -173,7 +173,7 @@ impl fmt::Display for FaultKind {
 /// Fault counters classify by [`FaultKind`]: `bit_flips` counts transient
 /// flips observed on reads (plus injected `C_last` data corruption),
 /// `stuck_faults` counts cells the wear model marked permanently bad,
-/// `torn_writes` counts multi-word commits clipped by power loss, and
+/// `torn_writes` counts commit records recovery found torn, and
 /// `meta_corruptions` counts checkpoint-metadata images that failed their
 /// checksum. The remaining counters describe what the controller did about
 /// the faults.
@@ -183,12 +183,15 @@ pub struct MediaStats {
     pub bit_flips: u64,
     /// Cells that became permanently stuck (wear model).
     pub stuck_faults: u64,
-    /// Torn multi-word device commits.
+    /// Commit records recovery found torn.
     pub torn_writes: u64,
     /// Corrupted checkpoint-metadata images.
     pub meta_corruptions: u64,
-    /// Read retries issued while healing detected corruption.
+    /// Read retries issued while healing detected corruption, each one
+    /// attempt of [`crate::RetryPolicy::MEDIA`].
     pub retries: u64,
+    /// The part of `retries` that recovery's own reads spent.
+    pub recovery_retries: u64,
     /// Blocks remapped to spare locations via the persistent bad-block
     /// table.
     pub remaps: u64,
@@ -500,39 +503,6 @@ impl HealthStats {
     }
 }
 
-/// Per-domain budget accounting for the unified [`crate::RetryPolicy`]:
-/// every bounded-retry attempt any domain spends lands in exactly one
-/// counter here.
-///
-/// Conservation: the media-domain loops also bump
-/// [`MediaStats::retries`] (the pre-existing healing counter), so
-/// `media_attempts + recovery_attempts == MediaStats::retries`, and the
-/// DRAM loop mirrors [`DramStats::refetch_retries`] exactly
-/// (`dram_attempts == refetch_retries`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryStats {
-    /// Attempts spent by the NVM data-read healing loop.
-    pub media_attempts: u64,
-    /// Attempts spent by recovery-side metadata reads.
-    pub recovery_attempts: u64,
-    /// Attempts spent re-reading poisoned DRAM blocks.
-    pub dram_attempts: u64,
-}
-
-impl RetryStats {
-    /// Attempts spent across every domain.
-    #[must_use]
-    pub fn attempts_total(&self) -> u64 {
-        self.media_attempts + self.recovery_attempts + self.dram_attempts
-    }
-
-    /// Whether any retry budget was spent at all.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.attempts_total() > 0
-    }
-}
-
 /// Volatile persist-buffer (WPQ) conservation ledger.
 ///
 /// Conservation: every entry that ever entered the buffer is accounted for
@@ -668,8 +638,6 @@ pub struct MemStats {
     pub security: SecurityStats,
     /// Graceful-degradation health-ladder counters.
     pub health: HealthStats,
-    /// Unified bounded-retry budget accounting.
-    pub retry: RetryStats,
     /// Volatile persist-buffer conservation ledger.
     pub wpq: WpqStats,
     /// Simulator fast-path counters (host-performance accounting).
@@ -862,13 +830,14 @@ impl fmt::Display for MemStats {
                 self.health.rehydrations,
             )?;
         }
-        if self.retry.any() {
+        // Every bounded retry, split by the loop that spent it.
+        if self.media.retries + self.dram.refetch_retries > 0 {
             write!(
                 f,
                 " retry(media={} recovery={} dram={})",
-                self.retry.media_attempts,
-                self.retry.recovery_attempts,
-                self.retry.dram_attempts,
+                self.media.retries.saturating_sub(self.media.recovery_retries),
+                self.media.recovery_retries,
+                self.dram.refetch_retries,
             )?;
         }
         if self.wpq.any() {
@@ -1182,19 +1151,18 @@ mod tests {
     }
 
     #[test]
-    fn retry_stats_conserve_and_show() {
-        let mut r = RetryStats::default();
-        assert!(!r.any());
-        r.media_attempts = 4;
-        r.recovery_attempts = 2;
-        r.dram_attempts = 3;
-        assert!(r.any());
-        assert_eq!(r.attempts_total(), 9);
-
-        let a = MemStats { retry: r, ..MemStats::new() };
+    fn retries_show_split_by_the_loop_that_spent_them() {
+        let mut a = MemStats::new();
+        assert!(!a.to_string().contains("retry("));
+        a.media.retries = 6;
+        a.media.recovery_retries = 2;
+        a.dram.refetch_retries = 3;
         let text = a.to_string();
         assert!(text.contains("retry(media=4 recovery=2 dram=3)"), "text={text}");
-        assert!(!MemStats::new().to_string().contains("retry("));
+        // DRAM re-reads alone still show the section.
+        let mut dram = MemStats::new();
+        dram.dram.refetch_retries = 1;
+        assert!(dram.to_string().contains(" retry(media=0 recovery=0 dram=1)"));
     }
 
     #[test]
