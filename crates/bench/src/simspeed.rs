@@ -6,10 +6,11 @@
 //! decisions per read) each made the hot path heavier without anyone
 //! noticing, because nothing recorded a trajectory. This module fixes
 //! that: it runs a fixed set of workload × fault configurations through
-//! the raw controller path, records simulated cycles per host second and
-//! host nanoseconds per operation, and serializes the results to
-//! `BENCH_simspeed.json` so CI can fail any PR that regresses throughput
-//! by more than [`GATE_REGRESSION_PCT`].
+//! the raw controller path (and one through the data-carrying
+//! `store_bytes`/`load_bytes` path), records simulated cycles per host
+//! second and host nanoseconds per operation, and serializes the results
+//! to `BENCH_simspeed.json` so CI can fail any PR that regresses
+//! throughput by more than [`GATE_REGRESSION_PCT`].
 //!
 //! Two invariants make the artifact trustworthy:
 //!
@@ -25,10 +26,12 @@
 
 use std::time::Instant;
 
+use thynvm_core::ThyNvm;
 use thynvm_types::{
-    Cycle, DramFaultConfig, MediaFaultConfig, SystemConfig, TraceEvent,
+    Cycle, DramFaultConfig, MediaFaultConfig, MemorySystem, PhysAddr, SystemConfig, TraceEvent,
 };
-use thynvm_workloads::{HashKv, MicroConfig, MicroPattern, YcsbConfig, YcsbMix};
+use thynvm_workloads::kv::KvStore;
+use thynvm_workloads::{Arena, HashKv, KvOp, MicroConfig, MicroPattern, YcsbConfig, YcsbMix};
 
 use crate::report::Json;
 use crate::runner::{run_raw, SystemKind};
@@ -52,6 +55,10 @@ pub struct SpeedCase {
     pub cfg: SystemConfig,
     /// Pre-generated trace, so event generation is excluded from timing.
     pub events: Vec<TraceEvent>,
+    /// Replays each write as a `store_bytes` of a payload and each read as
+    /// a `load_bytes`, so the functional byte store is timed along with
+    /// the controller; otherwise each event is one raw `access`.
+    pub bytes: bool,
 }
 
 /// One measured case: identity plus raw counters; ratios are derived.
@@ -109,6 +116,26 @@ fn faulty_dram() -> DramFaultConfig {
     }
 }
 
+/// The data-carrying case's store: record `k` is the 1 KiB at `k × 1 KiB`,
+/// a search loads it whole and an insert stores it whole. It keeps no
+/// index, so it reports no keys.
+struct Records;
+
+impl KvStore for Records {
+    fn apply(&mut self, arena: &mut Arena, op: KvOp, value_bytes: u32) {
+        let at = |key: u64| PhysAddr::new(key * u64::from(value_bytes));
+        match op {
+            KvOp::Search(key) => arena.read(at(key), value_bytes),
+            KvOp::Insert(key) => arena.write(at(key), value_bytes),
+            KvOp::Delete(_) => {}
+        }
+    }
+
+    fn len(&self) -> usize {
+        0
+    }
+}
+
 /// Builds the fixed case set: {micro-random, YCSB-A} × {fault-off,
 /// fault-on}, plus micro-random with the secure persistent memory mode
 /// armed, with the health ladder armed, and with the volatile persist
@@ -117,6 +144,9 @@ fn faulty_dram() -> DramFaultConfig {
 /// claim: with no faults injected the monitor only observes, so its
 /// sim-cycle total must stay bit-identical to `micro-random/fault-off`.
 /// The wpq-on case prices the §4.4 fence bookkeeping on a clean run.
+/// `ycsb-a-bytes/fault-off` is the one data-carrying case: zipfian 1 KiB
+/// `store_bytes`/`load_bytes` over 8 MiB, so the functional byte store
+/// and the controller's multi-block dispatch are timed together.
 /// `micro_accesses` and `ycsb_ops` scale the traces; the
 /// committed baseline uses [`cases`]'s defaults, and the gate refuses to
 /// compare entries with different `ops`.
@@ -142,20 +172,54 @@ pub fn cases_scaled(micro_accesses: u64, ycsb_ops: u64) -> Vec<SpeedCase> {
     wpq.wpq = thynvm_types::PersistBufferConfig::armed();
     wpq.validate().expect("wpq-on simspeed configuration is valid");
 
+    let raw = |name, cfg, events| SpeedCase { name, cfg, events, bytes: false };
     vec![
-        SpeedCase { name: "micro-random/fault-off", cfg: base, events: micro_events.clone() },
-        SpeedCase { name: "micro-random/fault-on", cfg: faulty, events: micro_events.clone() },
-        SpeedCase { name: "micro-random/secure-on", cfg: secure, events: micro_events.clone() },
-        SpeedCase { name: "micro-random/health-on", cfg: health, events: micro_events.clone() },
-        SpeedCase { name: "micro-random/wpq-on", cfg: wpq, events: micro_events },
-        SpeedCase { name: "ycsb-a/fault-off", cfg: base, events: ycsb_events.clone() },
-        SpeedCase { name: "ycsb-a/fault-on", cfg: faulty, events: ycsb_events },
+        raw("micro-random/fault-off", base, micro_events.clone()),
+        raw("micro-random/fault-on", faulty, micro_events.clone()),
+        raw("micro-random/secure-on", secure, micro_events.clone()),
+        raw("micro-random/health-on", health, micro_events.clone()),
+        raw("micro-random/wpq-on", wpq, micro_events),
+        raw("ycsb-a/fault-off", base, ycsb_events.clone()),
+        raw("ycsb-a/fault-on", faulty, ycsb_events),
+        SpeedCase {
+            name: "ycsb-a-bytes/fault-off",
+            cfg: base,
+            events: YcsbConfig { records: 8 * 1024, ..YcsbConfig::new(YcsbMix::A) }
+                .run(&mut Records, ycsb_ops)
+                .0,
+            bytes: true,
+        },
     ]
 }
 
 /// The default-scale case set the committed baseline is measured at.
 pub fn cases() -> Vec<SpeedCase> {
     cases_scaled(60_000, 8_000)
+}
+
+/// Replays `events` through the functional byte path: each write stores a
+/// payload with `store_bytes`, each read loads it back with `load_bytes`,
+/// and an epoch ends whenever the controller asks (`checkpoint_due`).
+/// Returns the cycle at which everything is drained.
+fn run_bytes(cfg: SystemConfig, events: &[TraceEvent]) -> Cycle {
+    let mut sys = ThyNvm::new(cfg);
+    let len = events.iter().map(|e| e.req.bytes).max().unwrap_or(0);
+    let mut buf = vec![0u8; len as usize];
+    let mut now = Cycle::ZERO;
+    for (i, e) in events.iter().enumerate() {
+        now += Cycle::new(u64::from(e.gap));
+        let data = &mut buf[..e.req.bytes as usize];
+        now = if e.req.kind.is_write() {
+            data.fill(i as u8);
+            sys.store_bytes(e.req.addr, data, now)
+        } else {
+            sys.load_bytes(e.req.addr, data, now)
+        };
+        if sys.checkpoint_due(now) {
+            now = sys.begin_checkpoint(now, &[]);
+        }
+    }
+    sys.drain(now)
 }
 
 /// Measures one case: `repeats` timed runs, best host time wins.
@@ -169,15 +233,18 @@ pub fn measure(case: &SpeedCase, repeats: u32) -> CaseResult {
     let mut best_ns = u64::MAX;
     let mut sim_cycles: Option<Cycle> = None;
     for _ in 0..repeats.max(1) {
-        let events = case.events.iter().copied();
         let start = Instant::now();
-        let res = run_raw(SystemKind::ThyNvm, case.cfg, events);
+        let cycles = if case.bytes {
+            run_bytes(case.cfg, &case.events)
+        } else {
+            run_raw(SystemKind::ThyNvm, case.cfg, case.events.iter().copied()).cycles
+        };
         let elapsed = start.elapsed().as_nanos() as u64;
         best_ns = best_ns.min(elapsed);
         match sim_cycles {
-            None => sim_cycles = Some(res.cycles),
+            None => sim_cycles = Some(cycles),
             Some(prev) => assert_eq!(
-                prev, res.cycles,
+                prev, cycles,
                 "{}: simulated cycle total changed between repeats",
                 case.name
             ),
@@ -525,10 +592,11 @@ mod tests {
 
     #[test]
     fn small_cases_measure_deterministically() {
-        // A miniature end-to-end run: all seven cases execute, produce
+        // A miniature end-to-end run: all eight cases execute, produce
         // nonzero simulated time, and the cycle totals are repeatable.
         let cases = cases_scaled(400, 100);
-        assert_eq!(cases.len(), 7);
+        assert_eq!(cases.len(), 8);
+        assert_eq!(cases.iter().filter(|c| c.bytes).count(), 1, "one data-carrying case");
         let mut by_name = std::collections::HashMap::new();
         for case in &cases {
             let a = measure(case, 2);

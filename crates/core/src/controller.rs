@@ -3967,6 +3967,84 @@ mod tests {
         assert_eq!(sys.stats().dram_write_bytes, 0);
     }
 
+    /// FNV-1a 64 of `bytes`, continuing from `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Drives a seeded mix of `store_bytes`/`load_bytes` of 1–9000 B at
+    /// unaligned addresses over 48 pages (half of them within the first
+    /// 8, so pages get hot), with a `force_checkpoint` every fourth op, so requests meet frozen pages and promotions land in the
+    /// middle of a request. With `poison`, every seventh op arms one DRAM
+    /// poison on the next read and plants one in a resident page's DRAM
+    /// copy, where a later whole-block store must clear it. Folds every
+    /// returned cycle and loaded byte, `MemStats`, both devices' stats and
+    /// the visible image into one FNV-1a digest.
+    fn byte_mix_digest(cfg: SystemConfig, poison: bool) -> u64 {
+        let mut sys = ThyNvm::new(cfg);
+        let (mut rng, mut h, mut t) = (0x006d_6978_u64, 0xcbf2_9ce4_8422_2325u64, Cycle::ZERO);
+        let mut buf = vec![0u8; 9000];
+        for op in 0..400u64 {
+            let r = thynvm_types::rng::next(&mut rng);
+            let len = 1 + (r >> 8) % 9000;
+            let span = if r & 2 == 0 { 8 * PAGE_BYTES } else { 48 * PAGE_BYTES };
+            let addr = PhysAddr::new((r >> 24) % (span - len));
+            let data = &mut buf[..len as usize];
+            if r & 1 == 0 {
+                data.iter_mut().enumerate().for_each(|(i, b)| *b = (op as u8) ^ (i as u8));
+                t = sys.store_bytes(addr, data, t);
+            } else {
+                t = sys.load_bytes(addr, data, t);
+                h = fnv(h, data);
+            }
+            h = fnv(h, &t.raw().to_le_bytes());
+            if op % 4 == 3 {
+                t = sys.force_checkpoint(t);
+                h = fnv(h, &t.raw().to_le_bytes());
+            }
+            if poison && op % 7 == 0 {
+                let mut pages: Vec<_> = sys.ptt().iter().map(|(p, e)| (p, e.slot)).collect();
+                pages.sort_unstable();
+                let ecc = sys.dram_ecc_mut().expect("hardened arms the DRAM model");
+                ecc.arm_poison(1);
+                if let Some(&(_, slot)) = pages.get((r >> 40) as usize % pages.len().max(1)) {
+                    ecc.poison_block(u64::from(slot) * PAGE_BYTES + (r >> 50) % 64 * BLOCK_BYTES);
+                }
+            }
+        }
+        t = sys.drain(t);
+        h = fnv(h, &t.raw().to_le_bytes());
+        h = fnv(h, sys.stats().to_string().as_bytes());
+        h = fnv(h, format!("{:?}", sys.dram_device().stats()).as_bytes());
+        h = fnv(h, format!("{:?}", sys.nvm_device().stats()).as_bytes());
+        fnv(h, &sys.visible_fingerprint().to_le_bytes())
+    }
+
+    #[test]
+    fn multi_block_byte_requests_keep_their_digests() {
+        let dual = SystemConfig::small_test();
+        let mut page_only = dual;
+        page_only.thynvm.mode = CkptMode::PageOnly;
+        let mut nvm_working = dual;
+        nvm_working.thynvm.working_region = thynvm_types::WorkingRegion::Nvm;
+        let mut hardened = SystemConfig::hardened();
+        hardened.thynvm = dual.thynvm;
+        hardened.validate().expect("valid hardened small config");
+        let digests = [
+            byte_mix_digest(dual, false),
+            byte_mix_digest(page_only, false),
+            byte_mix_digest(nvm_working, false),
+            byte_mix_digest(hardened, true),
+        ];
+        // Dual, PageOnly, NVM working region, hardened with poison.
+        let pinned: [u64; 4] =
+            [0x1bdc_1d1d_50c9_e5d4, 0x5f97_f230_dae8_3e61, 0x62a2_caa0_40b1_c74c, 0x2aa5_25f6_482a_df96];
+        assert_eq!(digests.map(|d| format!("{d:016x}")), pinned.map(|d| format!("{d:016x}")));
+    }
+
     #[test]
     fn archive_disabled_by_default() {
         let mut sys = small();
