@@ -499,12 +499,13 @@ impl ThyNvm {
         &self.epoch
     }
 
-    /// The NVM device (inspection of row-buffer statistics).
+    /// The NVM device (inspection of row-buffer statistics and wear).
     pub fn nvm_device(&self) -> &Device {
         &self.nvm
     }
 
-    /// The DRAM device (inspection).
+    /// The DRAM device (inspection of row-buffer statistics). DRAM does
+    /// not wear out, so its [`Device::wear`] stays zero.
     pub fn dram_device(&self) -> &Device {
         &self.dram
     }
@@ -1673,17 +1674,107 @@ impl ThyNvm {
         self.stats.pages_demoted += 1;
     }
 
-    /// The page-writeback store: write the block into the page's DRAM slot.
-    fn write_to_page(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
-        let entry = self.ptt.get_mut(block.page()).expect("page resident");
+    /// Working-region offset of `addr`'s byte in the working copy of its
+    /// page, which sits in page slot `slot`.
+    fn page_working_offset(&self, slot: u32, addr: PhysAddr) -> u64 {
+        self.space.working_offset(self.space.working_page(slot)) + addr.page_offset()
+    }
+
+    /// Number of 64 B blocks `[addr, addr + bytes)` touches.
+    fn blocks_touched(addr: PhysAddr, bytes: u32) -> u64 {
+        (addr.block_offset() + u64::from(bytes)).div_ceil(BLOCK_BYTES)
+    }
+
+    /// The page-writeback store: writes `[addr, addr + bytes)`, which lies
+    /// in one page, into the page's working copy as one device access per
+    /// 64 B block, each pushed to the DRAM write queue, and marks the page
+    /// dirty. Returns the cycle the issuer may resume, or `None`, touching
+    /// nothing, when the PTT does not hold the page.
+    fn write_to_page(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Option<Cycle> {
+        let entry = self.ptt.get_mut(addr.page())?;
         entry.dirty = true;
-        let hw = self
-            .space
-            .working_page(entry.slot)
-            .offset(block.slot_in_page() * BLOCK_BYTES);
-        let off = self.space.working_offset(hw);
-        let done = self.working_write(off, bytes, now);
-        self.dram_wq.push(done, now)
+        let slot = entry.slot;
+        let off = self.page_working_offset(slot, addr);
+        let blocks = Self::blocks_touched(addr, bytes);
+        let mut resume = now;
+        let push = |done| resume = resume.max(self.dram_wq.push(done, now));
+        match self.cfg.thynvm.working_region {
+            thynvm_types::WorkingRegion::Dram => {
+                self.dram.access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
+                self.stats.dram_writes += blocks;
+                self.stats.dram_write_bytes += u64::from(bytes);
+                // Each whole-block rewrite re-encodes its ECC word (see
+                // `working_write`); a partial first or last block does not.
+                if let Some(ecc) = self.dram_fault.as_mut() {
+                    self.stats.dram.poison_overwritten += ecc.note_write(off, bytes) as u64;
+                }
+            }
+            thynvm_types::WorkingRegion::Nvm => {
+                // Straight to the device, as in `working_write`.
+                let hw = HwAddr::new(Self::NVM_WORKING_BASE + off);
+                self.nvm.access_blocks(hw, AccessKind::Write, bytes, now, push);
+                self.stats.nvm_writes += blocks;
+                self.stats.nvm_write_bytes_cpu += u64::from(bytes);
+            }
+        }
+        Some(resume)
+    }
+
+    /// Whether a DRAM working-copy read can be served without the poison
+    /// response: the working region is DRAM and the ECC model is absent or
+    /// cannot fault.
+    fn quiet_dram_reads(&self) -> bool {
+        self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Dram
+            && self.dram_fault.as_ref().is_none_or(DramEccModel::is_quiet)
+    }
+
+    /// The page-writeback load: reads `[addr, addr + bytes)`, which lies in
+    /// one page, from the page's working copy. Returns the completion, or
+    /// `None`, touching nothing, when the PTT does not hold the page.
+    ///
+    /// While [`Self::quiet_dram_reads`] holds, the read is one DRAM access
+    /// per 64 B block and no poison can appear. Otherwise `bytes` lies in
+    /// one block, whose read may discover poison and respond to it.
+    fn read_from_page(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Option<Cycle> {
+        let page = addr.page();
+        let entry = self.ptt.get(page)?;
+        let (slot, dirty, frozen, clast) = (entry.slot, entry.dirty, entry.frozen, entry.clast_region);
+        let off = self.page_working_offset(slot, addr);
+        if self.quiet_dram_reads() {
+            let mut done = now;
+            self.dram.access_blocks(HwAddr::new(off), AccessKind::Read, bytes, now, |d| done = done.max(d));
+            let blocks = Self::blocks_touched(addr, bytes);
+            self.stats.dram_reads += blocks;
+            self.stats.dram_read_bytes += u64::from(bytes);
+            if self.dram_fault.is_some() {
+                // The SEC-DED check is skipped (see `working_read`).
+                self.stats.perf.dram_quiet_reads += blocks;
+            }
+            return Some(done);
+        }
+        debug_assert_eq!(Self::blocks_touched(addr, bytes), 1, "a read that may fault is one block");
+        let done = self.working_read(off, bytes, now);
+        if self.dram_poison_free(off, u64::from(bytes)) {
+            return Some(done);
+        }
+        if dirty {
+            // Dirty data under the poison: the bytes exist nowhere
+            // else, so there is nothing to re-fetch. Quarantine now
+            // rather than let the poison age toward a checkpoint.
+            return Some(self.quarantine_page(page, done));
+        }
+        // Clean (or frozen-and-captured) page: the block's exact bytes
+        // sit intact in NVM — re-fetch them and heal the DRAM copy.
+        let block = addr.block();
+        let in_page = block.slot_in_page() * BLOCK_BYTES;
+        let src = match self.volatile.pending_pages.get(&page) {
+            Some(p) if frozen => self.space.checkpoint_page(p.target, page).offset(in_page),
+            _ => match clast {
+                Some(r) => self.space.checkpoint_page(r, page).offset(in_page),
+                None => self.space.home(block.base_addr()),
+            },
+        };
+        Some(self.dram_refetch_block(block, off, src, done))
     }
 
     // ------------------------------------------------------------------
@@ -1732,22 +1823,23 @@ impl ThyNvm {
         };
 
         // PTT hit: page writeback scheme.
-        if self.ptt.get(page).is_some() {
-            if self.epoch.page_frozen(page, now) {
-                if self.cfg.thynvm.mode == CkptMode::PageOnly {
-                    // No block scheme to absorb the write: the store blocks
-                    // the controller until the page's writeback completes —
-                    // the Table 1 quadrant-❹ pain the dual scheme removes.
-                    let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
-                    self.stats.ckpt_stall_cycles += done.saturating_sub(now);
-                    self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
-                    self.retire_job_if_done(done);
-                    return self.write_to_page(block, bytes, done);
-                }
-                // §3.4 cooperation: absorb via block remapping in DRAM.
-                return self.buffered_block_write(block, bytes, now);
+        if !self.epoch.page_frozen(page, now) {
+            if let Some(done) = self.write_to_page(block.base_addr(), bytes, now) {
+                return done;
             }
-            return self.write_to_page(block, bytes, now);
+        } else if self.ptt.get(page).is_some() {
+            if self.cfg.thynvm.mode == CkptMode::PageOnly {
+                // No block scheme to absorb the write: the store blocks
+                // the controller until the page's writeback completes —
+                // the Table 1 quadrant-❹ pain the dual scheme removes.
+                let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
+                self.stats.ckpt_stall_cycles += done.saturating_sub(now);
+                self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
+                self.retire_job_if_done(done);
+                return self.write_to_page(block.base_addr(), bytes, done).expect("page resident");
+            }
+            // §3.4 cooperation: absorb via block remapping in DRAM.
+            return self.buffered_block_write(block, bytes, now);
         }
 
         // Intra-epoch promotion: once a page's store counter crosses the
@@ -1759,7 +1851,7 @@ impl ThyNvm {
             CkptMode::BlockOnly => false,
         };
         if promotable && self.promote_page(page, now).is_some() {
-            return self.write_to_page(block, bytes, now);
+            return self.write_to_page(block.base_addr(), bytes, now).expect("page promoted");
         }
 
         // Block remapping.
@@ -1831,36 +1923,8 @@ impl ThyNvm {
 
     /// The load path: locate the software-visible copy (§4.1) and read it.
     fn read_block(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
-        let page = block.page();
-        if let Some(entry) = self.ptt.get(page) {
-            let (slot, dirty, frozen, clast) =
-                (entry.slot, entry.dirty, entry.frozen, entry.clast_region);
-            let hw = self
-                .space
-                .working_page(slot)
-                .offset(block.slot_in_page() * BLOCK_BYTES);
-            let off = self.space.working_offset(hw);
-            let done = self.working_read(off, bytes, now);
-            if self.dram_poison_free(off, u64::from(bytes)) {
-                return done;
-            }
-            if dirty {
-                // Dirty data under the poison: the bytes exist nowhere
-                // else, so there is nothing to re-fetch. Quarantine now
-                // rather than let the poison age toward a checkpoint.
-                return self.quarantine_page(page, done);
-            }
-            // Clean (or frozen-and-captured) page: the block's exact bytes
-            // sit intact in NVM — re-fetch them and heal the DRAM copy.
-            let in_page = block.slot_in_page() * BLOCK_BYTES;
-            let src = match self.volatile.pending_pages.get(&page) {
-                Some(p) if frozen => self.space.checkpoint_page(p.target, page).offset(in_page),
-                _ => match clast {
-                    Some(r) => self.space.checkpoint_page(r, page).offset(in_page),
-                    None => self.space.home(block.base_addr()),
-                },
-            };
-            return self.dram_refetch_block(block, off, src, done);
+        if let Some(done) = self.read_from_page(block.base_addr(), bytes, now) {
+            return done;
         }
         if let Some(entry) = self.btt.get(block) {
             let loc = entry.wactive.or(entry.pending);
@@ -1900,6 +1964,43 @@ impl ThyNvm {
         // Home Region.
         let hw = self.space.home(block.base_addr());
         self.nvm_data_read(block, hw, bytes, now)
+    }
+
+    /// Serves one page run of a request: `[addr, addr + bytes)`, which lies
+    /// in one page, every block issued at `t`. A store to a page the PTT
+    /// holds, unfrozen, in a DRAM working region is written whole; so is a
+    /// load from a resident page while DRAM reads cannot fault. Every other
+    /// run goes block by block through the Figure 6 paths. Returns the
+    /// latest completion.
+    fn access_run(&mut self, addr: PhysAddr, bytes: u32, write: bool, t: Cycle) -> Cycle {
+        let page = addr.page();
+        if write
+            && self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Dram
+            && !self.epoch.page_frozen(page, t)
+        {
+            if let Some(done) = self.write_to_page(addr, bytes, t) {
+                let blocks = Self::blocks_touched(addr, bytes) as u32;
+                *self.volatile.page_store_counts.entry(page).or_insert(0) += blocks;
+                return done;
+            }
+        }
+        if !write && self.quiet_dram_reads() {
+            if let Some(done) = self.read_from_page(addr, bytes, t) {
+                return done;
+            }
+        }
+        let (mut addr, end) = (addr, addr.raw() + u64::from(bytes));
+        let mut done = t;
+        while addr.raw() < end {
+            let chunk = (BLOCK_BYTES - addr.block_offset()).min(end - addr.raw()) as u32;
+            done = done.max(if write {
+                self.write_block(addr.block(), chunk, t, NvmWriteClass::Cpu)
+            } else {
+                self.read_block(addr.block(), chunk, t)
+            });
+            addr = addr.offset(u64::from(chunk));
+        }
+        done
     }
 
     // ------------------------------------------------------------------
@@ -2671,38 +2772,23 @@ impl MemorySystem for ThyNvm {
         }
         self.retire_job_if_done(now);
         let t = now + Cycle::from_ns(TABLE_LOOKUP_NS);
-        match req.kind {
-            AccessKind::Read => {
-                self.stats.reads += 1;
-                let mut done = t;
-                let mut remaining = u64::from(req.bytes);
-                let mut addr = req.addr;
-                while remaining > 0 {
-                    let in_block = BLOCK_BYTES - addr.block_offset();
-                    let chunk = in_block.min(remaining) as u32;
-                    done = done.max(self.read_block(addr.block(), chunk, t));
-                    addr = addr.offset(u64::from(chunk));
-                    remaining -= u64::from(chunk);
-                }
-                self.stats.service_cycles += done.saturating_sub(now);
-                done
-            }
-            AccessKind::Write => {
-                self.stats.writes += 1;
-                let mut done = t;
-                let mut remaining = u64::from(req.bytes);
-                let mut addr = req.addr;
-                while remaining > 0 {
-                    let in_block = BLOCK_BYTES - addr.block_offset();
-                    let chunk = in_block.min(remaining) as u32;
-                    done = done.max(self.write_block(addr.block(), chunk, t, NvmWriteClass::Cpu));
-                    addr = addr.offset(u64::from(chunk));
-                    remaining -= u64::from(chunk);
-                }
-                self.stats.service_cycles += done.saturating_sub(now);
-                done
-            }
+        let write = req.kind.is_write();
+        if write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
         }
+        // The request is served one page run at a time: the blocks it
+        // touches in one page, every block issued at `t`.
+        let (mut addr, end) = (req.addr, req.addr.raw() + u64::from(req.bytes));
+        let mut done = t;
+        while addr.raw() < end {
+            let run = (PAGE_BYTES - addr.page_offset()).min(end - addr.raw()) as u32;
+            done = done.max(self.access_run(addr, run, write, t));
+            addr = addr.offset(u64::from(run));
+        }
+        self.stats.service_cycles += done.saturating_sub(now);
+        done
     }
 
     fn checkpoint_due(&self, now: Cycle) -> bool {

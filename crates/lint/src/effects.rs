@@ -11,6 +11,7 @@
 //!   (`self.space.backup(8192)`) or through a local binding
 //!   (`let wal = self.space.backup_wal(seq); .. nvm.access(wal, ..)`).
 //!   `dram.access(.., Write, ..)` is a working-region (volatile) write.
+//!   The per-block `access_blocks` seeds exactly as `access` does.
 //!   Reads carry no effect; addresses the pass cannot resolve to a tracked
 //!   region (checkpoint data regions, home region, raw `HwAddr::new`
 //!   offsets) are deliberately untracked — ThyNVM's ordering invariants are
@@ -252,10 +253,11 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
             facts.stores.push((i, toks[i].line));
         }
 
-        // Device write: `nvm.access(.., Write, ..)` / `dram.access(..)`,
-        // or a write-primitive call `.nvm_write(..)` / `.persist_record(..)`.
+        // Device write: `nvm.access(.., Write, ..)` / `dram.access(..)` (or
+        // their `access_blocks` form), or a write-primitive call
+        // `.nvm_write(..)` / `.persist_record(..)`.
         let open = i + 1;
-        let device_access = name == "access" && crate::graph::is_device_receiver(f, i);
+        let device_access = crate::graph::is_device_access(f, i);
         let primitive = WRITE_PRIMITIVES.contains(&name) && toks[i - 1].is_punct(".");
         if !(device_access || primitive) || !toks.get(open).is_some_and(|t| t.is_punct("(")) {
             continue;
@@ -537,6 +539,21 @@ mod tests {
         let f = facts_of(&files, &graph, &facts, "spill");
         assert_eq!(f.direct, STORE | WORKING, "{}", labels(f.direct));
         assert!(f.mut_self);
+    }
+
+    #[test]
+    fn per_block_device_accesses_seed_like_access() {
+        let src = concat!(
+            "fn run(&mut self, t: u64) {\n",
+            "    self.dram.access_blocks(HwAddr::new(off), AccessKind::Write, 64, t, |d| {});\n",
+            "    self.nvm.access_blocks(self.space.backup(8192), AccessKind::Write, 64, t, |d| {});\n",
+            "    self.nvm.access_blocks(self.space.backup(0), AccessKind::Read, 64, t, |d| {});\n",
+            "}\n",
+        );
+        let (files, graph, facts) = analyzed(src);
+        let f = facts_of(&files, &graph, &facts, "run");
+        assert_eq!(f.direct, WORKING | BACKUP, "{}", labels(f.direct));
+        assert_eq!(f.writes.len(), 2, "reads seed nothing");
     }
 
     #[test]

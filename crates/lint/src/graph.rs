@@ -14,10 +14,10 @@
 //! That makes the graph an over-approximation — a method call on a foreign
 //! type can edge to an unrelated same-named function — which is the safe
 //! direction for the L7/L8 ordering rules: effects are never *missed*
-//! through a call. Device accesses (`nvm.access(..)` / `dram.access(..)`)
-//! are effect *seeds*, not calls, and are excluded here so the memory-system
-//! entry point `access` does not edge every device touch into the whole
-//! controller.
+//! through a call. Device accesses (`nvm.access(..)` / `dram.access(..)`,
+//! and their per-block form `access_blocks`) are effect *seeds*, not calls,
+//! and are excluded here so the memory-system entry point `access` does not
+//! edge every device touch into the whole controller.
 
 use std::collections::BTreeMap;
 
@@ -71,15 +71,12 @@ pub struct FnNode {
 pub struct CallGraph {
     /// All nodes.
     pub nodes: Vec<FnNode>,
-    /// `(file, item) → node` lookup.
-    index: BTreeMap<(usize, usize), usize>,
 }
 
 impl CallGraph {
     /// Builds the graph over the indexed workspace.
     pub fn build(files: &[FileIndex]) -> CallGraph {
         let mut nodes = Vec::new();
-        let mut index = BTreeMap::new();
         // name → nodes, per file and workspace-wide.
         let mut by_file: BTreeMap<(usize, String), Vec<usize>> = BTreeMap::new();
         let mut global: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -94,7 +91,6 @@ impl CallGraph {
                 }
                 let n = nodes.len();
                 nodes.push(FnNode { file: fi, item: ii, calls: Vec::new() });
-                index.insert((fi, ii), n);
                 by_file.entry((fi, item.name.clone())).or_default().push(n);
                 global.entry(item.name.clone()).or_default().push(n);
             }
@@ -122,7 +118,7 @@ impl CallGraph {
                 }
                 // Device accesses are effect seeds (see crate::effects), not
                 // calls to the memory-system `access` entry points.
-                if name == "access" && is_device_receiver(f, i) {
+                if is_device_access(f, i) {
                     continue;
                 }
                 // `field.drain(..)` etc.: a std-container method, not a
@@ -150,12 +146,7 @@ impl CallGraph {
             node.calls = calls;
         }
 
-        CallGraph { nodes, index }
-    }
-
-    /// The node for `files[file].fns[item]`, if it is in the graph.
-    pub fn node_of(&self, file: usize, item: usize) -> Option<usize> {
-        self.index.get(&(file, item)).copied()
+        CallGraph { nodes }
     }
 
     /// Nodes reachable from `seeds` (inclusive), as a bitmap over node
@@ -183,10 +174,12 @@ impl CallGraph {
     }
 }
 
-/// Whether the `access` ident at token `i` is called on a device field
-/// (`nvm.access(..)` / `dram.access(..)`).
-pub(crate) fn is_device_receiver(f: &FileIndex, i: usize) -> bool {
-    i >= 2
+/// Whether the ident at token `i` is a device access on a device field:
+/// `nvm.access(..)` / `dram.access(..)`, or the per-block
+/// `nvm.access_blocks(..)` / `dram.access_blocks(..)`.
+pub(crate) fn is_device_access(f: &FileIndex, i: usize) -> bool {
+    f.tokens[i].kind.ident().is_some_and(|n| n == "access" || n == "access_blocks")
+        && i >= 2
         && f.tokens[i - 1].is_punct(".")
         && f.tokens[i - 2]
             .kind
@@ -268,8 +261,12 @@ mod tests {
             concat!(
                 "fn access(&mut self) { self.touch(); }\n",
                 "fn touch(&mut self) { let t = self.nvm.access(a, k, 64, t); }\n",
+                "fn run(&mut self) { self.dram.access_blocks(a, k, 64, t, |d| {}); }\n",
+                "fn access_blocks(&mut self) { self.touch(); }\n",
             ),
         )]);
+        let run = node_named(&files, &g, "run");
+        assert!(g.nodes[run].calls.is_empty(), "{:?}", g.nodes[run].calls);
         let touch = node_named(&files, &g, "touch");
         assert!(g.nodes[touch].calls.is_empty(), "{:?}", g.nodes[touch].calls);
     }

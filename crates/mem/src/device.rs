@@ -13,8 +13,8 @@
 //! transfer beyond the first 64 B burst is pipelined at the DDR3 burst rate.
 
 use thynvm_types::{
-    AccessKind, Cycle, DeviceGeometry, FxHashMap, HwAddr, DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS,
-    NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS,
+    AccessKind, Cycle, DeviceGeometry, FxHashMap, HwAddr, BLOCK_BYTES, DRAM_ROW_HIT_NS,
+    DRAM_ROW_MISS_NS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS,
 };
 
 /// Additional data-transfer time per extra 64 B burst, in nanoseconds
@@ -108,7 +108,8 @@ pub struct Device {
     geometry: DeviceGeometry,
     banks: Vec<Bank>,
     stats: DeviceStats,
-    /// Per-row write counts (sparse), for endurance analysis.
+    /// Per-row write counts (sparse), for endurance analysis. Kept for NVM
+    /// only: DRAM cells do not wear out, so a DRAM device leaves it empty.
     row_writes: FxHashMap<u64, u64>,
     /// `log2(row_bytes)` when the row size is a power of two, so the
     /// per-access address split is a shift instead of a 64-bit divide.
@@ -145,9 +146,12 @@ impl Device {
             geometry,
             banks: vec![Bank::default(); geometry.total_banks() as usize],
             stats: DeviceStats::default(),
-            // Pre-sized: one entry per written row accrues from the first
-            // access on; growing from empty showed up as rehash churn.
-            row_writes: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            // Pre-sized for NVM: one entry per written row accrues from the
+            // first access on; growing from empty showed up as rehash churn.
+            row_writes: match kind {
+                DeviceKind::Dram => FxHashMap::default(),
+                DeviceKind::Nvm => FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            },
             row_shift: geometry.row_bytes.is_power_of_two().then(|| geometry.row_bytes.trailing_zeros()),
             bank_mask: geometry
                 .total_banks()
@@ -216,7 +220,44 @@ impl Device {
     /// each.
     pub fn access(&mut self, addr: HwAddr, kind: AccessKind, bytes: u32, now: Cycle) -> Cycle {
         assert!(bytes > 0, "device access must move at least one byte");
-        let (bank_idx, row) = self.map(addr);
+        let (bank, row) = self.map(addr);
+        self.access_row(bank, row, kind, bytes, now)
+    }
+
+    /// Services `[addr, addr + bytes)` as one access per 64 B block it
+    /// touches — the first and last may be partial — all arriving at `now`,
+    /// back to back in address order, and hands each completion to `done`
+    /// in that order. The completions, bank state and statistics are
+    /// exactly those of one [`Device::access`] per block; the address is
+    /// mapped once per row instead of once per block (a page-sized run
+    /// stays in one row whenever the row size is a multiple of the page).
+    pub fn access_blocks(
+        &mut self,
+        addr: HwAddr,
+        kind: AccessKind,
+        bytes: u32,
+        now: Cycle,
+        mut done: impl FnMut(Cycle),
+    ) {
+        assert!(bytes > 0, "device access must move at least one byte");
+        let (mut at, end) = (addr.raw(), addr.raw() + u64::from(bytes));
+        let (mut bank, mut row) = self.map(addr);
+        let mut row_end = (row + 1) * self.geometry.row_bytes;
+        while at < end {
+            if at >= row_end {
+                (bank, row) = self.map(HwAddr::new(at));
+                row_end = (row + 1) * self.geometry.row_bytes;
+            }
+            let chunk = (BLOCK_BYTES - at % BLOCK_BYTES).min(end - at);
+            done(self.access_row(bank, row, kind, chunk as u32, now));
+            at += chunk;
+        }
+    }
+
+    /// The timing step [`Device::access`] and [`Device::access_blocks`]
+    /// share: one access of `bytes` to `row`, which lives in bank
+    /// `bank_idx`. Returns the completion cycle.
+    fn access_row(&mut self, bank_idx: usize, row: u64, kind: AccessKind, bytes: u32, now: Cycle) -> Cycle {
         let (row_lat, hit) = self.row_latency(&self.banks[bank_idx], row);
         let hit_lat = self.hit_lat;
 
@@ -257,7 +298,9 @@ impl Device {
             AccessKind::Write => {
                 self.stats.writes += 1;
                 self.stats.write_bytes += u64::from(bytes);
-                *self.row_writes.entry(row).or_insert(0) += 1;
+                if self.kind == DeviceKind::Nvm {
+                    *self.row_writes.entry(row).or_insert(0) += 1;
+                }
             }
         }
         self.stats.busy_cycles += occupancy;
@@ -279,7 +322,9 @@ impl Device {
         }
     }
 
-    /// Endurance summary: how evenly write traffic spreads over rows.
+    /// Endurance summary of an NVM device: how evenly write traffic
+    /// spreads over its rows. A DRAM device tracks no wear (its cells do
+    /// not wear out), so its summary is all zeros.
     pub fn wear(&self) -> WearStats {
         let rows_written = self.row_writes.len() as u64;
         let total_writes: u64 = self.row_writes.values().sum();
@@ -466,6 +511,98 @@ mod tests {
         d.access(HwAddr::new(0), AccessKind::Read, 64, Cycle::ZERO);
         let w = d.wear();
         assert_eq!(w, WearStats::default());
+    }
+
+    #[test]
+    fn dram_tracks_no_wear_while_nvm_counts_its_row_writes() {
+        let (mut d, mut n) = (dram(), nvm());
+        let mut now = Cycle::ZERO;
+        for i in 0..10u64 {
+            now = d.access(HwAddr::new(i * 64), AccessKind::Write, 64, now);
+            now = n.access(HwAddr::new(i * 64), AccessKind::Write, 64, now);
+        }
+        d.access_blocks(HwAddr::new(0), AccessKind::Write, 4096, now, |_| {});
+        assert_eq!(d.stats().writes, 74);
+        assert_eq!(d.wear(), WearStats::default());
+        assert_eq!(n.wear().total_writes, 10);
+    }
+
+    /// `access_blocks` against one `access` per block on a clone of the
+    /// device: a random prior bank state, then `bytes` from `start`
+    /// (possibly unaligned) split at 64 B boundaries, all issued at `now`.
+    fn blocks_match_single_accesses(
+        mut d: Device,
+        prior: &[(u64, bool, u32, u64)],
+        start: u64,
+        bytes: u32,
+        write: bool,
+        now: u64,
+        probe: (u64, bool),
+    ) -> Result<(), String> {
+        let kind_of = |w: bool| if w { AccessKind::Write } else { AccessKind::Read };
+        let row_bytes = d.geometry().row_bytes;
+        let mut t = Cycle::ZERO;
+        for &(row, w, len, gap) in prior {
+            t = d.access(HwAddr::new(row * row_bytes), kind_of(w), len, t + Cycle::new(gap));
+        }
+        let (now, kind) = (Cycle::new(now), kind_of(write));
+        let mut reference = d.clone();
+        let mut expected = Vec::new();
+        let (mut at, end) = (start, start + u64::from(bytes));
+        while at < end {
+            let chunk = (BLOCK_BYTES - at % BLOCK_BYTES).min(end - at);
+            expected.push(reference.access(HwAddr::new(at), kind, chunk as u32, now));
+            at += chunk;
+        }
+        let mut got = Vec::new();
+        d.access_blocks(HwAddr::new(start), kind, bytes, now, |c| got.push(c));
+        proptest::prop_assert_eq!(&got, &expected);
+        proptest::prop_assert_eq!(d.stats(), reference.stats());
+        proptest::prop_assert_eq!(d.idle_at(), reference.idle_at());
+        proptest::prop_assert_eq!(d.wear(), reference.wear());
+        let probe_addr = HwAddr::new(probe.0 * row_bytes);
+        let after = now + Cycle::new(7);
+        proptest::prop_assert_eq!(
+            d.access(probe_addr, kind_of(probe.1), 64, after),
+            reference.access(probe_addr, kind_of(probe.1), 64, after)
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn access_blocks_equals_one_access_per_block(
+            kinds in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            prior in proptest::collection::vec((0u64..24, proptest::prelude::any::<bool>(), 1u32..4097, 0u64..400), 0..24),
+            shape in (0u64..24, 1u64..65, 0u64..128, 0u64..64, 0u64..64),
+            now in 0u64..6000,
+            probe_row in 0u64..24,
+        ) {
+            let (nvm_device, write, probe_write) = kinds;
+            let (row, blocks, first, lead, trim) = shape;
+            let d = if nvm_device { nvm() } else { dram() };
+            let row_blocks = d.geometry().row_bytes / BLOCK_BYTES;
+            // 1–64 blocks inside one row, the first entered at `lead`, the
+            // last left up to `trim` bytes short (at least one byte touched).
+            let first = first % (row_blocks - blocks + 1);
+            let lo = ((blocks - 1) * BLOCK_BYTES + 1).saturating_sub(lead).max(1);
+            let hi = blocks * BLOCK_BYTES - lead;
+            let bytes = (hi - trim.min(hi - lo)) as u32;
+            let start = row * d.geometry().row_bytes + first * BLOCK_BYTES + lead;
+            blocks_match_single_accesses(d, &prior, start, bytes, write, now, (probe_row, probe_write))?;
+        }
+    }
+
+    #[test]
+    fn access_blocks_remaps_when_a_run_crosses_a_row() {
+        let geometry = DeviceGeometry { channels: 1, banks_per_channel: 3, row_bytes: 1024 };
+        for kind in [DeviceKind::Dram, DeviceKind::Nvm] {
+            let start = 1000;
+            blocks_match_single_accesses(Device::new(kind, geometry), &[], start, 3000, true, 0, (1, false))
+                .expect("a run over four rows equals one access per block");
+        }
     }
 
     #[test]
