@@ -1833,6 +1833,10 @@ impl ThyNvm {
                 // the controller until the page's writeback completes —
                 // the Table 1 quadrant-❹ pain the dual scheme removes.
                 let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
+                // Power fails while the store waits.
+                if self.crash_before(done) {
+                    return self.trigger_crash().max(now);
+                }
                 self.stats.ckpt_stall_cycles += done.saturating_sub(now);
                 self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
                 self.retire_job_if_done(done);
@@ -1970,8 +1974,9 @@ impl ThyNvm {
     /// in one page, every block issued at `t`. A store to a page the PTT
     /// holds, unfrozen, in a DRAM working region is written whole; so is a
     /// load from a resident page while DRAM reads cannot fault. Every other
-    /// run goes block by block through the Figure 6 paths. Returns the
-    /// latest completion.
+    /// run goes block by block through the Figure 6 paths, and stops at a
+    /// crash that fires inside one of them: power is gone for the rest.
+    /// Returns the latest completion (or the crash's resume cycle).
     fn access_run(&mut self, addr: PhysAddr, bytes: u32, write: bool, t: Cycle) -> Cycle {
         let page = addr.page();
         if write
@@ -1989,9 +1994,10 @@ impl ThyNvm {
                 return done;
             }
         }
+        let crashes = self.stats.crashes_injected;
         let (mut addr, end) = (addr, addr.raw() + u64::from(bytes));
         let mut done = t;
-        while addr.raw() < end {
+        while addr.raw() < end && self.stats.crashes_injected == crashes {
             let chunk = (BLOCK_BYTES - addr.block_offset()).min(end - addr.raw()) as u32;
             done = done.max(if write {
                 self.write_block(addr.block(), chunk, t, NvmWriteClass::Cpu)
@@ -2780,9 +2786,10 @@ impl MemorySystem for ThyNvm {
         }
         // The request is served one page run at a time: the blocks it
         // touches in one page, every block issued at `t`.
+        let crashes = self.stats.crashes_injected;
         let (mut addr, end) = (req.addr, req.addr.raw() + u64::from(req.bytes));
         let mut done = t;
-        while addr.raw() < end {
+        while addr.raw() < end && self.stats.crashes_injected == crashes {
             let run = (PAGE_BYTES - addr.page_offset()).min(end - addr.raw()) as u32;
             done = done.max(self.access_run(addr, run, write, t));
             addr = addr.offset(u64::from(run));
@@ -4221,6 +4228,40 @@ mod tests {
         sys.force_checkpoint(resume);
         let crash = crashes(&mut sys).pop().expect("crash fired during stall");
         assert!(crash.report.rolled_back_incomplete);
+    }
+
+    #[test]
+    fn crash_fires_while_a_page_only_store_stalls_on_a_frozen_page() {
+        // PageOnly has no block scheme to absorb a store to a frozen page:
+        // the store waits for the page's writeback, and power can fail
+        // during that wait like during any other.
+        for bytes in [64usize, 128] {
+            let mut cfg = SystemConfig::small_test();
+            cfg.thynvm.mode = CkptMode::PageOnly;
+            let mut sys = ThyNvm::new(cfg);
+            let t = sys.store_bytes(PhysAddr::new(0), &[1; 64], Cycle::ZERO);
+            let t = sys.force_checkpoint(t);
+            let t = sys.drain(t);
+            let t = sys.store_bytes(PhysAddr::new(0), &[2; 64], t);
+            sys.force_checkpoint(t);
+            let job = sys.epoch_state().job.as_ref().expect("job in flight");
+            // A point a quarter into the job's window, and a store to the
+            // frozen page two cycles before it.
+            let at = job.started + Cycle::new((job.done_at - job.started).raw() / 4);
+            sys.arm_crash_point(at);
+            let acked = sys.store_bytes(PhysAddr::new(0), &vec![3; bytes], at - Cycle::new(2));
+            let crash = crashes(&mut sys).pop().expect("the crash fires inside the stalled store");
+            assert!(crash.report.rolled_back_incomplete, "the job never completed");
+            assert_eq!(acked, crash.resume_at, "{bytes} B: the store ends with the power");
+            assert_eq!(sys.armed_crash_point(), None);
+            // Power was gone for the request's second block too: nothing of
+            // the store reached the recovered controller.
+            assert!(!sys.has_uncheckpointed_writes(), "{bytes} B");
+            let mut buf = [0u8; 64];
+            sys.load_bytes(PhysAddr::new(0), &mut buf, acked);
+            assert_eq!(buf, [1; 64], "{bytes} B: the load sees the recovered image");
+            assert!(crashes(&mut sys).is_empty(), "no second crash");
+        }
     }
 
     #[test]
