@@ -1823,27 +1823,27 @@ impl ThyNvm {
         };
 
         // PTT hit: page writeback scheme.
-        if !self.epoch.page_frozen(page, now) {
-            if let Some(done) = self.write_to_page(block.base_addr(), bytes, now) {
-                return done;
-            }
-        } else if self.ptt.get(page).is_some() {
-            if self.cfg.thynvm.mode == CkptMode::PageOnly {
-                // No block scheme to absorb the write: the store blocks
-                // the controller until the page's writeback completes —
-                // the Table 1 quadrant-❹ pain the dual scheme removes.
-                let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
-                // Power fails while the store waits.
-                if self.crash_before(done) {
-                    return self.trigger_crash().max(now);
+        if self.ptt.get(page).is_some() {
+            if self.epoch.page_frozen(page, now) {
+                if self.cfg.thynvm.mode == CkptMode::PageOnly {
+                    // No block scheme to absorb the write: the store blocks
+                    // the controller until the page's writeback completes —
+                    // the Table 1 quadrant-❹ pain the dual scheme removes.
+                    let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
+                    // Power fails while the store waits.
+                    if self.crash_before(done) {
+                        return self.trigger_crash().max(now);
+                    }
+                    self.stats.ckpt_stall_cycles += done.saturating_sub(now);
+                    self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
+                    self.retire_job_if_done(done);
+                    let at = block.base_addr();
+                    return self.write_to_page(at, bytes, done).expect("PageOnly never demotes");
                 }
-                self.stats.ckpt_stall_cycles += done.saturating_sub(now);
-                self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
-                self.retire_job_if_done(done);
-                return self.write_to_page(block.base_addr(), bytes, done).expect("page resident");
+                // §3.4 cooperation: absorb via block remapping in DRAM.
+                return self.buffered_block_write(block, bytes, now);
             }
-            // §3.4 cooperation: absorb via block remapping in DRAM.
-            return self.buffered_block_write(block, bytes, now);
+            return self.write_to_page(block.base_addr(), bytes, now).expect("page resident");
         }
 
         // Intra-epoch promotion: once a page's store counter crosses the
@@ -1976,20 +1976,24 @@ impl ThyNvm {
     /// load from a resident page while DRAM reads cannot fault. Every other
     /// run goes block by block through the Figure 6 paths, and stops at a
     /// crash that fires inside one of them: power is gone for the rest.
+    /// A one-block run goes there directly, since the block path's
+    /// resident branch is the same `write_to_page`/`read_from_page` and
+    /// trying the run first would look the page up twice.
     /// Returns the latest completion (or the crash's resume cycle).
     fn access_run(&mut self, addr: PhysAddr, bytes: u32, write: bool, t: Cycle) -> Cycle {
         let page = addr.page();
-        if write
+        let blocks = Self::blocks_touched(addr, bytes);
+        if blocks > 1
+            && write
             && self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Dram
             && !self.epoch.page_frozen(page, t)
         {
             if let Some(done) = self.write_to_page(addr, bytes, t) {
-                let blocks = Self::blocks_touched(addr, bytes) as u32;
-                *self.volatile.page_store_counts.entry(page).or_insert(0) += blocks;
+                *self.volatile.page_store_counts.entry(page).or_insert(0) += blocks as u32;
                 return done;
             }
         }
-        if !write && self.quiet_dram_reads() {
+        if blocks > 1 && !write && self.quiet_dram_reads() {
             if let Some(done) = self.read_from_page(addr, bytes, t) {
                 return done;
             }
