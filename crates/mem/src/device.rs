@@ -74,11 +74,98 @@ impl DeviceStats {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
     row_dirty: bool,
     busy_until: Cycle,
+}
+
+/// A device's technology and Table 2's latencies, resolved from
+/// nanoseconds once at construction so the per-access path does no
+/// ns→cycle conversions.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    kind: DeviceKind,
+    /// Row-hit latency.
+    hit_lat: Cycle,
+    /// Clean row-miss latency (row buffer empty or clean).
+    clean_miss_lat: Cycle,
+    /// Dirty row-miss latency; equals the plain miss latency for DRAM,
+    /// which has no writeback asymmetry.
+    dirty_miss_lat: Cycle,
+}
+
+impl Timing {
+    /// Latency of the row activation for this access, given bank state.
+    /// DRAM's dirty-miss latency equals its clean-miss latency, so the
+    /// dirty branch is technology-agnostic here.
+    fn row_latency(self, bank: &Bank, row: u64) -> (Cycle, bool) {
+        if bank.open_row == Some(row) {
+            (self.hit_lat, true)
+        } else if bank.row_dirty && bank.open_row.is_some() {
+            (self.dirty_miss_lat, false)
+        } else {
+            (self.clean_miss_lat, false)
+        }
+    }
+
+    /// The per-access step [`Device::access`] and [`Device::access_blocks`]
+    /// share: one access of `bytes` to `row`, which `bank` holds, arriving
+    /// at `now`. Updates the bank and `stats` (wear is the caller's) and
+    /// returns the completion cycle.
+    fn step(
+        self,
+        bank: &mut Bank,
+        stats: &mut DeviceStats,
+        row: u64,
+        kind: AccessKind,
+        bytes: u32,
+        now: Cycle,
+    ) -> Cycle {
+        let (row_lat, hit) = self.row_latency(bank, row);
+        let bursts = u64::from(bytes).div_ceil(64);
+        let transfer = Cycle::from_ns(BURST_NS * bursts);
+        let start = now.max(bank.busy_until);
+        // Completion: latency of the first word + pipelined rest.
+        let done = start + row_lat + Cycle::from_ns(BURST_NS * bursts.saturating_sub(1));
+        // Occupancy: activation (miss only) + transfer.
+        let occupancy = if hit { transfer } else { (row_lat - self.hit_lat) + transfer };
+
+        // Update bank state.
+        let was_dirty = bank.row_dirty;
+        if !hit {
+            bank.open_row = Some(row);
+            bank.row_dirty = false;
+        }
+        if kind.is_write() {
+            bank.row_dirty = true;
+        }
+        bank.busy_until = start + occupancy;
+
+        // Update stats.
+        if hit {
+            stats.row_hits += 1;
+        } else {
+            stats.row_misses += 1;
+            if self.kind == DeviceKind::Nvm && was_dirty {
+                stats.dirty_row_misses += 1;
+            }
+        }
+        match kind {
+            AccessKind::Read => {
+                stats.reads += 1;
+                stats.read_bytes += u64::from(bytes);
+            }
+            AccessKind::Write => {
+                stats.writes += 1;
+                stats.write_bytes += u64::from(bytes);
+            }
+        }
+        stats.busy_cycles += occupancy;
+
+        done
+    }
 }
 
 /// Wear (endurance) summary of a device: how write traffic distributes
@@ -104,7 +191,7 @@ pub struct WearStats {
 /// already translated physical addresses.
 #[derive(Debug, Clone)]
 pub struct Device {
-    kind: DeviceKind,
+    timing: Timing,
     geometry: DeviceGeometry,
     banks: Vec<Bank>,
     stats: DeviceStats,
@@ -117,14 +204,6 @@ pub struct Device {
     /// `total_banks - 1` when the bank count is a power of two, so the
     /// bank fold is a mask instead of a 64-bit modulo.
     bank_mask: Option<u64>,
-    /// Row-hit latency, resolved from Table 2's nanoseconds once at
-    /// construction so the per-access path does no ns→cycle conversions.
-    hit_lat: Cycle,
-    /// Clean row-miss latency (row buffer empty or clean).
-    clean_miss_lat: Cycle,
-    /// Dirty row-miss latency; equals the plain miss latency for DRAM,
-    /// which has no writeback asymmetry.
-    dirty_miss_lat: Cycle,
 }
 
 impl Device {
@@ -142,7 +221,12 @@ impl Device {
             DeviceKind::Nvm => (NVM_ROW_HIT_NS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS),
         };
         Self {
-            kind,
+            timing: Timing {
+                kind,
+                hit_lat: Cycle::from_ns(hit_ns),
+                clean_miss_lat: Cycle::from_ns(clean_miss_ns),
+                dirty_miss_lat: Cycle::from_ns(dirty_miss_ns),
+            },
             geometry,
             banks: vec![Bank::default(); geometry.total_banks() as usize],
             stats: DeviceStats::default(),
@@ -157,15 +241,12 @@ impl Device {
                 .total_banks()
                 .is_power_of_two()
                 .then(|| u64::from(geometry.total_banks()) - 1),
-            hit_lat: Cycle::from_ns(hit_ns),
-            clean_miss_lat: Cycle::from_ns(clean_miss_ns),
-            dirty_miss_lat: Cycle::from_ns(dirty_miss_ns),
         }
     }
 
     /// The device technology.
     pub fn kind(&self) -> DeviceKind {
-        self.kind
+        self.timing.kind
     }
 
     /// The device geometry.
@@ -195,19 +276,6 @@ impl Device {
         (bank, row)
     }
 
-    /// Latency of the row activation for this access, given bank state.
-    /// DRAM's dirty-miss latency equals its clean-miss latency, so the
-    /// dirty branch is technology-agnostic here.
-    fn row_latency(&self, bank: &Bank, row: u64) -> (Cycle, bool) {
-        if bank.open_row == Some(row) {
-            (self.hit_lat, true)
-        } else if bank.row_dirty && bank.open_row.is_some() {
-            (self.dirty_miss_lat, false)
-        } else {
-            (self.clean_miss_lat, false)
-        }
-    }
-
     /// Services one access of `bytes` bytes starting at `addr`, arriving at
     /// `now`. Returns the completion cycle.
     ///
@@ -221,7 +289,9 @@ impl Device {
     pub fn access(&mut self, addr: HwAddr, kind: AccessKind, bytes: u32, now: Cycle) -> Cycle {
         assert!(bytes > 0, "device access must move at least one byte");
         let (bank, row) = self.map(addr);
-        self.access_row(bank, row, kind, bytes, now)
+        let done = self.timing.step(&mut self.banks[bank], &mut self.stats, row, kind, bytes, now);
+        self.note_wear(row, kind, 1);
+        done
     }
 
     /// Services `[addr, addr + bytes)` as one access per 64 B block it
@@ -241,71 +311,31 @@ impl Device {
     ) {
         assert!(bytes > 0, "device access must move at least one byte");
         let (mut at, end) = (addr.raw(), addr.raw() + u64::from(bytes));
-        let (mut bank, mut row) = self.map(addr);
-        let mut row_end = (row + 1) * self.geometry.row_bytes;
+        // The row's bank and the statistics stay in locals across the
+        // row's blocks, so `done` cannot make the compiler reload them.
+        let mut stats = std::mem::take(&mut self.stats);
         while at < end {
-            if at >= row_end {
-                (bank, row) = self.map(HwAddr::new(at));
-                row_end = (row + 1) * self.geometry.row_bytes;
+            let (b, row) = self.map(HwAddr::new(at));
+            let row_end = (row + 1) * self.geometry.row_bytes;
+            let (mut bank, mut blocks) = (self.banks[b], 0);
+            while at < end.min(row_end) {
+                let chunk = (BLOCK_BYTES - at % BLOCK_BYTES).min(end - at);
+                done(self.timing.step(&mut bank, &mut stats, row, kind, chunk as u32, now));
+                at += chunk;
+                blocks += 1;
             }
-            let chunk = (BLOCK_BYTES - at % BLOCK_BYTES).min(end - at);
-            done(self.access_row(bank, row, kind, chunk as u32, now));
-            at += chunk;
+            self.banks[b] = bank;
+            self.note_wear(row, kind, blocks);
         }
+        self.stats = stats;
     }
 
-    /// The timing step [`Device::access`] and [`Device::access_blocks`]
-    /// share: one access of `bytes` to `row`, which lives in bank
-    /// `bank_idx`. Returns the completion cycle.
-    fn access_row(&mut self, bank_idx: usize, row: u64, kind: AccessKind, bytes: u32, now: Cycle) -> Cycle {
-        let (row_lat, hit) = self.row_latency(&self.banks[bank_idx], row);
-        let hit_lat = self.hit_lat;
-
-        let bursts = u64::from(bytes).div_ceil(64);
-        let transfer = Cycle::from_ns(BURST_NS * bursts);
-        let bank = &mut self.banks[bank_idx];
-        let start = now.max(bank.busy_until);
-        // Completion: latency of the first word + pipelined rest.
-        let done = start + row_lat + Cycle::from_ns(BURST_NS * bursts.saturating_sub(1));
-        // Occupancy: activation (miss only) + transfer.
-        let occupancy = if hit { transfer } else { (row_lat - hit_lat) + transfer };
-
-        // Update bank state.
-        let was_dirty = bank.row_dirty;
-        if !hit {
-            bank.open_row = Some(row);
-            bank.row_dirty = false;
+    /// Counts `n` writes to `row` for [`Device::wear`]: NVM only, since
+    /// DRAM cells do not wear out.
+    fn note_wear(&mut self, row: u64, kind: AccessKind, n: u64) {
+        if kind.is_write() && self.timing.kind == DeviceKind::Nvm {
+            *self.row_writes.entry(row).or_insert(0) += n;
         }
-        if kind.is_write() {
-            bank.row_dirty = true;
-        }
-        bank.busy_until = start + occupancy;
-
-        // Update stats.
-        if hit {
-            self.stats.row_hits += 1;
-        } else {
-            self.stats.row_misses += 1;
-            if self.kind == DeviceKind::Nvm && was_dirty {
-                self.stats.dirty_row_misses += 1;
-            }
-        }
-        match kind {
-            AccessKind::Read => {
-                self.stats.reads += 1;
-                self.stats.read_bytes += u64::from(bytes);
-            }
-            AccessKind::Write => {
-                self.stats.writes += 1;
-                self.stats.write_bytes += u64::from(bytes);
-                if self.kind == DeviceKind::Nvm {
-                    *self.row_writes.entry(row).or_insert(0) += 1;
-                }
-            }
-        }
-        self.stats.busy_cycles += occupancy;
-
-        done
     }
 
     /// The earliest cycle at which every bank is idle — i.e. the completion
