@@ -1690,32 +1690,29 @@ impl ThyNvm {
     /// 64 B block, each pushed to the DRAM write queue, and marks the page
     /// dirty. Returns the cycle the issuer may resume, or `None`, touching
     /// nothing, when the PTT does not hold the page.
+    ///
+    /// An NVM-placed working copy only takes single blocks here
+    /// ([`Self::access_run`] writes whole runs to a DRAM working region
+    /// only), written by [`Self::working_write`].
     fn write_to_page(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Option<Cycle> {
         let entry = self.ptt.get_mut(addr.page())?;
         entry.dirty = true;
         let slot = entry.slot;
         let off = self.page_working_offset(slot, addr);
-        let blocks = Self::blocks_touched(addr, bytes);
+        if self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Nvm {
+            debug_assert_eq!(Self::blocks_touched(addr, bytes), 1, "an NVM working copy is written per block");
+            let done = self.working_write(off, bytes, now);
+            return Some(self.dram_wq.push(done, now));
+        }
         let mut resume = now;
         let push = |done| resume = resume.max(self.dram_wq.push(done, now));
-        match self.cfg.thynvm.working_region {
-            thynvm_types::WorkingRegion::Dram => {
-                self.dram.access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
-                self.stats.dram_writes += blocks;
-                self.stats.dram_write_bytes += u64::from(bytes);
-                // Each whole-block rewrite re-encodes its ECC word (see
-                // `working_write`); a partial first or last block does not.
-                if let Some(ecc) = self.dram_fault.as_mut() {
-                    self.stats.dram.poison_overwritten += ecc.note_write(off, bytes) as u64;
-                }
-            }
-            thynvm_types::WorkingRegion::Nvm => {
-                // Straight to the device, as in `working_write`.
-                let hw = HwAddr::new(Self::NVM_WORKING_BASE + off);
-                self.nvm.access_blocks(hw, AccessKind::Write, bytes, now, push);
-                self.stats.nvm_writes += blocks;
-                self.stats.nvm_write_bytes_cpu += u64::from(bytes);
-            }
+        self.dram.access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
+        self.stats.dram_writes += Self::blocks_touched(addr, bytes);
+        self.stats.dram_write_bytes += u64::from(bytes);
+        // Each whole-block rewrite re-encodes its ECC word (see
+        // `working_write`); a partial first or last block does not.
+        if let Some(ecc) = self.dram_fault.as_mut() {
+            self.stats.dram.poison_overwritten += ecc.note_write(off, bytes) as u64;
         }
         Some(resume)
     }
