@@ -1691,22 +1691,27 @@ impl ThyNvm {
     /// dirty. Returns the cycle the issuer may resume, or `None`, touching
     /// nothing, when the PTT does not hold the page.
     ///
-    /// An NVM-placed working copy only takes single blocks here
-    /// ([`Self::access_run`] writes whole runs to a DRAM working region
-    /// only), written by [`Self::working_write`].
+    /// An NVM-placed working copy only gets single blocks here, since
+    /// [`Self::access_run`] writes whole runs to a DRAM working region
+    /// only; each goes through [`Self::working_write`].
     fn write_to_page(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Option<Cycle> {
         let entry = self.ptt.get_mut(addr.page())?;
         entry.dirty = true;
         let slot = entry.slot;
         let off = self.page_working_offset(slot, addr);
         if self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Nvm {
-            debug_assert_eq!(Self::blocks_touched(addr, bytes), 1, "an NVM working copy is written per block");
+            debug_assert_eq!(
+                Self::blocks_touched(addr, bytes),
+                1,
+                "an NVM working copy is written per block"
+            );
             let done = self.working_write(off, bytes, now);
             return Some(self.dram_wq.push(done, now));
         }
         let mut resume = now;
         let push = |done| resume = resume.max(self.dram_wq.push(done, now));
-        self.dram.access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
+        self.dram
+            .access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
         self.stats.dram_writes += Self::blocks_touched(addr, bytes);
         self.stats.dram_write_bytes += u64::from(bytes);
         // Each whole-block rewrite re-encodes its ECC word (see
