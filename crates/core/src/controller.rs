@@ -49,9 +49,9 @@ use thynvm_mem::{
     SparseStore, WpqCrashReport, WpqKind, WriteQueue,
 };
 use thynvm_types::{
-    AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, FxHashSet,
-    HealthRung, HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr,
-    RecoveryStep, RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES,
+    AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, HealthRung,
+    HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr, RecoveryStep,
+    RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES,
     TABLE_LOOKUP_NS,
 };
 
@@ -267,32 +267,18 @@ impl Checkpoint {
     }
 }
 
-/// Data captured while checkpointing a page (target region chosen when the
-/// job was scheduled).
-#[derive(Debug, Clone, Copy)]
-struct PendingPage {
-    target: Region,
-}
-
-/// What power loss wipes: controller state that lives only in SRAM and
-/// DRAM. [`ThyNvm::new`] builds it, and a crash replaces it whole before
+/// What power loss wipes besides the checkpoint job in flight: the
+/// per-epoch counters and the input block, which live only in controller
+/// SRAM. [`ThyNvm::new`] builds it, and a crash replaces it whole before
 /// recovery starts, so recovery only ever sees rebooted state and no
-/// field here can outlive a crash by being left off a reset list.
+/// field here can outlive a crash by being left off a reset list. The job
+/// owns what it captured and goes with `EpochState::job`.
 #[derive(Debug)]
 struct Volatile {
-    /// `visible` as the in-flight checkpoint's final round captured it;
-    /// it becomes `C_last` when the job retires. `None` while no job is in
-    /// flight, and during an intermediate round, which captures nothing.
-    ckpting: Option<SparseStore>,
-    /// Pages captured by the in-flight job, with their target regions.
-    pending_pages: FxHashMap<PageIndex, PendingPage>,
     /// Counts snapshotted at checkpoint start, applied at job retirement.
     pending_switch_counts: FxHashMap<PageIndex, u32>,
     /// Per-epoch page-granularity store counts driving scheme switching.
     page_store_counts: FxHashMap<PageIndex, u32>,
-    /// Rung captured when the in-flight checkpoint's health record
-    /// persisted; it becomes `C_last`'s at job retirement.
-    pending_health_rung: Option<HealthRung>,
     /// Blocks that gained a working copy this epoch (BTT pressure gauge:
     /// the epoch ends early when this approaches the BTT budget).
     epoch_dirty_blocks: usize,
@@ -305,11 +291,8 @@ struct Volatile {
 impl Volatile {
     fn new() -> Self {
         Self {
-            ckpting: None,
-            pending_pages: FxHashMap::default(),
             pending_switch_counts: FxHashMap::default(),
             page_store_counts: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
-            pending_health_rung: None,
             epoch_dirty_blocks: 0,
             input_blocked_until: Cycle::ZERO,
         }
@@ -835,7 +818,7 @@ impl ThyNvm {
     /// the value its 64 B health record carries. Rotates into
     /// [`Self::clast_health_rung`] when the job retires.
     pub fn pending_health_rung(&self) -> Option<HealthRung> {
-        self.volatile.pending_health_rung
+        self.epoch.job.as_ref().and_then(|j| j.rung)
     }
 
     /// Pages allocated across the functional stores (visible + in-flight
@@ -845,8 +828,9 @@ impl ThyNvm {
     /// the simulator's footprint stays proportional to the touched working
     /// set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
+        let captured = self.epoch.job.as_ref().and_then(|j| j.image.as_ref());
         self.visible.allocated_pages()
-            + self.volatile.ckpting.as_ref().map_or(0, SparseStore::allocated_pages)
+            + captured.map_or(0, SparseStore::allocated_pages)
             + self.history.iter().map(|c| c.store.allocated_pages()).sum::<usize>()
     }
 
@@ -958,7 +942,8 @@ impl ThyNvm {
     // lint: recovery-path
     fn quarantine_rollback(&mut self, base: u64, len: u64) {
         let mut img = vec![0u8; len as usize];
-        let last = self.volatile.ckpting.as_ref().unwrap_or(&self.clast().store);
+        let captured = self.epoch.job.as_ref().and_then(|j| j.image.as_ref());
+        let last = captured.unwrap_or(&self.clast().store);
         last.read(HwAddr::new(base), &mut img);
         self.visible.write(HwAddr::new(base), &img);
     }
@@ -1402,6 +1387,30 @@ impl ThyNvm {
         self.commit_job(job);
     }
 
+    /// Blocks at `t` until the checkpoint job running then completes, and
+    /// retires it: every wait on the job (a stall, a stop-the-world round,
+    /// a drain) goes through here. Power fails mid-wait when an armed crash
+    /// point falls before the job's `done_at`: returns `Err` with the cycle
+    /// the rebooted system resumes. Otherwise returns the cycle the wait
+    /// ends, `t` itself when no job runs at `t`.
+    fn wait_for_job(&mut self, t: Cycle) -> Result<Cycle, Cycle> {
+        let mut end = t;
+        if let Some(done) = self.epoch.job.as_ref().map(|j| j.done_at).filter(|&d| d > t) {
+            if self.crash_before(done) {
+                return Err(self.trigger_crash());
+            }
+            end = done;
+        }
+        self.retire_job_if_done(end);
+        Ok(end)
+    }
+
+    /// Whether `page` is frozen at `now`: a job is running and writing the
+    /// page back (its PTT entry holds a `pending` region).
+    fn page_frozen(&self, page: PageIndex, now: Cycle) -> bool {
+        self.epoch.job_running(now) && self.ptt.get(page).is_some_and(|e| e.pending.is_some())
+    }
+
     /// Commits a *taken* checkpoint job: pushes its record onto the
     /// checkpoint history, rotates block/page versions, and applies
     /// deferred scheme switches. Shared by normal retirement and by the
@@ -1416,7 +1425,7 @@ impl ThyNvm {
         // round captured nothing, so committing it leaves `C_last`'s
         // contents as they were.
         let last = self.history.back().expect("invariant: checkpoint 0 is never trimmed");
-        let store = self.volatile.ckpting.take().unwrap_or_else(|| last.store.clone());
+        let store = job.image.unwrap_or_else(|| last.store.clone());
 
         // Authenticate the new image under the modeled key. The MAC is a
         // sum of per-page terms, so only the pages the capture does not
@@ -1432,37 +1441,26 @@ impl ThyNvm {
 
         // The commit record carries the rung its health record persisted;
         // with the ladder off there is none, and `C_last`'s stands.
-        let rung = self.volatile.pending_health_rung.take().unwrap_or(last.rung);
+        let rung = job.rung.unwrap_or(last.rung);
         self.history.push_back(Checkpoint { number: self.epoch.completed, store, mac, rung });
         self.trim_history();
 
         // Rotate block versions (iteration order does not affect timing
         // here; the merge lists are sorted before their DRAM writes below).
         let mut merge_blocks: Vec<(BlockIndex, u32)> = Vec::new();
-        let mut drop_blocks: Vec<BlockIndex> = Vec::new();
         let mut newly_quiescent: Vec<BlockIndex> = Vec::new();
         for (block, entry) in self.btt.iter_mut() {
-            if let Some(loc) = entry.pending.take() {
-                let region = match loc {
-                    WactiveLoc::Nvm(r) => r,
-                    // Buffered copies were drained to NVM at capture time;
-                    // `pending` only ever holds NVM locations.
-                    WactiveLoc::DramBuffered { slot } => {
-                        debug_assert!(false, "buffered slot {slot} captured un-drained");
-                        Region::A
-                    }
-                };
+            if let Some(region) = entry.pending.take() {
                 entry.clast_region = Some(region);
                 if entry.wactive.is_none() {
                     newly_quiescent.push(block);
                 }
             }
-            if entry.is_quiescent() && self.volatile.pending_pages.contains_key(&block.page()) {
+            if entry.is_quiescent() {
                 // Cooperation block for a page under page writeback: the
                 // page's DRAM copy absorbs it (one DRAM write), entry freed.
-                if let Some(pe) = self.ptt.get(block.page()) {
+                if let Some(pe) = self.ptt.get(block.page()).filter(|pe| pe.pending.is_some()) {
                     merge_blocks.push((block, pe.slot));
-                    drop_blocks.push(block);
                 }
             }
         }
@@ -1473,6 +1471,7 @@ impl ThyNvm {
         }
         merge_blocks.sort_unstable_by_key(|(b, _)| *b);
         for (block, slot) in merge_blocks {
+            self.btt.remove(block);
             let hw = self
                 .space
                 .working_page(slot)
@@ -1480,16 +1479,10 @@ impl ThyNvm {
             let off = self.space.working_offset(hw);
             self.working_write(off, BLOCK_BYTES as u32, retire_at);
         }
-        for block in drop_blocks {
-            self.btt.remove(block);
-        }
 
-        // Rotate page versions and thaw.
-        for (page, pending) in std::mem::take(&mut self.volatile.pending_pages) {
-            if let Some(entry) = self.ptt.get_mut(page) {
-                entry.clast_region = Some(pending.target);
-                entry.frozen = false;
-            }
+        // Rotate page versions, which thaws the pages.
+        for (_, entry) in self.ptt.iter_mut() {
+            entry.clast_region = entry.pending.take().or(entry.clast_region);
         }
 
         // Deferred scheme switching (§3.4), now that the system is quiescent.
@@ -1594,7 +1587,7 @@ impl ThyNvm {
             .iter()
             .filter(|(page, e)| {
                 !e.dirty
-                    && !e.frozen
+                    && e.pending.is_none()
                     && counts.get(page).copied().unwrap_or(0) <= demote
             })
             .map(|(page, _)| page)
@@ -1619,7 +1612,7 @@ impl ThyNvm {
             let victim = self
                 .ptt
                 .iter()
-                .filter(|(_, e)| !e.dirty && !e.frozen)
+                .filter(|(_, e)| !e.dirty && e.pending.is_none())
                 .map(|(p, _)| p)
                 .min();
             if let Some(victim) = victim {
@@ -1740,7 +1733,8 @@ impl ThyNvm {
     fn read_from_page(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Option<Cycle> {
         let page = addr.page();
         let entry = self.ptt.get(page)?;
-        let (slot, dirty, frozen, clast) = (entry.slot, entry.dirty, entry.frozen, entry.clast_region);
+        let (slot, dirty, durable) =
+            (entry.slot, entry.dirty, entry.pending.or(entry.clast_region));
         let off = self.page_working_offset(slot, addr);
         if self.quiet_dram_reads() {
             let mut done = now;
@@ -1766,15 +1760,13 @@ impl ThyNvm {
             return Some(self.quarantine_page(page, done));
         }
         // Clean (or frozen-and-captured) page: the block's exact bytes
-        // sit intact in NVM — re-fetch them and heal the DRAM copy.
+        // sit intact in NVM, in the region the running job writes the page
+        // to or else in `C_last`'s — re-fetch them and heal the DRAM copy.
         let block = addr.block();
         let in_page = block.slot_in_page() * BLOCK_BYTES;
-        let src = match self.volatile.pending_pages.get(&page) {
-            Some(p) if frozen => self.space.checkpoint_page(p.target, page).offset(in_page),
-            _ => match clast {
-                Some(r) => self.space.checkpoint_page(r, page).offset(in_page),
-                None => self.space.home(block.base_addr()),
-            },
+        let src = match durable {
+            Some(r) => self.space.checkpoint_page(r, page).offset(in_page),
+            None => self.space.home(block.base_addr()),
         };
         Some(self.dram_refetch_block(block, off, src, done))
     }
@@ -1783,21 +1775,25 @@ impl ThyNvm {
     // Store / load paths
     // ------------------------------------------------------------------
 
+    /// The §4.3 overflow rule, run before `block` takes its BTT entry with
+    /// [`Btt::force_insert`]: a full table first reclaims committed
+    /// entries; only when none can be replaced is the early epoch end
+    /// flagged and the spill past capacity counted (bounded by one platform
+    /// event).
+    fn btt_make_room(&mut self, block: BlockIndex, now: Cycle) {
+        if self.btt.entry_or_insert(block).is_none() && self.reclaim_quiescent(now, 64) == 0 {
+            if self.epoch.overflow_pending {
+                self.record(now, EventKind::Error(Error::TableFull { table: "BTT" }));
+            }
+            self.epoch.overflow_pending = true;
+            self.btt_spills += 1;
+        }
+    }
+
     /// Allocates (or reuses) a DRAM buffer slot for a cooperation /
     /// unsafe-`C_penult` block write and performs the DRAM write.
     fn buffered_block_write(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
-        if self.btt.entry_or_insert(block).is_none() {
-            // Overflow during cooperation: reclaim committed entries first;
-            // if nothing is reclaimable, flag an early epoch end and spill
-            // (bounded by one platform event).
-            if self.reclaim_quiescent(now, 64) == 0 {
-                if self.epoch.overflow_pending {
-                    self.record(now, EventKind::Error(Error::TableFull { table: "BTT" }));
-                }
-                self.epoch.overflow_pending = true;
-                self.btt_spills += 1;
-            }
-        }
+        self.btt_make_room(block, now);
         let entry = self.btt.force_insert(block);
         let slot = match entry.wactive {
             Some(WactiveLoc::DramBuffered { slot }) => slot,
@@ -1826,19 +1822,17 @@ impl ThyNvm {
 
         // PTT hit: page writeback scheme.
         if self.ptt.get(page).is_some() {
-            if self.epoch.page_frozen(page, now) {
+            if self.page_frozen(page, now) {
                 if self.cfg.thynvm.mode == CkptMode::PageOnly {
                     // No block scheme to absorb the write: the store blocks
                     // the controller until the page's writeback completes —
                     // the Table 1 quadrant-❹ pain the dual scheme removes.
-                    let done = self.epoch.job.as_ref().expect("frozen implies job").done_at;
-                    // Power fails while the store waits.
-                    if self.crash_before(done) {
-                        return self.trigger_crash().max(now);
-                    }
+                    let done = match self.wait_for_job(now) {
+                        Ok(done) => done,
+                        Err(resume) => return resume.max(now),
+                    };
                     self.stats.ckpt_stall_cycles += done.saturating_sub(now);
                     self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
-                    self.retire_job_if_done(done);
                     let at = block.base_addr();
                     return self.write_to_page(at, bytes, done).expect("PageOnly never demotes");
                 }
@@ -1865,23 +1859,8 @@ impl ThyNvm {
             // `C_penult` unsafe to overwrite: buffer in DRAM (§4.1).
             return self.buffered_block_write(block, bytes, now);
         }
-        let entry = match self.btt.entry_or_insert(block) {
-            Some(e) => e,
-            None => {
-                // §4.3: replace a committed entry if possible; only when no
-                // entry can be replaced does the epoch end early.
-                if self.reclaim_quiescent(now, 64) == 0 {
-                    if self.epoch.overflow_pending {
-                        self.record(now, EventKind::Error(Error::TableFull { table: "BTT" }));
-                    }
-                    self.epoch.overflow_pending = true;
-                    self.btt_spills += 1;
-                    self.btt.force_insert(block)
-                } else {
-                    self.btt.entry_or_insert(block).expect("space reclaimed")
-                }
-            }
-        };
+        self.btt_make_room(block, now);
+        let entry = self.btt.force_insert(block);
         let mut newly_dirty = false;
         let region = match entry.wactive {
             Some(WactiveLoc::Nvm(r)) => r, // coalesce in place
@@ -1933,7 +1912,7 @@ impl ThyNvm {
             return done;
         }
         if let Some(entry) = self.btt.get(block) {
-            let loc = entry.wactive.or(entry.pending);
+            let loc = entry.wactive.or(entry.pending.map(WactiveLoc::Nvm));
             match loc {
                 Some(WactiveLoc::DramBuffered { slot }) => {
                     let hw = self.space.working_block(slot, self.ptt.capacity());
@@ -1946,13 +1925,9 @@ impl ThyNvm {
                     // quarantine the block, then serve the rolled-back
                     // bytes from its surviving checkpointed copy.
                     let done = self.quarantine_buffered_block(block, off, done);
-                    let entry = self.btt.get(block);
-                    let src = match entry.and_then(|e| e.pending) {
-                        Some(WactiveLoc::Nvm(r)) => self.space.checkpoint_block(r, block),
-                        _ => match entry.and_then(|e| e.clast_region) {
-                            Some(r) => self.space.checkpoint_block(r, block),
-                            None => self.space.home(block.base_addr()),
-                        },
+                    let src = match self.btt.get(block).and_then(|e| e.pending.or(e.clast_region)) {
+                        Some(r) => self.space.checkpoint_block(r, block),
+                        None => self.space.home(block.base_addr()),
                     };
                     return self.nvm_data_read(block, src, bytes, done);
                 }
@@ -1988,7 +1963,7 @@ impl ThyNvm {
         if blocks > 1
             && write
             && self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Dram
-            && !self.epoch.page_frozen(page, t)
+            && !self.page_frozen(page, t)
         {
             if let Some(done) = self.write_to_page(addr, bytes, t) {
                 *self.volatile.page_store_counts.entry(page).or_insert(0) += blocks as u32;
@@ -2018,6 +1993,15 @@ impl ThyNvm {
     // ------------------------------------------------------------------
     // Checkpointing (Figure 6b)
     // ------------------------------------------------------------------
+
+    /// Whether the active epoch ends at `now` on the epoch timer, a table
+    /// overflow, or BTT pressure: ~90 % of the block budget carries working
+    /// copies, leaving headroom for the checkpoint-time cache flush. The
+    /// health ladder's emergency timer is the one other cause.
+    fn epoch_end_due(&self, now: Cycle) -> bool {
+        self.epoch.due(now, self.cfg.thynvm.epoch_max())
+            || self.volatile.epoch_dirty_blocks * 10 >= self.btt.capacity() * 9
+    }
 
     // ------------------------------------------------------------------
     // §6 extensions: explicit persistence and bug tolerance
@@ -2754,7 +2738,7 @@ impl ThyNvm {
             .iter_mut()
             .map(|(p, e)| {
                 e.dirty = false;
-                e.frozen = false;
+                e.pending = None;
                 (p, e.slot, e.clast_region)
             })
             .collect();
@@ -2805,13 +2789,8 @@ impl MemorySystem for ThyNvm {
     }
 
     fn checkpoint_due(&self, now: Cycle) -> bool {
-        // Epoch timer / overflow flag, or BTT pressure: end the epoch once
-        // ~90 % of the block budget carries working copies, leaving
-        // headroom for the checkpoint-time cache flush. A Wounded (or
-        // worse) health rung adds the emergency-early timer.
-        self.epoch.due(now, self.cfg.thynvm.epoch_max())
-            || self.volatile.epoch_dirty_blocks * 10 >= self.btt.capacity() * 9
-            || self.emergency_epoch_due(now)
+        // A Wounded (or worse) health rung adds the emergency-early timer.
+        self.epoch_end_due(now) || self.emergency_epoch_due(now)
     }
 
     fn begin_checkpoint(&mut self, now: Cycle, flushed: &[PhysAddr]) -> Cycle {
@@ -2821,27 +2800,17 @@ impl MemorySystem for ThyNvm {
         }
         // The Wounded emergency timer — and nothing else — demanded this
         // checkpoint: count it so the posture's cost is observable.
-        if self.emergency_epoch_due(now)
-            && !self.epoch.due(now, self.cfg.thynvm.epoch_max())
-            && self.volatile.epoch_dirty_blocks * 10 < self.btt.capacity() * 9
-        {
+        if self.emergency_epoch_due(now) && !self.epoch_end_due(now) {
             self.stats.health.emergency_checkpoints += 1;
         }
-        self.retire_job_if_done(now);
 
         // If the previous checkpoint is still running, the new epoch cannot
         // start its own checkpointing phase yet: stall (Figure 3b).
-        let mut t = now;
-        if self.epoch.job_running(t) {
-            let done = self.epoch.job.as_ref().expect("running").done_at;
-            // Power fails while stalled waiting for the in-flight job.
-            if self.crash_before(done) {
-                return self.trigger_crash().max(now);
-            }
-            self.stats.ckpt_stall_cycles += done - t;
-            t = done;
-            self.retire_job_if_done(t);
-        }
+        let mut t = match self.wait_for_job(now) {
+            Ok(t) => t,
+            Err(resume) => return resume.max(now),
+        };
+        self.stats.ckpt_stall_cycles += t - now;
 
         // Snapshot store counters for deferred scheme switching, then age
         // them by halving. The paper zeroes counters each 10 ms epoch;
@@ -2878,17 +2847,25 @@ impl MemorySystem for ThyNvm {
                 flush_done = flush_done.max(done);
                 i += 1;
             } else {
+                // An intermediate round blocks the processor until it
+                // completes, and power can fail mid-round.
                 t = self.checkpoint_round(t, flush_done, false);
-                // An intermediate round that outlives the armed crash point
-                // never completes: power fails mid-round.
-                if self.crash_before(t) {
-                    return self.trigger_crash().max(now);
-                }
+                t = match self.wait_for_job(t) {
+                    Ok(t) => t,
+                    Err(resume) => return resume.max(now),
+                };
                 flush_done = flush_done.max(t);
             }
         }
 
-        let resume = self.checkpoint_round(t, flush_done, true);
+        let mut resume = self.checkpoint_round(t, flush_done, true);
+        if !self.cfg.thynvm.overlap {
+            // Stop-the-world: the processor waits for the round to complete.
+            resume = match self.wait_for_job(resume) {
+                Ok(t) => t,
+                Err(resume) => return resume.max(now),
+            };
+        }
         self.stats.ckpt_stall_cycles += resume.saturating_sub(now);
         resume
     }
@@ -2898,16 +2875,10 @@ impl MemorySystem for ThyNvm {
         if let Some(resume) = self.poll_crash(now) {
             return resume.max(now);
         }
-        let mut t = now;
-        if self.epoch.job_running(t) {
-            let done = self.epoch.job.as_ref().expect("running").done_at;
-            // Power fails while waiting for the in-flight job.
-            if self.crash_before(done) {
-                return self.trigger_crash().max(now);
-            }
-            t = done;
-        }
-        self.retire_job_if_done(t);
+        let mut t = match self.wait_for_job(now) {
+            Ok(t) => t,
+            Err(resume) => return resume.max(now),
+        };
         if self.has_uncheckpointed_writes() {
             let crashes_before = self.stats.crashes_injected;
             t = self.begin_checkpoint(t, &[]);
@@ -2915,14 +2886,10 @@ impl MemorySystem for ThyNvm {
                 // The crash fired inside the checkpoint; `t` is the resume.
                 return t.max(now);
             }
-            if self.epoch.job_running(t) {
-                let done = self.epoch.job.as_ref().expect("running").done_at;
-                if self.crash_before(done) {
-                    return self.trigger_crash().max(now);
-                }
-                t = done;
-            }
-            self.retire_job_if_done(t);
+            t = match self.wait_for_job(t) {
+                Ok(t) => t,
+                Err(resume) => return resume.max(now),
+            };
         }
         t.max(self.nvm.idle_at()).max(self.dram.idle_at())
     }
@@ -2945,9 +2912,10 @@ impl ThyNvm {
     /// One checkpoint round: the Figure 6(b) sequence. `data_ready` is when
     /// the epoch's initiated cache writebacks complete — the metadata
     /// persist must not start earlier. `final_round` captures the visible
-    /// image and honors the overlap setting; intermediate
-    /// rounds (metadata/timing only) always block until the round completes
-    /// and is retired. Returns the processor-resume cycle.
+    /// image; intermediate rounds persist metadata and timing only. Starts
+    /// the round's job and returns the cycle the processor may resume once
+    /// the CPU state persisted; the caller waits for the job when the round
+    /// does not overlap execution.
     fn checkpoint_round(&mut self, t: Cycle, data_ready: Cycle, final_round: bool) -> Cycle {
         let ckpt_start = t;
 
@@ -3013,18 +2981,17 @@ impl ThyNvm {
         self.charge_crc(btt_bytes);
 
         // Capture block versions: working copies in NVM become pending
-        // checkpoints (no data movement, §3.2).
+        // checkpoints (no data movement, §3.2). Phase 1 drained every
+        // buffered copy to NVM or quarantined it.
         for (_, entry) in self.btt.iter_mut() {
-            if let Some(loc) = entry.wactive.take() {
-                debug_assert!(matches!(loc, WactiveLoc::Nvm(_)), "buffers drained above");
-                entry.pending = Some(loc);
+            if let Some(WactiveLoc::Nvm(region)) = entry.wactive.take() {
+                entry.pending = Some(region);
             }
         }
         self.volatile.epoch_dirty_blocks = 0;
 
         // (3) Write dirty pages back to the alternate checkpoint region.
         let dirty_pages = self.ptt.dirty_pages();
-        let mut frozen = FxHashSet::with_capacity_and_hasher(dirty_pages.len(), Default::default());
         let mut phase3_done = btt_done;
         for page in dirty_pages {
             let slot = self.ptt.get(page).expect("dirty page listed").slot;
@@ -3042,15 +3009,13 @@ impl ThyNvm {
             let entry = self.ptt.get_mut(page).expect("dirty page listed");
             let target = entry.clast_region.map_or(Region::A, Region::other);
             entry.dirty = false;
-            entry.frozen = true;
+            entry.pending = Some(target);
             let dst = self.remapped(self.space.checkpoint_page(target, page));
             let write_done = self.nvm_write(dst, PAGE_BYTES as u32, read_done, NvmWriteClass::Checkpoint);
             self.charge_crc(PAGE_BYTES); // per-64 B data CRCs for the page
             let resume = self.wpq_push(dst, read_done, write_done, WpqKind::Data);
             writeback_done.push(write_done);
             phase3_done = phase3_done.max(write_done).max(resume);
-            self.volatile.pending_pages.insert(page, PendingPage { target });
-            frozen.insert(page);
         }
 
         // (4) Checkpoint the PTT, flush the NVM write queue, set the
@@ -3095,11 +3060,12 @@ impl ThyNvm {
         // just before the commit record, riding the same discipline — a
         // crash before the commit flag leaves the previous epoch's sealed
         // rung in effect, exactly like every other piece of metadata.
-        if let Some(rung) = self.health_mon.as_ref().map(HealthMonitor::rung) {
+        let mut rung = None;
+        if let Some(r) = self.health_mon.as_ref().map(HealthMonitor::rung) {
             bg = self.persist_record(self.space.health_record(), 64, bg, NvmWriteClass::Checkpoint);
             self.charge_crc(64);
             self.stats.health.rung_persists += 1;
-            self.volatile.pending_health_rung = Some(rung);
+            rung = Some(r);
         }
 
         // §4.4: everything the commit record covers — data, metadata,
@@ -3112,15 +3078,6 @@ impl ThyNvm {
         self.stats.record_nvm_write(1, NvmWriteClass::Checkpoint);
         self.charge_crc(64); // checksummed commit record
         self.wpq_push_marker(self.space.backup(0), commit_start, bg);
-
-        // Functional capture: the ending epoch's image is now "being
-        // checkpointed"; it commits when the job retires. Intermediate
-        // rounds persist metadata only — a crash among them rolls back to
-        // the previous full epoch boundary (conservative, see DESIGN.md).
-        debug_assert!(self.volatile.ckpting.is_none(), "previous job retired above");
-        if final_round {
-            self.volatile.ckpting = Some(self.visible.clone());
-        }
 
         self.stats.ckpt_busy_cycles += bg - ckpt_start;
         self.stats.epochs_completed += 1; // checkpoints taken
@@ -3137,17 +3094,16 @@ impl ThyNvm {
             btt_at: btt_done,
             pages_at: phase3_done,
             writeback_done,
-            frozen_pages: frozen,
+            // Functional capture: the ending epoch's image is now "being
+            // checkpointed"; it commits when the job retires. Intermediate
+            // rounds persist metadata only — a crash among them rolls back
+            // to the previous full epoch boundary (conservative, see
+            // DESIGN.md).
+            image: final_round.then(|| self.visible.clone()),
+            rung,
         };
         self.epoch.start_job(job, t);
-
-        if final_round && self.cfg.thynvm.overlap {
-            resume_after_flush.max(t)
-        } else {
-            // Stop-the-world: wait for the round to complete and retire it.
-            self.retire_job_if_done(bg);
-            bg
-        }
+        resume_after_flush
     }
 }
 
@@ -3363,13 +3319,79 @@ mod tests {
         sys.access(&MemRequest::write(PhysAddr::new(0), 64), t); // dirty it
         let resume = sys.force_checkpoint(t + Cycle::new(100));
         // Page is frozen while the job writes it back.
-        assert!(sys.epoch_state().page_frozen(PageIndex::new(0), resume));
+        assert!(sys.page_frozen(PageIndex::new(0), resume));
         let nvm_before = sys.stats().nvm_write_bytes_total();
         sys.access(&MemRequest::write(PhysAddr::new(64), 64), resume);
         // Cooperation: absorbed in DRAM, no NVM write, no stall on the page.
         assert_eq!(sys.stats().nvm_write_bytes_total(), nvm_before);
         let entry = sys.btt().get(BlockIndex::new(1)).expect("cooperation entry");
         assert!(matches!(entry.wactive, Some(WactiveLoc::DramBuffered { .. })));
+    }
+
+    #[test]
+    fn a_captured_page_is_frozen_until_its_job_completes() {
+        let mut sys = small();
+        let mut now = Cycle::ZERO;
+        for i in 0..30u64 {
+            now = sys.access(&MemRequest::write(PhysAddr::new((i % 64) * 64), 64), now);
+        }
+        let mut t = sys.drain(now); // page 0 promoted and checkpointed
+        let clast = sys.ptt().get(PageIndex::new(0)).expect("promoted").clast_region;
+        // Keep the page hot, so the retirement below does not demote it.
+        for i in 0..30u64 {
+            t = sys.access(&MemRequest::write(PhysAddr::new((i % 64) * 64), 64), t);
+        }
+        let resume = sys.force_checkpoint(t + Cycle::new(100));
+        let done = sys.epoch_state().job.as_ref().expect("overlapped job").done_at;
+        let target = clast.map_or(Region::A, Region::other);
+        assert_eq!(sys.ptt().get(PageIndex::new(0)).expect("resident").pending, Some(target));
+        assert!(sys.page_frozen(PageIndex::new(0), resume));
+        assert!(sys.page_frozen(PageIndex::new(0), done - Cycle::new(1)));
+        assert!(!sys.page_frozen(PageIndex::new(1), resume), "page 1 is not resident");
+        // At `done_at` the page thaws although the job has not retired yet.
+        assert!(!sys.page_frozen(PageIndex::new(0), done));
+        assert!(sys.epoch_state().job.is_some(), "not retired");
+        sys.access(&MemRequest::read(PhysAddr::new(0), 64), done);
+        let entry = sys.ptt().get(PageIndex::new(0)).expect("resident");
+        assert_eq!((entry.pending, entry.clast_region), (None, Some(target)), "retired");
+    }
+
+    #[test]
+    fn a_no_overlap_checkpoint_fires_a_crash_point_it_waits_past() {
+        // Stop-the-world: the final round blocks the processor until the
+        // job completes, so an armed point inside the job fires mid-wait,
+        // like in every other wait on a job.
+        let run = |crash_at: Option<Cycle>| {
+            let mut cfg = SystemConfig::small_test();
+            cfg.thynvm.overlap = false;
+            let mut sys = ThyNvm::new(cfg);
+            let t = sys.store_bytes(PhysAddr::new(0), &[7; 64], Cycle::ZERO);
+            let t = sys.drain(t);
+            let t = sys.store_bytes(PhysAddr::new(0), &[9; 64], t);
+            if let Some(at) = crash_at {
+                sys.arm_crash_point(at);
+            }
+            let stall_before = sys.stats().ckpt_stall_cycles;
+            let resume = sys.force_checkpoint(t);
+            (sys, t, resume, stall_before)
+        };
+        let (mut sys, t, done, _) = run(None);
+        assert!(crashes(&mut sys).is_empty());
+        assert!(!sys.epoch_state().job_running(done), "the call returns at completion");
+
+        // Arm a point halfway through the wait.
+        let at = Cycle::new((t.raw() + done.raw()) / 2);
+        let (mut sys, _, resume, stall_before) = run(Some(at));
+        let crash = crashes(&mut sys).pop().expect("the crash fires inside the wait");
+        assert_eq!(crash.event.cycle, at);
+        assert!(crash.report.rolled_back_incomplete);
+        assert_eq!(resume, crash.resume_at);
+        assert_eq!(resume, at + crash.report.recovery_cycles, "the crash point plus recovery");
+        assert_eq!(sys.armed_crash_point(), None);
+        assert_eq!(sys.stats().ckpt_stall_cycles, stall_before, "no stall for the aborted wait");
+        let mut buf = [0u8; 64];
+        sys.load_bytes(PhysAddr::new(0), &mut buf, resume);
+        assert_eq!(buf, [7; 64], "the load sees the recovered image");
     }
 
     #[test]

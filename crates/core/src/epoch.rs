@@ -7,9 +7,11 @@
 //! checkpointing phase until epoch *N*'s has completed — when both are due,
 //! the processor stalls (the Figure 3(b) corner case).
 
-use thynvm_types::{CkptPhase, Cycle, FxHashSet, PageIndex};
+use thynvm_mem::SparseStore;
+use thynvm_types::{CkptPhase, Cycle, HealthRung};
 
-/// An in-flight checkpointing phase.
+/// An in-flight checkpointing phase. It owns what its final round
+/// captured, so a crash that drops the job drops the capture with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptJob {
     /// Epoch being checkpointed.
@@ -34,8 +36,13 @@ pub struct CkptJob {
     /// (buffered block drains and page writebacks), for in-flight counts at
     /// an arbitrary crash cycle.
     pub writeback_done: Vec<Cycle>,
-    /// Pages whose DRAM copies are frozen while this job writes them back.
-    pub frozen_pages: FxHashSet<PageIndex>,
+    /// The visible image the final round captured; it becomes `C_last`
+    /// when the job commits. `None` for an intermediate round, which
+    /// captures nothing.
+    pub(crate) image: Option<SparseStore>,
+    /// The rung the job's health record persisted, when the ladder is on;
+    /// it becomes `C_last`'s when the job commits.
+    pub(crate) rung: Option<HealthRung>,
 }
 
 impl CkptJob {
@@ -130,13 +137,6 @@ impl EpochState {
         self.epoch_start = now;
         self.overflow_pending = false;
     }
-
-    /// Whether `page` is frozen by the in-flight job at `now`.
-    pub fn page_frozen(&self, page: PageIndex, now: Cycle) -> bool {
-        self.job
-            .as_ref()
-            .is_some_and(|j| !j.is_done(now) && j.frozen_pages.contains(&page))
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +155,8 @@ mod tests {
             btt_at: Cycle::new(started + span / 2),
             pages_at: Cycle::new(started + 3 * span / 4),
             writeback_done: Vec::new(),
-            frozen_pages: FxHashSet::default(),
+            image: None,
+            rung: None,
         }
     }
 
@@ -201,17 +202,6 @@ mod tests {
     fn job_for_wrong_epoch_rejected() {
         let mut s = EpochState::new();
         s.start_job(job(3, 0, 100), Cycle::ZERO);
-    }
-
-    #[test]
-    fn frozen_pages_thaw_when_job_completes() {
-        let mut s = EpochState::new();
-        let mut j = job(0, 0, 100);
-        j.frozen_pages.insert(PageIndex::new(5));
-        s.start_job(j, Cycle::ZERO);
-        assert!(s.page_frozen(PageIndex::new(5), Cycle::new(50)));
-        assert!(!s.page_frozen(PageIndex::new(6), Cycle::new(50)));
-        assert!(!s.page_frozen(PageIndex::new(5), Cycle::new(100)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Both tables map physical block/page indices to the location of the
 //! software-visible working copy and record which checkpoint region holds
-//! `C_last`. The store counts that drive §4.2's scheme switching are kept
+//! `C_last` and which one the running checkpoint writes (`pending`). The store counts that drive §4.2's scheme switching are kept
 //! per page by the controller, not in the entries.
 //!
 //! The tables are the *hardware budget* of the design: entry counts are
@@ -41,9 +41,10 @@ pub struct BttEntry {
     /// Region holding the last checkpoint copy, if one exists. `None` means
     /// the only committed copy is the Home Region original.
     pub clast_region: Option<Region>,
-    /// Working copy captured by the in-flight checkpoint job (it becomes
-    /// `C_last` when the job completes).
-    pub pending: Option<WactiveLoc>,
+    /// Region the running checkpoint job captured the working copy in (it
+    /// becomes `C_last` when the job completes). Buffered copies drain to
+    /// NVM before the capture, so this is always an NVM region.
+    pub pending: Option<Region>,
 }
 
 impl BttEntry {
@@ -270,10 +271,11 @@ pub struct PttEntry {
     pub dirty: bool,
     /// Region holding the page's last checkpoint copy, if any.
     pub clast_region: Option<Region>,
-    /// Whether the in-flight checkpoint job is writing this page back;
-    /// while `true` the DRAM copy is frozen and incoming writes are
-    /// absorbed by block remapping (§3.4).
-    pub frozen: bool,
+    /// Region the running checkpoint job writes this page back to (it
+    /// becomes `clast_region` when the job completes). While the job runs
+    /// the DRAM copy is frozen and incoming writes are absorbed by block
+    /// remapping (§3.4).
+    pub pending: Option<Region>,
 }
 
 /// The Page Translation Table.
@@ -364,7 +366,7 @@ impl Ptt {
         };
         self.entries.insert(
             page,
-            PttEntry { slot, dirty: false, clast_region: None, frozen: false },
+            PttEntry { slot, dirty: false, clast_region: None, pending: None },
         );
         self.peak = self.peak.max(self.entries.len());
         Some(slot)
