@@ -21,6 +21,70 @@ fn write_back_to_memory(victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
     }
 }
 
+/// Writes a dirty victim of L1 back into `l2`, cascading L2's dirty victim
+/// into `l3`. A full fill, since L2 may still hold the block.
+fn write_back_to_l2(
+    l2: &mut SetAssocCache,
+    l3: &mut SetAssocCache,
+    victim: Option<Eviction>,
+    out: &mut Vec<PhysAddr>,
+) {
+    if let Some(ev) = victim.filter(|ev| ev.dirty) {
+        let l2_victim = l2.fill(ev.addr, true);
+        write_back_to_l3(l3, l2_victim, out);
+    }
+}
+
+/// Writes a dirty victim of L2 back into `l3` (a full fill, as above);
+/// L3's dirty victim goes to main memory.
+fn write_back_to_l3(l3: &mut SetAssocCache, victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
+    if let Some(ev) = victim.filter(|ev| ev.dirty) {
+        write_back_to_memory(l3.fill(ev.addr, true), out);
+    }
+}
+
+/// One access of `addr` through the levels `[l1, l2, l3]`: the walk both
+/// [`CacheHierarchy::access`] and the multi-core platform (private L1/L2,
+/// shared L3) take. `kind` decides whether the block is dirtied. Issuing
+/// the returned fetch and writebacks to memory is the caller's.
+///
+/// Each level's set is scanned once: a level that misses hands back the
+/// way the block will take there, and the fill installs into it without
+/// scanning again. That way stays right because evictions only cascade
+/// downward, so between a level's lookup and its install only the levels
+/// below it change. Hence L2 is installed before L1: L1's dirty victim
+/// could otherwise take the way remembered for L2.
+pub(crate) fn walk(
+    [l1, l2, l3]: [&mut SetAssocCache; 3],
+    addr: PhysAddr,
+    kind: AccessKind,
+) -> HierarchyOutcome {
+    let is_write = kind.is_write();
+    let block = block_of(addr);
+    let mut out = HierarchyOutcome::default();
+
+    let Err(l1_way) = l1.access_block(block, is_write) else {
+        out.latency_cycles = L1_HIT_CYCLES;
+        return out;
+    };
+    match l2.access_block(block, false) {
+        Ok(()) => out.latency_cycles = L2_HIT_CYCLES,
+        Err(l2_way) => {
+            out.latency_cycles = L3_HIT_CYCLES;
+            if let Err(l3_way) = l3.access_block(block, false) {
+                // Miss everywhere: fetch from memory and install in all levels.
+                out.fetch = Some(addr.block_aligned());
+                write_back_to_memory(l3.install(l3_way, block, false), &mut out.writebacks);
+            }
+            let victim = l2.install(l2_way, block, false);
+            write_back_to_l3(l3, victim, &mut out.writebacks);
+        }
+    }
+    let victim = l1.install(l1_way, block, is_write);
+    write_back_to_l2(l2, l3, victim, &mut out.writebacks);
+    out
+}
+
 /// Result of one hierarchy lookup.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyOutcome {
@@ -60,56 +124,10 @@ impl CacheHierarchy {
         &self.config
     }
 
-    /// Writes a dirty victim of L1 back into L2, cascading L2's dirty
-    /// victim down. A full fill, since L2 may still hold the block.
-    fn write_back_to_l2(&mut self, victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
-        if let Some(ev) = victim.filter(|ev| ev.dirty) {
-            let l2_victim = self.l2.fill(ev.addr, true);
-            self.write_back_to_l3(l2_victim, out);
-        }
-    }
-
-    /// Writes a dirty victim of L2 back into L3 (a full fill, as above);
-    /// L3's dirty victim goes to main memory.
-    fn write_back_to_l3(&mut self, victim: Option<Eviction>, out: &mut Vec<PhysAddr>) {
-        if let Some(ev) = victim.filter(|ev| ev.dirty) {
-            write_back_to_memory(self.l3.fill(ev.addr, true), out);
-        }
-    }
-
     /// Performs one access. `kind` decides whether the block is dirtied.
-    ///
-    /// Each level's set is scanned once: a level that misses hands back the
-    /// way the block will take there, and the fill installs into it without
-    /// scanning again. That way stays right because evictions only cascade
-    /// downward, so between a level's lookup and its install only the
-    /// levels below it change. Hence L2 is installed before L1: L1's dirty
-    /// victim could otherwise take the way remembered for L2.
+    /// Each level's set is scanned once.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> HierarchyOutcome {
-        let is_write = kind.is_write();
-        let block = block_of(addr);
-        let mut out = HierarchyOutcome::default();
-
-        let Err(l1_way) = self.l1.access_block(block, is_write) else {
-            out.latency_cycles = L1_HIT_CYCLES;
-            return out;
-        };
-        match self.l2.access_block(block, false) {
-            Ok(()) => out.latency_cycles = L2_HIT_CYCLES,
-            Err(l2_way) => {
-                out.latency_cycles = L3_HIT_CYCLES;
-                if let Err(l3_way) = self.l3.access_block(block, false) {
-                    // Miss everywhere: fetch from memory and install in all levels.
-                    out.fetch = Some(addr.block_aligned());
-                    write_back_to_memory(self.l3.install(l3_way, block, false), &mut out.writebacks);
-                }
-                let victim = self.l2.install(l2_way, block, false);
-                self.write_back_to_l3(victim, &mut out.writebacks);
-            }
-        }
-        let victim = self.l1.install(l1_way, block, is_write);
-        self.write_back_to_l2(victim, &mut out.writebacks);
-        out
+        walk([&mut self.l1, &mut self.l2, &mut self.l3], addr, kind)
     }
 
     /// Cleans every dirty block in every level without invalidation

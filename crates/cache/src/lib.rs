@@ -17,6 +17,9 @@
 //!   there without a second scan.
 //! * [`core::CoreModel`] — an in-order core that executes a memory trace,
 //!   stalling on memory, and reports instructions-per-cycle (Figure 11).
+//! * [`multicore::MulticorePlatform`] — in-order cores with private L1/L2
+//!   and a shared L3 in front of one memory system; each access takes the
+//!   hierarchy's scan-once walk over the core's levels and the shared L3.
 //!
 //! The hierarchy also implements the hardware data flush of §4.4: cleaning
 //! all dirty blocks *without invalidating them* (like Intel `CLWB`), used at

@@ -15,13 +15,11 @@
 //! dirty set is handed to [`MemorySystem::begin_checkpoint`], and every
 //! core resumes at the controller's resume cycle.
 
-use thynvm_types::{
-    CacheConfig, Cycle, MemRequest, MemorySystem, TraceEvent, L1_HIT_CYCLES, L2_HIT_CYCLES,
-    L3_HIT_CYCLES,
-};
+use thynvm_types::{CacheConfig, Cycle, MemRequest, MemorySystem, TraceEvent};
 
 use crate::cache::SetAssocCache;
 use crate::core::CoreStats;
+use crate::hierarchy::walk;
 
 /// Per-core private state.
 #[derive(Debug)]
@@ -107,8 +105,10 @@ impl MulticorePlatform {
         self.flushes
     }
 
-    /// Executes one memory access for core `ci`, returning writebacks to
-    /// memory.
+    /// Executes one memory access for core `ci`. Each block takes the
+    /// hierarchy's walk over the core's L1/L2 and the shared L3. A fetch
+    /// blocks the in-order core; the writebacks are posted after it, at
+    /// its completion, in the walk's order.
     fn access(&mut self, ci: usize, event: &TraceEvent, mem: &mut dyn MemorySystem) {
         let core = &mut self.cores[ci];
         core.now += Cycle::new(u64::from(event.gap));
@@ -116,66 +116,15 @@ impl MulticorePlatform {
         core.stats.mem_accesses += 1;
 
         for block in event.req.blocks_touched() {
-            let is_write = event.req.kind.is_write();
-            let core = &mut self.cores[ci];
-
-            // L1.
-            if core.l1.access(block, is_write) {
-                core.now += Cycle::new(L1_HIT_CYCLES);
-                continue;
+            let out = walk([&mut core.l1, &mut core.l2, &mut self.l3], block, event.req.kind);
+            core.now += Cycle::new(out.latency_cycles);
+            if let Some(addr) = out.fetch {
+                let done = mem.access(&MemRequest::read(addr, 64), core.now);
+                core.stats.mem_stall_cycles += done.saturating_sub(core.now);
+                core.now = done;
             }
-            // L2.
-            let l2_hit = core.l2.access(block, false);
-            if l2_hit {
-                core.now += Cycle::new(L2_HIT_CYCLES);
-            } else {
-                // L3 (shared).
-                let l3_hit = self.l3.access(block, false);
-                let core = &mut self.cores[ci];
-                core.now += Cycle::new(L3_HIT_CYCLES);
-                if !l3_hit {
-                    // Fetch from memory; the in-order core blocks.
-                    let issue = core.now;
-                    let done = mem.access(&MemRequest::read(block, 64), issue);
-                    let core = &mut self.cores[ci];
-                    core.stats.mem_stall_cycles += done.saturating_sub(issue);
-                    core.now = done;
-                    // Install into L3; dirty victims go to memory.
-                    if let Some(ev) = self.l3.fill(block, false) {
-                        if ev.dirty {
-                            let now = self.cores[ci].now;
-                            mem.access(&MemRequest::write(ev.addr, 64), now);
-                        }
-                    }
-                }
-                // Install into L2; dirty victims go to L3.
-                let core = &mut self.cores[ci];
-                if let Some(ev) = core.l2.fill(block, false) {
-                    if ev.dirty {
-                        if let Some(l3ev) = self.l3.fill(ev.addr, true) {
-                            if l3ev.dirty {
-                                let now = self.cores[ci].now;
-                                mem.access(&MemRequest::write(l3ev.addr, 64), now);
-                            }
-                        }
-                    }
-                }
-            }
-            // Install into L1; dirty victims go to L2 (cascading).
-            let core = &mut self.cores[ci];
-            if let Some(ev) = core.l1.fill(block, is_write) {
-                if ev.dirty {
-                    if let Some(l2ev) = core.l2.fill(ev.addr, true) {
-                        if l2ev.dirty {
-                            if let Some(l3ev) = self.l3.fill(l2ev.addr, true) {
-                                if l3ev.dirty {
-                                    let now = self.cores[ci].now;
-                                    mem.access(&MemRequest::write(l3ev.addr, 64), now);
-                                }
-                            }
-                        }
-                    }
-                }
+            for wb in out.writebacks {
+                mem.access(&MemRequest::write(wb, 64), core.now);
             }
         }
     }
@@ -253,10 +202,13 @@ mod tests {
     use super::*;
     use thynvm_types::{AccessKind, MemStats, PhysAddr, SystemConfig};
 
+    /// Serves every request in 100 cycles and records it with its issue
+    /// cycle.
     #[derive(Debug, Default)]
     struct FixedMem {
         stats: MemStats,
         flushed: Vec<usize>,
+        requests: Vec<(AccessKind, PhysAddr, Cycle)>,
     }
 
     impl MemorySystem for FixedMem {
@@ -265,6 +217,7 @@ mod tests {
                 AccessKind::Read => self.stats.reads += 1,
                 AccessKind::Write => self.stats.writes += 1,
             }
+            self.requests.push((req.kind, req.addr, now));
             now + Cycle::new(100)
         }
         fn begin_checkpoint(&mut self, now: Cycle, flushed: &[PhysAddr]) -> Cycle {
@@ -403,6 +356,35 @@ mod tests {
             mem.stats.reads < 300,
             "shared L3 should absorb the second core's fetches: {}",
             mem.stats.reads
+        );
+    }
+
+    #[test]
+    fn a_full_miss_fetches_first_and_writes_back_when_the_fetch_returns() {
+        // One line per level. Block 0 is written, then pushed down to L3
+        // dirty by reads of blocks 1 and 2; the read of block 3 misses
+        // everywhere and evicts it from L3.
+        let one_line =
+            CacheConfig { l1_bytes: 64, l1_ways: 1, l2_bytes: 64, l2_ways: 1, l3_bytes: 64, l3_ways: 1 };
+        let mut p = MulticorePlatform::new(one_line, 1);
+        let mut mem = FixedMem::default();
+        let block = |b: u64| PhysAddr::new(b * 64);
+        let mut trace = vec![TraceEvent::new(0, MemRequest::write(block(0), 64))];
+        trace.extend((1..4).map(|b| TraceEvent::new(0, MemRequest::read(block(b), 64))));
+        p.run(vec![trace], &mut mem);
+        // Each fetch leaves after the 28-cycle L3 latency and returns 100
+        // cycles later; block 0's writeback goes out at block 3's return.
+        // `CoreModel` posts a writeback before its fetch instead.
+        use AccessKind::{Read, Write};
+        assert_eq!(
+            mem.requests,
+            [
+                (Read, block(0), Cycle::new(28)),
+                (Read, block(1), Cycle::new(156)),
+                (Read, block(2), Cycle::new(284)),
+                (Read, block(3), Cycle::new(412)),
+                (Write, block(0), Cycle::new(512)),
+            ]
         );
     }
 

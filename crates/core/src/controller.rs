@@ -51,8 +51,7 @@ use thynvm_mem::{
 use thynvm_types::{
     AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, HealthRung,
     HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr, RecoveryStep,
-    RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES,
-    TABLE_LOOKUP_NS,
+    RetryPolicy, SystemConfig, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES, TABLE_LOOKUP_NS,
 };
 
 use crate::epoch::{CkptJob, EpochState};
@@ -363,7 +362,8 @@ pub struct ThyNvm {
     fault: Option<FaultModel>,
     /// Persistent bad-block table: device block base → spare slot. Blocks
     /// listed here have been permanently remapped away from worn-out cells;
-    /// the table survives crashes (it is persisted NVM metadata).
+    /// the table survives crashes (it is persisted NVM metadata). Slots are
+    /// handed out in order, so its length is the number of spares used.
     bad_blocks: FxHashMap<u64, u64>,
     /// Retired scheme-switch snapshot, recycled into the next epoch's
     /// `pending_switch_counts` so the per-epoch snapshot reuses one
@@ -372,8 +372,6 @@ pub struct ThyNvm {
     /// Reused victim buffer for [`Self::reclaim_quiescent`], so the
     /// overflow path does not allocate on every table-pressure event.
     reclaim_scratch: Vec<BlockIndex>,
-    /// Next spare block slot to hand out.
-    next_spare_slot: u64,
     /// A corruption detected on the current read but *not* healed (no
     /// integrity checking): `(physical byte, XOR mask)` to apply to the
     /// delivered buffer.
@@ -443,11 +441,10 @@ impl ThyNvm {
             fault: cfg
                 .media
                 .enabled
-                .then(|| FaultModel::new(&cfg.media, cfg.nvm_geometry.row_bytes)),
+                .then(|| FaultModel::new(&cfg.media)),
             bad_blocks: FxHashMap::default(),
             switch_scratch: FxHashMap::default(),
             reclaim_scratch: Vec::new(),
-            next_spare_slot: 0,
             pending_corruption: None,
             injected_media: Vec::new(),
             wal_seq: 0,
@@ -584,16 +581,14 @@ impl ThyNvm {
     /// Power fails at the *end* of the armed cycle, so a request entering
     /// exactly at it is still serviced; the crash fires strictly after.
     pub fn poll_crash(&mut self, now: Cycle) -> Option<Cycle> {
-        let at = *self.crash_points.first()?;
-        if now <= at {
-            return None;
-        }
-        Some(self.trigger_crash())
+        self.crash_before(now).then(|| self.trigger_crash())
     }
 
     /// Whether the earliest queued crash point fires strictly before cycle
-    /// `t` — used where the controller is about to block until `t` (a
-    /// checkpoint stall, a drain): power fails mid-wait.
+    /// `t`. Power fails at the end of the armed cycle, so this is the one
+    /// statement of the crash boundary: a request entering at `t`, a job
+    /// completing at `t`, a wait until `t` and a recovery step ending at
+    /// `t` are each cut off exactly when it holds.
     fn crash_before(&self, t: Cycle) -> bool {
         self.crash_points.first().is_some_and(|&at| at < t)
     }
@@ -843,7 +838,7 @@ impl ThyNvm {
                 .count() as u64
         });
         HealthSignals {
-            spares_used: self.next_spare_slot,
+            spares_used: self.bad_blocks.len() as u64,
             spares_total: self.cfg.media.spare_blocks,
             retries_total: self.stats.media.retries,
             refetches_total: self.stats.dram.refetch_retries + self.stats.dram.corrected_flips,
@@ -1116,23 +1111,26 @@ impl ThyNvm {
     }
 
     /// Resolves the bad-block indirection: accesses to a remapped block go
-    /// to its spare location instead of the worn-out original.
-    fn remapped(&self, hw: HwAddr) -> HwAddr {
+    /// to its spare location instead of the worn-out original. A spare that
+    /// wore out is remapped in turn, so the lookup follows the chain to its
+    /// last spare; a remap of the resolved block then always keys a block
+    /// the table does not hold yet.
+    fn remapped(&self, mut hw: HwAddr) -> HwAddr {
         if self.bad_blocks.is_empty() {
             return hw;
         }
-        let base = hw.raw() & !(BLOCK_BYTES - 1);
-        match self.bad_blocks.get(&base) {
-            Some(&slot) => self.space.spare_block(slot).offset(hw.raw() - base),
-            None => hw,
+        let offset = hw.raw() % BLOCK_BYTES;
+        while let Some(&slot) = self.bad_blocks.get(&(hw.raw() - offset)) {
+            hw = self.space.spare_block(slot).offset(offset);
         }
+        hw
     }
 
     /// Whether the spare-block pool has been fully consumed: no further
     /// bad-block remaps are possible and the device can no longer heal
     /// itself (reads are still served through bounded CRC retries).
     pub fn spares_exhausted(&self) -> bool {
-        self.next_spare_slot >= self.cfg.media.spare_blocks
+        self.bad_blocks.len() as u64 >= self.cfg.media.spare_blocks
     }
 
     /// Remaps the block at device address `base` to a fresh spare slot: the
@@ -1160,8 +1158,7 @@ impl ThyNvm {
         self.wal_seq += 1;
         let t = self.persist_record(wal, 64, now, NvmWriteClass::Migration);
         self.charge_crc(64);
-        let slot = self.next_spare_slot;
-        self.next_spare_slot += 1;
+        let slot = self.bad_blocks.len() as u64;
         self.bad_blocks.insert(base, slot);
         let dst = self.space.spare_block(slot);
         let payload_at = self.nvm_write(dst, BLOCK_BYTES as u32, t, NvmWriteClass::Migration);
@@ -1373,13 +1370,11 @@ impl ThyNvm {
     /// `C_last`), pages thaw, cooperation blocks merge, and deferred
     /// scheme switches apply.
     fn retire_job_if_done(&mut self, now: Cycle) {
-        // A job whose completion lies at or beyond an armed crash point can
-        // never commit: power fails first. Leaving it in place lets the
-        // crash trigger find it and roll it back (`C_penult`).
-        if let (Some(&at), Some(job)) = (self.crash_points.first(), self.epoch.job.as_ref()) {
-            if job.done_at > at {
-                return;
-            }
+        // A job completing after an armed crash point can never commit:
+        // power fails first. Leaving it in place lets the crash trigger
+        // find it and roll it back (`C_penult`).
+        if self.epoch.job.as_ref().is_some_and(|job| self.crash_before(job.done_at)) {
+            return;
         }
         let Some(job) = self.epoch.take_finished_job(now) else {
             return;
@@ -2007,18 +2002,6 @@ impl ThyNvm {
     // §6 extensions: explicit persistence and bug tolerance
     // ------------------------------------------------------------------
 
-    /// Explicit persistence trigger (§6: "persistence of data can also be
-    /// explicitly triggered by the program via a new instruction added to
-    /// the ISA that forces ThyNVM to end an epoch"). Equivalent to an
-    /// epoch boundary: everything stored before the barrier is captured by
-    /// the checkpoint this starts and becomes durable when it completes.
-    ///
-    /// Returns the cycle at which execution resumes; use
-    /// [`MemorySystem::drain`] to wait for full durability.
-    pub fn persist_barrier(&mut self, now: Cycle) -> Cycle {
-        self.begin_checkpoint(now, &[])
-    }
-
     /// Configures the periodic persistence guarantee (§6: "such a system
     /// is only allowed to lose data updates that happened in the last
     /// *n* ms, where *n* is configurable").
@@ -2100,9 +2083,16 @@ impl ThyNvm {
         Ok(self.crash_and_recover(now))
     }
 
-    /// Ends the active epoch immediately (test/benchmark helper; the
+    /// Ends the active epoch immediately: the explicit persistence trigger
+    /// of §6 ("persistence of data can also be explicitly triggered by the
+    /// program via a new instruction added to the ISA that forces ThyNVM to
+    /// end an epoch"). Everything stored before it is captured by the
+    /// checkpoint this starts and becomes durable when that completes. The
     /// platform normally calls [`MemorySystem::begin_checkpoint`] after the
-    /// processor flush). Returns the cycle at which execution may resume.
+    /// processor flush instead.
+    ///
+    /// Returns the cycle at which execution resumes; use
+    /// [`MemorySystem::drain`] to wait for full durability.
     pub fn force_checkpoint(&mut self, now: Cycle) -> Cycle {
         self.begin_checkpoint(now, &[])
     }
@@ -2188,17 +2178,13 @@ impl ThyNvm {
             Some(resume) => resume.max(now),
             None => now,
         };
-        self.visible.read(thynvm_types::HwAddr::new(addr.raw()), buf);
         self.pending_corruption = None;
-        let q0 = self.stats.dram.quarantine_dropped_bytes;
         let req = MemRequest::read(addr, u32::try_from(buf.len()).expect("read too large"));
         let done = self.access(&req, now);
-        // A poisoned range was quarantined while servicing this load: the
-        // visible image just rolled back, so the bytes captured above are
-        // stale — deliver the rolled-back contents instead.
-        if self.stats.dram.quarantine_dropped_bytes != q0 {
-            self.visible.read(thynvm_types::HwAddr::new(addr.raw()), buf);
-        }
+        // Read the image the request was served from: a crash point the
+        // request was held back past, or a poisoned range quarantined while
+        // servicing it, has already rolled it back.
+        self.visible.read(thynvm_types::HwAddr::new(addr.raw()), buf);
         // Without integrity protection an undetected media fault reaches
         // software: deliver the corrupted byte, not the stored one.
         if let Some((paddr, mask)) = self.pending_corruption.take() {
@@ -2429,7 +2415,6 @@ impl ThyNvm {
             for (base, sealed) in remaps.into_iter().rev() {
                 if sealed > at {
                     self.bad_blocks.remove(&base);
-                    self.next_spare_slot -= 1;
                     self.stats.media.wal_redos += 1;
                     v.wal_redos += 1;
                 }
@@ -2443,13 +2428,10 @@ impl ThyNvm {
     /// point is consumed, a nested crash is journaled against `step`, and
     /// the attempt aborts.
     fn recovery_interrupt(&mut self, step: RecoveryStep, t_end: Cycle, v: Verdict) -> Result<(), Cycle> {
-        let Some(&at) = self.crash_points.first() else {
-            return Ok(());
-        };
-        if t_end <= at {
+        if !self.crash_before(t_end) {
             return Ok(());
         }
-        self.crash_points.remove(0);
+        let at = self.crash_points.remove(0);
         let event = self.crash_event(at, (CkptPhase::Execution, 0), Some(step), v);
         self.record(at, EventKind::NestedCrash(event));
         Err(at)
@@ -3127,24 +3109,6 @@ impl thynvm_types::PersistentMemory for ThyNvm {
     }
 }
 
-impl ThyNvm {
-    /// Convenience driver used by tests: runs trace events directly against
-    /// the controller (no caches), honoring the checkpoint handshake.
-    pub fn run_raw_trace<I>(&mut self, events: I, mut now: Cycle) -> Cycle
-    where
-        I: IntoIterator<Item = TraceEvent>,
-    {
-        for e in events {
-            now += Cycle::new(u64::from(e.gap));
-            now = self.access(&e.req, now);
-            if self.checkpoint_due(now) {
-                now = self.begin_checkpoint(now, &[]);
-            }
-        }
-        self.drain(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3577,11 +3541,18 @@ mod tests {
 
     #[test]
     fn run_raw_trace_completes_and_checkpoints() {
+        // Trace events straight into the controller (no caches), honoring
+        // the checkpoint handshake.
         let mut sys = small();
-        let events: Vec<TraceEvent> = (0..200u64)
-            .map(|i| TraceEvent::new(10, MemRequest::write(PhysAddr::new((i * 64) % 8192), 64)))
-            .collect();
-        let end = sys.run_raw_trace(events, Cycle::ZERO);
+        let mut now = Cycle::ZERO;
+        for i in 0..200u64 {
+            let req = MemRequest::write(PhysAddr::new((i * 64) % 8192), 64);
+            now = sys.access(&req, now + Cycle::new(10));
+            if sys.checkpoint_due(now) {
+                now = sys.begin_checkpoint(now, &[]);
+            }
+        }
+        let end = sys.drain(now);
         assert!(end > Cycle::ZERO);
         assert!(sys.stats().epochs_completed >= 1);
         assert!(!sys.has_uncheckpointed_writes());
@@ -3648,7 +3619,7 @@ mod tests {
     fn persist_barrier_makes_preceding_stores_durable() {
         let mut sys = small();
         let t = sys.store_bytes(PhysAddr::new(0), b"before", Cycle::ZERO);
-        let t = sys.persist_barrier(t);
+        let t = sys.force_checkpoint(t);
         let t = sys.drain(t);
         let t2 = sys.store_bytes(PhysAddr::new(64), b"after!", t);
         let _ = sys.crash_and_recover(t2);
@@ -4293,6 +4264,34 @@ mod tests {
     }
 
     #[test]
+    fn a_load_held_back_past_a_crash_point_returns_the_recovered_image() {
+        // A PageOnly store to a frozen page holds every later request back
+        // until the job completes. A crash point inside that hold-back
+        // fires when the next load starts: the load must see the recovered
+        // image, not the bytes visible when it was issued.
+        let mut cfg = SystemConfig::small_test();
+        cfg.thynvm.mode = CkptMode::PageOnly;
+        let mut sys = ThyNvm::new(cfg);
+        let t = sys.store_bytes(PhysAddr::new(0), &[1; 64], Cycle::ZERO);
+        let t = sys.force_checkpoint(t);
+        let t = sys.drain(t);
+        let t = sys.store_bytes(PhysAddr::new(0), &[2; 64], t);
+        sys.force_checkpoint(t);
+        let job = sys.epoch_state().job.as_ref().expect("job in flight");
+        let (start, done_at) = (job.started, job.done_at);
+        let acked = sys.store_bytes(PhysAddr::new(0), &[3; 64], start + Cycle::new(10));
+        assert!(acked >= done_at, "the store waits out the frozen page");
+        // Later than every issue cycle so far, earlier than the hold-back.
+        sys.arm_crash_point(start + Cycle::new(110));
+        let mut buf = [0u8; 64];
+        sys.load_bytes(PhysAddr::new(0), &mut buf, start + Cycle::new(11));
+        assert_eq!(crashes(&mut sys).len(), 1, "power fails before the load is served");
+        assert_eq!(buf, [2; 64], "the load returns the recovered image");
+        sys.load_bytes(PhysAddr::new(0), &mut buf, acked);
+        assert_eq!(buf, [2; 64]);
+    }
+
+    #[test]
     fn disarm_prevents_the_crash() {
         let mut sys = small();
         sys.arm_crash_point(Cycle::new(5));
@@ -4457,6 +4456,31 @@ mod tests {
             matches!(errs[..], [Error::MediaCorruption { kind: FaultKind::BitFlip, .. }]),
             "got {errs:?}"
         );
+    }
+
+    #[test]
+    fn a_worn_out_spare_is_remapped_once_and_reads_follow_the_chain() {
+        // The remapped block's stores wear out its spare too. The spare is
+        // remapped like any other block, once: later loads follow the chain
+        // to the second spare and read clean, with no further retries.
+        let mut sys = ThyNvm::new(media_cfg(|m| {
+            m.stuck_at_threshold = 2;
+            m.scrub = false;
+        }));
+        let (mut t, mut buf) = (Cycle::ZERO, [0u8; 64]);
+        for _ in 0..4 {
+            t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], t);
+            t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], t);
+            t = sys.load_bytes(PhysAddr::new(0), &mut buf, t);
+            assert_eq!(buf, [7u8; 64]);
+        }
+        let m = sys.stats().media;
+        assert_eq!((m.stuck_faults, m.remaps, m.retries), (2, 2, 6));
+        // One slot per block the table keys, handed out in order.
+        let mut slots: Vec<u64> = sys.bad_blocks.values().copied().collect();
+        slots.sort_unstable();
+        assert_eq!(slots, [0, 1]);
+        assert_eq!(sys.health_signals().spares_used, 2);
     }
 
     #[test]

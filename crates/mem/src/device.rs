@@ -1,6 +1,6 @@
 //! Banked memory-device timing model.
 //!
-//! Each device (DRAM or NVM) consists of `channels × banks_per_channel`
+//! Each device (DRAM or NVM) consists of `channels × BANKS_PER_CHANNEL`
 //! banks. Every bank owns a row buffer: an access to the currently open row
 //! is a *row hit*; anything else is a *row miss*, which for NVM is more
 //! expensive when the evicted row buffer is dirty, because the old row must
@@ -14,12 +14,28 @@
 
 use thynvm_types::{
     AccessKind, Cycle, DeviceGeometry, FxHashMap, HwAddr, BLOCK_BYTES, DRAM_ROW_HIT_NS,
-    DRAM_ROW_MISS_NS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS,
+    DRAM_ROW_MISS_NS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS, ROW_BYTES,
 };
 
 /// Additional data-transfer time per extra 64 B burst, in nanoseconds
 /// (DDR3-1600: 8 beats × 0.625 ns ≈ 5 ns per 64 B burst).
 pub const BURST_NS: u64 = 5;
+
+/// Maps an address to `(bank index, row id)` on a device of `banks` banks.
+///
+/// Rows are interleaved across banks so that consecutive rows live in
+/// different banks (row-interleaving), while accesses within one row
+/// stay in one bank and enjoy row-buffer locality. [`Device`],
+/// [`crate::PersistBuffer`] and [`crate::FaultModel`]'s per-row wear all
+/// fold through here, so writes to one line share a bank and a row in
+/// each. [`ROW_BYTES`] is a power of two, so the row is a shift; a
+/// power-of-two bank count folds with a mask instead of a 64-bit modulo.
+pub(crate) fn bank_and_row(addr: HwAddr, banks: usize) -> (usize, u64) {
+    let row = addr.raw() / ROW_BYTES;
+    let banks = banks as u64;
+    let bank = if banks.is_power_of_two() { row & (banks - 1) } else { row % banks };
+    (bank as usize, row)
+}
 
 /// Which technology a [`Device`] models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,18 +208,11 @@ pub struct WearStats {
 #[derive(Debug, Clone)]
 pub struct Device {
     timing: Timing,
-    geometry: DeviceGeometry,
     banks: Vec<Bank>,
     stats: DeviceStats,
     /// Per-row write counts (sparse), for endurance analysis. Kept for NVM
     /// only: DRAM cells do not wear out, so a DRAM device leaves it empty.
     row_writes: FxHashMap<u64, u64>,
-    /// `log2(row_bytes)` when the row size is a power of two, so the
-    /// per-access address split is a shift instead of a 64-bit divide.
-    row_shift: Option<u32>,
-    /// `total_banks - 1` when the bank count is a power of two, so the
-    /// bank fold is a mask instead of a 64-bit modulo.
-    bank_mask: Option<u64>,
 }
 
 impl Device {
@@ -212,10 +221,9 @@ impl Device {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has zero banks or a zero-byte row.
+    /// Panics if the geometry has zero banks.
     pub fn new(kind: DeviceKind, geometry: DeviceGeometry) -> Self {
         assert!(geometry.total_banks() > 0, "device must have at least one bank");
-        assert!(geometry.row_bytes > 0, "row size must be nonzero");
         let (hit_ns, clean_miss_ns, dirty_miss_ns) = match kind {
             DeviceKind::Dram => (DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS, DRAM_ROW_MISS_NS),
             DeviceKind::Nvm => (NVM_ROW_HIT_NS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS),
@@ -227,7 +235,6 @@ impl Device {
                 clean_miss_lat: Cycle::from_ns(clean_miss_ns),
                 dirty_miss_lat: Cycle::from_ns(dirty_miss_ns),
             },
-            geometry,
             banks: vec![Bank::default(); geometry.total_banks() as usize],
             stats: DeviceStats::default(),
             // Pre-sized for NVM: one entry per written row accrues from the
@@ -236,11 +243,6 @@ impl Device {
                 DeviceKind::Dram => FxHashMap::default(),
                 DeviceKind::Nvm => FxHashMap::with_capacity_and_hasher(1024, Default::default()),
             },
-            row_shift: geometry.row_bytes.is_power_of_two().then(|| geometry.row_bytes.trailing_zeros()),
-            bank_mask: geometry
-                .total_banks()
-                .is_power_of_two()
-                .then(|| u64::from(geometry.total_banks()) - 1),
         }
     }
 
@@ -249,31 +251,9 @@ impl Device {
         self.timing.kind
     }
 
-    /// The device geometry.
-    pub fn geometry(&self) -> DeviceGeometry {
-        self.geometry
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
-    }
-
-    /// Maps an address to `(bank index, row id)`.
-    ///
-    /// Rows are interleaved across banks so that consecutive rows live in
-    /// different banks (row-interleaving), while accesses within one row
-    /// stay in one bank and enjoy row-buffer locality.
-    fn map(&self, addr: HwAddr) -> (usize, u64) {
-        let row = match self.row_shift {
-            Some(shift) => addr.raw() >> shift,
-            None => addr.raw() / self.geometry.row_bytes,
-        };
-        let bank = match self.bank_mask {
-            Some(mask) => (row & mask) as usize,
-            None => (row % u64::from(self.geometry.total_banks())) as usize,
-        };
-        (bank, row)
     }
 
     /// Services one access of `bytes` bytes starting at `addr`, arriving at
@@ -288,7 +268,7 @@ impl Device {
     /// each.
     pub fn access(&mut self, addr: HwAddr, kind: AccessKind, bytes: u32, now: Cycle) -> Cycle {
         assert!(bytes > 0, "device access must move at least one byte");
-        let (bank, row) = self.map(addr);
+        let (bank, row) = bank_and_row(addr, self.banks.len());
         let done = self.timing.step(&mut self.banks[bank], &mut self.stats, row, kind, bytes, now);
         self.note_wear(row, kind, 1);
         done
@@ -315,8 +295,8 @@ impl Device {
         // row's blocks, so `done` cannot make the compiler reload them.
         let mut stats = std::mem::take(&mut self.stats);
         while at < end {
-            let (b, row) = self.map(HwAddr::new(at));
-            let row_end = (row + 1) * self.geometry.row_bytes;
+            let (b, row) = bank_and_row(HwAddr::new(at), self.banks.len());
+            let row_end = (row + 1) * ROW_BYTES;
             let (mut bank, mut blocks) = (self.banks[b], 0);
             while at < end.min(row_end) {
                 let chunk = (BLOCK_BYTES - at % BLOCK_BYTES).min(end - at);
@@ -409,8 +389,7 @@ mod tests {
         assert_eq!(t1, Cycle::from_ns(128)); // clean miss (row buffer empty)
         // Access a different row on the same bank: row 0 and row 8 map to the
         // same bank with 8 banks (row-interleaved).
-        let row_bytes = d.geometry().row_bytes;
-        let same_bank_other_row = HwAddr::new(8 * row_bytes);
+        let same_bank_other_row = HwAddr::new(8 * ROW_BYTES);
         let t2 = d.access(same_bank_other_row, AccessKind::Read, 64, t1);
         assert_eq!(t2 - t1, Cycle::from_ns(368)); // dirty miss
         assert_eq!(d.stats().dirty_row_misses, 1);
@@ -419,9 +398,8 @@ mod tests {
     #[test]
     fn nvm_read_does_not_dirty_row() {
         let mut d = nvm();
-        let row_bytes = d.geometry().row_bytes;
         let t1 = d.access(HwAddr::new(0), AccessKind::Read, 64, Cycle::ZERO);
-        let t2 = d.access(HwAddr::new(8 * row_bytes), AccessKind::Read, 64, t1);
+        let t2 = d.access(HwAddr::new(8 * ROW_BYTES), AccessKind::Read, 64, t1);
         assert_eq!(t2 - t1, Cycle::from_ns(128)); // clean miss, not dirty
         assert_eq!(d.stats().dirty_row_misses, 0);
     }
@@ -444,10 +422,9 @@ mod tests {
     #[test]
     fn different_banks_proceed_in_parallel() {
         let mut d = dram();
-        let row_bytes = d.geometry().row_bytes;
         let t1 = d.access(HwAddr::new(0), AccessKind::Read, 64, Cycle::ZERO);
         // Next row maps to the next bank: starts immediately.
-        let t2 = d.access(HwAddr::new(row_bytes), AccessKind::Read, 64, Cycle::ZERO);
+        let t2 = d.access(HwAddr::new(ROW_BYTES), AccessKind::Read, 64, Cycle::ZERO);
         assert_eq!(t1, t2);
     }
 
@@ -521,13 +498,12 @@ mod tests {
     #[test]
     fn wear_tracks_row_write_distribution() {
         let mut d = nvm();
-        let row_bytes = d.geometry().row_bytes;
         // 9 writes to row 0, 1 write to row 1: mean 5, max 9.
         let mut now = Cycle::ZERO;
         for _ in 0..9 {
             now = d.access(HwAddr::new(0), AccessKind::Write, 64, now);
         }
-        d.access(HwAddr::new(row_bytes), AccessKind::Write, 64, now);
+        d.access(HwAddr::new(ROW_BYTES), AccessKind::Write, 64, now);
         let w = d.wear();
         assert_eq!(w.rows_written, 2);
         assert_eq!(w.total_writes, 10);
@@ -570,10 +546,9 @@ mod tests {
         probe: (u64, bool),
     ) -> Result<(), String> {
         let kind_of = |w: bool| if w { AccessKind::Write } else { AccessKind::Read };
-        let row_bytes = d.geometry().row_bytes;
         let mut t = Cycle::ZERO;
         for &(row, w, len, gap) in prior {
-            t = d.access(HwAddr::new(row * row_bytes), kind_of(w), len, t + Cycle::new(gap));
+            t = d.access(HwAddr::new(row * ROW_BYTES), kind_of(w), len, t + Cycle::new(gap));
         }
         let (now, kind) = (Cycle::new(now), kind_of(write));
         let mut reference = d.clone();
@@ -590,7 +565,7 @@ mod tests {
         proptest::prop_assert_eq!(d.stats(), reference.stats());
         proptest::prop_assert_eq!(d.idle_at(), reference.idle_at());
         proptest::prop_assert_eq!(d.wear(), reference.wear());
-        let probe_addr = HwAddr::new(probe.0 * row_bytes);
+        let probe_addr = HwAddr::new(probe.0 * ROW_BYTES);
         let after = now + Cycle::new(7);
         proptest::prop_assert_eq!(
             d.access(probe_addr, kind_of(probe.1), 64, after),
@@ -613,35 +588,57 @@ mod tests {
             let (nvm_device, write, probe_write) = kinds;
             let (row, blocks, first, lead, trim) = shape;
             let d = if nvm_device { nvm() } else { dram() };
-            let row_blocks = d.geometry().row_bytes / BLOCK_BYTES;
+            let row_blocks = ROW_BYTES / BLOCK_BYTES;
             // 1–64 blocks inside one row, the first entered at `lead`, the
             // last left up to `trim` bytes short (at least one byte touched).
             let first = first % (row_blocks - blocks + 1);
             let lo = ((blocks - 1) * BLOCK_BYTES + 1).saturating_sub(lead).max(1);
             let hi = blocks * BLOCK_BYTES - lead;
             let bytes = (hi - trim.min(hi - lo)) as u32;
-            let start = row * d.geometry().row_bytes + first * BLOCK_BYTES + lead;
+            let start = row * ROW_BYTES + first * BLOCK_BYTES + lead;
             blocks_match_single_accesses(d, &prior, start, bytes, write, now, (probe_row, probe_write))?;
         }
     }
 
     #[test]
     fn access_blocks_remaps_when_a_run_crosses_a_row() {
-        let geometry = DeviceGeometry { channels: 1, banks_per_channel: 3, row_bytes: 1024 };
+        // 24 banks: not a power of two, so the fold takes the modulo path.
+        let geometry = DeviceGeometry { channels: 3 };
         for kind in [DeviceKind::Dram, DeviceKind::Nvm] {
-            let start = 1000;
-            blocks_match_single_accesses(Device::new(kind, geometry), &[], start, 3000, true, 0, (1, false))
-                .expect("a run over four rows equals one access per block");
+            let start = ROW_BYTES - 1000;
+            blocks_match_single_accesses(Device::new(kind, geometry), &[], start, 10_000, true, 0, (1, false))
+                .expect("a run over three rows equals one access per block");
         }
+    }
+
+    #[test]
+    fn bank_fold_interleaves_rows_over_banks() {
+        for banks in [8usize, 16, 24] {
+            for row in [0u64, 1, 7, 8, 15, 16, 23, 24, 25, 1000] {
+                let base = row * ROW_BYTES;
+                let (bank, r) = bank_and_row(HwAddr::new(base), banks);
+                assert_eq!((bank, r), ((row % banks as u64) as usize, row), "{banks} banks, row {row}");
+                // Every byte of the row's first line, and of the rest of
+                // the row, folds to the same bank and row.
+                for off in [1, 63, 64, ROW_BYTES / 2, ROW_BYTES - 64, ROW_BYTES - 1] {
+                    assert_eq!(bank_and_row(HwAddr::new(base + off), banks), (bank, row));
+                }
+                // The next row goes to the next bank, wrapping at the count.
+                assert_eq!(bank_and_row(HwAddr::new(base + ROW_BYTES), banks), ((bank + 1) % banks, row + 1));
+            }
+        }
+        // A mask of 23 would fold rows 8 and 24 of 24 banks to banks 0 and
+        // 16; the modulo gives 8 and 0.
+        assert_eq!(bank_and_row(HwAddr::new(8 * ROW_BYTES), 24).0, 8);
+        assert_eq!(bank_and_row(HwAddr::new(24 * ROW_BYTES), 24).0, 0);
     }
 
     #[test]
     fn level_wear_has_unit_imbalance() {
         let mut d = nvm();
-        let row_bytes = d.geometry().row_bytes;
         let mut now = Cycle::ZERO;
         for r in 0..8u64 {
-            now = d.access(HwAddr::new(r * row_bytes), AccessKind::Write, 64, now);
+            now = d.access(HwAddr::new(r * ROW_BYTES), AccessKind::Write, 64, now);
         }
         assert!((d.wear().imbalance - 1.0).abs() < 1e-9);
     }
@@ -649,16 +646,15 @@ mod tests {
     #[test]
     fn writes_after_power_loss_are_row_misses_everywhere() {
         let mut d = nvm();
-        let row_bytes = d.geometry().row_bytes;
         let mut now = Cycle::ZERO;
         for b in 0..4u64 {
-            now = d.access(HwAddr::new(b * row_bytes), AccessKind::Write, 64, now);
+            now = d.access(HwAddr::new(b * ROW_BYTES), AccessKind::Write, 64, now);
         }
         d.power_cycle();
         let before = d.stats().row_misses;
         let mut now = Cycle::ZERO;
         for b in 0..4u64 {
-            now = d.access(HwAddr::new(b * row_bytes), AccessKind::Read, 64, now);
+            now = d.access(HwAddr::new(b * ROW_BYTES), AccessKind::Read, 64, now);
         }
         assert_eq!(d.stats().row_misses, before + 4);
     }

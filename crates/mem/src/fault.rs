@@ -22,7 +22,7 @@ use thynvm_types::{
     PAGE_BYTES,
 };
 
-use crate::device::WearStats;
+use crate::device::bank_and_row;
 
 /// One corrupted read as decided by the fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,14 +40,12 @@ pub struct FaultEvent {
 ///
 /// The model keys every decision on a counter of observed operations mixed
 /// with the seed (splitmix64), so schedules replay exactly. Wear is tracked
-/// per device row with the same row granularity as [`crate::Device`], and
-/// can be summarized through the existing [`WearStats`] shape.
+/// per device row, split by the same fold as [`crate::Device`].
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     seed: u64,
     bit_flip_rate: f64,
     stuck_at_threshold: u64,
-    row_bytes: u64,
     reads_seen: u64,
     writes_seen: u64,
     forced_flips: u32,
@@ -61,14 +59,12 @@ const TAG_READ: u64 = 0x5245_4144; // "READ"
 const TAG_WEAR: u64 = 0x5745_4152; // "WEAR"
 
 impl FaultModel {
-    /// Builds a model from the configuration, using the device's row size
-    /// for wear granularity.
-    pub fn new(cfg: &MediaFaultConfig, row_bytes: u64) -> Self {
+    /// Builds a model from the configuration.
+    pub fn new(cfg: &MediaFaultConfig) -> Self {
         Self {
             seed: cfg.seed,
             bit_flip_rate: cfg.bit_flip_rate,
             stuck_at_threshold: cfg.stuck_at_threshold,
-            row_bytes: row_bytes.max(1),
             reads_seen: 0,
             writes_seen: 0,
             forced_flips: 0,
@@ -86,7 +82,8 @@ impl FaultModel {
         if self.stuck_at_threshold == 0 {
             return None;
         }
-        let row = addr.raw() / self.row_bytes;
+        // Wear is counted per row; the bank does not matter here.
+        let (_, row) = bank_and_row(addr, 1);
         let count = self.row_writes.entry(row).or_insert(0);
         *count += 1;
         if *count != self.stuck_at_threshold {
@@ -152,20 +149,6 @@ impl FaultModel {
     /// order.
     pub fn stuck_cells(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
         self.stuck.iter().map(|(&a, &m)| (a, m))
-    }
-
-    /// Wear summary of the writes this model has observed, in the same
-    /// shape the device reports.
-    pub fn wear(&self) -> WearStats {
-        let rows_written = self.row_writes.len() as u64;
-        let total_writes: u64 = self.row_writes.values().sum();
-        let max_row_writes = self.row_writes.values().copied().max().unwrap_or(0);
-        let imbalance = if rows_written == 0 {
-            0.0
-        } else {
-            max_row_writes as f64 / (total_writes as f64 / rows_written as f64)
-        };
-        WearStats { rows_written, total_writes, max_row_writes, imbalance }
     }
 }
 
@@ -674,30 +657,27 @@ mod tests {
     fn same_seed_replays_byte_identical_schedule() {
         // Satellite requirement: the proptest shim cannot replay upstream
         // seed hashes, so determinism must be proven at the model level.
-        let mut a = FaultModel::new(&cfg(0xDEAD_BEEF), 8192);
-        let mut b = FaultModel::new(&cfg(0xDEAD_BEEF), 8192);
+        let mut a = FaultModel::new(&cfg(0xDEAD_BEEF));
+        let mut b = FaultModel::new(&cfg(0xDEAD_BEEF));
         let sa = schedule(&mut a);
         let sb = schedule(&mut b);
         assert!(!sa.is_empty(), "schedule produced no faults; rates too low");
         assert_eq!(sa, sb, "same seed must replay an identical fault schedule");
         // And the accumulated state matches too.
         assert_eq!(a.stuck_cells().collect::<Vec<_>>(), b.stuck_cells().collect::<Vec<_>>());
-        assert_eq!(a.wear(), b.wear());
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let mut a = FaultModel::new(&cfg(1), 8192);
-        let mut b = FaultModel::new(&cfg(2), 8192);
+        let mut a = FaultModel::new(&cfg(1));
+        let mut b = FaultModel::new(&cfg(2));
         assert_ne!(schedule(&mut a), schedule(&mut b));
     }
 
     #[test]
     fn stuck_cell_appears_exactly_at_threshold_and_persists() {
-        let mut m = FaultModel::new(
-            &MediaFaultConfig { enabled: true, stuck_at_threshold: 3, ..Default::default() },
-            8192,
-        );
+        let media = MediaFaultConfig { enabled: true, stuck_at_threshold: 3, ..Default::default() };
+        let mut m = FaultModel::new(&media);
         let addr = HwAddr::new(128);
         assert_eq!(m.record_write(addr, 64), None);
         assert_eq!(m.record_write(addr, 64), None);
@@ -714,7 +694,7 @@ mod tests {
 
     #[test]
     fn transient_flip_rate_zero_never_fires() {
-        let mut m = FaultModel::new(&MediaFaultConfig { enabled: true, ..Default::default() }, 8192);
+        let mut m = FaultModel::new(&MediaFaultConfig { enabled: true, ..Default::default() });
         for i in 0..1000 {
             assert_eq!(m.read_fault(HwAddr::new(i * 64), 64), None);
         }
@@ -722,10 +702,8 @@ mod tests {
 
     #[test]
     fn transient_flip_rate_one_always_fires_within_range() {
-        let mut m = FaultModel::new(
-            &MediaFaultConfig { enabled: true, bit_flip_rate: 1.0, ..Default::default() },
-            8192,
-        );
+        let media = MediaFaultConfig { enabled: true, bit_flip_rate: 1.0, ..Default::default() };
+        let mut m = FaultModel::new(&media);
         for i in 0..100u64 {
             let base = i * 64;
             let ev = m.read_fault(HwAddr::new(base), 64).expect("rate 1.0 always flips");
@@ -737,27 +715,11 @@ mod tests {
 
     #[test]
     fn armed_flips_fire_once_each_then_clear() {
-        let mut m = FaultModel::new(&MediaFaultConfig { enabled: true, ..Default::default() }, 8192);
+        let mut m = FaultModel::new(&MediaFaultConfig { enabled: true, ..Default::default() });
         m.arm_transient_flips(2);
         assert!(m.read_fault(HwAddr::new(0), 64).is_some());
         assert!(m.read_fault(HwAddr::new(0), 64).is_some());
         assert_eq!(m.read_fault(HwAddr::new(0), 64), None, "armed flips are consumed");
-    }
-
-    #[test]
-    fn wear_summary_matches_device_shape() {
-        let mut m = FaultModel::new(
-            &MediaFaultConfig { enabled: true, stuck_at_threshold: 100, ..Default::default() },
-            8192,
-        );
-        m.record_write(HwAddr::new(0), 64);
-        m.record_write(HwAddr::new(0), 64);
-        m.record_write(HwAddr::new(8192), 64);
-        let w = m.wear();
-        assert_eq!(w.rows_written, 2);
-        assert_eq!(w.total_writes, 3);
-        assert_eq!(w.max_row_writes, 2);
-        assert!(w.imbalance > 1.0);
     }
 
     fn ecc(seed: u64, flip: f64, poison: f64) -> DramEccModel {
@@ -861,24 +823,20 @@ mod tests {
     #[test]
     fn quiet_models_report_quiet_and_skipping_is_unobservable() {
         // NVM model: zero rate, nothing armed, nothing stuck => quiet.
-        let mut m = FaultModel::new(&MediaFaultConfig { enabled: true, ..Default::default() }, 8192);
+        let mut m = FaultModel::new(&MediaFaultConfig { enabled: true, ..Default::default() });
         assert!(m.is_quiet());
         m.arm_transient_flips(1);
         assert!(!m.is_quiet());
         m.read_fault(HwAddr::new(0), 64);
         assert!(m.is_quiet(), "armed flip consumed");
         // A stuck cell silences the fast path.
-        let mut worn = FaultModel::new(
-            &MediaFaultConfig { enabled: true, stuck_at_threshold: 1, ..Default::default() },
-            8192,
-        );
+        let media = MediaFaultConfig { enabled: true, stuck_at_threshold: 1, ..Default::default() };
+        let mut worn = FaultModel::new(&media);
         worn.record_write(HwAddr::new(0), 64);
         assert!(!worn.is_quiet());
         // A nonzero transient rate is never quiet.
-        let hot = FaultModel::new(
-            &MediaFaultConfig { enabled: true, bit_flip_rate: 0.1, ..Default::default() },
-            8192,
-        );
+        let media = MediaFaultConfig { enabled: true, bit_flip_rate: 0.1, ..Default::default() };
+        let hot = FaultModel::new(&media);
         assert!(!hot.is_quiet());
 
         // ECC model: skipping observe_read while quiet must not change any

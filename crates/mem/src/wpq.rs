@@ -11,9 +11,10 @@
 //! Draining is out of order **across banks** (each bank retires its own
 //! queue independently, mirroring per-bank `busy_until` in
 //! [`crate::device::Device`]) but in order **within a bank** — and therefore
-//! within a 64 B line, because [`PersistBuffer::bank_of`] reproduces the
-//! device's address→bank fold exactly, so two writes to the same line always
-//! share a bank and their per-bank retire times are clamped monotone.
+//! within a 64 B line, because the buffer takes each address's bank from
+//! the device's own address→bank fold, so two writes to the same line
+//! always share a bank and their per-bank retire times are clamped
+//! monotone.
 //!
 //! [`PersistBuffer::fence`] is the §4.4 ordering primitive: it stalls the
 //! issuer until every pending entry has retired, so anything enqueued after
@@ -29,6 +30,7 @@ use std::collections::VecDeque;
 
 use thynvm_types::{rng, Cycle, DeviceGeometry, HwAddr, PersistBufferConfig, WpqStats};
 
+use crate::device::bank_and_row;
 use crate::store::SparseStore;
 
 /// What an entry in the persist buffer represents.
@@ -123,12 +125,6 @@ pub struct PersistBuffer {
     /// How many crashes this buffer has absorbed; salts the salvage stream
     /// so consecutive crashes see independent partial flushes.
     crash_ordinal: u64,
-    row_bytes: u64,
-    total_banks: u64,
-    /// `log2(row_bytes)` when a power of two (mirrors `Device`).
-    row_shift: Option<u32>,
-    /// `total_banks - 1` when a power of two (mirrors `Device`).
-    bank_mask: Option<u64>,
 }
 
 impl PersistBuffer {
@@ -137,18 +133,16 @@ impl PersistBuffer {
     /// entry retires).
     pub const CAPACITY: usize = 64;
 
-    /// Creates a buffer with the device geometry it shadows; the bank fold
-    /// must match [`crate::device::Device`] so same-line writes share a
-    /// bank and drain in order.
+    /// Creates a buffer with one queue per bank of the device geometry it
+    /// shadows. Each address's bank comes from the device's own fold, so
+    /// same-line writes share a bank and drain in order.
     ///
     /// # Panics
     ///
     /// Panics if the geometry has no banks.
     pub fn new(cfg: PersistBufferConfig, geometry: DeviceGeometry) -> Self {
-        let total_banks = u64::from(geometry.total_banks());
+        let total_banks = geometry.total_banks();
         assert!(total_banks > 0, "persist buffer needs at least one bank");
-        let row_bytes = geometry.row_bytes;
-        assert!(row_bytes > 0, "row size must be nonzero");
         Self {
             cfg,
             banks: (0..total_banks).map(|_| VecDeque::new()).collect(),
@@ -156,24 +150,7 @@ impl PersistBuffer {
             stats: WpqStats::default(),
             pending_total: 0,
             crash_ordinal: 0,
-            row_bytes,
-            total_banks,
-            row_shift: row_bytes.is_power_of_two().then(|| row_bytes.trailing_zeros()),
-            bank_mask: total_banks.is_power_of_two().then_some(total_banks - 1),
         }
-    }
-
-    /// The bank an address maps to — the same `row → bank` fold as
-    /// `Device::map`, so buffer ordering matches device timing.
-    pub fn bank_of(&self, addr: HwAddr) -> usize {
-        let row = match self.row_shift {
-            Some(s) => addr.raw() >> s,
-            None => addr.raw() / self.row_bytes,
-        };
-        (match self.bank_mask {
-            Some(m) => row & m,
-            None => row % self.total_banks,
-        }) as usize
     }
 
     /// Durable image of everything drained so far.
@@ -251,7 +228,7 @@ impl PersistBuffer {
         } else {
             issue
         };
-        let bank = self.bank_of(addr);
+        let (bank, _) = bank_and_row(addr, self.banks.len());
         let last = self.banks[bank].back().map_or(Cycle::ZERO, |e| e.retire);
         let retire = retire.max(last);
         // Reorder window: how many earlier-enqueued entries this write may
@@ -412,7 +389,7 @@ mod tests {
     }
 
     fn geom() -> DeviceGeometry {
-        DeviceGeometry::default() // 8 banks, 8 KiB rows — both powers of two
+        DeviceGeometry::default() // 8 banks
     }
 
     fn conservation_holds(w: &PersistBuffer) {
@@ -423,21 +400,6 @@ mod tests {
             "ledger must conserve: {s:?}"
         );
         assert_eq!(s.outstanding(), w.pending_total as u64);
-    }
-
-    #[test]
-    fn bank_fold_matches_device_map() {
-        let w = PersistBuffer::new(armed(), geom());
-        let g = geom();
-        for raw in [0u64, 64, 8191, 8192, 16384, 65536, 123_456_789] {
-            let row = raw / g.row_bytes;
-            let bank = (row % u64::from(g.total_banks())) as usize;
-            assert_eq!(w.bank_of(HwAddr::new(raw)), bank, "addr {raw:#x}");
-        }
-        // Non-power-of-two geometry exercises the divide/modulo path.
-        let odd = DeviceGeometry { channels: 3, banks_per_channel: 2, row_bytes: 3000 };
-        let w = PersistBuffer::new(armed(), odd);
-        assert_eq!(w.bank_of(HwAddr::new(3000 * 7 + 12)), (7 % 6) as usize);
     }
 
     #[test]
@@ -541,7 +503,8 @@ mod tests {
     fn same_line_writes_share_a_bank_and_drain_in_order() {
         let mut w = PersistBuffer::new(armed(), geom());
         let line = HwAddr::new(0x1000);
-        assert_eq!(w.bank_of(line), w.bank_of(HwAddr::new(0x103f)));
+        let banks = w.banks.len();
+        assert_eq!(bank_and_row(line, banks), bank_and_row(HwAddr::new(0x103f), banks));
         // Out-of-order retire times: the second write's retire is clamped
         // monotone, so the older value can never overwrite the newer one.
         w.push(line, b"old", Cycle::ZERO, Cycle::new(400), WpqKind::Data);

@@ -59,7 +59,13 @@ pub const L3_HIT_CYCLES: u64 = 28;
 /// (arXiv:1901.00620).
 pub const CRYPTO_NS_PER_BLOCK: u64 = 14 + 8;
 
-/// Geometry of one memory device: channels, banks, and row size.
+/// Banks per channel of every DRAM and NVM device.
+pub const BANKS_PER_CHANNEL: u32 = 8;
+/// Bytes per row (row-buffer size) of every DRAM and NVM device.
+pub const ROW_BYTES: u64 = 8 * 1024;
+
+/// Geometry of one memory device: its channel count. Each channel has
+/// [`BANKS_PER_CHANNEL`] banks, each with a [`ROW_BYTES`]-byte row buffer.
 ///
 /// The paper models DDR3-interfaced DRAM and NVM; we expose enough geometry
 /// for bank-level parallelism and row-buffer locality to matter, which is
@@ -68,26 +74,18 @@ pub const CRYPTO_NS_PER_BLOCK: u64 = 14 + 8;
 pub struct DeviceGeometry {
     /// Independent channels.
     pub channels: u32,
-    /// Banks per channel.
-    pub banks_per_channel: u32,
-    /// Bytes per row (row-buffer size).
-    pub row_bytes: u64,
 }
 
 impl Default for DeviceGeometry {
     fn default() -> Self {
-        Self {
-            channels: 1,
-            banks_per_channel: 8,
-            row_bytes: 8 * 1024,
-        }
+        Self { channels: 1 }
     }
 }
 
 impl DeviceGeometry {
     /// Total number of banks across all channels.
     pub fn total_banks(&self) -> u32 {
-        self.channels * self.banks_per_channel
+        self.channels * BANKS_PER_CHANNEL
     }
 }
 
@@ -743,8 +741,8 @@ mod tests {
     fn geometry_totals() {
         let g = DeviceGeometry::default();
         assert_eq!(g.total_banks(), 8);
-        let g2 = DeviceGeometry { channels: 2, banks_per_channel: 4, row_bytes: 4096 };
-        assert_eq!(g2.total_banks(), 8);
+        let g2 = DeviceGeometry { channels: 2 };
+        assert_eq!(g2.total_banks(), 16);
     }
 
     #[test]

@@ -47,9 +47,10 @@ pub mod system;
 pub use addr::{BlockIndex, HwAddr, PageIndex, PhysAddr, BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES};
 pub use config::{
     CacheConfig, CkptMode, DeviceGeometry, DramFaultConfig, HealthConfig, MediaFaultConfig,
-    PersistBufferConfig, SecurityConfig, SystemConfig, ThyNvmConfig, WorkingRegion, CPU_FREQ_GHZ,
-    CRYPTO_NS_PER_BLOCK, DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS, L1_HIT_CYCLES, L2_HIT_CYCLES,
-    L3_HIT_CYCLES, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS, NVM_ROW_HIT_NS, TABLE_LOOKUP_NS,
+    PersistBufferConfig, SecurityConfig, SystemConfig, ThyNvmConfig, WorkingRegion,
+    BANKS_PER_CHANNEL, CPU_FREQ_GHZ, CRYPTO_NS_PER_BLOCK, DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS,
+    L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS,
+    NVM_ROW_HIT_NS, ROW_BYTES, TABLE_LOOKUP_NS,
 };
 pub use cycle::Cycle;
 pub use error::{Error, Result};

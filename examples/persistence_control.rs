@@ -17,7 +17,7 @@ fn main() {
 
     // --- Explicit persistence barrier (a new ISA instruction per §6) ---
     let t = sys.store_bytes(PhysAddr::new(0), &[7], Cycle::ZERO);
-    let t = sys.persist_barrier(t); // everything before this is captured
+    let t = sys.force_checkpoint(t); // everything before this is captured
     let t = sys.drain(t);
     let t2 = sys.store_bytes(PhysAddr::new(0), &[9], t); // after the barrier
     let _ = sys.crash_and_recover(t2);
@@ -34,7 +34,7 @@ fn main() {
     let mut t = Cycle::ZERO;
     for version in 1u8..=3 {
         t = sys.store_bytes(PhysAddr::new(64), &[version], t);
-        t = sys.persist_barrier(t);
+        t = sys.force_checkpoint(t);
         t = sys.drain(t);
         println!("checkpoint taken with value {version}");
     }
