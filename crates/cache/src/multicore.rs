@@ -186,13 +186,17 @@ impl MulticorePlatform {
         }
 
         self.flush_and_checkpoint(mem);
-        let end = {
-            let latest = self.cores.iter().map(|c| c.now).max().unwrap_or(Cycle::ZERO);
-            mem.drain(latest)
-        };
+        // The shared drain retires the final checkpoint's deferred work, and
+        // every core's run ends with it, as `CoreModel::run_trace`'s does:
+        // at `end`, which is no earlier than any core's clock.
+        let latest = self.cores.iter().map(|c| c.now).max().unwrap_or(Cycle::ZERO);
+        let end = mem.drain(latest);
         self.cores
-            .iter()
-            .map(|c| CoreResult { cycles: c.now.max(end.min(c.now)), stats: c.stats.clone() })
+            .iter_mut()
+            .map(|c| {
+                c.now = end;
+                CoreResult { cycles: end, stats: c.stats.clone() }
+            })
             .collect()
     }
 }
@@ -386,6 +390,44 @@ mod tests {
                 (Write, block(0), Cycle::new(512)),
             ]
         );
+    }
+
+    #[test]
+    fn the_final_drain_ends_every_core_as_it_ends_a_lone_core() {
+        // Every request takes 100 cycles; the drain adds 1 000 000, which
+        // the platform once left out of every core's cycles.
+        #[derive(Debug, Default)]
+        struct SlowDrain(MemStats);
+        impl MemorySystem for SlowDrain {
+            fn access(&mut self, _req: &MemRequest, now: Cycle) -> Cycle {
+                now + Cycle::new(100)
+            }
+            fn begin_checkpoint(&mut self, now: Cycle, _flushed: &[PhysAddr]) -> Cycle {
+                now
+            }
+            fn drain(&mut self, now: Cycle) -> Cycle {
+                now + Cycle::new(1_000_000)
+            }
+            fn stats(&self) -> &MemStats {
+                &self.0
+            }
+            fn name(&self) -> &'static str {
+                "SlowDrain"
+            }
+        }
+        let events = trace(0, 10);
+        let mut lone = crate::CoreModel::new(SystemConfig::paper().cache);
+        let alone = lone.run_trace(events.clone(), &mut SlowDrain::default());
+        let mut p = MulticorePlatform::new(SystemConfig::paper().cache, 1);
+        let results = p.run(vec![events], &mut SlowDrain::default());
+        assert_eq!(results[0].cycles, alone);
+        assert_eq!(alone, Cycle::new(1_001_300), "the trace's own 1300 cycles and the drain");
+
+        // Two cores: both end when the one drain completes.
+        let mut p = MulticorePlatform::new(SystemConfig::paper().cache, 2);
+        let results = p.run(vec![trace(0, 4), trace(1 << 24, 40)], &mut SlowDrain::default());
+        assert_eq!(results[0].cycles, results[1].cycles);
+        assert!(results[0].cycles > Cycle::new(1_000_000));
     }
 
     #[test]

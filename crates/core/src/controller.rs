@@ -1697,7 +1697,7 @@ impl ThyNvm {
             return Some(self.dram_wq.push(done, now));
         }
         let mut resume = now;
-        let push = |done| resume = resume.max(self.dram_wq.push(done, now));
+        let push = |run| resume = resume.max(self.dram_wq.push_run(run, now));
         self.dram
             .access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
         self.stats.dram_writes += Self::blocks_touched(addr, bytes);
@@ -1733,7 +1733,9 @@ impl ThyNvm {
         let off = self.page_working_offset(slot, addr);
         if self.quiet_dram_reads() {
             let mut done = now;
-            self.dram.access_blocks(HwAddr::new(off), AccessKind::Read, bytes, now, |d| done = done.max(d));
+            self.dram.access_blocks(HwAddr::new(off), AccessKind::Read, bytes, now, |run| {
+                done = done.max(run.last());
+            });
             let blocks = Self::blocks_touched(addr, bytes);
             self.stats.dram_reads += blocks;
             self.stats.dram_read_bytes += u64::from(bytes);

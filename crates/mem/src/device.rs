@@ -126,10 +126,10 @@ impl Timing {
         }
     }
 
-    /// The per-access step [`Device::access`] and [`Device::access_blocks`]
-    /// share: one access of `bytes` to `row`, which `bank` holds, arriving
-    /// at `now`. Updates the bank and `stats` (wear is the caller's) and
-    /// returns the completion cycle.
+    /// The per-access step [`Device::access`] and the first block of each
+    /// row in [`Device::access_blocks`] take: one access of `bytes` to
+    /// `row`, which `bank` holds, arriving at `now`. Updates the bank and
+    /// `stats` (wear is the caller's) and returns the completion cycle.
     fn step(
         self,
         bank: &mut Bank,
@@ -181,6 +181,55 @@ impl Timing {
         stats.busy_cycles += occupancy;
 
         done
+    }
+
+    /// `n` row hits moving `bytes` in all, each within one 64 B block,
+    /// issued back to back to `bank` behind an access to the same row that
+    /// still occupies it: the bank, the row's state and `stats` end as `n`
+    /// [`Timing::step`] calls leave them. Each hit starts when the one
+    /// before frees the bank and occupies it for one burst, so together
+    /// they occupy it for `n` bursts; none changes the open row, and a
+    /// write hit finds the row already dirty from the access before it.
+    fn hits(bank: &mut Bank, stats: &mut DeviceStats, kind: AccessKind, bytes: u64, n: u64) {
+        let occupancy = Cycle::new(Cycle::from_ns(BURST_NS).raw() * n);
+        bank.busy_until += occupancy;
+        stats.row_hits += n;
+        match kind {
+            AccessKind::Read => {
+                stats.reads += n;
+                stats.read_bytes += bytes;
+            }
+            AccessKind::Write => {
+                stats.writes += n;
+                stats.write_bytes += bytes;
+            }
+        }
+        stats.busy_cycles += occupancy;
+    }
+}
+
+/// The completions of one row's blocks in a [`Device::access_blocks`]
+/// span: `count` blocks, the first completing at `first` and each later
+/// one `step` after the one before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRun {
+    /// Completion of the first block.
+    pub first: Cycle,
+    /// Gap between consecutive completions.
+    pub step: Cycle,
+    /// Number of blocks, at least one.
+    pub count: u64,
+}
+
+impl BlockRun {
+    /// Completion of block `k` (from 0).
+    pub fn at(self, k: u64) -> Cycle {
+        self.first + Cycle::new(self.step.raw() * k)
+    }
+
+    /// Completion of the last block.
+    pub fn last(self) -> Cycle {
+        self.at(self.count - 1)
     }
 }
 
@@ -276,38 +325,44 @@ impl Device {
 
     /// Services `[addr, addr + bytes)` as one access per 64 B block it
     /// touches — the first and last may be partial — all arriving at `now`,
-    /// back to back in address order, and hands each completion to `done`
-    /// in that order. The completions, bank state and statistics are
-    /// exactly those of one [`Device::access`] per block; the address is
-    /// mapped once per row instead of once per block (a page-sized run
-    /// stays in one row whenever the row size is a multiple of the page).
+    /// back to back in address order, and hands `done` the completions of
+    /// each row's blocks as one [`BlockRun`], rows in address order. The
+    /// completions, bank state and statistics are exactly those of one
+    /// [`Device::access`] per block.
+    ///
+    /// Only a row's first block takes the general step. Every later block
+    /// is a row hit, one burst long, on a bank the block before still
+    /// occupies, so it starts when that block's burst ends: block `k`
+    /// (`k ≥ 2`) completes at `busy₁ + (k−2)·burst + hit`, where `busy₁` is
+    /// the bank's busy time after the first block. The first block is one
+    /// burst long too, so it completes one burst before the second, and
+    /// the row's completions step by one burst from the first. The bank,
+    /// the statistics and the wear then advance by the block count at once.
+    /// The address is mapped once per row (a page-sized run stays in one
+    /// row whenever the row size is a multiple of the page).
     pub fn access_blocks(
         &mut self,
         addr: HwAddr,
         kind: AccessKind,
         bytes: u32,
         now: Cycle,
-        mut done: impl FnMut(Cycle),
+        mut done: impl FnMut(BlockRun),
     ) {
         assert!(bytes > 0, "device access must move at least one byte");
         let (mut at, end) = (addr.raw(), addr.raw() + u64::from(bytes));
-        // The row's bank and the statistics stay in locals across the
-        // row's blocks, so `done` cannot make the compiler reload them.
-        let mut stats = std::mem::take(&mut self.stats);
         while at < end {
             let (b, row) = bank_and_row(HwAddr::new(at), self.banks.len());
-            let row_end = (row + 1) * ROW_BYTES;
-            let (mut bank, mut blocks) = (self.banks[b], 0);
-            while at < end.min(row_end) {
-                let chunk = (BLOCK_BYTES - at % BLOCK_BYTES).min(end - at);
-                done(self.timing.step(&mut bank, &mut stats, row, kind, chunk as u32, now));
-                at += chunk;
-                blocks += 1;
-            }
-            self.banks[b] = bank;
-            self.note_wear(row, kind, blocks);
+            let row_end = end.min((row + 1) * ROW_BYTES);
+            let head = (BLOCK_BYTES - at % BLOCK_BYTES).min(row_end - at);
+            let bank = &mut self.banks[b];
+            let first = self.timing.step(bank, &mut self.stats, row, kind, head as u32, now);
+            let rest = row_end - at - head;
+            let hits = rest.div_ceil(BLOCK_BYTES);
+            Timing::hits(bank, &mut self.stats, kind, rest, hits);
+            done(BlockRun { first, step: Cycle::from_ns(BURST_NS), count: 1 + hits });
+            self.note_wear(row, kind, 1 + hits);
+            at = row_end;
         }
-        self.stats = stats;
     }
 
     /// Counts `n` writes to `row` for [`Device::wear`]: NVM only, since
@@ -560,7 +615,9 @@ mod tests {
             at += chunk;
         }
         let mut got = Vec::new();
-        d.access_blocks(HwAddr::new(start), kind, bytes, now, |c| got.push(c));
+        d.access_blocks(HwAddr::new(start), kind, bytes, now, |run| {
+            got.extend((0..run.count).map(|k| run.at(k)));
+        });
         proptest::prop_assert_eq!(&got, &expected);
         proptest::prop_assert_eq!(d.stats(), reference.stats());
         proptest::prop_assert_eq!(d.idle_at(), reference.idle_at());

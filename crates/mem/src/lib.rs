@@ -56,7 +56,7 @@ pub mod queue;
 pub mod store;
 pub mod wpq;
 
-pub use device::{Device, DeviceKind, DeviceStats, WearStats};
+pub use device::{BlockRun, Device, DeviceKind, DeviceStats, WearStats};
 pub use fault::{DramEccModel, EccReadFault, FaultEvent, FaultModel, SecurityModel, SecurityPersist};
 pub use queue::WriteQueue;
 pub use store::SparseStore;

@@ -12,6 +12,8 @@ use std::collections::VecDeque;
 
 use thynvm_types::Cycle;
 
+use crate::device::BlockRun;
+
 /// A bounded queue of in-flight writes, each represented by its completion
 /// cycle at the device.
 ///
@@ -30,8 +32,28 @@ use thynvm_types::Cycle;
 #[derive(Debug, Clone)]
 pub struct WriteQueue {
     capacity: usize,
-    /// Completion cycles of queued writes, nondecreasing.
-    pending: VecDeque<Cycle>,
+    /// Completion cycles of queued writes as runs of evenly spaced
+    /// completions, oldest first; read run by run, they are nondecreasing.
+    runs: VecDeque<BlockRun>,
+    /// Writes in `runs`.
+    len: u64,
+}
+
+/// How many of `run`'s completions fall at or before `t`: a prefix, since
+/// they are nondecreasing.
+fn done_by(run: BlockRun, t: Cycle) -> u64 {
+    if run.first > t {
+        0
+    } else if run.last() <= t {
+        run.count
+    } else {
+        (t - run.first).raw() / run.step.raw() + 1
+    }
+}
+
+/// `run` without its first `k` completions.
+fn skip(run: BlockRun, k: u64) -> BlockRun {
+    BlockRun { first: run.at(k), count: run.count - k, ..run }
 }
 
 impl WriteQueue {
@@ -42,20 +64,27 @@ impl WriteQueue {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "write queue capacity must be nonzero");
-        Self { capacity, pending: VecDeque::with_capacity(capacity) }
+        Self { capacity, runs: VecDeque::new(), len: 0 }
     }
 
     /// Number of writes currently in flight at time `now`.
     ///
-    /// `pending` is kept nondecreasing by [`WriteQueue::push`], so the
-    /// retired prefix is found by binary search instead of a full scan.
+    /// The completions are nondecreasing, so the count stops at the first
+    /// run from the back that reaches `now`.
     pub fn len_at(&self, now: Cycle) -> usize {
-        self.pending.len() - self.pending.partition_point(|&c| c <= now)
+        let mut inflight = 0;
+        for &run in self.runs.iter().rev() {
+            inflight += run.count - done_by(run, now);
+            if run.first <= now {
+                break;
+            }
+        }
+        inflight as usize
     }
 
     /// Whether no writes are in flight at time `now`.
     pub fn is_empty_at(&self, now: Cycle) -> bool {
-        self.pending.back().is_none_or(|&c| c <= now)
+        self.runs.back().is_none_or(|run| run.last() <= now)
     }
 
     /// Maximum number of in-flight writes.
@@ -65,13 +94,34 @@ impl WriteQueue {
 
     /// Drops entries that have retired by `now`.
     pub fn retire(&mut self, now: Cycle) {
-        while let Some(&front) = self.pending.front() {
-            if front <= now {
-                self.pending.pop_front();
-            } else {
+        while let Some(run) = self.runs.front_mut() {
+            let retired = done_by(*run, now);
+            self.len -= retired;
+            if retired < run.count {
+                *run = skip(*run, retired);
                 break;
             }
+            self.runs.pop_front();
         }
+    }
+
+    /// Removes the `n` oldest queued writes and returns the latest
+    /// completion among them.
+    fn pop(&mut self, mut n: u64) -> Cycle {
+        let mut last = Cycle::ZERO;
+        while n > 0 {
+            let run = self.runs.front_mut().expect("popping queued writes");
+            let k = n.min(run.count);
+            last = last.max(run.at(k - 1));
+            self.len -= k;
+            n -= k;
+            if k < run.count {
+                *run = skip(*run, k);
+            } else {
+                self.runs.pop_front();
+            }
+        }
+        last
     }
 
     /// Enqueues a write that the device will complete at `completion`.
@@ -80,30 +130,62 @@ impl WriteQueue {
     /// queue had room, or the retirement time of the oldest entry if the
     /// queue was full (the issuer stalls until a slot frees up).
     pub fn push(&mut self, completion: Cycle, now: Cycle) -> Cycle {
+        self.push_run(BlockRun { first: completion, step: Cycle::ZERO, count: 1 }, now)
+    }
+
+    /// Enqueues `run`'s writes, all issued at `now`, exactly as one
+    /// [`WriteQueue::push`] per completion in order would, and returns the
+    /// latest of those pushes' resume cycles.
+    ///
+    /// Only the first of those pushes can retire a queued write: every
+    /// later one finds the writes before it still in flight, unless the
+    /// queue was empty and they completed by `now`, in which case each
+    /// retires the one before and none stalls. A push queues its
+    /// completion no earlier than the queue's newest write, so the run's
+    /// completions up to that write queue at it; with room for one write
+    /// only, each push first waits that write out and finds the queue
+    /// empty, so nothing is held back. Once the queue is full, each push
+    /// waits for the oldest write: the writes waited for are the oldest
+    /// of the queue followed by the run, and the issuer resumes when the
+    /// latest of them retires.
+    pub fn push_run(&mut self, run: BlockRun, now: Cycle) -> Cycle {
+        debug_assert!(run.count > 0, "a run holds at least one write");
         self.retire(now);
-        let resume = if self.pending.len() >= self.capacity {
-            // Stall until the oldest in-flight write retires.
-            self.pending.pop_front().expect("nonempty when full")
-        } else {
-            now
+        let mut run = run;
+        if self.runs.is_empty() {
+            run = skip(run, done_by(run, now).min(run.count - 1));
+        }
+        let newest = match self.runs.back() {
+            Some(back) if self.capacity > 1 => back.last(),
+            _ => Cycle::ZERO,
         };
-        // Keep the deque ordered: completions are nondecreasing in practice,
-        // but clamp to maintain the invariant even for out-of-order pushes.
-        let last = self.pending.back().copied().unwrap_or(Cycle::ZERO);
-        self.pending.push_back(completion.max(last));
-        resume
+        let held = done_by(run, newest);
+        if held > 0 {
+            self.runs.push_back(BlockRun { first: newest, step: Cycle::ZERO, count: held });
+        }
+        if held < run.count {
+            self.runs.push_back(skip(run, held));
+        }
+        self.len += run.count;
+        let over = self.len.saturating_sub(self.capacity as u64);
+        if over == 0 {
+            now
+        } else {
+            self.pop(over).max(now)
+        }
     }
 
     /// The cycle at which all currently queued writes have retired
     /// (`now` if the queue is empty). This is the §4.4 flush time.
     pub fn drain_time(&self, now: Cycle) -> Cycle {
-        self.pending.back().copied().unwrap_or(now).max(now)
+        self.runs.back().map_or(now, |run| run.last()).max(now)
     }
 
     /// Empties the queue without retiring its writes — the crash model: on
     /// power loss, queued-but-unwritten data is gone.
     pub fn discard(&mut self) {
-        self.pending.clear();
+        self.runs.clear();
+        self.len = 0;
     }
 
     /// Power-loss drain at cycle `now`: writes whose device commit was at or
@@ -111,7 +193,7 @@ impl WriteQueue {
     /// queue and returns the number of writes lost.
     pub fn discard_lost(&mut self, now: Cycle) -> usize {
         let lost = self.len_at(now);
-        self.pending.clear();
+        self.discard();
         lost
     }
 }
@@ -210,13 +292,18 @@ mod tests {
         assert_eq!(WriteQueue::new(64).capacity(), 64);
     }
 
-    /// Pins the binary-search `len_at`/`is_empty_at` to the original O(n)
+    /// Every queued completion, oldest first.
+    fn entries(q: &WriteQueue) -> Vec<Cycle> {
+        q.runs.iter().flat_map(|&run| (0..run.count).map(move |k| run.at(k))).collect()
+    }
+
+    /// Pins the run-counting `len_at`/`is_empty_at` to the original O(n)
     /// filter-scan semantics: identical results (and therefore identical
     /// stall behavior) at every probe time across a long interleaving of
     /// pushes, including out-of-order completions and full-queue stalls.
     #[test]
     fn len_at_matches_linear_scan_reference() {
-        let scan_len = |q: &WriteQueue, now: Cycle| q.pending.iter().filter(|&&c| c > now).count();
+        let scan_len = |q: &WriteQueue, now: Cycle| entries(q).iter().filter(|&&c| c > now).count();
         let mut q = WriteQueue::new(8);
         let mut state = 0x5750_5144u64;
         let mut now = Cycle::ZERO;
@@ -228,9 +315,98 @@ mod tests {
                 assert_eq!(q.len_at(probe), scan_len(&q, probe), "probe={probe}");
                 assert_eq!(q.is_empty_at(probe), scan_len(&q, probe) == 0, "probe={probe}");
             }
-            // push() retires eagerly, so `pending` is bounded by the true
+            // push() retires eagerly, so the queue is bounded by the true
             // in-flight count plus the entries not yet observed to retire.
-            assert!(q.pending.len() <= q.capacity());
+            assert!(entries(&q).len() <= q.capacity());
+            assert_eq!(q.len as usize, entries(&q).len());
+        }
+    }
+
+    /// The queue as it was before runs: one entry per write, and every
+    /// push retiring first. [`WriteQueue::push_run`] must match one
+    /// [`Reference::push`] per completion.
+    #[derive(Debug, Clone)]
+    struct Reference {
+        capacity: usize,
+        pending: VecDeque<Cycle>,
+    }
+
+    impl Reference {
+        fn retire(&mut self, now: Cycle) {
+            while self.pending.front().is_some_and(|&c| c <= now) {
+                self.pending.pop_front();
+            }
+        }
+
+        fn push(&mut self, completion: Cycle, now: Cycle) -> Cycle {
+            self.retire(now);
+            let resume = if self.pending.len() >= self.capacity {
+                self.pending.pop_front().expect("nonempty when full")
+            } else {
+                now
+            };
+            let last = self.pending.back().copied().unwrap_or(Cycle::ZERO);
+            self.pending.push_back(completion.max(last));
+            resume
+        }
+
+        fn len_at(&self, now: Cycle) -> usize {
+            self.pending.iter().filter(|&&c| c > now).count()
+        }
+
+        fn drain_time(&self, now: Cycle) -> Cycle {
+            self.pending.back().copied().unwrap_or(now).max(now)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Runs pushed in one call against one push per completion: from
+        /// `now` moving back and forth, runs whose first completion may
+        /// lie before `now` or before the queue's tail, steps of zero, and
+        /// more writes than the queue holds.
+        #[test]
+        fn push_run_equals_one_push_per_completion(
+            capacity in 1usize..12,
+            ops in proptest::collection::vec(
+                (
+                    (0u64..200, proptest::prelude::any::<bool>()),
+                    0u64..400,
+                    0u64..40,
+                    1u64..24,
+                    0u64..700,
+                ),
+                1..40,
+            ),
+        ) {
+            let mut q = WriteQueue::new(capacity);
+            let mut reference = Reference { capacity, pending: VecDeque::new() };
+            let mut now = 300u64;
+            for ((advance, back), lead, step, count, probe) in ops {
+                now = if back { now.saturating_sub(advance) } else { now + advance };
+                // `lead` below 100 puts the first completion before `now`.
+                let first = Cycle::new((now + lead).saturating_sub(100));
+                let run = BlockRun { first, step: Cycle::new(step), count };
+                let at = Cycle::new(now);
+                let expected =
+                    (0..count).fold(at, |r, k| r.max(reference.push(run.at(k), at)));
+                proptest::prop_assert_eq!(q.push_run(run, at), expected);
+                proptest::prop_assert_eq!(q.len as usize, entries(&q).len());
+                let retired = reference.pending.len() - entries(&q).len();
+                let unretired = &reference.pending.make_contiguous()[retired..];
+                proptest::prop_assert_eq!(&entries(&q)[..], unretired);
+                for t in [Cycle::ZERO, at, Cycle::new(probe), Cycle::new(now + probe)] {
+                    let inflight = reference.len_at(t);
+                    proptest::prop_assert_eq!(q.len_at(t), inflight, "len_at {}", t);
+                    proptest::prop_assert_eq!(q.is_empty_at(t), inflight == 0, "is_empty_at {}", t);
+                    let drained = reference.drain_time(t);
+                    proptest::prop_assert_eq!(q.drain_time(t), drained, "drain_time {}", t);
+                    let mut lost = q.clone();
+                    proptest::prop_assert_eq!(lost.discard_lost(t), inflight, "discard_lost {}", t);
+                    proptest::prop_assert!(lost.is_empty_at(Cycle::ZERO));
+                }
+            }
         }
     }
 }

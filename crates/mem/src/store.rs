@@ -10,37 +10,201 @@
 //!
 //! # Hot-path structure
 //!
-//! Page payloads live in a `Vec` arena; a deterministic-hash index maps
-//! page number to arena slot. Splitting storage from the index enables a
-//! one-entry *last-page cache* (a plain `(page, slot)` field): consecutive
-//! small accesses to the same 4 KiB page — the common case for the 64 B
-//! block traffic the controller generates — skip the hash lookup entirely.
-//! The cache is purely an index shortcut; it never affects contents. Only
-//! `&mut self` paths update it (shared-borrow reads consult it read-only),
-//! keeping the store free of interior mutability so a future sharded
-//! front-end can hand out `&SparseStore` across threads (lint rule L9).
+//! Pages hang off a tree that an image shares with its clones. A page
+//! number's high bits pick a *root*, one entry of a short list sorted by
+//! those bits; a root spans 32 768 pages (128 MiB), so a 64 MiB image has
+//! one root. A root is the top node of three levels: the root and the
+//! level below it have 64 slots per node, each holding an `Arc` of a node
+//! of the next level, and the leaves have 8 slots, each holding a page,
+//! an `Arc<[u8; 4096]>`. The slot counts are constants, and each level is
+//! its own type, so every walk is unrolled at compile time and no node
+//! records its height.
 //!
-//! Pages are shared copy-on-write. Each arena slot holds an
-//! `Arc<[u8; 4096]>`: `clone()` copies the index and the page pointers,
-//! not the bytes, and the first write to a page that another image still
-//! holds copies that one page (`Arc::make_mut`) before changing it. An
-//! image and its clones therefore never observe each other's writes, and
-//! a checkpoint that keeps the superseded image pays only for the pages
-//! the next commit rewrites. `Arc` rather than `Rc` keeps the store
-//! `Send + Sync`, for the same sharded front-end.
+//! What each operation costs follows from the sharing:
+//!
+//! * `clone()` copies the roots: one node per root, whose children it
+//!   shares. A capture of a 16 384-page image copies one root, not 16 384
+//!   page pointers and their index.
+//! * A write copies the nodes on its page's path that another image still
+//!   holds (`Arc::make_mut`), at most one per level, and then the page
+//!   itself if it is shared. An image and its clones therefore never
+//!   observe each other's writes, and the copies an epoch makes follow the
+//!   pages it wrote.
+//! * Dropping an image frees only the nodes and pages no other image holds:
+//!   dropping a superseded checkpoint frees the paths its successor copied.
+//! * [`SparseStore::mac_from`] walks two images side by side and skips
+//!   every subtree the two share (`Arc::ptr_eq`), so it visits the paths
+//!   to the pages written since a clone and nothing else.
+//! * [`SparseStore::fingerprint`] and [`SparseStore::iter_pages`] walk the
+//!   roots and slots in order, which is address order, without a sort.
+//!
+//! The shape trades two costs. Every write takes each `Arc` on its path
+//! with `Arc::make_mut`, one atomic read-modify-write per level, so each
+//! level costs every store. Copying a node on a page's first write since
+//! a clone raises the count of every child the node holds, and dropping
+//! the superseded image lowers them again, so a node's width costs every
+//! page an epoch writes, most of all at the leaves, whose children are
+//! pages each in a cache line of their own. Hence three levels and narrow
+//! leaves under wide inner nodes (DESIGN §9 item 12 has the measured
+//! alternatives). No cache or other interior state speeds a lookup up,
+//! so `&SparseStore` can be handed across threads (lint rule L9); `Arc`
+//! rather than `Rc` keeps the store `Send + Sync` for the same reason.
 
 use std::sync::Arc;
 
-use thynvm_types::{FxHashMap, HwAddr, PAGE_BYTES};
+use thynvm_types::{HwAddr, PAGE_BYTES};
 
 const PAGE: usize = PAGE_BYTES as usize;
 
-/// Sentinel page number for an empty last-page cache. No reachable page
-/// uses it: page numbers are `addr / 4096 <= u64::MAX / 4096`.
-const NO_PAGE: u64 = u64::MAX;
+/// One page's bytes.
+type Page = [u8; PAGE];
+
+/// Slots of a leaf node, one page each.
+const LEAF_SLOTS: usize = 8;
+/// Slots of every node above the leaves.
+const INNER_SLOTS: usize = 64;
+
+/// The lowest level of the tree: nodes whose slots hold pages.
+type Leaf = Node<Page, LEAF_SLOTS>;
+/// The tree under one root, three levels deep: the root node, one level
+/// of inner nodes, the leaves. A root spans `1 << Top::BITS` pages.
+type Top = Node<Node<Leaf, INNER_SLOTS>, INNER_SLOTS>;
+const _: () = assert!(LEAF_SLOTS.is_power_of_two() && INNER_SLOTS.is_power_of_two());
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One node of the page tree: `N` slots, `N` a power of two, each empty
+/// or holding a child (a page at the lowest level, a node of the level
+/// below elsewhere) that clones of the image may share.
+#[derive(Debug)]
+struct Node<T, const N: usize> {
+    slots: [Option<Arc<T>>; N],
+}
+
+impl<T, const N: usize> Default for Node<T, N> {
+    fn default() -> Self {
+        Self { slots: std::array::from_fn(|_| None) }
+    }
+}
+
+impl<T, const N: usize> Clone for Node<T, N> {
+    /// Copies the slots, sharing every child.
+    fn clone(&self) -> Self {
+        #[cfg(test)]
+        tests::tally_copy();
+        Self { slots: self.slots.clone() }
+    }
+}
+
+/// The slot that page `page` takes in a node of `N` slots whose children
+/// each resolve the `below` lowest bits of a page number.
+#[inline]
+fn slot<const N: usize>(page: u64, below: u32) -> usize {
+    (page >> below) as usize & (N - 1)
+}
+
+/// One page's entry in a walk over two images: its page number, this
+/// image's page, and the other image's page at that number, if any.
+type Pair<'a> = (u64, &'a Arc<Page>, Option<&'a Arc<Page>>);
+
+/// A subtree of fixed height: a leaf (`Node<Page, N>`) or a node of any
+/// level above (`Node<T, N>` over a level `T`).
+trait Level: Clone + Default {
+    /// Page-number bits a subtree of this height resolves.
+    const BITS: u32;
+
+    /// Page `page`, if this subtree holds it.
+    fn get(&self, page: u64) -> Option<&Arc<Page>>;
+
+    /// Page `page`'s slot, allocating missing nodes and copying shared
+    /// ones on the way down.
+    fn slot_mut(&mut self, page: u64) -> &mut Option<Arc<Page>>;
+
+    /// This subtree's pages in address order, numbered from `base`, the
+    /// number of the subtree's first page.
+    fn pages(&self, base: u64) -> impl Iterator<Item = (u64, &Arc<Page>)>;
+
+    /// This subtree's pages that `other`, the subtree at the same place in
+    /// another image, does not share, in address order, numbered from
+    /// `base`. Subtrees the two share are skipped whole.
+    fn unshared<'a>(
+        &'a self,
+        other: Option<&'a Self>,
+        base: u64,
+    ) -> impl Iterator<Item = Pair<'a>>;
+}
+
+impl<const N: usize> Level for Node<Page, N> {
+    const BITS: u32 = N.trailing_zeros();
+
+    fn get(&self, page: u64) -> Option<&Arc<Page>> {
+        self.slots[slot::<N>(page, 0)].as_ref()
+    }
+
+    fn slot_mut(&mut self, page: u64) -> &mut Option<Arc<Page>> {
+        &mut self.slots[slot::<N>(page, 0)]
+    }
+
+    fn pages(&self, base: u64) -> impl Iterator<Item = (u64, &Arc<Page>)> {
+        self.slots.iter().enumerate().filter_map(move |(i, s)| Some((base | i as u64, s.as_ref()?)))
+    }
+
+    fn unshared<'a>(
+        &'a self,
+        other: Option<&'a Self>,
+        base: u64,
+    ) -> impl Iterator<Item = Pair<'a>> {
+        self.slots.iter().enumerate().filter_map(move |(i, s)| {
+            let page = s.as_ref()?;
+            let theirs = other.and_then(|o| o.slots[i].as_ref());
+            let shared = theirs.is_some_and(|t| Arc::ptr_eq(page, t));
+            (!shared).then_some((base | i as u64, page, theirs))
+        })
+    }
+}
+
+impl<T: Level, const N: usize> Level for Node<T, N> {
+    const BITS: u32 = T::BITS + N.trailing_zeros();
+
+    fn get(&self, page: u64) -> Option<&Arc<Page>> {
+        self.slots[slot::<N>(page, T::BITS)].as_deref()?.get(page)
+    }
+
+    fn slot_mut(&mut self, page: u64) -> &mut Option<Arc<Page>> {
+        let child = self.slots[slot::<N>(page, T::BITS)].get_or_insert_with(Default::default);
+        Arc::make_mut(child).slot_mut(page)
+    }
+
+    fn pages(&self, base: u64) -> impl Iterator<Item = (u64, &Arc<Page>)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i as u64, s.as_deref()?)))
+            .flat_map(move |(i, child)| child.pages(base | i << T::BITS))
+    }
+
+    fn unshared<'a>(
+        &'a self,
+        other: Option<&'a Self>,
+        base: u64,
+    ) -> impl Iterator<Item = Pair<'a>> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, s)| {
+                let child = s.as_ref()?;
+                let theirs = other.and_then(|o| o.slots[i].as_ref());
+                if theirs.is_some_and(|t| Arc::ptr_eq(child, t)) {
+                    return None;
+                }
+                #[cfg(test)]
+                tests::tally_visit();
+                Some(child.unshared(theirs.map(|t| &**t), base | (i as u64) << T::BITS))
+            })
+            .flatten()
+    }
+}
 
 /// A sparse, byte-addressable memory with lazy 4 KiB page allocation.
 ///
@@ -64,56 +228,51 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseStore {
-    /// Page number → slot in `arena`.
-    index: FxHashMap<u64, u32>,
-    /// Page payloads, shared copy-on-write with this image's clones; slots
-    /// are never freed individually (only [`clear`] drops them), so cached
-    /// slot numbers stay valid.
-    ///
-    /// [`clear`]: SparseStore::clear
-    arena: Vec<Arc<[u8; PAGE]>>,
-    /// Last `(page number, arena slot)` resolved on a `&mut` path, to
-    /// short-circuit the index lookup on consecutive accesses to one page.
-    last: (u64, u32),
+    /// One tree per span of `1 << Top::BITS` pages that holds a page, keyed
+    /// by span number (`page >> Top::BITS`), in ascending order.
+    roots: Vec<(u64, Top)>,
+    /// Pages this image holds, whether or not it shares them with a clone.
+    pages: usize,
 }
 
 impl SparseStore {
     /// Creates an empty store; all bytes read as zero.
     pub fn new() -> Self {
-        Self { index: FxHashMap::default(), arena: Vec::new(), last: (NO_PAGE, 0) }
+        Self::default()
     }
 
     /// Number of 4 KiB pages this image holds, whether or not it shares
     /// them with a clone.
     pub fn allocated_pages(&self) -> usize {
-        self.arena.len()
+        self.pages
     }
 
-    /// Resolves a page number to its arena slot through the one-entry
-    /// cache, or `None` when the page was never allocated.
-    #[inline]
-    fn slot_of(&self, page: u64) -> Option<u32> {
-        let (cached_page, cached_slot) = self.last;
-        if cached_page == page {
-            return Some(cached_slot);
-        }
-        self.index.get(&page).copied()
+    /// The tree of span `span`, if this image holds a page in it.
+    fn root(&self, span: u64) -> Option<&Top> {
+        let at = self.roots.binary_search_by_key(&span, |&(s, _)| s).ok()?;
+        Some(&self.roots[at].1)
     }
 
-    /// Resolves a page number to its arena slot, allocating a zeroed page
-    /// on first touch. The exclusive borrow is what lets this path refresh
-    /// the last-page cache.
+    /// Page `page`, or `None` when it was never allocated.
     #[inline]
-    fn slot_of_mut(&mut self, page: u64) -> u32 {
-        if let Some(slot) = self.slot_of(page) {
-            self.last = (page, slot);
-            return slot;
+    fn page(&self, page: u64) -> Option<&Arc<Page>> {
+        self.root(page >> Top::BITS)?.get(page)
+    }
+
+    /// Page `page` for writing: allocated zeroed on first touch, and copied
+    /// first, with the nodes above it, if another image shares it.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        let span = page >> Top::BITS;
+        let at = self.roots.binary_search_by_key(&span, |&(s, _)| s).unwrap_or_else(|at| {
+            self.roots.insert(at, (span, Top::default()));
+            at
+        });
+        let slot = self.roots[at].1.slot_mut(page);
+        if slot.is_none() {
+            self.pages += 1;
         }
-        let slot = u32::try_from(self.arena.len()).expect("fewer than 2^32 allocated pages");
-        self.arena.push(Arc::new([0u8; PAGE]));
-        self.index.insert(page, slot);
-        self.last = (page, slot);
-        slot
+        Arc::make_mut(slot.get_or_insert_with(|| Arc::new([0; PAGE])))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`. Unallocated ranges read
@@ -125,11 +284,8 @@ impl SparseStore {
             let page = pos / PAGE_BYTES;
             let in_page = (pos % PAGE_BYTES) as usize;
             let n = (PAGE - in_page).min(buf.len() - off);
-            match self.slot_of(page) {
-                Some(slot) => {
-                    let data = &self.arena[slot as usize];
-                    buf[off..off + n].copy_from_slice(&data[in_page..in_page + n]);
-                }
+            match self.page(page) {
+                Some(data) => buf[off..off + n].copy_from_slice(&data[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
             pos += n as u64;
@@ -146,9 +302,7 @@ impl SparseStore {
             let page = pos / PAGE_BYTES;
             let in_page = (pos % PAGE_BYTES) as usize;
             let n = (PAGE - in_page).min(data.len() - off);
-            let slot = self.slot_of_mut(page);
-            Arc::make_mut(&mut self.arena[slot as usize])[in_page..in_page + n]
-                .copy_from_slice(&data[off..off + n]);
+            self.page_mut(page)[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             pos += n as u64;
             off += n;
         }
@@ -170,28 +324,28 @@ impl SparseStore {
 
     /// Discards all contents — the volatile-device crash model.
     pub fn clear(&mut self) {
-        self.index.clear();
-        self.arena.clear();
-        self.last = (NO_PAGE, 0);
+        self.roots.clear();
+        self.pages = 0;
     }
 
     /// Iterates over `(page index, page data)` pairs of allocated pages, in
-    /// unspecified order.
+    /// address order.
     pub fn iter_pages(&self) -> impl Iterator<Item = (u64, &[u8; PAGE])> {
-        self.index.iter().map(|(&idx, &slot)| (idx, &*self.arena[slot as usize]))
+        self.roots
+            .iter()
+            .flat_map(|(span, top)| top.pages(span << Top::BITS))
+            .map(|(idx, data)| (idx, &**data))
     }
 
-    /// Page indices of this image whose page it does not share with
-    /// `base`, in unspecified order. For an image cloned from `base`,
-    /// these are the pages written or allocated since the clone. A page
-    /// only `base` holds is not listed.
-    fn pages_not_shared_with<'a>(&'a self, base: &'a Self) -> impl Iterator<Item = u64> + 'a {
-        self.index.iter().filter_map(move |(&idx, &slot)| {
-            let page = &self.arena[slot as usize];
-            let shared =
-                base.slot_of(idx).is_some_and(|b| Arc::ptr_eq(page, &base.arena[b as usize]));
-            (!shared).then_some(idx)
-        })
+    /// The pages of this image that it does not share with `base`, in
+    /// address order, each with `base`'s page at that number, if any. For
+    /// an image cloned from `base`, these are the pages written or
+    /// allocated since the clone. A page only `base` holds is not listed.
+    /// The walk skips every subtree the two images share.
+    fn pages_not_shared_with<'a>(&'a self, base: &'a Self) -> impl Iterator<Item = Pair<'a>> + 'a {
+        self.roots
+            .iter()
+            .flat_map(move |(span, top)| top.unshared(base.root(*span), span << Top::BITS))
     }
 
     /// A content-based fingerprint of the store: an FNV-1a-style hash over
@@ -201,10 +355,9 @@ impl SparseStore {
     /// (with overwhelming probability) byte-identical contents — a cheap
     /// stand-in for full image comparison in soak tests.
     pub fn fingerprint(&self) -> u64 {
-        let mut pages: Vec<(u64, &[u8; PAGE])> =
-            self.iter_pages().filter(|(_, data)| !page_is_zero(data)).collect();
-        pages.sort_unstable_by_key(|&(idx, _)| idx);
-        pages.into_iter().fold(FNV_OFFSET, |h, (idx, data)| fnv_page(h, idx, data))
+        self.iter_pages()
+            .filter(|(_, data)| !page_is_zero(data))
+            .fold(FNV_OFFSET, |h, (idx, data)| fnv_page(h, idx, data))
     }
 
     /// The modeled checkpoint MAC under `key`: the wrapping sum of every
@@ -222,26 +375,24 @@ impl SparseStore {
     /// [`SparseStore::mac`] under `key`, from `base`'s MAC `base_mac`:
     /// the terms of the pages this image does not share with `base` come
     /// out and their new terms go in. For an image cloned from `base`,
-    /// that hashes only the pages written since the clone. Every page
-    /// `base` holds must be a page of this image too, shared or not, as it
-    /// is for such a clone: only [`SparseStore::clear`] drops pages.
+    /// that hashes only the pages written since the clone, found by a walk
+    /// that skips every subtree the two share. Every page `base` holds
+    /// must be a page of this image too, shared or not, as it is for such
+    /// a clone: only [`SparseStore::clear`] drops pages.
     pub fn mac_from(&self, base: &Self, base_mac: u64, key: u64) -> u64 {
-        let changed: Vec<u64> = self.pages_not_shared_with(base).collect();
-        let terms = |img: &Self| -> u64 {
-            let pages: Vec<(u64, &[u8; PAGE])> = changed
-                .iter()
-                .filter_map(|&idx| img.slot_of(idx).map(|slot| (idx, &*img.arena[slot as usize])))
-                .collect();
-            keyed_terms_sum(key, &pages)
-        };
-        base_mac.wrapping_sub(terms(base)).wrapping_add(terms(self))
+        let (mut new, mut old) = (Vec::new(), Vec::new());
+        for (idx, page, was) in self.pages_not_shared_with(base) {
+            new.push((idx, &**page));
+            old.extend(was.map(|was| (idx, &**was)));
+        }
+        base_mac.wrapping_sub(keyed_terms_sum(key, &old)).wrapping_add(keyed_terms_sum(key, &new))
     }
 
     /// Page `page`'s term of [`SparseStore::mac`] under `key`: a keyed FNV
     /// hash of its number and contents, or 0 for a page that is
     /// unallocated or all zero, so the two stay indistinguishable.
     pub fn page_mac(&self, key: u64, page: u64) -> u64 {
-        self.slot_of(page).map_or(0, |slot| keyed_page_term(key, page, &self.arena[slot as usize]))
+        self.page(page).map_or(0, |data| keyed_page_term(key, page, data))
     }
 }
 
@@ -323,10 +474,7 @@ impl PartialEq for SparseStore {
             if page_is_zero(data) {
                 return true;
             }
-            match other.slot_of(idx) {
-                Some(slot) => other.arena[slot as usize][..] == data[..],
-                None => false,
-            }
+            other.page(idx).is_some_and(|theirs| theirs[..] == data[..])
         })
     }
 }
@@ -335,7 +483,33 @@ impl Eq for SparseStore {}
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    thread_local! {
+        /// Node copies and node visits this thread's store calls made since
+        /// the last [`take_tally`].
+        static TALLY: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Counts one node copy: a clone's root or a write's path copy.
+    pub(super) fn tally_copy() {
+        TALLY.with(|t| t.set((t.get().0 + 1, t.get().1)));
+    }
+
+    /// Counts one node a walk over two images descended into.
+    pub(super) fn tally_visit() {
+        TALLY.with(|t| t.set((t.get().0, t.get().1 + 1)));
+    }
+
+    /// The `(copies, visits)` counted since the last call, and a reset.
+    fn take_tally() -> (usize, usize) {
+        TALLY.with(|t| t.replace((0, 0)))
+    }
 
     #[test]
     fn fresh_store_reads_zero() {
@@ -416,9 +590,10 @@ mod tests {
         let mut m = SparseStore::new();
         m.write(HwAddr::new(0), &[1]);
         m.write(HwAddr::new(3 * PAGE_BYTES), &[2]);
-        let mut idxs: Vec<u64> = m.iter_pages().map(|(i, _)| i).collect();
-        idxs.sort_unstable();
-        assert_eq!(idxs, vec![0, 3]);
+        m.write(HwAddr::new(PAGE_BYTES), &[3]);
+        // Address order, without a sort.
+        let idxs: Vec<u64> = m.iter_pages().map(|(i, _)| i).collect();
+        assert_eq!(idxs, vec![0, 1, 3]);
     }
 
     #[test]
@@ -483,7 +658,7 @@ mod tests {
 
     /// Page `idx` of `img`, which must hold it.
     fn page_of(img: &SparseStore, idx: u64) -> (u64, &[u8; PAGE]) {
-        (idx, &*img.arena[img.slot_of(idx).expect("allocated page") as usize])
+        (idx, &**img.page(idx).expect("allocated page"))
     }
 
     #[test]
@@ -627,10 +802,9 @@ mod tests {
 
     #[test]
     fn pages_not_shared_with_lists_the_pages_written_since_the_clone() {
+        // Listed in address order, without a sort.
         let listed = |img: &SparseStore, base: &SparseStore| {
-            let mut pages: Vec<u64> = img.pages_not_shared_with(base).collect();
-            pages.sort_unstable();
-            pages
+            img.pages_not_shared_with(base).map(|(idx, ..)| idx).collect::<Vec<u64>>()
         };
         let mut base = SparseStore::new();
         for page in 0..4 {
@@ -701,9 +875,8 @@ mod tests {
     }
 
     #[test]
-    fn last_page_cache_survives_interleaved_access() {
-        // Interleave reads/writes across pages so the one-entry cache is
-        // repeatedly invalidated and repopulated; contents must be exact.
+    fn interleaved_access_across_pages_is_exact() {
+        // Interleave reads and writes across pages; contents must be exact.
         let mut m = SparseStore::new();
         for i in 0..4u64 {
             m.write(HwAddr::new(i * PAGE_BYTES + 7), &[i as u8 + 1]);
@@ -718,6 +891,189 @@ mod tests {
         m.clear();
         let mut buf = [9u8; 1];
         m.read(HwAddr::new(7), &mut buf);
-        assert_eq!(buf[0], 0, "cache must not outlive clear()");
+        assert_eq!(buf[0], 0, "no page outlives clear()");
+    }
+
+    /// One image's contents as the model holds them: every page it holds,
+    /// by page number.
+    type Model = BTreeMap<u64, Box<[u8; PAGE]>>;
+
+    /// The model's bytes at `[addr, addr + buf.len())`: zero where it holds
+    /// no page.
+    fn model_read(model: &Model, addr: u64, buf: &mut [u8]) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            let at = addr + i as u64;
+            *b = model.get(&(at / PAGE_BYTES)).map_or(0, |page| page[(at % PAGE_BYTES) as usize]);
+        }
+    }
+
+    /// Writes `data` at `addr` into the model, adding zeroed pages.
+    fn model_write(model: &mut Model, addr: u64, data: &[u8]) {
+        for (i, &b) in data.iter().enumerate() {
+            let at = addr + i as u64;
+            let page = model.entry(at / PAGE_BYTES).or_insert_with(|| Box::new([0; PAGE]));
+            page[(at % PAGE_BYTES) as usize] = b;
+        }
+    }
+
+    /// Whether two models hold the same bytes, all-zero pages aside.
+    fn model_eq(a: &Model, b: &Model) -> bool {
+        let nonzero = |m: &Model| -> Vec<(u64, [u8; PAGE])> {
+            m.iter().filter(|(_, p)| !page_is_zero(p)).map(|(&i, p)| (i, **p)).collect()
+        };
+        nonzero(a) == nonzero(b)
+    }
+
+    /// One step of [`store_matches_a_page_map_model`] on image `img`
+    /// (taken modulo the live images).
+    #[derive(Debug, Clone)]
+    enum Step {
+        Write { img: usize, addr: u64, len: usize, fill: u8 },
+        Read { img: usize, addr: u64, len: usize },
+        Clone { img: usize },
+        Clear { img: usize },
+        Drop { img: usize },
+    }
+
+    /// Addresses near zero, around the first root's end (page 2^15), and
+    /// sparse ones above 2^40 and far beyond.
+    fn address() -> impl Strategy<Value = u64> {
+        let bases = [0, (1 << 27) - 3 * PAGE_BYTES, 1 << 40, 0x0123_4567_8000_0000];
+        (0usize..4, 0u64..6 * PAGE_BYTES).prop_map(move |(b, off)| bases[b] + off)
+    }
+
+    /// Lengths of up to a block, and ones that may span up to four pages.
+    fn length() -> impl Strategy<Value = usize> {
+        prop_oneof![1usize..65, 1usize..2 * PAGE + 200]
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let img = 0usize..8;
+        prop_oneof![
+            4 => (img.clone(), address(), length(), prop_oneof![Just(0u8), any::<u8>()])
+                .prop_map(|(img, addr, len, fill)| Step::Write { img, addr, len, fill }),
+            2 => (img.clone(), address(), length())
+                .prop_map(|(img, addr, len)| Step::Read { img, addr, len }),
+            2 => img.clone().prop_map(|img| Step::Clone { img }),
+            1 => img.clone().prop_map(|img| Step::Clear { img }),
+            1 => img.prop_map(|img| Step::Drop { img }),
+        ]
+    }
+
+    /// Checks every live image against its model: its bytes, page count,
+    /// fingerprint and MAC; `==` between every two; and `mac_from` from
+    /// every other image whose pages it holds, an older snapshot included.
+    fn check_images(images: &[(SparseStore, Model)]) -> proptest::TestCaseResult {
+        let key = 0x5eed;
+        for (i, (img, model)) in images.iter().enumerate() {
+            prop_assert_eq!(img.allocated_pages(), model.len(), "image {}", i);
+            let pages: Vec<u64> = img.iter_pages().map(|(idx, _)| idx).collect();
+            let held: Vec<u64> = model.keys().copied().collect();
+            prop_assert_eq!(&pages, &held, "image {} in address order", i);
+            for ((idx, data), page) in img.iter_pages().zip(model.values()) {
+                prop_assert!(data[..] == page[..], "image {} page {}", i, idx);
+                prop_assert!(img.read_page(HwAddr::new(idx * PAGE_BYTES))[..] == page[..]);
+            }
+            let fingerprint = model
+                .iter()
+                .filter(|(_, p)| !page_is_zero(p))
+                .fold(FNV_OFFSET, |h, (&idx, p)| fnv_page(h, idx, p));
+            prop_assert_eq!(img.fingerprint(), fingerprint, "image {}", i);
+            let mac =
+                model.iter().fold(0u64, |m, (&idx, p)| m.wrapping_add(keyed_page_term(key, idx, p)));
+            prop_assert_eq!(img.mac(key), mac, "image {}", i);
+            for (j, (other, other_model)) in images.iter().enumerate() {
+                let same = model_eq(model, other_model);
+                prop_assert_eq!(img == other, same, "images {} and {}", i, j);
+                if i != j && other_model.keys().all(|k| model.contains_key(k)) {
+                    let from = img.mac_from(other, other.mac(key), key);
+                    prop_assert_eq!(from, mac, "image {} from {}", i, j);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The store against a naive per-image page map, through writes
+        /// within and across pages and at sparse addresses, reads, clones
+        /// kept alive as snapshots, clears and drops.
+        #[test]
+        fn store_matches_a_page_map_model(steps in proptest::collection::vec(step(), 1..40)) {
+            let mut images = vec![(SparseStore::new(), Model::new())];
+            for step in steps {
+                let live = images.len();
+                match step {
+                    Step::Write { img, addr, len, fill } => {
+                        let byte = |k: usize| if fill == 0 { 0 } else { fill.wrapping_add(k as u8) };
+                        let data: Vec<u8> = (0..len).map(byte).collect();
+                        let (store, model) = &mut images[img % live];
+                        store.write(HwAddr::new(addr), &data);
+                        model_write(model, addr, &data);
+                    }
+                    Step::Read { img, addr, len } => {
+                        let (store, model) = &images[img % live];
+                        let (mut got, mut want) = (vec![0xa5; len], vec![0; len]);
+                        store.read(HwAddr::new(addr), &mut got);
+                        model_read(model, addr, &mut want);
+                        prop_assert!(got == want, "read of {} bytes at {:#x}", len, addr);
+                    }
+                    Step::Clone { img } if live < 6 => {
+                        let snapshot = images[img % live].clone();
+                        images.push(snapshot);
+                    }
+                    Step::Clone { .. } => {}
+                    Step::Clear { img } => {
+                        let (store, model) = &mut images[img % live];
+                        store.clear();
+                        model.clear();
+                    }
+                    Step::Drop { img } if live > 1 => {
+                        images.remove(img % live);
+                    }
+                    Step::Drop { .. } => {}
+                }
+                check_images(&images)?;
+            }
+        }
+    }
+
+    /// The cost of a capture and a commit's diff does not grow with the
+    /// image: on a 16 384-page image, as on a 16-page one, a clone copies
+    /// its one root, a one-page write then copies one node per level below
+    /// it (and a second write to the page none), and the walk behind
+    /// `mac_from` enters only that page's path.
+    #[test]
+    fn clone_write_and_diff_cost_one_path_at_any_footprint() {
+        let key = 0x5eed;
+        let mut costs = Vec::new();
+        for pages in [16u64, 16_384] {
+            let mut base = SparseStore::new();
+            for page in 0..pages {
+                base.write(HwAddr::new(page * PAGE_BYTES + 8), &[page as u8 | 1]);
+            }
+            assert_eq!(base.allocated_pages() as u64, pages);
+            let base_mac = base.mac(key);
+            take_tally();
+            let mut next = base.clone();
+            let (clone_copies, _) = take_tally();
+            next.write(HwAddr::new(7 * PAGE_BYTES + 100), &[42; 8]);
+            let (write_copies, _) = take_tally();
+            // The path is this image's own now: writing it again copies
+            // nothing.
+            next.write(HwAddr::new(7 * PAGE_BYTES + 200), &[43; 8]);
+            assert_eq!(take_tally(), (0, 0), "{pages} pages: a second write copied");
+            let listed: Vec<u64> = next.pages_not_shared_with(&base).map(|(idx, ..)| idx).collect();
+            let (_, visits) = take_tally();
+            assert_eq!(listed, [7], "{pages} pages");
+            assert_eq!(next.mac_from(&base, base_mac, key), next.mac(key), "{pages} pages");
+            costs.push((clone_copies, write_copies, visits));
+        }
+        // One root node, then the inner node and the leaf on the written
+        // page's path, one per level below the root of `Top`.
+        assert_eq!(costs[0], (1, 2, 2), "16 pages");
+        assert_eq!(costs[1], costs[0], "16 384 pages cost as 16 do");
     }
 }

@@ -32,7 +32,7 @@ mod common;
 
 use common::{
     apply, assert_trials_replay_alone, replay, run_trial, stacked_crashes, sweep_seed, tamper_kind,
-    trial_label, Digest, Op, Reference, PAGE,
+    trial_label, Digest, Op, Reference, Trial, PAGE,
 };
 use thynvm::core::{EventKind, Scenario, TamperFault, ThyNvm};
 use thynvm::types::{
@@ -135,10 +135,7 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
     let mut unrecoverables = 0u64;
     let mut still_armed = 0u64;
     let mut kinds_detected = [0u64; 2]; // tamper / torn
-    for trial in 0..TRIALS {
-        let (ci, sc) = tamper_trial(&refs, trial, &mut rng);
-        let t =
-            run_trial(&ops, cfgs[ci], &refs[ci].oracle, sc, &trial_label(seed, trial), &mut digest);
+    let mut check = |t: &Trial| {
         let label = &t.label;
         let s = t.sys.stats().security;
         let applied = t.sys.armed_tamper().is_none();
@@ -187,6 +184,21 @@ fn seeded_tamper_sweep_never_replays_unauthenticated_data() {
             assert_eq!(s.tampers_detected, s.classified_media, "{label}: phantom detection");
             still_armed += 1;
         }
+    };
+    // A fixed trial ahead of the seeded ones, the same at every sweep seed:
+    // a forged `C_last` block armed and power lost at cycle 1, before any
+    // checkpoint exists, so the floor below holds at seeds whose seeded
+    // crashes all land after the first checkpoint.
+    let sc = Scenario {
+        crashes: vec![Cycle::new(1)],
+        tamper: Some(tamper_kind(0, 0)),
+        ..Scenario::default()
+    };
+    check(&run_trial(&ops, cfgs[0], &refs[0].oracle, sc, "fixed trial", &mut digest));
+    for trial in 0..TRIALS {
+        let (ci, sc) = tamper_trial(&refs, trial, &mut rng);
+        let label = trial_label(seed, trial);
+        check(&run_trial(&ops, cfgs[ci], &refs[ci].oracle, sc, &label, &mut digest));
     }
     // Coverage floor: the sweep exercised every path in the population.
     assert!(fallbacks > 0, "sweep never fell back to C_penult");
