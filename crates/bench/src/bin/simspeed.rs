@@ -8,6 +8,12 @@
 //! cargo run --release -p thynvm-bench --bin simspeed -- \
 //!     --update BENCH_simspeed.json --label "PR6 flattened hot path"
 //!
+//! # Append one entry whose per-case host time is the median of several
+//! # runs, each recorded by its own `--update` into a file of its own
+//! # (refused unless every run has the same sim_cycles); measures nothing:
+//! cargo run --release -p thynvm-bench --bin simspeed -- \
+//!     --median-of /tmp/run.*.json --update BENCH_simspeed.json --label "..."
+//!
 //! # CI regression gate (exit 1 on >15% throughput drop or any
 //! # simulated-cycle drift vs the latest committed entry):
 //! cargo run --release -p thynvm-bench --bin simspeed -- \
@@ -25,6 +31,8 @@ use thynvm_bench::simspeed;
 struct Args {
     check: Option<String>,
     update: Option<String>,
+    /// Files whose latest entries are merged instead of measuring.
+    median_of: Vec<String>,
     label: String,
     repeats: u32,
     gate_pct: f64,
@@ -34,25 +42,42 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         check: None,
         update: None,
+        median_of: Vec::new(),
         label: "unlabeled".to_owned(),
         repeats: env_u32("SIMSPEED_REPEATS", simspeed::DEFAULT_REPEATS)?,
         gate_pct: env_f64("SIMSPEED_GATE_PCT", simspeed::GATE_REGRESSION_PCT)?,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = std::env::args().skip(1).peekable();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--check" => args.check = Some(value("--check")?),
             "--update" => args.update = Some(value("--update")?),
+            "--median-of" => {
+                while let Some(file) = it.next_if(|a| !a.starts_with("--")) {
+                    args.median_of.push(file);
+                }
+                if args.median_of.is_empty() {
+                    return Err("--median-of needs at least one file".to_owned());
+                }
+            }
             "--label" => args.label = value("--label")?,
             "--repeats" => {
                 args.repeats = value("--repeats")?.parse().map_err(|e| format!("--repeats: {e}"))?;
             }
-            other => return Err(format!("unknown argument '{other}' (see --check/--update/--label/--repeats)")),
+            other => {
+                return Err(format!(
+                    "unknown argument '{other}' \
+                     (see --check/--update/--median-of/--label/--repeats)"
+                ))
+            }
         }
     }
     if args.check.is_some() && args.update.is_some() {
         return Err("--check and --update are mutually exclusive".to_owned());
+    }
+    if args.check.is_some() && !args.median_of.is_empty() {
+        return Err("--check measures; --median-of merges earlier runs instead".to_owned());
     }
     Ok(args)
 }
@@ -78,8 +103,19 @@ fn load(path: &str) -> Result<Json, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-    eprintln!("simspeed: measuring {} repeats per case...", args.repeats);
-    let results = simspeed::run_all(args.repeats);
+    let results = if args.median_of.is_empty() {
+        eprintln!("simspeed: measuring {} repeats per case...", args.repeats);
+        simspeed::run_all(args.repeats)
+    } else {
+        let latest = |path: &String| {
+            let doc = load(path)?;
+            let (_, run) = simspeed::latest_entry(&doc).map_err(|e| format!("{path}: {e}"))?;
+            Ok(run)
+        };
+        let runs = args.median_of.iter().map(latest).collect::<Result<Vec<_>, String>>()?;
+        eprintln!("simspeed: per-case median of {} runs", runs.len());
+        simspeed::median_of(&runs)?
+    };
     simspeed::table(&results).print();
 
     if let Some(path) = &args.check {

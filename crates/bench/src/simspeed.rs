@@ -365,6 +365,52 @@ pub fn latest_entry(doc: &Json) -> Result<(String, Vec<CaseResult>), String> {
     Ok((label, results))
 }
 
+/// Merges several measured runs of the same cases into one result per
+/// case, with the case's `ops` and `sim_cycles` and the median of its
+/// runs' `host_ns` (the mean of the middle two for an even count). One
+/// best-of-N run on a shared machine can land a few percent off its
+/// neighbours for no reason in the code; the median of many such runs
+/// is what a trajectory entry should record.
+///
+/// # Errors
+///
+/// Returns a message when `runs` is empty, or when a run measures other
+/// cases, or the same case with other `ops` or `sim_cycles`, than the
+/// first: runs of different simulated timelines have no common median.
+pub fn median_of(runs: &[Vec<CaseResult>]) -> Result<Vec<CaseResult>, String> {
+    let (first, rest) = runs.split_first().ok_or("no runs to take the median of")?;
+    for (i, run) in rest.iter().enumerate() {
+        let names = |r: &[CaseResult]| r.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+        if names(run) != names(first) {
+            return Err(format!("run {} measures other cases than run 1", i + 2));
+        }
+        let differs =
+            |(c, f): &(&CaseResult, &CaseResult)| (c.ops, c.sim_cycles) != (f.ops, f.sim_cycles);
+        if let Some((c, f)) = run.iter().zip(first).find(differs) {
+            return Err(format!(
+                "run {}: '{}' has ops {} and sim_cycles {}, run 1 {} and {}",
+                i + 2,
+                c.name,
+                c.ops,
+                c.sim_cycles,
+                f.ops,
+                f.sim_cycles
+            ));
+        }
+    }
+    let median = |k: usize| {
+        let mut ns: Vec<u64> = runs.iter().map(|r| r[k].host_ns).collect();
+        ns.sort_unstable();
+        let mid = ns.len() / 2;
+        if ns.len() % 2 == 1 { ns[mid] } else { (ns[mid - 1] + ns[mid]) / 2 }
+    };
+    Ok(first
+        .iter()
+        .enumerate()
+        .map(|(k, f)| CaseResult { host_ns: median(k), ..f.clone() })
+        .collect())
+}
+
 /// Outcome of gating one measured case against the committed baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateLine {
@@ -588,6 +634,32 @@ mod tests {
         let rescaled = vec![CaseResult { ops: 200, ..fake("a", 1000, 1000) }];
         let lines = check_against(&doc, &rescaled, GATE_REGRESSION_PCT).unwrap();
         assert!(lines.iter().any(|l| !l.ok && l.message.contains("ops")), "{lines:?}");
+    }
+
+    #[test]
+    fn median_of_takes_each_cases_median_and_refuses_other_timelines() {
+        // Three runs as `--update` writes them, each its own artifact.
+        let runs = [[30, 7], [10, 9], [20, 8]].map(|[a, b]| {
+            let doc = append_entry(None, "run", &[fake("a", 1000, a), fake("b", 50, b)]).unwrap();
+            latest_entry(&doc).unwrap().1
+        });
+        let merged = median_of(&runs).unwrap();
+        assert_eq!(merged, vec![fake("a", 1000, 20), fake("b", 50, 8)]);
+        // An even count takes the mean of the middle two.
+        assert_eq!(median_of(&runs[..2]).unwrap(), vec![fake("a", 1000, 20), fake("b", 50, 8)]);
+        assert_eq!(median_of(&runs[..1]).unwrap(), runs[0]);
+        // Runs of another simulated timeline, scale or case list.
+        let mut drifted = runs.to_vec();
+        drifted[2][1].sim_cycles += 1;
+        let err = median_of(&drifted).unwrap_err();
+        assert!(err.contains("run 3") && err.contains("'b'"), "{err}");
+        let mut rescaled = runs.to_vec();
+        rescaled[1][0].ops = 200;
+        assert!(median_of(&rescaled).is_err());
+        let mut fewer = runs.to_vec();
+        fewer[1].pop();
+        assert!(median_of(&fewer).is_err());
+        assert!(median_of(&[]).is_err());
     }
 
     #[test]

@@ -248,10 +248,9 @@ struct Checkpoint {
     /// page a later commit did not rewrite with that commit's image
     /// (copy-on-write).
     store: SparseStore,
-    /// MAC over `store` under the modeled key, updated at commit from the
-    /// terms of the pages the commit rewrote. Models the authenticated
-    /// checkpoint root stored in NVM. Stays the empty image's MAC while
-    /// secure mode is off.
+    /// MAC over `store` under the modeled key, taken on `visible` at the
+    /// capture. Models the authenticated checkpoint root stored in NVM.
+    /// Stays the empty image's MAC while secure mode is off.
     mac: u64,
     /// Rung persisted with the commit record: what recovery rehydrates
     /// when it restores this checkpoint.
@@ -261,8 +260,17 @@ struct Checkpoint {
 impl Checkpoint {
     /// Checkpoint 0: the empty image, carrying `rung`.
     fn empty(mac_key: u64, rung: HealthRung) -> Self {
-        let store = SparseStore::new();
+        let mut store = SparseStore::new();
         Self { number: 0, mac: store.mac(mac_key), store, rung }
+    }
+
+    /// Whether the image still authenticates under `mac_key`. The walk
+    /// reads the MAC sums the capture left in the image and re-hashes only
+    /// the pages written since, which is none unless they were forged.
+    fn authentic(&mut self, mac_key: u64) -> bool {
+        let mac = self.store.mac(mac_key);
+        debug_assert_eq!(mac, self.store.recomputed_mac(mac_key), "checkpoint {}", self.number);
+        mac == self.mac
     }
 }
 
@@ -823,7 +831,7 @@ impl ThyNvm {
     /// the simulator's footprint stays proportional to the touched working
     /// set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
-        let captured = self.epoch.job.as_ref().and_then(|j| j.image.as_ref());
+        let captured = self.epoch.job.as_ref().and_then(|j| j.image.as_ref()).map(|(img, _)| img);
         self.visible.allocated_pages()
             + captured.map_or(0, SparseStore::allocated_pages)
             + self.history.iter().map(|c| c.store.allocated_pages()).sum::<usize>()
@@ -937,7 +945,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn quarantine_rollback(&mut self, base: u64, len: u64) {
         let mut img = vec![0u8; len as usize];
-        let captured = self.epoch.job.as_ref().and_then(|j| j.image.as_ref());
+        let captured = self.epoch.job.as_ref().and_then(|j| j.image.as_ref()).map(|(img, _)| img);
         let last = captured.unwrap_or(&self.clast().store);
         last.read(HwAddr::new(base), &mut img);
         self.visible.write(HwAddr::new(base), &img);
@@ -1415,24 +1423,12 @@ impl ThyNvm {
         let retire_at = job.done_at;
 
         // Functional commit: the image the final round captured becomes
-        // `C_last`, and the superseded `C_last` becomes `C_penult`, the
-        // fallback should the new one fail verification. An intermediate
-        // round captured nothing, so committing it leaves `C_last`'s
-        // contents as they were.
+        // `C_last` with the MAC the capture took, and the superseded
+        // `C_last` becomes `C_penult`, the fallback should the new one fail
+        // verification. An intermediate round captured nothing, so
+        // committing it leaves `C_last`'s contents and MAC as they were.
         let last = self.history.back().expect("invariant: checkpoint 0 is never trimmed");
-        let store = job.image.unwrap_or_else(|| last.store.clone());
-
-        // Authenticate the new image under the modeled key. The MAC is a
-        // sum of per-page terms, so only the pages the capture does not
-        // share with `C_last` change it: their old terms come out and
-        // their new terms go in.
-        let mac = if self.security.is_some() {
-            let mac = store.mac_from(&last.store, last.mac, self.mac_key);
-            debug_assert_eq!(mac, store.mac(self.mac_key));
-            mac
-        } else {
-            last.mac
-        };
+        let (store, mac) = job.image.unwrap_or_else(|| (last.store.clone(), last.mac));
 
         // The commit record carries the rung its health record persisted;
         // with the ladder off there is none, and `C_last`'s stands.
@@ -1519,6 +1515,12 @@ impl ThyNvm {
     fn penult(&self) -> Option<&Checkpoint> {
         let last = self.clast().number;
         self.history.iter().rev().nth(1).filter(|c| c.number + 1 == last)
+    }
+
+    /// [`Self::penult`], for the MAC walk to store its sums in.
+    fn penult_mut(&mut self) -> Option<&mut Checkpoint> {
+        let last = self.clast().number;
+        self.history.iter_mut().rev().nth(1).filter(|c| c.number + 1 == last)
     }
 
     /// The §6 archive: the newest `archive_depth` checkpoints behind
@@ -2613,7 +2615,8 @@ impl ThyNvm {
         // Step 2b/3b: secure-mode authentication. The MAC over the
         // committed image and the integrity-tree root over the counter
         // table are *recomputed* from persisted state — pure functions of
-        // it, so a restarted attempt converges on the same verdict. A CRC
+        // it, so a restarted attempt converges on the same verdict (the
+        // MAC walk's memos only spare re-hashing unwritten pages). A CRC
         // fallback that landed on `completed == 0` still authenticates:
         // the fallback image is the persisted `C_penult`, whose bytes an
         // attacker with physical access can forge, so skipping the MAC
@@ -2636,8 +2639,9 @@ impl ThyNvm {
             // would detect it, but the MAC does — accidentally corrupt
             // bytes fail authentication just like forged ones.
             let media_caught = !self.cfg.media.integrity && !self.injected_media.is_empty();
-            let last = self.clast();
-            let mac_ok = !media_caught && last.store.mac(self.mac_key) == last.mac;
+            let key = self.mac_key;
+            let last = self.history.back_mut().expect("invariant: checkpoint 0 is never trimmed");
+            let mac_ok = !media_caught && last.authentic(key);
             let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
             self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *v)?;
             steps.push((RecoveryStep::VerifyMacs, t));
@@ -2648,7 +2652,7 @@ impl ThyNvm {
                 // is the `C_last` just checked.
                 let trusted = mac_ok
                     || (!v.integrity_fallback
-                        && self.penult().is_some_and(|p| p.store.mac(self.mac_key) == p.mac));
+                        && self.penult_mut().is_some_and(|p| p.authentic(key)));
                 // Either outcome commits through the WAL first — intent,
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
@@ -3083,11 +3087,27 @@ impl ThyNvm {
             // rounds persist metadata only — a crash among them rolls back
             // to the previous full epoch boundary (conservative, see
             // DESIGN.md).
-            image: final_round.then(|| self.visible.clone()),
+            image: final_round.then(|| self.capture()),
             rung,
         };
         self.epoch.start_job(job, t);
         resume_after_flush
+    }
+
+    /// The final round's capture: a clone of `visible` and the MAC that
+    /// authenticates it, `C_last`'s while secure mode is off. The MAC is
+    /// taken on `visible` before the clone: the paths the epoch wrote are
+    /// then `visible`'s alone, so the walk stores its sums in them and the
+    /// clone inherits every one.
+    fn capture(&mut self) -> (SparseStore, u64) {
+        let mac = if self.security.is_some() {
+            let mac = self.visible.mac(self.mac_key);
+            debug_assert_eq!(mac, self.visible.recomputed_mac(self.mac_key), "the capture");
+            mac
+        } else {
+            self.clast().mac
+        };
+        (self.visible.clone(), mac)
     }
 }
 
@@ -3980,7 +4000,7 @@ mod tests {
                     let ends_at_n = archived.last().is_none_or(|&last| last == n);
                     let held = archived.len() <= depth;
                     assert!(ordered && held && ends_at_n, "{ctx}: archive {archived:?}");
-                    assert_macs_match_images(&sys, &ctx);
+                    assert_macs_match_images(&mut sys, &ctx);
                     // The records behind checkpoint 0 are consecutive and end
                     // at `C_last`, so a held `C_penult` is numbered one below.
                     let numbers: Vec<u64> = sys.history.iter().map(|c| c.number).collect();
@@ -5561,11 +5581,18 @@ mod tests {
     }
 
     /// Asserts that every held checkpoint's MAC equals a full
-    /// recomputation over the image it authenticates.
-    fn assert_macs_match_images(sys: &ThyNvm, when: &str) {
-        for c in &sys.history {
-            assert_eq!(c.mac, c.store.mac(sys.mac_key), "checkpoint {} MAC after {when}", c.number);
+    /// recomputation over the image it authenticates, and that the
+    /// memoized MAC walk of each held image and of `visible` equals the
+    /// full recomputation too, so the memos are current in release builds.
+    fn assert_macs_match_images(sys: &mut ThyNvm, when: &str) {
+        let key = sys.mac_key;
+        for c in &mut sys.history {
+            let full = c.store.recomputed_mac(key);
+            assert_eq!(c.mac, full, "checkpoint {} MAC after {when}", c.number);
+            assert_eq!(c.store.mac(key), full, "checkpoint {} memoized MAC after {when}", c.number);
         }
+        let full = sys.visible.recomputed_mac(key);
+        assert_eq!(sys.visible.mac(key), full, "visible memoized MAC after {when}");
     }
 
     #[test]
@@ -5573,8 +5600,8 @@ mod tests {
         // Secure mode with CRC integrity and a persist buffer that salvages
         // every pending write, so each way a commit or a fallback can move
         // the images runs once. Release builds compile out the
-        // `debug_assert` in `commit_job`; this test checks the same
-        // equality there.
+        // `debug_assert`s at the capture and in `VerifyMacs`; this test
+        // checks the same equalities there, and the memos of every image.
         let mut cfg = SystemConfig::small_test();
         cfg.security = thynvm_types::SecurityConfig::hardened();
         cfg.media = thynvm_types::MediaFaultConfig::hardened();
@@ -5595,12 +5622,12 @@ mod tests {
             t = sys.store_bytes(PhysAddr::new(straddle), &[round as u8 + 1; 200], t);
             t = sys.store_bytes(PhysAddr::new(9 * PAGE_BYTES + 64 * round), &[0xEE; 64], t);
             t = commit(&mut sys, t);
-            assert_macs_match_images(&sys, &format!("commit {round}"));
+            assert_macs_match_images(&mut sys, &format!("commit {round}"));
         }
         t = sys.store_bytes(PhysAddr::new(PAGE_BYTES - 100), &[0; 200], t);
         t = sys.store_bytes(PhysAddr::new(2 * PAGE_BYTES - 100), &[0; 100], t);
         t = commit(&mut sys, t);
-        assert_macs_match_images(&sys, "a zeroing commit");
+        assert_macs_match_images(&mut sys, "a zeroing commit");
 
         // A crash inside the commit-record window: the salvaged marker
         // commits the in-flight checkpoint early, at crash time.
@@ -5612,17 +5639,17 @@ mod tests {
         assert!(flushes(&mut sys).iter().any(|f| f.commit_salvaged()), "early commit");
         assert!(!report.rolled_back_incomplete);
         assert_eq!(sys.epoch_state().completed, before + 1);
-        assert_macs_match_images(&sys, "a salvaged early commit");
+        assert_macs_match_images(&mut sys, "a salvaged early commit");
         t = done + report.recovery_cycles;
 
         // A torn commit record: the CRC check falls back to `C_penult`.
         t = sys.store_bytes(PhysAddr::new(4 * PAGE_BYTES - 32), &[0x11; 64], t);
         t = commit(&mut sys, t);
-        assert_macs_match_images(&sys, "a commit");
+        assert_macs_match_images(&mut sys, "a commit");
         sys.inject_media_fault(MediaFault::TornCommitRecord);
         let report = sys.crash_and_recover(t);
         assert!(report.integrity_fallback, "CRC fallback");
-        assert_macs_match_images(&sys, "a CRC fallback");
+        assert_macs_match_images(&mut sys, "a CRC fallback");
         t += report.recovery_cycles;
 
         // Forged `C_last` bytes: the MAC check falls back to `C_penult`.
@@ -5630,18 +5657,18 @@ mod tests {
         t = commit(&mut sys, t);
         t = sys.store_bytes(PhysAddr::new(5 * PAGE_BYTES - 32), &[0x33; 64], t);
         t = commit(&mut sys, t);
-        assert_macs_match_images(&sys, "a commit");
+        assert_macs_match_images(&mut sys, "a commit");
         sys.inject_tamper(TamperFault::ClastData { addr: 5 * PAGE_BYTES - 1 });
         let report = sys.crash_and_recover(t);
         assert!(report.integrity_fallback && !report.unrecoverable, "MAC fallback");
         assert_eq!(sys.stats().security.verify_fallbacks, 1);
-        assert_macs_match_images(&sys, "a tamper fallback");
+        assert_macs_match_images(&mut sys, "a tamper fallback");
         t += report.recovery_cycles;
 
         // Commits after the fallbacks keep updating from the right base.
         t = sys.store_bytes(PhysAddr::new(5 * PAGE_BYTES - 32), &[0x44; 64], t);
         commit(&mut sys, t);
-        assert_macs_match_images(&sys, "a commit after the fallbacks");
+        assert_macs_match_images(&mut sys, "a commit after the fallbacks");
     }
 
     // ------------------------------------------------------------------

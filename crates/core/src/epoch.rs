@@ -36,10 +36,10 @@ pub struct CkptJob {
     /// (buffered block drains and page writebacks), for in-flight counts at
     /// an arbitrary crash cycle.
     pub writeback_done: Vec<Cycle>,
-    /// The visible image the final round captured; it becomes `C_last`
-    /// when the job commits. `None` for an intermediate round, which
-    /// captures nothing.
-    pub(crate) image: Option<SparseStore>,
+    /// The visible image the final round captured and its MAC; both
+    /// become `C_last`'s when the job commits. `None` for an intermediate
+    /// round, which captures nothing.
+    pub(crate) image: Option<(SparseStore, u64)>,
     /// The rung the job's health record persisted, when the ladder is on;
     /// it becomes `C_last`'s when the job commits.
     pub(crate) rung: Option<HealthRung>,

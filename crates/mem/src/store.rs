@@ -32,9 +32,16 @@
 //!   pages it wrote.
 //! * Dropping an image frees only the nodes and pages no other image holds:
 //!   dropping a superseded checkpoint frees the paths its successor copied.
-//! * [`SparseStore::mac_from`] walks two images side by side and skips
-//!   every subtree the two share (`Arc::ptr_eq`), so it visits the paths
-//!   to the pages written since a clone and nothing else.
+//! * [`SparseStore::mac`] is memoized in the tree. Every node keeps, per
+//!   slot, the keyed MAC sum of the subtree under that slot, tagged with
+//!   its key, and a write clears its slot's memo on every node of its
+//!   path. A walk therefore hashes only the pages written since a walk
+//!   under the same key last passed them, and a clone inherits its
+//!   source's memos. A walk stores sums only in nodes the image holds
+//!   alone (`Arc::get_mut`); it sums a shared subtree whose memo is stale
+//!   without storing anything in it. The memo is one `u64` per slot plus
+//!   the key and a validity mask: about 0.5 KiB more per inner node and
+//!   80 B more per leaf, copied along with the slots.
 //! * [`SparseStore::fingerprint`] and [`SparseStore::iter_pages`] walk the
 //!   roots and slots in order, which is address order, without a sort.
 //!
@@ -70,30 +77,83 @@ type Leaf = Node<Page, LEAF_SLOTS>;
 /// of inner nodes, the leaves. A root spans `1 << Top::BITS` pages.
 type Top = Node<Node<Leaf, INNER_SLOTS>, INNER_SLOTS>;
 const _: () = assert!(LEAF_SLOTS.is_power_of_two() && INNER_SLOTS.is_power_of_two());
+// A memo's validity mask has one bit per slot.
+const _: () = assert!(LEAF_SLOTS <= 64 && INNER_SLOTS <= 64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// One node of the page tree: `N` slots, `N` a power of two, each empty
 /// or holding a child (a page at the lowest level, a node of the level
-/// below elsewhere) that clones of the image may share.
+/// below elsewhere) that clones of the image may share, and the MAC sum
+/// each slot's subtree had when a walk last worked it out.
 #[derive(Debug)]
 struct Node<T, const N: usize> {
     slots: [Option<Arc<T>>; N],
+    memo: Memo<N>,
 }
 
 impl<T, const N: usize> Default for Node<T, N> {
     fn default() -> Self {
-        Self { slots: std::array::from_fn(|_| None) }
+        Self { slots: std::array::from_fn(|_| None), memo: Memo::default() }
     }
 }
 
 impl<T, const N: usize> Clone for Node<T, N> {
-    /// Copies the slots, sharing every child.
+    /// Copies the slots, sharing every child, and the memo with them.
     fn clone(&self) -> Self {
         #[cfg(test)]
         tests::tally_copy();
-        Self { slots: self.slots.clone() }
+        Self { slots: self.slots.clone(), memo: self.memo.clone() }
+    }
+}
+
+impl<T, const N: usize> Node<T, N> {
+    /// The occupied slots' numbers and children, in slot order.
+    fn children(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.slots.iter().enumerate().filter_map(|(i, s)| Some((i, s.as_deref()?)))
+    }
+}
+
+/// A node's MAC memo: for each slot whose bit `valid` sets, `sums` holds
+/// the wrapping sum of the keyed terms of the pages under that slot, all
+/// under `key`.
+#[derive(Debug, Clone)]
+struct Memo<const N: usize> {
+    key: u64,
+    valid: u64,
+    sums: [u64; N],
+}
+
+impl<const N: usize> Default for Memo<N> {
+    fn default() -> Self {
+        Self { key: 0, valid: 0, sums: [0; N] }
+    }
+}
+
+impl<const N: usize> Memo<N> {
+    /// Slot `i`'s sum under `key`, if it is current.
+    #[inline]
+    fn get(&self, key: u64, i: usize) -> Option<u64> {
+        (self.key == key && self.valid >> i & 1 == 1).then(|| self.sums[i])
+    }
+
+    /// Records slot `i`'s sum under `key`, forgetting every sum taken
+    /// under another key.
+    #[inline]
+    fn set(&mut self, key: u64, i: usize, sum: u64) {
+        if self.key != key {
+            self.key = key;
+            self.valid = 0;
+        }
+        self.sums[i] = sum;
+        self.valid |= 1 << i;
+    }
+
+    /// Forgets slot `i`'s sum: a write is about to change its subtree.
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.valid &= !(1 << i);
     }
 }
 
@@ -104,105 +164,131 @@ fn slot<const N: usize>(page: u64, below: u32) -> usize {
     (page >> below) as usize & (N - 1)
 }
 
-/// One page's entry in a walk over two images: its page number, this
-/// image's page, and the other image's page at that number, if any.
-type Pair<'a> = (u64, &'a Arc<Page>, Option<&'a Arc<Page>>);
+/// What a slot holds, a page or a subtree of fixed height above the
+/// pages, as the MAC walk sees it: its MAC sum under a key is the
+/// wrapping sum of its pages' keyed terms.
+///
+/// A walk takes two passes, so that the pages no memo covers can be
+/// hashed four at a time between them: [`Summed::stale`] lists those
+/// pages, and [`Summed::sum`] then takes their terms in the same order.
+trait Summed {
+    /// Page-number bits the subtree resolves: 0 for a page.
+    const BITS: u32;
+
+    /// Appends the pages whose terms under `key` no memo holds, numbered
+    /// from `base`, the number of the subtree's first page, in walk order.
+    fn stale<'a>(&'a self, key: u64, base: u64, out: &mut Vec<(u64, &'a Page)>);
+
+    /// The MAC sum under `key`, taking the terms of the pages
+    /// [`Summed::stale`] listed from `terms`, in order. A node stores each
+    /// sum it works out in its memo, and in the memo of every node below
+    /// that this image holds alone; a page has no memo to store in.
+    fn sum(&mut self, key: u64, terms: &mut impl Iterator<Item = u64>) -> u64 {
+        self.sum_shared(key, terms)
+    }
+
+    /// [`Summed::sum`] of a subtree another image shares, which stores
+    /// nothing.
+    fn sum_shared(&self, key: u64, terms: &mut impl Iterator<Item = u64>) -> u64;
+}
+
+impl Summed for Page {
+    const BITS: u32 = 0;
+
+    fn stale<'a>(&'a self, _key: u64, base: u64, out: &mut Vec<(u64, &'a Page)>) {
+        out.push((base, self));
+    }
+
+    fn sum_shared(&self, _key: u64, terms: &mut impl Iterator<Item = u64>) -> u64 {
+        terms.next().expect("invariant: one term per page the walk listed")
+    }
+}
+
+impl<T: Summed, const N: usize> Summed for Node<T, N> {
+    const BITS: u32 = T::BITS + N.trailing_zeros();
+
+    fn stale<'a>(&'a self, key: u64, base: u64, out: &mut Vec<(u64, &'a Page)>) {
+        for (i, child) in self.children() {
+            if self.memo.get(key, i).is_none() {
+                child.stale(key, base | (i as u64) << T::BITS, out);
+            }
+        }
+    }
+
+    fn sum(&mut self, key: u64, terms: &mut impl Iterator<Item = u64>) -> u64 {
+        let mut total = 0u64;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(child) = slot else { continue };
+            let sum = match self.memo.get(key, i) {
+                Some(sum) => sum,
+                None => {
+                    let sum = match Arc::get_mut(child) {
+                        Some(alone) => alone.sum(key, terms),
+                        None => child.sum_shared(key, terms),
+                    };
+                    self.memo.set(key, i, sum);
+                    sum
+                }
+            };
+            total = total.wrapping_add(sum);
+        }
+        total
+    }
+
+    fn sum_shared(&self, key: u64, terms: &mut impl Iterator<Item = u64>) -> u64 {
+        self.children().fold(0, |total, (i, child)| {
+            let sum = self.memo.get(key, i).unwrap_or_else(|| child.sum_shared(key, terms));
+            total.wrapping_add(sum)
+        })
+    }
+}
 
 /// A subtree of fixed height: a leaf (`Node<Page, N>`) or a node of any
 /// level above (`Node<T, N>` over a level `T`).
-trait Level: Clone + Default {
-    /// Page-number bits a subtree of this height resolves.
-    const BITS: u32;
-
+trait Level: Summed + Clone + Default {
     /// Page `page`, if this subtree holds it.
     fn get(&self, page: u64) -> Option<&Arc<Page>>;
 
     /// Page `page`'s slot, allocating missing nodes and copying shared
-    /// ones on the way down.
+    /// ones on the way down, and clearing the slot's memo in every node
+    /// it passes.
     fn slot_mut(&mut self, page: u64) -> &mut Option<Arc<Page>>;
 
     /// This subtree's pages in address order, numbered from `base`, the
     /// number of the subtree's first page.
     fn pages(&self, base: u64) -> impl Iterator<Item = (u64, &Arc<Page>)>;
-
-    /// This subtree's pages that `other`, the subtree at the same place in
-    /// another image, does not share, in address order, numbered from
-    /// `base`. Subtrees the two share are skipped whole.
-    fn unshared<'a>(
-        &'a self,
-        other: Option<&'a Self>,
-        base: u64,
-    ) -> impl Iterator<Item = Pair<'a>>;
 }
 
 impl<const N: usize> Level for Node<Page, N> {
-    const BITS: u32 = N.trailing_zeros();
-
     fn get(&self, page: u64) -> Option<&Arc<Page>> {
         self.slots[slot::<N>(page, 0)].as_ref()
     }
 
     fn slot_mut(&mut self, page: u64) -> &mut Option<Arc<Page>> {
-        &mut self.slots[slot::<N>(page, 0)]
+        let i = slot::<N>(page, 0);
+        self.memo.clear(i);
+        &mut self.slots[i]
     }
 
     fn pages(&self, base: u64) -> impl Iterator<Item = (u64, &Arc<Page>)> {
         self.slots.iter().enumerate().filter_map(move |(i, s)| Some((base | i as u64, s.as_ref()?)))
     }
-
-    fn unshared<'a>(
-        &'a self,
-        other: Option<&'a Self>,
-        base: u64,
-    ) -> impl Iterator<Item = Pair<'a>> {
-        self.slots.iter().enumerate().filter_map(move |(i, s)| {
-            let page = s.as_ref()?;
-            let theirs = other.and_then(|o| o.slots[i].as_ref());
-            let shared = theirs.is_some_and(|t| Arc::ptr_eq(page, t));
-            (!shared).then_some((base | i as u64, page, theirs))
-        })
-    }
 }
 
 impl<T: Level, const N: usize> Level for Node<T, N> {
-    const BITS: u32 = T::BITS + N.trailing_zeros();
-
     fn get(&self, page: u64) -> Option<&Arc<Page>> {
         self.slots[slot::<N>(page, T::BITS)].as_deref()?.get(page)
     }
 
     fn slot_mut(&mut self, page: u64) -> &mut Option<Arc<Page>> {
-        let child = self.slots[slot::<N>(page, T::BITS)].get_or_insert_with(Default::default);
+        let i = slot::<N>(page, T::BITS);
+        self.memo.clear(i);
+        let child = self.slots[i].get_or_insert_with(Default::default);
         Arc::make_mut(child).slot_mut(page)
     }
 
     fn pages(&self, base: u64) -> impl Iterator<Item = (u64, &Arc<Page>)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| Some((i as u64, s.as_deref()?)))
-            .flat_map(move |(i, child)| child.pages(base | i << T::BITS))
-    }
-
-    fn unshared<'a>(
-        &'a self,
-        other: Option<&'a Self>,
-        base: u64,
-    ) -> impl Iterator<Item = Pair<'a>> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| {
-                let child = s.as_ref()?;
-                let theirs = other.and_then(|o| o.slots[i].as_ref());
-                if theirs.is_some_and(|t| Arc::ptr_eq(child, t)) {
-                    return None;
-                }
-                #[cfg(test)]
-                tests::tally_visit();
-                Some(child.unshared(theirs.map(|t| &**t), base | (i as u64) << T::BITS))
-            })
-            .flatten()
+        self.children().flat_map(move |(i, child)| child.pages(base | (i as u64) << T::BITS))
     }
 }
 
@@ -337,17 +423,6 @@ impl SparseStore {
             .map(|(idx, data)| (idx, &**data))
     }
 
-    /// The pages of this image that it does not share with `base`, in
-    /// address order, each with `base`'s page at that number, if any. For
-    /// an image cloned from `base`, these are the pages written or
-    /// allocated since the clone. A page only `base` holds is not listed.
-    /// The walk skips every subtree the two images share.
-    fn pages_not_shared_with<'a>(&'a self, base: &'a Self) -> impl Iterator<Item = Pair<'a>> + 'a {
-        self.roots
-            .iter()
-            .flat_map(move |(span, top)| top.unshared(base.root(*span), span << Top::BITS))
-    }
-
     /// A content-based fingerprint of the store: an FNV-1a-style hash over
     /// the allocated pages in address order, word at a time, skipping
     /// all-zero pages so that an unallocated page and a page written full
@@ -361,37 +436,48 @@ impl SparseStore {
     }
 
     /// The modeled checkpoint MAC under `key`: the wrapping sum of every
-    /// page's [`SparseStore::page_mac`] term. Two stores agree for a given
-    /// key iff their contents agree (with overwhelming probability), and
-    /// different keys give unrelated MACs for the same contents, so an
-    /// attacker without the key cannot make forged bytes verify. Because
-    /// it is a sum, a commit that rewrites a few pages updates the MAC by
-    /// subtracting their old terms and adding their new ones.
-    pub fn mac(&self, key: u64) -> u64 {
-        let pages: Vec<(u64, &[u8; PAGE])> = self.iter_pages().collect();
-        keyed_terms_sum(key, &pages)
-    }
-
-    /// [`SparseStore::mac`] under `key`, from `base`'s MAC `base_mac`:
-    /// the terms of the pages this image does not share with `base` come
-    /// out and their new terms go in. For an image cloned from `base`,
-    /// that hashes only the pages written since the clone, found by a walk
-    /// that skips every subtree the two share. Every page `base` holds
-    /// must be a page of this image too, shared or not, as it is for such
-    /// a clone: only [`SparseStore::clear`] drops pages.
-    pub fn mac_from(&self, base: &Self, base_mac: u64, key: u64) -> u64 {
-        let (mut new, mut old) = (Vec::new(), Vec::new());
-        for (idx, page, was) in self.pages_not_shared_with(base) {
-            new.push((idx, &**page));
-            old.extend(was.map(|was| (idx, &**was)));
+    /// page's keyed term, a keyed FNV hash of its number and contents, or
+    /// 0 for an all-zero page, so an allocated zero page and an
+    /// unallocated one stay indistinguishable. Two stores agree for a
+    /// given key iff their contents agree (with overwhelming
+    /// probability), and different keys give unrelated MACs for the same
+    /// contents, so an attacker without the key cannot make forged bytes
+    /// verify.
+    ///
+    /// The walk reads the sums the tree remembers and hashes only the
+    /// pages written since a walk under `key` last passed them, four at a
+    /// time; it then stores the sums it worked out in the nodes this image
+    /// holds alone. Taking the MAC before a clone therefore leaves the
+    /// clone's memos current too. It changes no byte, and its value always
+    /// equals [`SparseStore::recomputed_mac`].
+    pub fn mac(&mut self, key: u64) -> u64 {
+        let mut stale = Vec::new();
+        for (span, top) in &self.roots {
+            top.stale(key, span << Top::BITS, &mut stale);
         }
-        base_mac.wrapping_sub(keyed_terms_sum(key, &old)).wrapping_add(keyed_terms_sum(key, &new))
+        #[cfg(test)]
+        tests::tally_hashes(stale.len());
+        let mut terms = keyed_terms(key, &stale).into_iter();
+        let mac = self
+            .roots
+            .iter_mut()
+            .fold(0, |mac: u64, (_, top)| mac.wrapping_add(top.sum(key, &mut terms)));
+        debug_assert!(terms.next().is_none(), "a term no page took");
+        mac
     }
 
-    /// Page `page`'s term of [`SparseStore::mac`] under `key`: a keyed FNV
-    /// hash of its number and contents, or 0 for a page that is
-    /// unallocated or all zero, so the two stay indistinguishable.
-    pub fn page_mac(&self, key: u64, page: u64) -> u64 {
+    /// [`SparseStore::mac`] worked out from scratch: every page hashed,
+    /// no memo read or stored. The referee the memoized walk is checked
+    /// against in debug builds and tests.
+    pub fn recomputed_mac(&self, key: u64) -> u64 {
+        let pages: Vec<(u64, &Page)> = self.iter_pages().collect();
+        keyed_terms(key, &pages).into_iter().fold(0, u64::wrapping_add)
+    }
+
+    /// Page `page`'s term of [`SparseStore::mac`] under `key`, 0 for a
+    /// page that is unallocated or all zero.
+    #[cfg(test)]
+    fn page_mac(&self, key: u64, page: u64) -> u64 {
         self.page(page).map_or(0, |data| keyed_page_term(key, page, data))
     }
 }
@@ -441,15 +527,15 @@ fn keyed_page_terms4(key: u64, pages: [(u64, &[u8; PAGE]); 4]) -> [u64; 4] {
     std::array::from_fn(|lane| if any[lane] == 0 { 0 } else { h[lane] })
 }
 
-/// The wrapping sum of the keyed MAC terms of `pages`, four at a time.
-fn keyed_terms_sum(key: u64, pages: &[(u64, &[u8; PAGE])]) -> u64 {
+/// The keyed MAC terms of `pages`, in order, hashed four at a time.
+fn keyed_terms(key: u64, pages: &[(u64, &Page)]) -> Vec<u64> {
+    let mut terms = Vec::with_capacity(pages.len());
     let mut fours = pages.chunks_exact(4);
-    let mut sum = 0u64;
     for four in &mut fours {
-        let terms = keyed_page_terms4(key, [four[0], four[1], four[2], four[3]]);
-        sum = terms.into_iter().fold(sum, u64::wrapping_add);
+        terms.extend(keyed_page_terms4(key, [four[0], four[1], four[2], four[3]]));
     }
-    fours.remainder().iter().fold(sum, |s, &(idx, data)| s.wrapping_add(keyed_page_term(key, idx, data)))
+    terms.extend(fours.remainder().iter().map(|&(idx, data)| keyed_page_term(key, idx, data)));
+    terms
 }
 
 /// Whether a page holds only zero bytes, checked a word at a time.
@@ -491,7 +577,7 @@ mod tests {
     use super::*;
 
     thread_local! {
-        /// Node copies and node visits this thread's store calls made since
+        /// Node copies and pages hashed by this thread's store calls since
         /// the last [`take_tally`].
         static TALLY: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
     }
@@ -501,12 +587,13 @@ mod tests {
         TALLY.with(|t| t.set((t.get().0 + 1, t.get().1)));
     }
 
-    /// Counts one node a walk over two images descended into.
-    pub(super) fn tally_visit() {
-        TALLY.with(|t| t.set((t.get().0, t.get().1 + 1)));
+    /// Counts the `n` pages one MAC walk hashed.
+    pub(super) fn tally_hashes(n: usize) {
+        TALLY.with(|t| t.set((t.get().0, t.get().1 + n)));
     }
 
-    /// The `(copies, visits)` counted since the last call, and a reset.
+    /// The `(copies, hashed pages)` counted since the last call, and a
+    /// reset.
     fn take_tally() -> (usize, usize) {
         TALLY.with(|t| t.replace((0, 0)))
     }
@@ -675,11 +762,13 @@ mod tests {
                 }
                 assert_eq!(img.allocated_pages() as u64, n);
                 let sum = (0..n).fold(0u64, |s, p| s.wrapping_add(img.page_mac(key, p)));
+                assert_eq!(img.recomputed_mac(key), sum, "{n} pages, zero page at {zero_at:?}");
                 assert_eq!(img.mac(key), sum, "{n} pages, zero page at {zero_at:?}");
                 // The same pages in page order, so the zero page sits where
                 // `zero_at` puts it in the groups of four.
                 let pages: Vec<_> = (0..n).map(|p| page_of(&img, p)).collect();
-                assert_eq!(keyed_terms_sum(key, &pages), sum, "{n} pages, zero page at {zero_at:?}");
+                let terms: Vec<u64> = (0..n).map(|p| img.page_mac(key, p)).collect();
+                assert_eq!(keyed_terms(key, &pages), terms, "{n} pages, zero page at {zero_at:?}");
             }
         }
         // Each lane of a group equals its page's own term.
@@ -693,38 +782,6 @@ mod tests {
         assert_eq!(keyed_page_terms4(key, four), terms);
         assert_eq!((terms[1], terms[3]), (0, 0), "zero pages contribute nothing");
         assert!(terms[0] != 0 && terms[2] != 0);
-    }
-
-    #[test]
-    fn mac_from_matches_the_full_mac() {
-        let key = 0x5eed;
-        let mut base = SparseStore::new();
-        for page in 0..6 {
-            base.write(HwAddr::new(page * PAGE_BYTES), &[page as u8 + 1; 64]);
-        }
-        let base_mac = base.mac(key);
-        let check = |img: &SparseStore, what: &str| {
-            assert_eq!(img.mac_from(&base, base_mac, key), img.mac(key), "{what}");
-        };
-        let mut next = base.clone();
-        check(&next, "a fresh clone");
-        next.write(HwAddr::new(PAGE_BYTES + 8), &[9; 4]);
-        next.write(HwAddr::new(3 * PAGE_BYTES - 2), &[8; 4]);
-        check(&next, "writes within and across pages");
-        next.write(HwAddr::new(11 * PAGE_BYTES), &[7; 4]);
-        next.write(HwAddr::new(12 * PAGE_BYTES), &[0; 4]);
-        check(&next, "fresh allocations");
-        next.write(HwAddr::new(4 * PAGE_BYTES), &[0; 64]);
-        assert_eq!(next.page_mac(key, 4), 0);
-        check(&next, "a page rewritten to zero");
-        // Built apart from `base`: the same page numbers and one more, no
-        // page shared, some with `base`'s contents and some without.
-        let mut apart = SparseStore::new();
-        for page in 0..7 {
-            apart.write(HwAddr::new(page * PAGE_BYTES), &[(page % 3) as u8 + 1; 64]);
-        }
-        assert_eq!(apart.pages_not_shared_with(&base).count(), 7);
-        check(&apart, "an image that shares no page");
     }
 
     #[test]
@@ -798,33 +855,6 @@ mod tests {
         // The still-shared page has one term; the copied one has two.
         assert_eq!(a.page_mac(11, 1), b.page_mac(11, 1));
         assert_ne!(a.page_mac(11, 0), b.page_mac(11, 0));
-    }
-
-    #[test]
-    fn pages_not_shared_with_lists_the_pages_written_since_the_clone() {
-        // Listed in address order, without a sort.
-        let listed = |img: &SparseStore, base: &SparseStore| {
-            img.pages_not_shared_with(base).map(|(idx, ..)| idx).collect::<Vec<u64>>()
-        };
-        let mut base = SparseStore::new();
-        for page in 0..4 {
-            base.write(HwAddr::new(page * PAGE_BYTES), &[page as u8 + 1; 64]);
-        }
-        let mut next = base.clone();
-        assert_eq!(listed(&next, &base), [] as [u64; 0], "a fresh clone shares every page");
-        // A write inside one page, one across a page boundary, and one
-        // into a page `base` never held.
-        next.write(HwAddr::new(PAGE_BYTES + 8), &[9; 4]);
-        next.write(HwAddr::new(3 * PAGE_BYTES - 2), &[8; 4]);
-        next.write(HwAddr::new(7 * PAGE_BYTES), &[7; 4]);
-        let pages = listed(&next, &base);
-        assert_eq!(pages, [1, 2, 3, 7]);
-        // The listed pages carry the whole MAC difference.
-        let key = 0x5eed;
-        let mac = pages.iter().fold(base.mac(key), |m, &p| {
-            m.wrapping_sub(base.page_mac(key, p)).wrapping_add(next.page_mac(key, p))
-        });
-        assert_eq!(mac, next.mac(key));
     }
 
     #[test]
@@ -929,6 +959,9 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         Write { img: usize, addr: u64, len: usize, fill: u8 },
+        /// One byte flipped in a kept clone, the way a tamper forges a
+        /// checkpoint image; `img` is taken modulo the clones.
+        Forge { img: usize, addr: u64 },
         Read { img: usize, addr: u64, len: usize },
         Clone { img: usize },
         Clear { img: usize },
@@ -952,6 +985,7 @@ mod tests {
         prop_oneof![
             4 => (img.clone(), address(), length(), prop_oneof![Just(0u8), any::<u8>()])
                 .prop_map(|(img, addr, len, fill)| Step::Write { img, addr, len, fill }),
+            1 => (img.clone(), address()).prop_map(|(img, addr)| Step::Forge { img, addr }),
             2 => (img.clone(), address(), length())
                 .prop_map(|(img, addr, len)| Step::Read { img, addr, len }),
             2 => img.clone().prop_map(|img| Step::Clone { img }),
@@ -960,11 +994,20 @@ mod tests {
         ]
     }
 
+    /// The keys the model test's MAC walks take turns with, three steps
+    /// each, so walks both reuse memos and meet memos of the other key.
+    const KEYS: [u64; 2] = [0x5eed, 0xf00d];
+
     /// Checks every live image against its model: its bytes, page count,
-    /// fingerprint and MAC; `==` between every two; and `mac_from` from
-    /// every other image whose pages it holds, an older snapshot included.
-    fn check_images(images: &[(SparseStore, Model)]) -> proptest::TestCaseResult {
-        let key = 0x5eed;
+    /// fingerprint, its MAC under `key` both memoized and from scratch,
+    /// and `==` between every two.
+    fn check_images(images: &mut [(SparseStore, Model)], key: u64) -> proptest::TestCaseResult {
+        for (i, (img, model)) in images.iter_mut().enumerate() {
+            let terms = model.iter().map(|(&idx, p)| keyed_page_term(key, idx, p));
+            let mac = terms.fold(0u64, u64::wrapping_add);
+            prop_assert_eq!(img.recomputed_mac(key), mac, "image {}", i);
+            prop_assert_eq!(img.mac(key), mac, "image {}, memoized", i);
+        }
         for (i, (img, model)) in images.iter().enumerate() {
             prop_assert_eq!(img.allocated_pages(), model.len(), "image {}", i);
             let pages: Vec<u64> = img.iter_pages().map(|(idx, _)| idx).collect();
@@ -979,16 +1022,9 @@ mod tests {
                 .filter(|(_, p)| !page_is_zero(p))
                 .fold(FNV_OFFSET, |h, (&idx, p)| fnv_page(h, idx, p));
             prop_assert_eq!(img.fingerprint(), fingerprint, "image {}", i);
-            let mac =
-                model.iter().fold(0u64, |m, (&idx, p)| m.wrapping_add(keyed_page_term(key, idx, p)));
-            prop_assert_eq!(img.mac(key), mac, "image {}", i);
             for (j, (other, other_model)) in images.iter().enumerate() {
                 let same = model_eq(model, other_model);
                 prop_assert_eq!(img == other, same, "images {} and {}", i, j);
-                if i != j && other_model.keys().all(|k| model.contains_key(k)) {
-                    let from = img.mac_from(other, other.mac(key), key);
-                    prop_assert_eq!(from, mac, "image {} from {}", i, j);
-                }
             }
         }
         Ok(())
@@ -998,12 +1034,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The store against a naive per-image page map, through writes
-        /// within and across pages and at sparse addresses, reads, clones
-        /// kept alive as snapshots, clears and drops.
+        /// within and across pages and at sparse addresses, one-byte
+        /// forgeries, reads, clones kept alive as snapshots, clears and
+        /// drops.
         #[test]
         fn store_matches_a_page_map_model(steps in proptest::collection::vec(step(), 1..40)) {
             let mut images = vec![(SparseStore::new(), Model::new())];
-            for step in steps {
+            for (n, step) in steps.into_iter().enumerate() {
                 let live = images.len();
                 match step {
                     Step::Write { img, addr, len, fill } => {
@@ -1013,6 +1050,16 @@ mod tests {
                         store.write(HwAddr::new(addr), &data);
                         model_write(model, addr, &data);
                     }
+                    // Images past the first were each pushed as a clone.
+                    Step::Forge { img, addr } if live > 1 => {
+                        let (store, model) = &mut images[1 + img % (live - 1)];
+                        let mut b = [0u8];
+                        store.read(HwAddr::new(addr), &mut b);
+                        b[0] ^= 0xA5;
+                        store.write(HwAddr::new(addr), &b);
+                        model_write(model, addr, &b);
+                    }
+                    Step::Forge { .. } => {}
                     Step::Read { img, addr, len } => {
                         let (store, model) = &images[img % live];
                         let (mut got, mut want) = (vec![0xa5; len], vec![0; len]);
@@ -1035,16 +1082,28 @@ mod tests {
                     }
                     Step::Drop { .. } => {}
                 }
-                check_images(&images)?;
+                check_images(&mut images, KEYS[n / 3 % 2])?;
             }
         }
     }
 
-    /// The cost of a capture and a commit's diff does not grow with the
+    /// The pages `img`'s MAC walk hashes under `key`, after checking the
+    /// walk's value against the from-scratch MAC.
+    fn hashed(img: &mut SparseStore, key: u64) -> usize {
+        take_tally();
+        let mac = img.mac(key);
+        let (copies, hashed) = take_tally();
+        assert_eq!(copies, 0, "a MAC walk copies no node");
+        assert_eq!(mac, img.recomputed_mac(key), "memoized MAC");
+        hashed
+    }
+
+    /// A capture, a commit's writes and a MAC cost what changed, not the
     /// image: on a 16 384-page image, as on a 16-page one, a clone copies
     /// its one root, a one-page write then copies one node per level below
-    /// it (and a second write to the page none), and the walk behind
-    /// `mac_from` enters only that page's path.
+    /// it (and a second write to the page none), and a MAC walk hashes the
+    /// pages written since the last walk and no other, in the image that
+    /// took the walk and in its clones.
     #[test]
     fn clone_write_and_diff_cost_one_path_at_any_footprint() {
         let key = 0x5eed;
@@ -1055,25 +1114,34 @@ mod tests {
                 base.write(HwAddr::new(page * PAGE_BYTES + 8), &[page as u8 | 1]);
             }
             assert_eq!(base.allocated_pages() as u64, pages);
-            let base_mac = base.mac(key);
+            assert_eq!(hashed(&mut base, key) as u64, pages, "the first walk hashes every page");
             take_tally();
             let mut next = base.clone();
             let (clone_copies, _) = take_tally();
+            // Current memos: the image and its clone hash nothing.
+            let current = [hashed(&mut base, key), hashed(&mut next, key)];
             next.write(HwAddr::new(7 * PAGE_BYTES + 100), &[42; 8]);
             let (write_copies, _) = take_tally();
             // The path is this image's own now: writing it again copies
             // nothing.
             next.write(HwAddr::new(7 * PAGE_BYTES + 200), &[43; 8]);
             assert_eq!(take_tally(), (0, 0), "{pages} pages: a second write copied");
-            let listed: Vec<u64> = next.pages_not_shared_with(&base).map(|(idx, ..)| idx).collect();
-            let (_, visits) = take_tally();
-            assert_eq!(listed, [7], "{pages} pages");
-            assert_eq!(next.mac_from(&base, base_mac, key), next.mac(key), "{pages} pages");
-            costs.push((clone_copies, write_copies, visits));
+            let one_page = hashed(&mut next, key);
+            for page in [3, 8, 15] {
+                next.write(HwAddr::new(page * PAGE_BYTES), &[9]);
+            }
+            let three_pages = hashed(&mut next, key);
+            // One byte forged into a clone, the way a tamper forges a
+            // checkpoint image: the clone re-hashes that page alone, and
+            // its source and the image behind it nothing.
+            let mut kept = next.clone();
+            kept.write(HwAddr::new(5 * PAGE_BYTES + 64), &[0xA5]);
+            let forged = [hashed(&mut kept, key), hashed(&mut next, key), hashed(&mut base, key)];
+            costs.push((clone_copies, write_copies, current, one_page, three_pages, forged));
         }
         // One root node, then the inner node and the leaf on the written
         // page's path, one per level below the root of `Top`.
-        assert_eq!(costs[0], (1, 2, 2), "16 pages");
+        assert_eq!(costs[0], (1, 2, [0, 0], 1, 3, [1, 0, 0]), "16 pages");
         assert_eq!(costs[1], costs[0], "16 384 pages cost as 16 do");
     }
 }
