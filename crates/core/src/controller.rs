@@ -1812,12 +1812,25 @@ impl ThyNvm {
 
     /// The Figure 6(a) store path for one ≤64 B block-granule write.
     fn write_block(&mut self, block: BlockIndex, bytes: u32, now: Cycle, class: NvmWriteClass) -> Cycle {
-        let page = block.page();
         let count = {
-            let c = self.volatile.page_store_counts.entry(page).or_insert(0);
+            let c = self.volatile.page_store_counts.entry(block.page()).or_insert(0);
             *c += 1;
             *c
         };
+        self.write_counted_block(block, bytes, count, now, class)
+    }
+
+    /// [`Self::write_block`] once the store counted: `count` is the page's
+    /// store count with this write.
+    fn write_counted_block(
+        &mut self,
+        block: BlockIndex,
+        bytes: u32,
+        count: u32,
+        now: Cycle,
+        class: NvmWriteClass,
+    ) -> Cycle {
+        let page = block.page();
 
         // PTT hit: page writeback scheme.
         if self.ptt.get(page).is_some() {
@@ -1832,8 +1845,10 @@ impl ThyNvm {
                     };
                     self.stats.ckpt_stall_cycles += done.saturating_sub(now);
                     self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
-                    let at = block.base_addr();
-                    return self.write_to_page(at, bytes, done).expect("PageOnly never demotes");
+                    // The commit thawed the page, or its promotions evicted
+                    // it (the ablation's CoW eviction): the store is served
+                    // as it would be at `done`.
+                    return self.write_counted_block(block, bytes, count, done, class);
                 }
                 // §3.4 cooperation: absorb via block remapping in DRAM.
                 return self.buffered_block_write(block, bytes, now);
@@ -1987,6 +2002,13 @@ impl ThyNvm {
             addr = addr.offset(u64::from(chunk));
         }
         done
+    }
+
+    /// The span [`MemorySystem::access`] cuts a request into runs at: a
+    /// page. The run referee in the tests cuts at every block instead.
+    #[cfg(not(test))]
+    const fn page_run_bytes() -> u64 {
+        PAGE_BYTES
     }
 
     // ------------------------------------------------------------------
@@ -2767,8 +2789,9 @@ impl MemorySystem for ThyNvm {
         let crashes = self.stats.crashes_injected;
         let (mut addr, end) = (req.addr, req.addr.raw() + u64::from(req.bytes));
         let mut done = t;
+        let unit = Self::page_run_bytes();
         while addr.raw() < end && self.stats.crashes_injected == crashes {
-            let run = (PAGE_BYTES - addr.page_offset()).min(end - addr.raw()) as u32;
+            let run = (unit - addr.raw() % unit).min(end - addr.raw()) as u32;
             done = done.max(self.access_run(addr, run, write, t));
             addr = addr.offset(u64::from(run));
         }
@@ -4157,6 +4180,163 @@ mod tests {
         let pinned: [u64; 4] =
             [0x1bdc_1d1d_50c9_e5d4, 0x5f97_f230_dae8_3e61, 0x62a2_caa0_40b1_c74c, 0x2aa5_25f6_482a_df96];
         assert_eq!(digests.map(|d| format!("{d:016x}")), pinned.map(|d| format!("{d:016x}")));
+    }
+
+    /// A PageOnly store that waits out its frozen page's writeback can find
+    /// the page gone: the commit's promotions evict the smallest clean page
+    /// when the PTT is full. The store is then served as one to a page the
+    /// PTT lacks, promoted back, instead of panicking on the missing entry.
+    #[test]
+    fn a_page_only_store_whose_wait_evicts_its_page_is_served() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.thynvm.mode = CkptMode::PageOnly;
+        cfg.thynvm.ptt_entries = 2;
+        let mut sys = ThyNvm::new(cfg);
+        // Pages 1 and 2 fill the PTT dirty, so page 3 finds no victim and
+        // stays with block remapping, counted hot for the commit.
+        let mut t = Cycle::ZERO;
+        for page in [1u64, 2, 3] {
+            t = sys.store_bytes(PhysAddr::new(page * PAGE_BYTES), &[1], t);
+        }
+        assert!(sys.ptt().get(PageIndex::new(3)).is_none());
+        t = sys.force_checkpoint(t);
+        assert!(sys.page_frozen(PageIndex::new(1), t), "the job writes page 1 back");
+        // The store waits for the job, whose commit promotes page 3 last
+        // and evicts page 1, the smallest clean one.
+        let stall = sys.stats().ckpt_stall_cycles;
+        t = sys.store_bytes(PhysAddr::new(PAGE_BYTES + 8), &[9], t);
+        assert!(sys.stats().ckpt_stall_cycles > stall, "the store waited");
+        assert!(sys.ptt().get(PageIndex::new(1)).is_some_and(|e| e.dirty), "promoted back, dirty");
+        let mut b = [0u8];
+        sys.load_bytes(PhysAddr::new(PAGE_BYTES + 8), &mut b, t);
+        assert_eq!(b, [9]);
+    }
+
+    thread_local! {
+        /// The run referee's switch: while set, `access` cuts a request
+        /// into one run per block.
+        static BLOCKWISE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    impl ThyNvm {
+        /// `page_run_bytes` under test: a block while [`BLOCKWISE`] is set.
+        pub(super) fn page_run_bytes() -> u64 {
+            if BLOCKWISE.get() {
+                BLOCK_BYTES
+            } else {
+                PAGE_BYTES
+            }
+        }
+    }
+
+    /// The configurations the run referee crosses: Dual, PageOnly,
+    /// BlockOnly, an NVM working region, `hardened()` with the persist
+    /// buffer armed (DRAM poison is planted by the mix), and the same with
+    /// a wearing, flipping medium, so blocks remap and reads retry.
+    fn referee_configs() -> [(SystemConfig, bool); 6] {
+        let dual = SystemConfig::small_test();
+        let with = |f: &dyn Fn(&mut SystemConfig)| {
+            let mut cfg = dual;
+            f(&mut cfg);
+            cfg
+        };
+        let mut hardened = SystemConfig::hardened();
+        hardened.thynvm = dual.thynvm;
+        hardened.wpq = thynvm_types::PersistBufferConfig::armed();
+        let mut worn = hardened;
+        worn.media.bit_flip_rate = 0.01;
+        worn.media.stuck_at_threshold = 24;
+        worn.media.spare_blocks = 64;
+        for cfg in [hardened, worn] {
+            cfg.validate().expect("valid hardened small config");
+        }
+        [
+            (dual, false),
+            (with(&|c| c.thynvm.mode = CkptMode::PageOnly), false),
+            (with(&|c| c.thynvm.mode = CkptMode::BlockOnly), false),
+            (with(&|c| c.thynvm.working_region = thynvm_types::WorkingRegion::Nvm), false),
+            (hardened, true),
+            (worn, true),
+        ]
+    }
+
+    /// Serves the byte mix `ops` (one draw per request) and returns what
+    /// it shows, one line per request and six at the end: each returned
+    /// cycle and loaded byte, `MemStats` (its `Display` and every field),
+    /// both `DeviceStats`, the visible image's fingerprint and the
+    /// journal. Requests are 1 B–9 KiB at unaligned addresses over 160
+    /// pages, two and a half times what the PTT holds, a quarter of them
+    /// within 16 hot pages; the draw also picks a `force_checkpoint` or a
+    /// `drain` after the request, and with `poison` it arms and plants DRAM
+    /// poison as [`byte_mix_digest`] does. With `blockwise`, `access`
+    /// serves every block of a request as a run of its own.
+    fn byte_mix_trace(cfg: SystemConfig, poison: bool, ops: &[u64], blockwise: bool) -> Vec<String> {
+        BLOCKWISE.set(blockwise);
+        let mut sys = ThyNvm::new(cfg);
+        let (mut out, mut t, mut buf) = (Vec::new(), Cycle::ZERO, vec![0u8; 9 * 1024]);
+        for (op, &r) in ops.iter().enumerate() {
+            let len = 1 + (r >> 8) % (9 * 1024);
+            let span = if r & 6 == 0 { 16 * PAGE_BYTES } else { 160 * PAGE_BYTES };
+            let addr = PhysAddr::new((r >> 24) % (span - len));
+            let data = &mut buf[..len as usize];
+            let mut line = if r & 1 == 0 {
+                data.iter_mut().enumerate().for_each(|(i, b)| *b = (op as u8) ^ (i as u8));
+                t = sys.store_bytes(addr, data, t);
+                format!("{op}: store {len} B at {addr:?} -> {}", t.raw())
+            } else {
+                t = sys.load_bytes(addr, data, t);
+                format!("{op}: load {len} B at {addr:?} -> {} {:016x}", t.raw(), fnv(0, data))
+            };
+            match (r >> 56) % 8 {
+                0 | 1 => t = sys.force_checkpoint(t),
+                2 => t = sys.drain(t),
+                _ if sys.checkpoint_due(t) => t = sys.begin_checkpoint(t, &[]),
+                _ => {}
+            }
+            line += &format!(", then {}", t.raw());
+            out.push(line);
+            if poison && op % 7 == 0 {
+                let mut pages: Vec<_> = sys.ptt().iter().map(|(p, e)| (p, e.slot)).collect();
+                pages.sort_unstable();
+                let ecc = sys.dram_ecc_mut().expect("hardened arms the DRAM model");
+                ecc.arm_poison(1);
+                if let Some(&(_, slot)) = pages.get((r >> 40) as usize % pages.len().max(1)) {
+                    ecc.poison_block(u64::from(slot) * PAGE_BYTES + (r >> 50) % 64 * BLOCK_BYTES);
+                }
+            }
+        }
+        t = sys.drain(t);
+        out.push(format!("drain -> {}", t.raw()));
+        out.push(sys.stats().to_string());
+        out.push(format!("{:?}", sys.stats()));
+        out.push(format!("DRAM {:?}", sys.dram_device().stats()));
+        out.push(format!("NVM {:?}", sys.nvm_device().stats()));
+        out.push(format!("image {:016x}", sys.visible_fingerprint()));
+        out.push(format!("{:?}", sys.take_events()));
+        BLOCKWISE.set(false);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The run referee: a request served a page run at a time shows
+        /// exactly what serving each of its blocks as a run of its own
+        /// shows, in every configuration.
+        #[test]
+        fn page_runs_equal_their_blocks_one_at_a_time(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..200),
+        ) {
+            for (i, (cfg, poison)) in referee_configs().into_iter().enumerate() {
+                let runs = byte_mix_trace(cfg, poison, &ops, false);
+                let blocks = byte_mix_trace(cfg, poison, &ops, true);
+                let first = runs.iter().zip(&blocks).position(|(a, b)| a != b);
+                if let Some(k) = first {
+                    proptest::prop_assert_eq!(&runs[k], &blocks[k], "configuration {}, line {}", i, k);
+                }
+                proptest::prop_assert_eq!(runs.len(), blocks.len(), "configuration {}", i);
+            }
+        }
     }
 
     #[test]
