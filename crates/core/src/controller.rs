@@ -51,7 +51,8 @@ use thynvm_mem::{
 use thynvm_types::{
     AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, HealthRung,
     HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr, RecoveryStep,
-    RetryPolicy, SystemConfig, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES, TABLE_LOOKUP_NS,
+    RetryPolicy, SystemConfig, BLOCKS_PER_PAGE, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES,
+    TABLE_LOOKUP_NS,
 };
 
 use crate::epoch::{CkptJob, EpochState};
@@ -59,7 +60,7 @@ use crate::health::{
     HealthMonitor, HealthSignals, EMERGENCY_DIVISOR, READONLY_WAL_REDOS, SCRUB_BUDGET_NS,
 };
 use crate::layout::{AddressSpace, Region};
-use crate::table::{Btt, Ptt, WactiveLoc};
+use crate::table::{Btt, BttEntry, Ptt, WactiveLoc};
 
 /// Bytes persisted per BTT/PTT entry when checkpointing metadata (Figure 5
 /// entries round up to 8 bytes).
@@ -1092,6 +1093,14 @@ impl ThyNvm {
     /// charges data CRCs.
     fn nvm_write(&mut self, dst: HwAddr, bytes: u32, start: Cycle, class: NvmWriteClass) -> Cycle {
         let done = self.nvm.access(dst, AccessKind::Write, bytes, start);
+        self.note_nvm_write(dst, bytes, class);
+        done
+    }
+
+    /// What [`Self::nvm_write`] does besides the device write: the traffic
+    /// class, the wear model and counter-mode re-encryption of `bytes` at
+    /// `dst`.
+    fn note_nvm_write(&mut self, dst: HwAddr, bytes: u32, class: NvmWriteClass) {
         self.stats.record_nvm_write(u64::from(bytes), class);
         if let Some(fault) = self.fault.as_mut() {
             if fault.record_write(dst, bytes).is_some() {
@@ -1102,7 +1111,6 @@ impl ThyNvm {
             sec.note_write(dst.raw(), u64::from(bytes));
             self.charge_crypto(u64::from(bytes), true);
         }
-        done
     }
 
     /// Persists one metadata record of `bytes` at `dst`: at least one 64 B
@@ -1192,7 +1200,16 @@ impl ThyNvm {
     // lint: recovery-path
     fn nvm_data_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
         let hw = self.remapped(hw);
-        let mut done = self.nvm_read(hw, bytes, now);
+        let done = self.nvm_read(hw, bytes, now);
+        self.check_nvm_read(block, hw, bytes, done)
+    }
+
+    /// What follows an NVM data read of `bytes` of `block` at the resolved
+    /// device address `hw`, which completed at `done`: decryption and, with
+    /// the media model on, its CRC check, retries and remap (see
+    /// [`Self::nvm_data_read`]). Returns the completion after any retries.
+    // lint: recovery-path
+    fn check_nvm_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, mut done: Cycle) -> Cycle {
         // Secure mode decrypts + MAC-verifies every NVM data read,
         // independent of the media-fault model.
         self.charge_crypto(u64::from(bytes), false);
@@ -1406,12 +1423,6 @@ impl ThyNvm {
         }
         self.retire_job_if_done(end);
         Ok(end)
-    }
-
-    /// Whether `page` is frozen at `now`: a job is running and writing the
-    /// page back (its PTT entry holds a `pending` region).
-    fn page_frozen(&self, page: PageIndex, now: Cycle) -> bool {
-        self.epoch.job_running(now) && self.ptt.get(page).is_some_and(|e| e.pending.is_some())
     }
 
     /// Commits a *taken* checkpoint job: pushes its record onto the
@@ -1675,30 +1686,37 @@ impl ThyNvm {
         (addr.block_offset() + u64::from(bytes)).div_ceil(BLOCK_BYTES)
     }
 
+    /// The blocks `[addr, addr + bytes)` touches, in order, each as the
+    /// address and length of its part of the span (the first and last may
+    /// be partial).
+    fn blocks_of(addr: PhysAddr, bytes: u32) -> impl Iterator<Item = (PhysAddr, u32)> {
+        let end = addr.raw() + u64::from(bytes);
+        let next = |a: u64| (a | (BLOCK_BYTES - 1)) + 1;
+        std::iter::successors(Some(addr.raw()), move |&a| Some(next(a)))
+            .take_while(move |&a| a < end)
+            .map(move |a| (PhysAddr::new(a), (next(a).min(end) - a) as u32))
+    }
+
     /// The page-writeback store: writes `[addr, addr + bytes)`, which lies
     /// in one page, into the page's working copy as one device access per
     /// 64 B block, each pushed to the DRAM write queue, and marks the page
-    /// dirty. Returns the cycle the issuer may resume, or `None`, touching
-    /// nothing, when the PTT does not hold the page.
-    ///
-    /// An NVM-placed working copy only gets single blocks here, since
-    /// [`Self::access_run`] writes whole runs to a DRAM working region
-    /// only; each goes through [`Self::working_write`].
+    /// dirty. A DRAM working copy takes the run as one `access_blocks`; an
+    /// NVM-placed one takes one [`Self::working_write`] per block. Returns
+    /// the cycle the issuer may resume, or `None`, touching nothing, when
+    /// the PTT does not hold the page.
     fn write_to_page(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Option<Cycle> {
         let entry = self.ptt.get_mut(addr.page())?;
         entry.dirty = true;
         let slot = entry.slot;
-        let off = self.page_working_offset(slot, addr);
-        if self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Nvm {
-            debug_assert_eq!(
-                Self::blocks_touched(addr, bytes),
-                1,
-                "an NVM working copy is written per block"
-            );
-            let done = self.working_write(off, bytes, now);
-            return Some(self.dram_wq.push(done, now));
-        }
         let mut resume = now;
+        if self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Nvm {
+            for (at, chunk) in Self::blocks_of(addr, bytes) {
+                let done = self.working_write(self.page_working_offset(slot, at), chunk, now);
+                resume = resume.max(self.dram_wq.push(done, now));
+            }
+            return Some(resume);
+        }
+        let off = self.page_working_offset(slot, addr);
         let push = |run| resume = resume.max(self.dram_wq.push_run(run, now));
         self.dram
             .access_blocks(HwAddr::new(off), AccessKind::Write, bytes, now, push);
@@ -1774,13 +1792,12 @@ impl ThyNvm {
     // Store / load paths
     // ------------------------------------------------------------------
 
-    /// The §4.3 overflow rule, run before `block` takes its BTT entry with
-    /// [`Btt::force_insert`]: a full table first reclaims committed
-    /// entries; only when none can be replaced is the early epoch end
-    /// flagged and the spill past capacity counted (bounded by one platform
-    /// event).
-    fn btt_make_room(&mut self, block: BlockIndex, now: Cycle) {
-        if self.btt.entry_or_insert(block).is_none() && self.reclaim_quiescent(now, 64) == 0 {
+    /// The §4.3 overflow rule, for a block the full BTT holds no entry
+    /// for: reclaim committed entries; only when none can be replaced is
+    /// the early epoch end flagged and the spill past capacity counted
+    /// (bounded by one platform event).
+    fn btt_overflow(&mut self, now: Cycle) {
+        if self.reclaim_quiescent(now, 64) == 0 {
             if self.epoch.overflow_pending {
                 self.record(now, EventKind::Error(Error::TableFull { table: "BTT" }));
             }
@@ -1789,113 +1806,250 @@ impl ThyNvm {
         }
     }
 
-    /// Allocates (or reuses) a DRAM buffer slot for a cooperation /
-    /// unsafe-`C_penult` block write and performs the DRAM write.
-    fn buffered_block_write(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
-        self.btt_make_room(block, now);
-        let entry = self.btt.force_insert(block);
-        let slot = match entry.wactive {
-            Some(WactiveLoc::DramBuffered { slot }) => slot,
-            _ => {
-                let slot = self.next_block_slot;
-                self.next_block_slot = self.next_block_slot.wrapping_add(1);
-                entry.wactive = Some(WactiveLoc::DramBuffered { slot });
-                self.volatile.epoch_dirty_blocks += 1;
-                slot
+    /// Claims `entry` for the working copy of a write in this epoch:
+    /// returns where the copy goes, and whether the entry newly got one.
+    /// A copy the epoch already placed takes the write in place: an NVM
+    /// copy coalesces, and a buffered one keeps coalescing in the DRAM
+    /// buffer (rare: buffered earlier while a job ran). Otherwise a
+    /// `buffered` write (a job runs, §4.1) takes the next DRAM buffer slot,
+    /// and an NVM one the region opposite `C_last` (§3.2).
+    fn claim_working_copy(entry: &mut BttEntry, buffered: bool, next_slot: &mut u32) -> (WactiveLoc, bool) {
+        let loc = match (entry.wactive, buffered) {
+            (Some(loc @ WactiveLoc::DramBuffered { .. }), _) | (Some(loc @ WactiveLoc::Nvm(_)), false) => {
+                return (loc, false);
             }
+            (_, true) => {
+                let slot = *next_slot;
+                *next_slot = slot.wrapping_add(1);
+                WactiveLoc::DramBuffered { slot }
+            }
+            (None, false) => WactiveLoc::Nvm(entry.clast_region.map_or(Region::A, Region::other)),
         };
+        entry.wactive = Some(loc);
+        (loc, true)
+    }
+
+    /// Writes `bytes` of a block's working copy into DRAM block-buffer
+    /// slot `slot` (§4.1).
+    fn buffered_write(&mut self, slot: u32, bytes: u32, now: Cycle) -> Cycle {
         let hw = self.space.working_block(slot, self.ptt.capacity());
         let off = self.space.working_offset(hw);
         let done = self.working_write(off, bytes, now);
         self.dram_wq.push(done, now)
     }
 
-    /// The Figure 6(a) store path for one ≤64 B block-granule write.
-    fn write_block(&mut self, block: BlockIndex, bytes: u32, now: Cycle, class: NvmWriteClass) -> Cycle {
-        let count = {
-            let c = self.volatile.page_store_counts.entry(block.page()).or_insert(0);
-            *c += 1;
-            *c
-        };
-        self.write_counted_block(block, bytes, count, now, class)
+    /// Issues the run blocks `[from, to)`, whose NVM copies sit back to
+    /// back on the device from `base` (the address of `from`'s block), as
+    /// one `Device::access_blocks` of `kind` at `now`: the completions,
+    /// bank state and device statistics of one access per block
+    /// (`access_blocks_equals_one_access_per_block`). A write's row runs
+    /// enter the NVM write queue as one `push_run` each, which equals one
+    /// push per block (`push_run_equals_one_push_per_completion`). Returns
+    /// each block's part of the span, device address and completion, in
+    /// block order, and the latest queue resume (`now` for a read).
+    fn nvm_span(
+        &mut self,
+        from: PhysAddr,
+        to: u64,
+        base: HwAddr,
+        kind: AccessKind,
+        now: Cycle,
+    ) -> (impl Iterator<Item = (PhysAddr, u32, HwAddr, Cycle)>, Cycle) {
+        let bytes = (to - from.raw()) as u32;
+        let (mut dones, mut n, mut resume) = ([Cycle::ZERO; BLOCKS_PER_PAGE as usize], 0, now);
+        let queue = &mut self.nvm_wq;
+        self.nvm.access_blocks(base.offset(from.block_offset()), kind, bytes, now, |run| {
+            if kind.is_write() {
+                resume = resume.max(queue.push_run(run, now));
+            }
+            for k in 0..run.count {
+                dones[n] = run.at(k);
+                n += 1;
+            }
+        });
+        let first = from.block().base_addr().raw();
+        let hw = move |at: PhysAddr| base.offset(at.block().base_addr().raw() - first);
+        let blocks = Self::blocks_of(from, bytes).zip(dones).map(move |((at, chunk), done)| (at, chunk, hw(at), done));
+        (blocks, resume)
     }
 
-    /// [`Self::write_block`] once the store counted: `count` is the page's
-    /// store count with this write.
-    fn write_counted_block(
+    /// Issues a store run's pending NVM span, `[from, to)` from device
+    /// address `base` (see [`Self::nvm_span`]): each block then takes the
+    /// hooks of [`Self::nvm_write`] and its persist-buffer entry, in block
+    /// order. Returns the cycle the issuer may resume; `now` for no span.
+    fn nvm_write_span(&mut self, span: Option<(PhysAddr, HwAddr)>, to: u64, now: Cycle, class: NvmWriteClass) -> Cycle {
+        let Some((from, base)) = span else { return now };
+        let (blocks, mut resume) = self.nvm_span(from, to, base, AccessKind::Write, now);
+        for (_, chunk, hw, done) in blocks {
+            self.note_nvm_write(hw, chunk, class);
+            resume = resume.max(self.wpq_push(hw, now, done, WpqKind::Data));
+        }
+        resume
+    }
+
+    /// Issues a load run's pending NVM span, `[from, to)` from device
+    /// address `base` (see [`Self::nvm_span`]): each block then takes the
+    /// accounting of [`Self::nvm_read`] and the checks of
+    /// [`Self::check_nvm_read`], in block order. Returns the latest
+    /// completion; `now` for no span.
+    fn nvm_read_span(&mut self, span: Option<(PhysAddr, HwAddr)>, to: u64, now: Cycle) -> Cycle {
+        let Some((from, base)) = span else { return now };
+        let (blocks, _) = self.nvm_span(from, to, base, AccessKind::Read, now);
+        let mut last = now;
+        for (at, chunk, hw, done) in blocks {
+            self.stats.nvm_reads += 1;
+            self.stats.nvm_read_bytes += u64::from(chunk);
+            last = last.max(self.check_nvm_read(at.block(), hw, chunk, done));
+        }
+        last
+    }
+
+    /// Adds the block at `at`, whose NVM copy sits at device address `hw`,
+    /// to a run's pending `span`: it joins the span when it continues it on
+    /// the device; otherwise `issue` sends the span out first and a new one
+    /// starts at the block. Returns what `issue` returned, or `now`.
+    fn extend_span(
+        span: &mut Option<(PhysAddr, HwAddr)>,
+        at: PhysAddr,
+        hw: HwAddr,
+        now: Cycle,
+        issue: impl FnOnce(Option<(PhysAddr, HwAddr)>) -> Cycle,
+    ) -> Cycle {
+        let block = at.block().base_addr().raw();
+        match *span {
+            Some((from, base)) if base.raw() + (block - from.block().base_addr().raw()) == hw.raw() => now,
+            _ => issue(span.replace((at, hw))),
+        }
+    }
+
+    /// The Figure 6(a) store path for `[addr, addr + bytes)`, which lies
+    /// in one page: a page run of a request, or one block of the
+    /// checkpoint's cache flush. Every block of the run counts toward the
+    /// page's §4.2 store count at once; then [`Self::write_counted`] serves
+    /// it. Returns the cycle the issuer may resume (or a crash's resume).
+    fn write_run(&mut self, addr: PhysAddr, bytes: u32, now: Cycle, class: NvmWriteClass) -> Cycle {
+        let count = self.volatile.page_store_counts.entry(addr.page()).or_insert(0);
+        let before = *count;
+        *count += Self::blocks_touched(addr, bytes) as u32;
+        self.write_counted(addr, bytes, before, now, class)
+    }
+
+    /// Serves a counted store run; `before` is the page's store count
+    /// before its first block. A page the PTT holds takes page writeback,
+    /// the run written whole. While the running job writes the page back
+    /// (frozen), block remapping absorbs the run in DRAM (§3.4
+    /// cooperation), or, in the PageOnly ablation, the store waits the
+    /// writeback out. Any other page takes block remapping
+    /// ([`Self::write_remapped`]), promoted (§4.2) from the block whose
+    /// count reaches the threshold (every block in the PageOnly ablation,
+    /// none in BlockOnly).
+    fn write_counted(&mut self, addr: PhysAddr, bytes: u32, before: u32, now: Cycle, class: NvmWriteClass) -> Cycle {
+        let Some(entry) = self.ptt.get(addr.page()) else {
+            // Intra-epoch promotion relieves BTT pressure: the block whose
+            // store count reaches the threshold moves the page under page
+            // writeback.
+            let promote_at = match self.cfg.thynvm.mode {
+                CkptMode::Dual => u64::from(self.cfg.thynvm.promote_threshold).saturating_sub(u64::from(before) + 1),
+                CkptMode::PageOnly => 0,
+                CkptMode::BlockOnly => u64::MAX,
+            };
+            return self.write_remapped(addr, bytes, promote_at, now, class);
+        };
+        // Frozen: the running job writes the page back.
+        let frozen = entry.pending.is_some() && self.epoch.job_running(now);
+        if !frozen {
+            return self.write_to_page(addr, bytes, now).expect("page resident");
+        }
+        if self.cfg.thynvm.mode != CkptMode::PageOnly {
+            // §3.4 cooperation: absorb via block remapping in DRAM.
+            return self.write_remapped(addr, bytes, u64::MAX, now, class);
+        }
+        // No block scheme to absorb the write: the store blocks the
+        // controller until the page's writeback completes — the Table 1
+        // quadrant-❹ pain the dual scheme removes.
+        let done = match self.wait_for_job(now) {
+            Ok(done) => done,
+            Err(resume) => return resume.max(now),
+        };
+        self.stats.ckpt_stall_cycles += done.saturating_sub(now);
+        self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
+        // The commit thawed the page, or its promotions evicted it (the
+        // ablation's CoW eviction): the first block is served as it would
+        // be at `done`, and the rest at `now`, as each would be on its own.
+        let head = (BLOCK_BYTES - addr.block_offset()).min(u64::from(bytes)) as u32;
+        let first = self.write_counted(addr, head, before, done, class);
+        if head == bytes {
+            return first;
+        }
+        first.max(self.write_counted(addr.offset(u64::from(head)), bytes - head, before + 1, now, class))
+    }
+
+    /// Block remapping (§3.2) for the store run `[addr, addr + bytes)` of
+    /// a page the PTT lacks or holds frozen. Each block claims its BTT
+    /// entry with one probe ([`Btt::entry_or_insert`]; a full table applies
+    /// the §4.3 overflow rule first, [`Self::btt_overflow`]) and writes its
+    /// working copy: to NVM at its remapped address
+    /// ([`Self::claim_working_copy`] picks the region), or to the DRAM block
+    /// buffer while a job runs (§4.1). From block `promote_at` on, each
+    /// block first tries to promote the page; once one does, the rest of
+    /// the run is written to the page's working copy.
+    ///
+    /// The NVM writes gather into spans contiguous on the device, each
+    /// issued as one `access_blocks` ([`Self::nvm_write_span`]). A span goes
+    /// out before any step that makes a device access of its own (a
+    /// promotion, a full table's reclaim, a DRAM-buffered write), so each
+    /// model sees its own events in the order one block at a time gives it.
+    fn write_remapped(
         &mut self,
-        block: BlockIndex,
+        addr: PhysAddr,
         bytes: u32,
-        count: u32,
+        mut promote_at: u64,
         now: Cycle,
         class: NvmWriteClass,
     ) -> Cycle {
-        let page = block.page();
-
-        // PTT hit: page writeback scheme.
-        if self.ptt.get(page).is_some() {
-            if self.page_frozen(page, now) {
-                if self.cfg.thynvm.mode == CkptMode::PageOnly {
-                    // No block scheme to absorb the write: the store blocks
-                    // the controller until the page's writeback completes —
-                    // the Table 1 quadrant-❹ pain the dual scheme removes.
-                    let done = match self.wait_for_job(now) {
-                        Ok(done) => done,
-                        Err(resume) => return resume.max(now),
-                    };
-                    self.stats.ckpt_stall_cycles += done.saturating_sub(now);
-                    self.volatile.input_blocked_until = self.volatile.input_blocked_until.max(done);
-                    // The commit thawed the page, or its promotions evicted
-                    // it (the ablation's CoW eviction): the store is served
-                    // as it would be at `done`.
-                    return self.write_counted_block(block, bytes, count, done, class);
+        // `C_penult` is unsafe to overwrite while a job runs: buffer in DRAM.
+        let buffered = self.epoch.job_running(now);
+        let end = addr.raw() + u64::from(bytes);
+        let (mut span, mut done) = (None, now);
+        for (k, (at, chunk)) in Self::blocks_of(addr, bytes).enumerate() {
+            let block = at.block();
+            if k as u64 >= promote_at {
+                done = done.max(self.nvm_write_span(span.take(), at.raw(), now, class));
+                if self.promote_page(block.page(), now).is_some() {
+                    let rest = (end - at.raw()) as u32;
+                    return done.max(self.write_to_page(at, rest, now).expect("page promoted"));
                 }
-                // §3.4 cooperation: absorb via block remapping in DRAM.
-                return self.buffered_block_write(block, bytes, now);
+                // A failed promotion changes nothing, and nothing in the
+                // run frees a PTT slot: every later block would fail too.
+                promote_at = u64::MAX;
             }
-            return self.write_to_page(block.base_addr(), bytes, now).expect("page resident");
-        }
-
-        // Intra-epoch promotion: once a page's store counter crosses the
-        // threshold (§4.2; every write in the PageOnly ablation), it moves
-        // under page writeback immediately, relieving BTT pressure.
-        let promotable = match self.cfg.thynvm.mode {
-            CkptMode::Dual => count >= u32::from(self.cfg.thynvm.promote_threshold),
-            CkptMode::PageOnly => true,
-            CkptMode::BlockOnly => false,
-        };
-        if promotable && self.promote_page(page, now).is_some() {
-            return self.write_to_page(block.base_addr(), bytes, now).expect("page promoted");
-        }
-
-        // Block remapping.
-        if self.epoch.job_running(now) {
-            // `C_penult` unsafe to overwrite: buffer in DRAM (§4.1).
-            return self.buffered_block_write(block, bytes, now);
-        }
-        self.btt_make_room(block, now);
-        let entry = self.btt.force_insert(block);
-        let mut newly_dirty = false;
-        let region = match entry.wactive {
-            Some(WactiveLoc::Nvm(r)) => r, // coalesce in place
-            Some(WactiveLoc::DramBuffered { .. }) => {
-                // Rare: buffered earlier this epoch while a job ran; keep
-                // coalescing in the buffer for simplicity.
-                return self.buffered_block_write(block, bytes, now);
+            let slot = &mut self.next_block_slot;
+            let claimed = self.btt.entry_or_insert(block).map(|e| Self::claim_working_copy(e, buffered, slot));
+            let (loc, fresh) = match claimed {
+                Some(claimed) => claimed,
+                None => {
+                    done = done.max(self.nvm_write_span(span.take(), at.raw(), now, class));
+                    self.btt_overflow(now);
+                    let entry = self.btt.force_insert(block);
+                    Self::claim_working_copy(entry, buffered, &mut self.next_block_slot)
+                }
+            };
+            if fresh {
+                self.volatile.epoch_dirty_blocks += 1;
             }
-            None => {
-                newly_dirty = true;
-                entry.clast_region.map_or(Region::A, Region::other)
+            match loc {
+                WactiveLoc::Nvm(region) => {
+                    let hw = self.remapped(self.space.checkpoint_block(region, block));
+                    let issue = |s| self.nvm_write_span(s, at.raw(), now, class);
+                    done = done.max(Self::extend_span(&mut span, at, hw, now, issue));
+                }
+                WactiveLoc::DramBuffered { slot } => {
+                    done = done.max(self.nvm_write_span(span.take(), at.raw(), now, class));
+                    done = done.max(self.buffered_write(slot, chunk, now));
+                }
             }
-        };
-        entry.wactive = Some(WactiveLoc::Nvm(region));
-        if newly_dirty {
-            self.volatile.epoch_dirty_blocks += 1;
         }
-        let hw = self.remapped(self.space.checkpoint_block(region, block));
-        let done = self.nvm_write(hw, bytes, now, class);
-        let resume = self.wpq_push(hw, now, done, WpqKind::Data);
-        self.nvm_wq.push(done, now).max(resume)
+        done.max(self.nvm_write_span(span, end, now, class))
     }
 
     /// Reclaims quiescent BTT entries, migrating `C_last` home when needed
@@ -1920,88 +2074,87 @@ impl ThyNvm {
         reclaimed
     }
 
-    /// The load path: locate the software-visible copy (§4.1) and read it.
-    fn read_block(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
-        if let Some(done) = self.read_from_page(block.base_addr(), bytes, now) {
-            return done;
-        }
-        if let Some(entry) = self.btt.get(block) {
-            let loc = entry.wactive.or(entry.pending.map(WactiveLoc::Nvm));
-            match loc {
-                Some(WactiveLoc::DramBuffered { slot }) => {
-                    let hw = self.space.working_block(slot, self.ptt.capacity());
-                    let off = self.space.working_offset(hw);
-                    let done = self.working_read(off, bytes, now);
-                    if self.dram_poison_free(off, u64::from(bytes)) {
-                        return done;
-                    }
-                    // A buffered working copy is dirty by construction:
-                    // quarantine the block, then serve the rolled-back
-                    // bytes from its surviving checkpointed copy.
-                    let done = self.quarantine_buffered_block(block, off, done);
-                    let src = match self.btt.get(block).and_then(|e| e.pending.or(e.clast_region)) {
-                        Some(r) => self.space.checkpoint_block(r, block),
-                        None => self.space.home(block.base_addr()),
-                    };
-                    return self.nvm_data_read(block, src, bytes, done);
-                }
-                Some(WactiveLoc::Nvm(region)) => {
-                    let hw = self.space.checkpoint_block(region, block);
-                    return self.nvm_data_read(block, hw, bytes, now);
-                }
-                None => {
-                    let region = entry.clast_region.unwrap_or(Region::B);
-                    let hw = self.space.checkpoint_block(region, block);
-                    return self.nvm_data_read(block, hw, bytes, now);
-                }
-            }
-        }
-        // Home Region.
-        let hw = self.space.home(block.base_addr());
-        self.nvm_data_read(block, hw, bytes, now)
-    }
-
-    /// Serves one page run of a request: `[addr, addr + bytes)`, which lies
-    /// in one page, every block issued at `t`. A store to a page the PTT
-    /// holds, unfrozen, in a DRAM working region is written whole; so is a
-    /// load from a resident page while DRAM reads cannot fault. Every other
-    /// run goes block by block through the Figure 6 paths, and stops at a
-    /// crash that fires inside one of them: power is gone for the rest.
-    /// A one-block run goes there directly, since the block path's
-    /// resident branch is the same `write_to_page`/`read_from_page` and
-    /// trying the run first would look the page up twice.
-    /// Returns the latest completion (or the crash's resume cycle).
-    fn access_run(&mut self, addr: PhysAddr, bytes: u32, write: bool, t: Cycle) -> Cycle {
-        let page = addr.page();
-        let blocks = Self::blocks_touched(addr, bytes);
-        if blocks > 1
-            && write
-            && self.cfg.thynvm.working_region == thynvm_types::WorkingRegion::Dram
-            && !self.page_frozen(page, t)
-        {
-            if let Some(done) = self.write_to_page(addr, bytes, t) {
-                *self.volatile.page_store_counts.entry(page).or_insert(0) += blocks as u32;
-                return done;
-            }
-        }
-        if blocks > 1 && !write && self.quiet_dram_reads() {
-            if let Some(done) = self.read_from_page(addr, bytes, t) {
-                return done;
-            }
-        }
-        let crashes = self.stats.crashes_injected;
-        let (mut addr, end) = (addr, addr.raw() + u64::from(bytes));
-        let mut done = t;
-        while addr.raw() < end && self.stats.crashes_injected == crashes {
-            let chunk = (BLOCK_BYTES - addr.block_offset()).min(end - addr.raw()) as u32;
-            done = done.max(if write {
-                self.write_block(addr.block(), chunk, t, NvmWriteClass::Cpu)
+    /// The load path (§4.1) for `[addr, addr + bytes)`, which lies in one
+    /// page: a page the PTT holds is read from its working copy, whole
+    /// while DRAM reads cannot fault. Otherwise it goes block by block,
+    /// since a poisoned block can quarantine the page, and the rest of the
+    /// run then reads block remapping's copies ([`Self::read_remapped`]).
+    /// Returns the latest completion.
+    fn read_run(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Cycle {
+        let end = addr.raw() + u64::from(bytes);
+        let (mut at, mut done) = (addr, now);
+        while at.raw() < end {
+            let rest = end - at.raw();
+            let chunk = (BLOCK_BYTES - at.block_offset()).min(rest);
+            let read = if self.quiet_dram_reads() {
+                self.read_from_page(at, rest as u32, now).map(|d| (d, rest))
             } else {
-                self.read_block(addr.block(), chunk, t)
-            });
-            addr = addr.offset(u64::from(chunk));
+                self.read_from_page(at.block().base_addr(), chunk as u32, now).map(|d| (d, chunk))
+            };
+            let Some((read, len)) = read else {
+                return done.max(self.read_remapped(at, rest as u32, now));
+            };
+            done = done.max(read);
+            at = at.offset(len);
         }
         done
+    }
+
+    /// The load path's block-remapping side for `[addr, addr + bytes)` of
+    /// a page the PTT lacks: each block reads its working copy (in NVM, or
+    /// buffered in DRAM), else the copy the running job writes, else its
+    /// `C_last` region's, else the Home Region's. While the media model is
+    /// off or quiet, NVM copies back to back on the device are read as one
+    /// span ([`Self::nvm_read_span`]); a DRAM-buffered copy, whose read may
+    /// find poison, and every read a media fault can hit go one block at a
+    /// time, after the span before them.
+    fn read_remapped(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Cycle {
+        let spans = self.fault.as_ref().is_none_or(FaultModel::is_quiet);
+        let end = addr.raw() + u64::from(bytes);
+        let (mut span, mut done) = (None, now);
+        for (at, chunk) in Self::blocks_of(addr, bytes) {
+            let block = at.block();
+            let copy = self.btt.get(block).map(|e| {
+                let durable = e.pending.or(e.clast_region).unwrap_or(Region::B);
+                e.wactive.unwrap_or(WactiveLoc::Nvm(durable))
+            });
+            let src = match copy {
+                Some(WactiveLoc::Nvm(region)) => self.space.checkpoint_block(region, block),
+                None => self.space.home(block.base_addr()),
+                Some(WactiveLoc::DramBuffered { slot }) => {
+                    done = done.max(self.nvm_read_span(span.take(), at.raw(), now));
+                    done = done.max(self.read_buffered(block, slot, chunk, now));
+                    continue;
+                }
+            };
+            if spans {
+                let hw = self.remapped(src);
+                let issue = |s| self.nvm_read_span(s, at.raw(), now);
+                done = done.max(Self::extend_span(&mut span, at, hw, now, issue));
+            } else {
+                done = done.max(self.nvm_data_read(block, src, chunk, now));
+            }
+        }
+        done.max(self.nvm_read_span(span, end, now))
+    }
+
+    /// Reads `bytes` of `block`'s working copy buffered in DRAM slot
+    /// `slot` (§4.1). A buffered copy is dirty by construction: under
+    /// poison the block is quarantined, and its rolled-back bytes are
+    /// served from its surviving checkpointed copy.
+    fn read_buffered(&mut self, block: BlockIndex, slot: u32, bytes: u32, now: Cycle) -> Cycle {
+        let hw = self.space.working_block(slot, self.ptt.capacity());
+        let off = self.space.working_offset(hw);
+        let done = self.working_read(off, bytes, now);
+        if self.dram_poison_free(off, u64::from(bytes)) {
+            return done;
+        }
+        let done = self.quarantine_buffered_block(block, off, done);
+        let src = match self.btt.get(block).and_then(|e| e.pending.or(e.clast_region)) {
+            Some(r) => self.space.checkpoint_block(r, block),
+            None => self.space.home(block.base_addr()),
+        };
+        self.nvm_data_read(block, src, bytes, done)
     }
 
     /// The span [`MemorySystem::access`] cuts a request into runs at: a
@@ -2792,7 +2945,11 @@ impl MemorySystem for ThyNvm {
         let unit = Self::page_run_bytes();
         while addr.raw() < end && self.stats.crashes_injected == crashes {
             let run = (unit - addr.raw() % unit).min(end - addr.raw()) as u32;
-            done = done.max(self.access_run(addr, run, write, t));
+            done = done.max(if write {
+                self.write_run(addr, run, t, NvmWriteClass::Cpu)
+            } else {
+                self.read_run(addr, run, t)
+            });
             addr = addr.offset(u64::from(run));
         }
         self.stats.service_cycles += done.saturating_sub(now);
@@ -2854,7 +3011,7 @@ impl MemorySystem for ThyNvm {
                 || !self.btt.is_full()
                 || self.reclaim_quiescent(t, 64) > 0;
             if absorbable {
-                let done = self.write_block(block, BLOCK_BYTES as u32, t, NvmWriteClass::Checkpoint);
+                let done = self.write_run(block.base_addr(), BLOCK_BYTES as u32, t, NvmWriteClass::Checkpoint);
                 flush_done = flush_done.max(done);
                 i += 1;
             } else {
@@ -4219,6 +4376,12 @@ mod tests {
     }
 
     impl ThyNvm {
+        /// Whether `page` is frozen at `now`: a job is running and writing
+        /// the page back (its PTT entry holds a `pending` region).
+        fn page_frozen(&self, page: PageIndex, now: Cycle) -> bool {
+            self.epoch.job_running(now) && self.ptt.get(page).is_some_and(|e| e.pending.is_some())
+        }
+
         /// `page_run_bytes` under test: a block while [`BLOCKWISE`] is set.
         pub(super) fn page_run_bytes() -> u64 {
             if BLOCKWISE.get() {

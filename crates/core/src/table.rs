@@ -11,8 +11,7 @@
 //! forces the controller to end the epoch early so that entries belonging
 //! to the penultimate checkpoint can be reclaimed (§4.3).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::hash_map::Entry;
 
 use thynvm_types::{BlockIndex, FxHashMap, PageIndex};
 
@@ -78,13 +77,22 @@ pub struct Btt {
     entries: FxHashMap<BlockIndex, BttEntry>,
     capacity: usize,
     peak: usize,
-    /// Min-heap of blocks that *may* be quiescent — a superset of the truly
-    /// quiescent entries, maintained by [`Btt::note_quiescent`] at the
-    /// controller's quiescence-transition points and validated lazily
-    /// against `entries` when victims are selected. This turns every
-    /// overflow reclaim from a full-table scan-and-partition (the top entry
-    /// in the simulator's profile) into `O(victims)` heap pops.
-    quiescent_hints: BinaryHeap<Reverse<BlockIndex>>,
+    /// Blocks that *may* be quiescent — a superset of the truly quiescent
+    /// entries, maintained by [`Btt::note_quiescent`] at the controller's
+    /// quiescence-transition points and validated lazily against `entries`
+    /// when victims are selected. `hints[next..sorted]` are the hints not
+    /// yet consumed, ascending and distinct; `hints[sorted..]` is the
+    /// unsorted tail `note_quiescent` appends to, which the next victim
+    /// selection sorts once and merges in. This turns every overflow
+    /// reclaim from a full-table scan-and-partition into a read of the
+    /// next `O(victims)` hints.
+    hints: Vec<BlockIndex>,
+    /// The first hint not yet consumed.
+    next: usize,
+    /// End of the sorted part of `hints`.
+    sorted: usize,
+    /// The merge's output buffer, kept to reuse its allocation.
+    merged: Vec<BlockIndex>,
 }
 
 impl Btt {
@@ -99,7 +107,10 @@ impl Btt {
             ),
             capacity,
             peak: 0,
-            quiescent_hints: BinaryHeap::new(),
+            hints: Vec::new(),
+            next: 0,
+            sorted: 0,
+            merged: Vec::new(),
         }
     }
 
@@ -138,17 +149,19 @@ impl Btt {
         self.entries.get_mut(&block)
     }
 
-    /// Returns the entry for `block`, inserting a fresh one if absent.
-    /// Returns `None` if the table is full and the block has no entry.
+    /// Returns the entry for `block`, inserting a fresh one if absent, with
+    /// one probe of the table. Returns `None` if the table is full and the
+    /// block has no entry.
     pub fn entry_or_insert(&mut self, block: BlockIndex) -> Option<&mut BttEntry> {
-        if !self.entries.contains_key(&block) {
-            if self.is_full() {
-                return None;
+        let (len, full) = (self.entries.len(), self.is_full());
+        match self.entries.entry(block) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(_) if full => None,
+            Entry::Vacant(v) => {
+                self.peak = self.peak.max(len + 1);
+                Some(v.insert(BttEntry::new()))
             }
-            self.entries.insert(block, BttEntry::new());
-            self.peak = self.peak.max(self.entries.len());
         }
-        self.entries.get_mut(&block)
     }
 
     /// Removes and returns the entry for `block`.
@@ -160,7 +173,6 @@ impl Btt {
     /// the controller flags an overflow-triggered epoch end at the same
     /// time, so the spill window is one platform event). Returns the entry.
     pub fn force_insert(&mut self, block: BlockIndex) -> &mut BttEntry {
-        use std::collections::hash_map::Entry;
         let len_before = self.entries.len();
         match self.entries.entry(block) {
             Entry::Occupied(e) => e.into_mut(),
@@ -213,35 +225,58 @@ impl Btt {
     /// hint would silently shrink the victim set, so selection cross-checks
     /// itself against a full scan in debug builds.
     pub fn note_quiescent(&mut self, block: BlockIndex) {
-        self.quiescent_hints.push(Reverse(block));
+        self.hints.push(block);
     }
 
     /// Rebuilds the quiescence hint index from the live entries. Used after
     /// bulk table surgery (recovery's metadata replay), where per-entry
     /// hinting would be noise.
     pub fn rebuild_quiescent_hints(&mut self) {
-        self.quiescent_hints.clear();
-        self.quiescent_hints
-            .extend(self.entries.iter().filter(|(_, e)| e.is_quiescent()).map(|(&b, _)| Reverse(b)));
+        self.hints.clear();
+        self.hints.extend(self.entries.iter().filter(|(_, e)| e.is_quiescent()).map(|(&b, _)| b));
+        self.hints.sort_unstable();
+        (self.next, self.sorted) = (0, self.hints.len());
+    }
+
+    /// Sorts the hints appended since the last selection and merges them
+    /// with the ones not yet consumed, dropping duplicates (a block hinted
+    /// again after going quiescent, rewritten and quiescent once more).
+    fn merge_hints(&mut self) {
+        if self.sorted == self.hints.len() {
+            return;
+        }
+        self.hints[self.sorted..].sort_unstable();
+        let (head, tail) = self.hints.split_at(self.sorted);
+        let (mut a, mut b) = (head[self.next..].iter().peekable(), tail.iter().peekable());
+        self.merged.clear();
+        while let Some(&x) = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if x <= y => a.next(),
+            (Some(_), Some(_)) | (None, _) => b.next(),
+            (Some(_), None) => a.next(),
+        } {
+            if self.merged.last() != Some(&x) {
+                self.merged.push(x);
+            }
+        }
+        std::mem::swap(&mut self.hints, &mut self.merged);
+        (self.next, self.sorted) = (0, self.hints.len());
     }
 
     /// Fills `out` with the first `max` reclaimable entries in block-index
-    /// order — exactly the prefix of [`Self::reclaimable`], served from the
-    /// quiescence hint heap in `O(victims log hints)` instead of a
+    /// order — exactly the prefix of [`Self::reclaimable`], read from the
+    /// sorted quiescence hints in `O(victims)` once the hints noted since
+    /// the last selection are merged in (one sort of those), instead of a
     /// scan-and-partition over the whole table (the overflow path reclaims
     /// 64 victims on every table-pressure event, so the full scan dominated
-    /// the simulator's profile). Hints are popped as they are consumed:
-    /// the caller must reclaim (remove) every returned block, or its hint
-    /// is lost.
+    /// the simulator's profile). Hints are consumed as they are read: the
+    /// caller must reclaim (remove) every returned block, or its hint is
+    /// lost.
     pub fn reclaimable_victims_into(&mut self, max: usize, out: &mut Vec<BlockIndex>) {
+        self.merge_hints();
         out.clear();
-        while out.len() < max {
-            let Some(Reverse(block)) = self.quiescent_hints.pop() else { break };
-            // A block hinted twice (quiescent, rewritten, quiescent again)
-            // pops its duplicates adjacently from the min-heap.
-            if out.last() == Some(&block) {
-                continue;
-            }
+        while out.len() < max && self.next < self.hints.len() {
+            let block = self.hints[self.next];
+            self.next += 1;
             // Stale hint: the entry was rewritten or reclaimed since.
             if self.entries.get(&block).is_some_and(BttEntry::is_quiescent) {
                 out.push(block);
@@ -494,6 +529,158 @@ mod tests {
         let mut out = Vec::new();
         btt.reclaimable_victims_into(2, &mut out);
         assert_eq!(out, vec![BlockIndex::new(0), BlockIndex::new(1)]);
+    }
+
+    /// One step of a random BTT history, as the controller drives the
+    /// table.
+    #[derive(Debug, Clone, Copy)]
+    enum BttOp {
+        /// A store gives the block a working copy, its entry inserted if
+        /// absent (a full table reclaims first, then spills).
+        Write(u64),
+        /// The capture: every working copy becomes the job's `pending`.
+        Capture,
+        /// The commit: `pending` becomes `C_last`, and the entries that
+        /// leaves quiescent are hinted.
+        Commit,
+        /// A quarantine drops the block's working copy: the entry is hinted
+        /// when only checkpointed copies remain, removed when none do.
+        Quarantine(u64),
+        /// The block's entry is removed outright.
+        Remove(u64),
+        /// A promotion of the block's page: its entries lose their working
+        /// copies, and those without `pending` are dropped.
+        Promote(u64),
+        /// A reclaim of up to this many victims.
+        Reclaim(usize),
+        /// Recovery's bulk surgery, then a hint rebuild.
+        Rebuild,
+    }
+
+    fn btt_op() -> impl proptest::prelude::Strategy<Value = BttOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            8 => (0u64..160).prop_map(BttOp::Write),
+            1 => Just(BttOp::Capture),
+            1 => Just(BttOp::Commit),
+            1 => (0u64..160).prop_map(BttOp::Quarantine),
+            1 => (0u64..160).prop_map(BttOp::Remove),
+            1 => (0u64..160).prop_map(BttOp::Promote),
+            2 => (1usize..24).prop_map(BttOp::Reclaim),
+            1 => Just(BttOp::Rebuild),
+        ]
+    }
+
+    /// Reclaims up to `max` victims as the controller does, removing each,
+    /// and checks them against the full scan taken first.
+    fn reclaim(btt: &mut Btt, max: usize) -> Result<usize, String> {
+        let expected = btt.scan_victims(max);
+        let mut out = Vec::new();
+        btt.reclaimable_victims_into(max, &mut out);
+        proptest::prop_assert_eq!(&out, &expected);
+        for &b in &out {
+            btt.remove(b);
+        }
+        Ok(out.len())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The sorted hint order against the scan, in every build: after
+        /// any history of inserts, working copies, captures, commits,
+        /// quarantines, removals, promotions and rebuilds, every reclaim's
+        /// victims are exactly the smallest quiescent blocks.
+        #[test]
+        fn btt_victims_equal_the_scan_over_random_histories(
+            ops in proptest::collection::vec(btt_op(), 1..300),
+        ) {
+            let mut btt = Btt::new(40);
+            for op in ops {
+                match op {
+                    BttOp::Write(b) => {
+                        let b = BlockIndex::new(b);
+                        if btt.entry_or_insert(b).is_none() {
+                            reclaim(&mut btt, 8)?;
+                        }
+                        let e = btt.force_insert(b);
+                        e.wactive = Some(match e.wactive {
+                            Some(loc) => loc,
+                            None if b.raw().is_multiple_of(5) => WactiveLoc::DramBuffered { slot: b.raw() as u32 },
+                            None => WactiveLoc::Nvm(e.clast_region.map_or(Region::A, Region::other)),
+                        });
+                    }
+                    BttOp::Capture => {
+                        // Buffered copies drain to NVM first.
+                        for (_, e) in btt.iter_mut() {
+                            if let Some(loc) = e.wactive.take() {
+                                e.pending = Some(match loc {
+                                    WactiveLoc::Nvm(r) => r,
+                                    WactiveLoc::DramBuffered { .. } => e.clast_region.map_or(Region::A, Region::other),
+                                });
+                            }
+                        }
+                    }
+                    BttOp::Commit => {
+                        let mut quiescent = Vec::new();
+                        for (b, e) in btt.iter_mut() {
+                            if let Some(r) = e.pending.take() {
+                                e.clast_region = Some(r);
+                                if e.wactive.is_none() {
+                                    quiescent.push(b);
+                                }
+                            }
+                        }
+                        for b in quiescent {
+                            btt.note_quiescent(b);
+                        }
+                    }
+                    BttOp::Quarantine(b) => {
+                        let b = BlockIndex::new(b);
+                        let state = btt.get_mut(b).map(|e| {
+                            e.wactive = None;
+                            (e.pending.is_none(), e.clast_region.is_none())
+                        });
+                        match state {
+                            Some((true, true)) => {
+                                btt.remove(b);
+                            }
+                            Some((true, false)) => btt.note_quiescent(b),
+                            _ => {}
+                        }
+                    }
+                    BttOp::Remove(b) => {
+                        btt.remove(BlockIndex::new(b));
+                    }
+                    BttOp::Promote(b) => {
+                        for block in BlockIndex::new(b).page().blocks() {
+                            let drop_it = btt.get_mut(block).is_some_and(|e| {
+                                e.wactive = None;
+                                e.pending.is_none()
+                            });
+                            if drop_it {
+                                btt.remove(block);
+                            }
+                        }
+                    }
+                    BttOp::Reclaim(k) => {
+                        reclaim(&mut btt, k)?;
+                    }
+                    BttOp::Rebuild => {
+                        for (_, e) in btt.iter_mut() {
+                            if let Some(r) = e.pending.take() {
+                                e.clast_region = Some(r);
+                            }
+                            e.wactive = None;
+                        }
+                        btt.rebuild_quiescent_hints();
+                    }
+                }
+            }
+            // Drain the table: the hints still cover every quiescent entry.
+            while reclaim(&mut btt, 7)? > 0 {}
+            proptest::prop_assert!(btt.scan_victims(usize::MAX).is_empty());
+        }
     }
 
     #[test]
