@@ -45,13 +45,13 @@
 use std::collections::VecDeque;
 
 use thynvm_mem::{
-    Device, DeviceKind, DramEccModel, EccReadFault, FaultModel, PersistBuffer, SecurityModel,
+    BlockRun, Device, DeviceKind, DramEccModel, EccReadFault, FaultModel, PersistBuffer, SecurityModel,
     SparseStore, WpqCrashReport, WpqKind, WriteQueue,
 };
 use thynvm_types::{
     AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, HealthRung,
     HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr, RecoveryStep,
-    RetryPolicy, SystemConfig, BLOCKS_PER_PAGE, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES,
+    RetryPolicy, SystemConfig, BLOCK_BYTES, NVM_CLEAN_MISS_NS, PAGE_BYTES, ROW_BYTES,
     TABLE_LOOKUP_NS,
 };
 
@@ -1855,21 +1855,23 @@ impl ThyNvm {
         kind: AccessKind,
         now: Cycle,
     ) -> (impl Iterator<Item = (PhysAddr, u32, HwAddr, Cycle)>, Cycle) {
+        const { assert!(ROW_BYTES >= PAGE_BYTES, "a span meets at most one row boundary") };
         let bytes = (to - from.raw()) as u32;
-        let (mut dones, mut n, mut resume) = ([Cycle::ZERO; BLOCKS_PER_PAGE as usize], 0, now);
+        let mut rows = [BlockRun { first: Cycle::ZERO, step: Cycle::ZERO, count: 0 }; 2];
+        let (mut n, mut resume) = (0, now);
         let queue = &mut self.nvm_wq;
         self.nvm.access_blocks(base.offset(from.block_offset()), kind, bytes, now, |run| {
             if kind.is_write() {
                 resume = resume.max(queue.push_run(run, now));
             }
-            for k in 0..run.count {
-                dones[n] = run.at(k);
-                n += 1;
-            }
+            rows[n] = run;
+            n += 1;
         });
         let first = from.block().base_addr().raw();
-        let hw = move |at: PhysAddr| base.offset(at.block().base_addr().raw() - first);
-        let blocks = Self::blocks_of(from, bytes).zip(dones).map(move |((at, chunk), done)| (at, chunk, hw(at), done));
+        let blocks = Self::blocks_of(from, bytes).zip(0..).map(move |((at, chunk), k)| {
+            let done = if k < rows[0].count { rows[0].at(k) } else { rows[1].at(k - rows[0].count) };
+            (at, chunk, base.offset(at.block().base_addr().raw() - first), done)
+        });
         (blocks, resume)
     }
 
