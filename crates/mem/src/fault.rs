@@ -14,11 +14,12 @@
 //! replay upstream seed hashes, so determinism must come from the model
 //! itself).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use thynvm_types::rng::{mix, unit};
 use thynvm_types::{
-    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, BLOCKS_PER_PAGE, BLOCK_BYTES,
+    DramFaultConfig, FaultKind, FxHashMap, FxHashSet, HwAddr, MediaFaultConfig, BLOCKS_PER_PAGE, BLOCK_BYTES,
     PAGE_BYTES,
 };
 
@@ -393,9 +394,11 @@ pub struct SecurityPersist {
 /// guesses.
 ///
 /// One table holds both: outside the blocks bumped since the last persist,
-/// the volatile counters *are* the persisted table. Those blocks carry an
-/// undo log of their persisted values, so a persist drops the log and a
-/// crash replays it — both cost the dirty set, not the table.
+/// the volatile counters *are* the persisted table. Each count is stamped
+/// with the table generation of its first bump since then, when its block
+/// is listed with its persisted value. So a bump probes one map, a persist
+/// settles every count by advancing the generation, and a crash reverts
+/// the list, not the table.
 ///
 /// A block's counter is the sum of two sparse counts: its page's count of
 /// whole-page writes and its own count of every other write. A
@@ -405,20 +408,18 @@ pub struct SecurityPersist {
 /// the page's 64 counters had been bumped.
 #[derive(Debug, Clone, Default)]
 pub struct SecurityModel {
-    /// Volatile single-block write counts in the memory controller, keyed
-    /// by block number (device address / 64: FxHash keeps the six zero low
-    /// bits of a block address, which would crowd the map's probe starts).
-    /// Equal to the persisted counts except on the blocks in `dirty`.
-    counters: FxHashMap<u64, u64>,
-    /// Undo log of the blocks bumped since the last persist: block number
-    /// → the value the persisted table holds for it, 0 when it holds none
-    /// (a bumped count is at least 1, so 0 never is a persisted value).
-    dirty: FxHashMap<u64, u64>,
-    /// Volatile whole-page write counts, keyed by page number. Equal to the
-    /// persisted counts except on the pages in `dirty_pages`.
-    pages: FxHashMap<u64, u64>,
-    /// Undo log of the pages bumped since the last persist, as `dirty`.
-    dirty_pages: FxHashMap<u64, u64>,
+    /// Single-block write counts in the memory controller, keyed by block
+    /// number (device address / 64: FxHash keeps the six zero low bits of
+    /// a block address, which would crowd the map's probe starts).
+    counters: FxHashMap<u64, Count>,
+    /// The blocks bumped since the last persist, each once, with the value
+    /// the persisted table holds for it, 0 when it holds none (a bumped
+    /// count is at least 1, so 0 never is a persisted value).
+    dirty: Vec<(u64, u32)>,
+    /// Whole-page write counts, keyed by page number.
+    pages: FxHashMap<u64, Count>,
+    /// The pages bumped since the last persist, as `dirty`.
+    dirty_pages: Vec<(u64, u32)>,
     /// Blocks whose persisted counter is nonzero: the persisted table's
     /// entries, kept as a running count so reading it costs nothing.
     table_len: usize,
@@ -433,17 +434,39 @@ pub struct SecurityModel {
     stale_table: bool,
 }
 
+/// One write count and the low 32 bits of the table generation of its
+/// first bump since the last persist: a count stamped with an older
+/// generation is clean, and the persisted table holds the count itself.
+/// Both halves are 32 bits, so an entry is as small as a bare `u64` count
+/// and the map keeps its footprint: a block would need 2^32 writes, and
+/// the table 2^32 persists, to wrap them.
+#[derive(Debug, Clone, Copy)]
+struct Count {
+    now: u32,
+    stamp: u32,
+}
+
 /// Arity of the integrity tree over the counter table: each node
 /// authenticates this many children.
 const TREE_ARITY: u64 = 8;
 
-/// Bumps `key`'s count in `counts`, logging the persisted value in `undo`
-/// on its first bump since the last persist. Returns the new count.
-fn bump(counts: &mut FxHashMap<u64, u64>, undo: &mut FxHashMap<u64, u64>, key: u64) -> u64 {
-    let c = counts.entry(key).or_insert(0);
-    undo.entry(key).or_insert(*c);
-    *c += 1;
-    *c
+/// Bumps `key`'s count in `counts` with one probe, listing `key` and its
+/// persisted value in `dirty` on its first bump since the last persist
+/// (whose table generation stamps it). Returns the new count.
+fn bump(counts: &mut FxHashMap<u64, Count>, dirty: &mut Vec<(u64, u32)>, key: u64, stamp: u32) -> u64 {
+    let c = match counts.entry(key) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
+            dirty.push((key, 0));
+            e.insert(Count { now: 0, stamp })
+        }
+    };
+    if c.stamp != stamp {
+        dirty.push((key, c.now));
+        c.stamp = stamp;
+    }
+    c.now += 1;
+    u64::from(c.now)
 }
 
 /// Block numbers of page `page`.
@@ -451,46 +474,61 @@ fn page_blocks(page: u64) -> std::ops::Range<u64> {
     page * BLOCKS_PER_PAGE..(page + 1) * BLOCKS_PER_PAGE
 }
 
-/// Replays an undo log: every logged count returns to its persisted value.
-fn revert(counts: &mut FxHashMap<u64, u64>, undo: &mut FxHashMap<u64, u64>) {
-    for (key, persisted) in undo.drain() {
+/// Reverts the `dirty` counts to their persisted values, stamped clean
+/// (`stamp` is the current generation's), dropping those the persisted
+/// table holds none for.
+fn revert(counts: &mut FxHashMap<u64, Count>, dirty: &mut Vec<(u64, u32)>, stamp: u32) {
+    for (key, persisted) in dirty.drain(..) {
         if persisted == 0 {
             counts.remove(&key);
         } else {
-            counts.insert(key, persisted);
+            counts.insert(key, Count { now: persisted, stamp: stamp.wrapping_sub(1) });
         }
     }
 }
 
 impl SecurityModel {
+    /// The current table generation's stamp (see [`Count`]).
+    fn stamp(&self) -> u32 {
+        self.generation as u32
+    }
+
     /// Observes one encrypted write of the 64 B block at device address
     /// `block`: bumps its write counter and marks it dirty. Returns the
     /// new counter value.
     pub fn note_block_write(&mut self, block: u64) -> u64 {
-        let b = block / BLOCK_BYTES;
-        let own = bump(&mut self.counters, &mut self.dirty, b);
-        own + self.pages.get(&(b / BLOCKS_PER_PAGE)).copied().unwrap_or(0)
+        let (b, stamp) = (block / BLOCK_BYTES, self.stamp());
+        let own = bump(&mut self.counters, &mut self.dirty, b, stamp);
+        own + self.pages.get(&(b / BLOCKS_PER_PAGE)).map_or(0, |c| u64::from(c.now))
     }
 
     /// Observes one encrypted write of `bytes` at device address `addr`:
     /// bumps the counter of every 64 B block it touches and marks them
     /// dirty. A page-aligned 4 KiB write bumps its page's count once.
     pub fn note_write(&mut self, addr: u64, bytes: u64) {
+        let stamp = self.stamp();
         if bytes == PAGE_BYTES && addr.is_multiple_of(PAGE_BYTES) {
-            bump(&mut self.pages, &mut self.dirty_pages, addr / PAGE_BYTES);
+            bump(&mut self.pages, &mut self.dirty_pages, addr / PAGE_BYTES, stamp);
             return;
         }
         for a in (addr & !(BLOCK_BYTES - 1)..addr + bytes).step_by(BLOCK_BYTES as usize) {
-            bump(&mut self.counters, &mut self.dirty, a / BLOCK_BYTES);
+            bump(&mut self.counters, &mut self.dirty, a / BLOCK_BYTES, stamp);
         }
+    }
+
+    /// The dirty blocks outside the pages bumped since the last persist.
+    fn lone_dirty_blocks(&self) -> impl Iterator<Item = &(u64, u32)> {
+        let page_dirty = |b: u64| {
+            !self.dirty_pages.is_empty()
+                && self.pages.get(&(b / BLOCKS_PER_PAGE)).is_some_and(|c| c.stamp == self.stamp())
+        };
+        self.dirty.iter().filter(move |&&(b, _)| !page_dirty(b))
     }
 
     /// Number of counters bumped since the last persist — the exact
     /// exposure a crash right now would have to replay.
     pub fn dirty_count(&self) -> usize {
-        let outside_dirty_pages =
-            self.dirty.keys().filter(|&&b| !self.dirty_pages.contains_key(&(b / BLOCKS_PER_PAGE)));
-        self.dirty_pages.len() * BLOCKS_PER_PAGE as usize + outside_dirty_pages.count()
+        self.dirty_pages.len() * BLOCKS_PER_PAGE as usize + self.lone_dirty_blocks().count()
     }
 
     /// Number of entries in the persisted counter table.
@@ -507,21 +545,22 @@ impl SecurityModel {
     /// neither their page nor the block itself has a persisted count.
     fn unpersisted_dirty_blocks(&self) -> usize {
         // A block dirty on its own in a page never written whole.
-        let lone = self.dirty.iter().filter(|&(&b, &persisted)| {
+        let lone = self.dirty.iter().filter(|&&(b, persisted)| {
             persisted == 0 && !self.pages.contains_key(&(b / BLOCKS_PER_PAGE))
         });
         // A block of a dirty page that had no persisted count, unless
-        // the block has one of its own. A block absent from `counters`
-        // has none (a dirty block is always present); a present one has
-        // a persisted count unless the undo log records 0.
-        let own_unpersisted =
-            |b: &u64| !self.counters.contains_key(b) || self.dirty.get(b) == Some(&0);
-        let in_fresh_pages = self
-            .dirty_pages
-            .iter()
-            .filter(|&(_, &persisted)| persisted == 0)
-            .map(|(&page, _)| page_blocks(page).filter(own_unpersisted).count());
-        lone.count() + in_fresh_pages.sum::<usize>()
+        // the block has one of its own: absent from `counters`, or listed
+        // dirty with none persisted.
+        let fresh_pages: Vec<u64> =
+            self.dirty_pages.iter().filter(|&&(_, persisted)| persisted == 0).map(|&(page, _)| page).collect();
+        let mut in_fresh_pages = 0;
+        if !fresh_pages.is_empty() {
+            let fresh_blocks: FxHashSet<u64> =
+                self.dirty.iter().filter(|&&(_, persisted)| persisted == 0).map(|&(b, _)| b).collect();
+            let own_unpersisted = |b: &u64| !self.counters.contains_key(b) || fresh_blocks.contains(b);
+            in_fresh_pages = fresh_pages.iter().map(|&page| page_blocks(page).filter(own_unpersisted).count()).sum();
+        }
+        lone.count() + in_fresh_pages
     }
 
     /// Persists the dirty counters and the integrity-tree path above them,
@@ -534,10 +573,9 @@ impl SecurityModel {
         // Level 0: the distinct dirty blocks in order. Each dirty page's
         // blocks are one sorted run, so the sorted pages merge with the
         // sorted blocks dirty outside them; nothing sorts 64 blocks a page.
-        let mut pages: Vec<u64> = self.dirty_pages.keys().copied().collect();
+        let mut pages: Vec<u64> = self.dirty_pages.iter().map(|&(page, _)| page).collect();
         pages.sort_unstable();
-        let mut lone: Vec<u64> = self.dirty.keys().copied().collect();
-        lone.retain(|b| !self.dirty_pages.contains_key(&(b / BLOCKS_PER_PAGE)));
+        let mut lone: Vec<u64> = self.lone_dirty_blocks().map(|&(b, _)| b).collect();
         lone.sort_unstable();
         let mut level = Vec::with_capacity(lone.len() + pages.len() * BLOCKS_PER_PAGE as usize);
         let mut lone = lone.into_iter().peekable();
@@ -563,7 +601,7 @@ impl SecurityModel {
                     break;
                 }
             }
-            // The counts already hold the persisted values.
+            // The generation advanced below settles every listed count.
             self.dirty.clear();
             self.dirty_pages.clear();
         }
@@ -576,8 +614,9 @@ impl SecurityModel {
     /// set recovery must replay.
     pub fn crash(&mut self) -> usize {
         let lost = self.dirty_count();
-        revert(&mut self.counters, &mut self.dirty);
-        revert(&mut self.pages, &mut self.dirty_pages);
+        let stamp = self.stamp();
+        revert(&mut self.counters, &mut self.dirty, stamp);
+        revert(&mut self.pages, &mut self.dirty_pages, stamp);
         lost
     }
 
@@ -953,7 +992,7 @@ mod tests {
     /// Reference counter-table model in its most direct form: a volatile
     /// and a persisted `BTreeMap`, a `BTreeSet` of dirty blocks, a crash
     /// that clones the persisted table back, and a `BTreeSet` per tree
-    /// level. The undo-log model must be indistinguishable from it.
+    /// level. The one-probe model must be indistinguishable from it.
     #[derive(Debug, Default)]
     struct RefSecurityModel {
         counters: BTreeMap<u64, u64>,
