@@ -1200,16 +1200,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn nvm_data_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
         let hw = self.remapped(hw);
-        let done = self.nvm_read(hw, bytes, now);
-        self.check_nvm_read(block, hw, bytes, done)
-    }
-
-    /// What follows an NVM data read of `bytes` of `block` at the resolved
-    /// device address `hw`, which completed at `done`: decryption and, with
-    /// the media model on, its CRC check, retries and remap (see
-    /// [`Self::nvm_data_read`]). Returns the completion after any retries.
-    // lint: recovery-path
-    fn check_nvm_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, mut done: Cycle) -> Cycle {
+        let mut done = self.nvm_read(hw, bytes, now);
         // Secure mode decrypts + MAC-verifies every NVM data read,
         // independent of the media-fault model.
         self.charge_crypto(u64::from(bytes), false);
@@ -1838,72 +1829,36 @@ impl ThyNvm {
         self.dram_wq.push(done, now)
     }
 
-    /// Issues the run blocks `[from, to)`, whose NVM copies sit back to
-    /// back on the device from `base` (the address of `from`'s block), as
-    /// one `Device::access_blocks` of `kind` at `now`: the completions,
-    /// bank state and device statistics of one access per block
-    /// (`access_blocks_equals_one_access_per_block`). A write's row runs
-    /// enter the NVM write queue as one `push_run` each, which equals one
-    /// push per block (`push_run_equals_one_push_per_completion`). Returns
-    /// each block's part of the span, device address and completion, in
-    /// block order, and the latest queue resume (`now` for a read).
-    fn nvm_span(
-        &mut self,
-        from: PhysAddr,
-        to: u64,
-        base: HwAddr,
-        kind: AccessKind,
-        now: Cycle,
-    ) -> (impl Iterator<Item = (PhysAddr, u32, HwAddr, Cycle)>, Cycle) {
+    /// Issues a store run's pending NVM span, the run blocks `[from, to)`
+    /// whose NVM copies sit back to back on the device from `base` (the
+    /// address of `from`'s block), as one `Device::access_blocks` write at
+    /// `now`: the completions, bank state and device statistics of one
+    /// access per block (`access_blocks_equals_one_access_per_block`). Its
+    /// row runs enter the NVM write queue as one `push_run` each, which
+    /// equals one push per block (`push_run_equals_one_push_per_completion`).
+    /// Each block then takes the hooks of [`Self::nvm_write`] and its
+    /// persist-buffer entry, in block order. Returns the cycle the issuer
+    /// may resume; `now` for no span.
+    fn nvm_write_span(&mut self, span: Option<(PhysAddr, HwAddr)>, to: u64, now: Cycle, class: NvmWriteClass) -> Cycle {
         const { assert!(ROW_BYTES >= PAGE_BYTES, "a span meets at most one row boundary") };
+        let Some((from, base)) = span else { return now };
         let bytes = (to - from.raw()) as u32;
         let mut rows = [BlockRun { first: Cycle::ZERO, step: Cycle::ZERO, count: 0 }; 2];
         let (mut n, mut resume) = (0, now);
         let queue = &mut self.nvm_wq;
-        self.nvm.access_blocks(base.offset(from.block_offset()), kind, bytes, now, |run| {
-            if kind.is_write() {
-                resume = resume.max(queue.push_run(run, now));
-            }
+        self.nvm.access_blocks(base.offset(from.block_offset()), AccessKind::Write, bytes, now, |run| {
+            resume = resume.max(queue.push_run(run, now));
             rows[n] = run;
             n += 1;
         });
         let first = from.block().base_addr().raw();
-        let blocks = Self::blocks_of(from, bytes).zip(0..).map(move |((at, chunk), k)| {
+        for ((at, chunk), k) in Self::blocks_of(from, bytes).zip(0..) {
             let done = if k < rows[0].count { rows[0].at(k) } else { rows[1].at(k - rows[0].count) };
-            (at, chunk, base.offset(at.block().base_addr().raw() - first), done)
-        });
-        (blocks, resume)
-    }
-
-    /// Issues a store run's pending NVM span, `[from, to)` from device
-    /// address `base` (see [`Self::nvm_span`]): each block then takes the
-    /// hooks of [`Self::nvm_write`] and its persist-buffer entry, in block
-    /// order. Returns the cycle the issuer may resume; `now` for no span.
-    fn nvm_write_span(&mut self, span: Option<(PhysAddr, HwAddr)>, to: u64, now: Cycle, class: NvmWriteClass) -> Cycle {
-        let Some((from, base)) = span else { return now };
-        let (blocks, mut resume) = self.nvm_span(from, to, base, AccessKind::Write, now);
-        for (_, chunk, hw, done) in blocks {
+            let hw = base.offset(at.block().base_addr().raw() - first);
             self.note_nvm_write(hw, chunk, class);
             resume = resume.max(self.wpq_push(hw, now, done, WpqKind::Data));
         }
         resume
-    }
-
-    /// Issues a load run's pending NVM span, `[from, to)` from device
-    /// address `base` (see [`Self::nvm_span`]): each block then takes the
-    /// accounting of [`Self::nvm_read`] and the checks of
-    /// [`Self::check_nvm_read`], in block order. Returns the latest
-    /// completion; `now` for no span.
-    fn nvm_read_span(&mut self, span: Option<(PhysAddr, HwAddr)>, to: u64, now: Cycle) -> Cycle {
-        let Some((from, base)) = span else { return now };
-        let (blocks, _) = self.nvm_span(from, to, base, AccessKind::Read, now);
-        let mut last = now;
-        for (at, chunk, hw, done) in blocks {
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += u64::from(chunk);
-            last = last.max(self.check_nvm_read(at.block(), hw, chunk, done));
-        }
-        last
     }
 
     /// Adds the block at `at`, whose NVM copy sits at device address `hw`,
@@ -2103,41 +2058,28 @@ impl ThyNvm {
     }
 
     /// The load path's block-remapping side for `[addr, addr + bytes)` of
-    /// a page the PTT lacks: each block reads its working copy (in NVM, or
-    /// buffered in DRAM), else the copy the running job writes, else its
-    /// `C_last` region's, else the Home Region's. While the media model is
-    /// off or quiet, NVM copies back to back on the device are read as one
-    /// span ([`Self::nvm_read_span`]); a DRAM-buffered copy, whose read may
-    /// find poison, and every read a media fault can hit go one block at a
-    /// time, after the span before them.
+    /// a page the PTT lacks, one block at a time: each block reads its
+    /// working copy (in NVM, or buffered in DRAM), else the copy the
+    /// running job writes, else its `C_last` region's, else the Home
+    /// Region's. Returns the latest completion.
     fn read_remapped(&mut self, addr: PhysAddr, bytes: u32, now: Cycle) -> Cycle {
-        let spans = self.fault.as_ref().is_none_or(FaultModel::is_quiet);
-        let end = addr.raw() + u64::from(bytes);
-        let (mut span, mut done) = (None, now);
+        let mut done = now;
         for (at, chunk) in Self::blocks_of(addr, bytes) {
             let block = at.block();
             let copy = self.btt.get(block).map(|e| {
                 let durable = e.pending.or(e.clast_region).unwrap_or(Region::B);
                 e.wactive.unwrap_or(WactiveLoc::Nvm(durable))
             });
-            let src = match copy {
-                Some(WactiveLoc::Nvm(region)) => self.space.checkpoint_block(region, block),
-                None => self.space.home(block.base_addr()),
-                Some(WactiveLoc::DramBuffered { slot }) => {
-                    done = done.max(self.nvm_read_span(span.take(), at.raw(), now));
-                    done = done.max(self.read_buffered(block, slot, chunk, now));
-                    continue;
+            let read = match copy {
+                Some(WactiveLoc::Nvm(region)) => {
+                    self.nvm_data_read(block, self.space.checkpoint_block(region, block), chunk, now)
                 }
+                None => self.nvm_data_read(block, self.space.home(block.base_addr()), chunk, now),
+                Some(WactiveLoc::DramBuffered { slot }) => self.read_buffered(block, slot, chunk, now),
             };
-            if spans {
-                let hw = self.remapped(src);
-                let issue = |s| self.nvm_read_span(s, at.raw(), now);
-                done = done.max(Self::extend_span(&mut span, at, hw, now, issue));
-            } else {
-                done = done.max(self.nvm_data_read(block, src, chunk, now));
-            }
+            done = done.max(read);
         }
-        done.max(self.nvm_read_span(span, end, now))
+        done
     }
 
     /// Reads `bytes` of `block`'s working copy buffered in DRAM slot
