@@ -241,6 +241,8 @@ impl Btt {
     /// Sorts the hints appended since the last selection and merges them
     /// with the ones not yet consumed, dropping duplicates (a block hinted
     /// again after going quiescent, rewritten and quiescent once more).
+    /// A stable sort and `dedup` of the whole order would do the same but
+    /// made the commit's selection slower (DESIGN §9 item 1).
     fn merge_hints(&mut self) {
         if self.sorted == self.hints.len() {
             return;
