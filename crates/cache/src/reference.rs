@@ -303,6 +303,15 @@ fn paper_addr() -> impl Strategy<Value = u64> {
     prop_oneof![1 => aligned_addr(), 1 => low_addr(8192)]
 }
 
+/// [`paper_addr`]'s addresses, some moved up by 2^45 or by 3 × 2^60
+/// bytes. On the 64-set L1 the first shift adds 2^33 to a block's tag;
+/// the second is a multiple of 2^32 tags in every paper-shaped level, so
+/// it keeps the set and the tag's low 32 bits and changes only its high
+/// half. The three copies of one block then meet in the same set.
+fn wide_addr() -> impl Strategy<Value = u64> {
+    (paper_addr(), 0usize..3).prop_map(|(a, k)| a + [0, 1 << 45, 3 << 60][k])
+}
+
 /// A level of `sets` sets and `ways` ways.
 fn level(sets: u64, ways: u32) -> (u64, u32) {
     (sets * u64::from(ways) * BLOCK_BYTES, ways)
@@ -358,7 +367,7 @@ proptest! {
     #[test]
     fn tiny_caches_match_the_three_scan_reference(
         sets in 1u64..5,
-        ways in 1u32..5,
+        ways in 1u32..17,
         ops in proptest::collection::vec(cache_op(low_addr(24)), 1..400),
     ) {
         let (bytes, ways) = level(sets, ways);
@@ -383,10 +392,27 @@ proptest! {
     }
 
     #[test]
+    fn wide_tags_match_the_three_scan_reference(
+        shape in 0usize..4,
+        ops in proptest::collection::vec(cache_op(wide_addr()), 1..1500),
+    ) {
+        // Tags of 2^32 and up that share their low 32 bits with a low
+        // address's tag, on the paper's L1, L2 and L3 and the 3-core L3.
+        let c = SystemConfig::paper().cache;
+        let (bytes, ways) = [
+            (c.l1_bytes, c.l1_ways),
+            (c.l2_bytes, c.l2_ways),
+            (c.l3_bytes, c.l3_ways),
+            (c.l3_bytes * 3, c.l3_ways),
+        ][shape];
+        run_cache(bytes, ways, &ops);
+    }
+
+    #[test]
     fn tiny_hierarchies_match_the_rescanning_walk(
-        l1 in (1u64..5, 1u32..5),
-        l2 in (1u64..5, 1u32..5),
-        l3 in (1u64..5, 1u32..5),
+        l1 in (1u64..5, 1u32..17),
+        l2 in (1u64..5, 1u32..17),
+        l3 in (1u64..5, 1u32..17),
         ops in proptest::collection::vec(hier_op(low_addr(48)), 1..500),
     ) {
         let [(b1, w1), (b2, w2), (b3, w3)] = [l1, l2, l3].map(|(sets, ways)| level(sets, ways));
