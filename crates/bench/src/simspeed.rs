@@ -6,8 +6,9 @@
 //! decisions per read) each made the hot path heavier without anyone
 //! noticing, because nothing recorded a trajectory. This module fixes
 //! that: it runs a fixed set of workload × fault configurations through
-//! the raw controller path (and one through the data-carrying
-//! `store_bytes`/`load_bytes` path), records simulated cycles per host
+//! the raw controller path (one through the data-carrying
+//! `store_bytes`/`load_bytes` path, and one through the core and its
+//! cache hierarchy), records simulated cycles per host
 //! second and host nanoseconds per operation, and serializes the results
 //! to `BENCH_simspeed.json` so CI can fail any PR that regresses
 //! throughput by more than [`GATE_REGRESSION_PCT`].
@@ -31,10 +32,12 @@ use thynvm_types::{
     Cycle, DramFaultConfig, MediaFaultConfig, MemorySystem, PhysAddr, SystemConfig, TraceEvent,
 };
 use thynvm_workloads::kv::KvStore;
-use thynvm_workloads::{Arena, HashKv, KvOp, MicroConfig, MicroPattern, YcsbConfig, YcsbMix};
+use thynvm_workloads::{
+    Arena, HashKv, KvConfig, KvOp, MicroConfig, MicroPattern, YcsbConfig, YcsbMix,
+};
 
 use crate::report::Json;
-use crate::runner::{run_raw, SystemKind};
+use crate::runner::{run_raw, run_with_caches, SystemKind};
 
 /// Schema identifier stamped into every artifact; bump on layout changes.
 pub const SCHEMA: &str = "thynvm-simspeed/v1";
@@ -55,10 +58,22 @@ pub struct SpeedCase {
     pub cfg: SystemConfig,
     /// Pre-generated trace, so event generation is excluded from timing.
     pub events: Vec<TraceEvent>,
-    /// Replays each write as a `store_bytes` of a payload and each read as
-    /// a `load_bytes`, so the functional byte store is timed along with
-    /// the controller; otherwise each event is one raw `access`.
-    pub bytes: bool,
+    /// The path each event takes.
+    pub replay: Replay,
+}
+
+/// How a [`SpeedCase`] replays its trace, and so which layer it times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replay {
+    /// Each event is one raw `access` to ThyNVM: the controller.
+    Raw,
+    /// Each write is a `store_bytes` of a payload and each read a
+    /// `load_bytes` on ThyNVM, so the functional byte store is timed
+    /// along with the controller.
+    Bytes,
+    /// Each event runs through the in-order core and its L1/L2/L3 in front
+    /// of Ideal DRAM, so nearly all the time is the cache hierarchy's.
+    Caches,
 }
 
 /// One measured case: identity plus raw counters; ratios are derived.
@@ -147,7 +162,10 @@ impl KvStore for Records {
 /// `ycsb-a-bytes/fault-off` is the one data-carrying case: zipfian 1 KiB
 /// `store_bytes`/`load_bytes` over 8 MiB, so the functional byte store
 /// and the controller's multi-block dispatch are timed together.
-/// `micro_accesses` and `ycsb_ops` scale the traces; the
+/// `kv-hash/caches` replays Figure 9's hash-KV trace (256 B values) through
+/// the core and the cache hierarchy over Ideal DRAM, which does little per
+/// access, so it times the cache layer. `micro_accesses` scales the micro
+/// traces and `ycsb_ops` the YCSB and KV operation counts; the
 /// committed baseline uses [`cases`]'s defaults, and the gate refuses to
 /// compare entries with different `ops`.
 pub fn cases_scaled(micro_accesses: u64, ycsb_ops: u64) -> Vec<SpeedCase> {
@@ -156,6 +174,10 @@ pub fn cases_scaled(micro_accesses: u64, ycsb_ops: u64) -> Vec<SpeedCase> {
     let mut kv = HashKv::new(16 * 1024);
     let ycsb = YcsbConfig { records: 4 * 1024, ..YcsbConfig::new(YcsbMix::A) };
     let (ycsb_events, _) = ycsb.run(&mut kv, ycsb_ops);
+    let kv_cfg = KvConfig::new(256);
+    let mut hash = HashKv::new(16 * 1024);
+    kv_cfg.populate(&mut hash, 8 * 1024);
+    let (kv_events, _) = kv_cfg.trace(&mut hash, ycsb_ops);
 
     let base = SystemConfig::paper();
     let mut faulty = base;
@@ -172,7 +194,7 @@ pub fn cases_scaled(micro_accesses: u64, ycsb_ops: u64) -> Vec<SpeedCase> {
     wpq.wpq = thynvm_types::PersistBufferConfig::armed();
     wpq.validate().expect("wpq-on simspeed configuration is valid");
 
-    let raw = |name, cfg, events| SpeedCase { name, cfg, events, bytes: false };
+    let raw = |name, cfg, events| SpeedCase { name, cfg, events, replay: Replay::Raw };
     vec![
         raw("micro-random/fault-off", base, micro_events.clone()),
         raw("micro-random/fault-on", faulty, micro_events.clone()),
@@ -187,8 +209,9 @@ pub fn cases_scaled(micro_accesses: u64, ycsb_ops: u64) -> Vec<SpeedCase> {
             events: YcsbConfig { records: 8 * 1024, ..YcsbConfig::new(YcsbMix::A) }
                 .run(&mut Records, ycsb_ops)
                 .0,
-            bytes: true,
+            replay: Replay::Bytes,
         },
+        SpeedCase { name: "kv-hash/caches", cfg: base, events: kv_events, replay: Replay::Caches },
     ]
 }
 
@@ -234,10 +257,11 @@ pub fn measure(case: &SpeedCase, repeats: u32) -> CaseResult {
     let mut sim_cycles: Option<Cycle> = None;
     for _ in 0..repeats.max(1) {
         let start = Instant::now();
-        let cycles = if case.bytes {
-            run_bytes(case.cfg, &case.events)
-        } else {
-            run_raw(SystemKind::ThyNvm, case.cfg, case.events.iter().copied()).cycles
+        let events = case.events.iter().copied();
+        let cycles = match case.replay {
+            Replay::Raw => run_raw(SystemKind::ThyNvm, case.cfg, events).cycles,
+            Replay::Bytes => run_bytes(case.cfg, &case.events),
+            Replay::Caches => run_with_caches(SystemKind::IdealDram, case.cfg, events).cycles,
         };
         let elapsed = start.elapsed().as_nanos() as u64;
         best_ns = best_ns.min(elapsed);
@@ -664,11 +688,13 @@ mod tests {
 
     #[test]
     fn small_cases_measure_deterministically() {
-        // A miniature end-to-end run: all eight cases execute, produce
+        // A miniature end-to-end run: all nine cases execute, produce
         // nonzero simulated time, and the cycle totals are repeatable.
         let cases = cases_scaled(400, 100);
-        assert_eq!(cases.len(), 8);
-        assert_eq!(cases.iter().filter(|c| c.bytes).count(), 1, "one data-carrying case");
+        assert_eq!(cases.len(), 9);
+        let count = |replay| cases.iter().filter(|c| c.replay == replay).count();
+        assert_eq!(count(Replay::Bytes), 1, "one data-carrying case");
+        assert_eq!(count(Replay::Caches), 1, "one case through the caches");
         let mut by_name = std::collections::HashMap::new();
         for case in &cases {
             let a = measure(case, 2);
