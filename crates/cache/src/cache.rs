@@ -1,7 +1,7 @@
 //! A single set-associative, writeback, write-allocate cache with LRU
 //! replacement.
 
-use thynvm_types::{PhysAddr, BLOCK_BYTES};
+use thynvm_types::{PhysAddr, BLOCK_BYTES, MAX_CACHE_WAYS};
 
 /// A block evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,30 +12,27 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-/// One way of a set: 16 bytes.
+/// Lanes per set: every set has room for [`MAX_CACHE_WAYS`] ways, and the
+/// lanes past a cache's associativity stay empty.
+const LANES: usize = MAX_CACHE_WAYS as usize;
+/// A way handle is `set << WAY_BITS | way`.
+const WAY_BITS: u32 = LANES.trailing_zeros();
+/// Tag half of an empty way. A tag is at most `u64::MAX / 64`, so its high
+/// half never reaches this, and an empty way, marked wide, matches no tag.
+const EMPTY: u32 = u32::MAX;
+/// Rank of a lane past the associativity: above every real rank, so a
+/// touch never moves it and it is never the victim.
+const UNUSED: u8 = u8::MAX;
+
+/// One set's 32-bit tag halves, one cache line of lanes.
 #[derive(Debug, Clone, Copy)]
-struct Line {
-    /// The block number (`addr / 64`, so the evicted address is `tag × 64`)
-    /// with [`DIRTY`] in its top bit, or [`INVALID`] for an empty way.
-    tag: u64,
-    /// LRU stamp: larger = more recently used. An invalid way's stamp is 0,
-    /// below every valid stamp, so the least-stamped way of a set is its
-    /// first invalid way if it has one, else its LRU way.
-    lru: u64,
-}
+#[repr(align(64))]
+struct Halves([u32; LANES]);
 
-/// Tag of an empty way. No block number reaches the top bit, so it never
-/// matches one, even with [`DIRTY`] masked off.
-const INVALID: u64 = u64::MAX;
-/// Dirty flag, kept in the tag's top bit.
-const DIRTY: u64 = 1 << 63;
-
-impl Line {
-    const INVALID: Line = Line { tag: INVALID, lru: 0 };
-
-    fn is_dirty(self) -> bool {
-        self.tag != INVALID && self.tag & DIRTY != 0
-    }
+/// Bit `i` is set where `lanes[i] == x`. A fixed-length fold that LLVM
+/// turns into a few vector compares and one byte-mask extraction.
+fn lanes_equal<T: Copy + PartialEq>(lanes: &[T; LANES], x: T) -> u16 {
+    lanes.iter().rev().fold(0, |mask, &lane| mask << 1 | u16::from(lane == x))
 }
 
 /// One level of a writeback cache.
@@ -43,6 +40,22 @@ impl Line {
 /// Addresses are managed at 64 B block granularity; any byte address within
 /// a block maps to the same line. The cache is *write-allocate*: a store
 /// miss fills the block, then dirties it.
+///
+/// A block's set is `block % sets` and its tag `block / sets` (a mask and
+/// a shift when the set count is a power of two). Each field is its own
+/// per-set array:
+///
+/// * `lo` holds the tags' low 32 bits, one lane per way, so a lookup
+///   compares a whole set in a few vector instructions.
+/// * `wide` marks the ways whose tag is 2^32 or more; only those read
+///   their high half from `hi`. An empty way is wide with all-ones halves,
+///   so no tag matches it.
+/// * `rank` holds each way's recency, 0 for the most recently used and
+///   `ways − 1` for the victim. A fresh set ranks way `w` at
+///   `ways − 1 − w`, so empty ways fill lowest first and stay older than
+///   every filled way: the victim is the first empty way, else the least
+///   recently used one.
+/// * `dirty` is one bit per way.
 ///
 /// # Example
 ///
@@ -57,17 +70,28 @@ impl Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: usize,
-    ways: usize,
-    lines: Vec<Line>,
-    tick: u64,
+    sets: u64,
+    /// `log2(sets)` when the set count is a power of two.
+    shift: Option<u32>,
+    /// The victim's rank, `ways − 1`.
+    oldest: u8,
+    lo: Vec<Halves>,
+    hi: Vec<Halves>,
+    wide: Vec<u16>,
+    rank: Vec<[u8; LANES]>,
+    dirty: Vec<u16>,
     hits: u64,
     misses: u64,
 }
 
-/// The block number of `addr`: a cache line's tag.
+/// The block number of `addr`.
 pub(crate) fn block_of(addr: PhysAddr) -> u64 {
     addr.raw() / BLOCK_BYTES
+}
+
+/// Splits a way handle into its set and way.
+fn unpack(handle: usize) -> (usize, usize) {
+    (handle >> WAY_BITS, handle & (LANES - 1))
 }
 
 impl SetAssocCache {
@@ -77,27 +101,31 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the capacity is not a positive multiple of
-    /// `ways * BLOCK_BYTES` or if `ways` is zero.
+    /// `ways * BLOCK_BYTES`, or if `ways` is zero or above
+    /// [`MAX_CACHE_WAYS`].
     pub fn new(bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache must have at least one way");
+        assert!(ways <= MAX_CACHE_WAYS, "cache may have at most {MAX_CACHE_WAYS} ways");
         let set_bytes = u64::from(ways) * BLOCK_BYTES;
         assert!(
             bytes > 0 && bytes.is_multiple_of(set_bytes),
             "capacity must be a positive multiple of ways × 64 B"
         );
-        let ways = ways as usize;
-        let blocks = (bytes / BLOCK_BYTES) as usize;
-        Self { sets: blocks / ways, ways, lines: vec![Line::INVALID; blocks], tick: 0, hits: 0, misses: 0 }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
+        let sets = bytes / set_bytes;
+        let n = sets as usize;
+        let rank = std::array::from_fn(|w| if w < ways as usize { (ways as usize - 1 - w) as u8 } else { UNUSED });
+        Self {
+            sets,
+            shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
+            oldest: (ways - 1) as u8,
+            lo: vec![Halves([EMPTY; LANES]); n],
+            hi: vec![Halves([EMPTY; LANES]); n],
+            wide: vec![u16::MAX; n],
+            rank: vec![rank; n],
+            dirty: vec![0; n],
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Hits observed so far.
@@ -110,44 +138,90 @@ impl SetAssocCache {
         self.misses
     }
 
-    /// Scans `block`'s set once: `Ok(line)` if a way holds the block, else
-    /// `Err(line)` for the way a fill takes, the first invalid way or else
-    /// the least recently used one. Both are indices into `lines`.
+    /// `block`'s set and tag.
+    fn split(&self, block: u64) -> (usize, u64) {
+        match self.shift {
+            Some(shift) => ((block & (self.sets - 1)) as usize, block >> shift),
+            None => ((block % self.sets) as usize, block / self.sets),
+        }
+    }
+
+    /// The tag way `way` of `set` holds, or `None` if the way is empty.
+    fn tag(&self, set: usize, way: usize) -> Option<u64> {
+        let lo = u64::from(self.lo[set].0[way]);
+        if self.wide[set] & 1 << way == 0 {
+            return Some(lo);
+        }
+        let hi = self.hi[set].0[way];
+        (hi != EMPTY).then_some(u64::from(hi) << 32 | lo)
+    }
+
+    /// The address of the block with `tag` in `set`.
+    fn addr_of(&self, set: usize, tag: u64) -> PhysAddr {
+        PhysAddr::new((tag * self.sets + set as u64) * BLOCK_BYTES)
+    }
+
+    /// Scans `block`'s set once: `Ok(handle)` if a way holds the block,
+    /// else `Err(handle)` for the way a fill takes, the first empty way or
+    /// else the least recently used one. A handle is `set << 4 | way`.
     fn lookup(&self, block: u64) -> Result<usize, usize> {
-        let start = (block % self.sets as u64) as usize * self.ways;
-        let mut victim = start;
-        let mut oldest = u64::MAX;
-        for (i, line) in self.lines[start..start + self.ways].iter().enumerate() {
-            if line.tag & !DIRTY == block {
-                return Ok(start + i);
-            }
-            if line.lru < oldest {
-                oldest = line.lru;
-                victim = start + i;
-            }
-        }
-        Err(victim)
-    }
-
-    /// Stamps `line` as the most recently used, dirtying it if `dirty`.
-    fn touch(&mut self, line: usize, dirty: bool) {
-        self.tick += 1;
-        let line = &mut self.lines[line];
-        line.lru = self.tick;
-        if dirty {
-            line.tag |= DIRTY;
+        let (set, tag) = self.split(block);
+        let low = lanes_equal(&self.lo[set].0, tag as u32);
+        let high = (tag >> 32) as u32;
+        let found = if high == 0 {
+            low & !self.wide[set]
+        } else {
+            self.wide_matches(set, low & self.wide[set], high)
+        };
+        let handle = set << WAY_BITS;
+        if found != 0 {
+            Ok(handle | found.trailing_zeros() as usize)
+        } else {
+            Err(handle | lanes_equal(&self.rank[set], self.oldest).trailing_zeros() as usize)
         }
     }
 
-    /// An access by block number: on a hit refreshes the line's stamp (and
-    /// dirties it for a write) and returns `Ok`; on a miss returns the way
-    /// a fill of `block` takes, for [`SetAssocCache::install`]. The way
-    /// stays right until this cache is changed again.
+    /// The ways among `candidates` of `set` whose high tag half is `high`.
+    fn wide_matches(&self, set: usize, mut candidates: u16, high: u32) -> u16 {
+        let mut found = 0;
+        while candidates != 0 {
+            let way = candidates.trailing_zeros();
+            if self.hi[set].0[way as usize] == high {
+                found |= 1 << way;
+            }
+            candidates &= candidates - 1;
+        }
+        found
+    }
+
+    /// Ranks `way` of `set` the most recently used: every way ranked more
+    /// recent than it ages by one.
+    fn promote(&mut self, set: usize, way: usize) {
+        let rank = &mut self.rank[set];
+        let old = rank[way];
+        for r in rank.iter_mut() {
+            *r += u8::from(*r < old);
+        }
+        rank[way] = 0;
+    }
+
+    /// Marks the way behind `handle` the most recently used, dirtying it if
+    /// `dirty`.
+    fn touch(&mut self, handle: usize, dirty: bool) {
+        let (set, way) = unpack(handle);
+        self.promote(set, way);
+        self.dirty[set] |= u16::from(dirty) << way;
+    }
+
+    /// An access by block number: on a hit marks the way the most recently
+    /// used (and dirties it for a write) and returns `Ok`; on a miss returns
+    /// the way a fill of `block` takes, for [`SetAssocCache::install`]. The
+    /// way stays right until this cache is changed again.
     pub(crate) fn access_block(&mut self, block: u64, is_write: bool) -> Result<(), usize> {
         let found = self.lookup(block);
         match found {
-            Ok(line) => {
-                self.touch(line, is_write);
+            Ok(handle) => {
+                self.touch(handle, is_write);
                 self.hits += 1;
             }
             Err(_) => self.misses += 1,
@@ -155,14 +229,26 @@ impl SetAssocCache {
         found.map(|_| ())
     }
 
-    /// Installs `block` into `way`, as returned by a lookup that missed,
-    /// and returns the valid block it displaced.
-    pub(crate) fn install(&mut self, way: usize, block: u64, dirty: bool) -> Option<Eviction> {
-        self.tick += 1;
-        let tag = if dirty { block | DIRTY } else { block };
-        let old = std::mem::replace(&mut self.lines[way], Line { tag, lru: self.tick });
-        (old.tag != INVALID)
-            .then(|| Eviction { addr: PhysAddr::new((old.tag & !DIRTY) * BLOCK_BYTES), dirty: old.is_dirty() })
+    /// Installs `block` into the way behind `handle`, as returned by a
+    /// lookup that missed, and returns the valid block it displaced.
+    pub(crate) fn install(&mut self, handle: usize, block: u64, dirty: bool) -> Option<Eviction> {
+        let (set, way) = unpack(handle);
+        let bit = 1 << way;
+        let evicted = self
+            .tag(set, way)
+            .map(|old| Eviction { addr: self.addr_of(set, old), dirty: self.dirty[set] & bit != 0 });
+        let (_, tag) = self.split(block);
+        self.lo[set].0[way] = tag as u32;
+        let high = (tag >> 32) as u32;
+        if high == 0 {
+            self.wide[set] &= !bit;
+        } else {
+            self.hi[set].0[way] = high;
+            self.wide[set] |= bit;
+        }
+        self.dirty[set] = self.dirty[set] & !bit | u16::from(dirty) << way;
+        self.promote(set, way);
+        evicted
     }
 
     /// Looks up `addr` without modifying replacement state or statistics.
@@ -185,40 +271,40 @@ impl SetAssocCache {
         let block = block_of(addr);
         match self.lookup(block) {
             // Already present (e.g. racing fill): refresh.
-            Ok(line) => {
-                self.touch(line, dirty);
+            Ok(handle) => {
+                self.touch(handle, dirty);
                 None
             }
-            Err(way) => self.install(way, block, dirty),
+            Err(handle) => self.install(handle, block, dirty),
         }
     }
 
-    /// Invalidates the block containing `addr` if present, returning whether
-    /// it was dirty.
-    pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
-        let i = self.lookup(block_of(addr)).ok()?;
-        Some(std::mem::replace(&mut self.lines[i], Line::INVALID).is_dirty())
-    }
-
     /// Cleans every dirty block *without invalidating it* (CLWB-like, §4.4)
-    /// and returns the addresses of the blocks that were dirty.
+    /// and returns the addresses of the blocks that were dirty, set by set
+    /// and way by way.
     pub fn clean_all(&mut self) -> Vec<PhysAddr> {
         let mut cleaned = Vec::new();
-        for line in self.lines.iter_mut().filter(|l| l.is_dirty()) {
-            line.tag &= !DIRTY;
-            cleaned.push(PhysAddr::new(line.tag * BLOCK_BYTES));
+        for set in 0..self.dirty.len() {
+            let mut dirty = std::mem::take(&mut self.dirty[set]);
+            while dirty != 0 {
+                let way = dirty.trailing_zeros() as usize;
+                let tag = self.tag(set, way).expect("a dirty way holds a block");
+                cleaned.push(self.addr_of(set, tag));
+                dirty &= dirty - 1;
+            }
         }
         cleaned
     }
 
     /// Number of valid blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.tag != INVALID).count()
+        let ways = usize::from(self.oldest) + 1;
+        (0..self.dirty.len()).map(|set| (0..ways).filter(|&w| self.tag(set, w).is_some()).count()).sum()
     }
 
     /// Number of dirty blocks currently resident.
     pub fn dirty_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.is_dirty()).count()
+        self.dirty.iter().map(|d| d.count_ones() as usize).sum()
     }
 }
 
@@ -229,15 +315,6 @@ mod tests {
     fn tiny() -> SetAssocCache {
         // 2 sets × 2 ways × 64 B = 256 B.
         SetAssocCache::new(256, 2)
-    }
-
-    #[test]
-    fn geometry() {
-        let c = tiny();
-        assert_eq!(c.sets(), 2);
-        assert_eq!(c.ways(), 2);
-        let big = SetAssocCache::new(32 * 1024, 8);
-        assert_eq!(big.sets(), 64);
     }
 
     #[test]
@@ -252,6 +329,27 @@ mod tests {
         // 130 B is two 64 B blocks plus 2 B: not a whole number of 2-way
         // sets, so it must not quietly become a 128 B cache.
         SetAssocCache::new(130, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_ways_than_lanes_rejected() {
+        SetAssocCache::new(17 * 64, 17);
+    }
+
+    #[test]
+    fn sixteen_ways_fill_in_way_order_then_evict_the_lru() {
+        let mut c = SetAssocCache::new(16 * 64, 16); // one set
+        for b in 0..16u64 {
+            assert!(c.fill(PhysAddr::new(b * 64), b % 2 == 0).is_none());
+        }
+        assert_eq!(c.resident_blocks(), 16);
+        // Dirty blocks come back in way order, which is fill order.
+        let even: Vec<_> = (0..16u64).step_by(2).map(|b| PhysAddr::new(b * 64)).collect();
+        assert_eq!(c.clean_all(), even);
+        c.access(PhysAddr::new(0), false);
+        let ev = c.fill(PhysAddr::new(16 * 64), false).expect("eviction");
+        assert_eq!(ev.addr, PhysAddr::new(64));
     }
 
     #[test]
@@ -334,12 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_block() {
-        let mut c = tiny();
-        c.fill(PhysAddr::new(0), true);
-        assert_eq!(c.invalidate(PhysAddr::new(0)), Some(true));
-        assert_eq!(c.invalidate(PhysAddr::new(0)), None);
-        assert!(!c.probe(PhysAddr::new(0)));
+    fn wide_tags_sharing_a_low_half_stay_apart() {
+        // 64 sets: a shift of 2^44 bytes adds 2^32 to the tag.
+        let mut c = SetAssocCache::new(32 * 1024, 8);
+        let low = PhysAddr::new(5 * 64);
+        let high = PhysAddr::new(5 * 64 + (1 << 44));
+        c.fill(high, true);
+        assert!(!c.probe(low));
+        c.fill(low, false);
+        assert!(c.probe(high) && c.probe(low));
+        assert_eq!(c.clean_all(), vec![high]);
+        assert_eq!(c.resident_blocks(), 2);
     }
 
     #[test]
@@ -349,7 +452,7 @@ mod tests {
         let addr = PhysAddr::new(123 * 64);
         c.fill(addr, true);
         // Fill the same set with 8 more conflicting blocks.
-        let sets = c.sets() as u64;
+        let sets = 64u64;
         let mut evicted = Vec::new();
         for i in 1..=8u64 {
             let conflict = PhysAddr::new((123 + i * sets) * 64);

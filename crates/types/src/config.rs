@@ -51,6 +51,8 @@ pub const L1_HIT_CYCLES: u64 = 4;
 pub const L2_HIT_CYCLES: u64 = 12;
 /// L3 hit latency in cycles (Table 2).
 pub const L3_HIT_CYCLES: u64 = 28;
+/// The most ways a cache level may have: each set keeps 16 tag lanes.
+pub const MAX_CACHE_WAYS: u32 = 16;
 
 /// Secure mode's modeled cost per 64 B block, in nanoseconds, charged on
 /// every encryption and every verification: 14 ns of counter-mode AES
@@ -569,7 +571,8 @@ impl SystemConfig {
     /// meaningless: zero-sized structures, a demote threshold above the
     /// promote threshold (pages would oscillate between schemes every
     /// epoch), a PTT larger than the DRAM that backs it, or a cache level
-    /// whose capacity is not a positive multiple of `ways × 64 B`.
+    /// whose capacity is not a positive multiple of `ways × 64 B` or that
+    /// has more than [`MAX_CACHE_WAYS`] ways.
     pub fn validate(&self) -> crate::Result<()> {
         let t = &self.thynvm;
         let fail = |reason: &str| {
@@ -601,8 +604,12 @@ impl SystemConfig {
             [("L1", c.l1_bytes, c.l1_ways), ("L2", c.l2_bytes, c.l2_ways), ("L3", c.l3_bytes, c.l3_ways)]
         {
             let set_bytes = u64::from(ways) * BLOCK_BYTES;
-            if set_bytes == 0 || bytes == 0 || !bytes.is_multiple_of(set_bytes) {
-                return fail(&format!("{level} capacity must be a positive multiple of ways × 64 B"));
+            let whole_sets = set_bytes > 0 && bytes > 0 && bytes.is_multiple_of(set_bytes);
+            if !whole_sets || ways > MAX_CACHE_WAYS {
+                return fail(&format!(
+                    "{level} must have 1 to {MAX_CACHE_WAYS} ways and a capacity that is a \
+                     positive multiple of ways × 64 B"
+                ));
             }
         }
         if !(0.0..=1.0).contains(&self.media.bit_flip_rate) {
@@ -767,14 +774,22 @@ mod tests {
         // shrink to 32 KiB.
         let mut cfg = SystemConfig::paper();
         cfg.cache.l1_bytes = 32_800;
-        assert!(cfg.validate().unwrap_err().to_string().contains("L1 capacity"));
+        assert!(cfg.validate().unwrap_err().to_string().contains("L1 must have"));
         // No ways at all: the cache cannot be built.
         let mut cfg = SystemConfig::paper();
         cfg.cache.l2_ways = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("L2 capacity"));
+        assert!(cfg.validate().unwrap_err().to_string().contains("L2 must have"));
         let mut cfg = SystemConfig::paper();
         cfg.cache.l3_bytes = 0;
-        assert!(cfg.validate().unwrap_err().to_string().contains("L3 capacity"));
+        assert!(cfg.validate().unwrap_err().to_string().contains("L3 must have"));
+        // More ways than a set has lanes, though 17 × 64 B sets divide it.
+        let mut cfg = SystemConfig::paper();
+        cfg.cache.l1_ways = 17;
+        cfg.cache.l1_bytes = 17 * 64 * 32;
+        assert!(cfg.validate().unwrap_err().to_string().contains("L1 must have 1 to 16 ways"));
+        cfg.cache.l1_ways = 16;
+        cfg.cache.l1_bytes = 16 * 64 * 32;
+        cfg.validate().expect("16 ways fit");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use config::{
     CacheConfig, CkptMode, DeviceGeometry, DramFaultConfig, HealthConfig, MediaFaultConfig,
     PersistBufferConfig, SecurityConfig, SystemConfig, ThyNvmConfig, WorkingRegion,
     BANKS_PER_CHANNEL, CPU_FREQ_GHZ, CRYPTO_NS_PER_BLOCK, DRAM_ROW_HIT_NS, DRAM_ROW_MISS_NS,
-    L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS,
+    L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES, MAX_CACHE_WAYS, NVM_CLEAN_MISS_NS, NVM_DIRTY_MISS_NS,
     NVM_ROW_HIT_NS, ROW_BYTES, TABLE_LOOKUP_NS,
 };
 pub use cycle::Cycle;
