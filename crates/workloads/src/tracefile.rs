@@ -16,7 +16,7 @@
 
 use std::io::{self, Read, Write};
 
-use thynvm_types::{AccessKind, MemRequest, PhysAddr, TraceEvent};
+use thynvm_types::{AccessKind, MemRequest, PhysAddr, TraceEvent, BLOCK_BYTES};
 
 /// File magic: "THYT" (ThyNVM Trace).
 pub const MAGIC: [u8; 4] = *b"THYT";
@@ -74,7 +74,9 @@ where
 /// # Errors
 ///
 /// Returns `InvalidData` on a bad magic, unsupported version, malformed
-/// record, or truncated stream; propagates underlying I/O errors.
+/// record (a zero-byte access, or one whose last block ends past the top
+/// of the address space), or truncated stream; propagates underlying I/O
+/// errors.
 pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<TraceEvent>> {
     let mut header = [0u8; 16];
     r.read_exact(&mut header)?;
@@ -112,6 +114,14 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<TraceEvent>> {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("record {i}: zero-byte access"),
+            ));
+        }
+        // The block-rounded end must fit in a u64, or the blocks it
+        // touches cannot be counted.
+        if addr.checked_add(u64::from(bytes) + BLOCK_BYTES - 1).is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("record {i}: access of {bytes} B at {addr:#x} runs past the address space"),
             ));
         }
         events.push(TraceEvent::new(gap, MemRequest::new(PhysAddr::new(addr), kind, bytes)));
@@ -213,6 +223,25 @@ mod tests {
             *b = 0; // bytes field of record 0
         }
         assert!(read_trace(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn access_past_the_address_space_rejected() {
+        let trace = |addr: u64, bytes: u32| {
+            let mut buf = Vec::new();
+            let req = MemRequest::new(PhysAddr::new(addr), AccessKind::Write, bytes);
+            write_trace(&mut buf, [TraceEvent::new(1, req)]).unwrap();
+            read_trace(&buf[..])
+        };
+        let err = trace(u64::MAX - 8, 16).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("past the address space"), "{err}");
+        // Within the last block: its end, 2^64, does not fit either.
+        assert!(trace(u64::MAX - 63, 1).is_err());
+        // The block below it ends at 2^64 - 64, just under u64::MAX.
+        let events = trace(u64::MAX - 127, 64).unwrap();
+        let blocks: Vec<_> = events[0].req.blocks_touched().collect();
+        assert_eq!(blocks, vec![PhysAddr::new(u64::MAX - 127)]);
     }
 
     #[test]
