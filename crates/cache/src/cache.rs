@@ -113,11 +113,12 @@ impl SetAssocCache {
         );
         let sets = bytes / set_bytes;
         let n = sets as usize;
-        let rank = std::array::from_fn(|w| if w < ways as usize { (ways as usize - 1 - w) as u8 } else { UNUSED });
+        let ways = ways as u8;
+        let rank = std::array::from_fn(|w| ways.checked_sub(1 + w as u8).unwrap_or(UNUSED));
         Self {
             sets,
             shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
-            oldest: (ways - 1) as u8,
+            oldest: ways - 1,
             lo: vec![Halves([EMPTY; LANES]); n],
             hi: vec![Halves([EMPTY; LANES]); n],
             wide: vec![u16::MAX; n],
@@ -299,7 +300,8 @@ impl SetAssocCache {
     /// Number of valid blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
         let ways = usize::from(self.oldest) + 1;
-        (0..self.dirty.len()).map(|set| (0..ways).filter(|&w| self.tag(set, w).is_some()).count()).sum()
+        let resident = |set| (0..ways).filter(|&w| self.tag(set, w).is_some()).count();
+        (0..self.dirty.len()).map(resident).sum()
     }
 
     /// Number of dirty blocks currently resident.
