@@ -25,7 +25,7 @@ const EMPTY: u32 = u32::MAX;
 const UNUSED: u8 = u8::MAX;
 
 /// One set's 32-bit tag halves, one cache line of lanes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 #[repr(align(64))]
 struct Halves([u32; LANES]);
 
@@ -340,21 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn sixteen_ways_fill_in_way_order_then_evict_the_lru() {
-        let mut c = SetAssocCache::new(16 * 64, 16); // one set
-        for b in 0..16u64 {
-            assert!(c.fill(PhysAddr::new(b * 64), b % 2 == 0).is_none());
-        }
-        assert_eq!(c.resident_blocks(), 16);
-        // Dirty blocks come back in way order, which is fill order.
-        let even: Vec<_> = (0..16u64).step_by(2).map(|b| PhysAddr::new(b * 64)).collect();
-        assert_eq!(c.clean_all(), even);
-        c.access(PhysAddr::new(0), false);
-        let ev = c.fill(PhysAddr::new(16 * 64), false).expect("eviction");
-        assert_eq!(ev.addr, PhysAddr::new(64));
-    }
-
-    #[test]
     fn miss_then_hit() {
         let mut c = tiny();
         assert!(!c.access(PhysAddr::new(0), false));
@@ -431,20 +416,6 @@ mod tests {
         assert_eq!(c.dirty_blocks(), 0);
         assert_eq!(c.resident_blocks(), 3); // not invalidated (CLWB semantics)
         assert!(c.probe(PhysAddr::new(0)));
-    }
-
-    #[test]
-    fn wide_tags_sharing_a_low_half_stay_apart() {
-        // 64 sets: a shift of 2^44 bytes adds 2^32 to the tag.
-        let mut c = SetAssocCache::new(32 * 1024, 8);
-        let low = PhysAddr::new(5 * 64);
-        let high = PhysAddr::new(5 * 64 + (1 << 44));
-        c.fill(high, true);
-        assert!(!c.probe(low));
-        c.fill(low, false);
-        assert!(c.probe(high) && c.probe(low));
-        assert_eq!(c.clean_all(), vec![high]);
-        assert_eq!(c.resident_blocks(), 2);
     }
 
     #[test]
