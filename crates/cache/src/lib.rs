@@ -5,11 +5,13 @@
 //! hierarchy (32 KB L1, 256 KB L2, 2 MB L3; 64 B blocks; 4/12/28-cycle
 //! hits).
 //!
-//! * [`cache::SetAssocCache`] — one set-associative LRU writeback cache.
-//!   A line is 16 bytes: the block number as its tag, with the dirty flag
-//!   in the top bit, and an LRU stamp. One scan of a set finds the hit way
-//!   or else the way a fill takes (the first invalid way, else the LRU
-//!   one).
+//! * [`cache::SetAssocCache`] — one set-associative LRU writeback cache
+//!   of up to 16 ways. Each set keeps 16 lanes per field: the tags' low
+//!   32 bits, their high halves (read only for the ways a `wide` mask
+//!   marks), per-way recency ranks and a dirty mask. One lookup compares
+//!   the set's low halves in a few vector instructions and finds the hit
+//!   way, or else the way a fill takes (the first empty way, else the LRU
+//!   one) with one byte compare of the ranks.
 //! * [`hierarchy::CacheHierarchy`] — the three-level chain. A lookup
 //!   returns the hit latency and the memory operations (fetch, writebacks)
 //!   that must be sent to main memory. It scans each level's set once: a
